@@ -11,8 +11,8 @@ verify re-derives everything independently and reports disagreements.
 from .critical import (assemble_critical, barrier, classify_critical,
                        coefficients, find_e_max, find_e_min, phi1, phi2,
                        phi3, truncation_comparison, xi_solution)
-from .curves import (CurveBundle, CurveSegment, PiecewiseCurve,
-                     bundle_to_csv, bundle_to_json, max_join_gap)
+from .curves import (CurveBundle, CurveSegment, bundle_to_csv,
+                     bundle_to_json, max_join_gap)
 from .errors import (AssumptionViolated, CancellationLoss,
                      EnstrophyBoundsError, EtaTooSmall, FieldBlowup,
                      InvalidRegime, MissingKey, NoBracket, NonConvergence,
@@ -38,7 +38,7 @@ __all__ = [
     "CurveSegment", "EnstrophyBoundsError", "EtaTooSmall", "FieldBlowup",
     "ForcingParams", "FullNseGeometry", "InvalidRegime", "LogScalar",
     "MissingKey", "NoBracket", "NonConvergence", "OutsideDomain",
-    "PiecewiseCurve", "RegimeViolation", "ScalingParams",
+    "RegimeViolation", "ScalingParams",
     "assemble_critical", "assemble_full", "assemble_scaling",
     "assemble_subcritical", "barrier", "bound_report", "bundle_to_csv",
     "bundle_to_json", "classify_critical", "classify_full",

@@ -10,7 +10,10 @@ on the forcing parabola at (e0, E0) the solution rises steeply leftward
 (phi1) until it meets the vorticity barrier at (e_max, E_max); re-anchored
 there with all three coefficients divided by C_Omega it descends (phi2) to
 the enstrophy floor E_min; below the floor the curl forcing takes over and
-the curve follows x = E^(3/2) dynamics (phi3) down to zero.
+the curve follows x = E^(3/2) dynamics (phi3) down to zero. That tail is
+linear too: the same weighted integral in closed form, which far below
+float range is the short expansion of specfun._tiny_integral. chain()
+resolves the two root solves (peak, floor crossing) once per parameter set.
 
 Magnitudes are extreme on both axes: E_max grows like exp(c G^2) and e_min
 shrinks like exp(-c' G^2), so abscissas travel as ln e and ordinates as
@@ -21,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,7 +33,7 @@ from .errors import (AssumptionViolated, CancellationLoss, InvalidRegime,
                      NoBracket, OutsideDomain, RegimeViolation)
 from .logscalar import LogScalar
 from .params import ForcingParams
-from .solver import find_root, integrate_adaptive
+from .solver import find_root
 from .specfun import weighted_exp_integral_ln
 
 _LN6 = math.log(6.0)
@@ -73,8 +77,8 @@ class CriticalCoefficients:
 
     alpha_g is the series parameter 1 - a of the weighted integral; e_a is
     the abscissa where a/e - b changes sign (also the barrier asymptote,
-    invariant under the C_Omega division). E_min, e0, E0 ride along so a
-    single object fixes the whole anchor chain.
+    invariant under the C_Omega division). E_min, e0, E0 ride along so
+    CriticalChain needs no other anchor data.
     """
     a: float
     b: float
@@ -105,17 +109,6 @@ def coefficients(params: ForcingParams) -> CriticalCoefficients:
         e0=e0, E0=max(4.0 * params.f_norm * math.sqrt(e0) / nu, floor))
 
 
-def tail_coefficients(params: ForcingParams) -> CriticalCoefficients:
-    """Slope-field constants below the floor, in the x = E^(3/2) variable."""
-    co = coefficients(params)
-    big = params.big_c_omega
-    a3 = 0.75 * (1.0 - params.rho) / big
-    b3 = 3.0 * params.c2 * math.sqrt(params.lam) \
-        / (big * params.eps * params.nu ** 2)
-    g3 = 18.0 * params.curlF_norm / (params.nu * big)
-    return replace(co, a=a3, b=b3, big_c=g3, alpha_g=1.0 - a3)
-
-
 def _barrier_ln_prefactor(params: ForcingParams) -> float:
     return (2.0 / 3.0) * math.log(params.eps) \
         + (4.0 / 3.0) * math.log(params.mu) \
@@ -128,7 +121,7 @@ def barrier(e: float, params: ForcingParams) -> float:
     Convention: exactly at e_a the ceiling is +inf, so root brackets may
     close on e_a itself.
     """
-    e_a = coefficients(params).e_a
+    e_a = chain(params).co.e_a
     if not 0.0 < e <= e_a:
         raise OutsideDomain(f"barrier is defined on (0, {e_a}], got e = {e}")
     if e == e_a:
@@ -180,7 +173,7 @@ def _as_ln(e) -> float:
 
 def phi1(e, params: ForcingParams) -> LogScalar:
     """Right branch: anchored at (e0, E0), decreasing in e on [e_max, e0]."""
-    co = coefficients(params)
+    co = chain(params).co
     ln_e = _as_ln(e)
     ln_e0 = math.log(co.e0)
     if ln_e > ln_e0 + 1e-9:
@@ -189,37 +182,92 @@ def phi1(e, params: ForcingParams) -> LogScalar:
     return xi_solution(ln_e, co, ln_e0, xi0) ** (5.0 / 3.0)
 
 
-def _peak(params: ForcingParams,
-          co: CriticalCoefficients) -> tuple[float, float, LogScalar]:
-    """(w_star, ln_e_max, E_max) with w = ln((e_a - e)/e_a).
-
-    The barrier-curve crossing sits a sub-float distance left of e_a, so
-    the root is located in w space where the barrier is exact:
-    ln barrier = pre + (5/3)(ln 6 + log1p(-exp w) - w).
+@dataclass(frozen=True)
+class CriticalChain:
+    """The anchor chain of one parameter set: the fields of phi1 (co), phi2
+    (co2) and phi3 (tail, from x_min = E_min^(3/2)). The peak and the floor
+    crossing are solved on first use and kept; a failed solve raises again
+    on every use, so callers that never reach a breakpoint never see it.
     """
-    if params.grashof <= 0.0 or co.e0 <= co.e_a:
-        raise RegimeViolation(
-            f"anchor energy e0 = {co.e0} must exceed the barrier "
-            f"asymptote e_a = {co.e_a}")
-    ln_e0 = math.log(co.e0)
-    ln_e_a = math.log(co.e_a)
-    xi0 = LogScalar.from_float(co.E0) ** 0.6
-    pre = _barrier_ln_prefactor(params)
+    params: ForcingParams
+    co: CriticalCoefficients
+    co2: CriticalCoefficients
+    tail: CriticalCoefficients
+    x_min: LogScalar
 
-    def gap(w: float) -> float:
-        ln_e = ln_e_a + math.log1p(-math.exp(w))
-        ln_curve = (5.0 / 3.0) * xi_solution(ln_e, co, ln_e0, xi0).ln
-        return ln_curve - pre - (5.0 / 3.0) * (_LN6 + math.log1p(-math.exp(w)) - w)
+    @cached_property
+    def peak(self) -> tuple[float, float, LogScalar]:
+        """(w_star, ln_e_max, E_max) with w = ln((e_a - e)/e_a).
 
-    # estimate the crossing from the curve value at e_a, then bracket it
-    w_est = _LN6 - 0.6 * ((5.0 / 3.0) * xi_solution(ln_e_a, co, ln_e0, xi0).ln
-                          - pre)
-    lo = min(w_est - 60.0, math.log(0.5))
-    hi = math.log1p(-1e-9)
-    w_star = find_root(gap, lo, hi, x_tol=1e-12)
-    ln_e_max = ln_e_a + math.log1p(-math.exp(w_star))
-    E_max = xi_solution(ln_e_max, co, ln_e0, xi0) ** (5.0 / 3.0)
-    return w_star, ln_e_max, E_max
+        The barrier-curve crossing sits a sub-float distance left of e_a,
+        so the root is located in w space where the barrier is exact:
+        ln barrier = pre + (5/3)(ln 6 + log1p(-exp w) - w).
+        """
+        co = self.co
+        if self.params.grashof <= 0.0 or co.e0 <= co.e_a:
+            raise RegimeViolation(
+                f"anchor energy e0 = {co.e0} must exceed the barrier "
+                f"asymptote e_a = {co.e_a}")
+        ln_e0 = math.log(co.e0)
+        ln_e_a = math.log(co.e_a)
+        xi0 = LogScalar.from_float(co.E0) ** 0.6
+        pre = _barrier_ln_prefactor(self.params)
+
+        def gap(w: float) -> float:
+            ln_e = ln_e_a + math.log1p(-math.exp(w))
+            ln_curve = (5.0 / 3.0) * xi_solution(ln_e, co, ln_e0, xi0).ln
+            return ln_curve - pre - (5.0 / 3.0) * (
+                _LN6 + math.log1p(-math.exp(w)) - w)
+
+        # estimate the crossing from the curve value at e_a, then bracket it
+        w_est = _LN6 - 0.6 * ((5.0 / 3.0)
+                              * xi_solution(ln_e_a, co, ln_e0, xi0).ln - pre)
+        lo = min(w_est - 60.0, math.log(0.5))
+        hi = math.log1p(-1e-9)
+        w_star = find_root(gap, lo, hi, x_tol=1e-12)
+        ln_e_max = ln_e_a + math.log1p(-math.exp(w_star))
+        E_max = xi_solution(ln_e_max, co, ln_e0, xi0) ** (5.0 / 3.0)
+        return w_star, ln_e_max, E_max
+
+    @cached_property
+    def ln_e_min(self) -> float:
+        """ln e_min: where the middle branch descends to the floor E_min."""
+        _, ln_e_max, E_max = self.peak
+        E_min = LogScalar.from_float(self.co.E_min)
+        if not E_min < E_max:
+            raise NoBracket(
+                "enstrophy floor meets or exceeds the curve maximum")
+        co2 = self.co2
+        xi_max = E_max ** 0.6
+
+        def gap(v: float) -> float:
+            return (5.0 / 3.0) * xi_solution(v, co2, ln_e_max, xi_max).ln \
+                - E_min.ln
+
+        step = 1000.0
+        lo = ln_e_max - step
+        for _ in range(40):
+            if gap(lo) < 0.0:
+                break
+            step *= 2.0
+            lo = ln_e_max - step
+        else:
+            raise NoBracket("floor crossing deeper than the bracket guard")
+        return find_root(gap, lo, ln_e_max, x_tol=1e-12)
+
+
+@lru_cache(maxsize=64)
+def chain(params: ForcingParams) -> CriticalChain:
+    """The memoised anchor chain of params (raises InvalidRegime off r = 1/2)."""
+    co = coefficients(params)
+    big = params.big_c_omega
+    a3 = 0.75 * (1.0 - params.rho) / big
+    b3 = 3.0 * params.c2 * math.sqrt(params.lam) \
+        / (big * params.eps * params.nu ** 2)
+    g3 = 18.0 * params.curlF_norm / (params.nu * big)
+    tail = replace(co, a=a3, b=b3, big_c=g3, alpha_g=1.0 - a3)
+    return CriticalChain(params, co, co.scaled(1.0 / big), tail,
+                         LogScalar.from_float(co.E_min) ** 1.5)
 
 
 def find_e_max(params: ForcingParams) -> tuple[float, LogScalar]:
@@ -229,68 +277,24 @@ def find_e_max(params: ForcingParams) -> tuple[float, LogScalar]:
     crossing sits exponentially close to the asymptote); the sub-float
     offset is resolved internally and E_max reflects it.
     """
-    co = coefficients(params)
-    _, ln_e_max, E_max = _peak(params, co)
-    return min(math.exp(ln_e_max), co.e_a), E_max
+    ch = chain(params)
+    _, ln_e_max, E_max = ch.peak
+    return min(math.exp(ln_e_max), ch.co.e_a), E_max
 
 
 def phi2(e, params: ForcingParams) -> LogScalar:
     """Middle branch: C_Omega-damped field re-anchored at (e_max, E_max)."""
-    co = coefficients(params)
-    co2 = co.scaled(1.0 / params.big_c_omega)
-    _, ln_e_max, E_max = _peak(params, co)
+    ch = chain(params)
+    _, ln_e_max, E_max = ch.peak
     ln_e = _as_ln(e)
     if ln_e > ln_e_max + 1e-9:
         raise OutsideDomain("phi2 is only defined left of e_max")
-    return xi_solution(ln_e, co2, ln_e_max, E_max ** 0.6) ** (5.0 / 3.0)
-
-
-def _floor_crossing(params: ForcingParams, co: CriticalCoefficients,
-                    ln_e_max: float, E_max: LogScalar) -> float:
-    """ln e_min: where the middle branch descends to the floor E_min."""
-    E_min = LogScalar.from_float(co.E_min)
-    if not E_min < E_max:
-        raise NoBracket("enstrophy floor meets or exceeds the curve maximum")
-    co2 = co.scaled(1.0 / params.big_c_omega)
-    xi_max = E_max ** 0.6
-
-    def gap(v: float) -> float:
-        return (5.0 / 3.0) * xi_solution(v, co2, ln_e_max, xi_max).ln \
-            - E_min.ln
-
-    step = 1000.0
-    lo = ln_e_max - step
-    for _ in range(40):
-        if gap(lo) < 0.0:
-            break
-        step *= 2.0
-        lo = ln_e_max - step
-    else:
-        raise NoBracket("floor crossing deeper than the bracket guard")
-    return find_root(gap, lo, ln_e_max, x_tol=1e-12)
+    return xi_solution(ln_e, ch.co2, ln_e_max, E_max ** 0.6) ** (5.0 / 3.0)
 
 
 def find_e_min(params: ForcingParams) -> LogScalar:
     """Lower breakpoint, far below float range (ln e_min is the payload)."""
-    co = coefficients(params)
-    _, ln_e_max, E_max = _peak(params, co)
-    return LogScalar.from_ln(_floor_crossing(params, co, ln_e_max, E_max))
-
-
-def _tail_integral_ln(ln_e: float, ln_e_hi: float, a3: float,
-                      b3: float) -> float:
-    """ln of int_e^{e_hi} (e/t)^a3 exp(b3 (t-e)) dt, by substitution
-    t = e exp(v); the exponent stays bounded because b3 t <= b3 e_a < 1."""
-    span = ln_e_hi - ln_e
-    if span == 0.0:
-        return -math.inf
-    e_f = math.exp(ln_e)  # harmless underflow to 0 for sub-float energies
-
-    def f(v: float) -> float:
-        return math.exp((1.0 - a3) * (v - span) + b3 * e_f * math.expm1(v))
-
-    quad = integrate_adaptive(f, 0.0, span, rel_tol=1e-10)
-    return ln_e + (1.0 - a3) * span + math.log(quad)
+    return LogScalar.from_ln(chain(params).ln_e_min)
 
 
 def _phi3_ln(ln_e: float, tail: CriticalCoefficients, ln_e_min: float,
@@ -302,42 +306,47 @@ def _phi3_ln(ln_e: float, tail: CriticalCoefficients, ln_e_min: float,
     if g3 == 0.0 or ln_e == ln_e_min:
         x = hom
     else:
+        # int_e^{e_min} (e/t)^a3 e^(b3 (t - e)) dt
+        #   = e^a3 e^(-b3 e) W(a3, b3; e, e_min), negative above e_min
         part = LogScalar.from_ln(
-            math.log(g3) + _tail_integral_ln(ln_e, ln_e_min, a3, b3))
-        x = hom + part  # same sign, no cancellation
+            math.log(g3) + a3 * ln_e - b3 * math.exp(ln_e),
+            1 if ln_e < ln_e_min else -1) * weighted_exp_integral_ln(
+                a3, b3, min(ln_e, ln_e_min), max(ln_e, ln_e_min))
+        x = hom + part
     return x ** (2.0 / 3.0)
 
 
 def phi3(e, params: ForcingParams) -> LogScalar:
     """Tail branch below the floor, in the x = E^(3/2) variable.
 
-    Requires the curl-dominated floor; the regimes where the curl forcing
-    is too weak to control the tail are rejected rather than guessed.
+    x(e) = x_min (e/e_min)^a3 e^(b3 (e_min - e)) + g3 times the tail
+    integral, which is the weighted exponential integral W(a3, b3; e, e_min)
+    in closed form (0 < a3 < 0.15 and b3 > 0 for every valid parameter
+    set). Requires the curl-dominated floor; the regimes where the curl
+    forcing is too weak to control the tail are rejected rather than
+    guessed.
     """
-    co = coefficients(params)
+    ch = chain(params)
     _, curl_dominant = enstrophy_floor(params)
     if not curl_dominant:
         raise AssumptionViolated(
             "curl forcing below the floor-dominance threshold "
             f"({params.curlF_norm} < {curl_threshold(params)})")
-    _, ln_e_max, E_max = _peak(params, co)
-    ln_e_min = _floor_crossing(params, co, ln_e_max, E_max)
+    ln_e_min = ch.ln_e_min
     ln_e = _as_ln(e)
     if ln_e > ln_e_min + 1e-9:
         raise OutsideDomain("phi3 is only defined at or below e_min")
-    x_min = LogScalar.from_float(co.E_min) ** 1.5
-    return _phi3_ln(ln_e, tail_coefficients(params), ln_e_min, x_min)
+    return _phi3_ln(ln_e, ch.tail, ln_e_min, ch.x_min)
 
 
 def slope_field(params: ForcingParams, tag: str = "phi1"):
     """d(lnE)/de of the named segment's defining field; oracle plumbing."""
+    ch = chain(params)
     if tag in ("phi1", "phi2"):
-        co = coefficients(params)
-        if tag == "phi2":
-            co = co.scaled(1.0 / params.big_c_omega)
+        co = ch.co if tag == "phi1" else ch.co2
         power, shrink = 5.0 / 3.0, 0.6
     elif tag == "phi3":
-        co = tail_coefficients(params)
+        co = ch.tail
         power, shrink = 2.0 / 3.0, 1.5
     else:
         raise ValueError(f"no slope field for tag {tag!r}")
@@ -360,7 +369,7 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
     from .solver import rk4_path
     from .specfun import gamma_series_truncated
 
-    co = coefficients(params)
+    co = chain(params).co
     E0s = 2.0 * params.nu ** 3 * math.sqrt(params.lam) * params.grashof ** 2
     ln_e0 = math.log(co.e0)
     xi0 = LogScalar.from_float(E0s) ** 0.6
@@ -402,20 +411,18 @@ def assemble_critical(params: ForcingParams, samples: int = 512) -> CurveBundle:
     parabola condition along the curve, curve above the lower boundary)
     are asserted before returning.
     """
-    co = coefficients(params)
+    ch = chain(params)
+    co, co2, tail = ch.co, ch.co2, ch.tail
     floor, curl_dominant = enstrophy_floor(params)
     if not curl_dominant:
         raise AssumptionViolated(
             "curl forcing below the floor-dominance threshold; "
             "the tail construction does not apply")
-    w_star, ln_e_max, E_max = _peak(params, co)
+    w_star, ln_e_max, E_max = ch.peak
     ln_e0 = math.log(co.e0)
     xi0 = LogScalar.from_float(co.E0) ** 0.6
-    ln_e_min = _floor_crossing(params, co, ln_e_max, E_max)
-    co2 = co.scaled(1.0 / params.big_c_omega)
+    ln_e_min = ch.ln_e_min
     xi_max = E_max ** 0.6
-    tail = tail_coefficients(params)
-    x_min = LogScalar.from_float(floor) ** 1.5
 
     def xi_segment(tag, ln_lo, ln_hi, cc, ln_ref, xi_ref):
         grid = log_grid(ln_lo, ln_hi, samples)
@@ -435,7 +442,7 @@ def assemble_critical(params: ForcingParams, samples: int = 512) -> CurveBundle:
     grid3 = log_grid(ln_e_min - 20.0 * math.log(10.0), ln_e_min, samples)
     ln_E3, slope3 = [], []
     for v in grid3:
-        E = _phi3_ln(v, tail, ln_e_min, x_min)
+        E = _phi3_ln(v, tail, ln_e_min, ch.x_min)
         x = E ** 1.5
         e = math.exp(v)
         drag = (LogScalar.from_float(tail.big_c)
@@ -487,19 +494,15 @@ def assemble_critical(params: ForcingParams, samples: int = 512) -> CurveBundle:
 
 def curve_value(ln_e: float, params: ForcingParams) -> LogScalar:
     """Piecewise curve evaluated exactly (not interpolated) at ln e."""
-    co = coefficients(params)
-    _, ln_e_max, E_max = _peak(params, co)
-    if ln_e > math.log(co.e0):
+    ch = chain(params)
+    _, ln_e_max, _ = ch.peak
+    if ln_e > math.log(ch.co.e0):
         raise OutsideDomain("the bounding curve stops at e0")
     if ln_e >= ln_e_max:
-        return xi_solution(ln_e, co, math.log(co.e0),
-                           LogScalar.from_float(co.E0) ** 0.6) ** (5.0 / 3.0)
-    ln_e_min = _floor_crossing(params, co, ln_e_max, E_max)
-    if ln_e >= ln_e_min:
-        co2 = co.scaled(1.0 / params.big_c_omega)
-        return xi_solution(ln_e, co2, ln_e_max, E_max ** 0.6) ** (5.0 / 3.0)
-    return _phi3_ln(ln_e, tail_coefficients(params), ln_e_min,
-                    LogScalar.from_float(co.E_min) ** 1.5)
+        return phi1(LogScalar.from_ln(ln_e), params)
+    if ln_e >= ch.ln_e_min:
+        return phi2(LogScalar.from_ln(ln_e), params)
+    return _phi3_ln(ln_e, ch.tail, ch.ln_e_min, ch.x_min)
 
 
 def classify_critical(e: float, E: float, params: ForcingParams) -> str:
@@ -511,7 +514,7 @@ def classify_critical(e: float, E: float, params: ForcingParams) -> str:
     if params.nu * E < 4.0 * params.f_norm * math.sqrt(e):
         return "I"
     ln_e = math.log(e)
-    if ln_e > math.log(coefficients(params).e0):
+    if ln_e > math.log(chain(params).co.e0):
         return "II"
     return "III" if LogScalar.from_float(E) >= curve_value(ln_e, params) \
         else "II"

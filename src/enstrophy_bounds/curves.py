@@ -57,11 +57,6 @@ class CurveBundle:
         return [s for s in self.segments if s.tag.startswith("phi")]
 
 
-# historical name, kept because it reads better at call sites that only
-# ever touch the phi pieces
-PiecewiseCurve = CurveBundle
-
-
 def log_grid(ln_lo: float, ln_hi: float, n: int) -> np.ndarray:
     if n < 2:
         raise ValueError("need at least two samples per segment")

@@ -17,6 +17,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import NoBracket, OutsideDomain, RegimeViolation
 from .logscalar import LogScalar
@@ -31,7 +33,13 @@ def psi_of_E(E: float, params: ForcingParams) -> float:
     if E < 0.0:
         raise ValueError("enstrophy must be nonnegative")
     nu, g = params.nu, params.grashof
-    denom = 2.0 * nu ** 6 * params.lam ** 1.5 * g * g + params.c1 * E ** 3
+    try:
+        cube = E ** 3
+    except OverflowError:
+        # E^3 and E^2 out of float range: divide through by E^2 first
+        return nu ** 4 / (2.0 * nu ** 6 * params.lam ** 1.5 * g * g / E / E
+                          + params.c1 * E)
+    denom = 2.0 * nu ** 6 * params.lam ** 1.5 * g * g + params.c1 * cube
     if denom == 0.0:
         return 0.0
     return nu ** 4 * E * E / denom
@@ -247,7 +255,6 @@ def _funnel_segment(tag, ln_lo, ln_hi, anchor_e, anchor_E, geo, params,
         E = phi_of_e(e, anchor_e, anchor_E, geo.eta, params)
         ln_E.append(math.log(E))
         slope.append(phi_slope(e, E, geo.eta, params) * e / E)
-    import numpy as np
     return CurveSegment(tag, grid, np.asarray(ln_E), np.asarray(slope))
 
 
@@ -260,8 +267,6 @@ def assemble_full(params: ForcingParams, eta: float | None = None,
     piecewise curve, so no join continuity is implied. The nose is emitted
     as two barrier segments (lower and upper branch).
     """
-    import numpy as np
-
     geo = geometry(params, eta)
     segs = []
 

@@ -159,7 +159,11 @@ class LogScalar:
             return LogScalar(big.sign, big.ln + math.log1p(math.exp(d))), 0.0
         if d == 0.0:
             return ZERO, math.inf
-        res_ln = big.ln + math.log1p(-math.exp(d))
+        if math.exp(d) == 1.0:
+            # |d| under half an ulp of 1: log1p(-exp(d)) would be log1p(-1)
+            res_ln = big.ln + math.log(-math.expm1(d))
+        else:
+            res_ln = big.ln + math.log1p(-math.exp(d))
         lost = max(0.0, (big.ln - res_ln) / _LN10)
         return LogScalar(big.sign, res_ln), lost
 

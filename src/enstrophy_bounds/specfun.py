@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import CancellationLoss, NonConvergence
+from .errors import NonConvergence
 from .logscalar import ZERO, LogScalar, ls_sum
 from .solver import integrate_adaptive
 
@@ -175,13 +175,3 @@ def weighted_exp_integral(a: float, b: float, e_lo: float, e_hi: float,
     ln_lo = math.log(e_lo) if e_lo > 0.0 else -math.inf
     ln_hi = math.log(e_hi) if e_hi > 0.0 else -math.inf
     return weighted_exp_integral_ln(a, b, ln_lo, ln_hi, rel_tol)
-
-
-def assert_no_cancellation(value: LogScalar, lost: float,
-                           context: str) -> LogScalar:
-    """Guard helper: raise CancellationLoss if a subtraction burned more
-    digits than the curve code tolerates."""
-    if lost > _MAX_LOST_DIGITS:
-        raise CancellationLoss(
-            f"{context}: lost {lost:.1f} digits to cancellation")
-    return value

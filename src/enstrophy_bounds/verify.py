@@ -237,7 +237,7 @@ def _specfun_row(series_rel_tol: float) -> dict:
 def _rk4_row(params: ForcingParams, series_rel_tol: float) -> dict:
     """Closed-form rising branch vs direct integration of its slope field."""
     if params.r == 0.5:
-        co = critical.coefficients(params)
+        co = critical.chain(params).co
         e_stop, _ = critical.find_e_max(params)
         field = critical.slope_field(params, "phi1")
         ln_e0 = math.log(co.e0)
@@ -274,7 +274,8 @@ def _scan_row(name: str, gap, center: float, half_width: float = 2.0,
     """Verify a found root by locating a sign change on an independent grid
     around it and checking the claim falls inside that bracket. Grid points
     outside a curve's own domain are skipped, not fatal."""
-    grid = np.linspace(center - half_width, center + half_width, n)
+    # offsets scaled onto center keep the middle node exactly at center
+    grid = center + half_width * np.linspace(-1.0, 1.0, n)
     vals = []
     for v in grid:
         try:
@@ -291,16 +292,14 @@ def _scan_row(name: str, gap, center: float, half_width: float = 2.0,
                 break
             dist = min(dist, abs(center - a), abs(center - b))
     return {"check": "root_vs_gridscan", "segment": name, "samples": n,
-            "worst_margin": dist, "pass": dist == 0.0}
+            "worst_margin": dist, "pass": bool(dist == 0.0)}
 
 
 def _critical_scan_rows(params: ForcingParams) -> list[dict]:
-    _, E_max = critical.find_e_max(params)
-    co = critical.coefficients(params)
-    ln_pre = (2.0 / 3.0) * math.log(params.eps) \
-        + (4.0 / 3.0) * math.log(params.mu) \
-        + 0.5 * math.log(params.lam) + 2.0 * math.log(params.nu)
-    ln_e_a = math.log(co.e_a)
+    ch = critical.chain(params)
+    _, _, E_max = ch.peak
+    ln_pre = critical._barrier_ln_prefactor(params)
+    ln_e_a = math.log(ch.co.e_a)
 
     def gap_peak(w: float) -> float:
         ln_e = ln_e_a + math.log1p(-math.exp(w))
@@ -311,13 +310,12 @@ def _critical_scan_rows(params: ForcingParams) -> list[dict]:
     w_est = math.log(6.0) - 0.6 * (E_max.ln - ln_pre)
     rows = [_scan_row("e_max", gap_peak, w_est)]
 
-    ln_e_min = critical.find_e_min(params).ln
-    ln_floor = math.log(co.E_min)
+    ln_floor = math.log(ch.co.E_min)
 
     def gap_floor(v: float) -> float:
         return critical.curve_value(v, params).ln - ln_floor
 
-    rows.append(_scan_row("e_min", gap_floor, ln_e_min))
+    rows.append(_scan_row("e_min", gap_floor, ch.ln_e_min))
     return rows
 
 

@@ -25,12 +25,18 @@ from enstrophy_bounds import (
     truncation_comparison,
     xi_solution,
 )
+from enstrophy_bounds import critical
 from enstrophy_bounds.critical import (
+    _phi3_ln,
+    chain,
     curl_threshold,
     curve_value,
     enstrophy_floor,
     slope_field,
 )
+from enstrophy_bounds.errors import NoBracket
+from enstrophy_bounds.logscalar import ZERO
+from enstrophy_bounds.solver import integrate_adaptive
 
 
 def _with(params, **over):
@@ -155,6 +161,42 @@ def test_phi2_domain_gate(fig2):
         phi2(2.0 * e_max, fig2)
 
 
+def _tail_quadrature_ln(ln_e, ln_e_hi, a3, b3):
+    """ln int_e^{e_hi} (e/t)^a3 exp(b3 (t - e)) dt by quadrature in
+    t = e exp(v), which stays finite however far below float range e is."""
+    span = ln_e_hi - ln_e
+    e = math.exp(ln_e)
+
+    def f(v):
+        return math.exp((1.0 - a3) * (v - span) + b3 * e * math.expm1(v))
+
+    return ln_e + (1.0 - a3) * span \
+        + math.log(integrate_adaptive(f, 0.0, span, rel_tol=1e-12))
+
+
+@pytest.mark.parametrize("ln_hi, offsets", [
+    (-8248.908704754842, (1e-6, 1.0, 20.0 * math.log(10.0))),  # sub-float
+    (-5.0, (1e-4, 0.5, 4.0, 25.0)),                            # in float
+])
+def test_phi3_tail_closed_form_matches_quadrature(fig2, ln_hi, offsets):
+    # with x_min = 0, phi3 is the curl-driven tail alone: x = g3 * integral
+    tail = chain(fig2).tail
+    for off in offsets:
+        ln_e = ln_hi - off
+        x_ln = 1.5 * _phi3_ln(ln_e, tail, ln_hi, ZERO).ln
+        want = _tail_quadrature_ln(ln_e, ln_hi, tail.a, tail.b)
+        assert x_ln - math.log(tail.big_c) == pytest.approx(want, abs=1e-9)
+
+
+def test_phi3_just_above_e_min(fig2):
+    # phi3 accepts ln e up to 1e-9 past ln e_min, where the tail integral
+    # runs backwards and subtracts
+    ln_e_min = find_e_min(fig2).ln
+    above = phi3(LogScalar.from_ln(ln_e_min + 5e-10), fig2)
+    assert above.ln == pytest.approx(math.log(coefficients(fig2).E_min),
+                                     abs=1e-9)
+
+
 def test_phi3_domain_and_curl_gate(fig2):
     e_min = find_e_min(fig2)
     with pytest.raises(OutsideDomain):
@@ -251,3 +293,45 @@ def test_classify_critical_regions(fig2):
     assert classify_critical(4.0 * co.e0, 1e9, fig2) == "II"
     with pytest.raises(OutsideDomain):
         classify_critical(0.0, 1.0, fig2)
+
+
+def test_chain_resolves_once_per_parameter_set(fig2, monkeypatch):
+    calls = []
+    real = critical.find_root
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(critical, "find_root", counting)
+    chain.cache_clear()
+    # points on both sides of e_max, above and below the curve
+    for i in range(100):
+        e = math.exp(-700.0 + 7.0 * i)
+        E = 10.0 ** (i % 50)
+        assert classify_critical(e, E, fig2) in ("I", "II", "III")
+    # one find_root for the peak, one for the floor crossing
+    assert len(calls) == 2
+
+
+def test_chain_errors_stay_lazy(fig2, monkeypatch):
+    def no_floor(self):
+        raise NoBracket("floor crossing not bracketed")
+
+    monkeypatch.setattr(critical.CriticalChain, "ln_e_min",
+                        property(no_floor))
+    chain.cache_clear()
+    # right of e_max only the peak is needed
+    assert find_e_max(fig2)[0] < 1.0
+    assert classify_critical(1.0, 1e40, fig2) == "III"
+    assert classify_critical(1.0, 20.0, fig2) == "II"
+    with pytest.raises(NoBracket):
+        classify_critical(1e-3, 1e40, fig2)
+    with pytest.raises(NoBracket):
+        find_e_min(fig2)
+    # anchor below the barrier asymptote: phi1 evaluates, the peak raises
+    tiny = _with(fig2, f_norm=0.04)
+    assert phi1(0.5 * coefficients(tiny).e0, tiny).sign == 1
+    with pytest.raises(RegimeViolation):
+        classify_critical(0.5 * coefficients(tiny).e0, 1e40, tiny)
+    chain.cache_clear()

@@ -222,6 +222,39 @@ def test_classify_left_of_apex(fig2):
     assert classify_full(e, probe, fig2) == "III"
 
 
+def _log_space_label(e, E, params, geo):
+    """classify_full's rules with the nose evaluated in ln space, for
+    enstrophies whose cube overflows float64."""
+    nu, g = params.nu, params.grashof
+    ln_a = math.log(2.0 * nu ** 6 * params.lam ** 1.5 * g * g)
+    ln_b = math.log(params.c1) + 3.0 * math.log(E)
+    ln_denom = max(ln_a, ln_b) + math.log1p(math.exp(-abs(ln_a - ln_b)))
+    ln_psi = 4.0 * math.log(nu) + 2.0 * math.log(E) - ln_denom
+    above = E >= parabola_E(e, params, geo.eta)
+    if math.log(e) <= ln_psi and above:
+        return "IV"
+    if not above:
+        return "I"
+    if e < geo.e1:
+        # E > E1, so E clears the upper nose branch iff psi(E) < e
+        return "II" if ln_psi < math.log(e) else "III"
+    if e <= geo.e2:
+        return "II" if E > phi_of_e(e, geo.e1, geo.E1, geo.eta, params) \
+            else "III"
+    return "II"
+
+
+@pytest.mark.parametrize("E", [1e150, 1e300])
+def test_classify_beyond_cube_overflow(fig2, E):
+    geo = geometry(fig2)
+    psi = fig2.nu ** 4 / (fig2.c1 * E)  # the nose at this height, to roundoff
+    assert psi_of_E(E, fig2) == pytest.approx(psi, rel=1e-12)
+    for e in (0.1 * psi, 10.0 * psi, 0.5 * geo.e1,
+              math.sqrt(geo.e1 * geo.e2), 2.0 * geo.e2):
+        assert classify_full(e, E, fig2) == _log_space_label(e, E, fig2, geo)
+    assert classify_full(0.1 * psi, E, fig2) == "IV"
+
+
 def test_classify_rejects_nonpositive(fig2):
     with pytest.raises(OutsideDomain):
         classify_full(0.0, 1.0, fig2)

@@ -83,6 +83,38 @@ def test_cancellation_digit_count():
     assert lost == pytest.approx(6.0, abs=0.1)
 
 
+def test_cancellation_inside_one_ulp():
+    # exp(d) rounds to 1.0 here, so the difference must come from expm1
+    a = LogScalar(1, 0.3043804803348786)
+    b = LogScalar(-1, 0.30438048033487863)
+    res, lost = a.add_with_cancellation(b)
+    d = a.ln - b.ln
+    assert res.sign == -1
+    assert res.ln == pytest.approx(b.ln + math.log(-math.expm1(d)),
+                                   rel=1e-15)
+    assert lost == pytest.approx((b.ln - res.ln) / math.log(10.0))
+    assert (a + b).ln == res.ln
+
+
+@given(st.floats(min_value=-700.0, max_value=700.0, allow_nan=False),
+       st.integers(min_value=1, max_value=64), st.sampled_from([1, -1]))
+def test_hypothesis_near_cancellation(ln, ulps, sign):
+    other = ln
+    for _ in range(ulps):
+        other = math.nextafter(other, math.inf)
+    res, lost = LogScalar(sign, ln).add_with_cancellation(
+        LogScalar(-sign, other))
+    d = ln - other  # exact: the two logs are a few ulps apart
+    want = other + math.log(-math.expm1(d))
+    assert res.sign == -sign
+    assert 0.0 <= lost < math.inf
+    # the digits reported lost bound the error of the result; inside half
+    # an ulp of 1, where exp(d) rounds to 1, nothing may be lost to it
+    assert abs(res.ln - want) <= 4.5e-16 * 10.0 ** min(lost, 300.0) + 1e-12
+    if abs(d) < 5e-17:
+        assert abs(res.ln - want) <= 1e-12
+
+
 def test_same_sign_add_lossless():
     _, lost = LogScalar.from_float(1.0).add_with_cancellation(
         LogScalar.from_float(1e-200))

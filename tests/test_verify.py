@@ -5,6 +5,7 @@ deliberately broken inputs (halved curves, loosened quadrature) and
 demands a red report.
 """
 
+import json
 import math
 
 import pytest
@@ -20,7 +21,7 @@ from enstrophy_bounds import (
     oracle_suite,
     taylor_wavenumber,
 )
-from enstrophy_bounds.verify import all_pass
+from enstrophy_bounds.verify import _scan_row, all_pass
 
 
 def _with(params, **over):
@@ -78,6 +79,13 @@ def test_halved_curve_shifts_only_phi_segments(fig2):
             assert shift == 0.0
 
 
+def test_containment_full_near_exact_cancellation(fig2):
+    # a margin here cancels to within one ulp of 1 in LogScalar arithmetic
+    p = _with(fig2, f_norm=0.8029959096727133)
+    report = containment_check(assemble_full(p), p)
+    assert {row["segment"] for row in report} == {"phi1", "phi2"}
+
+
 def test_halved_critical_curve_flags(fig2):
     report = containment_check(
         halved_curve(assemble_critical(fig2, samples=256)), fig2,
@@ -121,6 +129,27 @@ def test_oracle_suite_subcritical(fig3):
     scans = {row["segment"] for row in report
              if row["check"] == "root_vs_gridscan"}
     assert scans == {"e_bar", "e_under", "e2"}
+
+
+def test_oracle_suite_root_on_grid_midpoint(fig3):
+    # the claimed root sits on the scan grid's middle node; the scan must
+    # count it as inside its own bracket
+    draw = _with(fig3, r=0.5237077422010827, f_norm=24.501293065148346)
+    report = oracle_suite(draw)
+    assert all_pass(report)
+    assert all(type(row["pass"]) is bool for row in report)
+    json.dumps(report)
+
+
+def test_scan_row_rejects_displaced_root():
+    center, half_width, n = 0.3, 2.0, 201
+    step = 2.0 * half_width / (n - 1)
+    on = _scan_row("x", lambda v: v - center, center, half_width, n)
+    off = _scan_row("x", lambda v: v - (center + 1.5 * step), center,
+                    half_width, n)
+    assert on["pass"] is True and on["worst_margin"] == 0.0
+    assert off["pass"] is False
+    assert off["worst_margin"] == pytest.approx(step, rel=1e-9)
 
 
 def test_oracle_suite_catches_loose_series(fig2):
