@@ -8,9 +8,10 @@ can reach; scaling carries the construction to scaling-invariant forcing.
 verify re-derives everything independently and reports disagreements.
 """
 
+from .branches import solution as xi_solution
 from .critical import (assemble_critical, barrier, classify_critical,
                        coefficients, find_e_max, find_e_min, phi1, phi2,
-                       phi3, truncation_comparison, xi_solution)
+                       phi3, truncation_comparison)
 from .curves import (CurveBundle, CurveSegment, bundle_to_csv,
                      bundle_to_json, max_join_gap)
 from .errors import (AssumptionViolated, CancellationLoss,

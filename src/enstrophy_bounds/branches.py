@@ -1,0 +1,381 @@
+"""The three-branch construction shared by both coherence families.
+
+The critical (r = 1/2) and subcritical (1/2 < r <= 1) bounding curves are
+one construction. In a transformed variable y = E^p every branch solves
+the linear field
+
+    dy/de = (a/e - b) y - c,
+
+exactly, through the weighted exponential integral (specfun):
+
+* rise (phi1), anchored on the forcing parabola at (e0, E0), climbs
+  leftward to its peak, where it meets its own nullcline
+  y = c e / (a - b e);
+* descent (phi2), the rise field divided by C_Omega and re-anchored at
+  the peak, falls to the enstrophy floor;
+* tail (phi3), the curl-driven field in x = E^(3/2), continues below the
+  floor.
+
+The families differ only in the constants. At r = 1/2, b > 0: the
+nullcline raised to 1/p is the vorticity barrier, with a vertical
+asymptote at e_a = a/b, and the peak sits a sub-float distance left of it,
+so that crossing is solved in w = ln(1 - e/e_a). At r > 1/2, b = 0: the
+nullcline is the line y = (c/a) e and the crossing is solved in ln e.
+Abscissas travel as ln e and ordinates as LogScalar, because the floor
+crossing lies thousands of decades below float range.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass, replace
+from functools import cached_property
+
+import numpy as np
+
+from .curves import CurveBundle, CurveSegment, log_grid, max_join_gap
+from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
+                     NoBracket, OutsideDomain, RegimeViolation)
+from .logscalar import LogScalar
+from .params import ForcingParams
+from .solver import find_root
+from .specfun import weighted_exp_integral_ln
+
+TAGS = ("phi1", "phi2", "phi3")
+
+
+@dataclass(frozen=True)
+class Field:
+    """Constants of one linear field dy/de = (a/e - b) y - c, y = E^p."""
+    a: float
+    b: float
+    c: float
+    p: float
+
+    @property
+    def e_a(self) -> float:
+        """Where a/e - b changes sign: the asymptote of the nullcline."""
+        return self.a / self.b if self.b > 0.0 else math.inf
+
+    def scaled(self, factor: float) -> "Field":
+        return replace(self, a=self.a * factor, b=self.b * factor,
+                       c=self.c * factor)
+
+
+def solution(ln_e: float, field: Field, ln_e_ref: float, y_ref: LogScalar,
+             rel_tol: float = 1e-12) -> LogScalar:
+    """Exact solution of dy/de = (a/e - b) y - c through (e_ref, y_ref).
+
+    y(e) = e^a e^(-be) [e_ref^-a e^(b e_ref) y_ref - c W], W the weighted
+    exponential integral from e_ref to e. For e < e_ref the integral term
+    is positive, so the bracket only grows moving left; evaluation right of
+    the anchor is allowed but guarded against catastrophic cancellation.
+    With b = 0 this is the two-term form (y_ref - k e_ref)(e/e_ref)^a + k e,
+    k = -c/(1 - a).
+    """
+    a, b, c = field.a, field.b, field.c
+    lead = LogScalar.from_ln(b * math.exp(ln_e_ref) - a * ln_e_ref) * y_ref
+    if c == 0.0 or ln_e == ln_e_ref:
+        inner = lead
+    else:
+        drift = LogScalar.from_float(c) * weighted_exp_integral_ln(
+            a, b, min(ln_e, ln_e_ref), max(ln_e, ln_e_ref), rel_tol)
+        if ln_e > ln_e_ref:
+            drift = -drift
+        inner, lost = lead.add_with_cancellation(drift)
+        if lost > 10.0:
+            raise CancellationLoss(
+                f"branch bracket lost {lost:.1f} digits at ln e = {ln_e:.6g}")
+    if inner.sign <= 0:
+        raise OutsideDomain("branch solution crossed zero right of the anchor")
+    return LogScalar.from_ln(a * ln_e - b * math.exp(ln_e)) * inner
+
+
+def _as_ln(e) -> float:
+    if isinstance(e, LogScalar):
+        if e.sign <= 0:
+            raise OutsideDomain("energy must be positive")
+        return e.ln
+    if e <= 0.0:
+        raise OutsideDomain("energy must be positive")
+    return math.log(e)
+
+
+def _bracket_left(gap, hi: float, step: float, sign: float,
+                  what: str) -> float:
+    """lo = hi - step 2^k, the first k < 40 with sign * gap(lo) > 0."""
+    lo = hi - step
+    for _ in range(40):
+        if sign * gap(lo) > 0.0:
+            return lo
+        step *= 2.0
+        lo = hi - step
+    raise NoBracket(f"{what} deeper than the bracket guard")
+
+
+@dataclass(frozen=True)
+class Chain:
+    """The anchor chain of one parameter set.
+
+    The family supplies the floor, the rise field, the tail's b, the first
+    width of the floor-crossing bracket, and the names it gives the
+    breakpoints (peak e, peak E, floor e, floor E). The descent is the rise
+    divided by C_Omega; the tail's a and c are the same in both families.
+    The peak and the floor crossing are solved on first use and kept; a
+    failed solve is not kept and raises again on every use, so a caller
+    that never reaches a breakpoint never sees it.
+    """
+    params: ForcingParams
+    model: str
+    names: tuple[str, str, str, str]
+    flags: tuple[str, ...]
+    floor: float
+    curl_dominant: bool
+    rise: Field
+    tail_b: float
+    floor_step: float
+
+    @cached_property
+    def fields(self) -> tuple[Field, Field, Field]:
+        p = self.params
+        big = p.big_c_omega
+        tail = Field(0.75 * (1.0 - p.rho) / big, self.tail_b,
+                     18.0 * p.curlF_norm / (p.nu * big), 1.5)
+        return self.rise, self.rise.scaled(1.0 / big), tail
+
+    @cached_property
+    def ln_e0(self) -> float:
+        """ln of the anchor energy e0; zero forcing leaves no anchor."""
+        if self.params.grashof <= 0.0:
+            raise RegimeViolation(
+                "zero forcing leaves no curve to anchor (e0 = 0)")
+        return math.log(self.params.e0)
+
+    @property
+    def E0(self) -> float:
+        p = self.params
+        return max(4.0 * p.f_norm * math.sqrt(p.e0) / p.nu, self.floor)
+
+    def _anchor(self, k: int) -> tuple[float, LogScalar]:
+        """(ln e, y) where branch k starts."""
+        if k == 0:
+            return self.ln_e0, LogScalar.from_float(self.E0) ** self.rise.p
+        if k == 1:
+            _, ln_e, E = self.peak
+            return ln_e, E ** self.rise.p
+        return self.ln_floor, LogScalar.from_float(self.floor) ** 1.5
+
+    def _y(self, k: int, ln_e: float, rel_tol: float = 1e-12) -> LogScalar:
+        ln_ref, y_ref = self._anchor(k)
+        return solution(ln_e, self.fields[k], ln_ref, y_ref, rel_tol)
+
+    def value(self, k: int, ln_e: float,
+              rel_tol: float = 1e-12) -> LogScalar:
+        """E on branch k at ln e, without domain gates."""
+        return self._y(k, ln_e, rel_tol) ** (1.0 / self.fields[k].p)
+
+    def require_curl(self) -> None:
+        if not self.curl_dominant:
+            raise AssumptionViolated(
+                "curl forcing below the floor-dominance threshold; "
+                "the tail construction does not apply")
+
+    def branch(self, k: int, e) -> LogScalar:
+        """E on branch k at e (float or LogScalar), defined at or left of
+        the branch anchor; the tail needs the curl-dominated floor."""
+        if k == 2:
+            self.require_curl()
+        ln_ref, _ = self._anchor(k)
+        ln_e = _as_ln(e)
+        if ln_e > ln_ref + 1e-9:
+            raise OutsideDomain(
+                f"{TAGS[k]} is only defined at or left of ln e = {ln_ref:.6g}")
+        return self.value(k, ln_e)
+
+    # -- the peak ----------------------------------------------------------
+
+    def _ln_e_of(self, x: float) -> float:
+        if self.rise.b > 0.0:
+            return math.log(self.rise.e_a) + math.log1p(-math.exp(x))
+        return x
+
+    def _ln_null(self, x: float) -> float:
+        """ln of the rise's nullcline y = c e/(a - b e) at x."""
+        f = self.rise
+        if f.b > 0.0:
+            return math.log(f.c / f.b) + math.log1p(-math.exp(x)) - x
+        return math.log(f.c / f.a) + x
+
+    def peak_gap(self, x: float) -> float:
+        """ln y - ln y_null on the rise, in the peak variable x (w = ln(1 -
+        e/e_a) when b > 0, ln e when b = 0); the peak is its root."""
+        return self._y(0, self._ln_e_of(x)).ln - self._ln_null(x)
+
+    @cached_property
+    def peak(self) -> tuple[float, float, LogScalar]:
+        """(x*, ln e_peak, E_peak): the rise meets its nullcline."""
+        f = self.rise
+        ln_e0 = self.ln_e0
+        if f.c == 0.0:
+            raise NoBracket("no production term, the rising branch has no peak")
+        if f.b > 0.0:
+            if self.params.e0 <= f.e_a:
+                raise RegimeViolation(
+                    f"anchor energy e0 = {self.params.e0} must exceed the "
+                    f"barrier asymptote e_a = {f.e_a}")
+            # near e_a, ln y_null = ln(c/b) - w: estimate, then bracket
+            w_est = math.log(f.c / f.b) - self._y(0, math.log(f.e_a)).ln
+            x = find_root(self.peak_gap, min(w_est - 60.0, math.log(0.5)),
+                          math.log1p(-1e-9), x_tol=1e-12)
+        else:
+            if self.peak_gap(ln_e0) >= 0.0:
+                raise NoBracket(
+                    "rising branch peaks at or right of the anchor e0")
+            lo = _bracket_left(self.peak_gap, ln_e0, 50.0, 1.0, "peak")
+            x = find_root(self.peak_gap, lo, ln_e0, x_tol=1e-13)
+        ln_e = self._ln_e_of(x)
+        return x, ln_e, self.value(0, ln_e)
+
+    def peak_point(self) -> tuple[float, LogScalar]:
+        """(e_peak, E_peak) with e_peak a float; at b > 0 it usually equals
+        e_a to machine precision, the sub-float offset staying in E_peak."""
+        _, ln_e, E = self.peak
+        return min(math.exp(ln_e), self.rise.e_a), E
+
+    # -- the floor crossing ----------------------------------------------
+
+    @cached_property
+    def ln_floor(self) -> float:
+        """ln e where the descent meets the enstrophy floor."""
+        _, ln_peak, E_peak = self.peak
+        floor = LogScalar.from_float(self.floor)
+        if not floor < E_peak:
+            raise NoBracket(
+                "enstrophy floor meets or exceeds the curve maximum")
+
+        def gap(v: float) -> float:
+            return self.value(1, v).ln - floor.ln
+
+        lo = _bracket_left(gap, ln_peak, self.floor_step, -1.0,
+                           "floor crossing")
+        return find_root(gap, lo, ln_peak, x_tol=1e-12)
+
+    # -- the curve ---------------------------------------------------------
+
+    def curve_value(self, ln_e: float) -> LogScalar:
+        """Piecewise curve evaluated exactly (not interpolated) at ln e."""
+        if ln_e > self.ln_e0:
+            raise OutsideDomain("the bounding curve stops at e0")
+        if ln_e >= self.peak[1]:
+            return self.value(0, ln_e)
+        if ln_e >= self.ln_floor:
+            return self.value(1, ln_e)
+        return self.value(2, ln_e)
+
+    def classify(self, e: float, E: float) -> str:
+        """Three-region label: I below the forcing parabola (recurrent),
+        III at or above the bounding curve, II between. Right of e0 the
+        curve is gone and everything at or above the parabola is II."""
+        if e <= 0.0 or E <= 0.0:
+            raise OutsideDomain("classification needs e > 0 and E > 0")
+        p = self.params
+        if p.nu * E < 4.0 * p.f_norm * math.sqrt(e):
+            return "I"
+        ln_e = math.log(e)
+        if ln_e > self.ln_e0:
+            return "II"
+        return "III" if LogScalar.from_float(E) >= self.curve_value(ln_e) \
+            else "II"
+
+    def slope_field(self, tag: str = "phi1"):
+        """d(ln E)/de of the named segment's defining field."""
+        if tag not in TAGS:
+            raise ValueError(f"no slope field for tag {tag!r}")
+        f = self.fields[TAGS.index(tag)]
+        a, b, c, p, q = f.a, f.b, f.c, f.p, 1.0 / f.p
+
+        def field(e: float, ln_E: float) -> float:
+            return q * (a / e - b) - q * c * math.exp(-p * ln_E)
+
+        return field
+
+    def _sample(self, k: int, ln_lo: float, ln_hi: float,
+                samples: int) -> CurveSegment:
+        field = self.fields[k]
+        q = 1.0 / field.p
+        c = LogScalar.from_float(field.c)
+        grid = log_grid(ln_lo, ln_hi, samples)
+        ln_E, slope = [], []
+        for v in grid:
+            y = self._y(k, v)
+            drag = (c * LogScalar.from_ln(v) / y).to_float()
+            ln_E.append(q * y.ln)
+            slope.append(q * (field.a - field.b * math.exp(v) - drag))
+        return CurveSegment(TAGS[k], grid, np.asarray(ln_E),
+                            np.asarray(slope))
+
+    def assemble(self, samples: int = 512) -> CurveBundle:
+        """Sample the three branches plus their frame into a CurveBundle.
+
+        Segments: phi1 [e_peak, e0], phi2 [e_floor, e_peak], phi3 spanning
+        twenty decades below e_floor, the lower boundary lambda_lower * e,
+        the barrier (b > 0 only) and the forcing parabola. The construction
+        invariants are checked before returning.
+        """
+        self.require_curl()
+        params = self.params
+        x_star, ln_peak, E_peak = self.peak
+        ln_e0, ln_floor = self.ln_e0, self.ln_floor
+        ln_deep = ln_floor - 20.0 * math.log(10.0)
+        segs = [self._sample(0, ln_peak, ln_e0, samples),
+                self._sample(1, ln_floor, ln_peak, samples),
+                self._sample(2, ln_deep, ln_floor, samples)]
+
+        low_grid = log_grid(ln_deep, ln_e0, samples)
+        segs.append(CurveSegment("lower_boundary", low_grid,
+                                 math.log(params.lam_under) + low_grid,
+                                 np.ones(samples)))
+
+        if self.rise.b > 0.0:
+            # the nullcline to the power 1/p, sampled in w left of e_a
+            w_grid = log_grid(x_star - math.log(100.0), math.log(0.5),
+                              samples)[::-1]
+            q = 1.0 / self.rise.p
+            segs.append(CurveSegment(
+                "barrier", np.array([self._ln_e_of(w) for w in w_grid]),
+                np.array([q * self._ln_null(w) for w in w_grid])))
+            par_lo = math.log(self.rise.e_a)
+        else:
+            par_lo = ln_peak
+        ln_par = math.log(4.0 * params.f_norm / params.nu)
+        par_grid = log_grid(par_lo, ln_e0, samples)
+        segs.append(CurveSegment("parabola", par_grid,
+                                 ln_par + 0.5 * par_grid,
+                                 np.full(samples, 0.5)))
+
+        e_peak, E_peak_name, e_floor, E_floor = self.names
+        bundle = CurveBundle(
+            self.model, params, segs,
+            breakpoints={"e0": LogScalar.from_float(params.e0),
+                         "E0": LogScalar.from_float(self.E0),
+                         e_peak: LogScalar.from_ln(ln_peak),
+                         E_peak_name: E_peak,
+                         e_floor: LogScalar.from_ln(ln_floor),
+                         E_floor: LogScalar.from_float(self.floor)},
+            flags=list(self.flags))
+
+        # construction invariants, checked whatever the interpreter's -O:
+        # continuity, and every branch sample on or above both the forcing
+        # parabola and the lower boundary
+        gap = max_join_gap(bundle)
+        if gap > 1e-8:
+            raise CancellationLoss(f"segment join gap {gap:.3e} exceeds 1e-8")
+        ln_low = math.log(params.lam_under)
+        for seg in bundle.main_segments():
+            frame = np.maximum(ln_par + 0.5 * seg.ln_e, ln_low + seg.ln_e)
+            dips = np.flatnonzero(seg.ln_E + 1e-9 < frame)
+            if dips.size:
+                raise FieldBlowup(
+                    f"{seg.tag} dips below the parabola or the lower "
+                    f"boundary at ln e = {seg.ln_e[dips[0]]:.6g}")
+        return bundle

@@ -191,11 +191,10 @@ class FullNseGeometry:
     E2: float
 
 
-def geometry(params: ForcingParams, eta: float | None = None) -> FullNseGeometry:
+def geometry(params: ForcingParams) -> FullNseGeometry:
     if params.grashof <= 0.0:
         raise RegimeViolation("zero forcing: the region degenerates")
-    if eta is None:
-        eta = params.eta
+    eta = params.eta
     alpha, beta = _alpha_beta(params, eta)
     e0 = params.e0
     E0 = eta * params.nu ** 2 * math.sqrt(params.lam) * params.grashof ** 2
@@ -222,8 +221,7 @@ def upper_nose_branch(e: float, params: ForcingParams) -> float:
     return find_root(lambda E: psi_of_E(E, params) - e, E1, hi, x_tol=1e-13)
 
 
-def classify_full(e: float, E: float, params: ForcingParams,
-                  eta: float | None = None) -> str:
+def classify_full(e: float, E: float, params: ForcingParams) -> str:
     """Region of (e, E), tie-breaking boundaries toward the larger numeral.
 
     IV: inside the nose at or above the parabola (both rates nonpositive).
@@ -233,7 +231,7 @@ def classify_full(e: float, E: float, params: ForcingParams,
     """
     if e <= 0.0 or E <= 0.0:
         raise OutsideDomain("classification needs e > 0 and E > 0")
-    geo = geometry(params, eta)
+    geo = geometry(params)
     par = parabola_E(e, params, geo.eta)
     if e <= psi_of_E(E, params) and E >= par:
         return "IV"
@@ -258,8 +256,7 @@ def _funnel_segment(tag, ln_lo, ln_hi, anchor_e, anchor_E, geo, params,
     return CurveSegment(tag, grid, np.asarray(ln_E), np.asarray(slope))
 
 
-def assemble_full(params: ForcingParams, eta: float | None = None,
-                  samples: int = 512) -> CurveBundle:
+def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     """Sample the region's curves into a CurveBundle.
 
     phi1 is the wall (parabola anchor, huge near its asymptote), phi2 the
@@ -267,7 +264,7 @@ def assemble_full(params: ForcingParams, eta: float | None = None,
     piecewise curve, so no join continuity is implied. The nose is emitted
     as two barrier segments (lower and upper branch).
     """
-    geo = geometry(params, eta)
+    geo = geometry(params)
     segs = []
 
     wall_lo = math.log(geo.e_star) + math.log1p(1e-6)

@@ -33,7 +33,7 @@ _TINY_X = 1e-8
 
 # digits of cancellation tolerated in S(e_hi) - S(e_lo) before falling back
 # to quadrature
-_MAX_LOST_DIGITS = 6.0
+_MAX_LOST_DIGITS = 3.0
 
 
 def gamma_series_factor(alpha: float, x: float, rel_tol: float = 1e-12,
@@ -157,21 +157,10 @@ def weighted_exp_integral_ln(a: float, b: float, ln_lo: float, ln_hi: float,
         return result
 
     # close bounds: integrate the rescaled integrand u^(-a) e^(x_hi (u-1))
-    # on [e_lo/e_hi, 1] instead of trading digits in the subtraction
-    u_lo = math.exp(ln_lo - ln_hi)
+    # on [e_lo/e_hi, 1] instead of trading digits in the subtraction, in
+    # v = ln u so that a lower bound within one ulp of 1 keeps its digits
+    def f(v: float) -> float:
+        return math.exp((1.0 - a) * v + x_hi * math.expm1(v))
 
-    def f(u: float) -> float:
-        return u ** (-a) * math.exp(x_hi * (u - 1.0))
-
-    quad = integrate_adaptive(f, u_lo, 1.0, rel_tol=rel_tol)
+    quad = integrate_adaptive(f, ln_lo - ln_hi, 0.0, rel_tol=rel_tol)
     return LogScalar.from_ln((1.0 - a) * ln_hi + x_hi + math.log(quad))
-
-
-def weighted_exp_integral(a: float, b: float, e_lo: float, e_hi: float,
-                          rel_tol: float = 1e-12) -> LogScalar:
-    """Float-bounds wrapper around weighted_exp_integral_ln."""
-    if e_lo < 0.0 or e_hi < 0.0:
-        raise ValueError("bounds must be nonnegative")
-    ln_lo = math.log(e_lo) if e_lo > 0.0 else -math.inf
-    ln_hi = math.log(e_hi) if e_hi > 0.0 else -math.inf
-    return weighted_exp_integral_ln(a, b, ln_lo, ln_hi, rel_tol)

@@ -1,29 +1,31 @@
 """Bounding curves for Holder coherence exponents strictly between 1/2 and 1.
 
 Away from the critical exponent the rising branch loses its exponential
-wall. In the power variable zeta = E^sigma, sigma = (2r-1)/(1+2r), every
-branch solves an affine field d zeta/de = s zeta/e + const, so each piece
-is a two-term closed form B e^s + kappa e and the curve maximum grows only
-algebraically, E_bar = O(G^(2/sigma)). No special functions are needed;
-what survives from the critical machinery is the log-space bookkeeping,
-because 1/sigma blows up as r -> 1/2 (E_bar overflows float64 already at
-r = 0.51, G = 2) and the lower breakpoint e_under sits thousands of
-decades below float range.
+weight: in the power variable zeta = E^sigma, sigma = (2r-1)/(1+2r), the
+rise field is dzeta/de = s zeta/e - sigma C_s (b = 0), so every branch is
+a two-term closed form B e^s + kappa e and the curve maximum grows only
+algebraically, E_bar = O(G^(2/sigma)). The curve is the three-branch
+construction of the branches module: the rise to the peak (e_bar, E_bar),
+where zeta = (C_s/alpha_s) e, the C_Omega-damped descent to the floor
+E_under, and the curl tail in x = E^(3/2), also with b = 0. The log-space
+bookkeeping stays, because 1/sigma blows up as r -> 1/2 (E_bar overflows
+float64 already at r = 0.51, G = 2) and e_under sits thousands of decades
+below float range.
+
+This module holds what is particular to r > 1/2: the regime check, the
+three candidate floors and the field constants.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
-import numpy as np
-from dataclasses import dataclass
-
-from .curves import CurveBundle, CurveSegment, log_grid, max_join_gap
-from .errors import (AssumptionViolated, InvalidRegime, NoBracket,
-                     OutsideDomain, RegimeViolation)
+from .branches import Chain, Field
+from .curves import CurveBundle
+from .errors import InvalidRegime
 from .logscalar import LogScalar
 from .params import ForcingParams
-from .solver import find_root
 
 
 def _require_subcritical(params: ForcingParams) -> None:
@@ -78,64 +80,26 @@ def enstrophy_floor(params: ForcingParams) -> tuple[float, bool]:
     return max(c1, c2, c3), c3 >= max(c1, c2)
 
 
-@dataclass(frozen=True)
-class SubcriticalCoefficients:
-    sigma: float
-    alpha_s: float
-    C_s: float
-    E_under: float
-    e_bar: float
-    E_bar: LogScalar
-    e_under: LogScalar  # usually far below float range
+@lru_cache(maxsize=64)
+def chain(params: ForcingParams) -> Chain:
+    """The memoised anchor chain of params (raises InvalidRegime at r = 1/2).
 
-
-def _two_term(ln_e: float, s: float, kappa: float, ln_ref: float,
-              val_ref: float) -> LogScalar:
-    """B e^s + kappa e through (e_ref, val_ref), evaluated at ln e.
-
-    kappa < 0 and val_ref > 0 keep B positive; exp underflow of e_ref is
-    benign (the kappa term is then genuinely negligible).
+    The rise field is (s, 0, sigma C_s, sigma) with s = alpha_s sigma and
+    alpha_s = (1 - rho)/2; the tail has b = 0.
     """
-    if ln_e == ln_ref:
-        # B is fitted through this exact point, skip the cancellation
-        # round trip (its noise gets amplified by 1/sigma downstream)
-        return LogScalar.from_float(val_ref)
-    ln_b = math.log(val_ref - kappa * math.exp(ln_ref)) - s * ln_ref
-    out = LogScalar.from_ln(ln_b + s * ln_e) \
-        + LogScalar.from_float(kappa) * LogScalar.from_ln(ln_e)
-    if out.sign <= 0:
-        raise OutsideDomain(
-            f"transformed curve bracket nonpositive at ln e = {ln_e:.6g}")
-    return out
-
-
-def _rise_constants(params: ForcingParams) -> tuple[float, float, float]:
-    # (sigma, s, kappa) of the zeta field anchored at e0
+    floor, curl_dominant = enstrophy_floor(params)
     sigma = sigma_of(params.r)
-    alpha_s = 0.5 * (1.0 - params.rho)
-    s = alpha_s * sigma
-    kappa = -sigma * big_c_s(params) / (1.0 - s)
-    return sigma, s, kappa
-
-
-def _anchor(params: ForcingParams) -> tuple[float, float]:
-    if params.grashof <= 0.0:
-        raise RegimeViolation("zero forcing leaves no curve to anchor (e0 = 0)")
-    e0 = params.e0
-    floor, _ = enstrophy_floor(params)
-    return e0, max(4.0 * params.f_norm * math.sqrt(e0) / params.nu, floor)
+    rise = Field(a=0.5 * (1.0 - params.rho) * sigma, b=0.0,
+                 c=sigma * big_c_s(params), p=sigma)
+    return Chain(params, "subcritical",
+                 ("e_bar", "E_bar", "e_under", "E_under"),
+                 (f"sigma={sigma:.12g}",), floor, curl_dominant, rise, 0.0,
+                 floor_step=5000.0)
 
 
 def sub_phi1(e, params: ForcingParams) -> LogScalar:
     """Rising branch anchored at (e0, E0), valid left of the anchor."""
-    _require_subcritical(params)
-    sigma, s, kappa = _rise_constants(params)
-    e0, E0 = _anchor(params)
-    ln_e = e.ln if isinstance(e, LogScalar) else math.log(e)
-    if ln_e > math.log(e0) + 1e-9:
-        raise OutsideDomain("sub_phi1 is only defined up to the anchor energy e0")
-    zeta = _two_term(ln_e, s, kappa, math.log(e0), E0 ** sigma)
-    return zeta ** (1.0 / sigma)
+    return chain(params).branch(0, e)
 
 
 def find_e_bar(params: ForcingParams) -> tuple[float, LogScalar]:
@@ -144,261 +108,27 @@ def find_e_bar(params: ForcingParams) -> tuple[float, LogScalar]:
     The peak is where the homogeneous pull alpha zeta / e balances the
     constant drain: zeta(e) = (C_s / alpha_s) e.
     """
-    _require_subcritical(params)
-    sigma, s, kappa = _rise_constants(params)
-    alpha_s = 0.5 * (1.0 - params.rho)
-    c_s = big_c_s(params)
-    if c_s == 0.0:
-        raise NoBracket("no production term, the rising branch has no peak")
-    e0, E0 = _anchor(params)
-    ln_e0 = math.log(e0)
-    zeta0 = E0 ** sigma
-    ln_ratio = math.log(c_s / alpha_s)
-
-    def gap(v: float) -> float:
-        return _two_term(v, s, kappa, ln_e0, zeta0).ln - ln_ratio - v
-
-    if gap(ln_e0) >= 0.0:
-        raise NoBracket("rising branch peaks at or right of the anchor e0")
-    step = 50.0
-    lo = ln_e0 - step
-    for _ in range(40):
-        if gap(lo) > 0.0:
-            break
-        step *= 2.0
-        lo = ln_e0 - step
-    else:
-        raise NoBracket("peak deeper than the bracket guard")
-    v_bar = find_root(gap, lo, ln_e0, x_tol=1e-13)
-    zeta_bar = _two_term(v_bar, s, kappa, ln_e0, zeta0)
-    return math.exp(v_bar), zeta_bar ** (1.0 / sigma)
-
-
-def _descent_constants(params: ForcingParams) -> tuple[float, float]:
-    sigma, s, kappa = _rise_constants(params)
-    big = params.big_c_omega
-    s2 = s / big
-    kappa2 = -sigma * (big_c_s(params) / big) / (1.0 - s2)
-    return s2, kappa2
+    return chain(params).peak_point()
 
 
 def sub_phi2(e, params: ForcingParams) -> LogScalar:
     """Descending branch: damped field re-anchored at the peak (e_bar, E_bar)."""
-    sigma = sigma_of(params.r)
-    e_bar, E_bar = find_e_bar(params)
-    s2, kappa2 = _descent_constants(params)
-    ln_e = e.ln if isinstance(e, LogScalar) else math.log(e)
-    if ln_e > math.log(e_bar) + 1e-9:
-        raise OutsideDomain("sub_phi2 is only defined left of e_bar")
-    zeta = _two_term(ln_e, s2, kappa2, math.log(e_bar),
-                     math.exp(sigma * E_bar.ln))
-    return zeta ** (1.0 / sigma)
-
-
-def _floor_crossing(params: ForcingParams, e_bar: float,
-                    E_bar: LogScalar) -> float:
-    """ln e_under: where the descending branch meets the floor E_under."""
-    sigma = sigma_of(params.r)
-    floor, _ = enstrophy_floor(params)
-    if not LogScalar.from_float(floor) < E_bar:
-        raise NoBracket("enstrophy floor meets or exceeds the curve maximum")
-    s2, kappa2 = _descent_constants(params)
-    ln_e_bar = math.log(e_bar)
-    zeta_bar = math.exp(sigma * E_bar.ln)
-    target = sigma * math.log(floor)
-
-    def gap(v: float) -> float:
-        return _two_term(v, s2, kappa2, ln_e_bar, zeta_bar).ln - target
-
-    step = 5000.0
-    lo = ln_e_bar - step
-    for _ in range(40):
-        if gap(lo) < 0.0:
-            break
-        step *= 2.0
-        lo = ln_e_bar - step
-    else:
-        raise NoBracket("floor crossing deeper than the bracket guard")
-    return find_root(gap, lo, ln_e_bar, x_tol=1e-12)
-
-
-def _tail_constants(params: ForcingParams) -> tuple[float, float]:
-    beta = 0.5 * (1.0 - params.rho) / params.big_c_omega
-    s3 = 1.5 * beta
-    kappa3 = -36.0 * params.curlF_norm \
-        / (params.nu * params.big_c_omega * (2.0 - 3.0 * beta))
-    return s3, kappa3
+    return chain(params).branch(1, e)
 
 
 def sub_phi3(e, params: ForcingParams) -> LogScalar:
     """Tail below the floor in the x = E^(3/2) variable; needs the curl
     candidate to dominate the floor, as in the critical module."""
-    floor, curl_dominant = enstrophy_floor(params)
-    if not curl_dominant:
-        raise AssumptionViolated(
-            "curl forcing below the floor-dominance threshold; "
-            "the tail construction does not apply")
-    e_bar, E_bar = find_e_bar(params)
-    ln_e_under = _floor_crossing(params, e_bar, E_bar)
-    ln_e = e.ln if isinstance(e, LogScalar) else math.log(e)
-    if ln_e > ln_e_under + 1e-9:
-        raise OutsideDomain("sub_phi3 is only defined at or below e_under")
-    s3, kappa3 = _tail_constants(params)
-    x = _two_term(ln_e, s3, kappa3, ln_e_under, floor ** 1.5)
-    return x ** (2.0 / 3.0)
-
-
-def sub_coefficients(params: ForcingParams) -> SubcriticalCoefficients:
-    """Resolve the whole anchor chain once."""
-    sigma = sigma_of(params.r)
-    floor, _ = enstrophy_floor(params)
-    e_bar, E_bar = find_e_bar(params)
-    ln_e_under = _floor_crossing(params, e_bar, E_bar)
-    return SubcriticalCoefficients(
-        sigma=sigma, alpha_s=0.5 * (1.0 - params.rho), C_s=big_c_s(params),
-        E_under=floor, e_bar=e_bar, E_bar=E_bar,
-        e_under=LogScalar.from_ln(ln_e_under))
-
-
-def slope_field(params: ForcingParams, tag: str = "phi1"):
-    """d(lnE)/de of the named segment's defining field; oracle plumbing."""
-    _require_subcritical(params)
-    sigma = sigma_of(params.r)
-    alpha_s = 0.5 * (1.0 - params.rho)
-    big = params.big_c_omega
-    if tag in ("phi1", "phi2"):
-        damp = 1.0 if tag == "phi1" else big
-        a, c_s = alpha_s / damp, big_c_s(params) / damp
-
-        def field(e: float, ln_E: float) -> float:
-            return a / e - c_s * math.exp(-sigma * ln_E)
-    elif tag == "phi3":
-        beta = alpha_s / big
-        drain = 12.0 * params.curlF_norm / (params.nu * big)
-
-        def field(e: float, ln_E: float) -> float:
-            return beta / e - drain * math.exp(-1.5 * ln_E)
-    else:
-        raise ValueError(f"no slope field for tag {tag!r}")
-    return field
+    return chain(params).branch(2, e)
 
 
 def assemble_subcritical(params: ForcingParams,
                          samples: int = 512) -> CurveBundle:
-    """Sample the three branches plus frame; same invariants as the
-    critical assembly (continuity, parabola condition, above the lower
-    boundary), same segment tag vocabulary."""
-    _require_subcritical(params)
-    floor, curl_dominant = enstrophy_floor(params)
-    if not curl_dominant:
-        raise AssumptionViolated(
-            "curl forcing below the floor-dominance threshold; "
-            "the tail construction does not apply")
-    sigma, s1, kappa1 = _rise_constants(params)
-    e0, E0 = _anchor(params)
-    ln_e0 = math.log(e0)
-    zeta0 = E0 ** sigma
-    e_bar, E_bar = find_e_bar(params)
-    ln_e_bar = math.log(e_bar)
-    zeta_bar = math.exp(sigma * E_bar.ln)
-    s2, kappa2 = _descent_constants(params)
-    ln_e_under = _floor_crossing(params, e_bar, E_bar)
-    s3, kappa3 = _tail_constants(params)
-    x_under = floor ** 1.5
-
-    def zeta_segment(tag, ln_lo, ln_hi, s, kappa, ln_ref, val_ref, damp):
-        grid = log_grid(ln_lo, ln_hi, samples)
-        ln_E, slope = [], []
-        alpha_s = 0.5 * (1.0 - params.rho) / damp
-        c_s = big_c_s(params) / damp
-        for v in grid:
-            zeta = _two_term(v, s, kappa, ln_ref, val_ref)
-            ln_E.append(zeta.ln / sigma)
-            drag = (LogScalar.from_float(c_s)
-                    * LogScalar.from_ln(v) / zeta).to_float()
-            slope.append(alpha_s - drag)
-        return CurveSegment(tag, grid, np.asarray(ln_E), np.asarray(slope))
-
-    segs = [zeta_segment("phi1", ln_e_bar, ln_e0, s1, kappa1,
-                         ln_e0, zeta0, 1.0),
-            zeta_segment("phi2", ln_e_under, ln_e_bar, s2, kappa2,
-                         ln_e_bar, zeta_bar, params.big_c_omega)]
-
-    grid3 = log_grid(ln_e_under - 20.0 * math.log(10.0), ln_e_under, samples)
-    ln_E3, slope3 = [], []
-    # field constant of dx/de, not the closed form's linear coefficient
-    drain = 12.0 * params.curlF_norm / (params.nu * params.big_c_omega)
-    for v in grid3:
-        x = _two_term(v, s3, kappa3, ln_e_under, x_under)
-        ln_E3.append((2.0 / 3.0) * x.ln)
-        drag = (LogScalar.from_float(drain)
-                * LogScalar.from_ln(v) / x).to_float()
-        slope3.append((2.0 / 3.0) * s3 - drag)
-    segs.append(CurveSegment("phi3", grid3, np.asarray(ln_E3),
-                             np.asarray(slope3)))
-
-    low_grid = log_grid(grid3[0], ln_e0, samples)
-    segs.append(CurveSegment("lower_boundary", low_grid,
-                             math.log(params.lam_under) + low_grid,
-                             np.ones(samples)))
-    par_grid = log_grid(ln_e_bar, ln_e0, samples)
-    segs.append(CurveSegment("parabola", par_grid,
-                             math.log(4.0 * params.f_norm / params.nu)
-                             + 0.5 * par_grid, np.full(samples, 0.5)))
-
-    bundle = CurveBundle(
-        "subcritical", params, segs,
-        breakpoints={"e0": LogScalar.from_float(e0),
-                     "E0": LogScalar.from_float(E0),
-                     "e_bar": LogScalar.from_float(e_bar),
-                     "E_bar": E_bar,
-                     "e_under": LogScalar.from_ln(ln_e_under),
-                     "E_under": LogScalar.from_float(floor)},
-        flags=[f"sigma={sigma:.12g}"])
-
-    gap = max_join_gap(bundle)
-    assert gap <= 1e-8, f"segment join gap {gap:.3e} exceeds 1e-8"
-    ln_par = math.log(4.0 * params.f_norm / params.nu)
-    ln_low = math.log(params.lam_under)
-    for seg in bundle.main_segments():
-        for v, ln_E in zip(seg.ln_e, seg.ln_E):
-            assert ln_E + 1e-9 >= ln_par + 0.5 * v, \
-                f"{seg.tag} dips below the forcing parabola at ln e = {v:.6g}"
-            assert ln_E + 1e-9 >= ln_low + v, \
-                f"{seg.tag} dips below the lower boundary at ln e = {v:.6g}"
-    return bundle
-
-
-def curve_value(ln_e: float, params: ForcingParams) -> LogScalar:
-    """Piecewise curve evaluated exactly (not interpolated) at ln e."""
-    _require_subcritical(params)
-    sigma, s1, kappa1 = _rise_constants(params)
-    e0, E0 = _anchor(params)
-    if ln_e > math.log(e0):
-        raise OutsideDomain("the bounding curve stops at e0")
-    e_bar, E_bar = find_e_bar(params)
-    if ln_e >= math.log(e_bar):
-        zeta = _two_term(ln_e, s1, kappa1, math.log(e0), E0 ** sigma)
-        return zeta ** (1.0 / sigma)
-    ln_e_under = _floor_crossing(params, e_bar, E_bar)
-    if ln_e >= ln_e_under:
-        s2, kappa2 = _descent_constants(params)
-        zeta = _two_term(ln_e, s2, kappa2, math.log(e_bar),
-                         math.exp(sigma * E_bar.ln))
-        return zeta ** (1.0 / sigma)
-    s3, kappa3 = _tail_constants(params)
-    floor, _ = enstrophy_floor(params)
-    x = _two_term(ln_e, s3, kappa3, ln_e_under, floor ** 1.5)
-    return x ** (2.0 / 3.0)
+    """Sample the three branches plus frame (lower boundary, parabola);
+    same invariants and segment tags as the critical assembly."""
+    return chain(params).assemble(samples)
 
 
 def classify_subcritical(e: float, E: float, params: ForcingParams) -> str:
     """Same three-region semantics as the critical classifier."""
-    if e <= 0.0 or E <= 0.0:
-        raise OutsideDomain("classification needs e > 0 and E > 0")
-    if params.nu * E < 4.0 * params.f_norm * math.sqrt(e):
-        return "I"
-    if math.log(e) > math.log(_anchor(params)[0]):
-        return "II"
-    return "III" if LogScalar.from_float(E) >= curve_value(math.log(e), params) \
-        else "II"
+    return chain(params).classify(e, E)

@@ -62,13 +62,6 @@ def halved_curve(curve: CurveBundle) -> CurveBundle:
                        dict(curve.breakpoints), list(curve.flags))
 
 
-def _eta_of(curve: CurveBundle, params: ForcingParams) -> float:
-    for flag in curve.flags:
-        if flag.startswith("eta="):
-            return float(flag[4:])
-    return params.eta
-
-
 def _rate_pairs(curve: CurveBundle, params: ForcingParams):
     """tag -> (T1, B, cond): dE/dt upper bound, de/dt bound, side condition.
 
@@ -77,71 +70,17 @@ def _rate_pairs(curve: CurveBundle, params: ForcingParams):
     and T1 cross zero together, so a margin can only be judged relative to
     the terms that cancelled, never to the cancelled results. B returns a
     LogScalar, cond a bool. The pairs reproduce exactly the quotients that
-    defined each segment, so constructed margins vanish identically.
+    defined each segment, so constructed margins vanish identically; the
+    constants are written out here, not read from the construction, so
+    that containment checks it against an independent derivation.
     """
     nu, lam, mu = params.nu, params.lam, params.mu
     eps, rho = params.eps, params.rho
     half_nu = LogScalar.from_float(-0.5 * nu)
     big_half = LogScalar.from_float(-0.5 * nu * params.big_c_omega)
-    par = LogScalar.from_float(4.0 * params.f_norm / nu)
-
-    def parcond(e, E):
-        return E >= par * e ** 0.5 * LogScalar.from_float(1.0 - 1e-12)
-
-    if curve.model == "critical":
-        quad_b = LogScalar.from_float(params.c2 * math.sqrt(lam) / (eps * nu))
-        quad_a = LogScalar.from_float(0.25 * nu * (1.0 - rho))
-        drive = LogScalar.from_float(
-            6.0 * params.c2 * (mu * lam) ** 0.8 * nu ** 0.2 / eps ** 0.6)
-        curl = LogScalar.from_float(6.0 * params.curlF_norm)
-        floor = LogScalar.from_float(critical.enstrophy_floor(params)[0])
-        slack_lo = LogScalar.from_float(1.0 - 1e-12)
-        slack_hi = LogScalar.from_float(1.0 + 1e-12)
-
-        def t1_rise(e, E):
-            terms = (quad_b * E * E, -(quad_a * E * E / e), drive * E ** 1.4)
-            return sum(terms, start=_Z), _gauge(terms)
-
-        def t1_tail(e, E):
-            terms = (quad_b * E * E, -(quad_a * E * E / e), curl * E ** 0.5)
-            return sum(terms, start=_Z), _gauge(terms)
-
-        return {
-            "phi1": (t1_rise, lambda e, E: half_nu * E, parcond),
-            "phi2": (t1_rise, lambda e, E: big_half * E,
-                     lambda e, E: E >= floor * slack_lo),
-            "phi3": (t1_tail, lambda e, E: big_half * E,
-                     lambda e, E: E <= floor * slack_hi),
-        }
-
-    if curve.model == "subcritical":
-        sigma = subcritical.sigma_of(params.r)
-        c_s = LogScalar.from_float(0.5 * nu * subcritical.big_c_s(params))
-        alpha_half = LogScalar.from_float(0.25 * nu * (1.0 - rho))
-        quad_a = alpha_half  # alpha_s nu / 2 = nu (1 - rho)/4
-        curl = LogScalar.from_float(6.0 * params.curlF_norm)
-        floor = LogScalar.from_float(subcritical.enstrophy_floor(params)[0])
-        slack_lo = LogScalar.from_float(1.0 - 1e-12)
-        slack_hi = LogScalar.from_float(1.0 + 1e-12)
-
-        def t1_rise_sub(e, E):
-            terms = (c_s * E ** (2.0 - sigma), -(quad_a * E * E / e))
-            return sum(terms, start=_Z), _gauge(terms)
-
-        def t1_tail_sub(e, E):
-            terms = (curl * E ** 0.5, -(quad_a * E * E / e))
-            return sum(terms, start=_Z), _gauge(terms)
-
-        return {
-            "phi1": (t1_rise_sub, lambda e, E: half_nu * E, parcond),
-            "phi2": (t1_rise_sub, lambda e, E: big_half * E,
-                     lambda e, E: E >= floor * slack_lo),
-            "phi3": (t1_tail_sub, lambda e, E: big_half * E,
-                     lambda e, E: E <= floor * slack_hi),
-        }
 
     if curve.model == "full":
-        eta = _eta_of(curve, params)
+        eta = params.eta
         cube = LogScalar.from_float(2.0 * params.c1 / nu ** 3)
         pull = LogScalar.from_float(
             eta * nu ** 2 * lam ** 0.75 * params.grashof)
@@ -162,7 +101,45 @@ def _rate_pairs(curve: CurveBundle, params: ForcingParams):
         return {"phi1": (t1_full, b_full, cond_full),
                 "phi2": (t1_full, b_full, cond_full)}
 
-    raise ValueError(f"no containment pairs for model {curve.model!r}")
+    # (quad_b, drive, power): the two coherence families, with the
+    # production term drive E^power; quad_b = 0 off r = 1/2
+    if curve.model == "critical":
+        quad_b = params.c2 * math.sqrt(lam) / (eps * nu)
+        drive = 6.0 * params.c2 * (mu * lam) ** 0.8 * nu ** 0.2 / eps ** 0.6
+        power = 1.4
+        floor = critical.enstrophy_floor(params)[0]
+    elif curve.model == "subcritical":
+        quad_b = 0.0
+        drive = 0.5 * nu * subcritical.big_c_s(params)
+        power = 2.0 - subcritical.sigma_of(params.r)
+        floor = subcritical.enstrophy_floor(params)[0]
+    else:
+        raise ValueError(f"no containment pairs for model {curve.model!r}")
+    quad_b = LogScalar.from_float(quad_b)
+    quad_a = LogScalar.from_float(0.25 * nu * (1.0 - rho))
+    drive = LogScalar.from_float(drive)
+    curl = LogScalar.from_float(6.0 * params.curlF_norm)
+    par = LogScalar.from_float(4.0 * params.f_norm / nu)
+    floor = LogScalar.from_float(floor)
+    slack_lo = LogScalar.from_float(1.0 - 1e-12)
+    slack_hi = LogScalar.from_float(1.0 + 1e-12)
+
+    def t1_rise(e, E):
+        terms = (quad_b * E * E, -(quad_a * E * E / e), drive * E ** power)
+        return sum(terms, start=_Z), _gauge(terms)
+
+    def t1_tail(e, E):
+        terms = (quad_b * E * E, -(quad_a * E * E / e), curl * E ** 0.5)
+        return sum(terms, start=_Z), _gauge(terms)
+
+    return {
+        "phi1": (t1_rise, lambda e, E: half_nu * E,
+                 lambda e, E: E >= par * e ** 0.5 * slack_lo),
+        "phi2": (t1_rise, lambda e, E: big_half * E,
+                 lambda e, E: E >= floor * slack_lo),
+        "phi3": (t1_tail, lambda e, E: big_half * E,
+                 lambda e, E: E <= floor * slack_hi),
+    }
 
 
 def containment_check(curve: CurveBundle, params: ForcingParams,
@@ -234,36 +211,22 @@ def _specfun_row(series_rel_tol: float) -> dict:
             "pass": worst <= 1e-10}
 
 
+def _chain(params: ForcingParams):
+    family = critical if params.r == 0.5 else subcritical
+    return family.chain(params)
+
+
 def _rk4_row(params: ForcingParams, series_rel_tol: float) -> dict:
     """Closed-form rising branch vs direct integration of its slope field."""
-    if params.r == 0.5:
-        co = critical.chain(params).co
-        e_stop, _ = critical.find_e_max(params)
-        field = critical.slope_field(params, "phi1")
-        ln_e0 = math.log(co.e0)
-        xi0 = LogScalar.from_float(co.E0) ** 0.6
-
-        def closed(ln_e: float) -> float:
-            xi = critical.xi_solution(ln_e, co, ln_e0, xi0,
-                                      rel_tol=series_rel_tol)
-            return (5.0 / 3.0) * xi.ln
-
-        ln_E0 = math.log(co.E0)
-        e0 = co.e0
-    else:
-        e0, E0 = subcritical._anchor(params)
-        e_stop, _ = subcritical.find_e_bar(params)
-        field = subcritical.slope_field(params, "phi1")
-
-        def closed(ln_e: float) -> float:
-            return subcritical.sub_phi1(LogScalar.from_ln(ln_e), params).ln
-
-        ln_E0 = math.log(E0)
-    es, lnEs = rk4_path(field, e0, ln_E0, e_stop, tol=1e-8, n0=8192)
+    ch = _chain(params)
+    e_stop, _ = ch.peak_point()
+    es, lnEs = rk4_path(ch.slope_field("phi1"), params.e0, math.log(ch.E0),
+                        e_stop, tol=1e-8, n0=8192)
     stride = max(1, len(es) // 512)
     worst = 0.0
     for e, ln_E in zip(es[::stride], lnEs[::stride]):
-        worst = max(worst, abs(closed(math.log(float(e))) - float(ln_E)))
+        closed = ch.value(0, math.log(float(e)), series_rel_tol).ln
+        worst = max(worst, abs(closed - float(ln_E)))
     return {"check": "closed_form_vs_rk4", "segment": "phi1",
             "samples": len(es[::stride]), "worst_margin": worst,
             "pass": worst <= 1e-6}
@@ -295,47 +258,19 @@ def _scan_row(name: str, gap, center: float, half_width: float = 2.0,
             "worst_margin": dist, "pass": bool(dist == 0.0)}
 
 
-def _critical_scan_rows(params: ForcingParams) -> list[dict]:
-    ch = critical.chain(params)
-    _, _, E_max = ch.peak
-    ln_pre = critical._barrier_ln_prefactor(params)
-    ln_e_a = math.log(ch.co.e_a)
-
-    def gap_peak(w: float) -> float:
-        ln_e = ln_e_a + math.log1p(-math.exp(w))
-        curve = critical.phi1(LogScalar.from_ln(ln_e), params)
-        return curve.ln - ln_pre - (5.0 / 3.0) * (
-            math.log(6.0) + math.log1p(-math.exp(w)) - w)
-
-    w_est = math.log(6.0) - 0.6 * (E_max.ln - ln_pre)
-    rows = [_scan_row("e_max", gap_peak, w_est)]
-
-    ln_floor = math.log(ch.co.E_min)
+def _scan_rows(params: ForcingParams) -> list[dict]:
+    """The peak (rise against its nullcline, in the chain's peak variable)
+    and the floor crossing (curve against the floor, in ln e)."""
+    ch = _chain(params)
+    x_star, _, _ = ch.peak
+    e_peak, _, e_floor, _ = ch.names
+    ln_floor = math.log(ch.floor)
 
     def gap_floor(v: float) -> float:
-        return critical.curve_value(v, params).ln - ln_floor
+        return ch.curve_value(v).ln - ln_floor
 
-    rows.append(_scan_row("e_min", gap_floor, ch.ln_e_min))
-    return rows
-
-
-def _subcritical_scan_rows(params: ForcingParams) -> list[dict]:
-    e_bar, _ = subcritical.find_e_bar(params)
-    coeffs = subcritical.sub_coefficients(params)
-    ln_ratio = math.log(coeffs.C_s / coeffs.alpha_s)
-
-    def gap_peak(v: float) -> float:
-        E = subcritical.sub_phi1(LogScalar.from_ln(v), params)
-        return coeffs.sigma * E.ln - ln_ratio - v
-
-    rows = [_scan_row("e_bar", gap_peak, math.log(e_bar))]
-    ln_floor = math.log(coeffs.E_under)
-
-    def gap_floor(v: float) -> float:
-        return subcritical.curve_value(v, params).ln - ln_floor
-
-    rows.append(_scan_row("e_under", gap_floor, coeffs.e_under.ln))
-    return rows
+    return [_scan_row(e_peak, ch.peak_gap, x_star),
+            _scan_row(e_floor, gap_floor, ch.ln_floor)]
 
 
 def _full_scan_row(params: ForcingParams) -> dict:
@@ -358,10 +293,7 @@ def oracle_suite(params: ForcingParams,
     if params.grashof <= 0.0:
         return rows
     rows.append(_rk4_row(params, series_rel_tol))
-    if params.r == 0.5:
-        rows.extend(_critical_scan_rows(params))
-    else:
-        rows.extend(_subcritical_scan_rows(params))
+    rows.extend(_scan_rows(params))
     try:
         rows.append(_full_scan_row(params))
     except EnstrophyBoundsError as exc:

@@ -2,11 +2,14 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
 
 import pytest
 
+from enstrophy_bounds import (FieldBlowup, assemble_critical,
+                              assemble_subcritical, load_params_file)
 from enstrophy_bounds.cli import run
 
 from conftest import PRESETS
@@ -220,3 +223,41 @@ def test_console_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "II\n"
+
+
+def _run_optimized(*args):
+    # python -O strips assert statements; the construction checks must not
+    # depend on them
+    env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
+    return subprocess.run([sys.executable, "-O", "-m", "enstrophy_bounds",
+                           *args], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("model, preset",
+                         [("critical", "fig2.json"),
+                          ("subcritical", "fig3.json")])
+def test_construction_invariant_is_typed(tmp_path, model, preset):
+    # a lower boundary above the forcing anchor: phi1 starts below it
+    raw = json.loads((PRESETS / preset).read_text())
+    raw["lambda0"] = 10.0
+    path = tmp_path / "steep.json"
+    path.write_text(json.dumps(raw))
+    params = load_params_file(str(path))
+    family = assemble_critical if model == "critical" \
+        else assemble_subcritical
+    with pytest.raises(FieldBlowup):
+        family(params)
+    proc = _run_optimized("curve", model, "--params", str(path))
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("FieldBlowup: phi1 dips below")
+    assert proc.stdout == ""
+
+
+def test_near_critical_subcritical_curve_under_optimize(tmp_path):
+    raw = json.loads((PRESETS / "fig3.json").read_text())
+    raw["r"] = 0.5 + 1e-9
+    path = tmp_path / "near.json"
+    path.write_text(json.dumps(raw))
+    proc = _run_optimized("curve", "subcritical", "--params", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("e,log10_E,segment\n")

@@ -1,6 +1,7 @@
 """Critical-regime piecewise curve: coefficients, branches, assembly."""
 
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -25,14 +26,12 @@ from enstrophy_bounds import (
     truncation_comparison,
     xi_solution,
 )
-from enstrophy_bounds import critical
+from enstrophy_bounds import branches
+from enstrophy_bounds.branches import solution
 from enstrophy_bounds.critical import (
-    _phi3_ln,
     chain,
     curl_threshold,
-    curve_value,
     enstrophy_floor,
-    slope_field,
 )
 from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.logscalar import ZERO
@@ -53,9 +52,9 @@ def test_coefficient_values(fig2):
     assert co.a == pytest.approx(0.03, rel=1e-14)
     assert co.b == pytest.approx(12.0, rel=1e-14)
     assert co.e_a == pytest.approx(0.0025, rel=1e-14)
-    assert co.alpha_g == pytest.approx(0.97, rel=1e-14)
-    assert co.e0 == 4.0
-    assert co.E0 == 16.0
+    assert co.p == 0.6
+    assert fig2.e0 == 4.0
+    assert chain(fig2).E0 == 16.0
 
 
 def test_floor_is_curl_dominated(fig2):
@@ -99,21 +98,21 @@ def test_barrier_shape(fig2):
 
 
 def test_xi_homogeneous_closed_form(fig2):
-    # with big_c = 0 the field integrates to xi0 (e/e0)^a exp(-b (e - e0))
-    co = replace(coefficients(fig2), big_c=0.0)
-    xi0 = LogScalar.from_float(co.E0) ** 0.6
-    ln_e0 = math.log(co.e0)
+    # with c = 0 the field integrates to xi0 (e/e0)^a exp(-b (e - e0))
+    co = replace(coefficients(fig2), c=0.0)
+    xi0 = LogScalar.from_float(chain(fig2).E0) ** 0.6
+    ln_e0 = math.log(fig2.e0)
     for e in (0.001, 0.1, 1.0, 4.0):
         got = xi_solution(math.log(e), co, ln_e0, xi0)
-        want = xi0.ln + co.a * (math.log(e) - ln_e0) - co.b * (e - co.e0)
+        want = xi0.ln + co.a * (math.log(e) - ln_e0) - co.b * (e - fig2.e0)
         assert got.ln == pytest.approx(want, abs=1e-12)
 
 
 def test_xi_crosses_zero_right_of_anchor(fig2):
     co = coefficients(fig2)
-    xi0 = LogScalar.from_float(co.E0) ** 0.6
+    xi0 = LogScalar.from_float(chain(fig2).E0) ** 0.6
     with pytest.raises(OutsideDomain):
-        xi_solution(math.log(6.0), co, math.log(co.e0), xi0)
+        xi_solution(math.log(6.0), co, math.log(fig2.e0), xi0)
 
 
 # ------------------------------------------------------------- branches
@@ -121,14 +120,15 @@ def test_xi_crosses_zero_right_of_anchor(fig2):
 
 def test_phi1_anchor_and_monotonicity(fig2):
     co = coefficients(fig2)
-    assert phi1(co.e0, fig2).to_float() == pytest.approx(16.0, rel=1e-12)
+    e0 = fig2.e0
+    assert phi1(e0, fig2).to_float() == pytest.approx(16.0, rel=1e-12)
     # decreasing in e between the peak and the anchor
-    lns = [math.log(co.e_a) + t * (math.log(co.e0) - math.log(co.e_a))
+    lns = [math.log(co.e_a) + t * (math.log(e0) - math.log(co.e_a))
            for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
     vals = [phi1(LogScalar.from_ln(v), fig2).ln for v in lns]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(OutsideDomain):
-        phi1(co.e0 * 1.001, fig2)
+        phi1(e0 * 1.001, fig2)
 
 
 def test_peak_pins(fig2):
@@ -148,7 +148,7 @@ def test_peak_pins(fig2):
 def test_e_min_pin_and_floor_join(fig2):
     e_min = find_e_min(fig2)
     assert e_min.ln == pytest.approx(-8248.908704754842, abs=1e-6)
-    ln_floor = math.log(coefficients(fig2).E_min)
+    ln_floor = math.log(enstrophy_floor(fig2)[0])
     assert phi2(e_min, fig2).ln == pytest.approx(ln_floor, abs=1e-9)
     assert phi3(e_min, fig2).ln == pytest.approx(ln_floor, abs=1e-9)
 
@@ -176,16 +176,17 @@ def _tail_quadrature_ln(ln_e, ln_e_hi, a3, b3):
 
 @pytest.mark.parametrize("ln_hi, offsets", [
     (-8248.908704754842, (1e-6, 1.0, 20.0 * math.log(10.0))),  # sub-float
-    (-5.0, (1e-4, 0.5, 4.0, 25.0)),                            # in float
+    (-5.0, (1e-8, 1e-6, 1e-4, 0.5, 4.0, 25.0)),                # in float
 ])
 def test_phi3_tail_closed_form_matches_quadrature(fig2, ln_hi, offsets):
-    # with x_min = 0, phi3 is the curl-driven tail alone: x = g3 * integral
-    tail = chain(fig2).tail
+    # anchored at x = 0, the tail field gives the curl-driven part alone:
+    # x = g3 * integral
+    tail = chain(fig2).fields[2]
     for off in offsets:
         ln_e = ln_hi - off
-        x_ln = 1.5 * _phi3_ln(ln_e, tail, ln_hi, ZERO).ln
+        x_ln = solution(ln_e, tail, ln_hi, ZERO).ln
         want = _tail_quadrature_ln(ln_e, ln_hi, tail.a, tail.b)
-        assert x_ln - math.log(tail.big_c) == pytest.approx(want, abs=1e-9)
+        assert x_ln - math.log(tail.c) == pytest.approx(want, abs=1e-9)
 
 
 def test_phi3_just_above_e_min(fig2):
@@ -193,7 +194,7 @@ def test_phi3_just_above_e_min(fig2):
     # runs backwards and subtracts
     ln_e_min = find_e_min(fig2).ln
     above = phi3(LogScalar.from_ln(ln_e_min + 5e-10), fig2)
-    assert above.ln == pytest.approx(math.log(coefficients(fig2).E_min),
+    assert above.ln == pytest.approx(math.log(enstrophy_floor(fig2)[0]),
                                      abs=1e-9)
 
 
@@ -214,7 +215,7 @@ def test_branch_fields_match_finite_differences(fig2):
     cases = [("phi1", phi1, 0.0), ("phi2", phi2, -230.0)]
     k = 1e-5
     for tag, fn, v in cases:
-        f = slope_field(fig2, tag)
+        f = chain(fig2).slope_field(tag)
         fd = (fn(LogScalar.from_ln(v + k), fig2).ln
               - fn(LogScalar.from_ln(v - k), fig2).ln) / (2.0 * k)
         mid = fn(LogScalar.from_ln(v), fig2).ln
@@ -226,9 +227,15 @@ def test_regime_gates(fig2):
     dead = _with(fig2, f_norm=0.0)
     with pytest.raises(RegimeViolation):
         find_e_max(dead)
+    # zero forcing has no anchor: on or above the parabola E = 0 every
+    # point needs the curve
+    with pytest.raises(RegimeViolation):
+        classify_critical(1.0, 1.0, dead)
+    with pytest.raises(RegimeViolation):
+        phi1(1.0, dead)
     # anchor energy left of the barrier asymptote: curve cannot start
     tiny = _with(fig2, f_norm=0.04)
-    assert coefficients(tiny).e0 < coefficients(tiny).e_a
+    assert tiny.e0 < coefficients(tiny).e_a
     with pytest.raises(RegimeViolation):
         find_e_max(tiny)
 
@@ -273,7 +280,7 @@ def test_curve_value_matches_segments(fig2):
     for seg in bundle.main_segments():
         for v, ln_E in zip(seg.ln_e[:: len(seg.ln_e) // 8],
                            seg.ln_E[:: len(seg.ln_E) // 8]):
-            got = curve_value(float(v), fig2).ln
+            got = chain(fig2).curve_value(float(v)).ln
             assert got == pytest.approx(float(ln_E), abs=1e-9)
 
 
@@ -281,8 +288,7 @@ def test_curve_value_matches_segments(fig2):
 
 
 def test_classify_critical_regions(fig2):
-    co = coefficients(fig2)
-    on_curve = curve_value(0.0, fig2)  # e = 1
+    on_curve = chain(fig2).curve_value(0.0)  # e = 1
     E = on_curve.to_float()
     assert classify_critical(1.0, E, fig2) == "III"
     assert classify_critical(1.0, 2.0 * E, fig2) == "III"
@@ -290,20 +296,20 @@ def test_classify_critical_regions(fig2):
     par = 4.0 * fig2.f_norm * math.sqrt(1.0) / fig2.nu
     assert classify_critical(1.0, 0.5 * par, fig2) == "I"
     # right of e0 the curve ends; above the parabola is II
-    assert classify_critical(4.0 * co.e0, 1e9, fig2) == "II"
+    assert classify_critical(4.0 * fig2.e0, 1e9, fig2) == "II"
     with pytest.raises(OutsideDomain):
         classify_critical(0.0, 1.0, fig2)
 
 
 def test_chain_resolves_once_per_parameter_set(fig2, monkeypatch):
     calls = []
-    real = critical.find_root
+    real = branches.find_root
 
     def counting(*args, **kwargs):
         calls.append(1)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(critical, "find_root", counting)
+    monkeypatch.setattr(branches, "find_root", counting)
     chain.cache_clear()
     # points on both sides of e_max, above and below the curve
     for i in range(100):
@@ -318,8 +324,7 @@ def test_chain_errors_stay_lazy(fig2, monkeypatch):
     def no_floor(self):
         raise NoBracket("floor crossing not bracketed")
 
-    monkeypatch.setattr(critical.CriticalChain, "ln_e_min",
-                        property(no_floor))
+    monkeypatch.setattr(branches.Chain, "ln_floor", property(no_floor))
     chain.cache_clear()
     # right of e_max only the peak is needed
     assert find_e_max(fig2)[0] < 1.0
@@ -331,7 +336,23 @@ def test_chain_errors_stay_lazy(fig2, monkeypatch):
         find_e_min(fig2)
     # anchor below the barrier asymptote: phi1 evaluates, the peak raises
     tiny = _with(fig2, f_norm=0.04)
-    assert phi1(0.5 * coefficients(tiny).e0, tiny).sign == 1
+    assert phi1(0.5 * tiny.e0, tiny).sign == 1
     with pytest.raises(RegimeViolation):
-        classify_critical(0.5 * coefficients(tiny).e0, 1e40, tiny)
+        classify_critical(0.5 * tiny.e0, 1e40, tiny)
     chain.cache_clear()
+
+
+def test_barrier_is_the_rise_nullcline(fig2):
+    # the paper's barrier is the nullcline y = C e/(a - b e) of the rise
+    # field, raised to the power 1/p = 5/3
+    rng = random.Random(11)
+    draws = [fig2] + [_with(fig2, f_norm=rng.uniform(1.5, 5.0),
+                            eps=rng.uniform(0.05, 0.2),
+                            c2=rng.uniform(0.5, 4.0), mu=rng.uniform(0.5, 2.0))
+                      for _ in range(10)]
+    for p in draws:
+        co = coefficients(p)
+        for frac in (1e-6, 0.01, 1.0 / 7.0, 0.5, 0.9, 0.99):
+            e = frac * co.e_a
+            null = (co.c * e / (co.a - co.b * e)) ** (1.0 / co.p)
+            assert barrier(e, p) == pytest.approx(null, rel=1e-13)

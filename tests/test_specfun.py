@@ -6,10 +6,10 @@ import math
 import mpmath
 import pytest
 
+from enstrophy_bounds.critical import chain
 from enstrophy_bounds.logscalar import LogScalar
 from enstrophy_bounds.specfun import (gamma_series_factor,
                                       gamma_series_truncated,
-                                      weighted_exp_integral,
                                       weighted_exp_integral_ln)
 
 mpmath.mp.dps = 40
@@ -78,7 +78,8 @@ def test_truncated_n1_is_first_term():
 
 def test_weighted_integral_b_zero_closed_form():
     # b = 0: plain power integral (hi^(1-a) - lo^(1-a))/(1-a)
-    got = weighted_exp_integral(0.5, 0.0, 0.25, 4.0).to_float()
+    got = weighted_exp_integral_ln(0.5, 0.0, math.log(0.25),
+                                   math.log(4.0)).to_float()
     assert got == pytest.approx(2.0 * (2.0 - 0.5), rel=1e-13)
 
 
@@ -88,8 +89,8 @@ def test_weighted_integral_against_quadrature():
                          (0.9, 0.3, 1e-6, 1.0)]:
         oracle = float(mpmath.quad(
             lambda s: s ** (-a) * mpmath.e ** (b * s), [lo, hi]))
-        assert weighted_exp_integral(a, b, lo, hi).to_float() \
-            == pytest.approx(oracle, rel=1e-10)
+        got = weighted_exp_integral_ln(a, b, math.log(lo), math.log(hi))
+        assert got.to_float() == pytest.approx(oracle, rel=1e-10)
 
 
 def test_weighted_integral_ln_bounds_below_float_range():
@@ -107,16 +108,16 @@ def test_weighted_integral_tiny_b_branch():
     a, b, lo, hi = 0.4, 1e-9, 0.5, 1.0
     oracle = float(mpmath.quad(
         lambda s: s ** (-a) * mpmath.e ** (b * s), [lo, hi]))
-    assert weighted_exp_integral(a, b, lo, hi).to_float() \
-        == pytest.approx(oracle, rel=1e-11)
+    got = weighted_exp_integral_ln(a, b, math.log(lo), math.log(hi))
+    assert got.to_float() == pytest.approx(oracle, rel=1e-11)
 
 
 def test_weighted_integral_nearby_bounds():
     a, b = 0.3, 2.0
     lo, hi = 1.0, 1.0 + 1e-10
     oracle = hi ** (-a) * math.exp(b) * (hi - lo)  # midpoint to O(h^2)
-    assert weighted_exp_integral(a, b, lo, hi).to_float() \
-        == pytest.approx(oracle, rel=1e-6)
+    got = weighted_exp_integral_ln(a, b, math.log(lo), math.log(hi))
+    assert got.to_float() == pytest.approx(oracle, rel=1e-6)
 
 
 def test_weighted_integral_rejects_bad_exponent():
@@ -124,3 +125,20 @@ def test_weighted_integral_rejects_bad_exponent():
         weighted_exp_integral_ln(1.5, 1.0, 0.0, 1.0)
     with pytest.raises(ValueError):
         weighted_exp_integral_ln(0.5, -1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("span", [1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5,
+                                  1e-4, 1e-3, 1e-2])
+def test_weighted_integral_close_bounds(fig2, span):
+    # the fig2 tail field near e = e^-5: the series difference cancels
+    # almost completely and the quadrature fallback carries the digits
+    tail = chain(fig2).fields[2]
+    a, b = tail.a, tail.b
+    ln_hi = -5.0
+    ln_lo = ln_hi - span
+    got = weighted_exp_integral_ln(a, b, ln_lo, ln_hi)
+    with mpmath.workdps(40):
+        lo, hi = mpmath.exp(mpmath.mpf(ln_lo)), mpmath.exp(mpmath.mpf(ln_hi))
+        want = mpmath.log(mpmath.quad(
+            lambda s: s ** (-a) * mpmath.e ** (b * s), [lo, hi]))
+    assert abs(got.ln - float(want)) <= 1e-11

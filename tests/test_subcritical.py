@@ -1,7 +1,9 @@
 """Sub-critical curve family (1/2 < r <= 1): branches, peak, exponents."""
 
 import math
+import random
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -12,22 +14,25 @@ from enstrophy_bounds import (
     LogScalar,
     NoBracket,
     OutsideDomain,
+    RegimeViolation,
     assemble_subcritical,
     classify_subcritical,
+    containment_check,
     find_e_bar,
     max_join_gap,
     sub_phi1,
     sub_phi2,
     sub_phi3,
 )
+from enstrophy_bounds import branches
 from enstrophy_bounds.subcritical import (
-    curve_value,
+    big_c_s,
+    chain,
     enstrophy_floor,
     floor_levels,
     sigma_of,
-    slope_field,
-    sub_coefficients,
 )
+from enstrophy_bounds.verify import all_pass
 
 
 def _with(params, **over):
@@ -43,14 +48,18 @@ def test_sigma_values():
 
 
 def test_coefficient_pins(fig3):
-    co = sub_coefficients(fig3)
-    assert co.sigma == pytest.approx(0.00990099009900991, rel=1e-13)
-    assert co.alpha_s == pytest.approx(0.05, rel=1e-13)
-    assert co.C_s == pytest.approx(58.117946415370064, rel=1e-12)
-    assert co.e_bar == pytest.approx(0.0028537694344213556, rel=1e-11)
-    assert co.E_bar.ln == pytest.approx(121.10831503761315, abs=1e-8)
-    assert co.e_under.ln == pytest.approx(-12069.03502591827, abs=1e-5)
-    assert co.E_under == pytest.approx(1.6267048739624501, rel=1e-12)
+    ch = chain(fig3)
+    sigma = ch.rise.p
+    assert sigma == pytest.approx(0.00990099009900991, rel=1e-13)
+    assert ch.rise.a / sigma == pytest.approx(0.05, rel=1e-13)  # alpha_s
+    assert ch.rise.b == 0.0
+    assert big_c_s(fig3) == pytest.approx(58.117946415370064, rel=1e-12)
+    assert ch.rise.c == sigma * big_c_s(fig3)
+    e_bar, E_bar = find_e_bar(fig3)
+    assert e_bar == pytest.approx(0.0028537694344213556, rel=1e-11)
+    assert E_bar.ln == pytest.approx(121.10831503761315, abs=1e-8)
+    assert ch.ln_floor == pytest.approx(-12069.03502591827, abs=1e-5)
+    assert ch.floor == pytest.approx(1.6267048739624501, rel=1e-12)
 
 
 def test_floor_levels(fig3):
@@ -85,17 +94,17 @@ def test_peak_is_a_maximum(fig3):
 
 
 def test_descent_joins_peak_and_floor(fig3):
-    co = sub_coefficients(fig3)
-    assert sub_phi2(LogScalar.from_float(co.e_bar), fig3).ln \
-        == pytest.approx(co.E_bar.ln, rel=1e-12)
-    assert sub_phi2(co.e_under, fig3).ln \
-        == pytest.approx(math.log(co.E_under), abs=1e-9)
-    assert sub_phi3(co.e_under, fig3).ln \
-        == pytest.approx(math.log(co.E_under), abs=1e-9)
+    e_bar, E_bar = find_e_bar(fig3)
+    e_under = LogScalar.from_ln(chain(fig3).ln_floor)
+    ln_floor = math.log(enstrophy_floor(fig3)[0])
+    assert sub_phi2(LogScalar.from_float(e_bar), fig3).ln \
+        == pytest.approx(E_bar.ln, rel=1e-12)
+    assert sub_phi2(e_under, fig3).ln == pytest.approx(ln_floor, abs=1e-9)
+    assert sub_phi3(e_under, fig3).ln == pytest.approx(ln_floor, abs=1e-9)
     with pytest.raises(OutsideDomain):
-        sub_phi2(2.0 * co.e_bar, fig3)
+        sub_phi2(2.0 * e_bar, fig3)
     with pytest.raises(OutsideDomain):
-        sub_phi3(LogScalar.from_ln(co.e_under.ln + 1.0), fig3)
+        sub_phi3(LogScalar.from_ln(e_under.ln + 1.0), fig3)
 
 
 def test_weak_curl_rejected(fig3):
@@ -126,7 +135,7 @@ def test_branch_fields_match_finite_differences(fig3):
     cases = [("phi1", sub_phi1, -1.0), ("phi2", sub_phi2, -230.0)]
     k = 1e-5
     for tag, fn, v in cases:
-        f = slope_field(fig3, tag)
+        f = chain(fig3).slope_field(tag)
         fd = (fn(LogScalar.from_ln(v + k), fig3).ln
               - fn(LogScalar.from_ln(v - k), fig3).ln) / (2.0 * k)
         mid = fn(LogScalar.from_ln(v), fig3).ln
@@ -165,7 +174,7 @@ def test_assemble_subcritical_bundle(fig3):
 
 
 def test_classify_subcritical_regions(fig3):
-    on_curve = curve_value(0.0, fig3).to_float()
+    on_curve = chain(fig3).curve_value(0.0).to_float()
     assert classify_subcritical(1.0, on_curve, fig3) == "III"
     assert classify_subcritical(1.0, 0.5 * on_curve, fig3) == "II"
     par = 4.0 * fig3.f_norm / fig3.nu
@@ -173,3 +182,86 @@ def test_classify_subcritical_regions(fig3):
     assert classify_subcritical(100.0, 1e9, fig3) == "II"
     with pytest.raises(OutsideDomain):
         classify_subcritical(1.0, 0.0, fig3)
+
+
+def test_zero_forcing_is_a_regime_violation(fig3):
+    dead = _with(fig3, f_norm=0.0)
+    with pytest.raises(RegimeViolation):
+        classify_subcritical(1.0, 1.0, dead)
+
+
+def test_chain_resolves_once_per_parameter_set(fig3, monkeypatch):
+    calls = []
+    real = branches.find_root
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(branches, "find_root", counting)
+    chain.cache_clear()
+    # points on both sides of e_bar, above and below the curve
+    for i in range(100):
+        e = math.exp(-700.0 + 7.0 * i)
+        E = 10.0 ** (i % 60)
+        assert classify_subcritical(e, E, fig3) in ("I", "II", "III")
+    # one find_root for the peak, one for the floor crossing
+    assert len(calls) == 2
+    chain.cache_clear()
+
+
+def test_near_critical_exponent_assembles(fig3):
+    # sigma ~ 5e-10 amplifies every rounding of zeta by 1/sigma; with the
+    # peak and floor anchors kept in log space the joins still close
+    near = _with(fig3, r=0.5 + 1e-9)
+    bundle = assemble_subcritical(near)
+    assert max_join_gap(bundle) <= 1e-8
+    assert all_pass(containment_check(bundle, near))
+
+
+def _two_term_ln_E(ln_e, s, c, p, ln_ref, ln_E_ref):
+    """ln E on the field dy/de = s y/e - c, y = E^p, through (e_ref, E_ref),
+    from the closed form y = B e^s + kappa e, kappa = -c/(1 - s), at 50
+    digits."""
+    with mpmath.workdps(50):
+        e, e_ref = mpmath.exp(ln_e), mpmath.exp(ln_ref)
+        kappa = -mpmath.mpf(c) / (1 - mpmath.mpf(s))
+        big_b = (mpmath.exp(p * mpmath.mpf(ln_E_ref)) - kappa * e_ref) \
+            / e_ref ** s
+        return float(mpmath.log(big_b * e ** s + kappa * e) / p)
+
+
+def _check_branches_against_two_term(p):
+    sigma = sigma_of(p.r)
+    big = p.big_c_omega
+    s1, c1 = 0.5 * (1.0 - p.rho) * sigma, sigma * big_c_s(p)
+    a3, g3 = 0.75 * (1.0 - p.rho) / big, 18.0 * p.curlF_norm / (p.nu * big)
+    floor, _ = enstrophy_floor(p)
+    ln_e0 = math.log(p.e0)
+    ln_E0 = math.log(max(4.0 * p.f_norm * math.sqrt(p.e0) / p.nu, floor))
+    e_bar, E_bar = find_e_bar(p)
+    ln_bar = math.log(e_bar)
+    ln_under = chain(p).ln_floor
+    cases = [(sub_phi1, s1, c1, sigma, ln_e0, ln_E0, ln_bar, ln_e0),
+             (sub_phi2, s1 / big, c1 / big, sigma, ln_bar, E_bar.ln,
+              ln_under, ln_bar),
+             (sub_phi3, a3, g3, 1.5, ln_under, math.log(floor),
+              ln_under - 46.0, ln_under)]
+    for fn, s, c, power, ln_ref, ln_E_ref, lo, hi in cases:
+        for t in (0.0, 0.1, 0.5, 0.9, 0.999):
+            v = lo + t * (hi - lo)
+            want = _two_term_ln_E(v, s, c, power, ln_ref, ln_E_ref)
+            got = fn(LogScalar.from_ln(v), p).ln
+            assert got == pytest.approx(want, abs=1e-10), (fn.__name__, v)
+
+
+def test_branches_match_two_term_closed_form(fig3):
+    _check_branches_against_two_term(fig3)
+
+
+def test_branches_match_two_term_closed_form_on_draws(fig3):
+    rng = random.Random(20)
+    for _ in range(8):
+        p = _with(fig3, r=rng.uniform(0.51, 1.0),
+                  f_norm=rng.uniform(2.0, 100.0), curlF_norm=400.0)
+        _check_branches_against_two_term(p)
