@@ -31,8 +31,6 @@ import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-import numpy as np
-
 from .curves import CurveBundle, CurveSegment, log_grid, max_join_gap
 from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
                      NoBracket, OutsideDomain, RegimeViolation)
@@ -311,8 +309,7 @@ class Chain:
             drag = (c * LogScalar.from_ln(v) / y).to_float()
             ln_E.append(q * y.ln)
             slope.append(q * (field.a - field.b * math.exp(v) - drag))
-        return CurveSegment(TAGS[k], grid, np.asarray(ln_E),
-                            np.asarray(slope))
+        return CurveSegment(TAGS[k], grid, ln_E, slope)
 
     def assemble(self, samples: int = 512) -> CurveBundle:
         """Sample the three branches plus their frame into a CurveBundle.
@@ -324,6 +321,10 @@ class Chain:
         """
         self.require_curl()
         params = self.params
+        if params.lam_under * params.e0 > self.E0:
+            raise RegimeViolation(
+                f"the anchor E0 = {self.E0:.6g} lies below the lower boundary "
+                f"E = (lambda0/c_omega) e; this parameter set admits no curve")
         x_star, ln_peak, E_peak = self.peak
         ln_e0, ln_floor = self.ln_e0, self.ln_floor
         ln_deep = ln_floor - 20.0 * math.log(10.0)
@@ -331,10 +332,11 @@ class Chain:
                 self._sample(1, ln_floor, ln_peak, samples),
                 self._sample(2, ln_deep, ln_floor, samples)]
 
+        ln_low = math.log(params.lam_under)
         low_grid = log_grid(ln_deep, ln_e0, samples)
         segs.append(CurveSegment("lower_boundary", low_grid,
-                                 math.log(params.lam_under) + low_grid,
-                                 np.ones(samples)))
+                                 [ln_low + v for v in low_grid],
+                                 [1.0] * samples))
 
         if self.rise.b > 0.0:
             # the nullcline to the power 1/p, sampled in w left of e_a
@@ -342,16 +344,16 @@ class Chain:
                               samples)[::-1]
             q = 1.0 / self.rise.p
             segs.append(CurveSegment(
-                "barrier", np.array([self._ln_e_of(w) for w in w_grid]),
-                np.array([q * self._ln_null(w) for w in w_grid])))
+                "barrier", [self._ln_e_of(w) for w in w_grid],
+                [q * self._ln_null(w) for w in w_grid]))
             par_lo = math.log(self.rise.e_a)
         else:
             par_lo = ln_peak
         ln_par = math.log(4.0 * params.f_norm / params.nu)
         par_grid = log_grid(par_lo, ln_e0, samples)
         segs.append(CurveSegment("parabola", par_grid,
-                                 ln_par + 0.5 * par_grid,
-                                 np.full(samples, 0.5)))
+                                 [ln_par + 0.5 * v for v in par_grid],
+                                 [0.5] * samples))
 
         e_peak, E_peak_name, e_floor, E_floor = self.names
         bundle = CurveBundle(
@@ -370,12 +372,10 @@ class Chain:
         gap = max_join_gap(bundle)
         if gap > 1e-8:
             raise CancellationLoss(f"segment join gap {gap:.3e} exceeds 1e-8")
-        ln_low = math.log(params.lam_under)
         for seg in bundle.main_segments():
-            frame = np.maximum(ln_par + 0.5 * seg.ln_e, ln_low + seg.ln_e)
-            dips = np.flatnonzero(seg.ln_E + 1e-9 < frame)
-            if dips.size:
-                raise FieldBlowup(
-                    f"{seg.tag} dips below the parabola or the lower "
-                    f"boundary at ln e = {seg.ln_e[dips[0]]:.6g}")
+            for v, ln_E in zip(seg.ln_e, seg.ln_E):
+                if ln_E + 1e-9 < max(ln_par + 0.5 * v, ln_low + v):
+                    raise FieldBlowup(
+                        f"{seg.tag} dips below the parabola or the lower "
+                        f"boundary at ln e = {v:.6g}")
         return bundle

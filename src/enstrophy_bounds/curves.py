@@ -14,8 +14,6 @@ import json
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .logscalar import LogScalar
 from .params import ForcingParams
 
@@ -28,9 +26,9 @@ SEGMENT_TAGS = ("phi1", "phi2", "phi3", "lower_boundary", "barrier", "parabola")
 @dataclass
 class CurveSegment:
     tag: str
-    ln_e: np.ndarray          # increasing
-    ln_E: np.ndarray
-    dlnE_dlne: np.ndarray | None = None  # analytic slope, for containment
+    ln_e: list[float]         # increasing
+    ln_E: list[float]
+    dlnE_dlne: list[float] | None = None  # analytic slope, for containment
 
     def __post_init__(self):
         if self.tag not in SEGMENT_TAGS:
@@ -57,10 +55,14 @@ class CurveBundle:
         return [s for s in self.segments if s.tag.startswith("phi")]
 
 
-def log_grid(ln_lo: float, ln_hi: float, n: int) -> np.ndarray:
+def log_grid(ln_lo: float, ln_hi: float, n: int) -> list[float]:
+    """n evenly spaced points from ln_lo to ln_hi inclusive, rounded as
+    numpy.linspace rounds them: i * step + ln_lo, the last one exactly
+    ln_hi."""
     if n < 2:
         raise ValueError("need at least two samples per segment")
-    return np.linspace(ln_lo, ln_hi, n)
+    step = (ln_hi - ln_lo) / (n - 1)
+    return [i * step + ln_lo for i in range(n - 1)] + [ln_hi]
 
 
 def max_join_gap(bundle: CurveBundle) -> float:

@@ -16,8 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import lru_cache
 
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import NoBracket, OutsideDomain, RegimeViolation
@@ -169,9 +168,8 @@ def solve_e2(eta: float, params: ForcingParams) -> float:
         raise NoBracket("funnel/parabola crossing not bracketed beyond the apex")
     if bracket[0] == bracket[1]:
         return math.exp(bracket[0])
-    ln_root = find_root(lambda v: F(math.exp(v)), bracket[0], bracket[1],
-                        x_tol=1e-14)
-    return math.exp(ln_root)
+    return math.exp(find_root(lambda v: F(math.exp(v)), *bracket,
+                              x_tol=1e-14))
 
 
 @dataclass(frozen=True)
@@ -191,6 +189,7 @@ class FullNseGeometry:
     E2: float
 
 
+@lru_cache(maxsize=64)
 def geometry(params: ForcingParams) -> FullNseGeometry:
     if params.grashof <= 0.0:
         raise RegimeViolation("zero forcing: the region degenerates")
@@ -253,7 +252,7 @@ def _funnel_segment(tag, ln_lo, ln_hi, anchor_e, anchor_E, geo, params,
         E = phi_of_e(e, anchor_e, anchor_E, geo.eta, params)
         ln_E.append(math.log(E))
         slope.append(phi_slope(e, E, geo.eta, params) * e / E)
-    return CurveSegment(tag, grid, np.asarray(ln_E), np.asarray(slope))
+    return CurveSegment(tag, grid, ln_E, slope)
 
 
 def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
@@ -277,22 +276,22 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     for lo, hi, reverse in ((geo.E1 * 1e-2, geo.E1, False),
                             (geo.E1, geo.E1 * 1e2, True)):
         grid_E = log_grid(math.log(lo), math.log(hi), samples)
-        ln_e = np.array([math.log(psi_of_E(math.exp(u), params))
-                         for u in grid_E])
+        ln_e = [math.log(psi_of_E(math.exp(u), params)) for u in grid_E]
         if reverse:
             grid_E, ln_e = grid_E[::-1], ln_e[::-1]
-        segs.append(CurveSegment("barrier", ln_e, grid_E.copy()))
+        segs.append(CurveSegment("barrier", ln_e, grid_E))
 
     par_grid = log_grid(math.log(geo.e_under) - 2.0, math.log(geo.e0), samples)
     par_pre = math.log(geo.eta * params.nu * params.lam ** 0.75
                        * params.grashof)
-    segs.append(CurveSegment("parabola", par_grid, par_pre + 0.5 * par_grid,
-                             np.full(samples, 0.5)))
+    segs.append(CurveSegment("parabola", par_grid,
+                             [par_pre + 0.5 * v for v in par_grid],
+                             [0.5] * samples))
 
-    low_grid = par_grid.copy()
-    segs.append(CurveSegment("lower_boundary", low_grid,
-                             math.log(params.lam0) + low_grid,
-                             np.ones(samples)))
+    ln_low = math.log(params.lam0)
+    segs.append(CurveSegment("lower_boundary", par_grid,
+                             [ln_low + v for v in par_grid],
+                             [1.0] * samples))
 
     breakpoints = {
         "e0": LogScalar.from_float(geo.e0),

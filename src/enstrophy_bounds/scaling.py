@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import InvalidRegime, RegimeViolation
 from .logscalar import LogScalar
@@ -124,10 +122,9 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
         slope.append((a * k * e ** a - sp.beta_sc / (1.0 - a) * e) / val)
         if val < sp.E_floor:
             below += 1
-    segs = [CurveSegment("phi1", grid, np.asarray(ln_E), np.asarray(slope)),
-            CurveSegment("barrier", grid.copy(),
-                         np.full(samples, math.log(sp.E_floor)),
-                         np.zeros(samples))]
+    segs = [CurveSegment("phi1", grid, ln_E, slope),
+            CurveSegment("barrier", grid, [math.log(sp.E_floor)] * samples,
+                         [0.0] * samples)]
 
     breakpoints = {"e0": LogScalar.from_float(e0),
                    "E0": LogScalar.from_float(E0)}

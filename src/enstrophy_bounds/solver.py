@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
 from .errors import FieldBlowup, NoBracket, NonConvergence
 
 Func = Callable[[float], float]
@@ -147,7 +145,7 @@ def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
     """Integrate dy/de = field(e, y) from e_start to e_end with fixed-step
     RK4, doubling the step count until the endpoint moves by less than tol.
 
-    Returns (e_nodes, y_nodes) as numpy arrays for the finest run. Raises
+    Returns (e_nodes, y_nodes) as lists of floats for the finest run. Raises
     FieldBlowup when the field stops being finite or |y| passes
     blowup_guard, NonConvergence when doubling stalls.
     """
@@ -157,9 +155,7 @@ def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
     def run(n: int):
         h = (e_end - e_start) / n
         y = y_start
-        es = np.empty(n + 1)
-        ys = np.empty(n + 1)
-        es[0], ys[0] = e_start, y
+        es, ys = [e_start], [y]
         for i in range(n):
             e = e_start + i * h
             k1 = field(e, y)
@@ -172,8 +168,8 @@ def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
             y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if abs(y) > blowup_guard:
                 raise FieldBlowup(f"solution passed {blowup_guard} near e={e}")
-            es[i + 1] = e_start + (i + 1) * h
-            ys[i + 1] = y
+            es.append(e_start + (i + 1) * h)
+            ys.append(y)
         return es, ys
 
     es, ys = run(n0)

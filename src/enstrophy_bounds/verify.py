@@ -21,10 +21,8 @@ from __future__ import annotations
 
 import math
 
-import numpy as np
-
 from . import critical, full_nse, subcritical
-from .curves import CurveBundle, CurveSegment
+from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import EnstrophyBoundsError
 from .logscalar import LogScalar, ZERO as _Z
 from .params import ForcingParams
@@ -54,7 +52,7 @@ def halved_curve(curve: CurveBundle) -> CurveBundle:
     for seg in curve.segments:
         if seg.tag.startswith("phi"):
             segs.append(CurveSegment(seg.tag, seg.ln_e,
-                                     seg.ln_E - math.log(2.0),
+                                     [v - math.log(2.0) for v in seg.ln_E],
                                      seg.dlnE_dlne))
         else:
             segs.append(seg)
@@ -142,6 +140,17 @@ def _rate_pairs(curve: CurveBundle, params: ForcingParams):
     }
 
 
+def _spread_indices(total: int, n: int) -> list[int]:
+    """min(n, total) points spread evenly over range(total), rounded to
+    distinct indices in increasing order."""
+    m = min(n, total)
+    if m < 0:
+        raise ValueError(f"containment needs n_points >= 0, got {n}")
+    if m < 2:
+        return list(range(m))
+    return sorted({round(v) for v in log_grid(0, total - 1, m)})
+
+
 def containment_check(curve: CurveBundle, params: ForcingParams,
                       n_points: int = 1000) -> list[dict]:
     """Outward-crossing check on every phi segment of an assembled bundle."""
@@ -149,19 +158,16 @@ def containment_check(curve: CurveBundle, params: ForcingParams,
     rows = []
     for seg in curve.main_segments():
         t1_fn, b_fn, cond = pairs[seg.tag]
-        total = len(seg.ln_e)
-        idx = np.unique(np.linspace(0, total - 1,
-                                    min(n_points, total)).round().astype(int))
         worst = math.inf
         ok = True
         used = 0
-        for i in idx:
-            e = LogScalar.from_ln(float(seg.ln_e[i]))
-            E = LogScalar.from_ln(float(seg.ln_E[i]))
+        for i in _spread_indices(len(seg.ln_e), n_points):
+            e = LogScalar.from_ln(seg.ln_e[i])
+            E = LogScalar.from_ln(seg.ln_E[i])
             if not cond(e, E):
                 continue
             used += 1
-            lhs = LogScalar.from_float(float(seg.dlnE_dlne[i])) \
+            lhs = LogScalar.from_float(seg.dlnE_dlne[i]) \
                 * (E / e) * b_fn(e, E)
             t1, gauge = t1_fn(e, E)
             margin = lhs - t1
@@ -225,8 +231,8 @@ def _rk4_row(params: ForcingParams, series_rel_tol: float) -> dict:
     stride = max(1, len(es) // 512)
     worst = 0.0
     for e, ln_E in zip(es[::stride], lnEs[::stride]):
-        closed = ch.value(0, math.log(float(e)), series_rel_tol).ln
-        worst = max(worst, abs(closed - float(ln_E)))
+        closed = ch.value(0, math.log(e), series_rel_tol).ln
+        worst = max(worst, abs(closed - ln_E))
     return {"check": "closed_form_vs_rk4", "segment": "phi1",
             "samples": len(es[::stride]), "worst_margin": worst,
             "pass": worst <= 1e-6}
@@ -238,11 +244,11 @@ def _scan_row(name: str, gap, center: float, half_width: float = 2.0,
     around it and checking the claim falls inside that bracket. Grid points
     outside a curve's own domain are skipped, not fatal."""
     # offsets scaled onto center keep the middle node exactly at center
-    grid = center + half_width * np.linspace(-1.0, 1.0, n)
+    grid = [center + half_width * u for u in log_grid(-1.0, 1.0, n)]
     vals = []
     for v in grid:
         try:
-            vals.append(gap(float(v)))
+            vals.append(gap(v))
         except EnstrophyBoundsError:
             vals.append(math.nan)
     dist = math.inf

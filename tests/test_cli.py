@@ -8,8 +8,9 @@ import sys
 
 import pytest
 
-from enstrophy_bounds import (FieldBlowup, assemble_critical,
-                              assemble_subcritical, load_params_file)
+from enstrophy_bounds import (FieldBlowup, RegimeViolation,
+                              assemble_critical, assemble_subcritical,
+                              branches, load_params_file)
 from enstrophy_bounds.cli import run
 
 from conftest import PRESETS
@@ -189,6 +190,36 @@ def test_verify_command(tmp_path):
     assert "containment" in checks and "series_vs_quadrature" in checks
 
 
+def _verify_fig2(tmp_path, points):
+    out = tmp_path / "verify.json"
+    code = run(["verify", "--params", FIG2, "--points", points,
+                "--out", str(out)])
+    rows = json.loads(out.read_text())
+    return code, [row for row in rows if row["check"] == "containment"]
+
+
+def test_verify_zero_points_checks_nothing(tmp_path):
+    code, rows = _verify_fig2(tmp_path, "0")
+    assert code == 0
+    assert [row["segment"] for row in rows] == ["phi1", "phi2", "phi3",
+                                                "phi1", "phi2"]
+    assert all(row["samples"] == 0 and row["worst_margin"] == 0.0
+               and row["pass"] for row in rows)
+
+
+def test_verify_one_point_checks_the_first_sample(tmp_path):
+    code, rows = _verify_fig2(tmp_path, "1")
+    assert code == 0
+    assert all(row["samples"] <= 1 and row["pass"] for row in rows)
+    assert rows[0]["segment"] == "phi1" and rows[0]["samples"] == 1
+    assert rows[0]["worst_margin"] == 1.4384327062800095e-14
+
+
+def test_verify_negative_points_is_bad_input(capsys):
+    assert run(["verify", "--params", FIG2, "--points", "-1"]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_verify_degenerate_forcing(tmp_path):
     dead = _fig2_variant(tmp_path, "dead.json", f_norm=0.0)
     out = tmp_path / "verify.json"
@@ -225,31 +256,103 @@ def test_console_entry_point():
     assert proc.stdout == "II\n"
 
 
-def _run_optimized(*args):
+_EVERY_COMMAND = """
+import json, sys
+from enstrophy_bounds.cli import run
+fig2, fig3, tmp = sys.argv[1:]
+codes = []
+for model in ("critical", "subcritical", "full", "scaling"):
+    for fmt in ("csv", "json"):
+        params = fig3 if model == "subcritical" else fig2
+        codes.append(run(["curve", model, "--params", params, "--samples",
+                          "16", "--format", fmt,
+                          "--out", f"{tmp}/{model}.{fmt}"]))
+codes.append(run(["emax", "--params", fig2, "--out", f"{tmp}/emax.json"]))
+codes.append(run(["classify", "--params", fig3, "--model", "subcritical",
+                  "--e", "4", "--E", "1e9"]))
+codes.append(run(["verify", "--params", fig3, "--points", "16",
+                  "--out", f"{tmp}/verify.json"]))
+codes.append(run(["taylor", "--params", fig2, "--curve",
+                  f"{tmp}/critical.json", "--out", f"{tmp}/taylor.json"]))
+print(json.dumps({"codes": codes, "numpy": [
+    name for name in sys.modules if name.split(".")[0] == "numpy"]}))
+"""
+
+
+def test_commands_never_import_numpy(tmp_path):
+    # numpy is a test dependency only: importing it would double the
+    # start-up time of every command
+    env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, FIG2, FIG3,
+                           str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["codes"] == [0] * 12
+    assert doc["numpy"] == []
+
+
+def _run_optimized(*args, code=None):
     # python -O strips assert statements; the construction checks must not
     # depend on them
     env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
-    return subprocess.run([sys.executable, "-O", "-m", "enstrophy_bounds",
-                           *args], capture_output=True, text=True, env=env)
+    head = ("-c", code) if code else ("-m", "enstrophy_bounds")
+    return subprocess.run([sys.executable, "-O", *head, *args],
+                          capture_output=True, text=True, env=env)
+
+
+# phi1's last sample (the anchor e0, on the parabola) pulled one unit of
+# ln E down: no join moves, but the branch now dips below the parabola
+_SINK_PHI1 = """
+from enstrophy_bounds import branches
+_sample = branches.Chain._sample
+
+def sunk(self, k, ln_lo, ln_hi, samples):
+    seg = _sample(self, k, ln_lo, ln_hi, samples)
+    if k == 0:
+        seg.ln_E[-1] -= 1.0
+    return seg
+"""
 
 
 @pytest.mark.parametrize("model, preset",
                          [("critical", "fig2.json"),
                           ("subcritical", "fig3.json")])
-def test_construction_invariant_is_typed(tmp_path, model, preset):
-    # a lower boundary above the forcing anchor: phi1 starts below it
+def test_construction_invariant_is_typed(monkeypatch, model, preset):
+    params = load_params_file(str(PRESETS / preset))
+    family = assemble_critical if model == "critical" \
+        else assemble_subcritical
+    patch = {}
+    exec(_SINK_PHI1, patch)
+    monkeypatch.setattr(branches.Chain, "_sample", patch["sunk"])
+    with pytest.raises(FieldBlowup):
+        family(params)
+    proc = _run_optimized(
+        "curve", model, "--params", str(PRESETS / preset),
+        code=_SINK_PHI1 + "branches.Chain._sample = sunk\n"
+        "import sys\nfrom enstrophy_bounds import cli\n"
+        "sys.exit(cli.run(sys.argv[1:]))\n")
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("FieldBlowup: phi1 dips below")
+    assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("model, preset",
+                         [("critical", "fig2.json"),
+                          ("subcritical", "fig3.json")])
+def test_lower_boundary_above_anchor_is_regime(tmp_path, model, preset):
+    # lambda0 = 10 puts the lower boundary above (e0, E0): no curve exists
     raw = json.loads((PRESETS / preset).read_text())
     raw["lambda0"] = 10.0
     path = tmp_path / "steep.json"
     path.write_text(json.dumps(raw))
-    params = load_params_file(str(path))
     family = assemble_critical if model == "critical" \
         else assemble_subcritical
-    with pytest.raises(FieldBlowup):
-        family(params)
+    with pytest.raises(RegimeViolation, match="lower boundary"):
+        family(load_params_file(str(path)))
     proc = _run_optimized("curve", model, "--params", str(path))
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("FieldBlowup: phi1 dips below")
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("RegimeViolation: the anchor E0")
     assert proc.stdout == ""
 
 

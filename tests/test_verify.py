@@ -8,7 +8,9 @@ demands a red report.
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from enstrophy_bounds import (
     ForcingParams,
@@ -21,7 +23,7 @@ from enstrophy_bounds import (
     oracle_suite,
     taylor_wavenumber,
 )
-from enstrophy_bounds.verify import _scan_row, all_pass
+from enstrophy_bounds.verify import _scan_row, _spread_indices, all_pass
 
 
 def _with(params, **over):
@@ -62,6 +64,28 @@ def test_containment_rejects_unknown_model(fig2):
     bundle = assemble_scaling(fig2, samples=64)
     with pytest.raises(ValueError):
         containment_check(bundle, fig2)
+
+
+def _unique_linspace(total, n):
+    m = min(n, total)
+    return np.unique(np.linspace(0, total - 1, m).round().astype(int)).tolist()
+
+
+@pytest.mark.parametrize("total", [1, 2, 3, 7, 512])
+def test_spread_indices_match_numpy_unique(total):
+    for n in range(2 * total + 3):
+        assert _spread_indices(total, n) == _unique_linspace(total, n)
+
+
+@given(st.integers(1, 5000), st.data())
+def test_spread_indices_match_numpy_unique_at_any_size(total, data):
+    n = data.draw(st.integers(0, 2 * total))
+    assert _spread_indices(total, n) == _unique_linspace(total, n)
+
+
+def test_spread_indices_reject_a_negative_count():
+    with pytest.raises(ValueError):
+        _spread_indices(512, -1)
 
 
 # ------------------------------------------------- halved-curve control
