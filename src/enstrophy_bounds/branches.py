@@ -256,7 +256,7 @@ class Chain:
 
         lo = _bracket_left(gap, ln_peak, self.floor_step, -1.0,
                            "floor crossing")
-        return find_root(gap, lo, ln_peak, x_tol=1e-12)
+        return find_root(gap, lo, ln_peak, x_tol=1e-15)
 
     # -- the curve ---------------------------------------------------------
 

@@ -137,8 +137,9 @@ def find_e_min(params: ForcingParams) -> LogScalar:
 
 
 def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
-    """Max |Delta ln E| between the n-term truncated-series curve and a
-    step-doubled RK4 reference, both anchored at the series initial value
+    """Max |Delta ln E| between the n-term truncated-series curve and an
+    adaptive Dormand-Prince 5(4) reference (solver.rk4_path) at 8193
+    evenly spaced points, both anchored at the series initial value
     E0 = 2 nu^3 lam^(1/2) G^2.
 
     Measures how badly a short series truncation diverges from the true
@@ -166,7 +167,7 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
 
     e_stop = co.e_a * 1.05
     es, lnEs = rk4_path(ch.slope_field("phi1"), e0, math.log(E0s), e_stop,
-                        tol=1e-7, n0=8192)
+                        tol=1e-7, n_out=8192)
     worst = 0.0
     for e, ln_E in zip(es, lnEs):
         inner = lead + c_ls * (s_ref - s_trunc(e))

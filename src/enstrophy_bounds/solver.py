@@ -1,9 +1,10 @@
 """Root finding, quadrature and ODE stepping.
 
 These kernels exist so that every closed-form curve in the package can be
-cross-checked against an independent numerical route (and vice versa): the
-quadrature checks the series, the RK4 path checks the Bernoulli closed form,
-the grid scan checks the root finder. They are deliberately plain.
+cross-checked against an independent numerical route (and vice versa):
+tanh-sinh quadrature checks the series, a Dormand-Prince 5(4) path checks
+the Bernoulli closed form, the grid scan checks the root finder. Each is
+one standard method with no fallbacks.
 """
 
 from __future__ import annotations
@@ -21,8 +22,11 @@ def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13,
     """Bracketed root of f on [lo, hi] by Illinois-damped false position.
 
     Endpoint values may be +-inf (sign information is still used; secant
-    steps fall back to bisection while an endpoint is infinite). Raises
-    NoBracket when f(lo) and f(hi) share a sign.
+    steps fall back to bisection while an endpoint is infinite). Stops when
+    the bracket is narrower than x_tol * max(1, |x|) or a few ulps of x,
+    or when the next point rounds onto a bracket end, so x_tol may ask for
+    more than float64 can resolve. Raises NoBracket when f(lo) and f(hi)
+    share a sign.
     """
     if not lo < hi:
         raise ValueError(f"bad bracket [{lo}, {hi}]")
@@ -44,6 +48,8 @@ def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13,
                 xm = 0.5 * (lo + hi)
         else:
             xm = 0.5 * (lo + hi)
+        if xm == lo or xm == hi:
+            return xm
         fm = f(xm)
         if math.isnan(fm):
             raise NonConvergence(f"f({xm}) is NaN")
@@ -59,125 +65,112 @@ def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13,
             if side == 1 and math.isfinite(f_lo):
                 f_lo *= 0.5
             side = 1
-        if hi - lo <= x_tol * max(1.0, abs(lo), abs(hi)):
+        width = max(abs(lo), abs(hi))
+        if hi - lo <= max(x_tol * max(1.0, width), 4.0 * math.ulp(width)):
             return 0.5 * (lo + hi)
     raise NonConvergence(f"no root to tolerance in {max_iter} iterations")
 
 
-def _simpson_adapt(f, a, fa, b, fb, m, fm, whole, tol, depth):
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    delta = left + right - whole
-    if depth <= 0 or abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return (_simpson_adapt(f, a, fa, m, fm, lm, flm, left, tol / 2.0, depth - 1)
-            + _simpson_adapt(f, m, fm, b, fb, rm, frm, right, tol / 2.0, depth - 1))
+_MAX_LEVEL = 12  # finest step 2^-12 in t: about 50k nodes
 
 
-def _integrate_core(f: Func, lo: float, hi: float, rel_tol: float,
-                    max_depth: int) -> float:
-    fa, fb = f(lo), f(hi)
-    m = 0.5 * (lo + hi)
-    fm = f(m)
-    whole = (hi - lo) / 6.0 * (fa + 4.0 * fm + fb)
-    # the absolute tolerance depends on |I|, which we only know after
-    # integrating; iterate until the tolerance we used was tight enough
-    tol_abs = rel_tol * max(abs(whole), 1e-300)
-    result = whole
-    for _ in range(5):
-        result = _simpson_adapt(f, lo, fa, hi, fb, m, fm, whole, tol_abs, max_depth)
-        needed = rel_tol * abs(result)
-        if needed == 0.0 or needed >= tol_abs:
-            break
-        tol_abs = needed
-    return result
+def integrate_adaptive(f: Func, lo: float, hi: float,
+                       rel_tol: float = 1e-10) -> float:
+    """Tanh-sinh integral of f on [lo, hi] to relative tolerance.
 
-
-def integrate_adaptive(f: Func, lo: float, hi: float, rel_tol: float = 1e-10,
-                       max_depth: int = 48) -> float:
-    """Adaptive Simpson integral of f on [lo, hi] to relative tolerance.
-
-    An endpoint where f is not finite is treated as an integrable
-    singularity: that side is mapped through s = endpoint +- t^2 (which
-    absorbs inverse-square-root blowups exactly) and any residual
-    non-finite evaluation at isolated points is dropped.
+    s = mid + half tanh(pi/2 sinh t) turns the integral into a doubly
+    exponentially decaying sum in t (Takahasi & Mori 1974), so integrable
+    endpoint singularities need no special treatment. Each level halves
+    the step in t and reuses every earlier node; the result is returned
+    once two successive levels agree to rel_tol, and NonConvergence is
+    raised when the levels run out first. f is never evaluated at an
+    endpoint: a node is dropped once it rounds onto one.
     """
     if lo == hi:
         return 0.0
     if lo > hi:
-        return -integrate_adaptive(f, hi, lo, rel_tol, max_depth)
-
-    def bad(x):
-        v = f(x)
-        return not math.isfinite(v)
-
-    lo_bad, hi_bad = bad(lo), bad(hi)
-    if lo_bad and hi_bad:
-        mid = 0.5 * (lo + hi)
-        return (integrate_adaptive(f, lo, mid, rel_tol, max_depth)
-                + integrate_adaptive(f, mid, hi, rel_tol, max_depth))
-    if lo_bad:
-        def g(t):
-            if t == 0.0:
-                return 0.0
-            v = 2.0 * t * f(lo + t * t)
-            return v if math.isfinite(v) else 0.0
-        return _integrate_core(g, 0.0, math.sqrt(hi - lo), rel_tol, max_depth)
-    if hi_bad:
-        def g(t):
-            if t == 0.0:
-                return 0.0
-            v = 2.0 * t * f(hi - t * t)
-            return v if math.isfinite(v) else 0.0
-        return _integrate_core(g, 0.0, math.sqrt(hi - lo), rel_tol, max_depth)
-    return _integrate_core(f, lo, hi, rel_tol, max_depth)
+        return -integrate_adaptive(f, hi, lo, rel_tol)
+    half = 0.5 * (hi - lo)
+    total = 0.5 * math.pi * f(lo + half)
+    estimate, h = math.nan, 1.0
+    for level in range(_MAX_LEVEL + 1):
+        # level 0 takes t = 1, 2, ...; each later level the odd multiples of h
+        t = h
+        while True:
+            # the node pair's distance from the endpoints, and its weight
+            q = math.exp(-math.pi * math.sinh(t))
+            gap = 2.0 * half * q / (1.0 + q)
+            w = 2.0 * math.pi * math.cosh(t) * q / (1.0 + q) ** 2
+            inner = [s for s in (lo + gap, hi - gap) if lo < s < hi]
+            if not inner:
+                break
+            total += w * sum(map(f, inner))
+            t += 2.0 * h if level else h
+        new = h * half * total
+        if level > 1 and abs(new - estimate) <= rel_tol * abs(new):
+            return new
+        estimate, h = new, 0.5 * h
+    raise NonConvergence(f"tanh-sinh levels disagree at step 2^-{_MAX_LEVEL}")
 
 
 Field = Callable[[float, float], float]
 
+# Dormand-Prince 5(4): nodes, stage rows, and the weights of the error
+# estimate (fifth- minus fourth-order solution); the fifth-order weights
+# are the last stage row, so the final stage is the next step's first
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
+
 
 def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
-             tol: float = 1e-8, n0: int = 64, max_doublings: int = 18,
+             tol: float = 1e-8, n_out: int = 64,
              blowup_guard: float = 1e12):
-    """Integrate dy/de = field(e, y) from e_start to e_end with fixed-step
-    RK4, doubling the step count until the endpoint moves by less than tol.
+    """Integrate dy/de = field(e, y) from e_start to e_end by the embedded
+    Dormand-Prince 5(4) pair (Dormand & Prince 1980), the name being kept
+    from the fixed-step RK4 it replaced. A step is accepted when its error
+    estimate is at most tol * max(1, |y|), and is clipped to land on each
+    of the n_out + 1 evenly spaced output nodes.
 
-    Returns (e_nodes, y_nodes) as lists of floats for the finest run. Raises
-    FieldBlowup when the field stops being finite or |y| passes
-    blowup_guard, NonConvergence when doubling stalls.
+    Returns (e_nodes, y_nodes) as lists of floats. Raises FieldBlowup when
+    the field stops being finite or |y| passes blowup_guard,
+    NonConvergence when the step size collapses.
     """
     if e_start == e_end:
         raise ValueError("empty integration interval")
-
-    def run(n: int):
-        h = (e_end - e_start) / n
-        y = y_start
-        es, ys = [e_start], [y]
-        for i in range(n):
-            e = e_start + i * h
-            k1 = field(e, y)
-            k2 = field(e + 0.5 * h, y + 0.5 * h * k1)
-            k3 = field(e + 0.5 * h, y + 0.5 * h * k2)
-            k4 = field(e + h, y + h * k3)
-            if not (math.isfinite(k1) and math.isfinite(k2)
-                    and math.isfinite(k3) and math.isfinite(k4)):
+    spacing = (e_end - e_start) / n_out
+    es = [e_start + i * spacing for i in range(n_out)] + [e_end]
+    e, y, h = e_start, y_start, spacing
+    ys, k = [y], [field(e, y)]
+    for node in es[1:]:
+        while e != node:
+            lands = abs(h) >= abs(node - e)
+            step = node - e if lands else h
+            k = k[:1]
+            for c, row in zip(_DP_C, _DP_A):
+                k.append(field(e + c * step, y + step * sum(
+                    a * kj for a, kj in zip(row, k))))
+            y_new = y + step * sum(a * kj for a, kj in zip(_DP_A[-1], k))
+            k.append(field(e + step, y_new))
+            if not all(map(math.isfinite, k)):
                 raise FieldBlowup(f"field not finite near e={e}")
-            y += h / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if abs(y) > blowup_guard:
-                raise FieldBlowup(f"solution passed {blowup_guard} near e={e}")
-            es.append(e_start + (i + 1) * h)
-            ys.append(y)
-        return es, ys
-
-    es, ys = run(n0)
-    n = n0
-    for _ in range(max_doublings):
-        n *= 2
-        es2, ys2 = run(n)
-        if abs(ys2[-1] - ys[-1]) < tol:
-            return es2, ys2
-        es, ys = es2, ys2
-    raise NonConvergence(f"rk4 endpoint still moving after {n} steps")
+            err = abs(step * sum(c * kj for c, kj in zip(_DP_E, k)))
+            scale = tol * max(1.0, abs(y), abs(y_new))
+            grow = min(5.0, 0.9 * (scale / err) ** 0.2) if err else 5.0
+            if err <= scale:
+                e, y, k = (node if lands else e + step), y_new, k[-1:]
+                if abs(y) > blowup_guard:
+                    raise FieldBlowup(
+                        f"solution passed {blowup_guard} near e={e}")
+                # a step cut short to land on a node keeps the proposal
+                h = max(h, step * grow, key=abs) if lands else step * grow
+            else:
+                h = step * max(0.2, grow)
+            if abs(h) < 4.0 * math.ulp(e):
+                raise NonConvergence(f"step size collapsed near e={e}")
+        ys.append(y)
+    return es, ys

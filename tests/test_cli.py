@@ -190,6 +190,28 @@ def test_verify_command(tmp_path):
     assert "containment" in checks and "series_vs_quadrature" in checks
 
 
+@pytest.mark.parametrize("preset, peak, floor", [
+    (FIG2, "e_max", "e_min"), (FIG3, "e_bar", "e_under")])
+def test_verify_rows_are_pinned(tmp_path, preset, peak, floor):
+    # the oracle engines may move a worst_margin, never a row
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--params", preset, "--out", str(out)]) == 0
+    rows = [(row["check"], row["segment"], row["samples"], row["pass"])
+            for row in json.loads(out.read_text())]
+    assert rows == [
+        ("containment", "phi1", 512, True),
+        ("containment", "phi2", 512, True),
+        ("containment", "phi3", 512, True),
+        ("containment", "phi1", 512, True),
+        ("containment", "phi2", 512, True),
+        ("series_vs_quadrature", "specfun", 20, True),
+        ("closed_form_vs_rk4", "phi1", 513, True),
+        ("root_vs_gridscan", peak, 201, True),
+        ("root_vs_gridscan", floor, 201, True),
+        ("root_vs_gridscan", "e2", 201, True),
+    ]
+
+
 def _verify_fig2(tmp_path, points):
     out = tmp_path / "verify.json"
     code = run(["verify", "--params", FIG2, "--points", points,

@@ -26,7 +26,7 @@ from enstrophy_bounds import (
     truncation_comparison,
     xi_solution,
 )
-from enstrophy_bounds import branches
+from enstrophy_bounds import branches, subcritical
 from enstrophy_bounds.branches import solution
 from enstrophy_bounds.critical import (
     chain,
@@ -318,6 +318,26 @@ def test_chain_resolves_once_per_parameter_set(fig2, monkeypatch):
         assert classify_critical(e, E, fig2) in ("I", "II", "III")
     # one find_root for the peak, one for the floor crossing
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+@pytest.mark.parametrize("shift", [1e-15, -1e-15])
+def test_floor_crossing_resolves_rounding(preset, shift, request,
+                                          monkeypatch):
+    # the gap to the floor is flat (slope ~0.01 per unit of ln e at
+    # |ln e| ~ 1e4): a relative 1e-15 change in every branch value moves
+    # the true crossing by ~1e-13, which the root must resolve
+    params = request.getfixturevalue(preset)
+    family = chain if params.r == 0.5 else subcritical.chain
+    ch = family(params)
+    ln_floor = replace(ch).ln_floor
+    real = branches.Chain.value
+
+    def nudged(self, k, ln_e, rel_tol=1e-12):
+        return LogScalar.from_ln(real(self, k, ln_e, rel_tol).ln + shift)
+
+    monkeypatch.setattr(branches.Chain, "value", nudged)
+    assert abs(replace(ch).ln_floor - ln_floor) < 1e-11
 
 
 def test_chain_errors_stay_lazy(fig2, monkeypatch):

@@ -34,6 +34,21 @@ def test_series_matches_quadrature(alpha, x):
     assert got == pytest.approx(g_oracle(alpha, x), rel=1e-12)
 
 
+@pytest.mark.parametrize("alpha", [1e-3, 0.03, 0.25, 0.5, 0.85, 0.97,
+                                   0.999, 1.0, 1.5, 1.999])
+def test_series_matches_hyp1f1(alpha):
+    # g(alpha, x) = 1F1(alpha; alpha + 1; x) / alpha (DLMF 13.4.1), at 30
+    # digits; past ln g ~ 4.5e3 one ulp of ln g exceeds 1e-12, so there
+    # the bound is two ulps of the stored logarithm
+    with mpmath.workdps(30):
+        for x in (0.0, 1e-8, 1e-3, 0.5, 1.0, 10.0, 30.0, 48.0, 100.0,
+                  300.0, 1200.0, 3000.0, 1e4):
+            got = gamma_series_factor(alpha, x).ln
+            want = mpmath.log(mpmath.hyp1f1(alpha, alpha + 1, x) / alpha)
+            err = abs(mpmath.expm1(mpmath.mpf(got) - want))
+            assert err <= max(1e-12, 2.0 * math.ulp(got)), (alpha, x)
+
+
 def test_series_value_near_regime_corner():
     # large-argument spot value; the series needs ~130 terms here
     got = gamma_series_factor(0.97, 48.0).to_float()

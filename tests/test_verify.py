@@ -23,7 +23,10 @@ from enstrophy_bounds import (
     oracle_suite,
     taylor_wavenumber,
 )
-from enstrophy_bounds.verify import _scan_row, _spread_indices, all_pass
+from enstrophy_bounds import branches, specfun
+from enstrophy_bounds.solver import rk4_path
+from enstrophy_bounds.verify import (_ALPHAS, _XS, _chain, _g_quadrature,
+                                     _scan_row, _spread_indices, all_pass)
 
 
 def _with(params, **over):
@@ -163,6 +166,34 @@ def test_oracle_suite_root_on_grid_midpoint(fig3):
     assert all_pass(report)
     assert all(type(row["pass"]) is bool for row in report)
     json.dumps(report)
+
+
+def test_oracles_never_reach_the_construction(fig2, fig3, monkeypatch):
+    # the references come from the construction first; then every closed
+    # form is made to raise and both oracles must still reproduce them
+    series = {(a, x): specfun.gamma_series_factor(a, x).to_float()
+              for a in _ALPHAS for x in _XS}
+    peaks = []
+    for params in (fig2, fig3):
+        ch = _chain(params)
+        e_stop, _ = ch.peak_point()
+        peaks.append((ch, e_stop, ch.value(0, math.log(e_stop)).ln))
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("an oracle called the construction")
+
+    for module, name in [(specfun, "gamma_series_factor"),
+                         (specfun, "weighted_exp_integral_ln"),
+                         (branches, "solution"),
+                         (branches, "weighted_exp_integral_ln")]:
+        monkeypatch.setattr(module, name, forbidden)
+    for (a, x), want in series.items():
+        assert _g_quadrature(a, x) == pytest.approx(want, rel=1e-10)
+    for ch, e_stop, ln_E_stop in peaks:
+        es, ys = rk4_path(ch.slope_field("phi1"), ch.params.e0,
+                          math.log(ch.E0), e_stop, tol=1e-12, n_out=512)
+        assert es[-1] == e_stop
+        assert ys[-1] == pytest.approx(ln_E_stop, abs=1e-6)
 
 
 def test_scan_row_rejects_displaced_root():
