@@ -8,7 +8,6 @@ can reach; scaling carries the construction to scaling-invariant forcing.
 verify re-derives everything independently and reports disagreements.
 """
 
-from .branches import solution as xi_solution
 from .critical import (assemble_critical, barrier, classify_critical,
                        coefficients, find_e_max, find_e_min, phi1, phi2,
                        phi3, truncation_comparison)
@@ -51,5 +50,5 @@ __all__ = [
     "phi2", "phi3", "phi_of_e", "physical_scale", "psi_of_E",
     "scaling_curve", "scaling_emax", "scaling_params", "solve_e2",
     "sub_phi1", "sub_phi2", "sub_phi3", "taylor_wavenumber",
-    "truncation_comparison", "xi_solution",
+    "truncation_comparison",
 ]

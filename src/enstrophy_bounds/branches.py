@@ -41,6 +41,10 @@ from .specfun import weighted_exp_integral_ln
 
 TAGS = ("phi1", "phi2", "phi3")
 
+# first width, in ln e, of the bracket left of the peak that holds the
+# floor crossing; it doubles until the bracket closes
+_FLOOR_STEP = 1000.0
+
 
 @dataclass(frozen=True)
 class Field:
@@ -60,8 +64,8 @@ class Field:
                        c=self.c * factor)
 
 
-def solution(ln_e: float, field: Field, ln_e_ref: float, y_ref: LogScalar,
-             rel_tol: float = 1e-12) -> LogScalar:
+def solution(ln_e: float, field: Field, ln_e_ref: float,
+             y_ref: LogScalar) -> LogScalar:
     """Exact solution of dy/de = (a/e - b) y - c through (e_ref, y_ref).
 
     y(e) = e^a e^(-be) [e_ref^-a e^(b e_ref) y_ref - c W], W the weighted
@@ -77,7 +81,7 @@ def solution(ln_e: float, field: Field, ln_e_ref: float, y_ref: LogScalar,
         inner = lead
     else:
         drift = LogScalar.from_float(c) * weighted_exp_integral_ln(
-            a, b, min(ln_e, ln_e_ref), max(ln_e, ln_e_ref), rel_tol)
+            a, b, min(ln_e, ln_e_ref), max(ln_e, ln_e_ref))
         if ln_e > ln_e_ref:
             drift = -drift
         inner, lost = lead.add_with_cancellation(drift)
@@ -115,10 +119,10 @@ def _bracket_left(gap, hi: float, step: float, sign: float,
 class Chain:
     """The anchor chain of one parameter set.
 
-    The family supplies the floor, the rise field, the tail's b, the first
-    width of the floor-crossing bracket, and the names it gives the
-    breakpoints (peak e, peak E, floor e, floor E). The descent is the rise
-    divided by C_Omega; the tail's a and c are the same in both families.
+    The family supplies the floor, the rise field, the tail's b and the
+    names it gives the breakpoints (peak e, peak E, floor e, floor E).
+    The descent is the rise divided by C_Omega; the tail's a and c are the
+    same in both families.
     The peak and the floor crossing are solved on first use and kept; a
     failed solve is not kept and raises again on every use, so a caller
     that never reaches a breakpoint never sees it.
@@ -131,7 +135,6 @@ class Chain:
     curl_dominant: bool
     rise: Field
     tail_b: float
-    floor_step: float
 
     @cached_property
     def fields(self) -> tuple[Field, Field, Field]:
@@ -163,14 +166,13 @@ class Chain:
             return ln_e, E ** self.rise.p
         return self.ln_floor, LogScalar.from_float(self.floor) ** 1.5
 
-    def _y(self, k: int, ln_e: float, rel_tol: float = 1e-12) -> LogScalar:
+    def _y(self, k: int, ln_e: float) -> LogScalar:
         ln_ref, y_ref = self._anchor(k)
-        return solution(ln_e, self.fields[k], ln_ref, y_ref, rel_tol)
+        return solution(ln_e, self.fields[k], ln_ref, y_ref)
 
-    def value(self, k: int, ln_e: float,
-              rel_tol: float = 1e-12) -> LogScalar:
+    def value(self, k: int, ln_e: float) -> LogScalar:
         """E on branch k at ln e, without domain gates."""
-        return self._y(k, ln_e, rel_tol) ** (1.0 / self.fields[k].p)
+        return self._y(k, ln_e) ** (1.0 / self.fields[k].p)
 
     def require_curl(self) -> None:
         if not self.curl_dominant:
@@ -254,8 +256,7 @@ class Chain:
         def gap(v: float) -> float:
             return self.value(1, v).ln - floor.ln
 
-        lo = _bracket_left(gap, ln_peak, self.floor_step, -1.0,
-                           "floor crossing")
+        lo = _bracket_left(gap, ln_peak, _FLOOR_STEP, -1.0, "floor crossing")
         return find_root(gap, lo, ln_peak, x_tol=1e-15)
 
     # -- the curve ---------------------------------------------------------
@@ -274,7 +275,7 @@ class Chain:
         """Three-region label: I below the forcing parabola (recurrent),
         III at or above the bounding curve, II between. Right of e0 the
         curve is gone and everything at or above the parabola is II."""
-        if e <= 0.0 or E <= 0.0:
+        if not (e > 0.0 and E > 0.0):
             raise OutsideDomain("classification needs e > 0 and E > 0")
         p = self.params
         if p.nu * E < 4.0 * p.f_norm * math.sqrt(e):

@@ -82,7 +82,7 @@ def chain(params: ForcingParams) -> Chain:
     b3 = 3.0 * params.c2 * math.sqrt(params.lam) \
         / (params.big_c_omega * params.eps * params.nu ** 2)
     return Chain(params, "critical", ("e_max", "E_max", "e_min", "E_min"),
-                 (), *enstrophy_floor(params), rise, b3, floor_step=1000.0)
+                 (), *enstrophy_floor(params), rise, b3)
 
 
 def barrier(e: float, params: ForcingParams) -> float:
@@ -146,7 +146,7 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
     solution as the curve climbs toward the barrier.
     """
     from .solver import rk4_path
-    from .specfun import gamma_series_truncated
+    from .specfun import gamma_series_factor
 
     ch = chain(params)
     co = ch.rise
@@ -159,7 +159,7 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
     def s_trunc(e: float) -> LogScalar:
         # truncated weighted-integral antiderivative e^(1-a) g_N(1-a, be)
         return LogScalar.from_ln((1.0 - a) * math.log(e)) \
-            * gamma_series_truncated(1.0 - a, b * e, n_terms)
+            * gamma_series_factor(1.0 - a, b * e, n_terms=n_terms)
 
     s_ref = s_trunc(e0)
     lead = LogScalar.from_ln(b * e0 - a * ln_e0) * xi0

@@ -81,12 +81,12 @@ def max_join_gap(bundle: CurveBundle) -> float:
 
 # -- formatting -------------------------------------------------------------
 
-def round_sig(x: float, digits: int = 12) -> float:
-    """Round to a fixed number of significant digits via the decimal
-    formatter, so CSV text and JSON numbers agree exactly."""
+def round_sig(x: float) -> float:
+    """Round to twelve significant digits via the decimal formatter, so
+    CSV text and JSON numbers agree exactly."""
     if not math.isfinite(x):
         return x
-    return float(f"{x:.{digits - 1}e}")
+    return float(f"{x:.11e}")
 
 
 def _e_string(ln_e: float) -> str:

@@ -53,25 +53,27 @@ def nose_apex(params: ForcingParams) -> tuple[float, float]:
     return e1, E1
 
 
-def parabola_E(e: float, params: ForcingParams, eta: float) -> float:
-    return eta * params.nu * params.lam ** 0.75 * params.grashof * math.sqrt(e)
+def parabola_E(e: float, params: ForcingParams) -> float:
+    return params.eta * params.nu * params.lam ** 0.75 * params.grashof \
+        * math.sqrt(e)
 
 
-def _alpha_beta(params: ForcingParams, eta: float) -> tuple[float, float]:
+def _alpha_beta(params: ForcingParams) -> tuple[float, float]:
+    eta = params.eta
     alpha = eta / (eta - 1.0)
     beta = 4.0 * params.c1 / ((3.0 * eta - 1.0) * params.nu ** 5
                               * params.lam ** 0.75 * params.grashof)
     return alpha, beta
 
 
-def asymptote_e_star(e0_init: float, E0_init: float, eta: float,
+def asymptote_e_star(e0_init: float, E0_init: float,
                      params: ForcingParams) -> float | None:
     """Vertical-asymptote abscissa of the funnel through (e0_init, E0_init).
 
     Solves e_star^(alpha+1/2) = e0^(alpha+1/2) - e0^alpha/(beta E0^2);
     None when the right side is nonpositive (the funnel then reaches e = 0).
     """
-    alpha, beta = _alpha_beta(params, eta)
+    alpha, beta = _alpha_beta(params)
     p = alpha + 0.5
     rhs = e0_init ** p - e0_init ** alpha / (beta * E0_init * E0_init)
     if rhs <= 0.0:
@@ -79,7 +81,7 @@ def asymptote_e_star(e0_init: float, E0_init: float, eta: float,
     return rhs ** (1.0 / p)
 
 
-def phi_of_e(e: float, e0_init: float, E0_init: float, eta: float,
+def phi_of_e(e: float, e0_init: float, E0_init: float,
              params: ForcingParams) -> float:
     """Funnel solution through (e0_init, E0_init), evaluated at e.
 
@@ -88,9 +90,9 @@ def phi_of_e(e: float, e0_init: float, E0_init: float, eta: float,
     """
     if e <= 0.0:
         raise OutsideDomain("energy must be positive")
-    alpha, beta = _alpha_beta(params, eta)
+    alpha, beta = _alpha_beta(params)
     p = alpha + 0.5
-    star = asymptote_e_star(e0_init, E0_init, eta, params)
+    star = asymptote_e_star(e0_init, E0_init, params)
     # bracket of the -1/2 power, factored so the asymptote is explicit:
     # e^-alpha * beta * (e^p - e_star^p)
     shifted = e ** p - (star ** p if star is not None else
@@ -102,12 +104,12 @@ def phi_of_e(e: float, e0_init: float, E0_init: float, eta: float,
     return 1.0 / math.sqrt(bracket)
 
 
-def phi_slope(e: float, E: float, eta: float, params: ForcingParams) -> float:
+def phi_slope(e: float, E: float, params: ForcingParams) -> float:
     """dE/de of the funnel slope field at (e, E)."""
-    alpha, _ = _alpha_beta(params, eta)
+    alpha, _ = _alpha_beta(params)
     nu, lam, g = params.nu, params.lam, params.grashof
     return 0.5 * alpha * E / e \
-        - params.c1 * E ** 3 / ((eta - 1.0) * nu ** 5 * lam ** 0.75
+        - params.c1 * E ** 3 / ((params.eta - 1.0) * nu ** 5 * lam ** 0.75
                                 * g * math.sqrt(e))
 
 
@@ -116,41 +118,42 @@ def eta_threshold(c1: float) -> float:
     return 1.0 + (4.0 * c1 / (3.0 * math.sqrt(6.0))) * (4.0 / c1) ** (5.0 / 6.0)
 
 
-def _gamma_delta(params: ForcingParams, eta: float) -> tuple[float, float]:
-    alpha, beta = _alpha_beta(params, eta)
+def _gamma_delta(params: ForcingParams) -> tuple[float, float]:
+    alpha, beta = _alpha_beta(params)
     nu, lam, g = params.nu, params.lam, params.grashof
     e1, E1 = nose_apex(params)
+    eta = params.eta
     gamma = 1.0 / (beta * eta * eta * nu ** 2 * lam ** 1.5 * g * g)
     delta = e1 ** alpha / (beta * E1 * E1) - e1 ** (alpha + 0.5)
     return gamma, delta
 
 
-def e2_lower_bound(params: ForcingParams, eta: float) -> float:
+def e2_lower_bound(params: ForcingParams) -> float:
     """Sign-aware closed-form floor for the e2 root.
 
     Nonpositive (hence vacuous) whenever the delta coefficient of the root
     equation is negative, which covers the default eta = 2 regime.
     """
-    alpha, _ = _alpha_beta(params, eta)
-    _, delta = _gamma_delta(params, eta)
+    alpha, _ = _alpha_beta(params)
+    _, delta = _gamma_delta(params)
     mag = abs(delta) ** (2.0 / (2.0 * alpha + 1.0))
     scale = params.nu ** 2 / math.sqrt(params.lam) * params.grashof ** (2.0 / 3.0)
     return math.copysign(mag * scale, delta)
 
 
-def solve_e2(eta: float, params: ForcingParams) -> float:
+def solve_e2(params: ForcingParams) -> float:
     """Energy where the apex-anchored funnel re-enters the parabola.
 
     Root of F(e) = e^(1/2+alpha) - gamma e^(alpha-1) + delta, located by a
     log-grid scan for the last sign change on [e1, 1e12 e1] and polished
     with find_root.
     """
-    if eta >= eta_threshold(params.c1):
+    if params.eta >= eta_threshold(params.c1):
         raise RegimeViolation(
-            f"eta = {eta} is at or above the admissible bound "
+            f"eta = {params.eta} is at or above the admissible bound "
             f"{eta_threshold(params.c1):.6g}")
-    alpha, _ = _alpha_beta(params, eta)
-    gamma, delta = _gamma_delta(params, eta)
+    alpha, _ = _alpha_beta(params)
+    gamma, delta = _gamma_delta(params)
     e1, _ = nose_apex(params)
 
     def F(e: float) -> float:
@@ -175,9 +178,6 @@ def solve_e2(eta: float, params: ForcingParams) -> float:
 @dataclass(frozen=True)
 class FullNseGeometry:
     """Every derived quantity of the region, computed once."""
-    eta: float
-    alpha_full: float
-    beta_full: float
     e0: float
     E0: float          # parabola anchor, eta nu^2 lam^(1/2) G^2
     e1: float
@@ -194,21 +194,19 @@ def geometry(params: ForcingParams) -> FullNseGeometry:
     if params.grashof <= 0.0:
         raise RegimeViolation("zero forcing: the region degenerates")
     eta = params.eta
-    alpha, beta = _alpha_beta(params, eta)
     e0 = params.e0
     E0 = eta * params.nu ** 2 * math.sqrt(params.lam) * params.grashof ** 2
     e1, E1 = nose_apex(params)
     E_under = 2.0 ** (-1.0 / 3.0) * E1
     e_under = (E_under / (eta * params.nu * params.lam ** 0.75
                           * params.grashof)) ** 2
-    star = asymptote_e_star(e0, E0, eta, params)
+    star = asymptote_e_star(e0, E0, params)
     if star is None:
         raise RegimeViolation("parabola anchor admits no asymptote")
-    e2 = solve_e2(eta, params)
+    e2 = solve_e2(params)
     return FullNseGeometry(
-        eta=eta, alpha_full=alpha, beta_full=beta, e0=e0, E0=E0,
-        e1=e1, E1=E1, E_under=E_under, e_under=e_under, e_star=star,
-        e2=e2, E2=parabola_E(e2, params, eta))
+        e0=e0, E0=E0, e1=e1, E1=E1, E_under=E_under, e_under=e_under,
+        e_star=star, e2=e2, E2=parabola_E(e2, params))
 
 
 def upper_nose_branch(e: float, params: ForcingParams) -> float:
@@ -228,10 +226,10 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
     the upper nose branch (e < e1), the apex funnel (e1 <= e <= e2), and
     nothing at all past e2, where the corridor opens up.
     """
-    if e <= 0.0 or E <= 0.0:
+    if not (e > 0.0 and E > 0.0):
         raise OutsideDomain("classification needs e > 0 and E > 0")
     geo = geometry(params)
-    par = parabola_E(e, params, geo.eta)
+    par = parabola_E(e, params)
     if e <= psi_of_E(E, params) and E >= par:
         return "IV"
     if E < par:
@@ -239,7 +237,7 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
     if e < geo.e1:
         return "II" if E > upper_nose_branch(e, params) else "III"
     if e <= geo.e2:
-        return "II" if E > phi_of_e(e, geo.e1, geo.E1, geo.eta, params) else "III"
+        return "II" if E > phi_of_e(e, geo.e1, geo.E1, params) else "III"
     return "II"
 
 
@@ -249,9 +247,9 @@ def _funnel_segment(tag, ln_lo, ln_hi, anchor_e, anchor_E, geo, params,
     ln_E, slope = [], []
     for v in grid:
         e = math.exp(v)
-        E = phi_of_e(e, anchor_e, anchor_E, geo.eta, params)
+        E = phi_of_e(e, anchor_e, anchor_E, params)
         ln_E.append(math.log(E))
-        slope.append(phi_slope(e, E, geo.eta, params) * e / E)
+        slope.append(phi_slope(e, E, params) * e / E)
     return CurveSegment(tag, grid, ln_E, slope)
 
 
@@ -282,7 +280,7 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
         segs.append(CurveSegment("barrier", ln_e, grid_E))
 
     par_grid = log_grid(math.log(geo.e_under) - 2.0, math.log(geo.e0), samples)
-    par_pre = math.log(geo.eta * params.nu * params.lam ** 0.75
+    par_pre = math.log(params.eta * params.nu * params.lam ** 0.75
                        * params.grashof)
     segs.append(CurveSegment("parabola", par_grid,
                              [par_pre + 0.5 * v for v in par_grid],
@@ -304,7 +302,7 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
         "e_under": LogScalar.from_float(geo.e_under),
         "E_under": LogScalar.from_float(geo.E_under),
     }
-    flags = [f"eta={geo.eta:.12g}"]
-    if e2_lower_bound(params, geo.eta) <= 0.0:
+    flags = [f"eta={params.eta:.12g}"]
+    if e2_lower_bound(params) <= 0.0:
         flags.append("e2_floor_vacuous")
     return CurveBundle("full", params, segs, breakpoints, flags)

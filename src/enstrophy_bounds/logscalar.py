@@ -18,6 +18,9 @@ _LN10 = math.log(10.0)
 # exp() overflows just above this; used by to_float only
 _EXP_MAX = 709.0
 
+# significant digits of to_sci_string: enough to round-trip a float64
+_SIG = 17
+
 
 @dataclass(frozen=True, slots=True)
 class LogScalar:
@@ -82,19 +85,19 @@ class LogScalar:
             return -math.inf
         return self.ln / _LN10
 
-    def to_sci_string(self, sig: int = 17) -> str:
-        """Deterministic scientific notation, exact even when exp(ln)
-        overflows or underflows float64."""
+    def to_sci_string(self) -> str:
+        """Deterministic scientific notation with _SIG significant digits,
+        exact even when exp(ln) overflows or underflows float64."""
         if self.sign == 0:
             return "0.0"
         lg = self.ln / _LN10
         exp10 = math.floor(lg)
         mant = 10.0 ** (lg - exp10)
-        mant_str = f"{mant:.{sig - 1}f}"
+        mant_str = f"{mant:.{_SIG - 1}f}"
         if mant_str.startswith("10."):
             # rounding pushed the mantissa out of [1, 10)
             exp10 += 1
-            mant_str = f"{mant / 10.0:.{sig - 1}f}"
+            mant_str = f"{mant / 10.0:.{_SIG - 1}f}"
         prefix = "-" if self.sign < 0 else ""
         return f"{prefix}{mant_str}e{exp10:+03d}"
 

@@ -102,8 +102,9 @@ def default_anchor(params: ForcingParams) -> tuple[float, float]:
 
 def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     """Curve bundle over twelve decades left of the anchor, plus the
-    admissibility floor as a horizontal barrier segment. Samples below the
-    floor are counted into a flag, not removed."""
+    admissibility floor as a horizontal barrier segment when it is
+    positive. Samples below the floor are counted into a flag, not
+    removed."""
     sp = scaling_params(params)
     if params.grashof <= 0.0:
         raise RegimeViolation("zero forcing leaves no curve to anchor (e0 = 0)")
@@ -122,9 +123,12 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
         slope.append((a * k * e ** a - sp.beta_sc / (1.0 - a) * e) / val)
         if val < sp.E_floor:
             below += 1
-    segs = [CurveSegment("phi1", grid, ln_E, slope),
-            CurveSegment("barrier", grid, [math.log(sp.E_floor)] * samples,
-                         [0.0] * samples)]
+    segs = [CurveSegment("phi1", grid, ln_E, slope)]
+    if sp.E_floor > 0.0:
+        # a zero floor (no curl forcing) admits every sample: no barrier
+        segs.append(CurveSegment("barrier", grid,
+                                 [math.log(sp.E_floor)] * samples,
+                                 [0.0] * samples))
 
     breakpoints = {"e0": LogScalar.from_float(e0),
                    "E0": LogScalar.from_float(E0)}

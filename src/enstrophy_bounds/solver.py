@@ -4,7 +4,9 @@ These kernels exist so that every closed-form curve in the package can be
 cross-checked against an independent numerical route (and vice versa):
 tanh-sinh quadrature checks the series, a Dormand-Prince 5(4) path checks
 the Bernoulli closed form, the grid scan checks the root finder. Each is
-one standard method with no fallbacks.
+one standard method with no fallbacks. The quadrature tolerance, the
+iteration cap and the blow-up level are fixed module constants; only
+find_root's x_tol and rk4_path's tol and n_out vary between callers.
 """
 
 from __future__ import annotations
@@ -16,9 +18,10 @@ from .errors import FieldBlowup, NoBracket, NonConvergence
 
 Func = Callable[[float], float]
 
+_MAX_ITER = 200  # false-position steps before find_root gives up
 
-def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13,
-              f_tol: float = 0.0, max_iter: int = 200) -> float:
+
+def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13) -> float:
     """Bracketed root of f on [lo, hi] by Illinois-damped false position.
 
     Endpoint values may be +-inf (sign information is still used; secant
@@ -26,7 +29,7 @@ def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13,
     the bracket is narrower than x_tol * max(1, |x|) or a few ulps of x,
     or when the next point rounds onto a bracket end, so x_tol may ask for
     more than float64 can resolve. Raises NoBracket when f(lo) and f(hi)
-    share a sign.
+    share a sign, NonConvergence after _MAX_ITER iterations.
     """
     if not lo < hi:
         raise ValueError(f"bad bracket [{lo}, {hi}]")
@@ -41,7 +44,7 @@ def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13,
         raise NoBracket(f"no sign change on [{lo}, {hi}]")
 
     side = 0
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo != f_hi:
             xm = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
             if not lo < xm < hi:
@@ -53,7 +56,7 @@ def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13,
         fm = f(xm)
         if math.isnan(fm):
             raise NonConvergence(f"f({xm}) is NaN")
-        if fm == 0.0 or abs(fm) <= f_tol:
+        if fm == 0.0:
             return xm
         if (fm < 0.0) == (f_lo < 0.0):
             lo, f_lo = xm, fm
@@ -68,28 +71,28 @@ def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13,
         width = max(abs(lo), abs(hi))
         if hi - lo <= max(x_tol * max(1.0, width), 4.0 * math.ulp(width)):
             return 0.5 * (lo + hi)
-    raise NonConvergence(f"no root to tolerance in {max_iter} iterations")
+    raise NonConvergence(f"no root to tolerance in {_MAX_ITER} iterations")
 
 
 _MAX_LEVEL = 12  # finest step 2^-12 in t: about 50k nodes
+_REL_TOL = 1e-12  # agreement asked of two successive levels
 
 
-def integrate_adaptive(f: Func, lo: float, hi: float,
-                       rel_tol: float = 1e-10) -> float:
-    """Tanh-sinh integral of f on [lo, hi] to relative tolerance.
+def integrate_adaptive(f: Func, lo: float, hi: float) -> float:
+    """Tanh-sinh integral of f on [lo, hi] to relative tolerance _REL_TOL.
 
     s = mid + half tanh(pi/2 sinh t) turns the integral into a doubly
     exponentially decaying sum in t (Takahasi & Mori 1974), so integrable
     endpoint singularities need no special treatment. Each level halves
     the step in t and reuses every earlier node; the result is returned
-    once two successive levels agree to rel_tol, and NonConvergence is
+    once two successive levels agree to _REL_TOL, and NonConvergence is
     raised when the levels run out first. f is never evaluated at an
     endpoint: a node is dropped once it rounds onto one.
     """
     if lo == hi:
         return 0.0
     if lo > hi:
-        return -integrate_adaptive(f, hi, lo, rel_tol)
+        return -integrate_adaptive(f, hi, lo)
     half = 0.5 * (hi - lo)
     total = 0.5 * math.pi * f(lo + half)
     estimate, h = math.nan, 1.0
@@ -107,7 +110,7 @@ def integrate_adaptive(f: Func, lo: float, hi: float,
             total += w * sum(map(f, inner))
             t += 2.0 * h if level else h
         new = h * half * total
-        if level > 1 and abs(new - estimate) <= rel_tol * abs(new):
+        if level > 1 and abs(new - estimate) <= _REL_TOL * abs(new):
             return new
         estimate, h = new, 0.5 * h
     raise NonConvergence(f"tanh-sinh levels disagree at step 2^-{_MAX_LEVEL}")
@@ -126,10 +129,11 @@ _DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40)
 
+_BLOWUP = 1e12  # |y| past which rk4_path reports the solution as blown up
+
 
 def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
-             tol: float = 1e-8, n_out: int = 64,
-             blowup_guard: float = 1e12):
+             tol: float = 1e-8, n_out: int = 64):
     """Integrate dy/de = field(e, y) from e_start to e_end by the embedded
     Dormand-Prince 5(4) pair (Dormand & Prince 1980), the name being kept
     from the fixed-step RK4 it replaced. A step is accepted when its error
@@ -137,7 +141,7 @@ def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
     of the n_out + 1 evenly spaced output nodes.
 
     Returns (e_nodes, y_nodes) as lists of floats. Raises FieldBlowup when
-    the field stops being finite or |y| passes blowup_guard,
+    the field stops being finite or |y| passes _BLOWUP,
     NonConvergence when the step size collapses.
     """
     if e_start == e_end:
@@ -163,9 +167,8 @@ def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
             grow = min(5.0, 0.9 * (scale / err) ** 0.2) if err else 5.0
             if err <= scale:
                 e, y, k = (node if lands else e + step), y_new, k[-1:]
-                if abs(y) > blowup_guard:
-                    raise FieldBlowup(
-                        f"solution passed {blowup_guard} near e={e}")
+                if abs(y) > _BLOWUP:
+                    raise FieldBlowup(f"solution passed {_BLOWUP} near e={e}")
                 # a step cut short to land on a node keeps the proposal
                 h = max(h, step * grow, key=abs) if lands else step * grow
             else:

@@ -93,8 +93,7 @@ def chain(params: ForcingParams) -> Chain:
                  c=sigma * big_c_s(params), p=sigma)
     return Chain(params, "subcritical",
                  ("e_bar", "E_bar", "e_under", "E_under"),
-                 (f"sigma={sigma:.12g}",), floor, curl_dominant, rise, 0.0,
-                 floor_step=5000.0)
+                 (f"sigma={sigma:.12g}",), floor, curl_dominant, rise, 0.0)
 
 
 def sub_phi1(e, params: ForcingParams) -> LogScalar:

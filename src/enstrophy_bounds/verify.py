@@ -198,19 +198,17 @@ def _g_quadrature(alpha: float, x: float) -> float:
         # t = u^(1/alpha) flattens the endpoint singularity exactly
         inv = 1.0 / alpha
         return inv * integrate_adaptive(
-            lambda u: math.exp(x * u ** inv), 0.0, 1.0, rel_tol=1e-12)
+            lambda u: math.exp(x * u ** inv), 0.0, 1.0)
     return integrate_adaptive(
-        lambda t: t ** (alpha - 1.0) * math.exp(x * t), 0.0, 1.0,
-        rel_tol=1e-12)
+        lambda t: t ** (alpha - 1.0) * math.exp(x * t), 0.0, 1.0)
 
 
-def _specfun_row(series_rel_tol: float) -> dict:
+def _specfun_row() -> dict:
     from .specfun import gamma_series_factor
     worst = 0.0
     for alpha in _ALPHAS:
         for x in _XS:
-            series = gamma_series_factor(alpha, x,
-                                         rel_tol=series_rel_tol).to_float()
+            series = gamma_series_factor(alpha, x).to_float()
             quad = _g_quadrature(alpha, x)
             worst = max(worst, abs(series - quad) / abs(quad))
     return {"check": "series_vs_quadrature", "segment": "specfun",
@@ -223,7 +221,7 @@ def _chain(params: ForcingParams):
     return family.chain(params)
 
 
-def _rk4_row(params: ForcingParams, series_rel_tol: float) -> dict:
+def _rk4_row(params: ForcingParams) -> dict:
     """Closed-form rising branch vs direct integration of its slope field.
     rk4_path's step error bound is relative and ln E reaches ~1e2, so
     tol = 1e-12 keeps the path within about 1e-9 in ln E."""
@@ -233,7 +231,7 @@ def _rk4_row(params: ForcingParams, series_rel_tol: float) -> dict:
                         e_stop, tol=1e-12, n_out=512)
     worst = 0.0
     for e, ln_E in zip(es, lnEs):
-        closed = ch.value(0, math.log(e), series_rel_tol).ln
+        closed = ch.value(0, math.log(e)).ln
         worst = max(worst, abs(closed - ln_E))
     return {"check": "closed_form_vs_rk4", "segment": "phi1",
             "samples": len(es), "worst_margin": worst,
@@ -286,21 +284,19 @@ def _full_scan_row(params: ForcingParams) -> dict:
 
     def gap(v: float) -> float:
         e = math.exp(v)
-        apex = full_nse.phi_of_e(e, geo.e1, geo.E1, geo.eta, params)
-        return math.log(apex) - math.log(
-            full_nse.parabola_E(e, params, geo.eta))
+        apex = full_nse.phi_of_e(e, geo.e1, geo.E1, params)
+        return math.log(apex) - math.log(full_nse.parabola_E(e, params))
 
     return _scan_row("e2", gap, math.log(geo.e2))
 
 
-def oracle_suite(params: ForcingParams,
-                 series_rel_tol: float = 1e-12) -> list[dict]:
+def oracle_suite(params: ForcingParams) -> list[dict]:
     """Cross-checks at the given parameter set; degenerate forcing (G = 0)
     skips everything that needs a curve."""
-    rows = [_specfun_row(series_rel_tol)]
+    rows = [_specfun_row()]
     if params.grashof <= 0.0:
         return rows
-    rows.append(_rk4_row(params, series_rel_tol))
+    rows.append(_rk4_row(params))
     rows.extend(_scan_rows(params))
     try:
         rows.append(_full_scan_row(params))

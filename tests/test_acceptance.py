@@ -120,7 +120,7 @@ def test_criterion_04_critical_assembly(fig2):
     t0 = time.perf_counter()
     bundle = assemble_critical(fig2)
     peak = bundle.breakpoints["E_max"].log10()
-    rk4 = _rk4_row(fig2, 1e-12)
+    rk4 = _rk4_row(fig2)
     digression = truncation_comparison(fig2, 20)
     dt = time.perf_counter() - t0
     ok = (35.77 <= peak <= 110.96 and rk4["pass"]
@@ -133,7 +133,7 @@ def test_criterion_04_critical_assembly(fig2):
 
 def test_criterion_05_series_grid():
     t0 = time.perf_counter()
-    row = _specfun_row(1e-12)
+    row = _specfun_row()
     dt = time.perf_counter() - t0
     ok = row["pass"] and dt < 1.0
     assert _verdict("5", ok, f"{row['samples']} grid points, worst rel "
@@ -218,7 +218,7 @@ def test_criterion_08_full_nse_geometry(fig2):
     floors_ok = True
     for g in (10.0, 100.0, 1000.0):
         p = _with(fig2, f_norm=g)
-        floors_ok &= e2_lower_bound(p, 2.0) <= solve_e2(2.0, p)
+        floors_ok &= e2_lower_bound(p) <= solve_e2(p)
     e1, E1 = nose_apex(fig2)
     grid = np.exp(np.linspace(math.log(E1) - 3.0, math.log(E1) + 3.0, 201))
     vals = [psi_of_E(E, fig2) for E in grid]
@@ -226,7 +226,7 @@ def test_criterion_08_full_nse_geometry(fig2):
     unimodal = (all(a < b for a, b in zip(vals[:k], vals[1:k + 1]))
                 and all(a > b for a, b in zip(vals[k:], vals[k + 1:])))
     geo = geometry(fig2)
-    anchor = phi_of_e(geo.e0, geo.e0, geo.E0, geo.eta, fig2)
+    anchor = phi_of_e(geo.e0, geo.e0, geo.E0, fig2)
     anchor_ok = abs(anchor / geo.E0 - 1.0) < 1e-12
     ok = floors_ok and unimodal and anchor_ok
     assert _verdict("8", ok,

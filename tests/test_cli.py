@@ -8,9 +8,10 @@ import sys
 
 import pytest
 
-from enstrophy_bounds import (FieldBlowup, RegimeViolation,
+from enstrophy_bounds import (FieldBlowup, OutsideDomain, RegimeViolation,
                               assemble_critical, assemble_subcritical,
-                              branches, load_params_file)
+                              branches, classify_critical, classify_full,
+                              classify_subcritical, load_params_file)
 from enstrophy_bounds.cli import run
 
 from conftest import PRESETS
@@ -113,6 +114,75 @@ def test_exit_code_bad_input(tmp_path):
                 str(tmp_path / "nope.json")]) == 1
     # nonpositive point
     assert run(["classify", "--params", FIG2, "--e", "1", "--E", "0"]) == 1
+
+
+@pytest.mark.parametrize("e, E", [(math.nan, 1.0), (1.0, math.nan),
+                                  (math.nan, math.nan)])
+def test_classifiers_reject_nan(fig2, fig3, e, E):
+    # a NaN coordinate is no point of the plane: it must not get a label
+    for classify, params in ((classify_critical, fig2),
+                             (classify_subcritical, fig3),
+                             (classify_full, fig2), (classify_full, fig3)):
+        with pytest.raises(OutsideDomain):
+            classify(e, E, params)
+
+
+@pytest.mark.parametrize("preset", [FIG2, FIG3], ids=["fig2", "fig3"])
+@pytest.mark.parametrize("model", ["full", "subcritical"])
+@pytest.mark.parametrize("e, E", [("nan", "1"), ("1", "nan")])
+def test_classify_command_rejects_nan(capsys, preset, model, e, E):
+    assert run(["classify", "--params", preset, "--model", model,
+                "--e", e, "--E", E]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("OutsideDomain:")
+
+
+def test_scaling_curve_without_curl_forcing(tmp_path):
+    # a zero admissibility floor holds everywhere: no barrier segment
+    params = _fig2_variant(tmp_path, "curl0.json", curlF_norm=0.0)
+    paths = {fmt: tmp_path / f"scaling.{fmt}" for fmt in ("csv", "json")}
+    for fmt, path in paths.items():
+        assert run(["curve", "scaling", "--params", params, "--samples",
+                    "16", "--format", fmt, "--out", str(path)]) == 0
+    rows = paths["csv"].read_text().splitlines()[1:]
+    assert len(rows) == 16
+    assert {row.split(",")[2] for row in rows} == {"phi1"}
+    doc = json.loads(paths["json"].read_text())
+    assert [seg["tag"] for seg in doc["segments"]] == ["phi1"]
+    assert not any(f.startswith("E_floor_violations") for f in doc["flags"])
+
+
+# (arguments, fig2 overrides, exit code): inputs that once hung, escaped
+# as a traceback or got an answer for a point that does not exist
+_EXTREME_INPUTS = [
+    pytest.param(["classify", "--e", "nan", "--E", "1"], {}, 1,
+                 id="classify-nan-full"),
+    pytest.param(["classify", "--e", "nan", "--E", "1", "--model",
+                  "subcritical"], {"r": 0.75}, 1,
+                 id="classify-nan-subcritical"),
+    pytest.param(["curve", "critical"], {"eps": 1e-300}, 2,
+                 id="critical-tiny-eps"),
+    pytest.param(["verify"], {"eps": 1e-300}, 2, id="verify-tiny-eps"),
+    pytest.param(["curve", "critical"], {"f_norm": 1e200}, 2,
+                 id="critical-huge-forcing"),
+    pytest.param(["verify"], {"f_norm": 1e200}, 2,
+                 id="verify-huge-forcing"),
+    pytest.param(["curve", "scaling"], {"curlF_norm": 0.0}, 0,
+                 id="scaling-no-curl"),
+]
+
+
+@pytest.mark.parametrize("args, over, code", _EXTREME_INPUTS)
+def test_extreme_inputs_exit_typed_and_fast(tmp_path, args, over, code):
+    params = _fig2_variant(tmp_path, "extreme.json", **over)
+    env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
+    # a hang fails here instead of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "enstrophy_bounds", *args, "--params", params],
+        capture_output=True, text=True, env=env, timeout=5.0)
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_exit_code_regime(tmp_path):

@@ -20,6 +20,7 @@ from enstrophy_bounds import (
     solve_e2,
 )
 from enstrophy_bounds.full_nse import (
+    _alpha_beta,
     e2_lower_bound,
     phi_slope,
     upper_nose_branch,
@@ -78,9 +79,9 @@ def test_upper_nose_branch_inverts_psi(fig2):
 
 def test_funnel_passes_through_anchor(fig2):
     geo = geometry(fig2)
-    assert phi_of_e(geo.e0, geo.e0, geo.E0, geo.eta, fig2) \
+    assert phi_of_e(geo.e0, geo.e0, geo.E0, fig2) \
         == pytest.approx(geo.E0, rel=1e-12)
-    assert phi_of_e(geo.e1, geo.e1, geo.E1, geo.eta, fig2) \
+    assert phi_of_e(geo.e1, geo.e1, geo.E1, fig2) \
         == pytest.approx(geo.E1, rel=1e-12)
 
 
@@ -97,19 +98,19 @@ def test_funnel_slope_matches_finite_difference(fig2):
     geo = geometry(fig2)
     for frac in (0.25, 0.5, 0.75):
         e = geo.e1 * (geo.e2 / geo.e1) ** frac
-        E = phi_of_e(e, geo.e1, geo.E1, geo.eta, fig2)
+        E = phi_of_e(e, geo.e1, geo.E1, fig2)
         h = 1e-6 * e
-        fd = (phi_of_e(e + h, geo.e1, geo.E1, geo.eta, fig2)
-              - phi_of_e(e - h, geo.e1, geo.E1, geo.eta, fig2)) / (2.0 * h)
-        assert phi_slope(e, E, geo.eta, fig2) == pytest.approx(fd, rel=1e-6)
+        fd = (phi_of_e(e + h, geo.e1, geo.E1, fig2)
+              - phi_of_e(e - h, geo.e1, geo.E1, fig2)) / (2.0 * h)
+        assert phi_slope(e, E, fig2) == pytest.approx(fd, rel=1e-6)
 
 
 def test_funnel_raises_left_of_asymptote(fig2):
     geo = geometry(fig2)
     with pytest.raises(OutsideDomain):
-        phi_of_e(0.5 * geo.e_star, geo.e0, geo.E0, geo.eta, fig2)
+        phi_of_e(0.5 * geo.e_star, geo.e0, geo.E0, fig2)
     with pytest.raises(OutsideDomain):
-        phi_of_e(0.0, geo.e0, geo.E0, geo.eta, fig2)
+        phi_of_e(0.0, geo.e0, geo.E0, fig2)
 
 
 # ------------------------------------------------------------- e2 root
@@ -118,18 +119,19 @@ def test_funnel_raises_left_of_asymptote(fig2):
 def test_e2_reenters_parabola(fig2):
     geo = geometry(fig2)
     assert geo.e2 > geo.e1
-    E_at_e2 = phi_of_e(geo.e2, geo.e1, geo.E1, geo.eta, fig2)
-    assert E_at_e2 == pytest.approx(parabola_E(geo.e2, fig2, geo.eta),
+    E_at_e2 = phi_of_e(geo.e2, geo.e1, geo.E1, fig2)
+    assert E_at_e2 == pytest.approx(parabola_E(geo.e2, fig2),
                                     rel=1e-10)
     # strictly above the parabola in between
     mid = math.sqrt(geo.e1 * geo.e2)
-    assert phi_of_e(mid, geo.e1, geo.E1, geo.eta, fig2) \
-        > parabola_E(mid, fig2, geo.eta)
+    assert phi_of_e(mid, geo.e1, geo.E1, fig2) \
+        > parabola_E(mid, fig2)
 
 
 def test_e2_floor_never_exceeds_root(fig2):
     for eta in (1.5, 1.8, 2.0, 2.2):
-        assert e2_lower_bound(fig2, eta) <= solve_e2(eta, fig2)
+        p = _with(fig2, eta=eta)
+        assert e2_lower_bound(p) <= solve_e2(p)
 
 
 def test_e2_unreachable_when_parabola_clears_apex(fig2):
@@ -143,7 +145,7 @@ def test_e2_unreachable_when_parabola_clears_apex(fig2):
     e1, E1 = nose_apex(fig2)
     assert geo_par * math.sqrt(e1) > E1
     with pytest.raises(NoBracket):
-        solve_e2(eta, fig2)
+        solve_e2(_with(fig2, eta=eta))
 
 
 def test_eta_threshold_gate(fig2):
@@ -151,9 +153,9 @@ def test_eta_threshold_gate(fig2):
         1.0 + 16.0 / (3.0 * math.sqrt(6.0)), rel=1e-15)
     bad = eta_threshold(fig2.c1)
     with pytest.raises(RegimeViolation):
-        solve_e2(bad, fig2)
+        solve_e2(_with(fig2, eta=bad))
     with pytest.raises(RegimeViolation):
-        solve_e2(bad * 1.5, fig2)
+        solve_e2(_with(fig2, eta=bad * 1.5))
 
 
 # ------------------------------------------------------------ geometry
@@ -164,14 +166,15 @@ def test_geometry_fields_consistent(fig2):
     assert isinstance(geo, FullNseGeometry)
     assert geo.E_under == pytest.approx(2.0 ** (-1.0 / 3.0) * geo.E1,
                                         rel=1e-14)
-    assert parabola_E(geo.e_under, fig2, geo.eta) \
+    assert parabola_E(geo.e_under, fig2) \
         == pytest.approx(geo.E_under, rel=1e-13)
-    assert parabola_E(geo.e0, fig2, geo.eta) \
+    assert parabola_E(geo.e0, fig2) \
         == pytest.approx(geo.E0, rel=1e-13)
-    assert geo.E2 == pytest.approx(parabola_E(geo.e2, fig2, geo.eta),
+    assert geo.E2 == pytest.approx(parabola_E(geo.e2, fig2),
                                    rel=1e-14)
     assert 0.0 < geo.e_star < geo.e0
-    assert geo.alpha_full == pytest.approx(geo.eta / (geo.eta - 1.0))
+    alpha, _ = _alpha_beta(fig2)
+    assert alpha == pytest.approx(fig2.eta / (fig2.eta - 1.0))
 
 
 def test_geometry_rejects_zero_forcing(fig2):
@@ -188,7 +191,7 @@ def test_classify_regions(fig2):
 
     # strictly below the parabola
     e = geo.e0
-    assert classify_full(e, 0.5 * parabola_E(e, fig2, geo.eta), fig2) == "I"
+    assert classify_full(e, 0.5 * parabola_E(e, fig2), fig2) == "I"
 
     # far inside the nose, well above the parabola at tiny energy
     assert psi_of_E(geo.E1, fig2) == pytest.approx(geo.e1, rel=1e-13)
@@ -199,14 +202,14 @@ def test_classify_regions(fig2):
 
     # between apex curve and parabola: III; above the apex curve: II
     mid = math.sqrt(geo.e1 * geo.e2)
-    on_curve = phi_of_e(mid, geo.e1, geo.E1, geo.eta, fig2)
-    below = 0.5 * (on_curve + parabola_E(mid, fig2, geo.eta))
+    on_curve = phi_of_e(mid, geo.e1, geo.E1, fig2)
+    below = 0.5 * (on_curve + parabola_E(mid, fig2))
     assert classify_full(mid, below, fig2) == "III"
     assert classify_full(mid, 2.0 * on_curve, fig2) == "II"
 
     # past e2 the corridor is open: anything at/above the parabola is II
     e = 2.0 * geo.e2
-    assert classify_full(e, parabola_E(e, fig2, geo.eta), fig2) == "II"
+    assert classify_full(e, parabola_E(e, fig2), fig2) == "II"
 
 
 def test_classify_left_of_apex(fig2):
@@ -216,7 +219,7 @@ def test_classify_left_of_apex(fig2):
     assert classify_full(e, 1.05 * E_up, fig2) == "II"
     # the III window left of the apex hugs the parabola, below the lower
     # nose branch; just above it is inside the nose and classifies IV
-    probe = 1.001 * parabola_E(e, fig2, geo.eta)
+    probe = 1.001 * parabola_E(e, fig2)
     assert psi_of_E(probe, fig2) < e
     assert probe < E_up
     assert classify_full(e, probe, fig2) == "III"
@@ -230,7 +233,7 @@ def _log_space_label(e, E, params, geo):
     ln_b = math.log(params.c1) + 3.0 * math.log(E)
     ln_denom = max(ln_a, ln_b) + math.log1p(math.exp(-abs(ln_a - ln_b)))
     ln_psi = 4.0 * math.log(nu) + 2.0 * math.log(E) - ln_denom
-    above = E >= parabola_E(e, params, geo.eta)
+    above = E >= parabola_E(e, params)
     if math.log(e) <= ln_psi and above:
         return "IV"
     if not above:
@@ -239,7 +242,7 @@ def _log_space_label(e, E, params, geo):
         # E > E1, so E clears the upper nose branch iff psi(E) < e
         return "II" if ln_psi < math.log(e) else "III"
     if e <= geo.e2:
-        return "II" if E > phi_of_e(e, geo.e1, geo.E1, geo.eta, params) \
+        return "II" if E > phi_of_e(e, geo.e1, geo.E1, params) \
             else "III"
     return "II"
 
@@ -306,6 +309,6 @@ def test_assemble_full_bundle(fig2):
     assert apex.ln_e[-1] == pytest.approx(math.log(geo.e2), abs=1e-12)
     # apex branch lands back on the parabola
     assert apex.ln_E[-1] == pytest.approx(
-        math.log(parabola_E(geo.e2, fig2, geo.eta)), abs=1e-9)
+        math.log(parabola_E(geo.e2, fig2)), abs=1e-9)
     for seg in bundle.segments:
         assert all(map(math.isfinite, seg.ln_E))

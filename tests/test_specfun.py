@@ -7,9 +7,9 @@ import mpmath
 import pytest
 
 from enstrophy_bounds.critical import chain
+from enstrophy_bounds.errors import NonConvergence
 from enstrophy_bounds.logscalar import LogScalar
 from enstrophy_bounds.specfun import (gamma_series_factor,
-                                      gamma_series_truncated,
                                       weighted_exp_integral_ln)
 
 mpmath.mp.dps = 40
@@ -79,7 +79,7 @@ def test_series_monotone_in_x():
 
 def test_truncated_converges_to_full():
     full = gamma_series_factor(0.97, 48.0)
-    errs = [abs((gamma_series_truncated(0.97, 48.0, n) - full)
+    errs = [abs((gamma_series_factor(0.97, 48.0, n_terms=n) - full)
                 / full).to_float()
             for n in (20, 40, 80, 200)]
     assert errs[0] > errs[1] > errs[2]
@@ -87,8 +87,19 @@ def test_truncated_converges_to_full():
 
 
 def test_truncated_n1_is_first_term():
-    got = gamma_series_truncated(0.25, 9.0, 1).to_float()
+    got = gamma_series_factor(0.25, 9.0, n_terms=1).to_float()
     assert got == pytest.approx(1.0 / 0.25, rel=1e-15)
+
+
+@pytest.mark.parametrize("x", [1.0e6 * (1.0 + 2.0 ** -52), 1e301, math.inf,
+                               math.nan])
+def test_series_refuses_arguments_past_the_cap(x):
+    # about x terms would be needed: refuse instead of hanging or
+    # overflowing the term budget
+    with pytest.raises(NonConvergence):
+        gamma_series_factor(0.85, x)
+    with pytest.raises(NonConvergence):
+        gamma_series_factor(0.85, x, n_terms=20)
 
 
 def test_weighted_integral_b_zero_closed_form():

@@ -23,7 +23,7 @@ from enstrophy_bounds import (
     oracle_suite,
     taylor_wavenumber,
 )
-from enstrophy_bounds import branches, specfun
+from enstrophy_bounds import branches, critical, specfun
 from enstrophy_bounds.solver import rk4_path
 from enstrophy_bounds.verify import (_ALPHAS, _XS, _chain, _g_quadrature,
                                      _scan_row, _spread_indices, all_pass)
@@ -207,10 +207,17 @@ def test_scan_row_rejects_displaced_root():
     assert off["worst_margin"] == pytest.approx(step, rel=1e-9)
 
 
-def test_oracle_suite_catches_loose_series(fig2):
+def test_oracle_suite_catches_loose_series(fig2, monkeypatch):
     # cripple the series tolerance: the quadrature comparison and the
-    # RK4 comparison must both notice, independently
-    report = oracle_suite(fig2, series_rel_tol=1e-2)
+    # RK4 comparison must both notice, independently. The chain cache is
+    # cleared on both sides, so the suite builds its chain with the loose
+    # series and no such chain outlives this test.
+    critical.chain.cache_clear()
+    monkeypatch.setattr(specfun, "_REL_TOL", 1e-2)
+    try:
+        report = oracle_suite(fig2)
+    finally:
+        critical.chain.cache_clear()
     failing = {row["check"] for row in report if not row["pass"]}
     assert "series_vs_quadrature" in failing
     assert "closed_form_vs_rk4" in failing
