@@ -28,8 +28,7 @@ from .scaling import (ScalingParams, assemble_scaling, exponent_compare,
                       scaling_curve, scaling_emax, scaling_params)
 from .subcritical import (assemble_subcritical, classify_subcritical,
                           find_e_bar, sub_phi1, sub_phi2, sub_phi3)
-from .verify import (containment_check, halved_curve, oracle_suite,
-                     taylor_wavenumber)
+from .verify import containment_check, halved_curve, oracle_suite
 
 __version__ = "0.1.0"
 
@@ -49,6 +48,5 @@ __all__ = [
     "max_join_gap", "nose_apex", "oracle_suite", "parabola_E", "phi1",
     "phi2", "phi3", "phi_of_e", "physical_scale", "psi_of_E",
     "scaling_curve", "scaling_emax", "scaling_params", "solve_e2",
-    "sub_phi1", "sub_phi2", "sub_phi3", "taylor_wavenumber",
-    "truncation_comparison",
+    "sub_phi1", "sub_phi2", "sub_phi3", "truncation_comparison",
 ]

@@ -275,7 +275,7 @@ class Chain:
         """Three-region label: I below the forcing parabola (recurrent),
         III at or above the bounding curve, II between. Right of e0 the
         curve is gone and everything at or above the parabola is II."""
-        if not (e > 0.0 and E > 0.0):
+        if not (0.0 < e < math.inf and 0.0 < E < math.inf):
             raise OutsideDomain("classification needs e > 0 and E > 0")
         p = self.params
         if p.nu * E < 4.0 * p.f_norm * math.sqrt(e):

@@ -5,9 +5,11 @@ bracket), classify (place a single point), verify (containment + oracle
 report), taylor (per-segment Taylor-wavenumber diagnostic of an emitted
 curve file).
 
-Exit codes: 0 success, 1 bad input or usage, 2 numerical failure (bracket,
-convergence, cancellation, field blowup) or a failed verify report, 3 a
-structural assumption of the estimates does not hold.
+Exit codes: 0 success, 1 usage, an unreadable file or bad input, 2 a
+numerical failure or a failed verify report, 3 a structural assumption of
+the estimates does not hold. Each library error class carries its code
+(see errors.py); any other exception is a bug and escapes with its
+traceback.
 
 Output is deterministic: identical invocations produce identical bytes.
 """
@@ -24,20 +26,12 @@ from pathlib import Path
 from . import maxest, verify
 from .critical import assemble_critical, classify_critical
 from .curves import bundle_to_csv, bundle_to_json, round_sig
-from .errors import (AssumptionViolated, CancellationLoss, EtaTooSmall,
-                     FieldBlowup, InvalidRegime, MissingKey, NoBracket,
-                     NonConvergence, OutsideDomain, RegimeViolation)
+from .errors import EnstrophyBoundsError, InvalidRegime
 from .full_nse import assemble_full, classify_full
 from .logscalar import LogScalar, ls_sum
 from .params import load_params_file
 from .scaling import assemble_scaling
 from .subcritical import assemble_subcritical, classify_subcritical
-
-_INPUT_ERRORS = (MissingKey, InvalidRegime, OutsideDomain, OSError,
-                 json.JSONDecodeError, KeyError, TypeError, ValueError,
-                 ZeroDivisionError)
-_NUMERIC_ERRORS = (NoBracket, NonConvergence, CancellationLoss, FieldBlowup)
-_REGIME_ERRORS = (RegimeViolation, AssumptionViolated, EtaTooSmall)
 
 
 class _UsageError(Exception):
@@ -70,8 +64,7 @@ _ASSEMBLERS = {
 }
 
 
-def _cmd_curve(args) -> int:
-    params = load_params_file(args.params)
+def _cmd_curve(params, args) -> int:
     bundle = _ASSEMBLERS[args.model](params, samples=args.samples)
     text = bundle_to_csv(bundle) if args.format == "csv" \
         else bundle_to_json(bundle)
@@ -79,8 +72,7 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _cmd_emax(args) -> int:
-    params = load_params_file(args.params)
+def _cmd_emax(params, args) -> int:
     report = maxest.bound_report(params.grashof, params.eps, params.rho,
                                  params.c2, mu=params.mu, eta=args.eta,
                                  E0_anchor=args.anchor_E0)
@@ -102,8 +94,7 @@ def _cmd_emax(args) -> int:
     return 0
 
 
-def _cmd_classify(args) -> int:
-    params = load_params_file(args.params)
+def _cmd_classify(params, args) -> int:
     if args.model == "full":
         label = classify_full(args.e, args.E, params)
     elif params.r == 0.5:
@@ -114,8 +105,7 @@ def _cmd_classify(args) -> int:
     return 0
 
 
-def _cmd_verify(args) -> int:
-    params = load_params_file(args.params)
+def _cmd_verify(params, args) -> int:
     rows = []
     if params.grashof > 0.0:
         family = assemble_critical if params.r == 0.5 else assemble_subcritical
@@ -137,20 +127,34 @@ def _cmd_verify(args) -> int:
     return 2
 
 
-def _cmd_taylor(args) -> int:
-    params = load_params_file(args.params)
-    doc = json.loads(Path(args.curve).read_text())
+def _read_curve(path: str) -> list:
+    """(tag, energies, enstrophies) of each nonempty segment of a curve
+    JSON that the curve subcommand wrote."""
     ln10 = math.log(10.0)
+    try:
+        doc = json.loads(Path(path).read_bytes())
+        segments = [(seg["tag"],
+                     [LogScalar.from_sci_string(s) for s in seg["e"]],
+                     [LogScalar.from_ln(float(v) * ln10)
+                      for v in seg["log10_E"]])
+                    for seg in doc["segments"] if seg["e"]]
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidRegime(f"{path} is not a curve file: "
+                            f"{type(exc).__name__}: {exc}") from None
+    if any(e.sign <= 0 for _, es, _ in segments for e in es):
+        raise InvalidRegime(f"{path} is not a curve file: "
+                            "every energy must be positive")
+    return segments
+
+
+def _cmd_taylor(params, args) -> int:
     segments = []
-    for seg in doc["segments"]:
-        if not seg["e"]:
-            continue
-        n = LogScalar.from_float(float(len(seg["e"])))
-        e_mean = ls_sum(LogScalar.from_sci_string(s) for s in seg["e"]) / n
-        big_mean = ls_sum(LogScalar.from_ln(float(v) * ln10)
-                          for v in seg["log10_E"]) / n
+    for tag, es, big_es in _read_curve(args.curve):
+        n = LogScalar.from_float(float(len(es)))
+        e_mean = ls_sum(es) / n
+        big_mean = ls_sum(big_es) / n
         kappa = (big_mean / e_mean) ** 0.5
-        segments.append({"tag": seg["tag"],
+        segments.append({"tag": tag,
                          "log10_kappa_T": round_sig(kappa.log10()),
                          "kappa_T": _finite(kappa.to_float())})
     out = {"segments": segments,
@@ -214,16 +218,10 @@ def run(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     try:
-        return args.handler(args)
-    except _NUMERIC_ERRORS as exc:
+        return args.handler(load_params_file(args.params), args)
+    except (EnstrophyBoundsError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 2
-    except _REGIME_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except _INPUT_ERRORS as exc:
-        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        return getattr(exc, "exit_code", 1)
 
 
 def main() -> None:

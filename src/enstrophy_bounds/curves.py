@@ -14,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass, field
 
+from .errors import OutsideDomain
 from .logscalar import LogScalar
 from .params import ForcingParams
 
@@ -60,7 +61,7 @@ def log_grid(ln_lo: float, ln_hi: float, n: int) -> list[float]:
     numpy.linspace rounds them: i * step + ln_lo, the last one exactly
     ln_hi."""
     if n < 2:
-        raise ValueError("need at least two samples per segment")
+        raise OutsideDomain(f"need at least two samples per segment, got {n}")
     step = (ln_hi - ln_lo) / (n - 1)
     return [i * step + ln_lo for i in range(n - 1)] + [ln_hi]
 

@@ -226,7 +226,7 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
     the upper nose branch (e < e1), the apex funnel (e1 <= e <= e2), and
     nothing at all past e2, where the corridor opens up.
     """
-    if not (e > 0.0 and E > 0.0):
+    if not (0.0 < e < math.inf and 0.0 < E < math.inf):
         raise OutsideDomain("classification needs e > 0 and E > 0")
     geo = geometry(params)
     par = parabola_E(e, params)
@@ -241,8 +241,7 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
     return "II"
 
 
-def _funnel_segment(tag, ln_lo, ln_hi, anchor_e, anchor_E, geo, params,
-                    samples):
+def _funnel_segment(tag, ln_lo, ln_hi, anchor_e, anchor_E, params, samples):
     grid = log_grid(ln_lo, ln_hi, samples)
     ln_E, slope = [], []
     for v in grid:
@@ -266,9 +265,9 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
 
     wall_lo = math.log(geo.e_star) + math.log1p(1e-6)
     segs.append(_funnel_segment("phi1", wall_lo, math.log(geo.e0),
-                                geo.e0, geo.E0, geo, params, samples))
+                                geo.e0, geo.E0, params, samples))
     segs.append(_funnel_segment("phi2", math.log(geo.e1), math.log(geo.e2),
-                                geo.e1, geo.E1, geo, params, samples))
+                                geo.e1, geo.E1, params, samples))
 
     # nose: parameterize by E, emit with increasing ln e
     for lo, hi, reverse in ((geo.E1 * 1e-2, geo.E1, False),

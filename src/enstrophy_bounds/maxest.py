@@ -76,11 +76,14 @@ def emax_upper(G: float, eps: float, rho: float, c2: float,
     _validate(G, eps, rho, c2)
     if E0_anchor is None:
         E0_anchor = 4.0 * G * G
-    elif E0_anchor <= 0.0:
-        raise InvalidRegime("E0_anchor must be positive")
+    elif not 0.0 < E0_anchor < math.inf:
+        raise InvalidRegime(f"E0_anchor must be positive and finite, "
+                            f"got {E0_anchor}")
     floor = eta_min(E0_anchor, eps, mu)
     if eta is None:
         eta = floor
+    elif not math.isfinite(eta):
+        raise InvalidRegime(f"eta must be finite, got {eta}")
     elif eta < floor * (1.0 - _ETA_SLACK):
         raise EtaTooSmall(
             f"eta = {eta} falls below eta_min = {floor:.6g} for "
@@ -111,19 +114,22 @@ def bound_report(G: float, eps: float, rho: float, c2: float,
                  E0_anchor: float | None = None) -> BoundReport:
     """Both bounds plus the constants that shaped them, for the CLI."""
     flags = []
-    if E0_anchor is None:
-        E0_anchor = 4.0 * G * G
+    anchor = E0_anchor
+    if anchor is None:
+        anchor = 4.0 * G * G
         flags.append("anchor_E0=parabola_apex")
     if eta is None:
-        eta = eta_min(E0_anchor, eps, mu)
+        eta = eta_min(anchor, eps, mu)
         flags.append("eta=eta_min")
     lower = emax_lower(G, eps, rho, c2)
+    # emax_upper fills in the default anchor itself; it gates only a
+    # caller's anchor
     upper = emax_upper(G, eps, rho, c2, eta, E0_anchor, mu=mu)
     return BoundReport(
         lower=lower, upper=upper, eta_used=eta,
         e_crit=critical_energy(eps, rho, c2),
         e_bar_crit=eps * (1.0 - rho) / (2.0 * (2.0 + eta) * c2),
-        anchor_E0=E0_anchor, flags=flags)
+        anchor_E0=anchor, flags=flags)
 
 
 def physical_scale(params) -> tuple[float, float]:

@@ -12,32 +12,12 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import InvalidRegime, MissingKey
 
-# JSON key -> attribute. "lambda" is a Python keyword, hence lam/lam0.
-_REQUIRED = {
-    "nu": "nu",
-    "lambda": "lam",
-    "lambda0": "lam0",
-    "f_norm": "f_norm",
-    "curlF_norm": "curlF_norm",
-    "psi_inf": "psi_inf",
-    "r": "r",
-    "eps": "eps",
-    "delta": "delta",
-    "mu": "mu",
-}
-_OPTIONAL = {
-    "c_omega": ("c_omega", 1.0),
-    "c1": ("c1", 1.0),
-    "c2": ("c2", 2.0),
-    "c": ("c", 1.0),
-    "eta": ("eta", 2.0),
-    "eps0": ("eps0", 0.25),
-    "c_omega_prime": ("c_omega_prime", 1.0),
-}
+# attribute -> JSON key where they differ: "lambda" is a Python keyword
+_ALIASES = {"lam": "lambda", "lam0": "lambda0"}
 
 
 @dataclass(frozen=True, slots=True)
@@ -112,24 +92,24 @@ class ForcingParams:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ForcingParams":
-        known = set(_REQUIRED) | set(_OPTIONAL)
-        unknown = sorted(set(raw) - known)
+        unknown = sorted(set(raw) - _FIELDS.keys())
         if unknown:
             raise InvalidRegime(f"unknown parameter keys: {', '.join(unknown)}")
         kwargs = {}
-        for key, attr in _REQUIRED.items():
-            if key not in raw:
+        for key, f in _FIELDS.items():
+            if key in raw:
+                kwargs[f.name] = _as_number(key, raw[key])
+            elif f.default is MISSING:
                 raise MissingKey(f"missing required parameter {key!r}")
-            kwargs[attr] = _as_number(key, raw[key])
-        for key, (attr, default) in _OPTIONAL.items():
-            kwargs[attr] = _as_number(key, raw[key]) if key in raw else default
         return cls(**kwargs)
 
     def to_raw(self) -> dict:
-        attr_to_key = {v: k for k, v in _REQUIRED.items()}
-        attr_to_key.update({v[0]: k for k, v in _OPTIONAL.items()})
-        return {attr_to_key[f.name]: getattr(self, f.name)
-                for f in fields(self)}
+        return {key: getattr(self, f.name) for key, f in _FIELDS.items()}
+
+
+# JSON key -> field, in declaration order; fields without a default are
+# the required keys
+_FIELDS = {_ALIASES.get(f.name, f.name): f for f in fields(ForcingParams)}
 
 
 def _as_number(key: str, value) -> float:
@@ -142,8 +122,13 @@ def _as_number(key: str, value) -> float:
 
 
 def load_params_file(path: str) -> ForcingParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = json.load(fh)
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # not UTF-8 text, or not JSON
+        raise InvalidRegime(f"{path} is not a JSON parameter file: {exc}") \
+            from None
     if not isinstance(raw, dict):
         raise InvalidRegime("parameter file must hold a JSON object")
     return ForcingParams.from_mapping(raw)

@@ -1,6 +1,6 @@
 """Independent correctness harness.
 
-Three families of checks, all reporting rows of
+Two families of checks, both reporting rows of
     {check, segment, samples, worst_margin, pass}:
 
 * containment_check: re-derives, at sampled curve points, the two growth
@@ -12,7 +12,9 @@ Three families of checks, all reporting rows of
   the closed-form rising branch vs a Dormand-Prince 5(4) integration of
   its slope field at 513 evenly spaced points, and root locations vs
   sign-change scans on independent grids.
-* taylor_wavenumber: the (E/e)^(1/2) diagnostic.
+
+The Taylor-wavenumber diagnostic of an emitted curve is the CLI's taylor
+subcommand.
 
 Everything here is deliberately redundant with the construction modules;
 agreement is the point.
@@ -24,27 +26,12 @@ import math
 
 from . import critical, full_nse, subcritical
 from .curves import CurveBundle, CurveSegment, log_grid
-from .errors import EnstrophyBoundsError
-from .logscalar import LogScalar, ZERO as _Z
+from .errors import EnstrophyBoundsError, OutsideDomain
+from .logscalar import LogScalar, ZERO as _Z, ls_sum
 from .params import ForcingParams
 from .solver import integrate_adaptive, rk4_path
 
 _REL_TOL = 1e-9  # sign-margin tolerance: constructed margins are exact zeros
-
-
-def _gauge(terms) -> LogScalar:
-    total = _Z
-    for t in terms:
-        total = total + abs(t)
-    return total
-
-
-def taylor_wavenumber(e_mean: float, E_mean: float) -> float:
-    if e_mean == 0.0:
-        raise ZeroDivisionError("Taylor wavenumber undefined at zero energy")
-    if e_mean < 0.0 or E_mean < 0.0:
-        raise ValueError("means must be nonnegative")
-    return math.sqrt(E_mean / e_mean)
 
 
 def halved_curve(curve: CurveBundle) -> CurveBundle:
@@ -89,7 +76,7 @@ def _rate_pairs(curve: CurveBundle, params: ForcingParams):
 
         def t1_full(e, E):
             terms = (cube * E ** 3.0, -(pull * E / e ** 0.5))
-            return sum(terms, start=_Z), _gauge(terms)
+            return sum(terms, start=_Z), ls_sum(map(abs, terms))
 
         def b_full(e, E):
             return drain * e ** 0.5
@@ -125,11 +112,11 @@ def _rate_pairs(curve: CurveBundle, params: ForcingParams):
 
     def t1_rise(e, E):
         terms = (quad_b * E * E, -(quad_a * E * E / e), drive * E ** power)
-        return sum(terms, start=_Z), _gauge(terms)
+        return sum(terms, start=_Z), ls_sum(map(abs, terms))
 
     def t1_tail(e, E):
         terms = (quad_b * E * E, -(quad_a * E * E / e), curl * E ** 0.5)
-        return sum(terms, start=_Z), _gauge(terms)
+        return sum(terms, start=_Z), ls_sum(map(abs, terms))
 
     return {
         "phi1": (t1_rise, lambda e, E: half_nu * E,
@@ -146,7 +133,7 @@ def _spread_indices(total: int, n: int) -> list[int]:
     distinct indices in increasing order."""
     m = min(n, total)
     if m < 0:
-        raise ValueError(f"containment needs n_points >= 0, got {n}")
+        raise OutsideDomain(f"containment needs n_points >= 0, got {n}")
     if m < 2:
         return list(range(m))
     return sorted({round(v) for v in log_grid(0, total - 1, m)})

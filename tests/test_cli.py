@@ -8,10 +8,13 @@ import sys
 
 import pytest
 
-from enstrophy_bounds import (FieldBlowup, OutsideDomain, RegimeViolation,
+from enstrophy_bounds import (AssumptionViolated, CancellationLoss,
+                              EnstrophyBoundsError, EtaTooSmall, FieldBlowup,
+                              InvalidRegime, MissingKey, NoBracket,
+                              NonConvergence, OutsideDomain, RegimeViolation,
                               assemble_critical, assemble_subcritical,
                               branches, classify_critical, classify_full,
-                              classify_subcritical, load_params_file)
+                              classify_subcritical, cli, load_params_file)
 from enstrophy_bounds.cli import run
 
 from conftest import PRESETS
@@ -106,6 +109,43 @@ def test_exit_code_usage():
     assert run(["curve", "nonsense", "--params", FIG2]) == 1
 
 
+# every library error class and the exit code the CLI returns for it
+_EXIT_CODES = {
+    EnstrophyBoundsError: 1, MissingKey: 1, InvalidRegime: 1,
+    OutsideDomain: 1, NoBracket: 2, NonConvergence: 2, CancellationLoss: 2,
+    FieldBlowup: 2, RegimeViolation: 3, AssumptionViolated: 3,
+    EtaTooSmall: 3,
+}
+
+
+def test_exit_code_table_names_every_error_class():
+    assert set(_EXIT_CODES) \
+        == {EnstrophyBoundsError, *EnstrophyBoundsError.__subclasses__()}
+
+
+def _classify_raising(monkeypatch, exc):
+    def handler(params, args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_classify", handler)
+    return run(["classify", "--params", FIG2, "--e", "4", "--E", "1e9"])
+
+
+@pytest.mark.parametrize("error, code", list(_EXIT_CODES.items()),
+                         ids=[error.__name__ for error in _EXIT_CODES])
+def test_error_class_sets_exit_code(monkeypatch, capsys, error, code):
+    assert _classify_raising(monkeypatch, error("probe")) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"{error.__name__}: probe\n"
+
+
+def test_untyped_exception_escapes(monkeypatch):
+    # a builtin exception is a bug: the CLI must not file it as bad input
+    with pytest.raises(ZeroDivisionError):
+        _classify_raising(monkeypatch, ZeroDivisionError("float division"))
+
+
 def test_exit_code_bad_input(tmp_path):
     # critical assembly on subcritical parameters
     assert run(["curve", "critical", "--params", FIG3]) == 1
@@ -117,9 +157,11 @@ def test_exit_code_bad_input(tmp_path):
 
 
 @pytest.mark.parametrize("e, E", [(math.nan, 1.0), (1.0, math.nan),
-                                  (math.nan, math.nan)])
+                                  (math.nan, math.nan), (math.inf, 1.0),
+                                  (1.0, math.inf)])
 def test_classifiers_reject_nan(fig2, fig3, e, E):
-    # a NaN coordinate is no point of the plane: it must not get a label
+    # a NaN or infinite coordinate is no point of the plane: it must not
+    # get a label
     for classify, params in ((classify_critical, fig2),
                              (classify_subcritical, fig3),
                              (classify_full, fig2), (classify_full, fig3)):
@@ -129,7 +171,8 @@ def test_classifiers_reject_nan(fig2, fig3, e, E):
 
 @pytest.mark.parametrize("preset", [FIG2, FIG3], ids=["fig2", "fig3"])
 @pytest.mark.parametrize("model", ["full", "subcritical"])
-@pytest.mark.parametrize("e, E", [("nan", "1"), ("1", "nan")])
+@pytest.mark.parametrize("e, E", [("nan", "1"), ("1", "nan"), ("inf", "1"),
+                                  ("1", "inf")])
 def test_classify_command_rejects_nan(capsys, preset, model, e, E):
     assert run(["classify", "--params", preset, "--model", model,
                 "--e", e, "--E", E]) == 1
@@ -153,14 +196,54 @@ def test_scaling_curve_without_curl_forcing(tmp_path):
     assert not any(f.startswith("E_floor_violations") for f in doc["flags"])
 
 
-# (arguments, fig2 overrides, exit code): inputs that once hung, escaped
-# as a traceback or got an answer for a point that does not exist
+# curve files that the taylor subcommand must refuse as bad input
+_BAD_CURVES = {
+    "no-segments.json": {"model": "critical"},
+    "text-energy.json": {"segments": [{"tag": "phi1", "e": ["one"],
+                                       "log10_E": [1.0]}]},
+    "zero-energy.json": {"segments": [{"tag": "phi1", "e": ["0.0", "0.0"],
+                                       "log10_E": [1.0, 2.0]}]},
+}
+
+
+@pytest.fixture
+def bad_curves(tmp_path):
+    for name, doc in _BAD_CURVES.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    return tmp_path
+
+
+# (arguments, fig2 overrides or the bytes of the parameter file, exit
+# code): inputs that once hung, escaped as a traceback, printed invalid
+# JSON or got an answer for a point that does not exist
 _EXTREME_INPUTS = [
     pytest.param(["classify", "--e", "nan", "--E", "1"], {}, 1,
                  id="classify-nan-full"),
     pytest.param(["classify", "--e", "nan", "--E", "1", "--model",
                   "subcritical"], {"r": 0.75}, 1,
                  id="classify-nan-subcritical"),
+    pytest.param(["classify", "--e", "inf", "--E", "1"], {}, 1,
+                 id="classify-inf-e-full"),
+    pytest.param(["classify", "--e", "1", "--E", "inf"], {}, 1,
+                 id="classify-inf-E-full"),
+    pytest.param(["classify", "--e", "1", "--E", "inf", "--model",
+                  "subcritical"], {}, 1, id="classify-inf-E-subcritical"),
+    pytest.param(["emax", "--eta", "nan"], {}, 1, id="emax-nan-eta"),
+    pytest.param(["emax", "--eta", "inf"], {}, 1, id="emax-inf-eta"),
+    pytest.param(["emax", "--anchor-E0", "nan"], {}, 1,
+                 id="emax-nan-anchor"),
+    pytest.param(["emax", "--anchor-E0", "inf"], {}, 1,
+                 id="emax-inf-anchor"),
+    pytest.param(["curve", "critical", "--samples", "1"], {}, 1,
+                 id="curve-one-sample"),
+    pytest.param(["verify", "--points", "-1"], {}, 1,
+                 id="verify-negative-points"),
+    pytest.param(["curve", "critical"], b"\x89PNG\r\n\x1a\n\xff\xfe", 1,
+                 id="params-binary"),
+    pytest.param(["curve", "critical"], b"nu = 1.0\n", 1,
+                 id="params-not-json"),
+    *[pytest.param(["taylor", "--curve", name], {}, 1, id=f"taylor-{name}")
+      for name in _BAD_CURVES],
     pytest.param(["curve", "critical"], {"eps": 1e-300}, 2,
                  id="critical-tiny-eps"),
     pytest.param(["verify"], {"eps": 1e-300}, 2, id="verify-tiny-eps"),
@@ -174,13 +257,19 @@ _EXTREME_INPUTS = [
 
 
 @pytest.mark.parametrize("args, over, code", _EXTREME_INPUTS)
-def test_extreme_inputs_exit_typed_and_fast(tmp_path, args, over, code):
-    params = _fig2_variant(tmp_path, "extreme.json", **over)
+def test_extreme_inputs_exit_typed_and_fast(bad_curves, args, over, code):
+    if isinstance(over, bytes):
+        params = bad_curves / "extreme.json"
+        params.write_bytes(over)
+    else:
+        params = _fig2_variant(bad_curves, "extreme.json", **over)
     env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
     # a hang fails here instead of stalling the suite
     proc = subprocess.run(
-        [sys.executable, "-m", "enstrophy_bounds", *args, "--params", params],
-        capture_output=True, text=True, env=env, timeout=5.0)
+        [sys.executable, "-m", "enstrophy_bounds", *args, "--params",
+         str(params)],
+        capture_output=True, text=True, env=env, timeout=5.0,
+        cwd=bad_curves)
     assert proc.returncode == code, proc.stderr
     assert "Traceback" not in proc.stderr
 

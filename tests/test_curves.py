@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from enstrophy_bounds import OutsideDomain
 from enstrophy_bounds.curves import log_grid
 
 _magnitude = st.floats(min_value=1e-300, max_value=1e5)
@@ -27,5 +28,5 @@ def test_log_grid_matches_linspace_bit_for_bit(lo, hi, same, n):
 
 @pytest.mark.parametrize("n", [-1, 0, 1])
 def test_log_grid_needs_two_samples(n):
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideDomain):
         log_grid(0.0, 1.0, n)

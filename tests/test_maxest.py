@@ -100,6 +100,19 @@ def test_validation_gates():
         emax_upper(G, EPS, RHO, C2, E0_anchor=-5.0)
 
 
+@pytest.mark.parametrize("over", [
+    {"eta": math.nan}, {"eta": math.inf}, {"eta": -math.inf},
+    {"E0_anchor": math.nan}, {"E0_anchor": math.inf}, {"E0_anchor": 0.0},
+    {"eta": 5.0, "E0_anchor": math.inf}],
+    ids=["nan-eta", "inf-eta", "minus-inf-eta", "nan-anchor", "inf-anchor",
+         "zero-anchor", "inf-anchor-given-eta"])
+def test_upper_rejects_non_finite_eta_and_anchor(over):
+    with pytest.raises(InvalidRegime):
+        emax_upper(G, EPS, RHO, C2, **over)
+    with pytest.raises(InvalidRegime):
+        bound_report(G, EPS, RHO, C2, **over)
+
+
 def test_lower_grows_like_exp_g_squared():
     gs = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
     lns = np.array([emax_lower(g, EPS, RHO, C2).ln for g in gs])

@@ -35,10 +35,12 @@ def test_unknown_key_rejected(fig2):
 
 
 def test_missing_key_rejected(fig2):
-    raw = fig2.to_raw()
-    del raw["mu"]
-    with pytest.raises(MissingKey, match="mu"):
-        ForcingParams.from_mapping(raw)
+    for key in ("nu", "lambda", "lambda0", "f_norm", "curlF_norm",
+                "psi_inf", "r", "eps", "delta", "mu"):
+        raw = fig2.to_raw()
+        del raw[key]
+        with pytest.raises(MissingKey, match=repr(key)):
+            ForcingParams.from_mapping(raw)
 
 
 def test_non_numeric_rejected(fig2):
@@ -91,6 +93,16 @@ def test_optional_defaults(fig2):
     p = ForcingParams.from_mapping(raw)
     assert (p.c_omega, p.c1, p.c2, p.c) == (1.0, 1.0, 2.0, 1.0)
     assert (p.eta, p.eps0, p.c_omega_prime) == (2.0, 0.25, 1.0)
+
+
+@pytest.mark.parametrize("data", [b"\x89PNG\r\n\x1a\n\xff\xfe",
+                                  b"nu = 1.0\n", b""],
+                         ids=["binary", "not-json", "empty"])
+def test_load_rejects_a_file_that_is_not_json(tmp_path, data):
+    f = tmp_path / "p.json"
+    f.write_bytes(data)
+    with pytest.raises(InvalidRegime, match="not a JSON parameter file"):
+        load_params_file(str(f))
 
 
 def test_load_rejects_non_object(tmp_path):

@@ -14,6 +14,7 @@ from hypothesis import given, strategies as st
 
 from enstrophy_bounds import (
     ForcingParams,
+    OutsideDomain,
     assemble_critical,
     assemble_full,
     assemble_scaling,
@@ -21,7 +22,6 @@ from enstrophy_bounds import (
     containment_check,
     halved_curve,
     oracle_suite,
-    taylor_wavenumber,
 )
 from enstrophy_bounds import branches, critical, specfun
 from enstrophy_bounds.solver import rk4_path
@@ -87,7 +87,7 @@ def test_spread_indices_match_numpy_unique_at_any_size(total, data):
 
 
 def test_spread_indices_reject_a_negative_count():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideDomain):
         _spread_indices(512, -1)
 
 
@@ -228,17 +228,3 @@ def test_oracle_suite_degenerate_forcing(fig2):
     report = oracle_suite(dead)
     assert all_pass(report)
     assert {row["check"] for row in report} == {"series_vs_quadrature"}
-
-
-# ------------------------------------------------------ taylor wavenumber
-
-
-def test_taylor_wavenumber_values():
-    assert taylor_wavenumber(1.0, 1.0) == pytest.approx(1.0, rel=1e-15)
-    assert taylor_wavenumber(4.0, 16.0) == pytest.approx(2.0, rel=1e-15)
-    with pytest.raises(ZeroDivisionError):
-        taylor_wavenumber(0.0, 1.0)
-    with pytest.raises(ValueError):
-        taylor_wavenumber(-1.0, 1.0)
-    with pytest.raises(ValueError):
-        taylor_wavenumber(1.0, -1.0)
