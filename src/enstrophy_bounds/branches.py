@@ -146,10 +146,11 @@ class Chain:
 
     @cached_property
     def ln_e0(self) -> float:
-        """ln of the anchor energy e0; zero forcing leaves no anchor."""
-        if self.params.grashof <= 0.0:
+        """ln of the anchor energy e0; zero forcing, or forcing so weak
+        that e0 underflows, leaves no anchor."""
+        if not self.params.e0 > 0.0:
             raise RegimeViolation(
-                "zero forcing leaves no curve to anchor (e0 = 0)")
+                "no curve to anchor: e0 = 0 (zero forcing, or e0 underflows)")
         return math.log(self.params.e0)
 
     @property

@@ -27,6 +27,8 @@ _ETA_SLACK = 1e-3
 def _validate(G: float, eps: float, rho: float, c2: float) -> None:
     if G <= 0.0:
         raise InvalidRegime(f"G must be positive, got {G}")
+    if not math.isfinite(G * G):
+        raise InvalidRegime(f"G^2 must be finite, got G = {G}")
     if eps <= 0.0 or c2 <= 0.0:
         raise InvalidRegime("eps and c2 must be positive")
     if not 0.0 <= rho < 1.0:
@@ -71,7 +73,8 @@ def emax_upper(G: float, eps: float, rho: float, c2: float,
     Defaults anchor on the parabola apex E0 = 4 G^2 with the smallest
     admissible eta. Passing the E0 produced by a first pass (and the
     correspondingly smaller eta) tightens the exponent considerably; the
-    gap to emax_lower stays a factor exp(O(G^2)) either way.
+    gap to emax_lower stays a factor exp(O(G^2)) either way. A damped
+    critical energy or a bound outside float range is InvalidRegime.
     """
     _validate(G, eps, rho, c2)
     if E0_anchor is None:
@@ -89,12 +92,16 @@ def emax_upper(G: float, eps: float, rho: float, c2: float,
             f"eta = {eta} falls below eta_min = {floor:.6g} for "
             f"anchor E0 = {E0_anchor}")
     e_bar = eps * (1.0 - rho) / (2.0 * (2.0 + eta) * c2)
+    if not e_bar > 0.0:
+        raise InvalidRegime(f"damped critical energy underflows, eta = {eta}")
     if G * G <= e_bar:
         raise RegimeViolation(
             f"G^2 = {G * G} must exceed the damped critical energy {e_bar}")
     ln = math.log(E0_anchor) \
         + 0.5 * (1.0 - rho) * (math.log(e_bar) - 2.0 * math.log(G)) \
         + ((2.0 + eta) * c2 / eps) * (G * G - e_bar)
+    if not math.isfinite(ln):
+        raise InvalidRegime(f"upper bound leaves float range (ln = {ln})")
     return LogScalar.from_ln(ln)
 
 

@@ -106,8 +106,9 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     positive. Samples below the floor are counted into a flag, not
     removed."""
     sp = scaling_params(params)
-    if params.grashof <= 0.0:
-        raise RegimeViolation("zero forcing leaves no curve to anchor (e0 = 0)")
+    if not params.e0 > 0.0:
+        raise RegimeViolation(
+            "no curve to anchor: e0 = 0 (zero forcing, or e0 underflows)")
     e0, E0 = default_anchor(params)
     ln_e0 = math.log(e0)
     a = sp.alpha_sc

@@ -4,7 +4,9 @@ These kernels exist so that every closed-form curve in the package can be
 cross-checked against an independent numerical route (and vice versa):
 tanh-sinh quadrature checks the series, a Dormand-Prince 5(4) path checks
 the Bernoulli closed form, the grid scan checks the root finder. Each is
-one standard method with no fallbacks. The quadrature tolerance, the
+one standard method with no fallbacks. find_root also serves the
+construction; the quadrature and the ODE path are references only, and
+no curve or integral is built from them. The quadrature tolerance, the
 iteration cap and the blow-up level are fixed module constants; only
 find_root's x_tol and rk4_path's tol and n_out vary between callers.
 """

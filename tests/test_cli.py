@@ -279,6 +279,35 @@ def test_exit_code_regime(tmp_path):
     assert run(["curve", "critical", "--params", dead]) == 3
 
 
+@pytest.mark.parametrize("args", [
+    ["curve", "critical"], ["curve", "scaling"], ["verify"],
+    ["classify", "--e", "1", "--E", "1", "--model", "subcritical"],
+], ids=["critical", "scaling", "verify", "classify-subcritical"])
+def test_underflowing_anchor_is_regime(tmp_path, capsys, args):
+    # G > 0, but e0 ~ G^2 underflows to 0.0: no curve to anchor
+    weak = _fig2_variant(tmp_path, "weak.json", f_norm=1e-200)
+    assert run([*args, "--params", weak]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("RegimeViolation: ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("over, extra", [
+    ({"f_norm": 1e200}, []), ({"lambda": 1e-300}, []),
+    ({}, ["--eta", "1e307"]), ({}, ["--eta", "1e308"]),
+], ids=["huge-forcing", "tiny-lambda", "eta-1e307", "eta-1e308"])
+def test_emax_outside_float_range_is_invalid(tmp_path, capsys, over, extra):
+    # G^2 overflows, the bound overflows or e_bar underflows: never print
+    # Infinity as JSON
+    params = _fig2_variant(tmp_path, "extreme.json", **over)
+    assert run(["emax", "--params", params, *extra]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InvalidRegime: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_exit_code_numerical(tmp_path):
     flat = _fig2_variant(tmp_path, "flat.json", r=0.51, c=0.0)
     assert run(["curve", "subcritical", "--params", flat]) == 2

@@ -1,11 +1,14 @@
 """The weighted exponential integral and its series, against independent
-quadrature (mpmath at 40 digits)."""
+quadrature and the exact 1F1 form (mpmath at 40 to 60 digits), and the
+anchor-chain breakpoints built on them."""
 
 import math
+import sys
 
 import mpmath
 import pytest
 
+from enstrophy_bounds import critical, solver, subcritical
 from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NonConvergence
 from enstrophy_bounds.logscalar import LogScalar
@@ -39,10 +42,12 @@ def test_series_matches_quadrature(alpha, x):
 def test_series_matches_hyp1f1(alpha):
     # g(alpha, x) = 1F1(alpha; alpha + 1; x) / alpha (DLMF 13.4.1), at 30
     # digits; past ln g ~ 4.5e3 one ulp of ln g exceeds 1e-12, so there
-    # the bound is two ulps of the stored logarithm
+    # the bound is two ulps of the stored logarithm. At x = 3e4 and 1e5
+    # the partial sum is rescaled about 50 and 170 times, and the log
+    # offset those rescales add must not drift
     with mpmath.workdps(30):
         for x in (0.0, 1e-8, 1e-3, 0.5, 1.0, 10.0, 30.0, 48.0, 100.0,
-                  300.0, 1200.0, 3000.0, 1e4):
+                  300.0, 1200.0, 3000.0, 1e4, 3e4, 1e5):
             got = gamma_series_factor(alpha, x).ln
             want = mpmath.log(mpmath.hyp1f1(alpha, alpha + 1, x) / alpha)
             err = abs(mpmath.expm1(mpmath.mpf(got) - want))
@@ -130,7 +135,7 @@ def test_weighted_integral_ln_bounds_below_float_range():
 
 
 def test_weighted_integral_tiny_b_branch():
-    # b*hi ~ 1e-9 hits the expm1 expansion path
+    # b*hi ~ 1e-9: the series stops after three terms, none cancelling
     a, b, lo, hi = 0.4, 1e-9, 0.5, 1.0
     oracle = float(mpmath.quad(
         lambda s: s ** (-a) * mpmath.e ** (b * s), [lo, hi]))
@@ -146,6 +151,15 @@ def test_weighted_integral_nearby_bounds():
     assert got.to_float() == pytest.approx(oracle, rel=1e-6)
 
 
+@pytest.mark.parametrize("span", [1e-300, 1e-100])
+def test_weighted_integral_rescales_on_the_term(span):
+    # b e_hi = 800: the unweighted terms leave float range while weights of
+    # about (alpha + n) span keep the sum small, so the rescale has to
+    # watch the term as well as the sum; W = e^b span to O(b span)
+    got = weighted_exp_integral_ln(0.5, 800.0, -span, 0.0)
+    assert got.ln == pytest.approx(800.0 + math.log(span), abs=1e-12)
+
+
 def test_weighted_integral_rejects_bad_exponent():
     with pytest.raises(ValueError):
         weighted_exp_integral_ln(1.5, 1.0, 0.0, 1.0)
@@ -156,8 +170,9 @@ def test_weighted_integral_rejects_bad_exponent():
 @pytest.mark.parametrize("span", [1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5,
                                   1e-4, 1e-3, 1e-2])
 def test_weighted_integral_close_bounds(fig2, span):
-    # the fig2 tail field near e = e^-5: the series difference cancels
-    # almost completely and the quadrature fallback carries the digits
+    # the fig2 tail field near e = e^-5: the two endpoint values agree to
+    # up to ten digits, a difference the weights 1 - r^(alpha+n) carry
+    # without losing any
     tail = chain(fig2).fields[2]
     a, b = tail.a, tail.b
     ln_hi = -5.0
@@ -168,3 +183,120 @@ def test_weighted_integral_close_bounds(fig2, span):
         want = mpmath.log(mpmath.quad(
             lambda s: s ** (-a) * mpmath.e ** (b * s), [lo, hi]))
     assert abs(got.ln - float(want)) <= 1e-11
+
+
+# the arbiter grid: exponents, ln e_hi, b (with b e_hi <= 3000) and spans
+# ln e_hi - ln e_lo, inf meaning a zero lower bound
+_GRID_LN_HI = (-8000.0, -50.0, -5.0, 0.0, 1.0, 3.0, 5.5, 7.0)
+_GRID_B = (0.0, 1e-9, 0.3, 2.0, 48.0)
+_GRID_SPANS = (1e-12, 1e-10, 1e-7, 1e-4, 1e-2, 0.3, 1.0, 5.0, 40.0, 1e4,
+               math.inf)
+
+
+@pytest.mark.parametrize("a", [0.03, 0.15, 0.5, 0.85, 0.97])
+def test_weighted_integral_matches_hyp1f1_difference(a):
+    # exact value e_hi^al F(b e_hi) - e_lo^al F(b e_lo), al = 1 - a,
+    # F(x) = 1F1(al; al + 1; x)/al, at 60 digits, which leave at least 45
+    # after the closest bounds cancel; where |ln W| passes 8192 one ulp of
+    # ln W exceeds 1e-12, so there the bound is that ulp
+    with mpmath.workdps(60):
+        al = 1 - mpmath.mpf(a)
+
+        def anti(ln_e, b):
+            if ln_e == -math.inf:
+                return mpmath.mpf(0)
+            e = mpmath.exp(mpmath.mpf(ln_e))
+            return e ** al * mpmath.hyp1f1(al, al + 1, b * e) / al
+
+        for ln_hi in _GRID_LN_HI:
+            for b in _GRID_B:
+                if b * math.exp(ln_hi) > 3000.0:
+                    continue
+                for span in _GRID_SPANS:
+                    ln_lo = ln_hi - span
+                    got = weighted_exp_integral_ln(a, b, ln_lo, ln_hi).ln
+                    want = mpmath.log(anti(ln_hi, b) - anti(ln_lo, b))
+                    err = abs(mpmath.expm1(mpmath.mpf(got) - want))
+                    assert err <= max(1e-12, math.ulp(got)), \
+                        (ln_hi, b, span, float(err))
+
+
+def _mp_solution(e, field, e_ref, y_ref):
+    # the branch solution of dy/de = (a/e - b) y - c through (e_ref, y_ref)
+    # with the weighted integral in its exact 1F1 form
+    a, b, c = (mpmath.mpf(v) for v in (field.a, field.b, field.c))
+    al = 1 - a
+
+    def anti(s):
+        return s ** al * mpmath.hyp1f1(al, al + 1, b * s) / al
+
+    return e ** a * mpmath.exp(-b * e) * (
+        e_ref ** -a * mpmath.exp(b * e_ref) * y_ref
+        + c * (anti(e_ref) - anti(e)))
+
+
+@pytest.mark.parametrize("family, preset", [(critical, "fig2"),
+                                            (subcritical, "fig3")])
+def test_breakpoints_match_mpmath(family, preset, request):
+    # re-solve the peak (in w = ln(1 - e/e_a) when b > 0, in ln e when
+    # b = 0) and the floor crossing (in ln e) at 40 digits, from starting
+    # points one unit off the chain's answers
+    ch = family.chain(request.getfixturevalue(preset))
+    rise, descent, _ = ch.fields
+    x_chain, _, E_peak = ch.peak
+    a, b, c = (mpmath.mpf(v) for v in (rise.a, rise.b, rise.c))
+    if rise.b > 0.0:
+        def e_of(w):
+            return a / b * -mpmath.expm1(w)
+
+        def ln_null(w):
+            return mpmath.log(c / b) + mpmath.log(-mpmath.expm1(w)) - w
+    else:
+        e_of = mpmath.exp
+
+        def ln_null(v):
+            return mpmath.log(c / a) + v
+    e0 = mpmath.mpf(ch.params.e0)
+    y0 = mpmath.mpf(ch.E0) ** rise.p
+
+    def rise_gap(x):
+        return mpmath.log(_mp_solution(e_of(x), rise, e0, y0)) - ln_null(x)
+
+    x = mpmath.findroot(rise_gap, (x_chain - 1.0, x_chain + 1.0))
+    e_peak = e_of(x)
+    y_peak = _mp_solution(e_peak, rise, e0, y0)
+    assert abs(mpmath.log(y_peak) / rise.p - E_peak.ln) <= 1e-10
+
+    ln_floor = mpmath.log(ch.floor)
+
+    def floor_gap(v):
+        y = _mp_solution(mpmath.exp(v), descent, e_peak, y_peak)
+        return mpmath.log(y) / descent.p - ln_floor
+
+    v = mpmath.findroot(floor_gap, (ch.ln_floor - 1.0, ch.ln_floor + 1.0))
+    assert abs(v - ch.ln_floor) <= 1e-10
+
+
+def test_construction_never_reaches_the_quadrature(fig2, fig3, monkeypatch):
+    # tanh-sinh quadrature is the independent oracle of the series; if the
+    # construction leaned on it, the oracle would be checking itself
+    def refuse(*args):
+        raise AssertionError("the construction reached the quadrature")
+
+    quad = solver.integrate_adaptive
+    bound = [(module, name) for key, module in sys.modules.items()
+             if key.startswith("enstrophy_bounds")
+             for name, value in list(vars(module).items()) if value is quad]
+    for module, name in bound:
+        monkeypatch.setattr(module, name, refuse)
+    critical.chain.cache_clear()
+    subcritical.chain.cache_clear()
+    critical.assemble_critical(fig2)
+    subcritical.assemble_subcritical(fig3)
+    for e in (1e-300, 1e-5, 0.01, 1.0, 4.0):
+        for E in (1.0, 1e10, 1e40):
+            critical.classify_critical(e, E, fig2)
+    tail = chain(fig2).fields[2]
+    for span in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
+        assert weighted_exp_integral_ln(tail.a, tail.b, -5.0 - span,
+                                        -5.0).sign == 1
