@@ -42,15 +42,22 @@ def enstrophy_floor(params: ForcingParams) -> tuple[float, bool]:
 
     The floor is the larger of the boundary-splitting threshold and the
     curl-forcing threshold; the piecewise construction below E_min is only
-    carried out when the curl branch wins (curl_dominant True).
+    carried out when the curl branch wins (curl_dominant True). Both are
+    formed and compared in logs; a floor outside float range is
+    InvalidRegime.
     """
-    nu, lam, mu = params.nu, params.lam, params.mu
-    split = params.eps ** 1.5 * math.sqrt(lam) * nu ** 2 \
-        * (mu + params.psi_inf) ** 2.5 / mu ** 2
-    curl = params.eps ** (2.0 / 3.0) * params.curlF_norm ** (10.0 / 9.0) \
-        / (params.c2 ** (10.0 / 9.0) * (mu * lam) ** (8.0 / 9.0)
-           * nu ** (2.0 / 9.0))
-    return max(split, curl), curl >= split
+    l_eps, l_lam, l_nu, l_mu = (math.log(v) for v in (
+        params.eps, params.lam, params.nu, params.mu))
+    ln_split = 1.5 * l_eps + 0.5 * l_lam + 2.0 * l_nu - 2.0 * l_mu \
+        + 2.5 * math.log(params.mu + params.psi_inf)
+    l_curl = math.log(params.curlF_norm) if params.curlF_norm else -math.inf
+    ln_curl = (6.0 * l_eps - 8.0 * (l_mu + l_lam) - 2.0 * l_nu
+               + 10.0 * (l_curl - math.log(params.c2))) / 9.0
+    ln_floor = max(ln_split, ln_curl)
+    if not -744.0 < ln_floor < 709.0:
+        raise InvalidRegime(
+            f"enstrophy floor exp({ln_floor:.6g}) is outside float range")
+    return math.exp(ln_floor), ln_curl >= ln_split
 
 
 def curl_threshold(params: ForcingParams) -> float:

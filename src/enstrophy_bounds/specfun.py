@@ -15,15 +15,19 @@ expanding e^(bs) and integrating term by term gives
 and g is the case r = 0. Every term is positive, so one loop serves close
 bounds, b = 0, tiny x and a zero lower bound alike: the difference of the
 endpoint values is taken inside each weight v_n = -expm1((alpha+n) ln r),
-where it costs no digits, and never between two large sums. Results are
-LogScalars because b*e reaches a few times G^2 and the answer overflows
-float64 long before the interesting parameter range ends. The series is
-summed to the fixed relative accuracy _REL_TOL = 1e-12.
+where it costs no digits, and never between two large sums. That loop
+needs about x terms, a few times G^2, so wide spans take the endpoint
+difference e_hi^alpha (G - H), G = g(alpha, x), H = r^alpha g(alpha, r x),
+with g from its few-term large-argument form and ln G memoised per upper
+end. Results are LogScalars because the answer overflows float64 long
+before the interesting parameter range ends. Every arm is summed to the
+fixed relative accuracy _REL_TOL = 1e-12.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from .errors import NonConvergence
 from .logscalar import ZERO, LogScalar
@@ -37,6 +41,9 @@ _REL_TOL = 1e-12
 # largest series argument accepted: the series needs about x terms, so
 # this caps one call at about a million of them
 _MAX_X = 1e6
+
+# largest bound on H / (G - H) for which G - H is taken as a difference
+_LN_SEVENTH = math.log(1.0 / 7.0)
 
 
 def _series_ln(alpha: float, x: float, ln_r: float,
@@ -68,6 +75,7 @@ def _series_ln(alpha: float, x: float, ln_r: float,
         limit, past = n_terms - 1, math.inf
     tol = _REL_TOL / 10.0
 
+    weighted = ln_r > -math.inf  # r = 0: every weight is exactly 1
     t = 1.0 / alpha
     s = t * -math.expm1(alpha * ln_r)
     comp = 0.0
@@ -76,7 +84,7 @@ def _series_ln(alpha: float, x: float, ln_r: float,
     while n < limit:
         t *= x * (alpha + n) / ((n + 1.0) * (alpha + n + 1.0))
         n += 1
-        term = t * -math.expm1((alpha + n) * ln_r)
+        term = t * -math.expm1((alpha + n) * ln_r) if weighted else t
         y = term - comp
         tmp = s + y
         comp = (tmp - s) - y
@@ -93,19 +101,45 @@ def _series_ln(alpha: float, x: float, ln_r: float,
     raise NonConvergence(f"g({alpha}, {x}) did not converge in {limit} terms")
 
 
+def _g_ln(alpha: float, x: float) -> float:
+    """ln g(alpha, x). For alpha < 1 the large-argument form
+    g ~ e^x/x sum_s (1 - alpha)_s x^(-s) (DLMF 13.7.2), all terms positive,
+    is taken where the part it drops, about Gamma(alpha) x^(1-alpha) e^(-x)
+    relative, is below _REL_TOL / 10; its smallest term is smaller still,
+    so it converges while its terms fall. Elsewhere the r = 0 series.
+    """
+    tol = _REL_TOL / 10.0
+    if alpha < 1.0 and 1.0 < x <= _MAX_X and math.lgamma(alpha) \
+            + (1.0 - alpha) * math.log(x) - x < math.log(tol):
+        term, tail, k = 1.0, 0.0, 1.0 - alpha
+        while term > tol * (1.0 + tail):
+            term *= k / x
+            tail += term
+            k += 1.0
+        return x - math.log(x) + math.log1p(tail)
+    return _series_ln(alpha, x, -math.inf)
+
+
+@lru_cache(maxsize=64)
+def _g_ln_cached(alpha: float, x: float, rel_tol: float) -> float:
+    # rel_tol only keys the cache: a changed _REL_TOL gets no stale value
+    return _g_ln(alpha, x)
+
+
 def gamma_series_factor(alpha: float, x: float,
                         n_terms: int | None = None) -> LogScalar:
-    """Evaluate g(alpha, x) by its power series, the r = 0 case of the
-    weighted sum (every weight is 1). With n_terms the partial sum of
-    exactly the first n_terms terms is returned, with no convergence
-    check: that reproduces what a hard truncation of the series does to
-    the curve it feeds. Raises NonConvergence for x not finite or above
-    _MAX_X.
+    """Evaluate g(alpha, x) to _REL_TOL (see _g_ln). With n_terms the
+    partial power series of exactly the first n_terms terms is returned,
+    with no convergence check: that reproduces what a hard truncation of
+    the series does to the curve it feeds. Raises NonConvergence for x not
+    finite or above _MAX_X.
     """
     if alpha <= 0.0:
         raise ValueError(f"alpha must be positive, got {alpha}")
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
+    if n_terms is None:
+        return LogScalar.from_ln(_g_ln(alpha, x))
     return LogScalar.from_ln(_series_ln(alpha, x, -math.inf, n_terms))
 
 
@@ -116,6 +150,12 @@ def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
     Bounds are taken in the log so the routine stays exact for abscissas
     far outside float64 range (ln_lo = -inf means a zero lower bound).
     Requires 0 < a < 1 and b >= 0.
+
+    It is e_hi^alpha (G - H), with G, H the integrals of t^(-a) e^(xt)
+    over [0, 1] and [0, r], x = b e_hi, r = e_lo/e_hi. Bounding t^(-a) by
+    1 on [r, 1] gives H/(G - H) <= x r^(1-a) / ((1-a)(e^(x(1-r)) - 1))
+    before any sum; where that is at most 1/7 the difference is taken
+    (under 0.07 digits lost), else the positive-term series is summed.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"a must lie in (0, 1), got {a}")
@@ -125,6 +165,13 @@ def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
         raise ValueError("lower bound above upper bound")
     if ln_lo == ln_hi:
         return ZERO
+    alpha, ln_r = 1.0 - a, ln_lo - ln_hi
     x = math.exp(ln_hi + math.log(b)) if b > 0.0 else 0.0
-    return LogScalar.from_ln((1.0 - a) * ln_hi
-                             + _series_ln(1.0 - a, x, ln_lo - ln_hi))
+    gap = -x * math.expm1(ln_r)  # x (1 - r)
+    if gap > 0.0 and math.log(x / alpha) + alpha * ln_r - gap \
+            - math.log(-math.expm1(-gap)) <= _LN_SEVENTH:
+        ln_g = _g_ln_cached(alpha, x, _REL_TOL)
+        ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
+        return LogScalar.from_ln(alpha * ln_hi + ln_g
+                                 + math.log(-math.expm1(ln_h - ln_g)))
+    return LogScalar.from_ln(alpha * ln_hi + _series_ln(alpha, x, ln_r))

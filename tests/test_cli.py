@@ -308,6 +308,24 @@ def test_emax_outside_float_range_is_invalid(tmp_path, capsys, over, extra):
     assert captured.err.count("\n") == 1
 
 
+@pytest.mark.parametrize("args", [
+    ["curve", "critical"], ["verify"],
+    ["classify", "--e", "1", "--E", "1e10", "--model", "subcritical"],
+], ids=["critical", "verify", "classify-subcritical"])
+@pytest.mark.parametrize("over", [
+    {"c2": 1e-300}, {"psi_inf": 1e200}, {"curlF_norm": 1e300},
+], ids=["tiny-c2", "huge-psi-inf", "huge-curl"])
+def test_floor_outside_float_range_is_invalid(tmp_path, capsys, args, over):
+    # the critical enstrophy floor E_min overflows: refuse it by type
+    # instead of dividing by an underflowed power or overflowing one
+    params = _fig2_variant(tmp_path, "extreme.json", **over)
+    assert run([*args, "--params", params]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("InvalidRegime: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_exit_code_numerical(tmp_path):
     flat = _fig2_variant(tmp_path, "flat.json", r=0.51, c=0.0)
     assert run(["curve", "subcritical", "--params", flat]) == 2

@@ -4,11 +4,12 @@ anchor-chain breakpoints built on them."""
 
 import math
 import sys
+from dataclasses import replace
 
 import mpmath
 import pytest
 
-from enstrophy_bounds import critical, solver, subcritical
+from enstrophy_bounds import critical, solver, specfun, subcritical
 from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NonConvergence
 from enstrophy_bounds.logscalar import LogScalar
@@ -44,10 +45,13 @@ def test_series_matches_hyp1f1(alpha):
     # digits; past ln g ~ 4.5e3 one ulp of ln g exceeds 1e-12, so there
     # the bound is two ulps of the stored logarithm. At x = 3e4 and 1e5
     # the partial sum is rescaled about 50 and 170 times, and the log
-    # offset those rescales add must not drift
+    # offset those rescales add must not drift. For alpha < 1 the
+    # large-argument form takes over between x ~ 30 and 41, depending on
+    # alpha; x = 30 to 60 checks both sides of that switch
     with mpmath.workdps(30):
-        for x in (0.0, 1e-8, 1e-3, 0.5, 1.0, 10.0, 30.0, 48.0, 100.0,
-                  300.0, 1200.0, 3000.0, 1e4, 3e4, 1e5):
+        for x in (0.0, 1e-8, 1e-3, 0.5, 1.0, 10.0, 30.0, 33.0, 35.0, 38.0,
+                  40.0, 45.0, 48.0, 60.0, 100.0, 300.0, 1200.0, 3000.0,
+                  1e4, 3e4, 1e5):
             got = gamma_series_factor(alpha, x).ln
             want = mpmath.log(mpmath.hyp1f1(alpha, alpha + 1, x) / alpha)
             err = abs(mpmath.expm1(mpmath.mpf(got) - want))
@@ -186,11 +190,13 @@ def test_weighted_integral_close_bounds(fig2, span):
 
 
 # the arbiter grid: exponents, ln e_hi, b (with b e_hi <= 3000) and spans
-# ln e_hi - ln e_lo, inf meaning a zero lower bound
+# ln e_hi - ln e_lo, inf meaning a zero lower bound; at b = 48 and
+# ln e_hi = 0 or 1 the spans 0.03 to 0.3 fall on both sides of the bound
+# that selects the endpoint form
 _GRID_LN_HI = (-8000.0, -50.0, -5.0, 0.0, 1.0, 3.0, 5.5, 7.0)
 _GRID_B = (0.0, 1e-9, 0.3, 2.0, 48.0)
-_GRID_SPANS = (1e-12, 1e-10, 1e-7, 1e-4, 1e-2, 0.3, 1.0, 5.0, 40.0, 1e4,
-               math.inf)
+_GRID_SPANS = (1e-12, 1e-10, 1e-7, 1e-4, 1e-2, 0.03, 0.05, 0.1, 0.3, 1.0,
+               5.0, 40.0, 1e4, math.inf)
 
 
 @pytest.mark.parametrize("a", [0.03, 0.15, 0.5, 0.85, 0.97])
@@ -300,3 +306,24 @@ def test_construction_never_reaches_the_quadrature(fig2, fig3, monkeypatch):
     for span in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
         assert weighted_exp_integral_ln(tail.a, tail.b, -5.0 - span,
                                         -5.0).sign == 1
+
+
+def test_assembly_sums_no_large_argument_series(fig2, monkeypatch):
+    # every phi1 sample shares the upper end x = b e0 (48 on fig2, 1200 at
+    # G = 10): its term is memoised and taken from the large-argument
+    # form, so only the few samples next to the anchor, where the
+    # endpoint form would cancel, still sum a series with x >= 30
+    calls = []
+    series = specfun._series_ln
+
+    def counting(alpha, x, ln_r, n_terms=None):
+        calls.append(x)
+        return series(alpha, x, ln_r, n_terms)
+
+    monkeypatch.setattr(specfun, "_series_ln", counting)
+    for params in (fig2, replace(fig2, f_norm=10.0)):
+        critical.chain.cache_clear()
+        calls.clear()
+        critical.assemble_critical(params)
+        assert sum(x >= 30.0 for x in calls) <= 20, params.grashof
+    critical.chain.cache_clear()
