@@ -275,9 +275,11 @@ class Chain:
     def classify(self, e: float, E: float) -> str:
         """Three-region label: I below the forcing parabola (recurrent),
         III at or above the bounding curve, II between. Right of e0 the
-        curve is gone and everything at or above the parabola is II."""
+        curve is gone and everything at or above the parabola is II.
+        The curve needs the curl-dominated floor, as its assembly does."""
         if not (0.0 < e < math.inf and 0.0 < E < math.inf):
             raise OutsideDomain("classification needs e > 0 and E > 0")
+        self.require_curl()
         p = self.params
         if p.nu * E < 4.0 * p.f_norm * math.sqrt(e):
             return "I"

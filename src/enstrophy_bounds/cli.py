@@ -106,18 +106,7 @@ def _cmd_classify(params, args) -> int:
 
 
 def _cmd_verify(params, args) -> int:
-    rows = []
-    if params.grashof > 0.0:
-        family = assemble_critical if params.r == 0.5 else assemble_subcritical
-        rows.extend(verify.containment_check(family(params), params,
-                                             n_points=args.points))
-        rows.extend(verify.containment_check(assemble_full(params), params,
-                                             n_points=args.points))
-    else:
-        rows.append({"check": "containment", "segment": "", "samples": 0,
-                     "worst_margin": 0.0, "pass": True,
-                     "note": "degenerate forcing, no curve to check"})
-    rows.extend(verify.oracle_suite(params))
+    rows = verify.report(params, n_points=args.points)
     for row in rows:
         row["worst_margin"] = _finite(row["worst_margin"])
     _emit(json.dumps(rows, sort_keys=True, indent=2) + "\n", args.out)

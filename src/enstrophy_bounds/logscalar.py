@@ -106,9 +106,6 @@ class LogScalar:
     def __neg__(self) -> "LogScalar":
         return LogScalar(-self.sign, self.ln)
 
-    def __abs__(self) -> "LogScalar":
-        return LogScalar(abs(self.sign), self.ln)
-
     def __mul__(self, other: "LogScalar") -> "LogScalar":
         s = self.sign * other.sign
         if s == 0:

@@ -5,9 +5,15 @@ Two families of checks, both reporting rows of
 
 * containment_check: re-derives, at sampled curve points, the two growth
   rates whose quotient defined each segment, and asserts the extremal flow
-  never crosses the curve outward. On constructed segments the margin is
-  zero to roundoff by design, so "non-outward" carries a 1e-9 relative
-  tolerance; a genuinely misplaced curve (see halved_curve) fails loudly.
+  never crosses the curve outward. Each rate bound is a table of monomials
+  c e^a E^b. Every term is divided by the monomial of the lhs (E^2/e on
+  the coherence families, E e^(-1/2) on the full model) and summed in
+  floats, so the terms that balance carry no rounding of ln e or ln E,
+  which grow like G^2. On constructed segments the margin is then zero to
+  roundoff at any G, and "non-outward" carries a 1e-9 relative tolerance.
+  The halved curve (halved_curve) is a negative control only at small G:
+  above G ~ 10 every term but the drive is homogeneous of degree 2 in E,
+  so halving E leaves the margin where it was.
 * oracle_suite: series vs tanh-sinh quadrature for the special function,
   the closed-form rising branch vs a Dormand-Prince 5(4) integration of
   its slope field at 513 evenly spaced points, and root locations vs
@@ -27,7 +33,6 @@ import math
 from . import critical, full_nse, subcritical
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import EnstrophyBoundsError, OutsideDomain
-from .logscalar import LogScalar, ZERO as _Z, ls_sum
 from .params import ForcingParams
 from .solver import integrate_adaptive, rk4_path
 
@@ -48,44 +53,28 @@ def halved_curve(curve: CurveBundle) -> CurveBundle:
                        dict(curve.breakpoints), list(curve.flags))
 
 
-def _rate_pairs(curve: CurveBundle, params: ForcingParams):
-    """tag -> (T1, B, cond): dE/dt upper bound, de/dt bound, side condition.
+def _rate_tables(curve: CurveBundle, params: ForcingParams):
+    """tag -> (B, T1, cond), every term c e^a E^b written as a row (c, a, b).
 
-    T1 takes (e, E) as LogScalar and returns (value, gauge) where gauge is
-    the sum of the magnitudes of its terms: at a curve peak both the slope
-    and T1 cross zero together, so a margin can only be judged relative to
-    the terms that cancelled, never to the cancelled results. B returns a
-    LogScalar, cond a bool. The pairs reproduce exactly the quotients that
-    defined each segment, so constructed margins vanish identically; the
-    constants are written out here, not read from the construction, so
-    that containment checks it against an independent derivation.
+    B is the de/dt bound (one row), T1 the dE/dt upper bound (a table of
+    rows) and cond the side condition, which holds where its row is at
+    most 1. The rows reproduce exactly the quotients that defined each
+    segment, so constructed margins vanish identically; the constants are
+    written out here, not read from the construction, so that containment
+    checks it against an independent derivation.
     """
     nu, lam, mu = params.nu, params.lam, params.mu
     eps, rho = params.eps, params.rho
-    half_nu = LogScalar.from_float(-0.5 * nu)
-    big_half = LogScalar.from_float(-0.5 * nu * params.big_c_omega)
+    lo, hi = 1.0 - 1e-12, 1.0 + 1e-12
 
     if curve.model == "full":
-        eta = params.eta
-        cube = LogScalar.from_float(2.0 * params.c1 / nu ** 3)
-        pull = LogScalar.from_float(
-            eta * nu ** 2 * lam ** 0.75 * params.grashof)
-        drain = LogScalar.from_float(
-            -2.0 * (eta - 1.0) * nu ** 2 * lam ** 0.75 * params.grashof)
-        par_full = LogScalar.from_float(eta * nu * lam ** 0.75 * params.grashof)
-
-        def t1_full(e, E):
-            terms = (cube * E ** 3.0, -(pull * E / e ** 0.5))
-            return sum(terms, start=_Z), ls_sum(map(abs, terms))
-
-        def b_full(e, E):
-            return drain * e ** 0.5
-
-        def cond_full(e, E):
-            return E >= par_full * e ** 0.5 * LogScalar.from_float(1.0 - 1e-12)
-
-        return {"phi1": (t1_full, b_full, cond_full),
-                "phi2": (t1_full, b_full, cond_full)}
+        eta, pull = params.eta, nu ** 2 * lam ** 0.75 * params.grashof
+        b_full = (-2.0 * (eta - 1.0) * pull, 0.5, 0.0)
+        t1_full = ((2.0 * params.c1 / nu ** 3, 0.0, 3.0),
+                   (-eta * pull, -0.5, 1.0))
+        cond_full = (eta * pull / nu * lo, 0.5, -1.0)
+        return {"phi1": (b_full, t1_full, cond_full),
+                "phi2": (b_full, t1_full, cond_full)}
 
     # (quad_b, drive, power): the two coherence families, with the
     # production term drive E^power; quad_b = 0 off r = 1/2
@@ -100,31 +89,17 @@ def _rate_pairs(curve: CurveBundle, params: ForcingParams):
         power = 2.0 - subcritical.sigma_of(params.r)
         floor = subcritical.enstrophy_floor(params)[0]
     else:
-        raise ValueError(f"no containment pairs for model {curve.model!r}")
-    quad_b = LogScalar.from_float(quad_b)
-    quad_a = LogScalar.from_float(0.25 * nu * (1.0 - rho))
-    drive = LogScalar.from_float(drive)
-    curl = LogScalar.from_float(6.0 * params.curlF_norm)
-    par = LogScalar.from_float(4.0 * params.f_norm / nu)
-    floor = LogScalar.from_float(floor)
-    slack_lo = LogScalar.from_float(1.0 - 1e-12)
-    slack_hi = LogScalar.from_float(1.0 + 1e-12)
-
-    def t1_rise(e, E):
-        terms = (quad_b * E * E, -(quad_a * E * E / e), drive * E ** power)
-        return sum(terms, start=_Z), ls_sum(map(abs, terms))
-
-    def t1_tail(e, E):
-        terms = (quad_b * E * E, -(quad_a * E * E / e), curl * E ** 0.5)
-        return sum(terms, start=_Z), ls_sum(map(abs, terms))
-
+        raise OutsideDomain(
+            f"containment has no rate bounds for model {curve.model!r}")
+    quad = ((quad_b, 0.0, 2.0), (-0.25 * nu * (1.0 - rho), -1.0, 2.0))
+    rise = quad + ((drive, 0.0, power),)
+    tail = quad + ((6.0 * params.curlF_norm, 0.0, 0.5),)
+    down = (-0.5 * nu * params.big_c_omega, 0.0, 1.0)
     return {
-        "phi1": (t1_rise, lambda e, E: half_nu * E,
-                 lambda e, E: E >= par * e ** 0.5 * slack_lo),
-        "phi2": (t1_rise, lambda e, E: big_half * E,
-                 lambda e, E: E >= floor * slack_lo),
-        "phi3": (t1_tail, lambda e, E: big_half * E,
-                 lambda e, E: E <= floor * slack_hi),
+        "phi1": ((-0.5 * nu, 0.0, 1.0), rise,
+                 (4.0 * params.f_norm / nu * lo, 0.5, -1.0)),
+        "phi2": (down, rise, (floor * lo, 0.0, -1.0)),
+        "phi3": (down, tail, (1.0 / floor / hi, 0.0, 1.0)),
     }
 
 
@@ -139,36 +114,48 @@ def _spread_indices(total: int, n: int) -> list[int]:
     return sorted({round(v) for v in log_grid(0, total - 1, m)})
 
 
+def _margins(seg: CurveSegment, table, n_points: int):
+    """(i, margin / gauge) at each of n_points samples i of seg where the
+    side condition holds.
+
+    The margin is lhs - T1 with lhs = slope (E/e) B, and the gauge the sum
+    of the magnitudes of its terms: at a curve peak both the slope and T1
+    cross zero together, so a margin can only be judged relative to the
+    terms that cancelled. Each term is divided by the lhs monomial and
+    evaluated as exp(ln term - ln largest). The terms that balance the lhs
+    then have exponents (0, 0), so ln e (-1.6e8 at G = 280) drops out of
+    them exactly instead of leaving one ulp of itself in the margin.
+    """
+    (c_b, a_b, b_b), t1, (c_c, a_c, b_c) = table
+    a_0, b_0 = a_b - 1.0, b_b + 1.0
+    ln_b = math.log(abs(c_b))
+    terms = [(-math.copysign(1.0, c), math.log(abs(c)), a - a_0, b - b_0)
+             for c, a, b in t1 if c != 0.0]
+    ln_c = math.log(c_c)
+    for i in _spread_indices(len(seg.ln_e), n_points):
+        ln_e, ln_E, slope = seg.ln_e[i], seg.ln_E[i], seg.dlnE_dlne[i]
+        if ln_c + a_c * ln_e + b_c * ln_E > 0.0:
+            continue
+        signed = [(s, ln + a * ln_e + b * ln_E) for s, ln, a, b in terms]
+        if slope:
+            signed.append((math.copysign(1.0, c_b * slope),
+                           ln_b + math.log(abs(slope))))
+        top = max(ln for _, ln in signed)
+        vals = [s * math.exp(ln - top) for s, ln in signed]
+        yield i, math.fsum(vals) / math.fsum(map(abs, vals))
+
+
 def containment_check(curve: CurveBundle, params: ForcingParams,
                       n_points: int = 1000) -> list[dict]:
     """Outward-crossing check on every phi segment of an assembled bundle."""
-    pairs = _rate_pairs(curve, params)
+    tables = _rate_tables(curve, params)
     rows = []
     for seg in curve.main_segments():
-        t1_fn, b_fn, cond = pairs[seg.tag]
-        worst = math.inf
-        ok = True
-        used = 0
-        for i in _spread_indices(len(seg.ln_e), n_points):
-            e = LogScalar.from_ln(seg.ln_e[i])
-            E = LogScalar.from_ln(seg.ln_E[i])
-            if not cond(e, E):
-                continue
-            used += 1
-            lhs = LogScalar.from_float(seg.dlnE_dlne[i]) \
-                * (E / e) * b_fn(e, E)
-            t1, gauge = t1_fn(e, E)
-            margin = lhs - t1
-            scale = abs(lhs) + gauge
-            if scale.sign == 0:
-                continue
-            ratio = (margin / scale).to_float()
-            worst = min(worst, ratio)
-            if ratio < -_REL_TOL:
-                ok = False
+        ratios = [r for _, r in _margins(seg, tables[seg.tag], n_points)]
+        worst = min(ratios, default=0.0)
         rows.append({"check": "containment", "segment": seg.tag,
-                     "samples": used,
-                     "worst_margin": worst if used else 0.0, "pass": ok})
+                     "samples": len(ratios), "worst_margin": worst,
+                     "pass": worst >= -_REL_TOL})
     return rows
 
 
@@ -277,11 +264,17 @@ def _full_scan_row(params: ForcingParams) -> dict:
     return _scan_row("e2", gap, math.log(geo.e2))
 
 
+def _has_curve(params: ForcingParams) -> bool:
+    """The one degenerate-forcing rule: every curve is anchored at e0, so
+    zero forcing, or forcing so weak that e0 underflows, leaves none."""
+    return params.e0 > 0.0
+
+
 def oracle_suite(params: ForcingParams) -> list[dict]:
-    """Cross-checks at the given parameter set; degenerate forcing (G = 0)
-    skips everything that needs a curve."""
+    """Cross-checks at the given parameter set; degenerate forcing (no
+    curve, see _has_curve) skips everything that needs one."""
     rows = [_specfun_row()]
-    if params.grashof <= 0.0:
+    if not _has_curve(params):
         return rows
     rows.append(_rk4_row(params))
     rows.extend(_scan_rows(params))
@@ -292,6 +285,23 @@ def oracle_suite(params: ForcingParams) -> list[dict]:
                      "samples": 0, "worst_margin": math.inf, "pass": False,
                      "note": f"{type(exc).__name__}: {exc}"})
     return rows
+
+
+def report(params: ForcingParams, n_points: int = 512) -> list[dict]:
+    """The verify report: containment of the coherence family's curve and
+    of the unconditional region at n_points samples per segment, then
+    the oracle suite. Degenerate forcing leaves no curve to check."""
+    if not _has_curve(params):
+        rows = [{"check": "containment", "segment": "", "samples": 0,
+                 "worst_margin": 0.0, "pass": True,
+                 "note": "degenerate forcing, no curve to check"}]
+    else:
+        assemble = critical.assemble_critical if params.r == 0.5 \
+            else subcritical.assemble_subcritical
+        rows = containment_check(assemble(params), params, n_points)
+        rows += containment_check(full_nse.assemble_full(params), params,
+                                  n_points)
+    return rows + oracle_suite(params)
 
 
 def all_pass(report: list[dict]) -> bool:

@@ -280,11 +280,12 @@ def test_exit_code_regime(tmp_path):
 
 
 @pytest.mark.parametrize("args", [
-    ["curve", "critical"], ["curve", "scaling"], ["verify"],
+    ["curve", "critical"], ["curve", "scaling"],
     ["classify", "--e", "1", "--E", "1", "--model", "subcritical"],
-], ids=["critical", "scaling", "verify", "classify-subcritical"])
+], ids=["critical", "scaling", "classify-subcritical"])
 def test_underflowing_anchor_is_regime(tmp_path, capsys, args):
-    # G > 0, but e0 ~ G^2 underflows to 0.0: no curve to anchor
+    # G > 0, but e0 ~ G^2 underflows to 0.0: no curve to anchor (verify
+    # reports that as degenerate forcing, see test_verify_degenerate_forcing)
     weak = _fig2_variant(tmp_path, "weak.json", f_norm=1e-200)
     assert run([*args, "--params", weak]) == 3
     captured = capsys.readouterr()
@@ -440,7 +441,7 @@ def test_verify_one_point_checks_the_first_sample(tmp_path):
     assert code == 0
     assert all(row["samples"] <= 1 and row["pass"] for row in rows)
     assert rows[0]["segment"] == "phi1" and rows[0]["samples"] == 1
-    assert rows[0]["worst_margin"] == 1.4384327062800095e-14
+    assert rows[0]["worst_margin"] == -2.7061686225238265e-16
 
 
 def test_verify_negative_points_is_bad_input(capsys):
@@ -455,6 +456,42 @@ def test_verify_degenerate_forcing(tmp_path):
     rows = json.loads(out.read_text())
     notes = [row.get("note", "") for row in rows]
     assert any("degenerate" in n for n in notes)
+
+
+def test_verify_underflowing_anchor_is_degenerate_forcing(tmp_path, capsys):
+    # G > 0 but e0 ~ G^2 underflows to 0.0: no curve, the same report as
+    # zero forcing
+    weak = _fig2_variant(tmp_path, "weak.json", f_norm=1e-200)
+    dead = _fig2_variant(tmp_path, "dead.json", f_norm=0.0)
+    assert run(["verify", "--params", weak]) == 0
+    weak_out = capsys.readouterr().out
+    assert run(["verify", "--params", dead]) == 0
+    assert capsys.readouterr().out == weak_out
+    rows = json.loads(weak_out)
+    assert [(row["check"], row.get("note")) for row in rows] == [
+        ("containment", "degenerate forcing, no curve to check"),
+        ("series_vs_quadrature", None)]
+    assert all(row["pass"] for row in rows)
+
+
+@pytest.mark.parametrize("preset, over", [
+    ("fig2", {"c2": 1e300}), ("fig3", {"curlF_norm": 0.1}),
+], ids=["fig2-huge-c2", "fig3-weak-curl"])
+def test_classify_applies_the_curl_gate(tmp_path, capsys, preset, over):
+    # the curve refuses a floor that is not curl-dominated; classifying a
+    # point against that curve must refuse it the same way
+    raw = json.loads((PRESETS / f"{preset}.json").read_text())
+    raw.update(over)
+    path = tmp_path / "weak-curl.json"
+    path.write_text(json.dumps(raw))
+    model = "critical" if preset == "fig2" else "subcritical"
+    assert run(["curve", model, "--params", str(path)]) == 3
+    capsys.readouterr()
+    assert run(["classify", "--params", str(path), "--model",
+                "subcritical", "--e", "1", "--E", "1e10"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("AssumptionViolated: ")
 
 
 def test_taylor_command(tmp_path):

@@ -88,8 +88,8 @@ def test_series_monotone_in_x():
 
 def test_truncated_converges_to_full():
     full = gamma_series_factor(0.97, 48.0)
-    errs = [abs((gamma_series_factor(0.97, 48.0, n_terms=n) - full)
-                / full).to_float()
+    errs = [abs(((gamma_series_factor(0.97, 48.0, n_terms=n) - full)
+                 / full).to_float())
             for n in (20, 40, 80, 200)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[3] < 1e-12

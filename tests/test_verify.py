@@ -8,6 +8,7 @@ demands a red report.
 import json
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,9 +25,12 @@ from enstrophy_bounds import (
     oracle_suite,
 )
 from enstrophy_bounds import branches, critical, specfun
+from enstrophy_bounds.cli import run
+from enstrophy_bounds.curves import CurveBundle, CurveSegment, log_grid
 from enstrophy_bounds.solver import rk4_path
 from enstrophy_bounds.verify import (_ALPHAS, _XS, _chain, _g_quadrature,
-                                     _scan_row, _spread_indices, all_pass)
+                                     _margins, _rate_tables, _scan_row,
+                                     _spread_indices, all_pass)
 
 
 def _with(params, **over):
@@ -65,8 +69,9 @@ def test_containment_full_high_forcing(fig2):
 
 def test_containment_rejects_unknown_model(fig2):
     bundle = assemble_scaling(fig2, samples=64)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideDomain, match="'scaling'") as info:
         containment_check(bundle, fig2)
+    assert info.value.exit_code == 1
 
 
 def _unique_linspace(total, n):
@@ -228,3 +233,124 @@ def test_oracle_suite_degenerate_forcing(fig2):
     report = oracle_suite(dead)
     assert all_pass(report)
     assert {row["check"] for row in report} == {"series_vs_quadrature"}
+
+
+# ------------------------------------------------------ high Grashof number
+#
+# At r = 1/2, ln E_max and ln e_min grow like G^2: ln e_min is about -1.6e8
+# at G = 280, where one ulp of it is 3e-8, thirty times the tolerance.
+
+
+@pytest.mark.parametrize("g", [130.0, 200.0, 280.0])
+def test_verify_passes_at_high_grashof(tmp_path, fig2, g):
+    # fig2 has nu = lambda = 1, so f_norm is G
+    path = tmp_path / "high.json"
+    path.write_text(json.dumps(_with(fig2, f_norm=g).to_raw()))
+    out = tmp_path / "verify.json"
+    assert run(["verify", "--params", str(path), "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert [row["segment"] for row in rows
+            if row["check"] == "containment"] == ["phi1", "phi2", "phi3",
+                                                  "phi1", "phi2"]
+    assert all(row["pass"] for row in rows)
+
+
+def _tilted(bundle, factor):
+    """The same curve with every phi slope scaled by factor."""
+    segs = [CurveSegment(seg.tag, seg.ln_e, seg.ln_E,
+                         [factor * v for v in seg.dlnE_dlne])
+            if seg.tag.startswith("phi") else seg
+            for seg in bundle.segments]
+    return CurveBundle(bundle.model, bundle.params, segs,
+                       dict(bundle.breakpoints), list(bundle.flags))
+
+
+_TILT_GRID = [math.exp(v) for v in log_grid(math.log(2.0), math.log(280.0), 6)]
+
+
+@pytest.mark.parametrize("g", _TILT_GRID, ids=lambda g: f"G{g:.3g}")
+def test_slope_tilt_is_flagged_at_every_grashof(fig2, g):
+    # lhs = slope (E/e) B balances T1 exactly on a constructed curve, so a
+    # slope tilted by 1e-6 moves margin/gauge by about 1e-6/2: outward on
+    # the rise when the slope shrinks, on the descent and the tail when it
+    # grows. The halved curve cannot serve here: above G ~ 10 every term
+    # but the drive is homogeneous of degree 2 in E, so E -> E/2 leaves
+    # the margin where it was.
+    p = _with(fig2, f_norm=g)
+    bundle = assemble_critical(p)
+    for factor, outward in ((1.0 + 1e-6, {"phi2", "phi3"}),
+                            (1.0 - 1e-6, {"phi1"})):
+        rows = containment_check(_tilted(bundle, factor), p, n_points=512)
+        assert {row["segment"] for row in rows
+                if not row["pass"]} == outward
+        for row in rows:
+            if row["segment"] in outward:
+                assert row["worst_margin"] == pytest.approx(-5e-7, rel=0.02)
+            else:
+                assert row["worst_margin"] > -1e-15
+
+
+# ------------------------------------------------ exact arbiter (mpmath)
+
+
+def _exact_ratio(model, params, tag, ln_e, ln_E, slope):
+    """margin / gauge at one sample, from the rate bounds written out once
+    more and evaluated at 50 digits: lhs = slope (E/e) B against T1, the
+    gauge |lhs| + sum |T1 terms|."""
+    with mpmath.workdps(50):
+        mpf = mpmath.mpf
+        nu, lam, mu, eps = (mpf(v) for v in (params.nu, params.lam,
+                                              params.mu, params.eps))
+        rho = 2 * eps + mpf(params.delta)
+        e, E = mpmath.exp(mpf(ln_e)), mpmath.exp(mpf(ln_E))
+        g = mpf(params.f_norm) / (nu ** 2 * lam ** mpf(0.75))
+        if model == "full":
+            eta = mpf(params.eta)
+            pull = nu ** 2 * lam ** mpf(0.75) * g
+            b_rate = -2 * (eta - 1) * pull * mpmath.sqrt(e)
+            terms = [2 * mpf(params.c1) / nu ** 3 * E ** 3,
+                     -eta * pull * E / mpmath.sqrt(e)]
+        else:
+            c2, r = mpf(params.c2), mpf(params.r)
+            quad_b = c2 * mpmath.sqrt(lam) / (eps * nu) \
+                if model == "critical" else mpf(0)
+            if model == "critical":
+                production = 6 * c2 * (mu * lam) ** mpf(0.8) \
+                    * nu ** mpf(0.2) / eps ** mpf(0.6) * E ** mpf(1.4)
+            else:
+                k_r = (lam ** (2 * r) / (eps * nu) ** (3 - 2 * r)) \
+                    ** (1 / (1 + 2 * r))
+                sigma = mpf(2.0 - (2.0 * params.r - 1.0)
+                            / (1.0 + 2.0 * params.r))
+                production = 6 * mpf(params.c) * k_r * E ** sigma
+            if tag == "phi3":
+                production = 6 * mpf(params.curlF_norm) * mpmath.sqrt(E)
+            terms = [quad_b * E ** 2, -nu * (1 - rho) / 4 * E ** 2 / e,
+                     production]
+            big = 1 if tag == "phi1" else 1 + 4 * mpf(params.c_omega)
+            b_rate = -nu / 2 * big * E
+        lhs = mpf(slope) * E / e * b_rate
+        margin = lhs - mpmath.fsum(terms)
+        gauge = abs(lhs) + mpmath.fsum(abs(t) for t in terms)
+        return margin / gauge
+
+
+@pytest.mark.parametrize("preset, over", [
+    ("fig2", {}), ("fig3", {}), ("fig2", {"f_norm": 280.0}),
+], ids=["fig2", "fig3", "fig2-G280"])
+def test_margins_match_a_50_digit_arbiter(request, preset, over):
+    params = _with(request.getfixturevalue(preset), **over)
+    family = assemble_critical if params.r == 0.5 else assemble_subcritical
+    worst = 0.0
+    for bundle in (family(params, samples=256),
+                   assemble_full(params, samples=256)):
+        tables = _rate_tables(bundle, params)
+        for seg in bundle.main_segments():
+            got = list(_margins(seg, tables[seg.tag], 24))
+            assert got
+            for i, ratio in got:
+                want = _exact_ratio(bundle.model, params, seg.tag,
+                                    seg.ln_e[i], seg.ln_E[i],
+                                    seg.dlnE_dlne[i])
+                worst = max(worst, abs(ratio - float(want)))
+    assert worst <= 1e-13
