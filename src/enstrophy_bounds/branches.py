@@ -146,14 +146,10 @@ class Chain:
 
     @cached_property
     def ln_e0(self) -> float:
-        """ln of the anchor energy e0; zero forcing, or forcing so weak
-        that e0 underflows, leaves no anchor."""
-        if not self.params.e0 > 0.0:
-            raise RegimeViolation(
-                "no curve to anchor: e0 = 0 (zero forcing, or e0 underflows)")
+        """ln of the anchor energy e0 (ForcingParams gates it)."""
         return math.log(self.params.e0)
 
-    @property
+    @cached_property
     def E0(self) -> float:
         p = self.params
         return max(4.0 * p.f_norm * math.sqrt(p.e0) / p.nu, self.floor)

@@ -76,7 +76,7 @@ def coefficients(params: ForcingParams) -> Field:
     nu, lam = params.nu, params.lam
     return Field(
         a=0.3 * (1.0 - params.rho),
-        b=1.2 * params.c2 * math.sqrt(lam) / (params.eps * nu ** 2),
+        b=1.2 * params.c2 * math.sqrt(lam) / params.eps / nu / nu,
         c=7.2 * params.c2 * (params.mu * lam) ** 0.8
         / (params.eps ** 0.6 * nu ** 0.8),
         p=0.6)
@@ -87,7 +87,7 @@ def chain(params: ForcingParams) -> Chain:
     """The memoised anchor chain of params (raises InvalidRegime off r = 1/2)."""
     rise = coefficients(params)
     b3 = 3.0 * params.c2 * math.sqrt(params.lam) \
-        / (params.big_c_omega * params.eps * params.nu ** 2)
+        / (params.big_c_omega * params.eps) / params.nu / params.nu
     return Chain(params, "critical", ("e_max", "E_max", "e_min", "E_min"),
                  (), *enstrophy_floor(params), rise, b3)
 

@@ -3,7 +3,7 @@
 No coherence assumption here: the region is carved out by three analytic
 curves. The nose, e = psi_of_E(E), is where the enstrophy growth bound
 changes sign; every point inside it has dE/dt <= 0. The parabola
-E = eta nu lam^(3/4) G sqrt(e) (eta > 1) marks where the energy decays
+E = eta (f/nu) sqrt(e) (eta > 1) marks where the energy decays
 fast enough to push trajectories leftward. Crossing the two rate bounds
 above the parabola gives a Bernoulli slope field whose solutions are the
 funnel curves phi_of_e: anchored on the parabola at (e0, E0) they form a
@@ -28,57 +28,53 @@ REGIONS = ("I", "II", "III", "IV")
 
 
 def psi_of_E(E: float, params: ForcingParams) -> float:
-    """Nose curve: the energy below which enstrophy cannot grow at level E."""
+    """Nose curve: the energy below which enstrophy cannot grow at level E,
+    nu^4 E^2 / (2 (nu f)^2 + c1 E^3), divided through by E^2."""
     if E < 0.0:
         raise ValueError("enstrophy must be nonnegative")
-    nu, g = params.nu, params.grashof
-    try:
-        cube = E ** 3
-    except OverflowError:
-        # E^3 and E^2 out of float range: divide through by E^2 first
-        return nu ** 4 / (2.0 * nu ** 6 * params.lam ** 1.5 * g * g / E / E
-                          + params.c1 * E)
-    denom = 2.0 * nu ** 6 * params.lam ** 1.5 * g * g + params.c1 * cube
-    if denom == 0.0:
+    if E == 0.0:
         return 0.0
-    return nu ** 4 * E * E / denom
+    x = params.nu * params.f_norm / E
+    return params.nu ** 4 / (2.0 * x * x + params.c1 * E)
 
 
 def nose_apex(params: ForcingParams) -> tuple[float, float]:
     """(e1, E1): the rightmost point of the nose, where psi_of_E peaks."""
-    nu, lam, g = params.nu, params.lam, params.grashof
-    E1 = (4.0 / params.c1) ** (1.0 / 3.0) * nu ** 2 * math.sqrt(lam) * g ** (2.0 / 3.0)
-    e1 = (4.0 / params.c1) ** (2.0 / 3.0) * nu ** 2 * g ** (-2.0 / 3.0) \
-        / (6.0 * math.sqrt(lam))
+    nf = params.nu * params.f_norm
+    E1 = (4.0 / params.c1) ** (1.0 / 3.0) * nf ** (2.0 / 3.0)
+    e1 = (4.0 / params.c1) ** (2.0 / 3.0) * params.nu ** 4 \
+        * nf ** (-2.0 / 3.0) / 6.0
     return e1, E1
 
 
 def parabola_E(e: float, params: ForcingParams) -> float:
-    return params.eta * params.nu * params.lam ** 0.75 * params.grashof \
-        * math.sqrt(e)
+    return params.eta * params.f_norm / params.nu * math.sqrt(e)
 
 
 def _alpha_beta(params: ForcingParams) -> tuple[float, float]:
     eta = params.eta
-    alpha = eta / (eta - 1.0)
-    beta = 4.0 * params.c1 / ((3.0 * eta - 1.0) * params.nu ** 5
-                              * params.lam ** 0.75 * params.grashof)
-    return alpha, beta
+    return eta / (eta - 1.0), 4.0 * params.c1 / (
+        (3.0 * eta - 1.0) * params.nu ** 3 * params.f_norm)
+
+
+def _ln_t(e0_init: float, E0_init: float, params: ForcingParams) -> float:
+    """ln t, t = e0^(-1/2)/(beta E0^2), formed in logs: beta, e0^p and E0^2
+    may each leave float range where t does not."""
+    return math.log((3.0 * params.eta - 1.0) / (4.0 * params.c1)) \
+        + 3.0 * math.log(params.nu) + math.log(params.f_norm) \
+        - 0.5 * math.log(e0_init) - 2.0 * math.log(E0_init)
 
 
 def asymptote_e_star(e0_init: float, E0_init: float,
                      params: ForcingParams) -> float | None:
-    """Vertical-asymptote abscissa of the funnel through (e0_init, E0_init).
-
-    Solves e_star^(alpha+1/2) = e0^(alpha+1/2) - e0^alpha/(beta E0^2);
-    None when the right side is nonpositive (the funnel then reaches e = 0).
-    """
-    alpha, beta = _alpha_beta(params)
-    p = alpha + 0.5
-    rhs = e0_init ** p - e0_init ** alpha / (beta * E0_init * E0_init)
-    if rhs <= 0.0:
+    """Vertical-asymptote abscissa of the funnel through (e0_init, E0_init),
+    e_star = e0 (1 - t)^(1/p), p = alpha + 1/2; None when t >= 1 (the
+    funnel then reaches e = 0)."""
+    ln_t = _ln_t(e0_init, E0_init, params)
+    if ln_t >= 0.0:
         return None
-    return rhs ** (1.0 / p)
+    alpha, _ = _alpha_beta(params)
+    return e0_init * (-math.expm1(ln_t)) ** (1.0 / (alpha + 0.5))
 
 
 def phi_of_e(e: float, e0_init: float, E0_init: float,
@@ -91,26 +87,22 @@ def phi_of_e(e: float, e0_init: float, E0_init: float,
     if e <= 0.0:
         raise OutsideDomain("energy must be positive")
     alpha, beta = _alpha_beta(params)
-    p = alpha + 0.5
-    star = asymptote_e_star(e0_init, E0_init, params)
-    # bracket of the -1/2 power, factored so the asymptote is explicit:
-    # e^-alpha * beta * (e^p - e_star^p)
-    shifted = e ** p - (star ** p if star is not None else
-                        e0_init ** p - e0_init ** alpha / (beta * E0_init ** 2))
+    # bracket of the -1/2 power, beta e^-alpha (e^p - e0^p (1 - t)), over
+    # e^p: t u + 1 - u, u = (e0/e)^p, whose terms cancel only at e_star
+    ln_u = (alpha + 0.5) * math.log(e0_init / e)
+    shifted = math.exp(_ln_t(e0_init, E0_init, params) + ln_u) \
+        - math.expm1(ln_u)
     if shifted <= 0.0:
         raise OutsideDomain(
             f"e = {e} is at or left of the funnel asymptote")
-    bracket = beta * math.exp(-alpha * math.log(e)) * shifted
-    return 1.0 / math.sqrt(bracket)
+    return 1.0 / math.sqrt(beta * math.sqrt(e) * shifted)
 
 
 def phi_slope(e: float, E: float, params: ForcingParams) -> float:
     """dE/de of the funnel slope field at (e, E)."""
     alpha, _ = _alpha_beta(params)
-    nu, lam, g = params.nu, params.lam, params.grashof
-    return 0.5 * alpha * E / e \
-        - params.c1 * E ** 3 / ((params.eta - 1.0) * nu ** 5 * lam ** 0.75
-                                * g * math.sqrt(e))
+    return 0.5 * alpha * E / e - params.c1 * E ** 3 / (
+        (params.eta - 1.0) * params.nu ** 3 * params.f_norm * math.sqrt(e))
 
 
 def eta_threshold(c1: float) -> float:
@@ -120,10 +112,9 @@ def eta_threshold(c1: float) -> float:
 
 def _gamma_delta(params: ForcingParams) -> tuple[float, float]:
     alpha, beta = _alpha_beta(params)
-    nu, lam, g = params.nu, params.lam, params.grashof
     e1, E1 = nose_apex(params)
-    eta = params.eta
-    gamma = 1.0 / (beta * eta * eta * nu ** 2 * lam ** 1.5 * g * g)
+    eta, fn = params.eta, params.f_norm / params.nu
+    gamma = 1.0 / (beta * eta * eta * fn * fn)
     delta = e1 ** alpha / (beta * E1 * E1) - e1 ** (alpha + 0.5)
     return gamma, delta
 
@@ -137,7 +128,7 @@ def e2_lower_bound(params: ForcingParams) -> float:
     alpha, _ = _alpha_beta(params)
     _, delta = _gamma_delta(params)
     mag = abs(delta) ** (2.0 / (2.0 * alpha + 1.0))
-    scale = params.nu ** 2 / math.sqrt(params.lam) * params.grashof ** (2.0 / 3.0)
+    scale = (params.nu * params.f_norm) ** (2.0 / 3.0) / params.lam
     return math.copysign(mag * scale, delta)
 
 
@@ -179,7 +170,7 @@ def solve_e2(params: ForcingParams) -> float:
 class FullNseGeometry:
     """Every derived quantity of the region, computed once."""
     e0: float
-    E0: float          # parabola anchor, eta nu^2 lam^(1/2) G^2
+    E0: float          # parabola anchor, eta lam e0
     e1: float
     E1: float
     E_under: float     # 2^(-1/3) E1
@@ -191,18 +182,15 @@ class FullNseGeometry:
 
 @lru_cache(maxsize=64)
 def geometry(params: ForcingParams) -> FullNseGeometry:
-    if params.grashof <= 0.0:
-        raise RegimeViolation("zero forcing: the region degenerates")
-    eta = params.eta
     e0 = params.e0
-    E0 = eta * params.nu ** 2 * math.sqrt(params.lam) * params.grashof ** 2
-    e1, E1 = nose_apex(params)
-    E_under = 2.0 ** (-1.0 / 3.0) * E1
-    e_under = (E_under / (eta * params.nu * params.lam ** 0.75
-                          * params.grashof)) ** 2
+    E0 = params.eta * params.lam * e0
     star = asymptote_e_star(e0, E0, params)
     if star is None:
         raise RegimeViolation("parabola anchor admits no asymptote")
+    e1, E1 = nose_apex(params)
+    E_under = 2.0 ** (-1.0 / 3.0) * E1
+    # the parabola through the anchor is E = E0 (e/e0)^(1/2)
+    e_under = e0 * (E_under / E0) ** 2
     e2 = solve_e2(params)
     return FullNseGeometry(
         e0=e0, E0=E0, e1=e1, E1=E1, E_under=E_under, e_under=e_under,
@@ -279,8 +267,7 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
         segs.append(CurveSegment("barrier", ln_e, grid_E))
 
     par_grid = log_grid(math.log(geo.e_under) - 2.0, math.log(geo.e0), samples)
-    par_pre = math.log(params.eta * params.nu * params.lam ** 0.75
-                       * params.grashof)
+    par_pre = math.log(params.eta * params.f_norm / params.nu)
     segs.append(CurveSegment("parabola", par_grid,
                              [par_pre + 0.5 * v for v in par_grid],
                              [0.5] * samples))
@@ -290,17 +277,7 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
                              [ln_low + v for v in par_grid],
                              [1.0] * samples))
 
-    breakpoints = {
-        "e0": LogScalar.from_float(geo.e0),
-        "E0": LogScalar.from_float(geo.E0),
-        "e1": LogScalar.from_float(geo.e1),
-        "E1": LogScalar.from_float(geo.E1),
-        "e2": LogScalar.from_float(geo.e2),
-        "E2": LogScalar.from_float(geo.E2),
-        "e_star": LogScalar.from_float(geo.e_star),
-        "e_under": LogScalar.from_float(geo.e_under),
-        "E_under": LogScalar.from_float(geo.E_under),
-    }
+    breakpoints = {k: LogScalar.from_float(v) for k, v in vars(geo).items()}
     flags = [f"eta={params.eta:.12g}"]
     if e2_lower_bound(params) <= 0.0:
         flags.append("e2_floor_vacuous")

@@ -13,14 +13,18 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import MISSING, dataclass, fields
+from functools import cached_property
 
-from .errors import InvalidRegime, MissingKey
+from .errors import InvalidRegime, MissingKey, RegimeViolation
 
 # attribute -> JSON key where they differ: "lambda" is a Python keyword
 _ALIASES = {"lam": "lambda", "lam0": "lambda0"}
 
+# |ln x| below this keeps x a normal float, with room for roundings
+_LN_RANGE = 708.0
 
-@dataclass(frozen=True, slots=True)
+
+@dataclass(frozen=True)
 class ForcingParams:
     nu: float            # kinematic viscosity
     lam: float           # bottom of the Stokes spectrum (1/length^2 scale)
@@ -67,14 +71,32 @@ class ForcingParams:
     def rho(self) -> float:
         return 2.0 * self.eps + self.delta
 
-    @property
+    @cached_property
     def grashof(self) -> float:
-        """Nondimensional forcing amplitude G."""
+        """Nondimensional forcing amplitude G = f / (nu^2 lam^(3/4)); G^2,
+        nu^2 or nu^2 lam^(3/4) outside float range is InvalidRegime."""
+        ln_nu2 = 2.0 * math.log(self.nu)
+        ln_unit = ln_nu2 + 0.75 * math.log(self.lam)
+        ln_f = math.log(self.f_norm) if self.f_norm else -math.inf
+        ln_g2 = 2.0 * (ln_f - ln_unit)
+        if max(ln_g2, abs(ln_nu2), abs(ln_unit)) >= _LN_RANGE:
+            raise InvalidRegime(f"forcing scale outside float range: ln G^2 "
+                                f"= {ln_g2:.6g}, ln nu^2 = {ln_nu2:.6g}")
         return self.f_norm / (self.nu ** 2 * self.lam ** 0.75)
 
-    @property
+    @cached_property
     def e0(self) -> float:
-        """Energy level where every bounding curve is anchored."""
+        """Energy level where every curve is anchored, nu^2 G^2/sqrt(lam) =
+        (f/(nu lam))^2. Above float range it is InvalidRegime; zero or
+        below, the degenerate-forcing rule: no curve, RegimeViolation."""
+        ln_f = math.log(self.f_norm) if self.f_norm else -math.inf
+        ln_e0 = 2.0 * (ln_f - math.log(self.nu) - math.log(self.lam))
+        if ln_e0 >= _LN_RANGE:
+            raise InvalidRegime(f"anchor energy e0 = exp({ln_e0:.6g}) "
+                                "is above float range")
+        if ln_e0 <= -_LN_RANGE:
+            raise RegimeViolation(
+                "no curve to anchor: e0 = 0 (zero forcing, or e0 underflows)")
         g = self.grashof
         return self.nu ** 2 * g * g / math.sqrt(self.lam)
 

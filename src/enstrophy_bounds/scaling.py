@@ -43,10 +43,16 @@ class ScalingParams:
 def scaling_params(params: ForcingParams) -> ScalingParams:
     s = params.eps0 * params.c_omega_prime + params.delta
     window = params.psi_inf + params.eps0 * params.c_omega_prime
+    l_curl = math.log(params.curlF_norm) if params.curlF_norm else -math.inf
+    ln_floor = 2.0 * (l_curl - math.log(params.nu) - math.log(params.lam)
+                      - math.log(window))
+    if ln_floor >= 709.0:
+        raise InvalidRegime(
+            f"admissibility floor exp({ln_floor:.6g}) is above float range")
     return ScalingParams(
         eps0=params.eps0, c_prime=params.c_omega_prime, s=s,
         alpha_sc=0.5 * (1.0 - s), beta_sc=8.0 * params.lam * window,
-        E_floor=(params.curlF_norm / (params.nu * params.lam * window)) ** 2)
+        E_floor=math.exp(ln_floor))
 
 
 def _lead_coefficient(e0_init: float, E0_init: float,
@@ -58,9 +64,12 @@ def _lead_coefficient(e0_init: float, E0_init: float,
 
 def scaling_curve(e: float, e0_init: float, E0_init: float,
                   sp: ScalingParams) -> float:
+    """K e^a - beta/(1-a) e, written as E0 (e/e0)^a + beta/(1-a) e
+    ((e0/e)^(1-a) - 1): left of the anchor both terms are positive, so
+    nothing cancels however large beta is."""
     a = sp.alpha_sc
-    k = _lead_coefficient(e0_init, E0_init, sp)
-    return k * e ** a - sp.beta_sc / (1.0 - a) * e
+    return E0_init * (e / e0_init) ** a + sp.beta_sc / (1.0 - a) * e \
+        * math.expm1((1.0 - a) * math.log(e0_init / e))
 
 
 def scaling_emax(e0_init: float, E0_init: float,
@@ -95,9 +104,8 @@ def exponent_compare(r: float, s: float) -> dict:
 
 
 def default_anchor(params: ForcingParams) -> tuple[float, float]:
-    # parabola-apex anchor, matching the other curve families
-    return params.e0, 4.0 * params.nu ** 2 * math.sqrt(params.lam) \
-        * params.grashof ** 2
+    # parabola-apex anchor, E0 = 4 lam e0, matching the other curve families
+    return params.e0, 4.0 * params.lam * params.e0
 
 
 def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
@@ -106,22 +114,17 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     positive. Samples below the floor are counted into a flag, not
     removed."""
     sp = scaling_params(params)
-    if not params.e0 > 0.0:
-        raise RegimeViolation(
-            "no curve to anchor: e0 = 0 (zero forcing, or e0 underflows)")
     e0, E0 = default_anchor(params)
     ln_e0 = math.log(e0)
-    a = sp.alpha_sc
-    k = _lead_coefficient(e0, E0, sp)
 
     grid = log_grid(ln_e0 - 12.0 * math.log(10.0), ln_e0, samples)
     ln_E, slope = [], []
     below = 0
     for v in grid:
-        e = math.exp(v)
+        e = e0 * math.exp(v - ln_e0)  # exactly e0 at the anchor
         val = scaling_curve(e, e0, E0, sp)
         ln_E.append(math.log(val))
-        slope.append((a * k * e ** a - sp.beta_sc / (1.0 - a) * e) / val)
+        slope.append(sp.alpha_sc - sp.beta_sc * e / val)
         if val < sp.E_floor:
             below += 1
     segs = [CurveSegment("phi1", grid, ln_E, slope)]

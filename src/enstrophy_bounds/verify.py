@@ -32,7 +32,7 @@ import math
 
 from . import critical, full_nse, subcritical
 from .curves import CurveBundle, CurveSegment, log_grid
-from .errors import EnstrophyBoundsError, OutsideDomain
+from .errors import EnstrophyBoundsError, OutsideDomain, RegimeViolation
 from .params import ForcingParams
 from .solver import integrate_adaptive, rk4_path
 
@@ -265,9 +265,11 @@ def _full_scan_row(params: ForcingParams) -> dict:
 
 
 def _has_curve(params: ForcingParams) -> bool:
-    """The one degenerate-forcing rule: every curve is anchored at e0, so
-    zero forcing, or forcing so weak that e0 underflows, leaves none."""
-    return params.e0 > 0.0
+    """Every curve is anchored at e0: degenerate forcing leaves none."""
+    try:
+        return params.e0 > 0.0
+    except RegimeViolation:
+        return False
 
 
 def oracle_suite(params: ForcingParams) -> list[dict]:

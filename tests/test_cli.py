@@ -247,10 +247,13 @@ _EXTREME_INPUTS = [
     pytest.param(["curve", "critical"], {"eps": 1e-300}, 2,
                  id="critical-tiny-eps"),
     pytest.param(["verify"], {"eps": 1e-300}, 2, id="verify-tiny-eps"),
-    pytest.param(["curve", "critical"], {"f_norm": 1e200}, 2,
+    # G^2 and e0 overflow: the forcing-scale gate refuses the file
+    pytest.param(["curve", "critical"], {"f_norm": 1e200}, 1,
                  id="critical-huge-forcing"),
-    pytest.param(["verify"], {"f_norm": 1e200}, 2,
+    pytest.param(["verify"], {"f_norm": 1e200}, 1,
                  id="verify-huge-forcing"),
+    pytest.param(["classify", "--e", "1", "--E", "1e10"], {"lambda": 1e-200},
+                 1, id="classify-tiny-lambda"),
     pytest.param(["curve", "scaling"], {"curlF_norm": 0.0}, 0,
                  id="scaling-no-curl"),
 ]

@@ -1,0 +1,66 @@
+"""Every command answers or refuses by type, whatever the parameter file.
+
+For any parameter file that ForcingParams accepts, each command run in
+process returns an exit code: a result, or an EnstrophyBoundsError mapped
+to its code. Any other exception escapes cli.run and fails the test.
+"""
+
+import contextlib
+import io
+import json
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from enstrophy_bounds.cli import run
+
+from conftest import PRESETS
+
+FIG2 = json.loads((PRESETS / "fig2.json").read_text())
+
+COMMANDS = [
+    ["curve", "critical"], ["curve", "full"], ["curve", "scaling"],
+    ["emax"], ["verify", "--points", "8"],
+    ["classify", "--e", "1", "--E", "1e10"],
+    ["classify", "--e", "1", "--E", "1e10", "--model", "subcritical"],
+]
+
+
+def _run_all(tmp_path, raw: dict) -> None:
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(raw))
+    for cmd in COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            run([*cmd, "--params", str(path)])
+
+
+@pytest.mark.parametrize("key", sorted(FIG2))
+def test_one_key_at_extreme_values(tmp_path, key):
+    for value in (1e-300, 1e-200, 1e-100, 1e-50, 1e50, 1e100, 1e200, 1e300):
+        _run_all(tmp_path, dict(FIG2, **{key: value}))
+
+
+# decades drawn for each key around its fig2 value; eps and delta stay at
+# or below theirs (so rho = 2 eps + delta < 1) and c_omega at or above
+# (c_omega >= 1), because ForcingParams refuses the rest. psi_inf is 0 in
+# fig2, so it is drawn around 1.
+_DECADES = {"eps": (-60.0, 0.0), "delta": (-60.0, 0.0), "c_omega": (0.0, 60.0)}
+_KEYS = sorted(set(FIG2) - {"r"})
+
+
+@st.composite
+def _params(draw):
+    raw = {}
+    for key in _KEYS:
+        lo, hi = _DECADES.get(key, (-60.0, 60.0))
+        raw[key] = (FIG2[key] or 1.0) * 10.0 ** draw(st.floats(lo, hi))
+    raw["r"] = draw(st.one_of(st.just(0.5),
+                              st.floats(0.5, 1.0, exclude_min=True)))
+    return raw
+
+
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@given(raw=_params())
+def test_joint_draws_within_sixty_decades(tmp_path_factory, raw):
+    _run_all(tmp_path_factory.mktemp("joint"), raw)
