@@ -33,7 +33,7 @@ from functools import cached_property
 
 from .curves import CurveBundle, CurveSegment, log_grid, max_join_gap
 from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
-                     NoBracket, OutsideDomain, RegimeViolation)
+                     InvalidRegime, NoBracket, OutsideDomain, RegimeViolation)
 from .logscalar import LogScalar
 from .params import ForcingParams
 from .solver import find_root
@@ -119,8 +119,13 @@ def _bracket_left(gap, hi: float, step: float, sign: float,
 class Chain:
     """The anchor chain of one parameter set.
 
-    The family supplies the floor, the rise field, the tail's b and the
-    names it gives the breakpoints (peak e, peak E, floor e, floor E).
+    The family supplies the logs of its candidate enstrophy floors, curl
+    candidate last, the rise field, the tail's b and the names it gives
+    the breakpoints (peak e, peak E, floor e, floor E). The largest
+    candidate is the floor, and the tail applies only when the curl
+    candidate is that largest one. A floor outside float range is
+    InvalidRegime when the chain is built, but +inf, every candidate at
+    c = 0, is left for the peak to refuse: no production, no peak.
     The descent is the rise divided by C_Omega; the tail's a and c are the
     same in both families.
     The peak and the floor crossing are solved on first use and kept; a
@@ -131,10 +136,24 @@ class Chain:
     model: str
     names: tuple[str, str, str, str]
     flags: tuple[str, ...]
-    floor: float
-    curl_dominant: bool
+    ln_floors: tuple[float, ...]
     rise: Field
     tail_b: float
+
+    def __post_init__(self):
+        self.floor  # formed, and gated, when the chain is built
+
+    @cached_property
+    def floor(self) -> float:
+        ln_floor = max(self.ln_floors)
+        if not -744.0 < ln_floor < 709.0 and ln_floor != math.inf:
+            raise InvalidRegime(
+                f"enstrophy floor exp({ln_floor:.6g}) is outside float range")
+        return math.exp(ln_floor)
+
+    @cached_property
+    def curl_dominant(self) -> bool:
+        return self.ln_floors[-1] == max(self.ln_floors)
 
     @cached_property
     def fields(self) -> tuple[Field, Field, Field]:

@@ -15,8 +15,8 @@ barrier is the rise's nullcline raised to the power 5/3, with a vertical
 asymptote at e_a = a/b; the peak (e_max, E_max) is where phi1 meets it.
 
 This module holds what is particular to r = 1/2: the regime check, the
-floor formulas and the field constants. chain() resolves the peak and the
-floor crossing once per parameter set.
+logs of the candidate floors and the field constants. chain() resolves the
+peak and the floor crossing once per parameter set.
 """
 
 from __future__ import annotations
@@ -31,39 +31,23 @@ from .logscalar import LogScalar
 from .params import ForcingParams
 
 
-def _require_critical(params: ForcingParams) -> None:
-    if params.r != 0.5:
-        raise InvalidRegime(
-            f"critical curve family needs r = 1/2, got r = {params.r}")
-
-
-def enstrophy_floor(params: ForcingParams) -> tuple[float, bool]:
-    """(E_min, curl_dominant).
-
-    The floor is the larger of the boundary-splitting threshold and the
-    curl-forcing threshold; the piecewise construction below E_min is only
-    carried out when the curl branch wins (curl_dominant True). Both are
-    formed and compared in logs; a floor outside float range is
-    InvalidRegime.
-    """
+def ln_floors(params: ForcingParams) -> tuple[float, float]:
+    """ln of the two candidate enstrophy floors (splitting, curl); the
+    chain takes the larger as E_min and builds the tail below it only
+    when the curl candidate wins."""
     l_eps, l_lam, l_nu, l_mu = (math.log(v) for v in (
         params.eps, params.lam, params.nu, params.mu))
-    ln_split = 1.5 * l_eps + 0.5 * l_lam + 2.0 * l_nu - 2.0 * l_mu \
-        + 2.5 * math.log(params.mu + params.psi_inf)
     l_curl = math.log(params.curlF_norm) if params.curlF_norm else -math.inf
-    ln_curl = (6.0 * l_eps - 8.0 * (l_mu + l_lam) - 2.0 * l_nu
-               + 10.0 * (l_curl - math.log(params.c2))) / 9.0
-    ln_floor = max(ln_split, ln_curl)
-    if not -744.0 < ln_floor < 709.0:
-        raise InvalidRegime(
-            f"enstrophy floor exp({ln_floor:.6g}) is outside float range")
-    return math.exp(ln_floor), ln_curl >= ln_split
+    return (1.5 * l_eps + 0.5 * l_lam + 2.0 * l_nu - 2.0 * l_mu
+            + 2.5 * math.log(params.mu + params.psi_inf),
+            (6.0 * l_eps - 8.0 * (l_mu + l_lam) - 2.0 * l_nu
+             + 10.0 * (l_curl - math.log(params.c2))) / 9.0)
 
 
 def curl_threshold(params: ForcingParams) -> float:
     """Smallest curl-forcing amplitude for which the floor is curl-dominated.
 
-    Closed form of the crossover in enstrophy_floor; equality of the two
+    Closed form of the crossover in ln_floors; equality of the two
     floor expressions solves to this value.
     """
     return params.c2 * params.eps ** 0.75 * params.lam ** 1.25 \
@@ -72,7 +56,9 @@ def curl_threshold(params: ForcingParams) -> float:
 
 def coefficients(params: ForcingParams) -> Field:
     """The rise field (a, b, C, p = 3/5) of xi = E^(3/5)."""
-    _require_critical(params)
+    if params.r != 0.5:
+        raise InvalidRegime(
+            f"critical curve family needs r = 1/2, got r = {params.r}")
     nu, lam = params.nu, params.lam
     return Field(
         a=0.3 * (1.0 - params.rho),
@@ -89,7 +75,7 @@ def chain(params: ForcingParams) -> Chain:
     b3 = 3.0 * params.c2 * math.sqrt(params.lam) \
         / (params.big_c_omega * params.eps) / params.nu / params.nu
     return Chain(params, "critical", ("e_max", "E_max", "e_min", "E_min"),
-                 (), *enstrophy_floor(params), rise, b3)
+                 (), ln_floors(params), rise, b3)
 
 
 def barrier(e: float, params: ForcingParams) -> float:

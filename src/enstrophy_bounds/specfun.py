@@ -41,6 +41,7 @@ _REL_TOL = 1e-12
 # largest series argument accepted: the series needs about x terms, so
 # this caps one call at about a million of them
 _MAX_X = 1e6
+_LN_MAX_X = math.log(_MAX_X)
 
 # largest bound on H / (G - H) for which G - H is taken as a difference
 _LN_SEVENTH = math.log(1.0 / 7.0)
@@ -120,10 +121,7 @@ def _g_ln(alpha: float, x: float) -> float:
     return _series_ln(alpha, x, -math.inf)
 
 
-@lru_cache(maxsize=64)
-def _g_ln_cached(alpha: float, x: float, rel_tol: float) -> float:
-    # rel_tol only keys the cache: a changed _REL_TOL gets no stale value
-    return _g_ln(alpha, x)
+_g_ln_cached = lru_cache(maxsize=64)(_g_ln)
 
 
 def gamma_series_factor(alpha: float, x: float,
@@ -166,11 +164,16 @@ def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
     if ln_lo == ln_hi:
         return ZERO
     alpha, ln_r = 1.0 - a, ln_lo - ln_hi
-    x = math.exp(ln_hi + math.log(b)) if b > 0.0 else 0.0
+    ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
+    if ln_x > _LN_MAX_X:
+        raise NonConvergence(
+            f"x = exp({ln_x:.6g}) is above {_MAX_X:g}, the largest the "
+            f"series is summed for")
+    x = math.exp(ln_x)
     gap = -x * math.expm1(ln_r)  # x (1 - r)
     if gap > 0.0 and math.log(x / alpha) + alpha * ln_r - gap \
             - math.log(-math.expm1(-gap)) <= _LN_SEVENTH:
-        ln_g = _g_ln_cached(alpha, x, _REL_TOL)
+        ln_g = _g_ln_cached(alpha, x)
         ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
         return LogScalar.from_ln(alpha * ln_hi + ln_g
                                  + math.log(-math.expm1(ln_h - ln_g)))

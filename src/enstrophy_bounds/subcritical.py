@@ -13,7 +13,7 @@ float64 already at r = 0.51, G = 2) and e_under sits thousands of decades
 below float range.
 
 This module holds what is particular to r > 1/2: the regime check, the
-three candidate floors and the field constants.
+logs of the three candidate floors and the field constants.
 """
 
 from __future__ import annotations
@@ -28,56 +28,44 @@ from .logscalar import LogScalar
 from .params import ForcingParams
 
 
-def _require_subcritical(params: ForcingParams) -> None:
+def sigma_of(r: float) -> float:
+    return (2.0 * r - 1.0) / (1.0 + 2.0 * r)
+
+
+def ln_k_r(params: ForcingParams) -> float:
+    """ln of the coherence-interpolation constant of the production
+    estimate, (lam^(2r) / (eps nu)^(3-2r))^(1/(1+2r))."""
+    r = params.r
+    return (2.0 * r * math.log(params.lam) - (3.0 - 2.0 * r)
+            * (math.log(params.eps) + math.log(params.nu))) / (1.0 + 2.0 * r)
+
+
+def big_c_s(params: ForcingParams) -> float:
+    return 12.0 * params.c * math.exp(ln_k_r(params)) / params.nu
+
+
+def ln_floors(params: ForcingParams) -> tuple[float, float, float]:
+    """ln of the three candidate enstrophy floors (boundary, splitting,
+    curl); the chain takes the largest as E_under and builds the tail
+    below it only when the curl candidate wins."""
     # r outside [1/2, 1] never gets past ForcingParams
     if params.r <= 0.5:
         raise InvalidRegime(
             "subcritical curve family needs r > 1/2 strictly; "
             "the critical module owns r = 1/2")
-
-
-def sigma_of(r: float) -> float:
-    return (2.0 * r - 1.0) / (1.0 + 2.0 * r)
-
-
-def k_r(params: ForcingParams) -> float:
-    """Coherence-interpolation constant of the production estimate."""
-    r = params.r
-    return (params.lam ** (2.0 * r)
-            / (params.eps * params.nu) ** (3.0 - 2.0 * r)) \
-        ** (1.0 / (1.0 + 2.0 * r))
-
-
-def big_c_s(params: ForcingParams) -> float:
-    return 12.0 * params.c * k_r(params) / params.nu
-
-
-def floor_levels(params: ForcingParams) -> tuple[float, float, float]:
-    """The three candidate enstrophy floors (boundary, splitting, curl).
-
-    The tail construction below the floor needs the curl candidate to win;
-    callers check dominance rather than re-deriving it.
-    """
-    _require_subcritical(params)
     if params.c == 0.0:
         # every candidate diverges in the no-production limit
         return math.inf, math.inf, math.inf
-    r = params.r
-    kr = k_r(params)
-    nu, lam, mu = params.nu, params.lam, params.mu
-    base1 = params.c2 * nu * lam * (mu + params.psi_inf) / (params.c * kr)
-    base2 = params.c2 * nu ** 0.2 * (mu * lam) ** 0.8 \
-        / (params.eps ** 0.6 * params.c * kr)
-    base3 = params.curlF_norm / (params.c * kr)
-    return (base1 ** ((1.0 + 2.0 * r) / 2.0),
-            base2 ** (5.0 * (1.0 + 2.0 * r) / (8.0 - 4.0 * r)),
-            base3 ** (2.0 * (1.0 + 2.0 * r) / (5.0 + 2.0 * r)))
-
-
-def enstrophy_floor(params: ForcingParams) -> tuple[float, bool]:
-    """(E_under, curl_dominant), mirroring the critical module's floor."""
-    c1, c2, c3 = floor_levels(params)
-    return max(c1, c2, c3), c3 >= max(c1, c2)
+    r, s = params.r, 1.0 + 2.0 * params.r
+    l_c2, l_nu, l_lam, l_mu, l_eps = (math.log(v) for v in (
+        params.c2, params.nu, params.lam, params.mu, params.eps))
+    l_psi = math.log(params.mu + params.psi_inf)
+    l_curl = math.log(params.curlF_norm) if params.curlF_norm else -math.inf
+    l_ckr = math.log(params.c) + ln_k_r(params)
+    return (0.5 * s * (l_c2 + l_nu + l_lam + l_psi - l_ckr),
+            5.0 * s / (8.0 - 4.0 * r)
+            * (l_c2 + 0.2 * l_nu + 0.8 * (l_mu + l_lam) - 0.6 * l_eps - l_ckr),
+            2.0 * s / (5.0 + 2.0 * r) * (l_curl - l_ckr))
 
 
 @lru_cache(maxsize=64)
@@ -87,13 +75,13 @@ def chain(params: ForcingParams) -> Chain:
     The rise field is (s, 0, sigma C_s, sigma) with s = alpha_s sigma and
     alpha_s = (1 - rho)/2; the tail has b = 0.
     """
-    floor, curl_dominant = enstrophy_floor(params)
+    floors = ln_floors(params)
     sigma = sigma_of(params.r)
     rise = Field(a=0.5 * (1.0 - params.rho) * sigma, b=0.0,
                  c=sigma * big_c_s(params), p=sigma)
     return Chain(params, "subcritical",
                  ("e_bar", "E_bar", "e_under", "E_under"),
-                 (f"sigma={sigma:.12g}",), floor, curl_dominant, rise, 0.0)
+                 (f"sigma={sigma:.12g}",), floors, rise, 0.0)
 
 
 def sub_phi1(e, params: ForcingParams) -> LogScalar:

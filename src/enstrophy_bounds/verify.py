@@ -61,7 +61,8 @@ def _rate_tables(curve: CurveBundle, params: ForcingParams):
     most 1. The rows reproduce exactly the quotients that defined each
     segment, so constructed margins vanish identically; the constants are
     written out here, not read from the construction, so that containment
-    checks it against an independent derivation.
+    checks it against an independent derivation. Only the floor, where
+    phi2 hands over to phi3, is read from the family's chain.
     """
     nu, lam, mu = params.nu, params.lam, params.mu
     eps, rho = params.eps, params.rho
@@ -79,18 +80,19 @@ def _rate_tables(curve: CurveBundle, params: ForcingParams):
     # (quad_b, drive, power): the two coherence families, with the
     # production term drive E^power; quad_b = 0 off r = 1/2
     if curve.model == "critical":
+        family = critical
         quad_b = params.c2 * math.sqrt(lam) / (eps * nu)
         drive = 6.0 * params.c2 * (mu * lam) ** 0.8 * nu ** 0.2 / eps ** 0.6
         power = 1.4
-        floor = critical.enstrophy_floor(params)[0]
     elif curve.model == "subcritical":
+        family = subcritical
         quad_b = 0.0
         drive = 0.5 * nu * subcritical.big_c_s(params)
         power = 2.0 - subcritical.sigma_of(params.r)
-        floor = subcritical.enstrophy_floor(params)[0]
     else:
         raise OutsideDomain(
             f"containment has no rate bounds for model {curve.model!r}")
+    floor = family.chain(params).floor
     quad = ((quad_b, 0.0, 2.0), (-0.25 * nu * (1.0 - rho), -1.0, 2.0))
     rise = quad + ((drive, 0.0, power),)
     tail = quad + ((6.0 * params.curlF_norm, 0.0, 0.5),)

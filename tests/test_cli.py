@@ -256,6 +256,13 @@ _EXTREME_INPUTS = [
                  1, id="classify-tiny-lambda"),
     pytest.param(["curve", "scaling"], {"curlF_norm": 0.0}, 0,
                  id="scaling-no-curl"),
+    # the subcritical boundary floor is exp(712.8), past float range
+    *[pytest.param(args, {"r": 1.0, "nu": 1e32, "c": 1e-57, "c2": 2e8,
+                          "psi_inf": 1.0}, 1, id=f"{args[0]}-huge-floor")
+      for args in (["curve", "subcritical"], ["verify"])],
+    # the series argument x = b e0 is exp(720.7), past float range
+    pytest.param(["curve", "critical"], {"nu": 1e-54, "eps": 1e-96}, 2,
+                 id="critical-huge-series-argument"),
 ]
 
 

@@ -30,7 +30,6 @@ from enstrophy_bounds.branches import solution
 from enstrophy_bounds.critical import (
     chain,
     curl_threshold,
-    enstrophy_floor,
 )
 from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.logscalar import ZERO
@@ -57,18 +56,16 @@ def test_coefficient_values(fig2):
 
 
 def test_floor_is_curl_dominated(fig2):
-    floor, curl_dominant = enstrophy_floor(fig2)
-    assert curl_dominant
-    assert floor == pytest.approx(2.044811765114792, rel=1e-12)
+    assert chain(fig2).curl_dominant
+    assert chain(fig2).floor == pytest.approx(2.044811765114792, rel=1e-12)
     # the crossover amplitude makes the two floor expressions meet
     thresh = curl_threshold(fig2)
     assert thresh == pytest.approx(0.5981395124884883, rel=1e-12)
     at_cross = _with(fig2, curlF_norm=thresh)
     split = fig2.eps ** 1.5 * math.sqrt(fig2.lam) * fig2.nu ** 2 \
         * (fig2.mu + fig2.psi_inf) ** 2.5 / fig2.mu ** 2
-    floor_cross, dominant_cross = enstrophy_floor(at_cross)
-    assert dominant_cross
-    assert floor_cross == pytest.approx(split, rel=1e-10)
+    assert chain(at_cross).curl_dominant
+    assert chain(at_cross).floor == pytest.approx(split, rel=1e-10)
 
 
 def test_rejects_noncritical_r(fig3):
@@ -147,7 +144,7 @@ def test_peak_pins(fig2):
 def test_e_min_pin_and_floor_join(fig2):
     e_min = find_e_min(fig2)
     assert e_min.ln == pytest.approx(-8248.908704754842, abs=1e-6)
-    ln_floor = math.log(enstrophy_floor(fig2)[0])
+    ln_floor = math.log(chain(fig2).floor)
     assert phi2(e_min, fig2).ln == pytest.approx(ln_floor, abs=1e-9)
     assert phi3(e_min, fig2).ln == pytest.approx(ln_floor, abs=1e-9)
 
@@ -193,8 +190,7 @@ def test_phi3_just_above_e_min(fig2):
     # runs backwards and subtracts
     ln_e_min = find_e_min(fig2).ln
     above = phi3(LogScalar.from_ln(ln_e_min + 5e-10), fig2)
-    assert above.ln == pytest.approx(math.log(enstrophy_floor(fig2)[0]),
-                                     abs=1e-9)
+    assert above.ln == pytest.approx(math.log(chain(fig2).floor), abs=1e-9)
 
 
 def test_phi3_domain_and_curl_gate(fig2):

@@ -8,12 +8,14 @@ import pytest
 from enstrophy_bounds import (
     BoundReport,
     EtaTooSmall,
+    ForcingParams,
     InvalidRegime,
     RegimeViolation,
     bound_report,
     emax_lower,
     emax_upper,
     eta_min,
+    find_e_max,
     physical_scale,
 )
 
@@ -136,3 +138,20 @@ def test_physical_scale(fig2):
     energy, enstrophy = physical_scale(Frame)
     assert energy == pytest.approx(2.0, rel=1e-15)
     assert enstrophy == pytest.approx(8.0, rel=1e-15)
+
+
+def test_curve_peak_lies_between_the_bounds(fig2):
+    # the paper's headline on the assembled curve: the peak E_max of the
+    # critical curve is at least the reachable level and at most the
+    # ceiling, here over 8 log-spaced G from 2 to 280 (fig2 has nu = lam
+    # = 1, the frame the bounds live in). The lower bound tightens with G:
+    # log10 of E_max over it falls from about 0.34 to 0.001.
+    assert (fig2.nu, fig2.lam) == (1.0, 1.0)
+    for k in range(8):
+        G = 2.0 * 140.0 ** (k / 7.0)
+        params = ForcingParams.from_mapping(dict(fig2.to_raw(), f_norm=G))
+        assert params.grashof == pytest.approx(G, rel=1e-15)
+        _, E_max = find_e_max(params)
+        report = bound_report(G, params.eps, params.rho, params.c2,
+                              mu=params.mu)
+        assert report.lower.ln <= E_max.ln <= report.upper.ln

@@ -8,10 +8,13 @@ to its code. Any other exception escapes cli.run and fails the test.
 import contextlib
 import io
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams, critical,
+                              subcritical)
 from enstrophy_bounds.cli import run
 
 from conftest import PRESETS
@@ -41,20 +44,21 @@ def test_one_key_at_extreme_values(tmp_path, key):
         _run_all(tmp_path, dict(FIG2, **{key: value}))
 
 
-# decades drawn for each key around its fig2 value; eps and delta stay at
-# or below theirs (so rho = 2 eps + delta < 1) and c_omega at or above
-# (c_omega >= 1), because ForcingParams refuses the rest. psi_inf is 0 in
-# fig2, so it is drawn around 1.
-_DECADES = {"eps": (-60.0, 0.0), "delta": (-60.0, 0.0), "c_omega": (0.0, 60.0)}
+# decades drawn for each key around its fig2 value, as a share of the
+# width: eps and delta stay at or below theirs (so rho = 2 eps + delta < 1)
+# and c_omega at or above (c_omega >= 1), because ForcingParams refuses the
+# rest. psi_inf is 0 in fig2, so it is drawn around 1.
+_SIDES = {"eps": (-1.0, 0.0), "delta": (-1.0, 0.0), "c_omega": (0.0, 1.0)}
 _KEYS = sorted(set(FIG2) - {"r"})
 
 
 @st.composite
-def _params(draw):
+def _params(draw, width=60.0):
     raw = {}
     for key in _KEYS:
-        lo, hi = _DECADES.get(key, (-60.0, 60.0))
-        raw[key] = (FIG2[key] or 1.0) * 10.0 ** draw(st.floats(lo, hi))
+        lo, hi = _SIDES.get(key, (-1.0, 1.0))
+        raw[key] = (FIG2[key] or 1.0) \
+            * 10.0 ** draw(st.floats(lo * width, hi * width))
     raw["r"] = draw(st.one_of(st.just(0.5),
                               st.floats(0.5, 1.0, exclude_min=True)))
     return raw
@@ -64,3 +68,18 @@ def _params(draw):
 @given(raw=_params())
 def test_joint_draws_within_sixty_decades(tmp_path_factory, raw):
     _run_all(tmp_path_factory.mktemp("joint"), raw)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(raw=_params(100.0))
+def test_family_floor_within_a_hundred_decades(raw):
+    # the floor rule alone, on the family chain: a floor in float range,
+    # or a typed refusal
+    try:
+        params = ForcingParams.from_mapping(raw)
+        family = critical if params.r == 0.5 else subcritical
+        ch = family.chain(params)
+        assert 0.0 < ch.floor < math.inf
+        assert ch.curl_dominant in (True, False)
+    except EnstrophyBoundsError:
+        pass

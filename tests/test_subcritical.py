@@ -28,8 +28,7 @@ from enstrophy_bounds import branches
 from enstrophy_bounds.subcritical import (
     big_c_s,
     chain,
-    enstrophy_floor,
-    floor_levels,
+    ln_floors,
     sigma_of,
 )
 from enstrophy_bounds.verify import all_pass
@@ -63,13 +62,12 @@ def test_coefficient_pins(fig3):
 
 
 def test_floor_levels(fig3):
-    c1, c2, c3 = floor_levels(fig3)
+    c1, c2, c3 = (math.exp(v) for v in ln_floors(fig3))
     assert c1 == pytest.approx(0.4093171969123017, rel=1e-12)
     assert c2 == pytest.approx(1.1476028923721449, rel=1e-12)
     assert c3 == pytest.approx(1.6267048739624501, rel=1e-12)
-    floor, curl_dominant = enstrophy_floor(fig3)
-    assert floor == c3
-    assert curl_dominant
+    assert chain(fig3).floor == c3
+    assert chain(fig3).curl_dominant
 
 
 def test_rise_anchor_and_shape(fig3):
@@ -96,7 +94,7 @@ def test_peak_is_a_maximum(fig3):
 def test_descent_joins_peak_and_floor(fig3):
     e_bar, E_bar = find_e_bar(fig3)
     e_under = LogScalar.from_ln(chain(fig3).ln_floor)
-    ln_floor = math.log(enstrophy_floor(fig3)[0])
+    ln_floor = math.log(chain(fig3).floor)
     assert sub_phi2(LogScalar.from_float(e_bar), fig3).ln \
         == pytest.approx(E_bar.ln, rel=1e-12)
     assert sub_phi2(e_under, fig3).ln == pytest.approx(ln_floor, abs=1e-9)
@@ -109,8 +107,7 @@ def test_descent_joins_peak_and_floor(fig3):
 
 def test_weak_curl_rejected(fig3):
     weak = _with(fig3, curlF_norm=0.1)
-    _, curl_dominant = enstrophy_floor(weak)
-    assert not curl_dominant
+    assert not chain(weak).curl_dominant
     with pytest.raises(AssumptionViolated):
         sub_phi3(LogScalar.from_ln(-20000.0), weak)
     with pytest.raises(AssumptionViolated):
@@ -236,7 +233,7 @@ def _check_branches_against_two_term(p):
     big = p.big_c_omega
     s1, c1 = 0.5 * (1.0 - p.rho) * sigma, sigma * big_c_s(p)
     a3, g3 = 0.75 * (1.0 - p.rho) / big, 18.0 * p.curlF_norm / (p.nu * big)
-    floor, _ = enstrophy_floor(p)
+    floor = chain(p).floor
     ln_e0 = math.log(p.e0)
     ln_E0 = math.log(max(4.0 * p.f_norm * math.sqrt(p.e0) / p.nu, floor))
     e_bar, E_bar = find_e_bar(p)

@@ -214,15 +214,17 @@ def test_scan_row_rejects_displaced_root():
 
 def test_oracle_suite_catches_loose_series(fig2, monkeypatch):
     # cripple the series tolerance: the quadrature comparison and the
-    # RK4 comparison must both notice, independently. The chain cache is
-    # cleared on both sides, so the suite builds its chain with the loose
-    # series and no such chain outlives this test.
+    # RK4 comparison must both notice, independently. The chain and series
+    # caches are cleared on both sides, so the suite builds its chain with
+    # the loose series and no such value outlives this test.
     critical.chain.cache_clear()
+    specfun._g_ln_cached.cache_clear()
     monkeypatch.setattr(specfun, "_REL_TOL", 1e-2)
     try:
         report = oracle_suite(fig2)
     finally:
         critical.chain.cache_clear()
+        specfun._g_ln_cached.cache_clear()
     failing = {row["check"] for row in report if not row["pass"]}
     assert "series_vs_quadrature" in failing
     assert "closed_form_vs_rk4" in failing
