@@ -10,6 +10,12 @@ funnel curves phi_of_e: anchored on the parabola at (e0, E0) they form a
 wall with a vertical asymptote at e_star just left of e0; anchored at the
 nose apex (e1, E1) they descend and re-enter the parabola at e2.
 Together the curves split the quadrant into four regions (classify_full).
+
+Every curve and breakpoint is formed in logs from closed forms, with no
+search: e2/e1 depends on eta alone (solve_e2), and left of the apex the
+apex level E1 parts II from III (classify_full). A value outside float
+range is InvalidRegime where it is used: e1, E1 and e2 in geometry, the
+nine breakpoints and the funnel slopes in assemble_full.
 """
 
 from __future__ import annotations
@@ -19,12 +25,41 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import CurveBundle, CurveSegment, log_grid
-from .errors import NoBracket, OutsideDomain, RegimeViolation
+from .errors import InvalidRegime, NoBracket, OutsideDomain, RegimeViolation
 from .logscalar import LogScalar
-from .params import ForcingParams
+from .params import _LN_RANGE, ForcingParams
 from .solver import find_root
 
-REGIONS = ("I", "II", "III", "IV")
+
+def _lse(a: float, b: float) -> float:
+    """ln(e^a + e^b), for arguments that may each leave float range."""
+    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
+
+
+def _exp(v: float) -> float:
+    """exp(v); 0 or inf where |v| reaches _LN_RANGE, for _gate to refuse
+    where the value is used."""
+    if abs(v) < _LN_RANGE:
+        return math.exp(v)
+    return math.inf if v > 0.0 else 0.0
+
+
+def _gate(geo: FullNseGeometry, names) -> dict[str, float]:
+    """The logs of the named fields; one outside float range (0 or inf,
+    see _exp) is InvalidRegime."""
+    for name in names:
+        if not 0.0 < getattr(geo, name) < math.inf:
+            raise InvalidRegime(f"{name} is outside float range")
+    return {name: math.log(getattr(geo, name)) for name in names}
+
+
+def _ln_psi(ln_E: float, params: ForcingParams) -> float:
+    """ln of the nose at E = exp(ln_E): E^3 and (nu f)^2 may each leave
+    float range where psi does not."""
+    ln_nu = math.log(params.nu)
+    return 4.0 * ln_nu + 2.0 * ln_E - _lse(
+        math.log(2.0) + 2.0 * (ln_nu + math.log(params.f_norm)),
+        math.log(params.c1) + 3.0 * ln_E)
 
 
 def psi_of_E(E: float, params: ForcingParams) -> float:
@@ -32,49 +67,55 @@ def psi_of_E(E: float, params: ForcingParams) -> float:
     nu^4 E^2 / (2 (nu f)^2 + c1 E^3), divided through by E^2."""
     if E < 0.0:
         raise ValueError("enstrophy must be nonnegative")
-    if E == 0.0:
-        return 0.0
-    x = params.nu * params.f_norm / E
-    return params.nu ** 4 / (2.0 * x * x + params.c1 * E)
+    return math.exp(_ln_psi(math.log(E), params)) if E else 0.0
+
+
+def _ln_apex(params: ForcingParams) -> tuple[float, float]:
+    """(ln e1, ln E1): psi_of_E peaks where E1^3 = 4 (nu f)^2/c1, at
+    e1 = nu^2 E1^2/(6 f^2)."""
+    ln_nu, ln_f = math.log(params.nu), math.log(params.f_norm)
+    ln_E1 = (math.log(4.0) - math.log(params.c1) + 2.0 * (ln_nu + ln_f)) / 3.0
+    return 2.0 * (ln_nu + ln_E1 - ln_f) - math.log(6.0), ln_E1
 
 
 def nose_apex(params: ForcingParams) -> tuple[float, float]:
-    """(e1, E1): the rightmost point of the nose, where psi_of_E peaks."""
-    nf = params.nu * params.f_norm
-    E1 = (4.0 / params.c1) ** (1.0 / 3.0) * nf ** (2.0 / 3.0)
-    e1 = (4.0 / params.c1) ** (2.0 / 3.0) * params.nu ** 4 \
-        * nf ** (-2.0 / 3.0) / 6.0
-    return e1, E1
+    """(e1, E1): the rightmost point of the nose, where psi_of_E peaks;
+    0 or inf outside float range (geometry refuses those)."""
+    return tuple(_exp(v) for v in _ln_apex(params))
 
 
 def parabola_E(e: float, params: ForcingParams) -> float:
     return params.eta * params.f_norm / params.nu * math.sqrt(e)
 
 
-def _alpha_beta(params: ForcingParams) -> tuple[float, float]:
+def _alpha_ln_beta(params: ForcingParams) -> tuple[float, float]:
+    """alpha = eta/(eta - 1) and ln beta, beta = 4 c1/((3 eta - 1) nu^3 f):
+    the exponent and the rate of the funnels' Bernoulli equation."""
     eta = params.eta
-    return eta / (eta - 1.0), 4.0 * params.c1 / (
-        (3.0 * eta - 1.0) * params.nu ** 3 * params.f_norm)
+    return eta / (eta - 1.0), math.log(4.0 * params.c1 / (3.0 * eta - 1.0)) \
+        - 3.0 * math.log(params.nu) - math.log(params.f_norm)
 
 
-def _ln_t(e0_init: float, E0_init: float, params: ForcingParams) -> float:
-    """ln t, t = e0^(-1/2)/(beta E0^2), formed in logs: beta, e0^p and E0^2
-    may each leave float range where t does not."""
-    return math.log((3.0 * params.eta - 1.0) / (4.0 * params.c1)) \
-        + 3.0 * math.log(params.nu) + math.log(params.f_norm) \
-        - 0.5 * math.log(e0_init) - 2.0 * math.log(E0_init)
+def _ln_t(ln_e0: float, ln_E0: float, ln_beta: float) -> float:
+    """ln t, t = e0^(-1/2)/(beta E0^2), of the funnel through (e0, E0)."""
+    return -0.5 * ln_e0 - 2.0 * ln_E0 - ln_beta
 
 
-def asymptote_e_star(e0_init: float, E0_init: float,
-                     params: ForcingParams) -> float | None:
-    """Vertical-asymptote abscissa of the funnel through (e0_init, E0_init),
-    e_star = e0 (1 - t)^(1/p), p = alpha + 1/2; None when t >= 1 (the
-    funnel then reaches e = 0)."""
-    ln_t = _ln_t(e0_init, E0_init, params)
-    if ln_t >= 0.0:
-        return None
-    alpha, _ = _alpha_beta(params)
-    return e0_init * (-math.expm1(ln_t)) ** (1.0 / (alpha + 0.5))
+def _ln_phi(v: float, ln_e0: float, ln_E0: float,
+            params: ForcingParams) -> float:
+    """ln E at ln e = v of the funnel through (e0, E0)."""
+    if v == ln_e0:  # where the bracket below is t, which may underflow
+        return ln_E0
+    alpha, ln_beta = _alpha_ln_beta(params)
+    # bracket of the -1/2 power, beta e^-alpha (e^p - e0^p (1 - t)), over
+    # e^p: t u + 1 - u, u = (e0/e)^p, whose terms cancel only at e_star
+    ln_u = (alpha + 0.5) * (ln_e0 - v)
+    shifted = math.exp(_ln_t(ln_e0, ln_E0, ln_beta) + ln_u) \
+        - math.expm1(ln_u)
+    if shifted <= 0.0:
+        raise OutsideDomain(
+            f"e = exp({v}) is at or left of the funnel asymptote")
+    return -0.5 * (ln_beta + 0.5 * v + math.log(shifted))
 
 
 def phi_of_e(e: float, e0_init: float, E0_init: float,
@@ -86,23 +127,23 @@ def phi_of_e(e: float, e0_init: float, E0_init: float,
     """
     if e <= 0.0:
         raise OutsideDomain("energy must be positive")
-    alpha, beta = _alpha_beta(params)
-    # bracket of the -1/2 power, beta e^-alpha (e^p - e0^p (1 - t)), over
-    # e^p: t u + 1 - u, u = (e0/e)^p, whose terms cancel only at e_star
-    ln_u = (alpha + 0.5) * math.log(e0_init / e)
-    shifted = math.exp(_ln_t(e0_init, E0_init, params) + ln_u) \
-        - math.expm1(ln_u)
-    if shifted <= 0.0:
-        raise OutsideDomain(
-            f"e = {e} is at or left of the funnel asymptote")
-    return 1.0 / math.sqrt(beta * math.sqrt(e) * shifted)
+    return math.exp(_ln_phi(math.log(e), math.log(e0_init),
+                            math.log(E0_init), params))
+
+
+def _ln_slope(v: float, ln_E: float, params: ForcingParams) -> float:
+    """d ln E/d ln e of the funnel slope field at (e, E) = (e^v, e^ln_E),
+    alpha/2 - c1 E^2 sqrt(e)/((eta - 1) nu^3 f)."""
+    alpha, ln_beta = _alpha_ln_beta(params)
+    # c1/((eta - 1) nu^3 f) = beta (3 eta - 1)/(4 (eta - 1))
+    #                       = beta alpha (3 - 1/eta)/4
+    return 0.5 * alpha - _exp(ln_beta + 2.0 * ln_E + 0.5 * v + math.log(
+        0.25 * alpha * (3.0 - 1.0 / params.eta)))
 
 
 def phi_slope(e: float, E: float, params: ForcingParams) -> float:
     """dE/de of the funnel slope field at (e, E)."""
-    alpha, _ = _alpha_beta(params)
-    return 0.5 * alpha * E / e - params.c1 * E ** 3 / (
-        (params.eta - 1.0) * params.nu ** 3 * params.f_norm * math.sqrt(e))
+    return E / e * _ln_slope(math.log(e), math.log(E), params)
 
 
 def eta_threshold(c1: float) -> float:
@@ -110,60 +151,59 @@ def eta_threshold(c1: float) -> float:
     return 1.0 + (4.0 * c1 / (3.0 * math.sqrt(6.0))) * (4.0 / c1) ** (5.0 / 6.0)
 
 
-def _gamma_delta(params: ForcingParams) -> tuple[float, float]:
-    alpha, beta = _alpha_beta(params)
-    e1, E1 = nose_apex(params)
-    eta, fn = params.eta, params.f_norm / params.nu
-    gamma = 1.0 / (beta * eta * eta * fn * fn)
-    delta = e1 ** alpha / (beta * E1 * E1) - e1 ** (alpha + 0.5)
-    return gamma, delta
+def _apex_t(eta: float) -> float:
+    """t1 = e1^(-1/2)/(beta E1^2) of the apex funnel: with the apex put in,
+    sqrt(6) (3 eta - 1)/16, whatever the forcing."""
+    return math.sqrt(6.0) * (3.0 * eta - 1.0) / 16.0
 
 
 def e2_lower_bound(params: ForcingParams) -> float:
-    """Sign-aware closed-form floor for the e2 root.
+    """Sign-aware closed-form floor for the e2 root,
+    sign(delta) |delta|^(1/p) (nu f)^(2/3)/lam with delta = e1^p (t1 - 1).
 
-    Nonpositive (hence vacuous) whenever the delta coefficient of the root
-    equation is negative, which covers the default eta = 2 regime.
+    Nonpositive (hence vacuous) whenever delta is negative, that is for
+    every eta at which e2 exists (eta < sqrt(6), see solve_e2).
     """
-    alpha, _ = _alpha_beta(params)
-    _, delta = _gamma_delta(params)
-    mag = abs(delta) ** (2.0 / (2.0 * alpha + 1.0))
+    alpha = params.eta / (params.eta - 1.0)
+    d = _apex_t(params.eta) - 1.0
+    e1, _ = nose_apex(params)
     scale = (params.nu * params.f_norm) ** (2.0 / 3.0) / params.lam
-    return math.copysign(mag * scale, delta)
+    return math.copysign(e1 * abs(d) ** (1.0 / (alpha + 0.5)) * scale, d)
 
 
 def solve_e2(params: ForcingParams) -> float:
     """Energy where the apex-anchored funnel re-enters the parabola.
 
-    Root of F(e) = e^(1/2+alpha) - gamma e^(alpha-1) + delta, located by a
-    log-grid scan for the last sign change on [e1, 1e12 e1] and polished
-    with find_root.
+    In x = e/e1 the funnel meets the parabola where
+    x^(3/2) = gamma - delta x^(1 - alpha), with gamma = 6 t1/eta^2,
+    delta = t1 - 1 and t1 the apex funnel's t (_apex_t): e2/e1 depends on
+    eta alone. At x = 1 the two sides differ by t1 (1 - 6/eta^2), so from
+    eta = sqrt(6) on the parabola tops the apex and no root lies right of
+    e1 (where t1 > 1 the difference is convex and least left of x = 1):
+    NoBracket. Below sqrt(6), t1 < 1 and the right side falls as x grows:
+    the one root lies in y = ln x^(3/2) between ln gamma and
+    ln(gamma + |delta| gamma^(2/3 (1 - alpha))). Both ends are formed from
+    the same ln gamma, so they cannot cross, and where delta is
+    negligible they coincide on the root. 0 or inf outside float range.
     """
-    if params.eta >= eta_threshold(params.c1):
+    eta = params.eta
+    if eta >= eta_threshold(params.c1):
         raise RegimeViolation(
-            f"eta = {params.eta} is at or above the admissible bound "
+            f"eta = {eta} is at or above the admissible bound "
             f"{eta_threshold(params.c1):.6g}")
-    alpha, _ = _alpha_beta(params)
-    gamma, delta = _gamma_delta(params)
-    e1, _ = nose_apex(params)
+    if eta >= math.sqrt(6.0):
+        raise NoBracket("funnel/parabola crossing not bracketed beyond the "
+                        "apex: at eta >= sqrt(6) the parabola tops it")
+    t1 = _apex_t(eta)
+    ln_gamma, ln_delta = math.log(6.0 * t1 / (eta * eta)), math.log1p(-t1)
+    k = -2.0 / (3.0 * (eta - 1.0))  # x^(1 - alpha) = exp(k y)
 
-    def F(e: float) -> float:
-        return e ** (0.5 + alpha) - gamma * e ** (alpha - 1.0) + delta
+    def gap(y: float) -> float:
+        return y - _lse(ln_gamma, ln_delta + k * y)
 
-    lns = log_grid(math.log(e1), math.log(e1) + 12.0 * math.log(10.0), 481)
-    vals = [F(math.exp(v)) for v in lns]
-    bracket = None
-    for i in range(len(vals) - 1):
-        if vals[i] == 0.0:
-            bracket = (lns[i], lns[i])
-        elif vals[i] * vals[i + 1] < 0.0:
-            bracket = (lns[i], lns[i + 1])
-    if bracket is None:
-        raise NoBracket("funnel/parabola crossing not bracketed beyond the apex")
-    if bracket[0] == bracket[1]:
-        return math.exp(bracket[0])
-    return math.exp(find_root(lambda v: F(math.exp(v)), *bracket,
-                              x_tol=1e-14))
+    lo, hi = ln_gamma, _lse(ln_gamma, ln_delta + k * ln_gamma)
+    y = lo if lo == hi else find_root(gap, lo, hi, x_tol=1e-14)
+    return _exp(_ln_apex(params)[0] + 2.0 / 3.0 * y)
 
 
 @dataclass(frozen=True)
@@ -182,28 +222,27 @@ class FullNseGeometry:
 
 @lru_cache(maxsize=64)
 def geometry(params: ForcingParams) -> FullNseGeometry:
-    e0 = params.e0
-    E0 = params.eta * params.lam * e0
-    star = asymptote_e_star(e0, E0, params)
-    if star is None:
+    """The region's breakpoints; e1, E1 and e2 outside float range are
+    InvalidRegime, the others are left 0 or inf for assemble_full."""
+    ln_e0 = math.log(params.e0)
+    ln_E0 = math.log(params.eta) + math.log(params.lam) + ln_e0
+    alpha, ln_beta = _alpha_ln_beta(params)
+    ln_t0 = _ln_t(ln_e0, ln_E0, ln_beta)
+    if ln_t0 >= 0.0:
         raise RegimeViolation("parabola anchor admits no asymptote")
-    e1, E1 = nose_apex(params)
-    E_under = 2.0 ** (-1.0 / 3.0) * E1
-    # the parabola through the anchor is E = E0 (e/e0)^(1/2)
-    e_under = e0 * (E_under / E0) ** 2
+    ln_e1, ln_E1 = _ln_apex(params)
+    ln_E_under = ln_E1 - math.log(2.0) / 3.0
     e2 = solve_e2(params)
-    return FullNseGeometry(
-        e0=e0, E0=E0, e1=e1, E1=E1, E_under=E_under, e_under=e_under,
-        e_star=star, e2=e2, E2=parabola_E(e2, params))
-
-
-def upper_nose_branch(e: float, params: ForcingParams) -> float:
-    """Larger enstrophy with psi_of_E(E) = e; defined for 0 < e < e1."""
-    e1, E1 = nose_apex(params)
-    if not 0.0 < e < e1:
-        raise OutsideDomain(f"upper branch needs 0 < e < {e1}")
-    hi = 1.1 * params.nu ** 4 / (params.c1 * e)
-    return find_root(lambda E: psi_of_E(E, params) - e, E1, hi, x_tol=1e-13)
+    geo = FullNseGeometry(
+        e0=params.e0, E0=_exp(ln_E0), e1=_exp(ln_e1), E1=_exp(ln_E1),
+        E_under=_exp(ln_E_under),
+        # the parabola through the anchor is E = E0 (e/e0)^(1/2)
+        e_under=_exp(ln_e0 + 2.0 * (ln_E_under - ln_E0)),
+        # e_star = e0 (1 - t)^(1/p), p = alpha + 1/2
+        e_star=_exp(ln_e0 + math.log(-math.expm1(ln_t0)) / (alpha + 0.5)),
+        e2=e2, E2=parabola_E(e2, params))
+    _gate(geo, ("e1", "E1", "e2"))
+    return geo
 
 
 def classify_full(e: float, E: float, params: ForcingParams) -> str:
@@ -211,8 +250,10 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
 
     IV: inside the nose at or above the parabola (both rates nonpositive).
     I: strictly below the parabola. Above it, II is separated from III by
-    the upper nose branch (e < e1), the apex funnel (e1 <= e <= e2), and
-    nothing at all past e2, where the corridor opens up.
+    the apex level E1 left of the apex (outside the nose, E lies under its
+    lower branch, below E1, or over its upper one, above E1), by the apex
+    funnel for e1 <= e <= e2, and by nothing at all past e2, where the
+    corridor opens up.
     """
     if not (0.0 < e < math.inf and 0.0 < E < math.inf):
         raise OutsideDomain("classification needs e > 0 and E > 0")
@@ -223,20 +264,19 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
     if E < par:
         return "I"
     if e < geo.e1:
-        return "II" if E > upper_nose_branch(e, params) else "III"
+        return "II" if E > geo.E1 else "III"
     if e <= geo.e2:
         return "II" if E > phi_of_e(e, geo.e1, geo.E1, params) else "III"
     return "II"
 
 
-def _funnel_segment(tag, ln_lo, ln_hi, anchor_e, anchor_E, params, samples):
+def _funnel_segment(tag, ln_lo, ln_hi, ln_e0, ln_E0, params, samples):
     grid = log_grid(ln_lo, ln_hi, samples)
-    ln_E, slope = [], []
-    for v in grid:
-        e = math.exp(v)
-        E = phi_of_e(e, anchor_e, anchor_E, params)
-        ln_E.append(math.log(E))
-        slope.append(phi_slope(e, E, params) * e / E)
+    ln_E = [_ln_phi(v, ln_e0, ln_E0, params) for v in grid]
+    slope = [_ln_slope(v, u, params) for v, u in zip(grid, ln_E)]
+    if -math.inf in slope:
+        raise InvalidRegime(
+            f"{tag}: a slope d ln E/d ln e is outside float range")
     return CurveSegment(tag, grid, ln_E, slope)
 
 
@@ -246,31 +286,30 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     phi1 is the wall (parabola anchor, huge near its asymptote), phi2 the
     apex branch between e1 and e2. The two are separate solutions, not a
     piecewise curve, so no join continuity is implied. The nose is emitted
-    as two barrier segments (lower and upper branch).
+    as two barrier segments (lower and upper branch). A breakpoint
+    outside float range is InvalidRegime.
     """
     geo = geometry(params)
-    segs = []
+    ln = _gate(geo, vars(geo))
+    segs = [
+        _funnel_segment("phi1", ln["e_star"] + math.log1p(1e-6), ln["e0"],
+                        ln["e0"], ln["E0"], params, samples),
+        _funnel_segment("phi2", ln["e1"], ln["e2"], ln["e1"], ln["E1"],
+                        params, samples)]
 
-    wall_lo = math.log(geo.e_star) + math.log1p(1e-6)
-    segs.append(_funnel_segment("phi1", wall_lo, math.log(geo.e0),
-                                geo.e0, geo.E0, params, samples))
-    segs.append(_funnel_segment("phi2", math.log(geo.e1), math.log(geo.e2),
-                                geo.e1, geo.E1, params, samples))
+    # the nose by E, each branch gridded so that ln e increases: the lower
+    # one up to the apex, the upper one down to it
+    ln_E1, ln_100 = ln["E1"], math.log(100.0)
+    for start in (ln_E1 - ln_100, ln_E1 + ln_100):
+        grid_E = log_grid(start, ln_E1, samples)
+        segs.append(CurveSegment(
+            "barrier", [_ln_psi(u, params) for u in grid_E], grid_E))
 
-    # nose: parameterize by E, emit with increasing ln e
-    for lo, hi, reverse in ((geo.E1 * 1e-2, geo.E1, False),
-                            (geo.E1, geo.E1 * 1e2, True)):
-        grid_E = log_grid(math.log(lo), math.log(hi), samples)
-        ln_e = [math.log(psi_of_E(math.exp(u), params)) for u in grid_E]
-        if reverse:
-            grid_E, ln_e = grid_E[::-1], ln_e[::-1]
-        segs.append(CurveSegment("barrier", ln_e, grid_E))
-
-    par_grid = log_grid(math.log(geo.e_under) - 2.0, math.log(geo.e0), samples)
-    par_pre = math.log(params.eta * params.f_norm / params.nu)
-    segs.append(CurveSegment("parabola", par_grid,
-                             [par_pre + 0.5 * v for v in par_grid],
-                             [0.5] * samples))
+    par_grid = log_grid(ln["e_under"] - 2.0, ln["e0"], samples)
+    # the parabola through the anchor is E = E0 (e/e0)^(1/2)
+    segs.append(CurveSegment(
+        "parabola", par_grid,
+        [ln["E0"] + 0.5 * (v - ln["e0"]) for v in par_grid], [0.5] * samples))
 
     ln_low = math.log(params.lam0)
     segs.append(CurveSegment("lower_boundary", par_grid,
@@ -278,7 +317,6 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
                              [1.0] * samples))
 
     breakpoints = {k: LogScalar.from_float(v) for k, v in vars(geo).items()}
-    flags = [f"eta={params.eta:.12g}"]
-    if e2_lower_bound(params) <= 0.0:
-        flags.append("e2_floor_vacuous")
+    # e2 exists only where delta < 0 (solve_e2), so its floor is vacuous
+    flags = [f"eta={params.eta:.12g}", "e2_floor_vacuous"]
     return CurveBundle("full", params, segs, breakpoints, flags)

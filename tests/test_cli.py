@@ -263,6 +263,24 @@ _EXTREME_INPUTS = [
     # the series argument x = b e0 is exp(720.7), past float range
     pytest.param(["curve", "critical"], {"nu": 1e-54, "eps": 1e-96}, 2,
                  id="critical-huge-series-argument"),
+    # alpha = 101, where e^(alpha + 1/2) is past float range
+    *[pytest.param(args, {"eta": 1.01}, 0, id=f"{args[0]}-steep-funnel")
+      for args in (["curve", "full"], ["classify", "--e", "0.3", "--E", "2"],
+                   ["verify"])],
+    # e2 = 1.1e-67, but the wall's t = exp(-922) is below float range, so
+    # the slope at its anchor is outside it
+    pytest.param(["classify", "--e", "1", "--E", "1e10"], {"f_norm": 1e100},
+                 0, id="classify-huge-forcing"),
+    pytest.param(["curve", "full"], {"f_norm": 1e100}, 1,
+                 id="full-huge-forcing"),
+    pytest.param(["curve", "full"], {"nu": 1e-90, "f_norm": 1e-80}, 1,
+                 id="full-tiny-nu-cubed-f"),
+    pytest.param(["curve", "full"], {
+        "c": 1.43e24, "c1": 1.88e4, "c2": 8.3e47, "c_omega": 7.89e49,
+        "curlF_norm": 9.1e-25, "delta": 1.3e-51, "eps": 3.3e-39,
+        "f_norm": 677, "lambda": 4.8e-49, "lambda0": 2.8e-19, "mu": 9.7e8,
+        "nu": 1.7e-55, "psi_inf": 6.2e37, "r": 0.657}, 1,
+        id="full-sixty-decade-draw"),
 ]
 
 

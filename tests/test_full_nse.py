@@ -1,12 +1,16 @@
 """Nose, funnels, and region classification for the unconditional model."""
 
+import itertools
 import math
 
+import mpmath
 import pytest
 
 from enstrophy_bounds import (
     FullNseGeometry,
     ForcingParams,
+    InvalidRegime,
+    NoBracket,
     OutsideDomain,
     RegimeViolation,
     assemble_full,
@@ -20,10 +24,9 @@ from enstrophy_bounds import (
     solve_e2,
 )
 from enstrophy_bounds.full_nse import (
-    _alpha_beta,
+    _alpha_ln_beta,
     e2_lower_bound,
     phi_slope,
-    upper_nose_branch,
 )
 
 
@@ -62,16 +65,6 @@ def test_psi_unimodal(fig2):
 def test_psi_rejects_negative(fig2):
     with pytest.raises(ValueError):
         psi_of_E(-1.0, fig2)
-
-
-def test_upper_nose_branch_inverts_psi(fig2):
-    e1, E1 = nose_apex(fig2)
-    e = 0.5 * e1
-    E_up = upper_nose_branch(e, fig2)
-    assert E_up > E1
-    assert psi_of_E(E_up, fig2) == pytest.approx(e, rel=1e-10)
-    with pytest.raises(OutsideDomain):
-        upper_nose_branch(2.0 * e1, fig2)
 
 
 # -------------------------------------------------------------- funnels
@@ -137,8 +130,6 @@ def test_e2_floor_never_exceeds_root(fig2):
 def test_e2_unreachable_when_parabola_clears_apex(fig2):
     # past eta = sqrt(6) the parabola already tops the apex, so the funnel
     # never re-enters it; the closed-form eta gate alone does not catch this
-    from enstrophy_bounds import NoBracket
-
     eta = 2.5
     assert eta < eta_threshold(fig2.c1)
     geo_par = eta * fig2.nu * fig2.lam ** 0.75 * fig2.grashof
@@ -146,6 +137,59 @@ def test_e2_unreachable_when_parabola_clears_apex(fig2):
     assert geo_par * math.sqrt(e1) > E1
     with pytest.raises(NoBracket):
         solve_e2(_with(fig2, eta=eta))
+
+
+def _e2_50_digits(params):
+    """The re-entry root at 50 digits, or None where no root lies right of
+    e1: where the apex funnel (beta, the apex and its t1 as defined) meets
+    the parabola, e^(3/2) = gamma - delta e^(1 - alpha)."""
+    with mpmath.workdps(50):
+        nu, f, c1, eta = map(mpmath.mpf, (params.nu, params.f_norm,
+                                          params.c1, params.eta))
+        alpha = eta / (eta - 1)
+        beta = 4 * c1 / ((3 * eta - 1) * nu ** 3 * f)
+        E1 = mpmath.cbrt(4 * (nu * f) ** 2 / c1)
+        e1 = nu ** 4 * E1 ** 2 / (2 * (nu * f) ** 2 + c1 * E1 ** 3)
+        gamma = 1 / (beta * (eta * f / nu) ** 2)
+        delta = e1 ** alpha / (beta * E1 ** 2) - e1 ** (alpha + 0.5)
+
+        def h(v):  # convex in v = ln e; increasing for delta <= 0
+            return mpmath.exp(1.5 * v) / gamma - 1 \
+                + delta / gamma * mpmath.exp((1 - alpha) * v)
+
+        lo = mpmath.log(e1)
+        if delta > 0:  # h falls up to its minimum
+            lo = max(lo, mpmath.log(2 * (alpha - 1) * delta / 3)
+                     / (alpha + 0.5))
+        if h(lo) > 0:
+            return None
+        hi = lo + 1
+        while h(hi) < 0:
+            hi += 1
+        return mpmath.exp(mpmath.findroot(h, (lo, hi), solver="anderson"))
+
+
+def test_e2_matches_fifty_digits(fig2):
+    # eta near 1 (where delta is negligible against gamma) up to past
+    # sqrt(6) and 2.51 (where delta turns positive); eta_threshold(c1) is
+    # 1.55, 2.73, 6.47 and 18.3 at these c1
+    answered = refused = 0
+    for eta, f_norm, c1 in itertools.product(
+            (1.001, 1.01, 1.1, 1.5, 2.0, 2.4, 2.449, 2.45, 2.5, 2.52, 3.0,
+             5.0),
+            (1e-3, 2.0, 100.0, 1e100), (1e-3, 1.0, 1e3, 1e6)):
+        if eta >= eta_threshold(c1):
+            continue
+        p = _with(fig2, eta=eta, f_norm=f_norm, c1=c1)
+        want = _e2_50_digits(p)
+        if want is None:
+            refused += 1
+            with pytest.raises(NoBracket):
+                solve_e2(p)
+        else:
+            answered += 1
+            assert solve_e2(p) == pytest.approx(float(want), rel=1e-12)
+    assert answered > 50 and refused > 30
 
 
 def test_eta_threshold_gate(fig2):
@@ -173,8 +217,22 @@ def test_geometry_fields_consistent(fig2):
     assert geo.E2 == pytest.approx(parabola_E(geo.e2, fig2),
                                    rel=1e-14)
     assert 0.0 < geo.e_star < geo.e0
-    alpha, _ = _alpha_beta(fig2)
+    alpha, ln_beta = _alpha_ln_beta(fig2)
     assert alpha == pytest.approx(fig2.eta / (fig2.eta - 1.0))
+    beta = 4.0 * fig2.c1 / ((3.0 * fig2.eta - 1.0) * fig2.nu ** 3
+                            * fig2.f_norm)
+    assert math.exp(ln_beta) == pytest.approx(beta, rel=1e-14)
+
+
+def test_unresolved_wall_is_invalid(fig2):
+    # the wall's t = exp(-922) is below float range, so the slope at its
+    # anchor, alpha/2 - (3 eta - 1)/(4 (eta - 1) t), is outside it; e2 and
+    # the labels need no slope
+    p = _with(fig2, f_norm=1e100)
+    assert solve_e2(p) == pytest.approx(1.1003236957487e-67, rel=1e-12)
+    assert classify_full(1.0, 1e10, p) == "I"
+    with pytest.raises(InvalidRegime):
+        assemble_full(p, samples=16)
 
 
 def test_geometry_rejects_zero_forcing(fig2):
@@ -212,10 +270,26 @@ def test_classify_regions(fig2):
     assert classify_full(e, parabola_E(e, fig2), fig2) == "II"
 
 
+def _upper_nose_50_digits(e, params):
+    """The larger E with psi_of_E(E) = e (0 < e < e1), by a 50-digit
+    inversion of psi: psi(E1) = e1 > e, and psi(E) < nu^4/(c1 E) = e at
+    E = nu^4/(c1 e)."""
+    with mpmath.workdps(50):
+        nu, f, c1 = map(mpmath.mpf, (params.nu, params.f_norm, params.c1))
+        E1 = mpmath.cbrt(4 * (nu * f) ** 2 / c1)
+
+        def gap(E):
+            return nu ** 4 * E ** 2 / (2 * (nu * f) ** 2 + c1 * E ** 3) / e - 1
+
+        return mpmath.findroot(gap, (E1, nu ** 4 / (c1 * e)),
+                               solver="anderson")
+
+
 def test_classify_left_of_apex(fig2):
     geo = geometry(fig2)
     e = 0.98 * geo.e1
-    E_up = upper_nose_branch(e, fig2)
+    E_up = float(_upper_nose_50_digits(e, fig2))
+    assert E_up > geo.E1
     assert classify_full(e, 1.05 * E_up, fig2) == "II"
     # the III window left of the apex hugs the parabola, below the lower
     # nose branch; just above it is inside the nose and classifies IV
@@ -223,6 +297,20 @@ def test_classify_left_of_apex(fig2):
     assert psi_of_E(probe, fig2) < e
     assert probe < E_up
     assert classify_full(e, probe, fig2) == "III"
+
+
+@pytest.mark.parametrize("f_norm", [2.0, 100.0, 1e30])
+def test_classify_across_the_upper_nose_branch(fig2, f_norm):
+    # left of the apex, above the parabola: inside the nose (IV) just
+    # under the upper branch, II just over it, at 1e-12 relative and more
+    p = _with(fig2, f_norm=f_norm)
+    geo = geometry(p)
+    for frac in (1e-8, 1e-3, 0.1, 0.5, 0.9, 0.99):
+        e = frac * geo.e1
+        E_up = _upper_nose_50_digits(e, p)
+        for rel in (1e-12, 1e-9, 1e-3):
+            assert classify_full(e, float(E_up * (1 + rel)), p) == "II"
+            assert classify_full(e, float(E_up * (1 - rel)), p) == "IV"
 
 
 def _log_space_label(e, E, params, geo):

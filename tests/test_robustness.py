@@ -13,7 +13,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams, critical,
+from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams,
+                              assemble_full, classify_full, critical,
                               subcritical)
 from enstrophy_bounds.cli import run
 
@@ -81,5 +82,18 @@ def test_family_floor_within_a_hundred_decades(raw):
         ch = family.chain(params)
         assert 0.0 < ch.floor < math.inf
         assert ch.curl_dominant in (True, False)
+    except EnstrophyBoundsError:
+        pass
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(raw=_params(100.0))
+def test_full_region_within_a_hundred_decades(raw):
+    # the unconditional region, formed in logs: a label and a bundle, or a
+    # typed refusal
+    try:
+        params = ForcingParams.from_mapping(raw)
+        assert classify_full(1.0, 1e10, params) in ("I", "II", "III", "IV")
+        assemble_full(params, 64)
     except EnstrophyBoundsError:
         pass
