@@ -21,8 +21,10 @@ nullcline raised to 1/p is the vorticity barrier, with a vertical
 asymptote at e_a = a/b, and the peak sits a sub-float distance left of it,
 so that crossing is solved in w = ln(1 - e/e_a). At r > 1/2, b = 0: the
 nullcline is the line y = (c/a) e and the crossing is solved in ln e.
-Abscissas travel as ln e and ordinates as LogScalar, because the floor
-crossing lies thousands of decades below float range.
+Abscissas travel as ln e and ordinates as ln y or ln E, plain floats,
+because the floor crossing lies thousands of decades below float range;
+a value becomes a LogScalar only where it leaves the chain (branch,
+peak_point, the bundle's breakpoints).
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from functools import cached_property
 from .curves import CurveBundle, CurveSegment, log_grid, max_join_gap
 from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
                      InvalidRegime, NoBracket, OutsideDomain, RegimeViolation)
-from .logscalar import LogScalar
+from .logscalar import LogScalar, ln_add, ln_sub
 from .params import ForcingParams
 from .solver import find_root
 from .specfun import weighted_exp_integral_ln
@@ -65,32 +67,34 @@ class Field:
 
 
 def solution(ln_e: float, field: Field, ln_e_ref: float,
-             y_ref: LogScalar) -> LogScalar:
-    """Exact solution of dy/de = (a/e - b) y - c through (e_ref, y_ref).
+             ln_y_ref: float) -> float:
+    """ln y of the exact solution of dy/de = (a/e - b) y - c through
+    (e_ref, y_ref).
 
     y(e) = e^a e^(-be) [e_ref^-a e^(b e_ref) y_ref - c W], W the weighted
-    exponential integral from e_ref to e. For e < e_ref the integral term
-    is positive, so the bracket only grows moving left; evaluation right of
-    the anchor is allowed but guarded against catastrophic cancellation.
-    With b = 0 this is the two-term form (y_ref - k e_ref)(e/e_ref)^a + k e,
-    k = -c/(1 - a).
+    exponential integral between e and e_ref. For e < e_ref the drift c W
+    adds to the lead, so the bracket only grows moving left; right of the
+    anchor it is subtracted, and more than 10 digits lost to that
+    cancellation is CancellationLoss, a drift at or above the lead
+    OutsideDomain. With b = 0 this is the two-term form
+    (y_ref - k e_ref)(e/e_ref)^a + k e, k = -c/(1 - a).
     """
     a, b, c = field.a, field.b, field.c
-    lead = LogScalar.from_ln(b * math.exp(ln_e_ref) - a * ln_e_ref) * y_ref
-    if c == 0.0 or ln_e == ln_e_ref:
-        inner = lead
-    else:
-        drift = LogScalar.from_float(c) * weighted_exp_integral_ln(
+    inner = lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
+    if c != 0.0 and ln_e != ln_e_ref:
+        drift = math.log(c) + weighted_exp_integral_ln(
             a, b, min(ln_e, ln_e_ref), max(ln_e, ln_e_ref))
-        if ln_e > ln_e_ref:
-            drift = -drift
-        inner, lost = lead.add_with_cancellation(drift)
-        if lost > 10.0:
-            raise CancellationLoss(
-                f"branch bracket lost {lost:.1f} digits at ln e = {ln_e:.6g}")
-    if inner.sign <= 0:
-        raise OutsideDomain("branch solution crossed zero right of the anchor")
-    return LogScalar.from_ln(a * ln_e - b * math.exp(ln_e)) * inner
+        if ln_e < ln_e_ref:
+            inner = ln_add(lead, drift)
+        else:
+            inner, lost = ln_sub(max(lead, drift), min(lead, drift))
+            if lost > 10.0:
+                raise CancellationLoss(f"branch bracket lost {lost:.1f} "
+                                       f"digits at ln e = {ln_e:.6g}")
+            if drift >= lead:
+                raise OutsideDomain(
+                    "branch solution crossed zero right of the anchor")
+    return a * ln_e - b * math.exp(ln_e) + inner
 
 
 def _as_ln(e) -> float:
@@ -173,22 +177,21 @@ class Chain:
         p = self.params
         return max(4.0 * p.f_norm * math.sqrt(p.e0) / p.nu, self.floor)
 
-    def _anchor(self, k: int) -> tuple[float, LogScalar]:
-        """(ln e, y) where branch k starts."""
+    def _anchor(self, k: int) -> tuple[float, float]:
+        """(ln e, ln y) where branch k starts."""
         if k == 0:
-            return self.ln_e0, LogScalar.from_float(self.E0) ** self.rise.p
+            return self.ln_e0, math.log(self.E0) * self.rise.p
         if k == 1:
-            _, ln_e, E = self.peak
-            return ln_e, E ** self.rise.p
-        return self.ln_floor, LogScalar.from_float(self.floor) ** 1.5
+            return self.peak[1], self.peak[2] * self.rise.p
+        return self.ln_floor, math.log(self.floor) * 1.5
 
-    def _y(self, k: int, ln_e: float) -> LogScalar:
-        ln_ref, y_ref = self._anchor(k)
-        return solution(ln_e, self.fields[k], ln_ref, y_ref)
+    def _y(self, k: int, ln_e: float) -> float:
+        ln_ref, ln_y_ref = self._anchor(k)
+        return solution(ln_e, self.fields[k], ln_ref, ln_y_ref)
 
-    def value(self, k: int, ln_e: float) -> LogScalar:
-        """E on branch k at ln e, without domain gates."""
-        return self._y(k, ln_e) ** (1.0 / self.fields[k].p)
+    def value(self, k: int, ln_e: float) -> float:
+        """ln E on branch k at ln e, without domain gates."""
+        return self._y(k, ln_e) * (1.0 / self.fields[k].p)
 
     def require_curl(self) -> None:
         if not self.curl_dominant:
@@ -206,7 +209,7 @@ class Chain:
         if ln_e > ln_ref + 1e-9:
             raise OutsideDomain(
                 f"{TAGS[k]} is only defined at or left of ln e = {ln_ref:.6g}")
-        return self.value(k, ln_e)
+        return LogScalar.from_ln(self.value(k, ln_e))
 
     # -- the peak ----------------------------------------------------------
 
@@ -225,11 +228,11 @@ class Chain:
     def peak_gap(self, x: float) -> float:
         """ln y - ln y_null on the rise, in the peak variable x (w = ln(1 -
         e/e_a) when b > 0, ln e when b = 0); the peak is its root."""
-        return self._y(0, self._ln_e_of(x)).ln - self._ln_null(x)
+        return self._y(0, self._ln_e_of(x)) - self._ln_null(x)
 
     @cached_property
-    def peak(self) -> tuple[float, float, LogScalar]:
-        """(x*, ln e_peak, E_peak): the rise meets its nullcline."""
+    def peak(self) -> tuple[float, float, float]:
+        """(x*, ln e_peak, ln E_peak): the rise meets its nullcline."""
         f = self.rise
         ln_e0 = self.ln_e0
         if f.c == 0.0:
@@ -240,7 +243,7 @@ class Chain:
                     f"anchor energy e0 = {self.params.e0} must exceed the "
                     f"barrier asymptote e_a = {f.e_a}")
             # near e_a, ln y_null = ln(c/b) - w: estimate, then bracket
-            w_est = math.log(f.c / f.b) - self._y(0, math.log(f.e_a)).ln
+            w_est = math.log(f.c / f.b) - self._y(0, math.log(f.e_a))
             x = find_root(self.peak_gap, min(w_est - 60.0, math.log(0.5)),
                           math.log1p(-1e-9), x_tol=1e-12)
         else:
@@ -255,30 +258,31 @@ class Chain:
     def peak_point(self) -> tuple[float, LogScalar]:
         """(e_peak, E_peak) with e_peak a float; at b > 0 it usually equals
         e_a to machine precision, the sub-float offset staying in E_peak."""
-        _, ln_e, E = self.peak
-        return min(math.exp(ln_e), self.rise.e_a), E
+        _, ln_e, ln_E = self.peak
+        return min(math.exp(ln_e), self.rise.e_a), LogScalar.from_ln(ln_E)
 
     # -- the floor crossing ----------------------------------------------
 
     @cached_property
     def ln_floor(self) -> float:
         """ln e where the descent meets the enstrophy floor."""
-        _, ln_peak, E_peak = self.peak
-        floor = LogScalar.from_float(self.floor)
-        if not floor < E_peak:
+        _, ln_peak, ln_E_peak = self.peak
+        ln_E_floor = math.log(self.floor)
+        if not ln_E_floor < ln_E_peak:
             raise NoBracket(
                 "enstrophy floor meets or exceeds the curve maximum")
 
         def gap(v: float) -> float:
-            return self.value(1, v).ln - floor.ln
+            return self.value(1, v) - ln_E_floor
 
         lo = _bracket_left(gap, ln_peak, _FLOOR_STEP, -1.0, "floor crossing")
         return find_root(gap, lo, ln_peak, x_tol=1e-15)
 
     # -- the curve ---------------------------------------------------------
 
-    def curve_value(self, ln_e: float) -> LogScalar:
-        """Piecewise curve evaluated exactly (not interpolated) at ln e."""
+    def curve_value(self, ln_e: float) -> float:
+        """ln E of the piecewise curve, evaluated exactly (not
+        interpolated) at ln e."""
         if ln_e > self.ln_e0:
             raise OutsideDomain("the bounding curve stops at e0")
         if ln_e >= self.peak[1]:
@@ -301,8 +305,7 @@ class Chain:
         ln_e = math.log(e)
         if ln_e > self.ln_e0:
             return "II"
-        return "III" if LogScalar.from_float(E) >= self.curve_value(ln_e) \
-            else "II"
+        return "III" if math.log(E) >= self.curve_value(ln_e) else "II"
 
     def slope_field(self, tag: str = "phi1"):
         """d(ln E)/de of the named segment's defining field."""
@@ -320,13 +323,15 @@ class Chain:
                 samples: int) -> CurveSegment:
         field = self.fields[k]
         q = 1.0 / field.p
-        c = LogScalar.from_float(field.c)
+        ln_c = math.log(field.c) if field.c else -math.inf
         grid = log_grid(ln_lo, ln_hi, samples)
         ln_E, slope = [], []
         for v in grid:
-            y = self._y(k, v)
-            drag = (c * LogScalar.from_ln(v) / y).to_float()
-            ln_E.append(q * y.ln)
+            ln_y = self._y(k, v)
+            # c e / y, taken as inf from ln 709 on, before exp overflows
+            ln_drag = ln_c + v - ln_y
+            drag = math.exp(ln_drag) if ln_drag <= 709.0 else math.inf
+            ln_E.append(q * ln_y)
             slope.append(q * (field.a - field.b * math.exp(v) - drag))
         return CurveSegment(TAGS[k], grid, ln_E, slope)
 
@@ -344,7 +349,7 @@ class Chain:
             raise RegimeViolation(
                 f"the anchor E0 = {self.E0:.6g} lies below the lower boundary "
                 f"E = (lambda0/c_omega) e; this parameter set admits no curve")
-        x_star, ln_peak, E_peak = self.peak
+        x_star, ln_peak, ln_E_peak = self.peak
         ln_e0, ln_floor = self.ln_e0, self.ln_floor
         ln_deep = ln_floor - 20.0 * math.log(10.0)
         segs = [self._sample(0, ln_peak, ln_e0, samples),
@@ -380,7 +385,7 @@ class Chain:
             breakpoints={"e0": LogScalar.from_float(params.e0),
                          "E0": LogScalar.from_float(self.E0),
                          e_peak: LogScalar.from_ln(ln_peak),
-                         E_peak_name: E_peak,
+                         E_peak_name: LogScalar.from_ln(ln_E_peak),
                          e_floor: LogScalar.from_ln(ln_floor),
                          E_floor: LogScalar.from_float(self.floor)},
             flags=list(self.flags))

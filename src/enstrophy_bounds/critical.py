@@ -27,8 +27,8 @@ from functools import lru_cache
 from .branches import Chain, Field
 from .curves import CurveBundle
 from .errors import InvalidRegime, OutsideDomain
-from .logscalar import LogScalar
-from .params import ForcingParams
+from .logscalar import LogScalar, ln_add, ln_sub
+from .params import ForcingParams, exp_in_range
 
 
 def ln_floors(params: ForcingParams) -> tuple[float, float]:
@@ -55,17 +55,19 @@ def curl_threshold(params: ForcingParams) -> float:
 
 
 def coefficients(params: ForcingParams) -> Field:
-    """The rise field (a, b, C, p = 3/5) of xi = E^(3/5)."""
+    """The rise field (a, b, C, p = 3/5) of xi = E^(3/5); C, formed in
+    logs, above float range is InvalidRegime."""
     if params.r != 0.5:
         raise InvalidRegime(
             f"critical curve family needs r = 1/2, got r = {params.r}")
     nu, lam = params.nu, params.lam
+    ln_c = math.log(7.2 * params.c2) + 0.8 * (
+        math.log(params.mu) + math.log(lam) - math.log(nu)) \
+        - 0.6 * math.log(params.eps)
     return Field(
         a=0.3 * (1.0 - params.rho),
         b=1.2 * params.c2 * math.sqrt(lam) / params.eps / nu / nu,
-        c=7.2 * params.c2 * (params.mu * lam) ** 0.8
-        / (params.eps ** 0.6 * nu ** 0.8),
-        p=0.6)
+        c=exp_in_range(ln_c, "production constant C"), p=0.6)
 
 
 @lru_cache(maxsize=64)
@@ -142,31 +144,27 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
     from .specfun import gamma_series_factor
 
     ch = chain(params)
-    co = ch.rise
-    e0 = params.e0
+    e0, ln_e0 = params.e0, ch.ln_e0
     E0s = 2.0 * params.nu ** 3 * math.sqrt(params.lam) * params.grashof ** 2
-    ln_e0 = math.log(e0)
-    xi0 = LogScalar.from_float(E0s) ** 0.6
-    a, b, c = co.a, co.b, co.c
+    a, b, c = ch.rise.a, ch.rise.b, ch.rise.c
 
-    def s_trunc(e: float) -> LogScalar:
-        # truncated weighted-integral antiderivative e^(1-a) g_N(1-a, be)
-        return LogScalar.from_ln((1.0 - a) * math.log(e)) \
-            * gamma_series_factor(1.0 - a, b * e, n_terms=n_terms)
+    def s_trunc(e: float) -> float:
+        # ln of the truncated weighted-integral antiderivative
+        # e^(1-a) g_N(1-a, be)
+        return (1.0 - a) * math.log(e) \
+            + gamma_series_factor(1.0 - a, b * e, n_terms=n_terms).ln
 
     s_ref = s_trunc(e0)
-    lead = LogScalar.from_ln(b * e0 - a * ln_e0) * xi0
-    c_ls = LogScalar.from_float(c)
+    lead = b * e0 - a * ln_e0 + math.log(E0s) * 0.6
 
-    e_stop = co.e_a * 1.05
+    e_stop = ch.rise.e_a * 1.05
     es, lnEs = rk4_path(ch.slope_field("phi1"), e0, math.log(E0s), e_stop,
                         tol=1e-7, n_out=8192)
     worst = 0.0
     for e, ln_E in zip(es, lnEs):
-        inner = lead + c_ls * (s_ref - s_trunc(e))
-        if inner.sign <= 0:
-            return math.inf  # truncated curve collapsed entirely
-        ln_trunc = (5.0 / 3.0) * (a * math.log(e) - b * e + inner.ln)
+        # s_trunc grows with e, so for e <= e0 both terms are positive
+        inner = ln_add(lead, math.log(c) + ln_sub(s_ref, s_trunc(e))[0])
+        ln_trunc = (5.0 / 3.0) * (a * math.log(e) - b * e + inner)
         worst = max(worst, abs(ln_trunc - ln_E))
     return worst
 

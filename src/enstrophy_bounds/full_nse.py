@@ -26,14 +26,9 @@ from functools import lru_cache
 
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import InvalidRegime, NoBracket, OutsideDomain, RegimeViolation
-from .logscalar import LogScalar
+from .logscalar import LogScalar, ln_add
 from .params import _LN_RANGE, ForcingParams
 from .solver import find_root
-
-
-def _lse(a: float, b: float) -> float:
-    """ln(e^a + e^b), for arguments that may each leave float range."""
-    return max(a, b) + math.log1p(math.exp(-abs(a - b)))
 
 
 def _exp(v: float) -> float:
@@ -57,7 +52,7 @@ def _ln_psi(ln_E: float, params: ForcingParams) -> float:
     """ln of the nose at E = exp(ln_E): E^3 and (nu f)^2 may each leave
     float range where psi does not."""
     ln_nu = math.log(params.nu)
-    return 4.0 * ln_nu + 2.0 * ln_E - _lse(
+    return 4.0 * ln_nu + 2.0 * ln_E - ln_add(
         math.log(2.0) + 2.0 * (ln_nu + math.log(params.f_norm)),
         math.log(params.c1) + 3.0 * ln_E)
 
@@ -199,9 +194,9 @@ def solve_e2(params: ForcingParams) -> float:
     k = -2.0 / (3.0 * (eta - 1.0))  # x^(1 - alpha) = exp(k y)
 
     def gap(y: float) -> float:
-        return y - _lse(ln_gamma, ln_delta + k * y)
+        return y - ln_add(ln_gamma, ln_delta + k * y)
 
-    lo, hi = ln_gamma, _lse(ln_gamma, ln_delta + k * ln_gamma)
+    lo, hi = ln_gamma, ln_add(ln_gamma, ln_delta + k * ln_gamma)
     y = lo if lo == hi else find_root(gap, lo, hi, x_tol=1e-14)
     return _exp(_ln_apex(params)[0] + 2.0 / 3.0 * y)
 
@@ -291,9 +286,13 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     """
     geo = geometry(params)
     ln = _gate(geo, vars(geo))
+    # the wall starts a relative 1e-6 right of its asymptote, or halfway
+    # to its anchor where that is closer
+    wall_lo = ln["e_star"] + min(math.log1p(1e-6),
+                                 0.5 * (ln["e0"] - ln["e_star"]))
     segs = [
-        _funnel_segment("phi1", ln["e_star"] + math.log1p(1e-6), ln["e0"],
-                        ln["e0"], ln["E0"], params, samples),
+        _funnel_segment("phi1", wall_lo, ln["e0"], ln["e0"], ln["E0"],
+                        params, samples),
         _funnel_segment("phi2", ln["e1"], ln["e2"], ln["e1"], ln["E1"],
                         params, samples)]
 

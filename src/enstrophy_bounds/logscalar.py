@@ -1,10 +1,13 @@
-"""Signed log-domain scalars.
+"""Log-domain arithmetic.
 
 The curves this package emits span hundreds to thousands of decades on both
 axes (enstrophy grows like exp(c G^2), the energy floor decays like
-exp(-c' G^2)), so float64 magnitudes are not usable. A LogScalar stores a
-sign in {-1, 0, +1} and ln|x| as a float, which keeps relative precision
-uniform over the whole range at the cost of a log1p per addition.
+exp(-c' G^2)), so float64 magnitudes are not usable. Inside the
+construction every positive quantity travels as its ln, a plain float, and
+sums and differences go through the one kernel ln_add / ln_sub. A
+LogScalar stores a sign in {-1, 0, +1} and ln|x|: it is the type values
+carry when they leave the library (branch values, breakpoints, bounds),
+and its addition is the same kernel.
 """
 
 from __future__ import annotations
@@ -20,6 +23,27 @@ _EXP_MAX = 709.0
 
 # significant digits of to_sci_string: enough to round-trip a float64
 _SIG = 17
+
+
+def ln_add(a: float, b: float) -> float:
+    """ln(e^a + e^b); either argument may be -inf."""
+    big, small = (a, b) if a >= b else (b, a)
+    if small == -math.inf:
+        return big
+    return big + math.log1p(math.exp(small - big))
+
+
+def ln_sub(big: float, small: float) -> tuple[float, float]:
+    """(ln(e^big - e^small), decimal digits lost), for small <= big."""
+    d = small - big
+    if d == 0.0:
+        return -math.inf, math.inf
+    if math.exp(d) == 1.0:
+        # |d| under half an ulp of 1: log1p(-exp(d)) would be log1p(-1)
+        ln = big + math.log(-math.expm1(d))
+    else:
+        ln = big + math.log1p(-math.exp(d))
+    return ln, max(0.0, (big - ln) / _LN10)
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,28 +168,14 @@ class LogScalar:
 
         Same-sign sums lose nothing (returns 0.0). Opposite-sign sums
         return (ln max - ln result)/ln 10; an exact cancellation reports
-        inf digits lost.
+        inf digits lost. ZERO, whose ln is -inf, needs no case of its
+        own: the kernel takes -inf as an empty term.
         """
-        if self.sign == 0:
-            return other, 0.0
-        if other.sign == 0:
-            return self, 0.0
-        if self.ln >= other.ln:
-            big, small = self, other
-        else:
-            big, small = other, self
-        d = small.ln - big.ln  # <= 0
+        big, small = (self, other) if self.ln >= other.ln else (other, self)
         if self.sign == other.sign:
-            return LogScalar(big.sign, big.ln + math.log1p(math.exp(d))), 0.0
-        if d == 0.0:
-            return ZERO, math.inf
-        if math.exp(d) == 1.0:
-            # |d| under half an ulp of 1: log1p(-exp(d)) would be log1p(-1)
-            res_ln = big.ln + math.log(-math.expm1(d))
-        else:
-            res_ln = big.ln + math.log1p(-math.exp(d))
-        lost = max(0.0, (big.ln - res_ln) / _LN10)
-        return LogScalar(big.sign, res_ln), lost
+            return LogScalar.from_ln(ln_add(big.ln, small.ln), big.sign), 0.0
+        ln, lost = ln_sub(big.ln, small.ln)
+        return LogScalar.from_ln(ln, big.sign), lost
 
     # -- order ---------------------------------------------------------
 

@@ -24,6 +24,13 @@ _ALIASES = {"lam": "lambda", "lam0": "lambda0"}
 _LN_RANGE = 708.0
 
 
+def exp_in_range(ln: float, what: str) -> float:
+    """exp(ln); InvalidRegime where that is above float range."""
+    if ln >= _LN_RANGE:
+        raise InvalidRegime(f"{what} = exp({ln:.6g}) is above float range")
+    return math.exp(ln)
+
+
 @dataclass(frozen=True)
 class ForcingParams:
     nu: float            # kinematic viscosity
@@ -91,14 +98,12 @@ class ForcingParams:
         below, the degenerate-forcing rule: no curve, RegimeViolation."""
         ln_f = math.log(self.f_norm) if self.f_norm else -math.inf
         ln_e0 = 2.0 * (ln_f - math.log(self.nu) - math.log(self.lam))
-        if ln_e0 >= _LN_RANGE:
-            raise InvalidRegime(f"anchor energy e0 = exp({ln_e0:.6g}) "
-                                "is above float range")
         if ln_e0 <= -_LN_RANGE:
             raise RegimeViolation(
                 "no curve to anchor: e0 = 0 (zero forcing, or e0 underflows)")
-        g = self.grashof
-        return self.nu ** 2 * g * g / math.sqrt(self.lam)
+        e0 = exp_in_range(ln_e0, "anchor energy e0")
+        self.grashof  # every curve is scaled by G: its gate applies too
+        return e0
 
     @property
     def big_c_omega(self) -> float:

@@ -19,9 +19,10 @@ where it costs no digits, and never between two large sums. That loop
 needs about x terms, a few times G^2, so wide spans take the endpoint
 difference e_hi^alpha (G - H), G = g(alpha, x), H = r^alpha g(alpha, r x),
 with g from its few-term large-argument form and ln G memoised per upper
-end. Results are LogScalars because the answer overflows float64 long
-before the interesting parameter range ends. Every arm is summed to the
-fixed relative accuracy _REL_TOL = 1e-12.
+end. The weighted integral is returned as its ln, a float, because it
+overflows float64 long before the interesting parameter range ends;
+gamma_series_factor, a public entry point, returns a LogScalar. Every arm
+is summed to the fixed relative accuracy _REL_TOL = 1e-12.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 from functools import lru_cache
 
 from .errors import NonConvergence
-from .logscalar import ZERO, LogScalar
+from .logscalar import LogScalar
 
 _RESCALE = 1e250
 _LN_RESCALE = math.log(_RESCALE)
@@ -142,8 +143,9 @@ def gamma_series_factor(alpha: float, x: float,
 
 
 def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
-                             ln_hi: float) -> LogScalar:
-    """int s^(-a) e^(b s) ds over [exp(ln_lo), exp(ln_hi)], as a LogScalar.
+                             ln_hi: float) -> float:
+    """ln of int s^(-a) e^(b s) ds over [exp(ln_lo), exp(ln_hi)] (-inf for
+    an empty interval).
 
     Bounds are taken in the log so the routine stays exact for abscissas
     far outside float64 range (ln_lo = -inf means a zero lower bound).
@@ -162,7 +164,7 @@ def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
     if ln_lo > ln_hi:
         raise ValueError("lower bound above upper bound")
     if ln_lo == ln_hi:
-        return ZERO
+        return -math.inf
     alpha, ln_r = 1.0 - a, ln_lo - ln_hi
     ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
     if ln_x > _LN_MAX_X:
@@ -175,6 +177,5 @@ def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
             - math.log(-math.expm1(-gap)) <= _LN_SEVENTH:
         ln_g = _g_ln_cached(alpha, x)
         ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
-        return LogScalar.from_ln(alpha * ln_hi + ln_g
-                                 + math.log(-math.expm1(ln_h - ln_g)))
-    return LogScalar.from_ln(alpha * ln_hi + _series_ln(alpha, x, ln_r))
+        return alpha * ln_hi + ln_g + math.log(-math.expm1(ln_h - ln_g))
+    return alpha * ln_hi + _series_ln(alpha, x, ln_r)

@@ -25,7 +25,7 @@ from .branches import Chain, Field
 from .curves import CurveBundle
 from .errors import InvalidRegime
 from .logscalar import LogScalar
-from .params import ForcingParams
+from .params import ForcingParams, exp_in_range
 
 
 def sigma_of(r: float) -> float:
@@ -41,7 +41,11 @@ def ln_k_r(params: ForcingParams) -> float:
 
 
 def big_c_s(params: ForcingParams) -> float:
-    return 12.0 * params.c * math.exp(ln_k_r(params)) / params.nu
+    """C_s = 12 c k_r/nu, formed in logs; above float range it is
+    InvalidRegime."""
+    ln_c = math.log(12.0 * params.c) if params.c else -math.inf
+    return exp_in_range(ln_c + ln_k_r(params) - math.log(params.nu),
+                        "production constant C_s")
 
 
 def ln_floors(params: ForcingParams) -> tuple[float, float, float]:

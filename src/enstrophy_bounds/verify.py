@@ -207,7 +207,7 @@ def _rk4_row(params: ForcingParams) -> dict:
                         e_stop, tol=1e-12, n_out=512)
     worst = 0.0
     for e, ln_E in zip(es, lnEs):
-        closed = ch.value(0, math.log(e)).ln
+        closed = ch.value(0, math.log(e))
         worst = max(worst, abs(closed - ln_E))
     return {"check": "closed_form_vs_rk4", "segment": "phi1",
             "samples": len(es), "worst_margin": worst,
@@ -249,7 +249,7 @@ def _scan_rows(params: ForcingParams) -> list[dict]:
     ln_floor = math.log(ch.floor)
 
     def gap_floor(v: float) -> float:
-        return ch.curve_value(v).ln - ln_floor
+        return ch.curve_value(v) - ln_floor
 
     return [_scan_row(e_peak, ch.peak_gap, x_star),
             _scan_row(e_floor, gap_floor, ch.ln_floor)]

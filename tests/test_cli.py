@@ -275,6 +275,13 @@ _EXTREME_INPUTS = [
                  id="full-huge-forcing"),
     pytest.param(["curve", "full"], {"nu": 1e-90, "f_norm": 1e-80}, 1,
                  id="full-tiny-nu-cubed-f"),
+    # e0 = exp(-700.9) is in float range although G^2 = exp(-1369.5) is not:
+    # the wall's t is then at least 1, so it has no asymptote
+    *[pytest.param(args, {"nu": 1.1e113, "f_norm": 1.8e-168,
+                          "lambda": 2.6e-129}, 3,
+                   id=f"{args[0]}-tiny-G-squared")
+      for args in (["curve", "full"],
+                   ["classify", "--e", "1", "--E", "1e10"])],
     pytest.param(["curve", "full"], {
         "c": 1.43e24, "c1": 1.88e4, "c2": 8.3e47, "c_omega": 7.89e49,
         "curlF_norm": 9.1e-25, "delta": 1.3e-51, "eps": 3.3e-39,

@@ -78,6 +78,19 @@ def test_funnel_passes_through_anchor(fig2):
         == pytest.approx(geo.E1, rel=1e-12)
 
 
+@pytest.mark.parametrize("f_norm", [2.0, 30.0, 100.0])
+def test_wall_is_sampled_left_of_its_anchor(fig2, f_norm):
+    # at f_norm = 30 and 100 the wall's asymptote lies within a relative
+    # 1e-6 of its anchor, so a grid started 1e-6 right of e_star would
+    # run backwards, right of e0
+    p = _with(fig2, f_norm=f_norm)
+    geo = geometry(p)
+    wall = assemble_full(p, samples=128).segment("phi1").ln_e
+    assert all(a < b for a, b in zip(wall, wall[1:]))
+    assert wall[-1] == math.log(geo.e0)
+    assert wall[0] > math.log(geo.e_star)
+
+
 def test_wall_asymptote_closed_form(fig2):
     # G = 1, c1 = 1, eta = 2: e_star^(5/2) = e0^(5/2) (1 - 5/(16 c1 G^4))
     # collapses to e_star = (11/16)^(2/5) with e0 = 1

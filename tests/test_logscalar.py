@@ -1,12 +1,14 @@
-"""Sign/ln arithmetic underneath every curve evaluation."""
+"""The ln_add / ln_sub kernel under every curve evaluation, and the
+signed LogScalar that carries values out of the library."""
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, strategies as st
 
-from enstrophy_bounds import LogScalar, ls_sum
-from enstrophy_bounds.logscalar import ONE, ZERO
+from enstrophy_bounds import LogScalar, critical, ls_sum, subcritical
+from enstrophy_bounds.logscalar import ONE, ZERO, ln_add, ln_sub
 
 finite = st.floats(min_value=-1e12, max_value=1e12,
                    allow_nan=False, allow_infinity=False)
@@ -203,3 +205,64 @@ def test_hypothesis_sci_round_trip_in_ln(ln, sign):
     back = LogScalar.from_sci_string(v.to_sci_string())
     assert back.sign == sign
     assert abs(back.ln - ln) <= 1e-13 * max(1.0, abs(ln))
+
+
+# -- the kernel ------------------------------------------------------------
+
+_BIGS = (0.0, -1.0, 3.5, 700.0, -745.0, 1e4, -1e4, 1e6, -1e6)
+
+
+def _ulps(*xs: float) -> float:
+    return 4.0 * math.ulp(max(1.0, *map(abs, xs)))
+
+
+@pytest.mark.parametrize("gap", [0.0, 1e-300, 1e-17, 1.0, 40.0, 800.0])
+def test_kernel_against_mpmath(gap):
+    # the gap as the floats hold it: 1e-300 and 1e-17 survive only next to
+    # ln 0, and 1e-17 takes the expm1 arm, where exp(d) rounds to 1
+    with mpmath.workdps(50):
+        for big in _BIGS:
+            small = big - gap
+            b, s = mpmath.mpf(big), mpmath.mpf(small)
+            got = ln_add(big, small)
+            assert got == ln_add(small, big)
+            assert abs(got - mpmath.log(mpmath.exp(b) + mpmath.exp(s))) \
+                <= _ulps(big)
+            if small == big:
+                continue
+            # e^b - e^s = e^b (1 - e^(s-b)), the bracket by expm1 so that
+            # 50 digits resolve a gap of 1e-300
+            ln, lost = ln_sub(big, small)
+            bracket = -mpmath.expm1(s - b)
+            assert abs(ln - (b + mpmath.log(bracket))) <= _ulps(big, ln)
+            assert abs(lost + mpmath.log10(bracket)) \
+                <= _ulps(big, ln) / math.log(10.0)
+
+
+@pytest.mark.parametrize("big", _BIGS)
+def test_kernel_with_an_empty_term(big):
+    assert ln_add(big, -math.inf) == big
+    assert ln_add(-math.inf, big) == big
+    assert ln_sub(big, -math.inf) == (big, 0.0)
+    assert ln_sub(big, big) == (-math.inf, math.inf)
+
+
+def test_construction_sums_no_log_scalars(fig2, fig3, monkeypatch):
+    # the construction carries ln floats through the kernel; a LogScalar
+    # per sample, or per root-finder step, would show up here
+    calls = []
+    real = LogScalar.add_with_cancellation
+
+    def counting(self, other):
+        calls.append(1)
+        return real(self, other)
+
+    monkeypatch.setattr(LogScalar, "add_with_cancellation", counting)
+    critical.chain.cache_clear()
+    subcritical.chain.cache_clear()
+    critical.assemble_critical(fig2)
+    subcritical.assemble_subcritical(fig3)
+    for e, E in ((1e-300, 1.0), (0.01, 1e10), (1.0, 1e40), (4.0, 1e3)):
+        critical.classify_critical(e, E, fig2)
+        subcritical.classify_subcritical(e, E, fig3)
+    assert calls == []

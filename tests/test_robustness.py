@@ -71,11 +71,13 @@ def test_joint_draws_within_sixty_decades(tmp_path_factory, raw):
     _run_all(tmp_path_factory.mktemp("joint"), raw)
 
 
+@pytest.mark.parametrize("width", [100.0, 300.0], ids=["100", "300"])
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
-@given(raw=_params(100.0))
-def test_family_floor_within_a_hundred_decades(raw):
-    # the floor rule alone, on the family chain: a floor in float range,
-    # or a typed refusal
+@given(data=st.data())
+def test_family_floor_within_decades(width, data):
+    # the floor rule and the family constants alone, on the family chain:
+    # a floor in float range, or a typed refusal
+    raw = data.draw(_params(width))
     try:
         params = ForcingParams.from_mapping(raw)
         family = critical if params.r == 0.5 else subcritical

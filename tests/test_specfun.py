@@ -113,8 +113,8 @@ def test_series_refuses_arguments_past_the_cap(x):
 
 def test_weighted_integral_b_zero_closed_form():
     # b = 0: plain power integral (hi^(1-a) - lo^(1-a))/(1-a)
-    got = weighted_exp_integral_ln(0.5, 0.0, math.log(0.25),
-                                   math.log(4.0)).to_float()
+    got = math.exp(weighted_exp_integral_ln(0.5, 0.0, math.log(0.25),
+                                            math.log(4.0)))
     assert got == pytest.approx(2.0 * (2.0 - 0.5), rel=1e-13)
 
 
@@ -125,7 +125,7 @@ def test_weighted_integral_against_quadrature():
         oracle = float(mpmath.quad(
             lambda s: s ** (-a) * mpmath.e ** (b * s), [lo, hi]))
         got = weighted_exp_integral_ln(a, b, math.log(lo), math.log(hi))
-        assert got.to_float() == pytest.approx(oracle, rel=1e-10)
+        assert math.exp(got) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_weighted_integral_ln_bounds_below_float_range():
@@ -135,7 +135,7 @@ def test_weighted_integral_ln_bounds_below_float_range():
     got = weighted_exp_integral_ln(a, b, -6000.0, 0.0)
     oracle = float(mpmath.quad(
         lambda s: s ** (-a) * mpmath.e ** (b * s), [0, 1]))
-    assert got.to_float() == pytest.approx(oracle, rel=1e-10)
+    assert math.exp(got) == pytest.approx(oracle, rel=1e-10)
 
 
 def test_weighted_integral_tiny_b_branch():
@@ -144,7 +144,7 @@ def test_weighted_integral_tiny_b_branch():
     oracle = float(mpmath.quad(
         lambda s: s ** (-a) * mpmath.e ** (b * s), [lo, hi]))
     got = weighted_exp_integral_ln(a, b, math.log(lo), math.log(hi))
-    assert got.to_float() == pytest.approx(oracle, rel=1e-11)
+    assert math.exp(got) == pytest.approx(oracle, rel=1e-11)
 
 
 def test_weighted_integral_nearby_bounds():
@@ -152,7 +152,7 @@ def test_weighted_integral_nearby_bounds():
     lo, hi = 1.0, 1.0 + 1e-10
     oracle = hi ** (-a) * math.exp(b) * (hi - lo)  # midpoint to O(h^2)
     got = weighted_exp_integral_ln(a, b, math.log(lo), math.log(hi))
-    assert got.to_float() == pytest.approx(oracle, rel=1e-6)
+    assert math.exp(got) == pytest.approx(oracle, rel=1e-6)
 
 
 @pytest.mark.parametrize("span", [1e-300, 1e-100])
@@ -161,7 +161,7 @@ def test_weighted_integral_rescales_on_the_term(span):
     # about (alpha + n) span keep the sum small, so the rescale has to
     # watch the term as well as the sum; W = e^b span to O(b span)
     got = weighted_exp_integral_ln(0.5, 800.0, -span, 0.0)
-    assert got.ln == pytest.approx(800.0 + math.log(span), abs=1e-12)
+    assert got == pytest.approx(800.0 + math.log(span), abs=1e-12)
 
 
 def test_weighted_integral_rejects_bad_exponent():
@@ -186,7 +186,7 @@ def test_weighted_integral_close_bounds(fig2, span):
         lo, hi = mpmath.exp(mpmath.mpf(ln_lo)), mpmath.exp(mpmath.mpf(ln_hi))
         want = mpmath.log(mpmath.quad(
             lambda s: s ** (-a) * mpmath.e ** (b * s), [lo, hi]))
-    assert abs(got.ln - float(want)) <= 1e-11
+    assert abs(got - float(want)) <= 1e-11
 
 
 # the arbiter grid: exponents, ln e_hi, b (with b e_hi <= 3000) and spans
@@ -220,7 +220,7 @@ def test_weighted_integral_matches_hyp1f1_difference(a):
                     continue
                 for span in _GRID_SPANS:
                     ln_lo = ln_hi - span
-                    got = weighted_exp_integral_ln(a, b, ln_lo, ln_hi).ln
+                    got = weighted_exp_integral_ln(a, b, ln_lo, ln_hi)
                     want = mpmath.log(anti(ln_hi, b) - anti(ln_lo, b))
                     err = abs(mpmath.expm1(mpmath.mpf(got) - want))
                     assert err <= max(1e-12, math.ulp(got)), \
@@ -249,7 +249,7 @@ def test_breakpoints_match_mpmath(family, preset, request):
     # points one unit off the chain's answers
     ch = family.chain(request.getfixturevalue(preset))
     rise, descent, _ = ch.fields
-    x_chain, _, E_peak = ch.peak
+    x_chain, _, ln_E_peak = ch.peak
     a, b, c = (mpmath.mpf(v) for v in (rise.a, rise.b, rise.c))
     if rise.b > 0.0:
         def e_of(w):
@@ -271,7 +271,7 @@ def test_breakpoints_match_mpmath(family, preset, request):
     x = mpmath.findroot(rise_gap, (x_chain - 1.0, x_chain + 1.0))
     e_peak = e_of(x)
     y_peak = _mp_solution(e_peak, rise, e0, y0)
-    assert abs(mpmath.log(y_peak) / rise.p - E_peak.ln) <= 1e-10
+    assert abs(mpmath.log(y_peak) / rise.p - ln_E_peak) <= 1e-10
 
     ln_floor = mpmath.log(ch.floor)
 
@@ -305,7 +305,7 @@ def test_construction_never_reaches_the_quadrature(fig2, fig3, monkeypatch):
     tail = chain(fig2).fields[2]
     for span in (1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2):
         assert weighted_exp_integral_ln(tail.a, tail.b, -5.0 - span,
-                                        -5.0).sign == 1
+                                        -5.0) > -math.inf
 
 
 def test_assembly_sums_no_large_argument_series(fig2, monkeypatch):

@@ -171,7 +171,7 @@ def test_assemble_subcritical_bundle(fig3):
 
 
 def test_classify_subcritical_regions(fig3):
-    on_curve = chain(fig3).curve_value(0.0).to_float()
+    on_curve = math.exp(chain(fig3).curve_value(0.0))
     assert classify_subcritical(1.0, on_curve, fig3) == "III"
     assert classify_subcritical(1.0, 0.5 * on_curve, fig3) == "II"
     par = 4.0 * fig3.f_norm / fig3.nu

@@ -182,7 +182,7 @@ def test_oracles_never_reach_the_construction(fig2, fig3, monkeypatch):
     for params in (fig2, fig3):
         ch = _chain(params)
         e_stop, _ = ch.peak_point()
-        peaks.append((ch, e_stop, ch.value(0, math.log(e_stop)).ln))
+        peaks.append((ch, e_stop, ch.value(0, math.log(e_stop))))
 
     def forbidden(*args, **kwargs):
         raise AssertionError("an oracle called the construction")
