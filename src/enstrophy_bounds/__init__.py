@@ -20,7 +20,7 @@ from .errors import (AssumptionViolated, CancellationLoss,
 from .full_nse import (FullNseGeometry, assemble_full, classify_full,
                        eta_threshold, geometry, nose_apex, parabola_E,
                        phi_of_e, psi_of_E, solve_e2)
-from .logscalar import LogScalar, ls_sum
+from .logscalar import LogScalar
 from .maxest import (BoundReport, bound_report, emax_lower, emax_upper,
                      eta_min, physical_scale)
 from .params import ForcingParams, load_params_file
@@ -44,7 +44,7 @@ __all__ = [
     "classify_subcritical", "coefficients", "containment_check",
     "emax_lower", "emax_upper", "eta_min", "eta_threshold",
     "exponent_compare", "find_e_bar", "find_e_max", "find_e_min",
-    "geometry", "halved_curve", "load_params_file", "ls_sum",
+    "geometry", "halved_curve", "load_params_file",
     "max_join_gap", "nose_apex", "oracle_suite", "parabola_E", "phi1",
     "phi2", "phi3", "phi_of_e", "physical_scale", "psi_of_E",
     "scaling_curve", "scaling_emax", "scaling_params", "solve_e2",

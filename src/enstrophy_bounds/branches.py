@@ -99,7 +99,7 @@ def solution(ln_e: float, field: Field, ln_e_ref: float,
 
 def _as_ln(e) -> float:
     if isinstance(e, LogScalar):
-        if e.sign <= 0:
+        if e.ln == -math.inf:
             raise OutsideDomain("energy must be positive")
         return e.ln
     if e <= 0.0:

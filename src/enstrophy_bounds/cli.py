@@ -28,7 +28,7 @@ from .critical import assemble_critical, classify_critical
 from .curves import bundle_to_csv, bundle_to_json, round_sig
 from .errors import EnstrophyBoundsError, InvalidRegime
 from .full_nse import assemble_full, classify_full
-from .logscalar import LogScalar, ls_sum
+from .logscalar import ZERO, LogScalar
 from .params import load_params_file
 from .scaling import assemble_scaling
 from .subcritical import assemble_subcritical, classify_subcritical
@@ -130,7 +130,7 @@ def _read_curve(path: str) -> list:
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidRegime(f"{path} is not a curve file: "
                             f"{type(exc).__name__}: {exc}") from None
-    if any(e.sign <= 0 for _, es, _ in segments for e in es):
+    if any(e.ln == -math.inf for _, es, _ in segments for e in es):
         raise InvalidRegime(f"{path} is not a curve file: "
                             "every energy must be positive")
     return segments
@@ -140,8 +140,8 @@ def _cmd_taylor(params, args) -> int:
     segments = []
     for tag, es, big_es in _read_curve(args.curve):
         n = LogScalar.from_float(float(len(es)))
-        e_mean = ls_sum(es) / n
-        big_mean = ls_sum(big_es) / n
+        e_mean = sum(es, ZERO) / n
+        big_mean = sum(big_es, ZERO) / n
         kappa = (big_mean / e_mean) ** 0.5
         segments.append({"tag": tag,
                          "log10_kappa_T": round_sig(kappa.log10()),

@@ -5,16 +5,15 @@ axes (enstrophy grows like exp(c G^2), the energy floor decays like
 exp(-c' G^2)), so float64 magnitudes are not usable. Inside the
 construction every positive quantity travels as its ln, a plain float, and
 sums and differences go through the one kernel ln_add / ln_sub. A
-LogScalar stores a sign in {-1, 0, +1} and ln|x|: it is the type values
-carry when they leave the library (branch values, breakpoints, bounds),
-and its addition is the same kernel.
+LogScalar holds the ln of a value >= 0 (-inf for zero): it is the type
+energies and enstrophies carry when they leave the library (branch values,
+breakpoints, bounds), and its addition is the same kernel.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 _LN10 = math.log(10.0)
 
@@ -46,9 +45,11 @@ def ln_sub(big: float, small: float) -> tuple[float, float]:
     return ln, max(0.0, (big - ln) / _LN10)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, order=True)
 class LogScalar:
-    sign: int
+    """A value >= 0 held as its ln; order=True compares ln, which orders
+    the values."""
+
     ln: float
 
     # -- construction -------------------------------------------------
@@ -57,62 +58,45 @@ class LogScalar:
     def from_float(x: float) -> "LogScalar":
         if x == 0.0:
             return ZERO
-        if math.isnan(x):
-            raise ValueError("NaN has no log representation")
-        return LogScalar(1 if x > 0 else -1, math.log(abs(x)))
+        if not x > 0.0:
+            raise ValueError(f"{x} is not a nonnegative number")
+        return LogScalar(math.log(x))
 
     @staticmethod
-    def from_ln(ln: float, sign: int = 1) -> "LogScalar":
-        if sign == 0 or ln == -math.inf:
-            return ZERO
-        if sign not in (-1, 1):
-            raise ValueError(f"sign must be -1, 0 or +1, got {sign}")
-        return LogScalar(sign, ln)
+    def from_ln(ln: float) -> "LogScalar":
+        return LogScalar(ln)
 
     @staticmethod
     def from_sci_string(text: str) -> "LogScalar":
-        """Inverse of to_sci_string, tolerant of any float-style literal.
+        """Inverse of to_sci_string, tolerant of any float-style literal
+        that is not negative.
 
         The mantissa is parsed in float64 and the decimal exponent moved
         into the log, so values far outside float range round-trip with
         ~1e-13 relative accuracy in ln space.
         """
         s = text.strip()
-        if not s:
-            raise ValueError("empty numeric string")
-        sign = 1
-        if s[0] in "+-":
-            sign = -1 if s[0] == "-" else 1
-            s = s[1:]
         mant_str, _, exp_str = s.partition("e" if "e" in s else "E")
         mant = float(mant_str)
         if mant == 0.0:
             return ZERO
-        if mant < 0.0 or math.isnan(mant) or math.isinf(mant):
+        if not 0.0 < mant < math.inf:
             raise ValueError(f"malformed scientific literal {text!r}")
         exp10 = int(exp_str) if exp_str else 0
-        return LogScalar(sign, math.log(mant) + exp10 * _LN10)
+        return LogScalar(math.log(mant) + exp10 * _LN10)
 
     # -- conversion ----------------------------------------------------
 
     def to_float(self) -> float:
-        if self.sign == 0:
-            return 0.0
-        if self.ln > _EXP_MAX:
-            return self.sign * math.inf
-        return self.sign * math.exp(self.ln)
+        return math.inf if self.ln > _EXP_MAX else math.exp(self.ln)
 
     def log10(self) -> float:
-        if self.sign < 0:
-            raise ValueError("log10 of a negative value")
-        if self.sign == 0:
-            return -math.inf
         return self.ln / _LN10
 
     def to_sci_string(self) -> str:
         """Deterministic scientific notation with _SIG significant digits,
         exact even when exp(ln) overflows or underflows float64."""
-        if self.sign == 0:
+        if self.ln == -math.inf:
             return "0.0"
         lg = self.ln / _LN10
         exp10 = math.floor(lg)
@@ -122,94 +106,33 @@ class LogScalar:
             # rounding pushed the mantissa out of [1, 10)
             exp10 += 1
             mant_str = f"{mant / 10.0:.{_SIG - 1}f}"
-        prefix = "-" if self.sign < 0 else ""
-        return f"{prefix}{mant_str}e{exp10:+03d}"
+        return f"{mant_str}e{exp10:+03d}"
 
     # -- arithmetic ----------------------------------------------------
 
-    def __neg__(self) -> "LogScalar":
-        return LogScalar(-self.sign, self.ln)
-
     def __mul__(self, other: "LogScalar") -> "LogScalar":
-        s = self.sign * other.sign
-        if s == 0:
-            return ZERO
-        return LogScalar(s, self.ln + other.ln)
+        return LogScalar(self.ln + other.ln)
 
     def __truediv__(self, other: "LogScalar") -> "LogScalar":
-        if other.sign == 0:
+        if other.ln == -math.inf:
             raise ZeroDivisionError("LogScalar division by zero")
-        if self.sign == 0:
-            return ZERO
-        return LogScalar(self.sign * other.sign, self.ln - other.ln)
+        return LogScalar(self.ln - other.ln)
 
     def __pow__(self, p: float) -> "LogScalar":
-        if self.sign == 0:
-            if p > 0:
-                return ZERO
-            if p == 0:
-                return ONE
-            raise ZeroDivisionError("0 to a negative power")
-        if self.sign < 0:
-            if p != int(p):
-                raise ValueError("fractional power of a negative value")
-            s = -1 if int(p) % 2 else 1
-            return LogScalar(s, self.ln * p)
-        return LogScalar(1, self.ln * p)
+        if self.ln == -math.inf:
+            if p < 0:
+                raise ZeroDivisionError("0 to a negative power")
+            return ONE if p == 0 else ZERO
+        return LogScalar(self.ln * p)
 
     def __add__(self, other: "LogScalar") -> "LogScalar":
         return self.add_with_cancellation(other)[0]
 
-    def __sub__(self, other: "LogScalar") -> "LogScalar":
-        return self.add_with_cancellation(-other)[0]
-
     def add_with_cancellation(self, other: "LogScalar") -> tuple["LogScalar", float]:
-        """Add, reporting decimal digits lost to cancellation.
-
-        Same-sign sums lose nothing (returns 0.0). Opposite-sign sums
-        return (ln max - ln result)/ln 10; an exact cancellation reports
-        inf digits lost. ZERO, whose ln is -inf, needs no case of its
-        own: the kernel takes -inf as an empty term.
-        """
-        big, small = (self, other) if self.ln >= other.ln else (other, self)
-        if self.sign == other.sign:
-            return LogScalar.from_ln(ln_add(big.ln, small.ln), big.sign), 0.0
-        ln, lost = ln_sub(big.ln, small.ln)
-        return LogScalar.from_ln(ln, big.sign), lost
-
-    # -- order ---------------------------------------------------------
-
-    def _cmp(self, other: "LogScalar") -> int:
-        if self.sign != other.sign:
-            return -1 if self.sign < other.sign else 1
-        if self.sign == 0:
-            return 0
-        # same nonzero sign: for negatives the larger magnitude is smaller
-        a, b = self.ln, other.ln
-        if a == b:
-            return 0
-        lt = a < b if self.sign > 0 else a > b
-        return -1 if lt else 1
-
-    def __lt__(self, other):
-        return self._cmp(other) < 0
-
-    def __le__(self, other):
-        return self._cmp(other) <= 0
-
-    def __gt__(self, other):
-        return self._cmp(other) > 0
-
-    def __ge__(self, other):
-        return self._cmp(other) >= 0
+        """The sum and the decimal digits it lost: 0.0, as both terms are
+        positive. Differences, which can lose digits, are ln_sub's."""
+        return LogScalar(ln_add(self.ln, other.ln)), 0.0
 
 
-ZERO = LogScalar(0, -math.inf)
-ONE = LogScalar(1, 0.0)
-
-
-def ls_sum(items: Iterable[LogScalar]) -> LogScalar:
-    total = ZERO
-    for it in items:
-        total = total + it
-    return total
+ZERO = LogScalar(-math.inf)
+ONE = LogScalar(0.0)

@@ -40,15 +40,21 @@ def critical_energy(eps: float, rho: float, c2: float) -> float:
 
 
 def emax_lower(G: float, eps: float, rho: float, c2: float) -> LogScalar:
-    """Guaranteed-reachable enstrophy level, exp(Theta(G^2)) large."""
+    """Guaranteed-reachable enstrophy level, exp(Theta(G^2)) large. A
+    bound outside float range is InvalidRegime."""
     _validate(G, eps, rho, c2)
     e_crit = critical_energy(eps, rho, c2)
     if G * G <= e_crit:
         raise RegimeViolation(
             f"G^2 = {G * G} must exceed the critical energy {e_crit}")
+    # ln e_crit from its factors: e_crit itself may underflow to 0
+    ln_e_crit = math.log(eps) + math.log1p(-rho) - math.log(4.0) \
+        - math.log(c2)
     ln = math.log(4.0) + (1.0 + rho) * math.log(G) \
-        + 0.5 * (1.0 - rho) * math.log(e_crit) \
+        + 0.5 * (1.0 - rho) * ln_e_crit \
         + (2.0 * c2 / eps) * (G * G - e_crit)
+    if not math.isfinite(ln):
+        raise InvalidRegime(f"lower bound leaves float range (ln = {ln})")
     return LogScalar.from_ln(ln)
 
 

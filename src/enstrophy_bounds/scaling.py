@@ -7,9 +7,11 @@ parameter s, so the whole curve is one closed form
     E(e) = K e^alpha - beta/(1-alpha) e,
     K = E0/e0^alpha + beta e0^(1-alpha)/(1-alpha),
 
-concave with a single interior maximum. Everything stays in native float
-range (the interesting exponents are algebraic, not exponential), so this
-module is deliberately plain: floats in, floats out. The admissibility
+concave with a single interior maximum. The interesting exponents are
+algebraic, not exponential, so the public helpers take and return floats;
+assemble_scaling forms the anchor E0, each sample and the maximum from
+sums of logs (ln_add of the two positive terms), since E0 = 4 lam e0 and
+the samples can underflow where their logs do not. The admissibility
 floor E_floor marks where the underlying smallness condition can hold at
 all; samples below it are flagged rather than hidden.
 """
@@ -21,7 +23,7 @@ from dataclasses import dataclass
 
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import InvalidRegime, RegimeViolation
-from .logscalar import LogScalar
+from .logscalar import LogScalar, ln_add
 from .params import ForcingParams
 
 
@@ -49,10 +51,13 @@ def scaling_params(params: ForcingParams) -> ScalingParams:
     if ln_floor >= 709.0:
         raise InvalidRegime(
             f"admissibility floor exp({ln_floor:.6g}) is above float range")
+    beta = 8.0 * params.lam * window
+    if beta == math.inf:
+        raise InvalidRegime("drain rate beta = 8 lam (psi_inf + eps0 c') "
+                            "is above float range")
     return ScalingParams(
         eps0=params.eps0, c_prime=params.c_omega_prime, s=s,
-        alpha_sc=0.5 * (1.0 - s), beta_sc=8.0 * params.lam * window,
-        E_floor=math.exp(ln_floor))
+        alpha_sc=0.5 * (1.0 - s), beta_sc=beta, E_floor=math.exp(ln_floor))
 
 
 def _lead_coefficient(e0_init: float, E0_init: float,
@@ -72,17 +77,38 @@ def scaling_curve(e: float, e0_init: float, E0_init: float,
         * math.expm1((1.0 - a) * math.log(e0_init / e))
 
 
+def _ln_curve(v: float, ln_e0: float, ln_E0: float,
+              sp: ScalingParams) -> float:
+    """ln scaling_curve at e = exp(v) <= e0, summed from the logs of its
+    two positive terms, so that neither can underflow."""
+    a = sp.alpha_sc
+    rest = math.expm1((1.0 - a) * (ln_e0 - v))
+    ln_rest = math.log(rest) if rest > 0.0 else -math.inf
+    return ln_add(ln_E0 + a * (v - ln_e0),
+                  math.log(sp.beta_sc / (1.0 - a)) + v + ln_rest)
+
+
+def _ln_emax(ln_e0: float, ln_E0: float,
+             sp: ScalingParams) -> tuple[float, float]:
+    """(ln e, ln E) of the stationary point, where (e/e0)^(1-a) =
+    a + a (1-a)/r with r = beta e0/E0; RegimeViolation unless it lies
+    left of the anchor."""
+    a = sp.alpha_sc
+    ln_r = math.log(sp.beta_sc) + ln_e0 - ln_E0
+    ln_e = ln_e0 + ln_add(math.log(a), math.log(a * (1.0 - a)) - ln_r) \
+        / (1.0 - a)
+    if ln_e >= ln_e0:
+        raise RegimeViolation(
+            f"curve maximum ln e = {ln_e:.6g} not left of the anchor "
+            f"ln e0 = {ln_e0:.6g}")
+    return ln_e, _ln_curve(ln_e, ln_e0, ln_E0, sp)
+
+
 def scaling_emax(e0_init: float, E0_init: float,
                  sp: ScalingParams) -> tuple[float, float]:
     """Stationary point of the curve; only meaningful left of the anchor."""
-    a = sp.alpha_sc
-    k = _lead_coefficient(e0_init, E0_init, sp)
-    e_max = (a * (1.0 - a) * k / sp.beta_sc) ** (1.0 / (1.0 - a))
-    if e_max >= e0_init:
-        raise RegimeViolation(
-            f"curve maximum e = {e_max:.6g} not left of the anchor "
-            f"e0 = {e0_init:.6g}")
-    return e_max, scaling_curve(e_max, e0_init, E0_init, sp)
+    ln_e, ln_E = _ln_emax(math.log(e0_init), math.log(E0_init), sp)
+    return math.exp(ln_e), math.exp(ln_E)
 
 
 def exponent_compare(r: float, s: float) -> dict:
@@ -114,33 +140,33 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     positive. Samples below the floor are counted into a flag, not
     removed."""
     sp = scaling_params(params)
-    e0, E0 = default_anchor(params)
-    ln_e0 = math.log(e0)
+    ln_e0 = math.log(params.e0)
+    # default_anchor's E0 = 4 lam e0, in logs: it may underflow where
+    # they do not
+    ln_E0 = math.log(4.0) + math.log(params.lam) + ln_e0
+    ln_floor = math.log(sp.E_floor) if sp.E_floor > 0.0 else -math.inf
 
     grid = log_grid(ln_e0 - 12.0 * math.log(10.0), ln_e0, samples)
-    ln_E, slope = [], []
-    below = 0
-    for v in grid:
-        e = e0 * math.exp(v - ln_e0)  # exactly e0 at the anchor
-        val = scaling_curve(e, e0, E0, sp)
-        ln_E.append(math.log(val))
-        slope.append(sp.alpha_sc - sp.beta_sc * e / val)
-        if val < sp.E_floor:
-            below += 1
+    ln_E = [_ln_curve(v, ln_e0, ln_E0, sp) for v in grid]
+    # slope a - beta e/E; the ratio, at most 2 (psi_inf + eps0 c'), can
+    # pass float range, and to_float saturates it to inf
+    ln_beta = math.log(sp.beta_sc)
+    slope = [sp.alpha_sc - LogScalar.from_ln(ln_beta + v - ln).to_float()
+             for v, ln in zip(grid, ln_E)]
+    below = sum(ln < ln_floor for ln in ln_E)
     segs = [CurveSegment("phi1", grid, ln_E, slope)]
     if sp.E_floor > 0.0:
         # a zero floor (no curl forcing) admits every sample: no barrier
-        segs.append(CurveSegment("barrier", grid,
-                                 [math.log(sp.E_floor)] * samples,
+        segs.append(CurveSegment("barrier", grid, [ln_floor] * samples,
                                  [0.0] * samples))
 
-    breakpoints = {"e0": LogScalar.from_float(e0),
-                   "E0": LogScalar.from_float(E0)}
+    breakpoints = {"e0": LogScalar.from_ln(ln_e0),
+                   "E0": LogScalar.from_ln(ln_E0)}
     flags = [f"s={sp.s:.12g}"]
     try:
-        e_max, E_max = scaling_emax(e0, E0, sp)
-        breakpoints["e_max"] = LogScalar.from_float(e_max)
-        breakpoints["E_max"] = LogScalar.from_float(E_max)
+        ln_e_max, ln_E_max = _ln_emax(ln_e0, ln_E0, sp)
+        breakpoints["e_max"] = LogScalar.from_ln(ln_e_max)
+        breakpoints["E_max"] = LogScalar.from_ln(ln_E_max)
     except RegimeViolation:
         flags.append("maximum_outside_domain")
     if below:

@@ -203,6 +203,9 @@ _BAD_CURVES = {
                                        "log10_E": [1.0]}]},
     "zero-energy.json": {"segments": [{"tag": "phi1", "e": ["0.0", "0.0"],
                                        "log10_E": [1.0, 2.0]}]},
+    "negative-energy.json": {"segments": [{"tag": "phi1",
+                                           "e": ["1.0", "-1e3"],
+                                           "log10_E": [1.0, 2.0]}]},
 }
 
 
@@ -288,6 +291,23 @@ _EXTREME_INPUTS = [
         "f_norm": 677, "lambda": 4.8e-49, "lambda0": 2.8e-19, "mu": 9.7e8,
         "nu": 1.7e-55, "psi_inf": 6.2e37, "r": 0.657}, 1,
         id="full-sixty-decade-draw"),
+    # e_crit = eps (1 - rho)/(4 c2) underflows, and 2 c2/eps overflows
+    pytest.param(["emax"], {"eps": 4.1e-166, "c2": 2.8e182, "nu": 1.4e79,
+                            "lambda": 1.1e-177, "f_norm": 1e-50}, 1,
+                 id="emax-underflowing-critical-energy"),
+    # E0 = 4 lam e0 and every sample of the curve underflow; their logs
+    # do not
+    pytest.param(["curve", "scaling"], {
+        "f_norm": 1e-196, "lambda": 1e-194, "nu": 1.4e87,
+        "c_omega": 2.5e156, "lambda0": 2.1e161}, 0,
+        id="scaling-underflowing-samples"),
+    # beta = 8 lam (psi_inf + eps0 c') past float range is refused; a
+    # finite beta whose slope ratio beta e/E, up to 2 (psi_inf + eps0 c'),
+    # is past it still gives a curve
+    pytest.param(["curve", "scaling"], {"psi_inf": 1e300, "lambda": 1e10},
+                 1, id="scaling-huge-drain"),
+    pytest.param(["curve", "scaling"], {"psi_inf": 1e308, "lambda": 1e-3},
+                 0, id="scaling-huge-drain-ratio"),
 ]
 
 

@@ -65,10 +65,12 @@ def _params(draw, width=60.0):
     return raw
 
 
+@pytest.mark.parametrize("width", [60.0, 200.0, 300.0],
+                         ids=["60", "200", "300"])
 @settings(derandomize=True, max_examples=40, deadline=None, database=None)
-@given(raw=_params())
-def test_joint_draws_within_sixty_decades(tmp_path_factory, raw):
-    _run_all(tmp_path_factory.mktemp("joint"), raw)
+@given(data=st.data())
+def test_joint_draws_within_decades(tmp_path_factory, width, data):
+    _run_all(tmp_path_factory.mktemp("joint"), data.draw(_params(width)))
 
 
 @pytest.mark.parametrize("width", [100.0, 300.0], ids=["100", "300"])
