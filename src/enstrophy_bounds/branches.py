@@ -20,11 +20,17 @@ The families differ only in the constants. At r = 1/2, b > 0: the
 nullcline raised to 1/p is the vorticity barrier, with a vertical
 asymptote at e_a = a/b, and the peak sits a sub-float distance left of it,
 so that crossing is solved in w = ln(1 - e/e_a). At r > 1/2, b = 0: the
-nullcline is the line y = (c/a) e and the crossing is solved in ln e.
-Abscissas travel as ln e and ordinates as ln y or ln E, plain floats,
-because the floor crossing lies thousands of decades below float range;
-a value becomes a LogScalar only where it leaves the chain (branch,
-peak_point, the bundle's breakpoints).
+nullcline is the line y = (c/a) e and the crossing is closed form in ln e.
+
+No root is searched for a bracket. Left of its anchor a branch's inner
+term (the ln of the bracket in solution) lies between its value at the
+anchor, lead, and its limit at e = 0, top = lead (+) ln c + ln W(0, e_ref),
+(+) being ln_add (envelope). Those two bounds give both ends of every
+bracket, the r = 1/2 peak's in w and the floor crossing's in ln e, and at
+b = 0 the peak itself. Abscissas travel as ln e and ordinates as ln y or
+ln E, plain floats, because the floor crossing lies thousands of decades
+below float range; a value becomes a LogScalar only where it leaves the
+chain (branch, peak_point, the bundle's breakpoints).
 """
 
 from __future__ import annotations
@@ -43,9 +49,11 @@ from .specfun import weighted_exp_integral_ln
 
 TAGS = ("phi1", "phi2", "phi3")
 
-# first width, in ln e, of the bracket left of the peak that holds the
-# floor crossing; it doubles until the bracket closes
-_FLOOR_STEP = 1000.0
+# lowest ln e searched for the floor crossing, so a deeper one is
+# NoBracket: below it one ulp of ln e is 1/8 or more, and the tail's
+# twenty decades (46 in ln e) hold fewer distinct abscissas than its 512
+# default samples
+_LN_E_DEEPEST = -2.0 ** 49
 
 
 @dataclass(frozen=True)
@@ -97,6 +105,19 @@ def solution(ln_e: float, field: Field, ln_e_ref: float,
     return a * ln_e - b * math.exp(ln_e) + inner
 
 
+def envelope(field: Field, ln_e_ref: float,
+             ln_y_ref: float) -> tuple[float, float]:
+    """(lead, top): the inner term of solution at the anchor and its limit
+    at e = 0, top = lead (+) ln c + ln W(0, e_ref), or lead at c = 0. Left
+    of the anchor the drift only adds, so the inner term lies between the
+    two, and a ln e - b e + lead <= ln y <= a ln e + top there."""
+    lead = field.b * math.exp(ln_e_ref) - field.a * ln_e_ref + ln_y_ref
+    if field.c == 0.0:
+        return lead, lead
+    return lead, ln_add(lead, math.log(field.c) + weighted_exp_integral_ln(
+        field.a, field.b, -math.inf, ln_e_ref))
+
+
 def _as_ln(e) -> float:
     if isinstance(e, LogScalar):
         if e.ln == -math.inf:
@@ -105,18 +126,6 @@ def _as_ln(e) -> float:
     if e <= 0.0:
         raise OutsideDomain("energy must be positive")
     return math.log(e)
-
-
-def _bracket_left(gap, hi: float, step: float, sign: float,
-                  what: str) -> float:
-    """lo = hi - step 2^k, the first k < 40 with sign * gap(lo) > 0."""
-    lo = hi - step
-    for _ in range(40):
-        if sign * gap(lo) > 0.0:
-            return lo
-        step *= 2.0
-        lo = hi - step
-    raise NoBracket(f"{what} deeper than the bracket guard")
 
 
 @dataclass(frozen=True)
@@ -232,26 +241,35 @@ class Chain:
 
     @cached_property
     def peak(self) -> tuple[float, float, float]:
-        """(x*, ln e_peak, ln E_peak): the rise meets its nullcline."""
+        """(x*, ln e_peak, ln E_peak): the rise meets its nullcline.
+
+        With lead <= inner <= top (envelope) and b e_a = a, the gap at
+        b > 0 is k + inner + w + (a - 1) ln(1 - e^w) + a e^w in w, with
+        k = a ln e_a - a - ln(c/b). At or below ln 1/2 it is under
+        -1 + (1 - a) ln 2 + a/2 < 0 from w = -k - top - 1 down, and it is
+        at least 1 from w = 1 - k - lead up: those two ends bracket the
+        root. At b = 0 the rise is e^a (e^top - c e^(1-a)/(1-a)), which
+        meets (c/a) e where (1 - a) ln e = top + ln a + ln(1 - a) - ln c.
+        """
         f = self.rise
-        ln_e0 = self.ln_e0
         if f.c == 0.0:
             raise NoBracket("no production term, the rising branch has no peak")
+        if f.b > 0.0 and self.params.e0 <= f.e_a:
+            raise RegimeViolation(
+                f"anchor energy e0 = {self.params.e0} must exceed the "
+                f"barrier asymptote e_a = {f.e_a}")
+        if not f.e_a > 0.0:
+            raise InvalidRegime(f"e_a = a/b underflows (b = {f.b:.3g})")
+        lead, top = envelope(f, *self._anchor(0))
         if f.b > 0.0:
-            if self.params.e0 <= f.e_a:
-                raise RegimeViolation(
-                    f"anchor energy e0 = {self.params.e0} must exceed the "
-                    f"barrier asymptote e_a = {f.e_a}")
-            # near e_a, ln y_null = ln(c/b) - w: estimate, then bracket
-            w_est = math.log(f.c / f.b) - self._y(0, math.log(f.e_a))
-            x = find_root(self.peak_gap, min(w_est - 60.0, math.log(0.5)),
-                          math.log1p(-1e-9), x_tol=1e-12)
+            k = f.a * math.log(f.e_a) - f.a - math.log(f.c) + math.log(f.b)
+            x = find_root(self.peak_gap, min(-k - top - 1.0, math.log(0.5)),
+                          min(1.0 - k - lead, math.log1p(-1e-9)))
         else:
-            if self.peak_gap(ln_e0) >= 0.0:
-                raise NoBracket(
-                    "rising branch peaks at or right of the anchor e0")
-            lo = _bracket_left(self.peak_gap, ln_e0, 50.0, 1.0, "peak")
-            x = find_root(self.peak_gap, lo, ln_e0, x_tol=1e-13)
+            x = (top + math.log(f.a) + math.log1p(-f.a) - math.log(f.c)) \
+                / (1.0 - f.a)
+            if x >= self.ln_e0:
+                raise NoBracket("rise peaks at or right of the anchor e0")
         ln_e = self._ln_e_of(x)
         return x, ln_e, self.value(0, ln_e)
 
@@ -265,18 +283,30 @@ class Chain:
 
     @cached_property
     def ln_floor(self) -> float:
-        """ln e where the descent meets the enstrophy floor."""
+        """ln e where the descent meets the enstrophy floor.
+
+        Left of the peak the descent's ln y lies between
+        a v - b e_peak + lead and a v + top (envelope), so against the
+        floor's ln y_f the gap is below -1 from v = (ln y_f - top - 1)/a
+        down, and above 1 from v = (ln y_f - lead + b e_peak + 1)/a up
+        (or positive at the peak, if that comes first). The search stops
+        at ln e = -2^49 (_LN_E_DEEPEST): a crossing below it is NoBracket.
+        """
         _, ln_peak, ln_E_peak = self.peak
         ln_E_floor = math.log(self.floor)
         if not ln_E_floor < ln_E_peak:
             raise NoBracket(
                 "enstrophy floor meets or exceeds the curve maximum")
+        f = self.fields[1]
+        ln_y_f = ln_E_floor * f.p
+        lead, top = envelope(f, *self._anchor(1))
 
         def gap(v: float) -> float:
             return self.value(1, v) - ln_E_floor
 
-        lo = _bracket_left(gap, ln_peak, _FLOOR_STEP, -1.0, "floor crossing")
-        return find_root(gap, lo, ln_peak, x_tol=1e-15)
+        return find_root(gap, max(_LN_E_DEEPEST, (ln_y_f - top - 1.0) / f.a),
+                         min((ln_y_f - lead + f.b * math.exp(ln_peak) + 1.0)
+                             / f.a, ln_peak))
 
     # -- the curve ---------------------------------------------------------
 

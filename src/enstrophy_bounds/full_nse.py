@@ -197,7 +197,7 @@ def solve_e2(params: ForcingParams) -> float:
         return y - ln_add(ln_gamma, ln_delta + k * y)
 
     lo, hi = ln_gamma, ln_add(ln_gamma, ln_delta + k * ln_gamma)
-    y = lo if lo == hi else find_root(gap, lo, hi, x_tol=1e-14)
+    y = lo if lo == hi else find_root(gap, lo, hi)
     return _exp(_ln_apex(params)[0] + 2.0 / 3.0 * y)
 
 

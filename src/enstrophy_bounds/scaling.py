@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import InvalidRegime, RegimeViolation
 from .logscalar import LogScalar, ln_add
-from .params import ForcingParams
+from .params import _LN_RANGE, ForcingParams, exp_in_range
 
 
 @dataclass(frozen=True)
@@ -44,17 +44,20 @@ class ScalingParams:
 
 def scaling_params(params: ForcingParams) -> ScalingParams:
     s = params.eps0 * params.c_omega_prime + params.delta
-    window = params.psi_inf + params.eps0 * params.c_omega_prime
+    # ln of the window psi_inf + eps0 c', whose terms may underflow
+    ln_window = ln_add(
+        math.log(params.psi_inf) if params.psi_inf else -math.inf,
+        math.log(params.eps0) + math.log(params.c_omega_prime))
     l_curl = math.log(params.curlF_norm) if params.curlF_norm else -math.inf
     ln_floor = 2.0 * (l_curl - math.log(params.nu) - math.log(params.lam)
-                      - math.log(window))
+                      - ln_window)
     if ln_floor >= 709.0:
         raise InvalidRegime(
             f"admissibility floor exp({ln_floor:.6g}) is above float range")
-    beta = 8.0 * params.lam * window
-    if beta == math.inf:
-        raise InvalidRegime("drain rate beta = 8 lam (psi_inf + eps0 c') "
-                            "is above float range")
+    ln_beta = math.log(8.0) + math.log(params.lam) + ln_window
+    if ln_beta <= -_LN_RANGE:
+        raise InvalidRegime(f"drain rate beta = exp({ln_beta:.6g}) underflows")
+    beta = exp_in_range(ln_beta, "drain rate beta = 8 lam (psi_inf + eps0 c')")
     return ScalingParams(
         eps0=params.eps0, c_prime=params.c_omega_prime, s=s,
         alpha_sc=0.5 * (1.0 - s), beta_sc=beta, E_floor=math.exp(ln_floor))

@@ -6,9 +6,9 @@ tanh-sinh quadrature checks the series, a Dormand-Prince 5(4) path checks
 the Bernoulli closed form, the grid scan checks the root finder. Each is
 one standard method with no fallbacks. find_root also serves the
 construction; the quadrature and the ODE path are references only, and
-no curve or integral is built from them. The quadrature tolerance, the
-iteration cap and the blow-up level are fixed module constants; only
-find_root's x_tol and rk4_path's tol and n_out vary between callers.
+no curve or integral is built from them. The root tolerance (4 ulps),
+the quadrature tolerance, the iteration cap and the blow-up level are
+fixed; only rk4_path's tol and n_out vary between callers.
 """
 
 from __future__ import annotations
@@ -23,18 +23,20 @@ Func = Callable[[float], float]
 _MAX_ITER = 200  # false-position steps before find_root gives up
 
 
-def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13) -> float:
+def find_root(f: Func, lo: float, hi: float) -> float:
     """Bracketed root of f on [lo, hi] by Illinois-damped false position.
 
-    Endpoint values may be +-inf (sign information is still used; secant
-    steps fall back to bisection while an endpoint is infinite). Stops when
-    the bracket is narrower than x_tol * max(1, |x|) or a few ulps of x,
-    or when the next point rounds onto a bracket end, so x_tol may ask for
-    more than float64 can resolve. Raises NoBracket when f(lo) and f(hi)
-    share a sign, NonConvergence after _MAX_ITER iterations.
+    Endpoint values may be +-inf (sign information is still used; the step
+    bisects while f(hi) - f(lo) is not finite). Each point is kept at least
+    2 ulps inside the bracket (Dekker's minimum step; a NaN point becomes
+    lo + 2 ulps), so a step that lands on the root is followed by one just
+    past it, which closes the bracket. Stops when the bracket is at most
+    4 ulps of its larger end wide. Raises NoBracket when the
+    bracket is empty or f(lo) and f(hi) share a sign, NonConvergence after
+    _MAX_ITER iterations.
     """
     if not lo < hi:
-        raise ValueError(f"bad bracket [{lo}, {hi}]")
+        raise NoBracket(f"empty bracket [{lo}, {hi}]")
     f_lo, f_hi = f(lo), f(hi)
     if math.isnan(f_lo) or math.isnan(f_hi):
         raise NoBracket(f"NaN at bracket endpoint: f({lo})={f_lo}, f({hi})={f_hi}")
@@ -47,33 +49,30 @@ def find_root(f: Func, lo: float, hi: float, x_tol: float = 1e-13) -> float:
 
     side = 0
     for _ in range(_MAX_ITER):
-        if math.isfinite(f_lo) and math.isfinite(f_hi) and f_lo != f_hi:
-            xm = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-            if not lo < xm < hi:
-                xm = 0.5 * (lo + hi)
-        else:
-            xm = 0.5 * (lo + hi)
-        if xm == lo or xm == hi:
-            return xm
+        step = 2.0 * math.ulp(max(abs(lo), abs(hi)))
+        if hi - lo <= 2.0 * step:
+            return 0.5 * (lo + hi)
+        xm = (lo * f_hi - hi * f_lo) / (f_hi - f_lo) \
+            if math.isfinite(f_hi - f_lo) else 0.5 * (lo + hi)
+        xm = max(lo + step, min(xm, hi - step))
         fm = f(xm)
         if math.isnan(fm):
             raise NonConvergence(f"f({xm}) is NaN")
         if fm == 0.0:
             return xm
+        # Illinois: an end kept twice in a row has its value halved (an
+        # infinite one stays infinite)
         if (fm < 0.0) == (f_lo < 0.0):
             lo, f_lo = xm, fm
-            if side == -1 and math.isfinite(f_hi):
+            if side == -1:
                 f_hi *= 0.5
             side = -1
         else:
             hi, f_hi = xm, fm
-            if side == 1 and math.isfinite(f_lo):
+            if side == 1:
                 f_lo *= 0.5
             side = 1
-        width = max(abs(lo), abs(hi))
-        if hi - lo <= max(x_tol * max(1.0, width), 4.0 * math.ulp(width)):
-            return 0.5 * (lo + hi)
-    raise NonConvergence(f"no root to tolerance in {_MAX_ITER} iterations")
+    raise NonConvergence(f"no root to 4 ulps in {_MAX_ITER} iterations")
 
 
 _MAX_LEVEL = 12  # finest step 2^-12 in t: about 50k nodes

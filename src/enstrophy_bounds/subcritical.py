@@ -7,7 +7,9 @@ a two-term closed form B e^s + kappa e and the curve maximum grows only
 algebraically, E_bar = O(G^(2/sigma)). The curve is the three-branch
 construction of the branches module: the rise to the peak (e_bar, E_bar),
 where zeta = (C_s/alpha_s) e, the C_Omega-damped descent to the floor
-E_under, and the curl tail in x = E^(3/2), also with b = 0. The log-space
+E_under, and the curl tail in x = E^(3/2), also with b = 0. The peak is
+closed form, (1 - s) ln e_bar = ln B + ln s + ln(1 - s) - ln(sigma C_s),
+so the floor crossing is the chain's one root search. The log-space
 bookkeeping stays, because 1/sigma blows up as r -> 1/2 (E_bar overflows
 float64 already at r = 0.51, G = 2) and e_under sits thousands of decades
 below float range.
@@ -97,7 +99,8 @@ def find_e_bar(params: ForcingParams) -> tuple[float, LogScalar]:
     """Maximum point (e_bar, E_bar) of the rising branch.
 
     The peak is where the homogeneous pull alpha zeta / e balances the
-    constant drain: zeta(e) = (C_s / alpha_s) e.
+    constant drain: zeta(e) = (C_s / alpha_s) e, solved in closed form
+    (branches.Chain.peak).
     """
     return chain(params).peak_point()
 

@@ -308,6 +308,31 @@ _EXTREME_INPUTS = [
                  1, id="scaling-huge-drain"),
     pytest.param(["curve", "scaling"], {"psi_inf": 1e308, "lambda": 1e-3},
                  0, id="scaling-huge-drain-ratio"),
+    # the window psi_inf + eps0 c' = 1e-400 underflows; its log does not,
+    # and the admissibility floor, or without curl forcing beta, leaves
+    # float range
+    pytest.param(["curve", "scaling"], {"eps0": 1e-200,
+                                        "c_omega_prime": 1e-200}, 1,
+                 id="scaling-underflowing-window"),
+    pytest.param(["curve", "scaling"], {"eps0": 1e-200,
+                                        "c_omega_prime": 1e-200,
+                                        "curlF_norm": 0.0}, 1,
+                 id="scaling-underflowing-drain"),
+    # the rise rate b = 1.2 c2 sqrt(lam)/(eps nu^2) overflows, so e_a = a/b
+    # is 0: refused where the peak needs it, so a point right of e0 still
+    # gets its label, and without the curl-dominated floor the tail's
+    # assumption is what fails first
+    *[pytest.param(args, {"lambda": 1e200, "nu": 1e-105, "curlF_norm": 1e100},
+                   code, id=f"{name}-overflowing-rise-rate")
+      for args, code, name in (
+          (["curve", "critical"], 1, "critical"), (["verify"], 1, "verify"),
+          (["classify", "--e", "1", "--E", "1e10", "--model", "subcritical"],
+           0, "classify-right-of-e0"),
+          (["classify", "--e", "1e-200", "--E", "1e10", "--model",
+            "subcritical"], 1, "classify-left-of-e0"))],
+    pytest.param(["classify", "--e", "1", "--E", "1e10", "--model",
+                  "subcritical"], {"lambda": 1e200, "nu": 1e-105}, 3,
+                 id="classify-overflowing-rise-rate-weak-curl"),
 ]
 
 

@@ -334,6 +334,23 @@ def test_floor_crossing_resolves_rounding(preset, shift, request,
     assert abs(replace(ch).ln_floor - ln_floor) < 1e-11
 
 
+@pytest.mark.parametrize("preset, c_omega, deep", [
+    ("fig2", 8e10, False), ("fig2", 1e11, True),
+    ("fig3", 5e10, False), ("fig3", 6e10, True)])
+def test_floor_crossing_depth_limit(preset, c_omega, deep, request):
+    # the descent is the rise divided by C_Omega, so its floor crossing
+    # sinks like C_Omega; below ln e = -2^49 a float ln e cannot space the
+    # tail's 512 default samples over its twenty decades, and the chain
+    # refuses the crossing
+    params = _with(request.getfixturevalue(preset), c_omega=c_omega)
+    ch = (chain if params.r == 0.5 else subcritical.chain)(params)
+    if deep:
+        with pytest.raises(NoBracket):
+            ch.ln_floor
+    else:
+        assert -2.0 ** 49 < ch.ln_floor < -3e14
+
+
 def test_chain_errors_stay_lazy(fig2, monkeypatch):
     def no_floor(self):
         raise NoBracket("floor crossing not bracketed")

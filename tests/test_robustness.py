@@ -77,8 +77,9 @@ def test_joint_draws_within_decades(tmp_path_factory, width, data):
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
 @given(data=st.data())
 def test_family_floor_within_decades(width, data):
-    # the floor rule and the family constants alone, on the family chain:
-    # a floor in float range, or a typed refusal
+    # the floor rule, the family constants and the two closed-form
+    # brackets, on the family chain: a floor in float range, a peak and a
+    # floor crossing, or a typed refusal
     raw = data.draw(_params(width))
     try:
         params = ForcingParams.from_mapping(raw)
@@ -86,6 +87,7 @@ def test_family_floor_within_decades(width, data):
         ch = family.chain(params)
         assert 0.0 < ch.floor < math.inf
         assert ch.curl_dominant in (True, False)
+        assert ch.ln_floor < ch.peak[1] <= ch.ln_e0
     except EnstrophyBoundsError:
         pass
 

@@ -8,7 +8,7 @@ from enstrophy_bounds.solver import find_root, integrate_adaptive, rk4_path
 
 
 def test_find_root_sqrt2():
-    root = find_root(lambda x: x * x - 2.0, 1.0, 2.0, x_tol=1e-13)
+    root = find_root(lambda x: x * x - 2.0, 1.0, 2.0)
     assert root == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
@@ -31,13 +31,28 @@ def test_find_root_tolerates_infinite_endpoint():
 
 
 def test_find_root_stops_at_a_few_ulps():
-    # flat like the floor gap, with its root 1e-15 right of `root`: a
-    # relative x_tol below one ulp cannot be met at |x| ~ 8e3, so the ulp
-    # rule has to stop the search before the iterations run out
+    # flat like the floor gap, with its root 1e-15 right of `root`, at
+    # |x| ~ 8e3: the search has to stop within 4 ulps of it before the
+    # iterations run out
     root = -8248.908704754842
     got = find_root(lambda x: math.tanh(0.01 * (x - root)) - 1e-17,
-                    root - 50.0, root + 50.0, x_tol=1e-17)
+                    root - 50.0, root + 50.0)
     assert abs(got - root) <= 4.0 * math.ulp(root)
+
+
+def test_find_root_closes_after_a_step_onto_the_root():
+    # the first false-position step lands on 0.3, within an ulp of the
+    # root 0.3 - 1e-18; the next is kept 2 ulps inside the bracket, past
+    # the root, so the bracket closes there instead of being halved
+    xs = []
+
+    def f(x):
+        xs.append(x)
+        return (x - 0.3) + 1e-18
+
+    got = find_root(f, 0.0, 1.0)
+    assert len(xs) <= 4
+    assert abs(got - 0.3) <= 2.0 * math.ulp(0.3)
 
 
 def test_integrate_smooth():

@@ -202,8 +202,8 @@ def test_chain_resolves_once_per_parameter_set(fig3, monkeypatch):
         e = math.exp(-700.0 + 7.0 * i)
         E = 10.0 ** (i % 60)
         assert classify_subcritical(e, E, fig3) in ("I", "II", "III")
-    # one find_root for the peak, one for the floor crossing
-    assert len(calls) == 2
+    # the peak is closed form at b = 0: one find_root, the floor crossing's
+    assert len(calls) == 1
     chain.cache_clear()
 
 
