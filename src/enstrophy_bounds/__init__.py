@@ -6,47 +6,62 @@ critical and subcritical curves sharpen it under a coherence assumption on
 the forcing; maxest brackets the largest enstrophy the extremal dynamics
 can reach; scaling carries the construction to scaling-invariant forcing.
 verify re-derives everything independently and reports disagreements.
+
+Importing the package executes none of its modules. Each submodule but
+the cli entry point is registered in sys.modules unexecuted
+(importlib.util.LazyLoader), so a command executes only the modules it
+uses, while code that looks a module up in sys.modules (a tracer that
+rebinds functions by module attribute) finds every one of them; the first
+attribute access executes it. An exported name, or a submodule read as an
+attribute of the package (PEP 562 __getattr__), comes from its executed
+module.
 """
 
-from .critical import (assemble_critical, barrier, classify_critical,
-                       coefficients, find_e_max, find_e_min, phi1, phi2,
-                       phi3, truncation_comparison)
-from .curves import (CurveBundle, CurveSegment, bundle_to_csv,
-                     bundle_to_json, max_join_gap)
-from .errors import (AssumptionViolated, CancellationLoss,
-                     EnstrophyBoundsError, EtaTooSmall, FieldBlowup,
-                     InvalidRegime, MissingKey, NoBracket, NonConvergence,
-                     OutsideDomain, RegimeViolation)
-from .full_nse import (FullNseGeometry, assemble_full, classify_full,
-                       eta_threshold, geometry, nose_apex, parabola_E,
-                       phi_of_e, psi_of_E, solve_e2)
-from .logscalar import LogScalar
-from .maxest import (BoundReport, bound_report, emax_lower, emax_upper,
-                     eta_min, physical_scale)
-from .params import ForcingParams, load_params_file
-from .scaling import (ScalingParams, assemble_scaling, exponent_compare,
-                      scaling_curve, scaling_emax, scaling_params)
-from .subcritical import (assemble_subcritical, classify_subcritical,
-                          find_e_bar, sub_phi1, sub_phi2, sub_phi3)
-from .verify import containment_check, halved_curve, oracle_suite
+import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AssumptionViolated", "BoundReport", "CancellationLoss", "CurveBundle",
-    "CurveSegment", "EnstrophyBoundsError", "EtaTooSmall", "FieldBlowup",
-    "ForcingParams", "FullNseGeometry", "InvalidRegime", "LogScalar",
-    "MissingKey", "NoBracket", "NonConvergence", "OutsideDomain",
-    "RegimeViolation", "ScalingParams",
-    "assemble_critical", "assemble_full", "assemble_scaling",
-    "assemble_subcritical", "barrier", "bound_report", "bundle_to_csv",
-    "bundle_to_json", "classify_critical", "classify_full",
-    "classify_subcritical", "coefficients", "containment_check",
-    "emax_lower", "emax_upper", "eta_min", "eta_threshold",
-    "exponent_compare", "find_e_bar", "find_e_max", "find_e_min",
-    "geometry", "halved_curve", "load_params_file",
-    "max_join_gap", "nose_apex", "oracle_suite", "parabola_E", "phi1",
-    "phi2", "phi3", "phi_of_e", "physical_scale", "psi_of_E",
-    "scaling_curve", "scaling_emax", "scaling_params", "solve_e2",
-    "sub_phi1", "sub_phi2", "sub_phi3", "truncation_comparison",
-]
+# every exported name, keyed to the module that defines it
+_EXPORTS = {name: module for module, names in {
+    "critical": "assemble_critical barrier classify_critical coefficients "
+                "find_e_max find_e_min phi1 phi2 phi3 truncation_comparison",
+    "curves": "CurveBundle CurveSegment bundle_to_csv bundle_to_json "
+              "max_join_gap",
+    "errors": "AssumptionViolated CancellationLoss EnstrophyBoundsError "
+              "EtaTooSmall FieldBlowup InvalidRegime MissingKey NoBracket "
+              "NonConvergence OutsideDomain RegimeViolation",
+    "full_nse": "FullNseGeometry assemble_full classify_full eta_threshold "
+                "geometry nose_apex parabola_E phi_of_e psi_of_E solve_e2",
+    "logscalar": "LogScalar",
+    "maxest": "BoundReport bound_report emax_lower emax_upper eta_min "
+              "physical_scale",
+    "params": "ForcingParams load_params_file",
+    "scaling": "ScalingParams assemble_scaling exponent_compare "
+               "scaling_curve scaling_emax scaling_params",
+    "subcritical": "assemble_subcritical classify_subcritical find_e_bar "
+                   "sub_phi1 sub_phi2 sub_phi3",
+    "verify": "containment_check halved_curve oracle_suite",
+}.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
+
+_SUBMODULES = {*_EXPORTS.values(), "branches", "cli", "solver", "specfun"}
+
+# cli is the entry point: importing it executes it, and with it what every
+# command shares
+for _name in sorted(_SUBMODULES - {"cli"}):
+    _spec = importlib.util.find_spec(f"{__name__}.{_name}")
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules[_spec.name])
+del _name, _spec
+
+
+def __getattr__(name):
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    if name in _EXPORTS:
+        return getattr(__getattr__(_EXPORTS[name]), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -12,26 +12,27 @@ the estimates does not hold. Each library error class carries its code
 traceback.
 
 Output is deterministic: identical invocations produce identical bytes.
+
+Start-up executes only what every command shares (argument parsing, the
+parameter file, the writers); each handler imports the model module it
+runs, so `emax` never executes the curve constructions and `curve
+subcritical` never executes the critical, full, scaling or verify modules.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import signal
 import sys
 from pathlib import Path
 
-from . import maxest, verify
-from .critical import assemble_critical, classify_critical
 from .curves import bundle_to_csv, bundle_to_json, round_sig
 from .errors import EnstrophyBoundsError, InvalidRegime
-from .full_nse import assemble_full, classify_full
 from .logscalar import ZERO, LogScalar
 from .params import load_params_file
-from .scaling import assemble_scaling
-from .subcritical import assemble_subcritical, classify_subcritical
 
 
 class _UsageError(Exception):
@@ -56,16 +57,21 @@ def _finite(x: float):
     return x if math.isfinite(x) else None
 
 
+# model -> (module, function) of its assembler, imported by name when the
+# command runs
 _ASSEMBLERS = {
-    "critical": assemble_critical,
-    "subcritical": assemble_subcritical,
-    "full": assemble_full,
-    "scaling": assemble_scaling,
+    "critical": ("critical", "assemble_critical"),
+    "subcritical": ("subcritical", "assemble_subcritical"),
+    "full": ("full_nse", "assemble_full"),
+    "scaling": ("scaling", "assemble_scaling"),
 }
 
 
 def _cmd_curve(params, args) -> int:
-    bundle = _ASSEMBLERS[args.model](params, samples=args.samples)
+    module, name = _ASSEMBLERS[args.model]
+    assemble = getattr(importlib.import_module(f".{module}", __package__),
+                       name)
+    bundle = assemble(params, samples=args.samples)
     text = bundle_to_csv(bundle) if args.format == "csv" \
         else bundle_to_json(bundle)
     _emit(text, args.out)
@@ -73,6 +79,8 @@ def _cmd_curve(params, args) -> int:
 
 
 def _cmd_emax(params, args) -> int:
+    from . import maxest
+
     report = maxest.bound_report(params.grashof, params.eps, params.rho,
                                  params.c2, mu=params.mu, eta=args.eta,
                                  E0_anchor=args.anchor_E0)
@@ -96,16 +104,18 @@ def _cmd_emax(params, args) -> int:
 
 def _cmd_classify(params, args) -> int:
     if args.model == "full":
-        label = classify_full(args.e, args.E, params)
+        from .full_nse import classify_full as classify
     elif params.r == 0.5:
-        label = classify_critical(args.e, args.E, params)
+        from .critical import classify_critical as classify
     else:
-        label = classify_subcritical(args.e, args.E, params)
-    sys.stdout.write(label + "\n")
+        from .subcritical import classify_subcritical as classify
+    sys.stdout.write(classify(args.e, args.E, params) + "\n")
     return 0
 
 
 def _cmd_verify(params, args) -> int:
+    from . import verify
+
     rows = verify.report(params, n_points=args.points)
     for row in rows:
         row["worst_margin"] = _finite(row["worst_margin"])

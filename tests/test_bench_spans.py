@@ -3,12 +3,18 @@
 bench/spans.py rebinds each traced function, by identity, at every module
 attribute that holds it, and bench/worker.py looks the classifiers up by
 name. A refactor that renames one of them, or turns two of them into the
-same object, breaks `bench/run.py --trace 1` without failing anything else.
+same object, breaks `bench/run.py --trace 1` without failing anything else;
+so does a package that leaves a traced module out of sys.modules until
+something imports it.
 """
 
 import ast
 import importlib
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 import types
 
 from conftest import ROOT
@@ -64,3 +70,46 @@ def test_worker_classifiers_exist():
     for module, name in pairs:
         assert callable(_resolve(module, name))
         assert (module, name) in traced
+
+
+# bench/worker.py's own import line, then a tracer installed before any
+# operation: the traced modules the worker never names must still be in
+# sys.modules, and patchable
+_INSTALL_AFTER_WORKER_IMPORTS = """
+import importlib.util, json, sys
+exec(sys.argv[1])
+spec = importlib.util.spec_from_file_location("bench_spans", sys.argv[2])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+
+
+def resolve(module, name):
+    return getattr(sys.modules[f"{spans.PACKAGE}.{module}"], name)
+
+
+tracer = spans.Tracer()
+tracer.install()
+installed = {pair: resolve(*pair) for pair in spans.TRACED}
+tracer.uninstall()
+print(json.dumps({
+    "rebound": [pair for pair, fn in installed.items()
+                if resolve(*pair) is not fn],
+    "restored": [pair for pair, fn in installed.items()
+                 if resolve(*pair) is getattr(fn, "__wrapped__", None)],
+}))
+"""
+
+
+def test_tracer_installs_after_the_worker_imports_alone():
+    tree = ast.parse((BENCH / "worker.py").read_text())
+    line = next(ast.unparse(node) for node in tree.body
+                if isinstance(node, ast.ImportFrom)
+                and node.module == "enstrophy_bounds")
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c",
+                           _INSTALL_AFTER_WORKER_IMPORTS, line,
+                           str(BENCH / "spans.py")],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    traced = [list(pair) for pair in _spans().TRACED]
+    assert json.loads(proc.stdout) == {"rebound": traced, "restored": traced}

@@ -637,6 +637,64 @@ def test_commands_never_import_numpy(tmp_path):
     assert doc["numpy"] == []
 
 
+# `python -m enstrophy_bounds ARGS`, then the package modules it executed:
+# a registered module that nothing touched is still the lazy stand-in
+_EXECUTED_MODULES = """
+import json, runpy, sys, types
+try:
+    runpy.run_module("enstrophy_bounds", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    code = exc.code
+print(json.dumps({"code": code, "executed": sorted(
+    name.split(".", 1)[1] for name, module in sys.modules.items()
+    if name.startswith("enstrophy_bounds.")
+    and type(module) is types.ModuleType)}))
+"""
+_SHARED = {"cli", "curves", "errors", "logscalar", "params"}
+
+
+def _executed_modules(*args) -> set:
+    env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
+    proc = subprocess.run([sys.executable, "-c", _EXECUTED_MODULES, *args],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.splitlines()[-1])
+    assert doc["code"] == 0, proc.stderr
+    return set(doc["executed"])
+
+
+@pytest.mark.parametrize("args, executed", [
+    (("emax", "--params", FIG2), _SHARED | {"maxest"}),
+    (("taylor", "--params", FIG2, "--curve", "CURVE"), _SHARED),
+    (("--help",), _SHARED),
+    (("classify", "--params", FIG2, "--e", "4", "--E", "1e9"),
+     _SHARED | {"full_nse", "solver"}),
+    (("curve", "full", "--params", FIG2, "--samples", "16"),
+     _SHARED | {"full_nse", "solver"}),
+    (("curve", "scaling", "--params", FIG2, "--samples", "16"),
+     _SHARED | {"scaling"}),
+], ids=["emax", "taylor", "help", "classify", "curve-full", "curve-scaling"])
+def test_command_executes_only_the_modules_it_runs(tmp_path, args, executed):
+    if "CURVE" in args:
+        curve = str(tmp_path / "critical.json")
+        assert run(["curve", "critical", "--params", FIG2, "--samples", "16",
+                    "--format", "json", "--out", curve]) == 0
+        args = [curve if a == "CURVE" else a for a in args]
+    assert _executed_modules(*args) == executed
+
+
+@pytest.mark.parametrize("args", [
+    ("curve", "subcritical", "--params", FIG3, "--samples", "16"),
+    ("classify", "--params", FIG3, "--model", "subcritical", "--e", "4",
+     "--E", "1e9"),
+], ids=["curve", "classify"])
+def test_subcritical_commands_execute_no_other_model(args):
+    executed = _executed_modules(*args)
+    assert "subcritical" in executed
+    assert not executed & {"critical", "full_nse", "scaling", "maxest",
+                           "verify"}
+
+
 def _run_optimized(*args, code=None):
     # python -O strips assert statements; the construction checks must not
     # depend on them

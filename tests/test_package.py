@@ -1,0 +1,78 @@
+"""The package's import surface.
+
+Importing enstrophy_bounds executes none of its modules: each is registered
+in sys.modules unexecuted and runs on first use. Every way of reaching a
+name or a module must still hand back the executed one.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+from conftest import ROOT
+
+PACKAGE = ROOT / "src" / "enstrophy_bounds"
+
+# each check in a fresh interpreter, where nothing has executed yet
+_SURFACE = """
+import importlib, json, sys, types
+import pytest
+import enstrophy_bounds as eb
+
+names, modules = sys.argv[1], sys.argv[2:]
+out = {}
+if names == "exports":
+    for name in eb.__all__:
+        ns = {}
+        exec(f"from enstrophy_bounds import {name}", ns)
+        home = sys.modules[f"enstrophy_bounds.{eb._EXPORTS[name]}"]
+        out[name] = ns[name] is getattr(home, name) \\
+            and type(home) is types.ModuleType
+    out["missing"] = not hasattr(eb, "no_such_name")
+elif names == "import":
+    for m in modules:
+        exec(f"import enstrophy_bounds.{m}")
+        out[m] = getattr(eb, m) is sys.modules[f"enstrophy_bounds.{m}"] \\
+            and type(getattr(eb, m)) is types.ModuleType
+elif names == "attribute":
+    for m in modules:
+        out[m] = type(getattr(eb, m)) is types.ModuleType
+else:
+    mp = pytest.MonkeyPatch()
+    mp.setattr("enstrophy_bounds.specfun._MAX_X", 5.0)
+    patched = sys.modules["enstrophy_bounds.specfun"]._MAX_X
+    mp.undo()
+    out["patched"] = patched == 5.0
+    out["restored"] = sys.modules["enstrophy_bounds.specfun"]._MAX_X != 5.0
+print(json.dumps(out))
+"""
+
+
+def _surface(kind, *modules) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _SURFACE, kind, *modules],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def _submodules() -> list:
+    return sorted(p.stem for p in PACKAGE.glob("*.py")
+                  if not p.stem.startswith("__"))
+
+
+def test_every_export_resolves_from_its_executed_module():
+    out = _surface("exports")
+    assert out.pop("missing") is True
+    assert out and all(out.values()), [k for k, ok in out.items() if not ok]
+
+
+def test_every_submodule_imports_executed():
+    for kind in ("import", "attribute"):
+        out = _surface(kind, *_submodules())
+        assert out == {m: True for m in _submodules()}, kind
+
+
+def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
+    assert _surface("monkeypatch") == {"patched": True, "restored": True}
