@@ -98,6 +98,10 @@ def _cmd_emax(params, args) -> int:
         "anchor_E0": round_sig(report.anchor_E0 * big_scale),
         "flags": sorted(flags),
     }
+    for key, value in doc.items():
+        if key != "flags" and not math.isfinite(value):
+            raise InvalidRegime(f"{key} = {value} in physical units is "
+                                "outside float range")
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 

@@ -5,16 +5,19 @@ so the Grashof number is the only large parameter and both bounds scale
 like exp(c G^2); results are LogScalar because the interesting regimes
 overflow float64 immediately (G = 2 already gives ~1e36).
 
-The lower estimate tracks the curve from the forcing parabola up to the
-critical energy e_crit where the rising field switches off. The upper
-estimate runs the same argument with every coefficient inflated by a
-funnel parameter eta; eta must not drop below eta_min(E0) or the inflated
-field loses control of the anchor and the argument is void.
+Both bounds are one closed form. The upper estimate runs from an anchor
+E0 up to the critical energy damped by a funnel parameter eta; eta must
+not drop below eta_min(E0) or the inflated field loses control of the
+anchor and the argument is void. The lower estimate, which tracks the
+curve from the forcing parabola up to the critical energy e_crit where
+the rising field switches off, is that form at eta = 0 on the parabola
+apex E0 = 4 G^2.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .errors import EtaTooSmall, InvalidRegime, RegimeViolation
@@ -22,6 +25,9 @@ from .logscalar import LogScalar
 
 # relative slack accepted on the eta gate before EtaTooSmall fires
 _ETA_SLACK = 1e-3
+
+# exp of this is the largest float, at least any finite G^2
+_LN_MAX = math.log(sys.float_info.max)
 
 
 def _validate(G: float, eps: float, rho: float, c2: float) -> None:
@@ -35,27 +41,39 @@ def _validate(G: float, eps: float, rho: float, c2: float) -> None:
         raise InvalidRegime(f"rho must lie in [0, 1), got {rho}")
 
 
-def critical_energy(eps: float, rho: float, c2: float) -> float:
-    return eps * (1.0 - rho) / (4.0 * c2)
+def _ln_e(eps: float, rho: float, c2: float, eta: float) -> float:
+    """ln e_eta, e_eta = eps (1 - rho)/(2 (2 + eta) c2) the critical energy
+    damped by eta (e_crit at eta = 0), from the logs of its factors: e_eta
+    itself may lie below float range."""
+    return math.log(eps) + math.log1p(-rho) - math.log(2.0 * (2.0 + eta)) \
+        - math.log(c2)
+
+
+def _bound(G: float, eps: float, rho: float, c2: float, eta: float,
+           ln_E0: float) -> LogScalar:
+    """E0 (G^2/e_eta)^(-theta) exp(((2 + eta) c2/eps)(G^2 - e_eta)),
+    theta = (1 - rho)/2, formed in logs. At eta = 0 and E0 = 4 G^2 its
+    log is ln 4 + (1 + rho) ln G + theta ln e_crit + (2 c2/eps)(G^2 -
+    e_crit), the lower bound. A bound whose log leaves float range is
+    InvalidRegime."""
+    ln_e = _ln_e(eps, rho, c2, eta)
+    e = math.exp(min(ln_e, _LN_MAX))
+    if G * G <= e:
+        raise RegimeViolation(f"G^2 = {G * G} must exceed the critical "
+                              f"energy {e} at eta = {eta}")
+    ln = ln_E0 + 0.5 * (1.0 - rho) * (ln_e - 2.0 * math.log(G)) \
+        + ((2.0 + eta) * c2 / eps) * (G * G - e)
+    if not math.isfinite(ln):
+        raise InvalidRegime(f"bound at eta = {eta} leaves float range "
+                            f"(ln = {ln})")
+    return LogScalar.from_ln(ln)
 
 
 def emax_lower(G: float, eps: float, rho: float, c2: float) -> LogScalar:
     """Guaranteed-reachable enstrophy level, exp(Theta(G^2)) large. A
     bound outside float range is InvalidRegime."""
     _validate(G, eps, rho, c2)
-    e_crit = critical_energy(eps, rho, c2)
-    if G * G <= e_crit:
-        raise RegimeViolation(
-            f"G^2 = {G * G} must exceed the critical energy {e_crit}")
-    # ln e_crit from its factors: e_crit itself may underflow to 0
-    ln_e_crit = math.log(eps) + math.log1p(-rho) - math.log(4.0) \
-        - math.log(c2)
-    ln = math.log(4.0) + (1.0 + rho) * math.log(G) \
-        + 0.5 * (1.0 - rho) * ln_e_crit \
-        + (2.0 * c2 / eps) * (G * G - e_crit)
-    if not math.isfinite(ln):
-        raise InvalidRegime(f"lower bound leaves float range (ln = {ln})")
-    return LogScalar.from_ln(ln)
+    return _bound(G, eps, rho, c2, 0.0, math.log(4.0) + 2.0 * math.log(G))
 
 
 def eta_min(E0: float, eps: float, mu: float) -> float:
@@ -71,6 +89,15 @@ def eta_min(E0: float, eps: float, mu: float) -> float:
     return 12.0 * mu / (eps ** 0.4 * E0 ** 0.6)
 
 
+def _anchor_eta(G: float, eps: float, mu: float, eta: float | None,
+                E0_anchor: float | None) -> tuple[float, float]:
+    """(E0, eta) of the upper bound: the parabola apex 4 G^2 and
+    eta_min(E0) where the caller gives none. Only a default eta is checked
+    here, by its eta_min; emax_upper checks what the caller gave."""
+    E0 = 4.0 * G * G if E0_anchor is None else E0_anchor
+    return E0, eta_min(E0, eps, mu) if eta is None else eta
+
+
 def emax_upper(G: float, eps: float, rho: float, c2: float,
                eta: float | None = None, E0_anchor: float | None = None,
                *, mu: float = 1.0) -> LogScalar:
@@ -79,36 +106,22 @@ def emax_upper(G: float, eps: float, rho: float, c2: float,
     Defaults anchor on the parabola apex E0 = 4 G^2 with the smallest
     admissible eta. Passing the E0 produced by a first pass (and the
     correspondingly smaller eta) tightens the exponent considerably; the
-    gap to emax_lower stays a factor exp(O(G^2)) either way. A damped
-    critical energy or a bound outside float range is InvalidRegime.
+    gap to emax_lower stays a factor exp(O(G^2)) either way. A bound
+    outside float range is InvalidRegime.
     """
     _validate(G, eps, rho, c2)
-    if E0_anchor is None:
-        E0_anchor = 4.0 * G * G
-    elif not 0.0 < E0_anchor < math.inf:
+    E0, eta = _anchor_eta(G, eps, mu, eta, E0_anchor)
+    if E0_anchor is not None and not 0.0 < E0_anchor < math.inf:
         raise InvalidRegime(f"E0_anchor must be positive and finite, "
                             f"got {E0_anchor}")
-    floor = eta_min(E0_anchor, eps, mu)
-    if eta is None:
-        eta = floor
-    elif not math.isfinite(eta):
+    floor = eta_min(E0, eps, mu)
+    if not math.isfinite(eta):
         raise InvalidRegime(f"eta must be finite, got {eta}")
-    elif eta < floor * (1.0 - _ETA_SLACK):
+    if eta < floor * (1.0 - _ETA_SLACK):
         raise EtaTooSmall(
             f"eta = {eta} falls below eta_min = {floor:.6g} for "
-            f"anchor E0 = {E0_anchor}")
-    e_bar = eps * (1.0 - rho) / (2.0 * (2.0 + eta) * c2)
-    if not e_bar > 0.0:
-        raise InvalidRegime(f"damped critical energy underflows, eta = {eta}")
-    if G * G <= e_bar:
-        raise RegimeViolation(
-            f"G^2 = {G * G} must exceed the damped critical energy {e_bar}")
-    ln = math.log(E0_anchor) \
-        + 0.5 * (1.0 - rho) * (math.log(e_bar) - 2.0 * math.log(G)) \
-        + ((2.0 + eta) * c2 / eps) * (G * G - e_bar)
-    if not math.isfinite(ln):
-        raise InvalidRegime(f"upper bound leaves float range (ln = {ln})")
-    return LogScalar.from_ln(ln)
+            f"anchor E0 = {E0}")
+    return _bound(G, eps, rho, c2, eta, math.log(E0))
 
 
 @dataclass(frozen=True)
@@ -125,29 +138,26 @@ class BoundReport:
 def bound_report(G: float, eps: float, rho: float, c2: float,
                  mu: float = 1.0, eta: float | None = None,
                  E0_anchor: float | None = None) -> BoundReport:
-    """Both bounds plus the constants that shaped them, for the CLI."""
-    flags = []
-    anchor = E0_anchor
-    if anchor is None:
-        anchor = 4.0 * G * G
-        flags.append("anchor_E0=parabola_apex")
-    if eta is None:
-        eta = eta_min(anchor, eps, mu)
-        flags.append("eta=eta_min")
+    """Both bounds plus the constants that shaped them, for the CLI. The
+    default eta is formed before the lower bound, and a given anchor and
+    eta are checked after it."""
+    E0, eta_used = _anchor_eta(G, eps, mu, eta, E0_anchor)
     lower = emax_lower(G, eps, rho, c2)
-    # emax_upper fills in the default anchor itself; it gates only a
-    # caller's anchor
-    upper = emax_upper(G, eps, rho, c2, eta, E0_anchor, mu=mu)
-    return BoundReport(
-        lower=lower, upper=upper, eta_used=eta,
-        e_crit=critical_energy(eps, rho, c2),
-        e_bar_crit=eps * (1.0 - rho) / (2.0 * (2.0 + eta) * c2),
-        anchor_E0=anchor, flags=flags)
+    upper = emax_upper(G, eps, rho, c2, eta_used, E0_anchor, mu=mu)
+    e_crit, e_bar = (math.exp(_ln_e(eps, rho, c2, x))
+                     for x in (0.0, eta_used))
+    flags = [flag for flag, given in (("anchor_E0=parabola_apex", E0_anchor),
+                                      ("eta=eta_min", eta)) if given is None]
+    return BoundReport(lower=lower, upper=upper, eta_used=eta_used,
+                       e_crit=e_crit, e_bar_crit=e_bar, anchor_E0=E0,
+                       flags=flags)
 
 
 def physical_scale(params) -> tuple[float, float]:
-    """Multipliers (energy, enstrophy) translating this module's nu = lambda
-    = 1 frame into the units of a general parameter set. Everything above
-    stays normalized; rescale results on the way out."""
-    base = params.nu ** 2 / math.sqrt(params.lam)
-    return base, base * params.lam
+    """Multipliers (energy, enstrophy) = (nu^2/sqrt(lambda), nu^2
+    sqrt(lambda)) translating this module's nu = lambda = 1 frame into the
+    units of a general parameter set. Each is formed from nu^2 and
+    sqrt(lambda), so neither underflows or overflows with the other.
+    Everything above stays normalized; rescale results on the way out."""
+    nu2, root = params.nu ** 2, math.sqrt(params.lam)
+    return nu2 / root, nu2 * root

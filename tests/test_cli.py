@@ -13,8 +13,9 @@ from enstrophy_bounds import (AssumptionViolated, CancellationLoss,
                               InvalidRegime, MissingKey, NoBracket,
                               NonConvergence, OutsideDomain, RegimeViolation,
                               assemble_critical, assemble_subcritical,
-                              branches, classify_critical, classify_full,
-                              classify_subcritical, cli, load_params_file)
+                              bound_report, branches, classify_critical,
+                              classify_full, classify_subcritical, cli,
+                              load_params_file)
 from enstrophy_bounds.cli import run
 
 from conftest import PRESETS
@@ -377,10 +378,15 @@ def test_underflowing_anchor_is_regime(tmp_path, capsys, args):
 @pytest.mark.parametrize("over, extra", [
     ({"f_norm": 1e200}, []), ({"lambda": 1e-300}, []),
     ({}, ["--eta", "1e307"]), ({}, ["--eta", "1e308"]),
-], ids=["huge-forcing", "tiny-lambda", "eta-1e307", "eta-1e308"])
+    ({"nu": 1e150, "lambda": 1e-180, "f_norm": 1e300}, []),
+    ({"nu": 1e100, "lambda": 1e-100, "f_norm": 1e250}, []),
+], ids=["huge-forcing", "tiny-lambda", "eta-1e307", "eta-1e308",
+        "physical-energies-overflow", "physical-anchor-overflows"])
 def test_emax_outside_float_range_is_invalid(tmp_path, capsys, over, extra):
-    # G^2 overflows, the bound overflows or e_bar underflows: never print
-    # Infinity as JSON
+    # G^2 overflows, the bound overflows (at eta = 1e308 e_bar underflows
+    # too) or a number rescaled to physical units (nu^2/sqrt(lam) = 1e390
+    # times e_crit, or nu^2 sqrt(lam) = 1e150 times E0 = 4e250) overflows:
+    # never print Infinity as JSON
     params = _fig2_variant(tmp_path, "extreme.json", **over)
     assert run(["emax", "--params", params, *extra]) == 1
     captured = capsys.readouterr()
@@ -456,6 +462,28 @@ def test_emax_rescales_physical_frame(tmp_path):
         == pytest.approx(35.76575781168811 + math.log10(4.0), abs=1e-6)
     assert doc["log10_upper"] \
         == pytest.approx(110.92753862710634 + math.log10(4.0), abs=1e-6)
+
+
+def test_emax_rescales_without_underflowing_the_enstrophy(tmp_path):
+    # the energy multiplier nu^2/sqrt(lam) = 1e-450 underflows, the
+    # enstrophy multiplier nu^2 sqrt(lam) = 1e-150 does not: the bounds
+    # and the anchor E0 = 4 G^2 = 1.6e151 come out finite and rescaled
+    # (the shift of log10 by -150 is below the 12 printed digits of
+    # 3.47e151), and only the energies, below float range, read 0
+    frame = _fig2_variant(tmp_path, "frame.json",
+                          **{"nu": 1e-150, "lambda": 1e300})
+    out = tmp_path / "emax.json"
+    assert run(["emax", "--params", frame, "--out", str(out)]) == 0
+    doc = json.loads(out.read_text())
+    params = load_params_file(frame)
+    report = bound_report(params.grashof, params.eps, params.rho, params.c2,
+                          mu=params.mu)
+    assert doc["log10_lower"] \
+        == pytest.approx(report.lower.log10() - 150.0, rel=1e-11)
+    assert doc["log10_upper"] \
+        == pytest.approx(report.upper.log10() - 150.0, rel=1e-11)
+    assert doc["anchor_E0"] == pytest.approx(16.0, rel=1e-12)
+    assert (doc["e_crit"], doc["e_bar_crit"]) == (0.0, 0.0)
 
 
 def test_classify_command(capsys):

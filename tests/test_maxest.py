@@ -1,12 +1,14 @@
 """Maximal-enstrophy bracket: lower/upper estimates and their gates."""
 
 import math
+import random
 
 import numpy as np
 import pytest
 
 from enstrophy_bounds import (
     BoundReport,
+    EnstrophyBoundsError,
     EtaTooSmall,
     ForcingParams,
     InvalidRegime,
@@ -15,9 +17,11 @@ from enstrophy_bounds import (
     emax_lower,
     emax_upper,
     eta_min,
+    find_e_bar,
     find_e_max,
     physical_scale,
 )
+from enstrophy_bounds.subcritical import sigma_of
 
 
 G, EPS, RHO, C2 = 2.0, 0.2, 0.9, 2.0
@@ -155,3 +159,95 @@ def test_curve_peak_lies_between_the_bounds(fig2):
         report = bound_report(G, params.eps, params.rho, params.c2,
                               mu=params.mu)
         assert report.lower.ln <= E_max.ln <= report.upper.ln
+
+
+# The lower and the upper bound as two separate formulas, each with its own
+# checks and with e_crit and e_bar formed in floats: the oracle for the
+# identity that makes them one closed form (the lower bound is the upper
+# one at eta = 0 on E0 = 4 G^2). Each returns the ln of the bound and the
+# largest magnitude among the terms it sums.
+
+def _terms_ln(*terms):
+    ln = sum(terms)
+    if not math.isfinite(ln):
+        raise InvalidRegime(f"bound leaves float range (ln = {ln})")
+    return ln, max(map(abs, terms))
+
+
+def _two_formula_lower(G, eps, rho, c2):
+    e_crit = eps * (1.0 - rho) / (4.0 * c2)
+    if G * G <= e_crit:
+        raise RegimeViolation(f"G^2 = {G * G} <= e_crit = {e_crit}")
+    ln_e_crit = math.log(eps) + math.log1p(-rho) - math.log(4.0) \
+        - math.log(c2)
+    return _terms_ln(math.log(4.0), (1.0 + rho) * math.log(G),
+                     0.5 * (1.0 - rho) * ln_e_crit,
+                     (2.0 * c2 / eps) * (G * G - e_crit))
+
+
+def _two_formula_upper(G, eps, rho, c2, eta, E0):
+    e_bar = eps * (1.0 - rho) / (2.0 * (2.0 + eta) * c2)
+    if not e_bar > 0.0:
+        raise InvalidRegime(f"e_bar underflows, eta = {eta}")
+    if G * G <= e_bar:
+        raise RegimeViolation(f"G^2 = {G * G} <= e_bar = {e_bar}")
+    return _terms_ln(math.log(E0),
+                     0.5 * (1.0 - rho) * (math.log(e_bar) - 2.0 * math.log(G)),
+                     ((2.0 + eta) * c2 / eps) * (G * G - e_bar))
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except EnstrophyBoundsError as exc:
+        return type(exc)
+
+
+def test_bounds_match_the_two_formulas():
+    # seeded draws over 10, 60 and 300 decades: both bounds raise the same
+    # class as the two formulas or agree with them in ln to 1e-13 of the
+    # largest term they sum
+    rng = random.Random(19)
+    seen = set()
+    for k in range(3000):
+        width = (10.0, 60.0, 300.0)[k % 3]
+        G = 10.0 ** rng.uniform(-width / 4.0, width / 4.0)
+        eps = 0.5 * 10.0 ** rng.uniform(-width, 0.0)
+        rho = rng.uniform(0.0, 1.0)
+        c2 = 10.0 ** rng.uniform(-width, width)
+        E0 = 10.0 ** rng.uniform(-width, width)
+        eta = eta_min(E0, eps, 1.0) * 10.0 ** rng.uniform(0.0, 3.0)
+        for new, old in (
+                (_outcome(emax_lower, G, eps, rho, c2),
+                 _outcome(_two_formula_lower, G, eps, rho, c2)),
+                (_outcome(emax_upper, G, eps, rho, c2, eta, E0),
+                 _outcome(_two_formula_upper, G, eps, rho, c2, eta, E0))):
+            if isinstance(old, tuple):
+                ln, scale = old
+                assert abs(new.ln - ln) <= 1e-13 * scale
+                seen.add("bound")
+            else:
+                assert new is old
+                seen.add(old.__name__)
+    assert seen == {"bound", "InvalidRegime", "RegimeViolation"}
+
+
+def test_exponential_at_criticality_algebraic_above(fig2):
+    # the abstract's contrast. At r = 1/2, ln E_max/G^2 of the critical
+    # curve falls to the eta = 0 exponent 2 c2/eps = 20 as G grows (20.0034
+    # at G = 50, 20.00015 at G = 280): E_max is exponential in G^2. At
+    # r > 1/2 the log-log slope of the subcritical peak E_bar between
+    # G = 1e3 and 1e4 is 2/sigma(r) (202, 22 and 6): E_bar is algebraic.
+    raw = fig2.to_raw()
+    excess = []
+    for G in (50.0, 100.0, 200.0, 280.0):
+        _, E_max = find_e_max(ForcingParams.from_mapping(dict(raw, f_norm=G)))
+        excess.append(E_max.ln / G ** 2 - 2.0 * fig2.c2 / fig2.eps)
+    assert all(0.0 < b < a for a, b in zip(excess, excess[1:]))
+    assert excess[0] < 4e-3 and excess[-1] < 2e-4
+    for r in (0.51, 0.6, 1.0):
+        ln_peak = [find_e_bar(ForcingParams.from_mapping(
+            dict(raw, r=r, f_norm=G, curlF_norm=400.0)))[1].ln
+            for G in (1e3, 1e4)]
+        slope = (ln_peak[1] - ln_peak[0]) / math.log(10.0)
+        assert slope == pytest.approx(2.0 / sigma_of(r), rel=1e-5)

@@ -2,10 +2,13 @@
 
 For any parameter file that ForcingParams accepts, each command run in
 process returns an exit code: a result, or an EnstrophyBoundsError mapped
-to its code. Any other exception escapes cli.run and fails the test.
+to its code. Any other exception escapes cli.run and fails the test. What
+a command writes holds only finite numbers: JSON without Infinity or NaN,
+and a finite log10_E on every CSV row.
 """
 
 import contextlib
+import csv
 import io
 import json
 import math
@@ -30,13 +33,24 @@ COMMANDS = [
 ]
 
 
+def _refuse(name):
+    raise ValueError(f"non-finite number {name} in JSON output")
+
+
 def _run_all(tmp_path, raw: dict) -> None:
     path = tmp_path / "params.json"
     path.write_text(json.dumps(raw))
     for cmd in COMMANDS:
-        with contextlib.redirect_stdout(io.StringIO()), \
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
             run([*cmd, "--params", str(path)])
+        text = out.getvalue()
+        if cmd[0] == "curve":
+            rows = csv.DictReader(io.StringIO(text))
+            assert all(math.isfinite(float(row["log10_E"])) for row in rows)
+        elif cmd[0] != "classify" and text:
+            json.loads(text, parse_constant=_refuse)
 
 
 @pytest.mark.parametrize("key", sorted(FIG2))
