@@ -31,6 +31,12 @@ b = 0 the peak itself. Abscissas travel as ln e and ordinates as ln y or
 ln E, plain floats, because the floor crossing lies thousands of decades
 below float range; a value becomes a LogScalar only where it leaves the
 chain (branch, peak_point, the bundle's breakpoints).
+
+Each branch is evaluated through one function (solution), prepared once
+per anchor: the lead, ln c and the weighted integral keyed by the upper
+end are formed when it is made, and the chain keeps one per branch
+(Chain.ln_y_of), through which sampling, value, peak_gap, classify and
+verify's scans all go.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
 from .logscalar import LogScalar, ln_add, ln_sub
 from .params import ForcingParams
 from .solver import find_root
-from .specfun import weighted_exp_integral_ln
+from .specfun import weighted_exp_integral_ln, weighted_exp_integral_to
 
 TAGS = ("phi1", "phi2", "phi3")
 
@@ -74,10 +80,9 @@ class Field:
                        c=self.c * factor)
 
 
-def solution(ln_e: float, field: Field, ln_e_ref: float,
-             ln_y_ref: float) -> float:
-    """ln y of the exact solution of dy/de = (a/e - b) y - c through
-    (e_ref, y_ref).
+def solution(field: Field, ln_e_ref: float, ln_y_ref: float):
+    """The function ln e -> ln y of the exact solution of
+    dy/de = (a/e - b) y - c through (e_ref, y_ref).
 
     y(e) = e^a e^(-be) [e_ref^-a e^(b e_ref) y_ref - c W], W the weighted
     exponential integral between e and e_ref. For e < e_ref the drift c W
@@ -86,23 +91,35 @@ def solution(ln_e: float, field: Field, ln_e_ref: float,
     cancellation is CancellationLoss, a drift at or above the lead
     OutsideDomain. With b = 0 this is the two-term form
     (y_ref - k e_ref)(e/e_ref)^a + k e, k = -c/(1 - a).
+
+    The lead, ln c and W as a function of its lower end (specfun's
+    weighted_exp_integral_to, keyed by the upper end e_ref) are formed
+    here, once; right of the anchor, where e is the upper end, W is
+    formed for each e.
     """
     a, b, c = field.a, field.b, field.c
-    inner = lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
-    if c != 0.0 and ln_e != ln_e_ref:
-        drift = math.log(c) + weighted_exp_integral_ln(
-            a, b, min(ln_e, ln_e_ref), max(ln_e, ln_e_ref))
-        if ln_e < ln_e_ref:
-            inner = ln_add(lead, drift)
-        else:
-            inner, lost = ln_sub(max(lead, drift), min(lead, drift))
-            if lost > 10.0:
-                raise CancellationLoss(f"branch bracket lost {lost:.1f} "
-                                       f"digits at ln e = {ln_e:.6g}")
-            if drift >= lead:
-                raise OutsideDomain(
-                    "branch solution crossed zero right of the anchor")
-    return a * ln_e - b * math.exp(ln_e) + inner
+    lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
+    ln_c = math.log(c) if c != 0.0 else -math.inf
+    ln_w = weighted_exp_integral_to(a, b, ln_e_ref) if c != 0.0 else None
+
+    def ln_y(ln_e: float) -> float:
+        inner = lead
+        if ln_w is not None and ln_e != ln_e_ref:
+            if ln_e < ln_e_ref:
+                inner = ln_add(lead, ln_c + ln_w(ln_e))
+            else:
+                drift = ln_c + weighted_exp_integral_ln(
+                    a, b, min(ln_e, ln_e_ref), max(ln_e, ln_e_ref))
+                inner, lost = ln_sub(max(lead, drift), min(lead, drift))
+                if lost > 10.0:
+                    raise CancellationLoss(f"branch bracket lost {lost:.1f} "
+                                           f"digits at ln e = {ln_e:.6g}")
+                if drift >= lead:
+                    raise OutsideDomain(
+                        "branch solution crossed zero right of the anchor")
+        return a * ln_e - b * math.exp(ln_e) + inner
+
+    return ln_y
 
 
 def envelope(field: Field, ln_e_ref: float,
@@ -141,9 +158,10 @@ class Chain:
     c = 0, is left for the peak to refuse: no production, no peak.
     The descent is the rise divided by C_Omega; the tail's a and c are the
     same in both families.
-    The peak and the floor crossing are solved on first use and kept; a
-    failed solve is not kept and raises again on every use, so a caller
-    that never reaches a breakpoint never sees it.
+    The peak and the floor crossing are solved on first use and kept, as
+    is each branch's prepared solution (ln_y_of); a failed solve is not
+    kept and raises again on every use, so a caller that never reaches a
+    breakpoint never sees it.
     """
     params: ForcingParams
     model: str
@@ -194,13 +212,18 @@ class Chain:
             return self.peak[1], self.peak[2] * self.rise.p
         return self.ln_floor, math.log(self.floor) * 1.5
 
-    def _y(self, k: int, ln_e: float) -> float:
-        ln_ref, ln_y_ref = self._anchor(k)
-        return solution(ln_e, self.fields[k], ln_ref, ln_y_ref)
+    def ln_y_of(self, k: int):
+        """Branch k's ln y as a function of ln e (solution), prepared on
+        first use and kept, like peak and ln_floor. Sampling, value,
+        peak_gap, classify and the scans all evaluate through it."""
+        kept = self.__dict__.setdefault("_ln_y", [None, None, None])
+        if kept[k] is None:
+            kept[k] = solution(self.fields[k], *self._anchor(k))
+        return kept[k]
 
     def value(self, k: int, ln_e: float) -> float:
         """ln E on branch k at ln e, without domain gates."""
-        return self._y(k, ln_e) * (1.0 / self.fields[k].p)
+        return self.ln_y_of(k)(ln_e) * (1.0 / self.fields[k].p)
 
     def require_curl(self) -> None:
         if not self.curl_dominant:
@@ -237,7 +260,7 @@ class Chain:
     def peak_gap(self, x: float) -> float:
         """ln y - ln y_null on the rise, in the peak variable x (w = ln(1 -
         e/e_a) when b > 0, ln e when b = 0); the peak is its root."""
-        return self._y(0, self._ln_e_of(x)) - self._ln_null(x)
+        return self.ln_y_of(0)(self._ln_e_of(x)) - self._ln_null(x)
 
     @cached_property
     def peak(self) -> tuple[float, float, float]:
@@ -351,18 +374,18 @@ class Chain:
 
     def _sample(self, k: int, ln_lo: float, ln_hi: float,
                 samples: int) -> CurveSegment:
-        field = self.fields[k]
-        q = 1.0 / field.p
+        field, ln_y_of = self.fields[k], self.ln_y_of(k)
+        a, b, q = field.a, field.b, 1.0 / field.p
         ln_c = math.log(field.c) if field.c else -math.inf
         grid = log_grid(ln_lo, ln_hi, samples)
         ln_E, slope = [], []
         for v in grid:
-            ln_y = self._y(k, v)
+            ln_y = ln_y_of(v)
             # c e / y, taken as inf from ln 709 on, before exp overflows
             ln_drag = ln_c + v - ln_y
             drag = math.exp(ln_drag) if ln_drag <= 709.0 else math.inf
             ln_E.append(q * ln_y)
-            slope.append(q * (field.a - field.b * math.exp(v) - drag))
+            slope.append(q * (a - b * math.exp(v) - drag))
         return CurveSegment(TAGS[k], grid, ln_E, slope)
 
     def assemble(self, samples: int = 512) -> CurveBundle:

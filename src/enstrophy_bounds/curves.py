@@ -3,7 +3,7 @@
 Each bounding-curve family produces a CurveBundle: an ordered list of
 sampled segments plus the breakpoints that delimit them. Abscissas live in
 ln e throughout (see logscalar for why) and ordinates in ln E. Serialization
-is fully deterministic: energies are rendered by LogScalar.to_sci_string and
+is fully deterministic: energies are rendered by logscalar.sci_string and
 enstrophies as log10 values rounded through a fixed format, so rerunning the
 CLI reproduces files byte for byte and CSV and JSON agree sample by sample.
 """
@@ -14,8 +14,8 @@ import json
 import math
 from dataclasses import dataclass, field
 
-from .errors import OutsideDomain
-from .logscalar import LogScalar
+from .errors import CancellationLoss, OutsideDomain
+from .logscalar import LogScalar, sci_string
 from .params import ForcingParams
 
 _LN10 = math.log(10.0)
@@ -67,14 +67,16 @@ def log_grid(ln_lo: float, ln_hi: float, n: int) -> list[float]:
 
 
 def max_join_gap(bundle: CurveBundle) -> float:
-    """Largest |ln E| mismatch where consecutive phi segments meet."""
+    """Largest |ln E| mismatch where consecutive phi segments meet; two
+    that do not share a breakpoint are CancellationLoss, as a gap would
+    be."""
     mains = bundle.main_segments()
     worst = 0.0
     for left, right in zip(mains, mains[1:]):
         # left is the higher-energy segment; they share left's first abscissa
         if not math.isclose(left.ln_e[0], right.ln_e[-1],
                             rel_tol=1e-12, abs_tol=1e-12):
-            raise ValueError(
+            raise CancellationLoss(
                 f"{left.tag}/{right.tag} do not share a breakpoint")
         worst = max(worst, abs(left.ln_E[0] - right.ln_E[-1]))
     return worst
@@ -90,10 +92,6 @@ def round_sig(x: float) -> float:
     return float(f"{x:.11e}")
 
 
-def _e_string(ln_e: float) -> str:
-    return LogScalar.from_ln(ln_e).to_sci_string()
-
-
 def _log10_string(ln_E: float) -> str:
     return f"{ln_E / _LN10:.11e}"
 
@@ -102,7 +100,7 @@ def bundle_to_csv(bundle: CurveBundle) -> str:
     lines = ["e,log10_E,segment"]
     for seg in bundle.segments:
         for ln_e, ln_E in zip(seg.ln_e, seg.ln_E):
-            lines.append(f"{_e_string(ln_e)},{_log10_string(ln_E)},{seg.tag}")
+            lines.append(f"{sci_string(ln_e)},{_log10_string(ln_E)},{seg.tag}")
     return "\n".join(lines) + "\n"
 
 
@@ -124,7 +122,7 @@ def bundle_to_json(bundle: CurveBundle) -> str:
         "segments": [
             {
                 "tag": seg.tag,
-                "e": [_e_string(v) for v in seg.ln_e],
+                "e": [sci_string(v) for v in seg.ln_e],
                 "log10_E": [float(_log10_string(v)) for v in seg.ln_E],
             }
             for seg in bundle.segments

@@ -15,7 +15,12 @@ Every curve and breakpoint is formed in logs from closed forms, with no
 search: e2/e1 depends on eta alone (solve_e2), and left of the apex the
 apex level E1 parts II from III (classify_full). A value outside float
 range is InvalidRegime where it is used: e1, E1 and e2 in geometry, the
-nine breakpoints and the funnel slopes in assemble_full.
+nine breakpoints and the funnel slopes in assemble_full. Each curve's
+constants (alpha, ln beta, ln t, the slope and nose constants) are formed
+by one function (_funnel, _slope, _nose) and evaluated by another
+(_ln_phi, _ln_slope, _ln_psi): a segment forms them once for all its
+samples, and the pointwise phi_of_e, phi_slope and psi_of_E form them for
+their one point.
 """
 
 from __future__ import annotations
@@ -48,13 +53,18 @@ def _gate(geo: FullNseGeometry, names) -> dict[str, float]:
     return {name: math.log(getattr(geo, name)) for name in names}
 
 
-def _ln_psi(ln_E: float, params: ForcingParams) -> float:
-    """ln of the nose at E = exp(ln_E): E^3 and (nu f)^2 may each leave
-    float range where psi does not."""
-    ln_nu = math.log(params.nu)
-    return 4.0 * ln_nu + 2.0 * ln_E - ln_add(
-        math.log(2.0) + 2.0 * (ln_nu + math.log(params.f_norm)),
-        math.log(params.c1) + 3.0 * ln_E)
+def _nose(params: ForcingParams) -> tuple[float, float, float]:
+    """The constants of _ln_psi: ln nu^4, ln 2 (nu f)^2 and ln c1."""
+    ln_nu, ln_f = math.log(params.nu), math.log(params.f_norm)
+    return 4.0 * ln_nu, math.log(2.0) + 2.0 * (ln_nu + ln_f), \
+        math.log(params.c1)
+
+
+def _ln_psi(ln_E: float, nose: tuple[float, float, float]) -> float:
+    """ln of the nose at E = exp(ln_E), with its constants from _nose:
+    E^3 and (nu f)^2 may each leave float range where psi does not."""
+    ln_nu4, ln_drive, ln_c1 = nose
+    return ln_nu4 + 2.0 * ln_E - ln_add(ln_drive, ln_c1 + 3.0 * ln_E)
 
 
 def psi_of_E(E: float, params: ForcingParams) -> float:
@@ -62,7 +72,7 @@ def psi_of_E(E: float, params: ForcingParams) -> float:
     nu^4 E^2 / (2 (nu f)^2 + c1 E^3), divided through by E^2."""
     if E < 0.0:
         raise ValueError("enstrophy must be nonnegative")
-    return math.exp(_ln_psi(math.log(E), params)) if E else 0.0
+    return math.exp(_ln_psi(math.log(E), _nose(params))) if E else 0.0
 
 
 def _ln_apex(params: ForcingParams) -> tuple[float, float]:
@@ -96,17 +106,22 @@ def _ln_t(ln_e0: float, ln_E0: float, ln_beta: float) -> float:
     return -0.5 * ln_e0 - 2.0 * ln_E0 - ln_beta
 
 
-def _ln_phi(v: float, ln_e0: float, ln_E0: float,
-            params: ForcingParams) -> float:
-    """ln E at ln e = v of the funnel through (e0, E0)."""
+def _funnel(ln_e0: float, ln_E0: float, params: ForcingParams) -> tuple:
+    """The constants of _ln_phi on the funnel through (e0, E0): ln e0,
+    ln E0, the power p = alpha + 1/2, ln t and ln beta."""
+    alpha, ln_beta = _alpha_ln_beta(params)
+    return ln_e0, ln_E0, alpha + 0.5, _ln_t(ln_e0, ln_E0, ln_beta), ln_beta
+
+
+def _ln_phi(v: float, funnel: tuple) -> float:
+    """ln E at ln e = v of the funnel with the constants _funnel formed."""
+    ln_e0, ln_E0, p, ln_t, ln_beta = funnel
     if v == ln_e0:  # where the bracket below is t, which may underflow
         return ln_E0
-    alpha, ln_beta = _alpha_ln_beta(params)
     # bracket of the -1/2 power, beta e^-alpha (e^p - e0^p (1 - t)), over
     # e^p: t u + 1 - u, u = (e0/e)^p, whose terms cancel only at e_star
-    ln_u = (alpha + 0.5) * (ln_e0 - v)
-    shifted = math.exp(_ln_t(ln_e0, ln_E0, ln_beta) + ln_u) \
-        - math.expm1(ln_u)
+    ln_u = p * (ln_e0 - v)
+    shifted = math.exp(ln_t + ln_u) - math.expm1(ln_u)
     if shifted <= 0.0:
         raise OutsideDomain(
             f"e = exp({v}) is at or left of the funnel asymptote")
@@ -122,23 +137,30 @@ def phi_of_e(e: float, e0_init: float, E0_init: float,
     """
     if e <= 0.0:
         raise OutsideDomain("energy must be positive")
-    return math.exp(_ln_phi(math.log(e), math.log(e0_init),
-                            math.log(E0_init), params))
+    return math.exp(_ln_phi(math.log(e), _funnel(
+        math.log(e0_init), math.log(E0_init), params)))
 
 
-def _ln_slope(v: float, ln_E: float, params: ForcingParams) -> float:
-    """d ln E/d ln e of the funnel slope field at (e, E) = (e^v, e^ln_E),
-    alpha/2 - c1 E^2 sqrt(e)/((eta - 1) nu^3 f)."""
+def _slope(params: ForcingParams) -> tuple[float, float, float]:
+    """The constants of _ln_slope: alpha/2, ln beta and ln k, where
+    c1/((eta - 1) nu^3 f) = beta (3 eta - 1)/(4 (eta - 1)) = beta k,
+    k = alpha (3 - 1/eta)/4."""
     alpha, ln_beta = _alpha_ln_beta(params)
-    # c1/((eta - 1) nu^3 f) = beta (3 eta - 1)/(4 (eta - 1))
-    #                       = beta alpha (3 - 1/eta)/4
-    return 0.5 * alpha - _exp(ln_beta + 2.0 * ln_E + 0.5 * v + math.log(
-        0.25 * alpha * (3.0 - 1.0 / params.eta)))
+    return 0.5 * alpha, ln_beta, math.log(
+        0.25 * alpha * (3.0 - 1.0 / params.eta))
+
+
+def _ln_slope(v: float, ln_E: float, slope: tuple) -> float:
+    """d ln E/d ln e of the funnel slope field at (e, E) = (e^v, e^ln_E),
+    alpha/2 - c1 E^2 sqrt(e)/((eta - 1) nu^3 f), with the constants
+    _slope formed."""
+    half, ln_beta, ln_k = slope
+    return half - _exp(ln_beta + 2.0 * ln_E + 0.5 * v + ln_k)
 
 
 def phi_slope(e: float, E: float, params: ForcingParams) -> float:
     """dE/de of the funnel slope field at (e, E)."""
-    return E / e * _ln_slope(math.log(e), math.log(E), params)
+    return E / e * _ln_slope(math.log(e), math.log(E), _slope(params))
 
 
 def eta_threshold(c1: float) -> float:
@@ -267,8 +289,9 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
 
 def _funnel_segment(tag, ln_lo, ln_hi, ln_e0, ln_E0, params, samples):
     grid = log_grid(ln_lo, ln_hi, samples)
-    ln_E = [_ln_phi(v, ln_e0, ln_E0, params) for v in grid]
-    slope = [_ln_slope(v, u, params) for v, u in zip(grid, ln_E)]
+    funnel, field = _funnel(ln_e0, ln_E0, params), _slope(params)
+    ln_E = [_ln_phi(v, funnel) for v in grid]
+    slope = [_ln_slope(v, u, field) for v, u in zip(grid, ln_E)]
     if -math.inf in slope:
         raise InvalidRegime(
             f"{tag}: a slope d ln E/d ln e is outside float range")
@@ -298,11 +321,11 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
 
     # the nose by E, each branch gridded so that ln e increases: the lower
     # one up to the apex, the upper one down to it
-    ln_E1, ln_100 = ln["E1"], math.log(100.0)
+    ln_E1, ln_100, nose = ln["E1"], math.log(100.0), _nose(params)
     for start in (ln_E1 - ln_100, ln_E1 + ln_100):
         grid_E = log_grid(start, ln_E1, samples)
         segs.append(CurveSegment(
-            "barrier", [_ln_psi(u, params) for u in grid_E], grid_E))
+            "barrier", [_ln_psi(u, nose) for u in grid_E], grid_E))
 
     par_grid = log_grid(ln["e_under"] - 2.0, ln["e0"], samples)
     # the parabola through the anchor is E = E0 (e/e0)^(1/2)

@@ -20,8 +20,9 @@ _LN10 = math.log(10.0)
 # exp() overflows just above this; used by to_float only
 _EXP_MAX = 709.0
 
-# significant digits of to_sci_string: enough to round-trip a float64
-_SIG = 17
+# the mantissa of sci_string: 17 significant digits, enough to
+# round-trip a float64
+_MANTISSA = ".16f"
 
 
 def ln_add(a: float, b: float) -> float:
@@ -30,6 +31,22 @@ def ln_add(a: float, b: float) -> float:
     if small == -math.inf:
         return big
     return big + math.log1p(math.exp(small - big))
+
+
+def sci_string(ln: float) -> str:
+    """exp(ln) in deterministic scientific notation with 17 significant
+    digits, exact even when exp(ln) overflows or underflows float64."""
+    if ln == -math.inf:
+        return "0.0"
+    lg = ln / _LN10
+    exp10 = math.floor(lg)
+    mant = 10.0 ** (lg - exp10)
+    mant_str = format(mant, _MANTISSA)
+    if mant_str.startswith("10."):
+        # rounding pushed the mantissa out of [1, 10)
+        exp10 += 1
+        mant_str = format(mant / 10.0, _MANTISSA)
+    return f"{mant_str}e{exp10:+03d}"
 
 
 def ln_sub(big: float, small: float) -> tuple[float, float]:
@@ -68,7 +85,7 @@ class LogScalar:
 
     @staticmethod
     def from_sci_string(text: str) -> "LogScalar":
-        """Inverse of to_sci_string, tolerant of any float-style literal
+        """Inverse of sci_string, tolerant of any float-style literal
         that is not negative.
 
         The mantissa is parsed in float64 and the decimal exponent moved
@@ -94,19 +111,8 @@ class LogScalar:
         return self.ln / _LN10
 
     def to_sci_string(self) -> str:
-        """Deterministic scientific notation with _SIG significant digits,
-        exact even when exp(ln) overflows or underflows float64."""
-        if self.ln == -math.inf:
-            return "0.0"
-        lg = self.ln / _LN10
-        exp10 = math.floor(lg)
-        mant = 10.0 ** (lg - exp10)
-        mant_str = f"{mant:.{_SIG - 1}f}"
-        if mant_str.startswith("10."):
-            # rounding pushed the mantissa out of [1, 10)
-            exp10 += 1
-            mant_str = f"{mant / 10.0:.{_SIG - 1}f}"
-        return f"{mant_str}e{exp10:+03d}"
+        """sci_string of the value."""
+        return sci_string(self.ln)
 
     # -- arithmetic ----------------------------------------------------
 

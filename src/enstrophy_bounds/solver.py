@@ -8,12 +8,17 @@ one standard method with no fallbacks. find_root also serves the
 construction; the quadrature and the ODE path are references only, and
 no curve or integral is built from them. The root tolerance (4 ulps),
 the quadrature tolerance, the iteration cap and the blow-up level are
-fixed; only rk4_path's tol and n_out vary between callers.
+fixed; only rk4_path's tol and n_out vary between callers. The two
+reference kernels form their invariants once: the quadrature nodes and
+weights in a table shared by every interval, the Dormand-Prince stages
+written out on named slopes. Both give the same bits as the plain loops
+(tests/test_solver.py keeps those as oracles).
 """
 
 from __future__ import annotations
 
 import math
+from functools import cache
 from typing import Callable
 
 from .errors import FieldBlowup, NoBracket, NonConvergence
@@ -79,6 +84,20 @@ _MAX_LEVEL = 12  # finest step 2^-12 in t: about 50k nodes
 _REL_TOL = 1e-12  # agreement asked of two successive levels
 
 
+@cache
+def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
+    """(q, weight) of each node of a tanh-sinh level, formed once for
+    every interval: level 0 takes t = 1, 2, ...; each later level, of step
+    h = 2^-level, the odd multiples of h. q = exp(-pi sinh t) sets the
+    node pair's distance from the endpoints, gap = 2 half q / (1 + q), and
+    the level ends where q underflows, past which every gap is zero."""
+    nodes, t, step = [], 0.5 ** level, 0.5 ** max(level - 1, 0)
+    while (q := math.exp(-math.pi * math.sinh(t))) > 0.0:
+        nodes.append((q, 2.0 * math.pi * math.cosh(t) * q / (1.0 + q) ** 2))
+        t += step
+    return tuple(nodes)
+
+
 def integrate_adaptive(f: Func, lo: float, hi: float) -> float:
     """Tanh-sinh integral of f on [lo, hi] to relative tolerance _REL_TOL.
 
@@ -88,7 +107,9 @@ def integrate_adaptive(f: Func, lo: float, hi: float) -> float:
     the step in t and reuses every earlier node; the result is returned
     once two successive levels agree to _REL_TOL, and NonConvergence is
     raised when the levels run out first. f is never evaluated at an
-    endpoint: a node is dropped once it rounds onto one.
+    endpoint: a node is dropped once it rounds onto one. The node values
+    q and the weights do not depend on [lo, hi] and come from one table
+    (_level_nodes), so a call forms only each gap and its two abscissas.
     """
     if lo == hi:
         return 0.0
@@ -98,18 +119,15 @@ def integrate_adaptive(f: Func, lo: float, hi: float) -> float:
     total = 0.5 * math.pi * f(lo + half)
     estimate, h = math.nan, 1.0
     for level in range(_MAX_LEVEL + 1):
-        # level 0 takes t = 1, 2, ...; each later level the odd multiples of h
-        t = h
-        while True:
-            # the node pair's distance from the endpoints, and its weight
-            q = math.exp(-math.pi * math.sinh(t))
+        for q, w in _level_nodes(level):
             gap = 2.0 * half * q / (1.0 + q)
-            w = 2.0 * math.pi * math.cosh(t) * q / (1.0 + q) ** 2
-            inner = [s for s in (lo + gap, hi - gap) if lo < s < hi]
-            if not inner:
+            s1, s2 = lo + gap, hi - gap
+            if lo < s1 < hi:
+                total += w * (f(s1) + f(s2) if lo < s2 < hi else f(s1))
+            elif lo < s2 < hi:
+                total += w * f(s2)
+            else:
                 break
-            total += w * sum(map(f, inner))
-            t += 2.0 * h if level else h
         new = h * half * total
         if level > 1 and abs(new - estimate) <= _REL_TOL * abs(new):
             return new
@@ -118,17 +136,6 @@ def integrate_adaptive(f: Func, lo: float, hi: float) -> float:
 
 
 Field = Callable[[float, float], float]
-
-# Dormand-Prince 5(4): nodes, stage rows, and the weights of the error
-# estimate (fifth- minus fourth-order solution); the fifth-order weights
-# are the last stage row, so the final stage is the next step's first
-_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
-_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
-         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
-_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
-         22 / 525, -1 / 40)
 
 _BLOWUP = 1e12  # |y| past which rk4_path reports the solution as blown up
 
@@ -141,6 +148,12 @@ def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
     estimate is at most tol * max(1, |y|), and is clipped to land on each
     of the n_out + 1 evenly spaced output nodes.
 
+    The six stages, the fifth-order update and the error estimate (fifth-
+    minus fourth-order solution) are written out on k1 ... k7 with the
+    tableau's coefficients, each sum taken left to right. The fifth-order
+    weights are the last stage row, so the final stage is the next step's
+    first.
+
     Returns (e_nodes, y_nodes) as lists of floats. Raises FieldBlowup when
     the field stops being finite or |y| passes _BLOWUP,
     NonConvergence when the step size collapses.
@@ -150,24 +163,35 @@ def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
     spacing = (e_end - e_start) / n_out
     es = [e_start + i * spacing for i in range(n_out)] + [e_end]
     e, y, h = e_start, y_start, spacing
-    ys, k = [y], [field(e, y)]
+    ys, k1 = [y], field(e, y)
     for node in es[1:]:
         while e != node:
             lands = abs(h) >= abs(node - e)
             step = node - e if lands else h
-            k = k[:1]
-            for c, row in zip(_DP_C, _DP_A):
-                k.append(field(e + c * step, y + step * sum(
-                    a * kj for a, kj in zip(row, k))))
-            y_new = y + step * sum(a * kj for a, kj in zip(_DP_A[-1], k))
-            k.append(field(e + step, y_new))
-            if not all(map(math.isfinite, k)):
+            k2 = field(e + 1 / 5 * step, y + step * (1 / 5 * k1))
+            k3 = field(e + 3 / 10 * step,
+                       y + step * (3 / 40 * k1 + 9 / 40 * k2))
+            k4 = field(e + 4 / 5 * step, y + step * (
+                44 / 45 * k1 - 56 / 15 * k2 + 32 / 9 * k3))
+            k5 = field(e + 8 / 9 * step, y + step * (
+                19372 / 6561 * k1 - 25360 / 2187 * k2 + 64448 / 6561 * k3
+                - 212 / 729 * k4))
+            k6 = field(e + step, y + step * (
+                9017 / 3168 * k1 - 355 / 33 * k2 + 46732 / 5247 * k3
+                + 49 / 176 * k4 - 5103 / 18656 * k5))
+            y_new = y + step * (35 / 384 * k1 + 500 / 1113 * k3
+                                + 125 / 192 * k4 - 2187 / 6784 * k5
+                                + 11 / 84 * k6)
+            k7 = field(e + step, y_new)
+            if not all(map(math.isfinite, (k1, k2, k3, k4, k5, k6, k7))):
                 raise FieldBlowup(f"field not finite near e={e}")
-            err = abs(step * sum(c * kj for c, kj in zip(_DP_E, k)))
+            err = abs(step * (71 / 57600 * k1 - 71 / 16695 * k3
+                              + 71 / 1920 * k4 - 17253 / 339200 * k5
+                              + 22 / 525 * k6 - 1 / 40 * k7))
             scale = tol * max(1.0, abs(y), abs(y_new))
             grow = min(5.0, 0.9 * (scale / err) ** 0.2) if err else 5.0
             if err <= scale:
-                e, y, k = (node if lands else e + step), y_new, k[-1:]
+                e, y, k1 = (node if lands else e + step), y_new, k7
                 if abs(y) > _BLOWUP:
                     raise FieldBlowup(f"solution passed {_BLOWUP} near e={e}")
                 # a step cut short to land on a node keeps the proposal

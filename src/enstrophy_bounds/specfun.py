@@ -21,8 +21,11 @@ difference e_hi^alpha (G - H), G = g(alpha, x), H = r^alpha g(alpha, r x),
 with g from its few-term large-argument form and ln G memoised per upper
 end. The weighted integral is returned as its ln, a float, because it
 overflows float64 long before the interesting parameter range ends;
-gamma_series_factor, a public entry point, returns a LogScalar. Every arm
-is summed to the fixed relative accuracy _REL_TOL = 1e-12.
+gamma_series_factor, a public entry point, returns a LogScalar.
+weighted_exp_integral_to prepares the integral once per upper end, as a
+function of the lower end, so every sample of a branch shares alpha, x
+and its gate. Every arm is summed to the fixed relative accuracy
+_REL_TOL = 1e-12.
 """
 
 from __future__ import annotations
@@ -142,10 +145,10 @@ def gamma_series_factor(alpha: float, x: float,
     return LogScalar.from_ln(_series_ln(alpha, x, -math.inf, n_terms))
 
 
-def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
-                             ln_hi: float) -> float:
-    """ln of int s^(-a) e^(b s) ds over [exp(ln_lo), exp(ln_hi)] (-inf for
-    an empty interval).
+def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
+    """The function ln_lo -> ln of int s^(-a) e^(b s) ds over
+    [exp(ln_lo), exp(ln_hi)] (-inf for an empty interval), prepared once
+    per upper end.
 
     Bounds are taken in the log so the routine stays exact for abscissas
     far outside float64 range (ln_lo = -inf means a zero lower bound).
@@ -156,26 +159,41 @@ def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
     1 on [r, 1] gives H/(G - H) <= x r^(1-a) / ((1-a)(e^(x(1-r)) - 1))
     before any sum; where that is at most 1/7 the difference is taken
     (under 0.07 digits lost), else the positive-term series is summed.
+    alpha, x and its gate, ln(x/alpha) and alpha ln e_hi depend on the
+    upper end alone and are formed here; ln G is memoised per upper end.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"a must lie in (0, 1), got {a}")
     if b < 0.0:
         raise ValueError(f"b must be nonnegative, got {b}")
-    if ln_lo > ln_hi:
-        raise ValueError("lower bound above upper bound")
-    if ln_lo == ln_hi:
-        return -math.inf
-    alpha, ln_r = 1.0 - a, ln_lo - ln_hi
+    alpha, ln_lead = 1.0 - a, (1.0 - a) * ln_hi
     ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
-    if ln_x > _LN_MAX_X:
-        raise NonConvergence(
-            f"x = exp({ln_x:.6g}) is above {_MAX_X:g}, the largest the "
-            f"series is summed for")
-    x = math.exp(ln_x)
-    gap = -x * math.expm1(ln_r)  # x (1 - r)
-    if gap > 0.0 and math.log(x / alpha) + alpha * ln_r - gap \
-            - math.log(-math.expm1(-gap)) <= _LN_SEVENTH:
-        ln_g = _g_ln_cached(alpha, x)
-        ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
-        return alpha * ln_hi + ln_g + math.log(-math.expm1(ln_h - ln_g))
-    return alpha * ln_hi + _series_ln(alpha, x, ln_r)
+    x = math.inf if ln_x > _LN_MAX_X else math.exp(ln_x)
+    ln_x_alpha = math.log(x / alpha) if x > 0.0 else -math.inf
+
+    def ln_w(ln_lo: float) -> float:
+        if ln_lo > ln_hi:
+            raise ValueError("lower bound above upper bound")
+        if ln_lo == ln_hi:
+            return -math.inf
+        if x == math.inf:
+            raise NonConvergence(
+                f"x = exp({ln_x:.6g}) is above {_MAX_X:g}, the largest the "
+                f"series is summed for")
+        ln_r = ln_lo - ln_hi
+        gap = -x * math.expm1(ln_r)  # x (1 - r)
+        if gap > 0.0 and ln_x_alpha + alpha * ln_r - gap \
+                - math.log(-math.expm1(-gap)) <= _LN_SEVENTH:
+            ln_g = _g_ln_cached(alpha, x)
+            ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
+            return ln_lead + ln_g + math.log(-math.expm1(ln_h - ln_g))
+        return ln_lead + _series_ln(alpha, x, ln_r)
+
+    return ln_w
+
+
+def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
+                             ln_hi: float) -> float:
+    """ln of int s^(-a) e^(b s) ds over [exp(ln_lo), exp(ln_hi)]: the
+    function weighted_exp_integral_to prepares for ln_hi, at ln_lo."""
+    return weighted_exp_integral_to(a, b, ln_hi)(ln_lo)

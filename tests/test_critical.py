@@ -99,7 +99,7 @@ def test_xi_homogeneous_closed_form(fig2):
     ln_xi0 = 0.6 * math.log(chain(fig2).E0)
     ln_e0 = math.log(fig2.e0)
     for e in (0.001, 0.1, 1.0, 4.0):
-        got = solution(math.log(e), co, ln_e0, ln_xi0)
+        got = solution(co, ln_e0, ln_xi0)(math.log(e))
         want = ln_xi0 + co.a * (math.log(e) - ln_e0) - co.b * (e - fig2.e0)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -108,7 +108,7 @@ def test_xi_crosses_zero_right_of_anchor(fig2):
     co = coefficients(fig2)
     ln_xi0 = 0.6 * math.log(chain(fig2).E0)
     with pytest.raises(OutsideDomain):
-        solution(math.log(6.0), co, math.log(fig2.e0), ln_xi0)
+        solution(co, math.log(fig2.e0), ln_xi0)(math.log(6.0))
 
 
 # ------------------------------------------------------------- branches
@@ -180,7 +180,7 @@ def test_phi3_tail_closed_form_matches_quadrature(fig2, ln_hi, offsets):
     tail = chain(fig2).fields[2]
     for off in offsets:
         ln_e = ln_hi - off
-        x_ln = solution(ln_e, tail, ln_hi, -math.inf)
+        x_ln = solution(tail, ln_hi, -math.inf)(ln_e)
         want = _tail_quadrature_ln(ln_e, ln_hi, tail.a, tail.b)
         assert x_ln - math.log(tail.c) == pytest.approx(want, abs=1e-9)
 

@@ -1,0 +1,290 @@
+"""The curve samplers against pointwise oracles, bit for bit.
+
+Each branch of a chain is evaluated through one prepared solution
+(branches.solution) and each full-model segment through constants formed
+once per segment. The oracles below form every quantity at every point,
+as the pointwise kernels did: the branch solution with its own weighted
+exponential integral, the funnel, its slope field and the nose. A sampler
+that moves one bit away from them fails here.
+"""
+
+import json
+import math
+import random
+
+import pytest
+
+from enstrophy_bounds import (CancellationLoss, EnstrophyBoundsError,
+                              ForcingParams, OutsideDomain)
+from enstrophy_bounds import critical, full_nse, specfun, subcritical
+from enstrophy_bounds.curves import log_grid
+from enstrophy_bounds.logscalar import ln_add, ln_sub
+from enstrophy_bounds.specfun import _g_ln, _g_ln_cached, _series_ln
+
+from conftest import PRESETS
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
+
+
+# ----------------------------------------------------- pointwise oracles
+
+
+def _integral_ln(a, b, ln_lo, ln_hi):
+    """ln of int s^(-a) e^(b s) ds over [e^ln_lo, e^ln_hi], every
+    quantity formed in the call."""
+    if ln_lo > ln_hi:
+        raise ValueError("lower bound above upper bound")
+    if ln_lo == ln_hi:
+        return -math.inf
+    alpha, ln_r = 1.0 - a, ln_lo - ln_hi
+    ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
+    if ln_x > specfun._LN_MAX_X:
+        raise specfun.NonConvergence(
+            f"x = exp({ln_x:.6g}) is above {specfun._MAX_X:g}, the largest "
+            f"the series is summed for")
+    x = math.exp(ln_x)
+    gap = -x * math.expm1(ln_r)
+    if gap > 0.0 and math.log(x / alpha) + alpha * ln_r - gap \
+            - math.log(-math.expm1(-gap)) <= specfun._LN_SEVENTH:
+        ln_g = _g_ln_cached(alpha, x)
+        ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
+        return alpha * ln_hi + ln_g + math.log(-math.expm1(ln_h - ln_g))
+    return alpha * ln_hi + _series_ln(alpha, x, ln_r)
+
+
+def _solution(ln_e, field, ln_e_ref, ln_y_ref):
+    """ln y of the branch through (e_ref, y_ref) at ln e."""
+    a, b, c = field.a, field.b, field.c
+    inner = lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
+    if c != 0.0 and ln_e != ln_e_ref:
+        drift = math.log(c) + _integral_ln(
+            a, b, min(ln_e, ln_e_ref), max(ln_e, ln_e_ref))
+        if ln_e < ln_e_ref:
+            inner = ln_add(lead, drift)
+        else:
+            inner, lost = ln_sub(max(lead, drift), min(lead, drift))
+            if lost > 10.0:
+                raise CancellationLoss(f"branch bracket lost {lost:.1f} "
+                                       f"digits at ln e = {ln_e:.6g}")
+            if drift >= lead:
+                raise OutsideDomain(
+                    "branch solution crossed zero right of the anchor")
+    return a * ln_e - b * math.exp(ln_e) + inner
+
+
+def _ln_psi(ln_E, params):
+    ln_nu = math.log(params.nu)
+    return 4.0 * ln_nu + 2.0 * ln_E - ln_add(
+        math.log(2.0) + 2.0 * (ln_nu + math.log(params.f_norm)),
+        math.log(params.c1) + 3.0 * ln_E)
+
+
+def _alpha_ln_beta(params):
+    eta = params.eta
+    return eta / (eta - 1.0), math.log(4.0 * params.c1 / (3.0 * eta - 1.0)) \
+        - 3.0 * math.log(params.nu) - math.log(params.f_norm)
+
+
+def _ln_phi(v, ln_e0, ln_E0, params):
+    if v == ln_e0:
+        return ln_E0
+    alpha, ln_beta = _alpha_ln_beta(params)
+    ln_u = (alpha + 0.5) * (ln_e0 - v)
+    ln_t = -0.5 * ln_e0 - 2.0 * ln_E0 - ln_beta
+    shifted = math.exp(ln_t + ln_u) - math.expm1(ln_u)
+    if shifted <= 0.0:
+        raise OutsideDomain(
+            f"e = exp({v}) is at or left of the funnel asymptote")
+    return -0.5 * (ln_beta + 0.5 * v + math.log(shifted))
+
+
+def _ln_slope(v, ln_E, params):
+    alpha, ln_beta = _alpha_ln_beta(params)
+    return 0.5 * alpha - full_nse._exp(
+        ln_beta + 2.0 * ln_E + 0.5 * v
+        + math.log(0.25 * alpha * (3.0 - 1.0 / params.eta)))
+
+
+def _outcome(fn, *args):
+    """The bits of fn(*args), or the class and message of its refusal."""
+    try:
+        return float(fn(*args)).hex()
+    except (EnstrophyBoundsError, ValueError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _drag(ln_drag):
+    return math.exp(ln_drag) if ln_drag <= 709.0 else math.inf
+
+
+# ------------------------------------------------------------ parameters
+
+
+def _raw(name):
+    return json.loads((PRESETS / f"{name}.json").read_text())
+
+
+def _scaled(raw, rng, g_lo, g_hi, **over):
+    """raw with nu and lambda drawn around 1 and f_norm set to give a
+    Grashof number G drawn from [g_lo, g_hi]."""
+    nu, lam = rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+    return dict(raw, nu=nu, **{"lambda": lam}, **over,
+                f_norm=rng.uniform(g_lo, g_hi) * nu ** 2 * lam ** 0.75)
+
+
+def _draws():
+    """Both presets and seeded draws of each family."""
+    rng = random.Random(2020)
+    fig2, fig3 = _raw("fig2"), _raw("fig3")
+    sets = {"fig2": fig2, "fig3": fig3}
+    for i in range(3):
+        sets[f"critical-{i}"] = _scaled(
+            fig2, rng, 1.5, 5.0,
+            curlF_norm=math.exp(rng.uniform(math.log(5.0), math.log(400.0))),
+            eps=rng.uniform(0.15, 0.25), delta=rng.uniform(0.3, 0.45))
+        sets[f"subcritical-{i}"] = _scaled(
+            fig3, rng, 2.0, 100.0, r=rng.uniform(0.51, 1.0), curlF_norm=400.0)
+    return {k: ForcingParams.from_mapping(v) for k, v in sets.items()}
+
+
+_SETS = _draws()
+
+
+def _chain(params):
+    return (critical if params.r == 0.5 else subcritical).chain(params)
+
+
+# ------------------------------------------------- the weighted integral
+
+
+def test_prepared_integral_matches_the_per_call_form():
+    # both arms and the switch between them: the spans run from a few
+    # ulps to fifty e-folds below upper ends whose x = b e_hi reaches 400
+    rng = random.Random(7)
+    spans = [10.0 ** u for u in log_grid(-12.0, 1.7, 60)]
+    for _ in range(60):
+        a, ln_hi = rng.uniform(0.01, 0.99), rng.uniform(-5.0, 4.0)
+        b = rng.choice([0.0, 10.0 ** rng.uniform(-3.0, 1.0)])
+        ln_w = specfun.weighted_exp_integral_to(a, b, ln_hi)
+        for span in spans + [math.inf]:
+            want = _outcome(_integral_ln, a, b, ln_hi - span, ln_hi)
+            assert _outcome(ln_w, ln_hi - span) == want
+            assert _outcome(specfun.weighted_exp_integral_ln, a, b,
+                            ln_hi - span, ln_hi) == want
+    # x = b e_hi above the series cap is refused the same way
+    for ln_lo in (-1.0, 0.0, 1.0):
+        want = _outcome(_integral_ln, 0.5, 1e7, ln_lo, 0.0)
+        assert _outcome(specfun.weighted_exp_integral_to(0.5, 1e7, 0.0),
+                        ln_lo) == want
+
+
+# -------------------------------------------------------------- branches
+
+
+@pytest.mark.parametrize("name", sorted(_SETS))
+def test_branch_samples_match_pointwise_solution(name):
+    ch = _chain(_SETS[name])
+    _, ln_peak, _ = ch.peak
+    ranges = [(ln_peak, ch.ln_e0), (ch.ln_floor, ln_peak),
+              (ch.ln_floor - 20.0 * math.log(10.0), ch.ln_floor)]
+    for k, (lo, hi) in enumerate(ranges):
+        field, anchor = ch.fields[k], ch._anchor(k)
+        seg = ch._sample(k, lo, hi, 257)
+        ln_y = [_solution(v, field, *anchor) for v in seg.ln_e]
+        q, ln_c = 1.0 / field.p, math.log(field.c)
+        slope = [q * (field.a - field.b * math.exp(v) - _drag(ln_c + v - y))
+                 for v, y in zip(seg.ln_e, ln_y)]
+        assert _bits(seg.ln_E) == _bits(q * y for y in ln_y)
+        assert _bits(seg.dlnE_dlne) == _bits(slope)
+        assert _bits(ch.value(k, v) for v in seg.ln_e[::8]) \
+            == _bits(y * (1.0 / field.p) for y in ln_y[::8])
+
+
+@pytest.mark.parametrize("name", sorted(_SETS))
+def test_peak_gap_and_right_of_anchor_match_pointwise_solution(name):
+    ch = _chain(_SETS[name])
+    x_star = ch.peak[0]
+    rise, anchor = ch.fields[0], ch._anchor(0)
+    # the grid of verify's root_vs_gridscan row around the peak
+    for u in log_grid(-1.0, 1.0, 41):
+        x = x_star + 2.0 * u
+        want = _outcome(lambda x: _solution(ch._ln_e_of(x), rise, *anchor)
+                        - ch._ln_null(x), x)
+        assert _outcome(ch.peak_gap, x) == want
+    # within the 1e-9 that branch() accepts, right of each anchor
+    for k in range(3):
+        field, (ln_ref, ln_y_ref) = ch.fields[k], ch._anchor(k)
+        for d in (1e-12, 1e-10, 1e-9):
+            got = _outcome(ch.value, k, ln_ref + d)
+            want = _outcome(lambda v: _solution(v, field, ln_ref, ln_y_ref)
+                            * (1.0 / field.p), ln_ref + d)
+            assert got == want
+
+
+@pytest.mark.parametrize("name", sorted(_SETS))
+def test_curve_value_matches_pointwise_solution(name):
+    # curve_value is what classify and the floor scan evaluate
+    params = _SETS[name]
+    ch = _chain(params)
+    rng = random.Random(name)
+    for _ in range(40):
+        ln_e = ch.ln_floor + rng.uniform(-40.0, ch.ln_e0 - ch.ln_floor)
+        k = 0 if ln_e >= ch.peak[1] else 1 if ln_e >= ch.ln_floor else 2
+        ln_curve = _solution(ln_e, ch.fields[k], *ch._anchor(k)) \
+            * (1.0 / ch.fields[k].p)
+        assert float(ch.curve_value(ln_e)).hex() == float(ln_curve).hex()
+
+
+# ------------------------------------------------------------ full model
+
+
+def _full_sets():
+    rng = random.Random(2021)
+    fig2 = _raw("fig2")
+    sets = {"fig2": _SETS["fig2"], "fig3": _SETS["fig3"]}
+    for i in range(3):
+        sets[f"full-{i}"] = ForcingParams.from_mapping(
+            _scaled(fig2, rng, 1.5, 100.0))
+    return sets
+
+
+_FULL = _full_sets()
+
+
+@pytest.mark.parametrize("name", sorted(_FULL))
+def test_full_samples_match_pointwise_kernels(name):
+    params = _FULL[name]
+    geo = full_nse.geometry(params)
+    bundle = full_nse.assemble_full(params, samples=257)
+    anchors = {"phi1": (geo.e0, geo.E0), "phi2": (geo.e1, geo.E1)}
+    for tag, (e0, E0) in anchors.items():
+        seg = bundle.segment(tag)
+        ln_E = [_ln_phi(v, math.log(e0), math.log(E0), params)
+                for v in seg.ln_e]
+        assert _bits(seg.ln_E) == _bits(ln_E)
+        assert _bits(seg.dlnE_dlne) \
+            == _bits(_ln_slope(v, u, params) for v, u in zip(seg.ln_e, ln_E))
+    noses = [s for s in bundle.segments if s.tag == "barrier"]
+    assert len(noses) == 2
+    for seg in noses:
+        assert _bits(seg.ln_e) == _bits(_ln_psi(u, params) for u in seg.ln_E)
+
+
+@pytest.mark.parametrize("name", sorted(_FULL))
+def test_full_pointwise_functions_match_kernels(name):
+    params = _FULL[name]
+    geo = full_nse.geometry(params)
+    rng = random.Random(name)
+    for _ in range(20):
+        e = geo.e1 * math.exp(rng.uniform(0.0, math.log(geo.e2 / geo.e1)))
+        E = geo.E1 * math.exp(rng.uniform(-5.0, 5.0))
+        ln_e, ln_E = math.log(e), math.log(E)
+        assert full_nse.psi_of_E(E, params).hex() \
+            == math.exp(_ln_psi(ln_E, params)).hex()
+        assert full_nse.phi_of_e(e, geo.e1, geo.E1, params).hex() \
+            == math.exp(_ln_phi(ln_e, math.log(geo.e1), math.log(geo.E1),
+                                params)).hex()
+        assert full_nse.phi_slope(e, E, params).hex() \
+            == (E / e * _ln_slope(ln_e, ln_E, params)).hex()

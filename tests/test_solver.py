@@ -154,3 +154,169 @@ def test_integrate_reports_nonconvergence():
     # a jump: the tanh-sinh error falls only like the step, never to 1e-12
     with pytest.raises(NonConvergence):
         integrate_adaptive(lambda t: 1.0 if t < 1.0 / 3.0 else 0.0, 0.0, 1.0)
+
+
+# ------------------------------------------- kernels against their oracles
+#
+# rk4_path writes the Dormand-Prince stages out and integrate_adaptive
+# reads its nodes from a table; both must give the very bits of the plain
+# tableau loop and of per-call nodes, kept here as the oracles.
+
+_DP_C = (1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0)
+_DP_A = ((1 / 5,), (3 / 40, 9 / 40), (44 / 45, -56 / 15, 32 / 9),
+         (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+         (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+         (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84))
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
+         22 / 525, -1 / 40)
+
+
+def _dp_loop(field, e_start, y_start, e_end, tol=1e-8, n_out=64):
+    """Dormand-Prince 5(4) driven by its tableau, one stage per pass."""
+    spacing = (e_end - e_start) / n_out
+    es = [e_start + i * spacing for i in range(n_out)] + [e_end]
+    e, y, h = e_start, y_start, spacing
+    ys, k = [y], [field(e, y)]
+    for node in es[1:]:
+        while e != node:
+            lands = abs(h) >= abs(node - e)
+            step = node - e if lands else h
+            k = k[:1]
+            for c, row in zip(_DP_C, _DP_A):
+                k.append(field(e + c * step, y + step * sum(
+                    a * kj for a, kj in zip(row, k))))
+            y_new = y + step * sum(a * kj for a, kj in zip(_DP_A[-1], k))
+            k.append(field(e + step, y_new))
+            if not all(map(math.isfinite, k)):
+                raise FieldBlowup(f"field not finite near e={e}")
+            err = abs(step * sum(c * kj for c, kj in zip(_DP_E, k)))
+            scale = tol * max(1.0, abs(y), abs(y_new))
+            grow = min(5.0, 0.9 * (scale / err) ** 0.2) if err else 5.0
+            if err <= scale:
+                e, y, k = (node if lands else e + step), y_new, k[-1:]
+                if abs(y) > 1e12:
+                    raise FieldBlowup(f"solution passed {1e12} near e={e}")
+                h = max(h, step * grow, key=abs) if lands else step * grow
+            else:
+                h = step * max(0.2, grow)
+            if abs(h) < 4.0 * math.ulp(e):
+                raise NonConvergence(f"step size collapsed near e={e}")
+        ys.append(y)
+    return es, ys
+
+
+def _tanh_sinh_per_call(f, lo, hi):
+    """Tanh-sinh with every node value formed inside the call."""
+    if lo == hi:
+        return 0.0
+    if lo > hi:
+        return -_tanh_sinh_per_call(f, hi, lo)
+    half = 0.5 * (hi - lo)
+    total = 0.5 * math.pi * f(lo + half)
+    estimate, h = math.nan, 1.0
+    for level in range(13):
+        t = h
+        while True:
+            q = math.exp(-math.pi * math.sinh(t))
+            gap = 2.0 * half * q / (1.0 + q)
+            w = 2.0 * math.pi * math.cosh(t) * q / (1.0 + q) ** 2
+            inner = [s for s in (lo + gap, hi - gap) if lo < s < hi]
+            if not inner:
+                break
+            total += w * sum(map(f, inner))
+            t += 2.0 * h if level else h
+        new = h * half * total
+        if level > 1 and abs(new - estimate) <= 1e-12 * abs(new):
+            return new
+        estimate, h = new, 0.5 * h
+    raise NonConvergence("tanh-sinh levels disagree at step 2^-12")
+
+
+def _bits(value):
+    if isinstance(value, (list, tuple)):
+        return [_bits(v) for v in value]
+    return float(value).hex()
+
+
+def _outcome(kernel, fn, *args, **kwargs):
+    """(result bits or the exception, the bits of every call made to fn)."""
+    calls = []
+
+    def recorded(*xs):
+        calls.append(_bits(xs))
+        return fn(*xs)
+
+    try:
+        result = _bits(kernel(recorded, *args, **kwargs))
+    except (FieldBlowup, NonConvergence) as exc:
+        result = (type(exc), str(exc))
+    return result, calls
+
+
+def _critical_slope(fig2):
+    from enstrophy_bounds.critical import chain
+    return chain(fig2).slope_field("phi1"), fig2.e0, \
+        math.log(chain(fig2).E0), chain(fig2).peak_point()[0]
+
+
+def _subcritical_slope(fig3):
+    from enstrophy_bounds.subcritical import chain
+    return chain(fig3).slope_field("phi1"), fig3.e0, \
+        math.log(chain(fig3).E0), chain(fig3).peak_point()[0]
+
+
+@pytest.mark.parametrize("case", [
+    "forward", "backward", "oscillating", "critical-phi1",
+    "subcritical-phi1", "solution-blowup", "field-blowup", "step-collapse"])
+def test_rk4_path_matches_the_tableau_loop(case, fig2, fig3):
+    fields = {
+        "forward": (lambda e, y: y, 0.0, 1.0, 1.0, 1e-10, 64),
+        "backward": (lambda e, y: y, 1.0, math.e, 0.0, 1e-10, 64),
+        "oscillating": (lambda e, y: math.cos(3.0 * e) * y - 0.1 * y * y,
+                        -2.0, 0.5, 7.0, 1e-12, 33),
+        "critical-phi1": (*_critical_slope(fig2), 1e-12, 512),
+        "subcritical-phi1": (*_subcritical_slope(fig3), 1e-12, 512),
+        "solution-blowup": (lambda e, y: y * y, 0.0, 2.0, 3.0, 1e-8, 64),
+        # k2 alone is infinite: the loop's update takes 0 * k2 = NaN
+        "field-blowup": (lambda e, y: math.inf if 0.15 < e < 0.25 else 0.0,
+                         0.0, 1.0, 1.0, 1e-8, 1),
+        "step-collapse": (lambda e, y: math.cos(e) * y, 1.0, 1.0, 2.0,
+                          1e-300, 4),
+    }
+    field, e_start, y_start, e_end, tol, n_out = fields[case]
+    want, want_calls = _outcome(_dp_loop, field, e_start, y_start, e_end,
+                                tol=tol, n_out=n_out)
+    got, got_calls = _outcome(rk4_path, field, e_start, y_start, e_end,
+                              tol=tol, n_out=n_out)
+    assert got == want
+    if case == "field-blowup":
+        # the written-out update leaves out the zero weight of k2, so only
+        # the last stage's y differs: NaN in the loop, finite here
+        assert got_calls[:-1] == want_calls[:-1]
+        assert want_calls[-1] == [_bits(1.0), "nan"] != got_calls[-1]
+    else:
+        assert got_calls == want_calls
+    if case.endswith("blowup"):
+        assert want[0] is FieldBlowup
+    elif case == "step-collapse":
+        assert want[0] is NonConvergence
+
+
+def _singular(t):
+    return math.inf if t == 0.0 else 1.0 / math.sqrt(t)
+
+
+@pytest.mark.parametrize("f, lo, hi", [
+    (math.sin, 0.0, 1.0),
+    (math.exp, -3.0, 2.0),
+    (math.exp, 2.0, -1.0),                  # reversed
+    (_singular, 0.0, 1.0),                  # endpoint singularity
+    (math.log, 0.0, 1.0),                   # endpoint singularity
+    (lambda u: math.exp(100.0 * u ** (1.0 / 0.03)), 0.0, 1.0),
+    (lambda t: t ** 0.5 * math.exp(48.0 * t), 0.0, 1.0),
+    (math.cos, 1e3, 1e3 + 1e-9),            # nodes round onto the ends
+    (lambda t: 1.0 if t < 1.0 / 3.0 else 0.0, 0.0, 1.0),  # no convergence
+])
+def test_integrate_adaptive_matches_per_call_nodes(f, lo, hi):
+    want = _outcome(_tanh_sinh_per_call, f, lo, hi)
+    assert _outcome(integrate_adaptive, f, lo, hi) == want

@@ -32,6 +32,8 @@ from enstrophy_bounds.verify import (_ALPHAS, _XS, _chain, _g_quadrature,
                                      _margins, _rate_tables, _scan_row,
                                      _spread_indices, all_pass)
 
+from conftest import ROOT
+
 
 def _with(params, **over):
     raw = params.to_raw()
@@ -189,8 +191,10 @@ def test_oracles_never_reach_the_construction(fig2, fig3, monkeypatch):
 
     for module, name in [(specfun, "gamma_series_factor"),
                          (specfun, "weighted_exp_integral_ln"),
+                         (specfun, "weighted_exp_integral_to"),
                          (branches, "solution"),
-                         (branches, "weighted_exp_integral_ln")]:
+                         (branches, "weighted_exp_integral_ln"),
+                         (branches, "weighted_exp_integral_to")]:
         monkeypatch.setattr(module, name, forbidden)
     for (a, x), want in series.items():
         assert _g_quadrature(a, x) == pytest.approx(want, rel=1e-10)
@@ -356,3 +360,22 @@ def test_margins_match_a_50_digit_arbiter(request, preset, over):
                                     seg.dlnE_dlne[i])
                 worst = max(worst, abs(ratio - float(want)))
     assert worst <= 1e-13
+
+
+# ------------------------------------------------------ pinned verify rows
+
+_VERIFY_ROWS = ROOT / "tests" / "data" / "verify_rows.json"
+
+
+@pytest.mark.parametrize("name", ["fig2", "fig3", "critical-draw",
+                                  "subcritical-draw"])
+def test_verify_rows_are_byte_identical(name, tmp_path, capsys):
+    # stdout of `verify --points 64` captured before the reference
+    # integrators and the samplers were rewritten to form their invariants
+    # once; every row, margins included, must come out bit for bit
+    case = json.loads(_VERIFY_ROWS.read_text())[name]
+    params = tmp_path / f"{name}.json"
+    params.write_text(json.dumps(case["params"]))
+    code = run(["verify", "--params", str(params), "--points", "64"])
+    assert capsys.readouterr().out == case["stdout"]
+    assert code == case["exit"]
