@@ -42,7 +42,6 @@ verify's scans all go.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .curves import CurveBundle, CurveSegment, log_grid, max_join_gap
@@ -62,13 +61,11 @@ TAGS = ("phi1", "phi2", "phi3")
 _LN_E_DEEPEST = -2.0 ** 49
 
 
-@dataclass(frozen=True)
 class Field:
     """Constants of one linear field dy/de = (a/e - b) y - c, y = E^p."""
-    a: float
-    b: float
-    c: float
-    p: float
+
+    def __init__(self, a: float, b: float, c: float, p: float):
+        self.a, self.b, self.c, self.p = a, b, c, p
 
     @property
     def e_a(self) -> float:
@@ -76,8 +73,8 @@ class Field:
         return self.a / self.b if self.b > 0.0 else math.inf
 
     def scaled(self, factor: float) -> "Field":
-        return replace(self, a=self.a * factor, b=self.b * factor,
-                       c=self.c * factor)
+        return Field(self.a * factor, self.b * factor, self.c * factor,
+                     self.p)
 
 
 def solution(field: Field, ln_e_ref: float, ln_y_ref: float):
@@ -145,7 +142,6 @@ def _as_ln(e) -> float:
     return math.log(e)
 
 
-@dataclass(frozen=True)
 class Chain:
     """The anchor chain of one parameter set.
 
@@ -163,15 +159,13 @@ class Chain:
     kept and raises again on every use, so a caller that never reaches a
     breakpoint never sees it.
     """
-    params: ForcingParams
-    model: str
-    names: tuple[str, str, str, str]
-    flags: tuple[str, ...]
-    ln_floors: tuple[float, ...]
-    rise: Field
-    tail_b: float
 
-    def __post_init__(self):
+    def __init__(self, params: ForcingParams, model: str,
+                 names: tuple[str, str, str, str], flags: tuple[str, ...],
+                 ln_floors: tuple[float, ...], rise: Field, tail_b: float):
+        self.params, self.model, self.names = params, model, names
+        self.flags, self.ln_floors = flags, ln_floors
+        self.rise, self.tail_b = rise, tail_b
         self.floor  # formed, and gated, when the chain is built
 
     @cached_property

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 
 from .errors import CancellationLoss, OutsideDomain
 from .logscalar import LogScalar, sci_string
@@ -24,27 +23,28 @@ _LN10 = math.log(10.0)
 SEGMENT_TAGS = ("phi1", "phi2", "phi3", "lower_boundary", "barrier", "parabola")
 
 
-@dataclass
 class CurveSegment:
-    tag: str
-    ln_e: list[float]         # increasing
-    ln_E: list[float]
-    dlnE_dlne: list[float] | None = None  # analytic slope, for containment
+    """One sampled segment: ln e increasing, ln E, and the analytic slope
+    d ln E/d ln e where containment needs it."""
 
-    def __post_init__(self):
-        if self.tag not in SEGMENT_TAGS:
-            raise ValueError(f"unknown segment tag {self.tag!r}")
-        if len(self.ln_e) != len(self.ln_E):
+    def __init__(self, tag: str, ln_e: list[float], ln_E: list[float],
+                 dlnE_dlne: list[float] | None = None):
+        if tag not in SEGMENT_TAGS:
+            raise ValueError(f"unknown segment tag {tag!r}")
+        if len(ln_e) != len(ln_E):
             raise ValueError("abscissa/ordinate length mismatch")
+        self.tag, self.ln_e, self.ln_E = tag, ln_e, ln_E
+        self.dlnE_dlne = dlnE_dlne
 
 
-@dataclass
 class CurveBundle:
-    model: str
-    params: ForcingParams
-    segments: list[CurveSegment]
-    breakpoints: dict[str, LogScalar]
-    flags: list[str] = field(default_factory=list)
+    def __init__(self, model: str, params: ForcingParams,
+                 segments: list[CurveSegment],
+                 breakpoints: dict[str, LogScalar],
+                 flags: list[str] | None = None):
+        self.model, self.params, self.segments = model, params, segments
+        self.breakpoints = breakpoints
+        self.flags = [] if flags is None else flags
 
     def segment(self, tag: str) -> CurveSegment:
         for seg in self.segments:

@@ -26,7 +26,6 @@ their one point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .curves import CurveBundle, CurveSegment, log_grid
@@ -223,18 +222,19 @@ def solve_e2(params: ForcingParams) -> float:
     return _exp(_ln_apex(params)[0] + 2.0 / 3.0 * y)
 
 
-@dataclass(frozen=True)
 class FullNseGeometry:
-    """Every derived quantity of the region, computed once."""
-    e0: float
-    E0: float          # parabola anchor, eta lam e0
-    e1: float
-    E1: float
-    E_under: float     # 2^(-1/3) E1
-    e_under: float     # parabola abscissa at E_under
-    e_star: float      # wall asymptote (parabola-anchored funnel)
-    e2: float
-    E2: float
+    """Every derived quantity of the region, computed once: the parabola
+    anchor (e0, E0 = eta lam e0), the nose apex (e1, E1), E_under =
+    2^(-1/3) E1 and its parabola abscissa e_under, the wall asymptote
+    e_star (parabola-anchored funnel) and the apex funnel's re-entry
+    (e2, E2). The fields are set in that order, which vars() keeps."""
+
+    def __init__(self, e0: float, E0: float, e1: float, E1: float,
+                 E_under: float, e_under: float, e_star: float, e2: float,
+                 E2: float):
+        self.e0, self.E0, self.e1, self.E1 = e0, E0, e1, E1
+        self.E_under, self.e_under, self.e_star = E_under, e_under, e_star
+        self.e2, self.E2 = e2, E2
 
 
 @lru_cache(maxsize=64)

@@ -13,7 +13,6 @@ breakpoints, bounds), and its addition is the same kernel.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 _LN10 = math.log(10.0)
 
@@ -62,12 +61,38 @@ def ln_sub(big: float, small: float) -> tuple[float, float]:
     return ln, max(0.0, (big - ln) / _LN10)
 
 
-@dataclass(frozen=True, slots=True, order=True)
 class LogScalar:
-    """A value >= 0 held as its ln; order=True compares ln, which orders
-    the values."""
+    """A value >= 0 held as its ln. Immutable and hashed by ln; the
+    comparisons compare ln, which orders the values."""
 
-    ln: float
+    __slots__ = ("ln",)
+
+    def __init__(self, ln: float):
+        _set_ln(self, ln)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to LogScalar.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete LogScalar.{name}")
+
+    def __eq__(self, other):
+        return other.__class__ is LogScalar and self.ln == other.ln
+
+    def __hash__(self):
+        return hash(self.ln)
+
+    def __lt__(self, other):
+        return self.ln < other.ln
+
+    def __le__(self, other):
+        return self.ln <= other.ln
+
+    def __gt__(self, other):
+        return self.ln > other.ln
+
+    def __ge__(self, other):
+        return self.ln >= other.ln
 
     # -- construction -------------------------------------------------
 
@@ -139,6 +164,9 @@ class LogScalar:
         positive. Differences, which can lose digits, are ln_sub's."""
         return LogScalar(ln_add(self.ln, other.ln)), 0.0
 
+
+# the slot's own setter, which the refusing __setattr__ does not reach
+_set_ln = LogScalar.ln.__set__
 
 ZERO = LogScalar(-math.inf)
 ONE = LogScalar(0.0)

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 
 from .errors import EtaTooSmall, InvalidRegime, RegimeViolation
 from .logscalar import LogScalar
@@ -124,15 +123,14 @@ def emax_upper(G: float, eps: float, rho: float, c2: float,
     return _bound(G, eps, rho, c2, eta, math.log(E0))
 
 
-@dataclass(frozen=True)
 class BoundReport:
-    lower: LogScalar
-    upper: LogScalar
-    eta_used: float
-    e_crit: float
-    e_bar_crit: float
-    anchor_E0: float
-    flags: list[str] = field(default_factory=list)
+    def __init__(self, lower: LogScalar, upper: LogScalar, eta_used: float,
+                 e_crit: float, e_bar_crit: float, anchor_E0: float,
+                 flags: list[str] | None = None):
+        self.lower, self.upper, self.eta_used = lower, upper, eta_used
+        self.e_crit, self.e_bar_crit = e_crit, e_bar_crit
+        self.anchor_E0 = anchor_E0
+        self.flags = [] if flags is None else flags
 
 
 def bound_report(G: float, eps: float, rho: float, c2: float,

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import MISSING, dataclass, fields
 from functools import cached_property
+from operator import itemgetter
 
 from .errors import InvalidRegime, MissingKey, RegimeViolation
 
@@ -31,27 +31,48 @@ def exp_in_range(ln: float, what: str) -> float:
     return math.exp(ln)
 
 
-@dataclass(frozen=True)
-class ForcingParams:
-    nu: float            # kinematic viscosity
-    lam: float           # bottom of the Stokes spectrum (1/length^2 scale)
-    lam0: float          # same quantity entering the lower boundary line
-    f_norm: float        # L2 norm of the body force
-    curlF_norm: float    # L2 norm of its curl
-    psi_inf: float       # far-field level of the coherence profile
-    r: float             # coherence decay exponent, 1/2 <= r <= 1
-    eps: float           # interpolation split, rho = 2 eps + delta < 1
-    delta: float
-    mu: float            # coherence length-scale parameter
-    c_omega: float = 1.0
-    c1: float = 1.0      # constant of the enstrophy production estimate
-    c2: float = 2.0      # constant of the coherence-weighted estimate
-    c: float = 1.0       # generic interpolation constant (subcritical curves)
-    eta: float = 2.0     # funnel steepness of the unconditional region
-    eps0: float = 0.25   # scaling-window split
-    c_omega_prime: float = 1.0
+# the fields in declaration order, and the defaults of the optional ones
+_NAMES = ("nu", "lam", "lam0", "f_norm", "curlF_norm", "psi_inf", "r", "eps",
+          "delta", "mu", "c_omega", "c1", "c2", "c", "eta", "eps0",
+          "c_omega_prime")
+_DEFAULTS = {"c_omega": 1.0, "c1": 1.0, "c2": 2.0, "c": 1.0, "eta": 2.0,
+             "eps0": 0.25, "c_omega_prime": 1.0}
+_NAME_SET = frozenset(_NAMES)
+# a complete field map -> its values in declaration order
+_values = itemgetter(*_NAMES)
 
-    def __post_init__(self):
+
+class ForcingParams:
+    """One immutable parameter set, its fields (_NAMES) given by keyword:
+
+    nu             kinematic viscosity
+    lam            bottom of the Stokes spectrum (1/length^2 scale)
+    lam0           same quantity entering the lower boundary line
+    f_norm         L2 norm of the body force
+    curlF_norm     L2 norm of its curl
+    psi_inf        far-field level of the coherence profile
+    r              coherence decay exponent, 1/2 <= r <= 1
+    eps, delta     interpolation split, rho = 2 eps + delta < 1
+    mu             coherence length-scale parameter
+    c_omega        (default 1)
+    c1             constant of the enstrophy production estimate (1)
+    c2             constant of the coherence-weighted estimate (2)
+    c              generic interpolation constant, subcritical curves (1)
+    eta            funnel steepness of the unconditional region (2)
+    eps0           scaling-window split (0.25)
+    c_omega_prime  (1)
+
+    Two sets with the same field values are equal and hash alike. The
+    hash is formed once, here: the params key every model's cache.
+    """
+
+    def __init__(self, **fields: float):
+        fields = {**_DEFAULTS, **fields}
+        if fields.keys() != _NAME_SET:
+            raise TypeError(f"ForcingParams takes the fields {_NAMES}, "
+                            f"got {sorted(fields)}")
+        key = _values(fields)
+        vars(self).update(zip(_NAMES, key), _key=key, _hash=hash(key))
         for name in ("nu", "lam", "lam0", "mu", "eps",
                      "c1", "c2", "eps0", "c_omega_prime"):
             if getattr(self, name) <= 0.0:
@@ -71,6 +92,18 @@ class ForcingParams:
         if self.rho >= 1.0:
             raise InvalidRegime(
                 f"2*eps + delta must stay below 1, got {self.rho}")
+
+    def __eq__(self, other):
+        return other.__class__ is ForcingParams and self._key == other._key
+
+    def __hash__(self):
+        return self._hash
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to ForcingParams.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete ForcingParams.{name}")
 
     # -- derived quantities ---------------------------------------------
 
@@ -119,24 +152,23 @@ class ForcingParams:
 
     @classmethod
     def from_mapping(cls, raw: dict) -> "ForcingParams":
-        unknown = sorted(set(raw) - _FIELDS.keys())
+        unknown = sorted(set(raw) - _KEYS.keys())
         if unknown:
             raise InvalidRegime(f"unknown parameter keys: {', '.join(unknown)}")
-        kwargs = {}
-        for key, f in _FIELDS.items():
+        fields = {}
+        for key, name in _KEYS.items():
             if key in raw:
-                kwargs[f.name] = _as_number(key, raw[key])
-            elif f.default is MISSING:
+                fields[name] = _as_number(key, raw[key])
+            elif name not in _DEFAULTS:
                 raise MissingKey(f"missing required parameter {key!r}")
-        return cls(**kwargs)
+        return cls(**fields)
 
     def to_raw(self) -> dict:
-        return {key: getattr(self, f.name) for key, f in _FIELDS.items()}
+        return dict(zip(_KEYS, self._key))
 
 
-# JSON key -> field, in declaration order; fields without a default are
-# the required keys
-_FIELDS = {_ALIASES.get(f.name, f.name): f for f in fields(ForcingParams)}
+# JSON key -> field, in declaration order
+_KEYS = {_ALIASES.get(name, name): name for name in _NAMES}
 
 
 def _as_number(key: str, value) -> float:

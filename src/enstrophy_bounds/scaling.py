@@ -19,7 +19,6 @@ all; samples below it are flagged rather than hidden.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import InvalidRegime, RegimeViolation
@@ -27,19 +26,17 @@ from .logscalar import LogScalar, ln_add
 from .params import _LN_RANGE, ForcingParams, exp_in_range
 
 
-@dataclass(frozen=True)
 class ScalingParams:
-    eps0: float
-    c_prime: float
-    s: float          # eps0 * c_prime + delta, must stay in (0, 1)
-    alpha_sc: float   # (1 - s)/2
-    beta_sc: float
-    E_floor: float
+    """s = eps0 c_prime + delta, which must stay in (0, 1), and alpha_sc =
+    (1 - s)/2."""
 
-    def __post_init__(self):
-        if not 0.0 < self.s < 1.0:
+    def __init__(self, eps0: float, c_prime: float, s: float,
+                 alpha_sc: float, beta_sc: float, E_floor: float):
+        if not 0.0 < s < 1.0:
             raise InvalidRegime(
-                f"combined smallness parameter s = {self.s} must lie in (0, 1)")
+                f"combined smallness parameter s = {s} must lie in (0, 1)")
+        self.eps0, self.c_prime, self.s = eps0, c_prime, s
+        self.alpha_sc, self.beta_sc, self.E_floor = alpha_sc, beta_sc, E_floor
 
 
 def scaling_params(params: ForcingParams) -> ScalingParams:

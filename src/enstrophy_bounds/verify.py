@@ -23,14 +23,15 @@ The Taylor-wavenumber diagnostic of an emitted curve is the CLI's taylor
 subcommand.
 
 Everything here is deliberately redundant with the construction modules;
-agreement is the point.
+agreement is the point. The coherence family is imported where it is
+chosen, so a report executes only the family it checks.
 """
 
 from __future__ import annotations
 
 import math
 
-from . import critical, full_nse, subcritical
+from . import full_nse
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import EnstrophyBoundsError, OutsideDomain, RegimeViolation
 from .params import ForcingParams
@@ -80,19 +81,19 @@ def _rate_tables(curve: CurveBundle, params: ForcingParams):
     # (quad_b, drive, power): the two coherence families, with the
     # production term drive E^power; quad_b = 0 off r = 1/2
     if curve.model == "critical":
-        family = critical
+        from .critical import chain
         quad_b = params.c2 * math.sqrt(lam) / (eps * nu)
         drive = 6.0 * params.c2 * (mu * lam) ** 0.8 * nu ** 0.2 / eps ** 0.6
         power = 1.4
     elif curve.model == "subcritical":
-        family = subcritical
+        from .subcritical import big_c_s, chain, sigma_of
         quad_b = 0.0
-        drive = 0.5 * nu * subcritical.big_c_s(params)
-        power = 2.0 - subcritical.sigma_of(params.r)
+        drive = 0.5 * nu * big_c_s(params)
+        power = 2.0 - sigma_of(params.r)
     else:
         raise OutsideDomain(
             f"containment has no rate bounds for model {curve.model!r}")
-    floor = family.chain(params).floor
+    floor = chain(params).floor
     quad = ((quad_b, 0.0, 2.0), (-0.25 * nu * (1.0 - rho), -1.0, 2.0))
     rise = quad + ((drive, 0.0, power),)
     tail = quad + ((6.0 * params.curlF_norm, 0.0, 0.5),)
@@ -193,8 +194,11 @@ def _specfun_row() -> dict:
 
 
 def _chain(params: ForcingParams):
-    family = critical if params.r == 0.5 else subcritical
-    return family.chain(params)
+    if params.r == 0.5:
+        from .critical import chain
+    else:
+        from .subcritical import chain
+    return chain(params)
 
 
 def _rk4_row(params: ForcingParams) -> dict:
@@ -300,8 +304,10 @@ def report(params: ForcingParams, n_points: int = 512) -> list[dict]:
                  "worst_margin": 0.0, "pass": True,
                  "note": "degenerate forcing, no curve to check"}]
     else:
-        assemble = critical.assemble_critical if params.r == 0.5 \
-            else subcritical.assemble_subcritical
+        if params.r == 0.5:
+            from .critical import assemble_critical as assemble
+        else:
+            from .subcritical import assemble_subcritical as assemble
         rows = containment_check(assemble(params), params, n_points)
         rows += containment_check(full_nse.assemble_full(params), params,
                                   n_points)

@@ -647,14 +647,17 @@ codes.append(run(["verify", "--params", fig3, "--points", "16",
                   "--out", f"{tmp}/verify.json"]))
 codes.append(run(["taylor", "--params", fig2, "--curve",
                   f"{tmp}/critical.json", "--out", f"{tmp}/taylor.json"]))
-print(json.dumps({"codes": codes, "numpy": [
-    name for name in sys.modules if name.split(".")[0] == "numpy"]}))
+print(json.dumps({"codes": codes, **{heavy: [
+    name for name in sys.modules if name.split(".")[0] == heavy]
+    for heavy in ("numpy", "dataclasses", "inspect")}}))
 """
 
 
 def test_commands_never_import_numpy(tmp_path):
     # numpy is a test dependency only: importing it would double the
-    # start-up time of every command
+    # start-up time of every command. The records are plain classes, as
+    # dataclasses (which imports inspect, ast and dis) and its generated
+    # methods cost about 20 ms of every command
     env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, FIG2, FIG3,
                            str(tmp_path)],
@@ -663,6 +666,7 @@ def test_commands_never_import_numpy(tmp_path):
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["codes"] == [0] * 12
     assert doc["numpy"] == []
+    assert doc["dataclasses"] == [] and doc["inspect"] == []
 
 
 # `python -m enstrophy_bounds ARGS`, then the package modules it executed:
@@ -721,6 +725,17 @@ def test_subcritical_commands_execute_no_other_model(args):
     assert "subcritical" in executed
     assert not executed & {"critical", "full_nse", "scaling", "maxest",
                            "verify"}
+
+
+@pytest.mark.parametrize("preset, other", [(FIG2, "subcritical"),
+                                           (FIG3, "critical")],
+                         ids=["fig2", "fig3"])
+def test_verify_executes_only_the_family_it_checks(preset, other):
+    executed = _executed_modules("verify", "--params", preset, "--points",
+                                 "16")
+    assert {"verify", "full_nse"} <= executed
+    assert other not in executed
+    assert not executed & {"maxest", "scaling"}
 
 
 def _run_optimized(*args, code=None):

@@ -1,11 +1,14 @@
-import dataclasses
 import json
 import math
 
 import pytest
 
-from enstrophy_bounds import ForcingParams, InvalidRegime, MissingKey
+from enstrophy_bounds import (ForcingParams, InvalidRegime, MissingKey,
+                              critical, full_nse, subcritical)
+from enstrophy_bounds.logscalar import LogScalar
 from enstrophy_bounds.params import load_params_file
+
+from conftest import PRESETS
 
 
 def test_fig2_derived_quantities(fig2):
@@ -17,7 +20,7 @@ def test_fig2_derived_quantities(fig2):
 
 
 def test_grashof_scales_with_viscosity(fig2):
-    p = dataclasses.replace(fig2, nu=2.0)
+    p = ForcingParams.from_mapping(dict(fig2.to_raw(), nu=2.0))
     assert p.grashof == pytest.approx(0.5)
     assert p.e0 == pytest.approx(1.0)
 
@@ -112,6 +115,32 @@ def test_load_rejects_non_object(tmp_path):
         load_params_file(str(f))
 
 
+def test_equal_params_share_one_hash_and_one_model():
+    # the hash is formed once, from the same 17 field values as before
+    path = str(PRESETS / "fig2.json")
+    p, q = load_params_file(path), load_params_file(path)
+    assert p is not q and p == q and hash(p) == hash(q)
+    assert hash(p) == hash(tuple(p.to_raw().values()))
+    assert critical.chain(p) is critical.chain(q)
+    assert full_nse.geometry(p) is full_nse.geometry(q)
+    assert p != ForcingParams.from_mapping(dict(p.to_raw(), nu=2.0))
+    path = str(PRESETS / "fig3.json")
+    p, q = load_params_file(path), load_params_file(path)
+    assert p == q and hash(p) == hash(q)
+    assert subcritical.chain(p) is subcritical.chain(q)
+
+
 def test_frozen(fig2):
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         fig2.nu = 3.0
+    with pytest.raises(AttributeError):
+        del fig2.nu
+    assert fig2.nu == 1.0
+    x = LogScalar(2.0)
+    with pytest.raises(AttributeError):
+        x.ln = 3.0
+    with pytest.raises(AttributeError):
+        del x.ln
+    with pytest.raises(AttributeError):
+        x.other = 3.0
+    assert x.ln == 2.0

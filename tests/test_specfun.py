@@ -4,12 +4,12 @@ anchor-chain breakpoints built on them."""
 
 import math
 import sys
-from dataclasses import replace
 
 import mpmath
 import pytest
 
-from enstrophy_bounds import critical, solver, specfun, subcritical
+from enstrophy_bounds import (ForcingParams, critical, solver, specfun,
+                              subcritical)
 from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NonConvergence
 from enstrophy_bounds.logscalar import LogScalar, ln_sub
@@ -322,7 +322,8 @@ def test_assembly_sums_no_large_argument_series(fig2, monkeypatch):
         return series(alpha, x, ln_r, n_terms)
 
     monkeypatch.setattr(specfun, "_series_ln", counting)
-    for params in (fig2, replace(fig2, f_norm=10.0)):
+    strong = ForcingParams.from_mapping(dict(fig2.to_raw(), f_norm=10.0))
+    for params in (fig2, strong):
         critical.chain.cache_clear()
         calls.clear()
         critical.assemble_critical(params)
