@@ -13,37 +13,27 @@ traceback.
 
 Output is deterministic: identical invocations produce identical bytes.
 
-Start-up executes only what every command shares (argument parsing, the
-parameter file, the writers); each handler imports the model module it
-runs, so `emax` never executes the curve constructions and `curve
-subcritical` never executes the critical, full, scaling or verify modules.
+Start-up executes only what every command shares (the parameter file,
+the writers, and a table of the commands, _COMMANDS, in place of argparse
+and its build); each handler imports the model module it runs, so `emax`
+never executes the curve constructions and `curve subcritical` never
+executes the critical, full, scaling or verify modules.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib
 import json
 import math
 import signal
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 from .curves import bundle_to_csv, bundle_to_json, round_sig
 from .errors import EnstrophyBoundsError, InvalidRegime
 from .logscalar import ZERO, LogScalar
 from .params import load_params_file
-
-
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits with code 2 on usage errors; we reserve 2 for
-    # numerical failures, so route them through an exception instead
-    def error(self, message):
-        raise _UsageError(message)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -166,62 +156,88 @@ def _cmd_taylor(params, args) -> int:
     return 0
 
 
-def _build_parser() -> _Parser:
-    p = _Parser(prog="enstrophy-bounds",
-                description="Energy-enstrophy bounding curves for the "
-                            "forced 3D Navier-Stokes equations")
-    sub = p.add_subparsers(dest="command", required=True)
+# command -> (help, options), an option flag -> (type, default, choices,
+# required); "model" is a positional, and "--anchor-E0" sets anchor_E0
+_PARAMS = {"--params": (str, None, None, True)}
+_OUT = {"--out": (str, None, None, False)}
+_COMMANDS = {
+    "curve": ("assemble a bounding curve", {
+        "model": (str, None, tuple(sorted(_ASSEMBLERS)), True), **_PARAMS,
+        "--samples": (int, 512, None, False),
+        "--format": (str, "csv", ("csv", "json"), False), **_OUT}),
+    "emax": ("maximal-enstrophy bracket", {
+        **_PARAMS, "--eta": (float, None, None, False),
+        "--anchor-E0": (float, None, None, False), **_OUT}),
+    "classify": ("place a point in the plane", {
+        **_PARAMS, "--e": (float, None, None, True),
+        "--E": (float, None, None, True),
+        "--model": (str, "full", ("full", "subcritical"), False)}),
+    "verify": ("containment and oracle report", {
+        **_PARAMS, "--points": (int, 512, None, False), **_OUT}),
+    "taylor": ("Taylor-wavenumber diagnostic", {
+        **_PARAMS, "--curve": (str, None, None, True), **_OUT}),
+}
 
-    c = sub.add_parser("curve", help="assemble a bounding curve")
-    c.add_argument("model", choices=sorted(_ASSEMBLERS))
-    c.add_argument("--params", required=True, help="JSON parameter file")
-    c.add_argument("--samples", type=int, default=512)
-    c.add_argument("--format", choices=("csv", "json"), default="csv")
-    c.add_argument("--out")
-    c.set_defaults(handler=_cmd_curve)
 
-    m = sub.add_parser("emax", help="maximal-enstrophy bracket")
-    m.add_argument("--params", required=True)
-    m.add_argument("--eta", type=float, default=None)
-    m.add_argument("--anchor-E0", dest="anchor_E0", type=float, default=None)
-    m.add_argument("--out")
-    m.set_defaults(handler=_cmd_emax)
+def _help() -> str:
+    lines = ["usage: enstrophy-bounds COMMAND [--OPTION VALUE ...]"]
+    for command, (text, options) in _COMMANDS.items():
+        lines += ["", f"{command}: {text}"] + [
+            f"  {flag} " + ("{%s}" % ",".join(choices) if choices
+                            else kind.__name__)
+            + (" (required)" if required else f" (default {default})")
+            for flag, (kind, default, choices, required) in options.items()]
+    return "\n".join(lines) + "\n"
 
-    k = sub.add_parser("classify", help="place a point in the plane")
-    k.add_argument("--params", required=True)
-    k.add_argument("--e", type=float, required=True)
-    k.add_argument("--E", type=float, required=True)
-    k.add_argument("--model", choices=("full", "subcritical"),
-                   default="full")
-    k.set_defaults(handler=_cmd_classify)
 
-    v = sub.add_parser("verify", help="containment and oracle report")
-    v.add_argument("--params", required=True)
-    v.add_argument("--points", type=int, default=512,
-                   help="containment samples per segment")
-    v.add_argument("--out")
-    v.set_defaults(handler=_cmd_verify)
-
-    t = sub.add_parser("taylor", help="Taylor-wavenumber diagnostic")
-    t.add_argument("--params", required=True)
-    t.add_argument("--curve", required=True,
-                   help="curve JSON produced by the curve subcommand")
-    t.add_argument("--out")
-    t.set_defaults(handler=_cmd_taylor)
-    return p
+def _parse(argv: list[str]) -> SimpleNamespace:
+    """The command and every attribute its handler reads; ValueError when
+    argv does not fit the table. Options come in any order as `--flag
+    value` or `--flag=value`, and the last of a repeated one wins; a flag
+    takes the next word whatever it is."""
+    if not argv or argv[0] not in _COMMANDS:
+        raise ValueError("expected a command: " + ", ".join(_COMMANDS))
+    options = _COMMANDS[argv[0]][1]
+    given = {}
+    words = iter(argv[1:])
+    for word in words:
+        flag, eq, value = word.partition("=")
+        if flag.startswith("--") and flag in options:
+            given[flag] = value if eq else next(words, None)
+        elif word.startswith("-") or "model" not in options.keys() - given:
+            raise ValueError(f"unrecognized argument {word!r}")
+        else:
+            given["model"] = word
+    args = SimpleNamespace(command=argv[0])
+    for flag, (kind, default, choices, required) in options.items():
+        value = given.get(flag)
+        if value is None and (required or flag in given):
+            raise ValueError(f"{flag} needs a value")
+        try:
+            value = default if value is None else kind(value)
+            if choices and value not in choices:
+                raise ValueError
+        except ValueError:
+            raise ValueError(f"{flag} takes one " + (
+                "of " + ", ".join(choices) if choices else kind.__name__)
+                + f", not {given[flag]!r}") from None
+        setattr(args, flag.lstrip("-").replace("-", "_"), value)
+    return args
 
 
 def run(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(_help())
+        return 0
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
+        args = _parse(argv)
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except SystemExit as exc:  # --help
-        return int(exc.code or 0)
     try:
-        return args.handler(load_params_file(args.params), args)
+        return globals()[f"_cmd_{args.command}"](
+            load_params_file(args.params), args)
     except (EnstrophyBoundsError, OSError) as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 1)

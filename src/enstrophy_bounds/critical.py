@@ -44,16 +44,6 @@ def ln_floors(params: ForcingParams) -> tuple[float, float]:
              + 10.0 * (l_curl - math.log(params.c2))) / 9.0)
 
 
-def curl_threshold(params: ForcingParams) -> float:
-    """Smallest curl-forcing amplitude for which the floor is curl-dominated.
-
-    Closed form of the crossover in ln_floors; equality of the two
-    floor expressions solves to this value.
-    """
-    return params.c2 * params.eps ** 0.75 * params.lam ** 1.25 \
-        * params.nu ** 2 * (params.mu + params.psi_inf) ** 2.25 / params.mu
-
-
 def coefficients(params: ForcingParams) -> Field:
     """The rise field (a, b, C, p = 3/5) of xi = E^(3/5); C, formed in
     logs, above float range is InvalidRegime."""

@@ -60,13 +60,6 @@ def scaling_params(params: ForcingParams) -> ScalingParams:
         alpha_sc=0.5 * (1.0 - s), beta_sc=beta, E_floor=math.exp(ln_floor))
 
 
-def _lead_coefficient(e0_init: float, E0_init: float,
-                      sp: ScalingParams) -> float:
-    a = sp.alpha_sc
-    return E0_init / e0_init ** a \
-        + sp.beta_sc * e0_init ** (1.0 - a) / (1.0 - a)
-
-
 def scaling_curve(e: float, e0_init: float, E0_init: float,
                   sp: ScalingParams) -> float:
     """K e^a - beta/(1-a) e, written as E0 (e/e0)^a + beta/(1-a) e

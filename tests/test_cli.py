@@ -1,8 +1,11 @@
 """Command-line surface: schemas, determinism, exit codes."""
 
+import argparse
+import importlib.util
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 
@@ -423,6 +426,225 @@ def test_help_exits_zero(capsys):
     assert "curve" in capsys.readouterr().out
 
 
+# --------------------------------------------------------------- parser
+
+
+class _OracleUsage(Exception):
+    pass
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        raise _OracleUsage(message)
+
+
+def _build_parser() -> _OracleParser:
+    # the argparse parser that the command table replaced, kept as the
+    # oracle of the attributes each command's handler reads
+    p = _OracleParser(prog="enstrophy-bounds")
+    sub = p.add_subparsers(dest="command", required=True)
+
+    c = sub.add_parser("curve")
+    c.add_argument("model", choices=sorted(cli._ASSEMBLERS))
+    c.add_argument("--params", required=True)
+    c.add_argument("--samples", type=int, default=512)
+    c.add_argument("--format", choices=("csv", "json"), default="csv")
+    c.add_argument("--out")
+
+    m = sub.add_parser("emax")
+    m.add_argument("--params", required=True)
+    m.add_argument("--eta", type=float, default=None)
+    m.add_argument("--anchor-E0", dest="anchor_E0", type=float, default=None)
+    m.add_argument("--out")
+
+    k = sub.add_parser("classify")
+    k.add_argument("--params", required=True)
+    k.add_argument("--e", type=float, required=True)
+    k.add_argument("--E", type=float, required=True)
+    k.add_argument("--model", choices=("full", "subcritical"),
+                   default="full")
+
+    v = sub.add_parser("verify")
+    v.add_argument("--params", required=True)
+    v.add_argument("--points", type=int, default=512)
+    v.add_argument("--out")
+
+    t = sub.add_parser("taylor")
+    t.add_argument("--params", required=True)
+    t.add_argument("--curve", required=True)
+    t.add_argument("--out")
+    return p
+
+
+_REFUSED = "refused"
+
+
+def _attributes(namespace) -> dict:
+    # repr tells 512 from 512.0 and lets nan equal nan
+    return {key: repr(value) for key, value in vars(namespace).items()}
+
+
+def _by_oracle(argv):
+    try:
+        return _attributes(_build_parser().parse_args(argv))
+    except _OracleUsage:
+        return _REFUSED
+
+
+def _by_table(argv):
+    try:
+        return _attributes(cli._parse(argv))
+    except ValueError:
+        return _REFUSED
+
+
+_README = (PRESETS.parent / "README.md").read_text()
+_README_INVOCATIONS = [line.split()[1:] for line in _README.splitlines()
+                       if line.startswith("enstrophy-bounds ")]
+
+_PARSER_CASES = [
+    *_README_INVOCATIONS,
+    # every option of every command, in both spellings and any order
+    ["curve", "full", "--params", FIG2, "--samples", "64", "--format",
+     "json", "--out", "c.json"],
+    ["curve", "--params=" + FIG2, "--samples=7", "--format=csv",
+     "--out=c.csv", "scaling"],
+    ["curve", "--params", FIG2, "subcritical"],
+    ["emax", "--out", "e.json", "--anchor-E0", "16", "--eta", "4.33",
+     "--params", FIG2],
+    ["emax", "--params", FIG2, "--anchor-E0=1e-300", "--eta=inf"],
+    ["classify", "--E", "1e9", "--model", "subcritical", "--e", "4",
+     "--params", FIG2],
+    ["classify", "--params", FIG2, "--e=-inf", "--E=-1e5", "--model=full"],
+    ["verify", "--points", "16", "--out", "v.json", "--params", FIG3],
+    ["verify", "--params", FIG3, "--points=0"],
+    ["taylor", "--curve", "c.json", "--out", "t.json", "--params", FIG2],
+    # negative, tiny and non-finite values
+    ["verify", "--params", FIG2, "--points", "-1"],
+    ["curve", "critical", "--params", FIG2, "--samples", "-5"],
+    ["classify", "--params", FIG2, "--e", "nan", "--E", "1e-300"],
+    ["classify", "--params", FIG2, "--e", "-1", "--E", "-0.5"],
+    ["emax", "--params", FIG2, "--eta", "-4", "--anchor-E0", "-.5"],
+    ["emax", "--params", FIG2, "--eta", "NaN", "--anchor-E0", "Infinity"],
+    # a repeated option: the last value wins
+    ["verify", "--params", FIG2, "--points", "8", "--points", "16"],
+    ["curve", "critical", "--format", "json", "--params", FIG3,
+     "--format", "csv", "--params", FIG2],
+    # malformed
+    [],
+    ["critical"],
+    ["plot", "--params", FIG2],
+    ["--params", FIG2, "emax"],
+    ["curve", "--params", FIG2],
+    ["curve", "nonsense", "--params", FIG2],
+    ["curve", "critical", "full", "--params", FIG2],
+    ["curve", "critical", "--params", FIG2, "--format", "xml"],
+    ["curve", "critical", "--params", FIG2, "--samples", "1.5"],
+    ["curve", "critical", "--params", FIG2, "--samples", "ten"],
+    ["classify", "--params", FIG2, "--e", "4"],
+    ["classify", "--params", FIG2, "--e", "four", "--E", "1"],
+    ["classify", "--params", FIG2, "--e", "4", "--E", "1",
+     "--model", "critical"],
+    ["classify", "--params", FIG2, "--e", "4", "--E"],
+    ["emax"],
+    ["emax", "--params"],
+    ["emax", "--params", FIG2, "--eta", ""],
+    ["emax", "--params", FIG2, "--bogus", "1"],
+    ["emax", "--params", FIG2, "--model", "full"],
+    ["emax", "--params", FIG2, "stray"],
+    ["emax", "--params", FIG2, "--"],
+    ["verify", "--params", FIG2, "-x"],
+    ["taylor", "--params", FIG2],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSER_CASES)
+def test_table_parser_matches_argparse(capsys, argv):
+    expected = _by_oracle(argv)
+    assert _by_table(argv) == expected
+    if expected is _REFUSED:
+        assert run(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+
+
+def test_table_parser_matches_argparse_on_the_benchmark(monkeypatch,
+                                                        tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "bench_inputs", PRESETS.parent / "bench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name
+    monkeypatch.setitem(sys.modules, spec.name, inputs)
+    spec.loader.exec_module(inputs)
+    root = PRESETS.parent
+    for workload in ("curve-critical", "cli-light", "verify"):
+        for cycle in inputs.cli_cycles(workload, 23, 2, root, root / "bench",
+                                       tmp_path):
+            for op in cycle:
+                assert _by_table(op.argv) == _by_oracle(op.argv) \
+                    != _REFUSED, op.argv
+
+
+# where the two parsers differ, and the exit code of each side: a flag
+# takes the next word whatever it is, flags match whole, and -h is help
+# wherever it stands
+_PARSER_DIFFERENCES = [
+    # argparse refuses a value that starts with "-" unless it reads as a
+    # plain negative number; the table passes it on to the handler
+    pytest.param(["classify", "--params", FIG2, "--e", "-inf", "--E", "1"],
+                 1, 1, id="classify-minus-inf"),
+    pytest.param(["classify", "--params", FIG2, "--e", "4", "--E", "-1e5"],
+                 1, 1, id="classify-minus-exponent"),
+    pytest.param(["emax", "--params", FIG2, "--eta", "-inf"], 1, 1,
+                 id="emax-minus-inf"),
+    pytest.param(["emax", "--params", FIG2, "--eta", "-1e3"], 1, 3,
+                 id="emax-eta-below-minimum"),
+    pytest.param(["emax", "--params", FIG2, "--anchor-E0", "-1e3"], 1, 1,
+                 id="emax-negative-anchor"),
+    pytest.param(["verify", "--params", "-missing.json"], 1, 1,
+                 id="params-named-with-a-dash"),
+    # argparse takes a unique prefix of a flag; the table does not
+    pytest.param(["emax", "--par", FIG2], 0, 1, id="prefix-abbreviation"),
+    # argparse reads "--" as the end of the options; the table refuses it
+    pytest.param(["curve", "--params", FIG2, "--", "critical"], 0, 1,
+                 id="double-dash"),
+    # argparse refuses the bad model before it reaches -h
+    pytest.param(["curve", "nonsense", "-h"], 1, 0, id="help-after-error"),
+]
+
+
+@pytest.mark.parametrize("argv, oracle_code, table_code", _PARSER_DIFFERENCES)
+def test_table_parser_differences(argv, oracle_code, table_code):
+    try:
+        _build_parser().parse_args(argv)
+        code = 0
+    except _OracleUsage:
+        code = 1
+    except SystemExit as exc:
+        code = exc.code
+    assert code == oracle_code
+    assert run(argv) == table_code
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["curve", "--help"], ["emax", "--params", FIG2, "-h"],
+    ["curve", "--bogus", "-h"]])
+def test_help_anywhere(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        _build_parser().parse_args(argv)
+    assert exc.value.code == 0
+    capsys.readouterr()
+    assert run(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    # the help is built from the table: every command and every option
+    for command, (_, options) in cli._COMMANDS.items():
+        assert f"\n{command}: " in captured.out
+        assert all(f"\n  {flag} " in captured.out for flag in options)
+
+
 # ------------------------------------------------------------- commands
 
 
@@ -629,6 +851,28 @@ def test_console_entry_point():
     assert proc.stdout == "II\n"
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="POSIX signal")
+def test_closed_pipe_ends_the_command_quietly():
+    # fig2's critical CSV is about 150 KB, more than a pipe holds: the
+    # command is still writing when the reader goes away, and must die of
+    # SIGPIPE like any filter instead of printing a BrokenPipeError
+    env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "enstrophy_bounds", "curve", "critical",
+         "--params", FIG2],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    try:
+        assert proc.stdout.read(64).startswith(b"e,log10_E,segment\n")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=10.0) == -signal.SIGPIPE
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stderr.close()
+    assert err == b""
+
+
 _EVERY_COMMAND = """
 import json, sys
 from enstrophy_bounds.cli import run
@@ -647,9 +891,12 @@ codes.append(run(["verify", "--params", fig3, "--points", "16",
                   "--out", f"{tmp}/verify.json"]))
 codes.append(run(["taylor", "--params", fig2, "--curve",
                   f"{tmp}/critical.json", "--out", f"{tmp}/taylor.json"]))
+codes.append(run(["--help"]))
+codes.append(run(["emax", "--params", fig2, "--eta", "four"]))
 print(json.dumps({"codes": codes, **{heavy: [
     name for name in sys.modules if name.split(".")[0] == heavy]
-    for heavy in ("numpy", "dataclasses", "inspect")}}))
+    for heavy in ("numpy", "dataclasses", "inspect", "argparse", "gettext",
+                  "locale")}}))
 """
 
 
@@ -657,16 +904,21 @@ def test_commands_never_import_numpy(tmp_path):
     # numpy is a test dependency only: importing it would double the
     # start-up time of every command. The records are plain classes, as
     # dataclasses (which imports inspect, ast and dis) and its generated
-    # methods cost about 20 ms of every command
+    # methods cost about 20 ms of every command. The command line is a
+    # table, as argparse (with the gettext and locale it loads) and its
+    # parser build cost several ms of every command, help and usage
+    # errors included
     env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, FIG2, FIG3,
                            str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
-    assert doc["codes"] == [0] * 12
+    assert doc["codes"] == [0] * 13 + [1]
     assert doc["numpy"] == []
     assert doc["dataclasses"] == [] and doc["inspect"] == []
+    assert doc["argparse"] == [] and doc["gettext"] == [] \
+        and doc["locale"] == []
 
 
 # `python -m enstrophy_bounds ARGS`, then the package modules it executed:

@@ -26,10 +26,7 @@ from enstrophy_bounds import (
 )
 from enstrophy_bounds import branches, subcritical
 from enstrophy_bounds.branches import solution
-from enstrophy_bounds.critical import (
-    chain,
-    curl_threshold,
-)
+from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.logscalar import ZERO
 from enstrophy_bounds.solver import integrate_adaptive
@@ -39,6 +36,13 @@ def _with(params, **over):
     raw = params.to_raw()
     raw.update(over)
     return ForcingParams.from_mapping(raw)
+
+
+def _curl_threshold(params):
+    # the curl amplitude at which the two floor expressions of
+    # critical.ln_floors are equal: above it the floor is curl-dominated
+    return params.c2 * params.eps ** 0.75 * params.lam ** 1.25 \
+        * params.nu ** 2 * (params.mu + params.psi_inf) ** 2.25 / params.mu
 
 
 # ---------------------------------------------------------- coefficients
@@ -58,7 +62,7 @@ def test_floor_is_curl_dominated(fig2):
     assert chain(fig2).curl_dominant
     assert chain(fig2).floor == pytest.approx(2.044811765114792, rel=1e-12)
     # the crossover amplitude makes the two floor expressions meet
-    thresh = curl_threshold(fig2)
+    thresh = _curl_threshold(fig2)
     assert thresh == pytest.approx(0.5981395124884883, rel=1e-12)
     at_cross = _with(fig2, curlF_norm=thresh)
     split = fig2.eps ** 1.5 * math.sqrt(fig2.lam) * fig2.nu ** 2 \
@@ -199,7 +203,7 @@ def test_phi3_domain_and_curl_gate(fig2):
         phi3(LogScalar.from_ln(e_min.ln + 1.0), fig2)
     # below-threshold curl forcing is rejected, not silently extrapolated
     weak = _with(fig2, curlF_norm=0.3)
-    assert weak.curlF_norm < curl_threshold(weak)
+    assert weak.curlF_norm < _curl_threshold(weak)
     with pytest.raises(AssumptionViolated):
         phi3(LogScalar.from_ln(e_min.ln - 1.0), weak)
 

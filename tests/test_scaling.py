@@ -16,13 +16,20 @@ from enstrophy_bounds import (
     scaling_emax,
     scaling_params,
 )
-from enstrophy_bounds.scaling import _lead_coefficient, default_anchor
+from enstrophy_bounds.scaling import default_anchor
 
 
 def _with(params, **over):
     raw = params.to_raw()
     raw.update(over)
     return ForcingParams.from_mapping(raw)
+
+
+def _lead_coefficient(e0_init, E0_init, sp):
+    # K of the scaling curve K e^a - beta/(1-a) e through (e0, E0)
+    a = sp.alpha_sc
+    return E0_init / e0_init ** a \
+        + sp.beta_sc * e0_init ** (1.0 - a) / (1.0 - a)
 
 
 def test_derived_parameters(fig2):
