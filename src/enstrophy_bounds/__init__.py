@@ -26,7 +26,7 @@ __version__ = "0.1.0"
 # every exported name, keyed to the module that defines it
 _EXPORTS = {name: module for module, names in {
     "critical": "assemble_critical barrier classify_critical coefficients "
-                "find_e_max find_e_min phi1 phi2 phi3 truncation_comparison",
+                "find_e_max find_e_min truncation_comparison",
     "curves": "CurveBundle CurveSegment bundle_to_csv bundle_to_json "
               "max_join_gap",
     "errors": "AssumptionViolated CancellationLoss EnstrophyBoundsError "
@@ -39,9 +39,8 @@ _EXPORTS = {name: module for module, names in {
               "physical_scale",
     "params": "ForcingParams load_params_file",
     "scaling": "ScalingParams assemble_scaling exponent_compare "
-               "scaling_curve scaling_emax scaling_params",
-    "subcritical": "assemble_subcritical classify_subcritical find_e_bar "
-                   "sub_phi1 sub_phi2 sub_phi3",
+               "scaling_emax scaling_params",
+    "subcritical": "assemble_subcritical classify_subcritical find_e_bar",
     "verify": "containment_check halved_curve oracle_suite",
 }.items() for name in names.split()}
 

@@ -30,13 +30,14 @@ bracket, the r = 1/2 peak's in w and the floor crossing's in ln e, and at
 b = 0 the peak itself. Abscissas travel as ln e and ordinates as ln y or
 ln E, plain floats, because the floor crossing lies thousands of decades
 below float range; a value becomes a LogScalar only where it leaves the
-chain (branch, peak_point, the bundle's breakpoints).
+chain (peak_point, the bundle's breakpoints).
 
 Each branch is evaluated through one function (solution), prepared once
 per anchor: the lead, ln c and the weighted integral keyed by the upper
 end are formed when it is made, and the chain keeps one per branch
 (Chain.ln_y_of), through which sampling, value, peak_gap, classify and
-verify's scans all go.
+verify's scans all go. A branch is defined at or left of its anchor, where
+every sampling grid ends; a point right of it is OutsideDomain.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from functools import cached_property
 from .curves import CurveBundle, CurveSegment, log_grid, max_join_gap
 from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
                      InvalidRegime, NoBracket, OutsideDomain, RegimeViolation)
-from .logscalar import LogScalar, ln_add, ln_sub
+from .logscalar import LogScalar, ln_add
 from .params import ForcingParams
 from .solver import find_root
 from .specfun import weighted_exp_integral_ln, weighted_exp_integral_to
@@ -79,20 +80,18 @@ class Field:
 
 def solution(field: Field, ln_e_ref: float, ln_y_ref: float):
     """The function ln e -> ln y of the exact solution of
-    dy/de = (a/e - b) y - c through (e_ref, y_ref).
+    dy/de = (a/e - b) y - c through (e_ref, y_ref), at or left of the
+    anchor; right of it (ln e > ln e_ref) is OutsideDomain.
 
-    y(e) = e^a e^(-be) [e_ref^-a e^(b e_ref) y_ref - c W], W the weighted
-    exponential integral between e and e_ref. For e < e_ref the drift c W
-    adds to the lead, so the bracket only grows moving left; right of the
-    anchor it is subtracted, and more than 10 digits lost to that
-    cancellation is CancellationLoss, a drift at or above the lead
-    OutsideDomain. With b = 0 this is the two-term form
-    (y_ref - k e_ref)(e/e_ref)^a + k e, k = -c/(1 - a).
+    y(e) = e^a e^(-be) [e_ref^-a e^(b e_ref) y_ref + c W], W the weighted
+    exponential integral from e up to e_ref. For e < e_ref the drift c W
+    adds to the lead, so the bracket only grows moving left. With b = 0
+    this is the two-term form (y_ref - k e_ref)(e/e_ref)^a + k e,
+    k = -c/(1 - a).
 
     The lead, ln c and W as a function of its lower end (specfun's
     weighted_exp_integral_to, keyed by the upper end e_ref) are formed
-    here, once; right of the anchor, where e is the upper end, W is
-    formed for each e.
+    here, once.
     """
     a, b, c = field.a, field.b, field.c
     lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
@@ -100,20 +99,12 @@ def solution(field: Field, ln_e_ref: float, ln_y_ref: float):
     ln_w = weighted_exp_integral_to(a, b, ln_e_ref) if c != 0.0 else None
 
     def ln_y(ln_e: float) -> float:
+        if ln_e > ln_e_ref:
+            raise OutsideDomain(f"a branch is only defined at or left of "
+                                f"its anchor, ln e = {ln_e_ref:.6g}")
         inner = lead
         if ln_w is not None and ln_e != ln_e_ref:
-            if ln_e < ln_e_ref:
-                inner = ln_add(lead, ln_c + ln_w(ln_e))
-            else:
-                drift = ln_c + weighted_exp_integral_ln(
-                    a, b, min(ln_e, ln_e_ref), max(ln_e, ln_e_ref))
-                inner, lost = ln_sub(max(lead, drift), min(lead, drift))
-                if lost > 10.0:
-                    raise CancellationLoss(f"branch bracket lost {lost:.1f} "
-                                           f"digits at ln e = {ln_e:.6g}")
-                if drift >= lead:
-                    raise OutsideDomain(
-                        "branch solution crossed zero right of the anchor")
+            inner = ln_add(lead, ln_c + ln_w(ln_e))
         return a * ln_e - b * math.exp(ln_e) + inner
 
     return ln_y
@@ -130,16 +121,6 @@ def envelope(field: Field, ln_e_ref: float,
         return lead, lead
     return lead, ln_add(lead, math.log(field.c) + weighted_exp_integral_ln(
         field.a, field.b, -math.inf, ln_e_ref))
-
-
-def _as_ln(e) -> float:
-    if isinstance(e, LogScalar):
-        if e.ln == -math.inf:
-            raise OutsideDomain("energy must be positive")
-        return e.ln
-    if e <= 0.0:
-        raise OutsideDomain("energy must be positive")
-    return math.log(e)
 
 
 class Chain:
@@ -216,7 +197,8 @@ class Chain:
         return kept[k]
 
     def value(self, k: int, ln_e: float) -> float:
-        """ln E on branch k at ln e, without domain gates."""
+        """ln E on branch k at ln e, at or left of its anchor; the tail's
+        curl gate (require_curl) is left to the caller."""
         return self.ln_y_of(k)(ln_e) * (1.0 / self.fields[k].p)
 
     def require_curl(self) -> None:
@@ -225,22 +207,13 @@ class Chain:
                 "curl forcing below the floor-dominance threshold; "
                 "the tail construction does not apply")
 
-    def branch(self, k: int, e) -> LogScalar:
-        """E on branch k at e (float or LogScalar), defined at or left of
-        the branch anchor; the tail needs the curl-dominated floor."""
-        if k == 2:
-            self.require_curl()
-        ln_ref, _ = self._anchor(k)
-        ln_e = _as_ln(e)
-        if ln_e > ln_ref + 1e-9:
-            raise OutsideDomain(
-                f"{TAGS[k]} is only defined at or left of ln e = {ln_ref:.6g}")
-        return LogScalar.from_ln(self.value(k, ln_e))
-
     # -- the peak ----------------------------------------------------------
 
     def _ln_e_of(self, x: float) -> float:
+        """ln e at the peak variable x; w = ln(1 - e/e_a) < 0 when b > 0."""
         if self.rise.b > 0.0:
+            if x >= 0.0:
+                raise OutsideDomain(f"w = {x:.6g} puts e at or left of 0")
             return math.log(self.rise.e_a) + math.log1p(-math.exp(x))
         return x
 
@@ -294,7 +267,7 @@ class Chain:
         """(e_peak, E_peak) with e_peak a float; at b > 0 it usually equals
         e_a to machine precision, the sub-float offset staying in E_peak."""
         _, ln_e, ln_E = self.peak
-        return min(math.exp(ln_e), self.rise.e_a), LogScalar.from_ln(ln_E)
+        return min(math.exp(ln_e), self.rise.e_a), LogScalar(ln_E)
 
     # -- the floor crossing ----------------------------------------------
 
@@ -431,9 +404,9 @@ class Chain:
             self.model, params, segs,
             breakpoints={"e0": LogScalar.from_float(params.e0),
                          "E0": LogScalar.from_float(self.E0),
-                         e_peak: LogScalar.from_ln(ln_peak),
-                         E_peak_name: LogScalar.from_ln(ln_E_peak),
-                         e_floor: LogScalar.from_ln(ln_floor),
+                         e_peak: LogScalar(ln_peak),
+                         E_peak_name: LogScalar(ln_E_peak),
+                         e_floor: LogScalar(ln_floor),
                          E_floor: LogScalar.from_float(self.floor)},
             flags=list(self.flags))
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 import importlib
 import json
 import math
-import signal
 import sys
 from pathlib import Path
 from types import SimpleNamespace
@@ -122,21 +121,27 @@ def _cmd_verify(params, args) -> int:
 
 def _read_curve(path: str) -> list:
     """(tag, energies, enstrophies) of each nonempty segment of a curve
-    JSON that the curve subcommand wrote."""
+    JSON that the curve subcommand wrote: positive energies, each with one
+    finite log10_E."""
     ln10 = math.log(10.0)
     try:
         doc = json.loads(Path(path).read_bytes())
         segments = [(seg["tag"],
                      [LogScalar.from_sci_string(s) for s in seg["e"]],
-                     [LogScalar.from_ln(float(v) * ln10)
-                      for v in seg["log10_E"]])
+                     [LogScalar(float(v) * ln10) for v in seg["log10_E"]])
                     for seg in doc["segments"] if seg["e"]]
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, OverflowError, TypeError,
+            ValueError) as exc:
         raise InvalidRegime(f"{path} is not a curve file: "
                             f"{type(exc).__name__}: {exc}") from None
-    if any(e.ln == -math.inf for _, es, _ in segments for e in es):
-        raise InvalidRegime(f"{path} is not a curve file: "
-                            "every energy must be positive")
+    for tag, es, big_es in segments:
+        if any(e.ln == -math.inf for e in es):
+            raise InvalidRegime(f"{path} is not a curve file: "
+                                "every energy must be positive")
+        if len(big_es) != len(es) \
+                or not all(math.isfinite(E.ln) for E in big_es):
+            raise InvalidRegime(f"{path} is not a curve file: segment "
+                                f"{tag} needs one finite log10_E per energy")
     return segments
 
 
@@ -244,6 +249,8 @@ def run(argv: list[str] | None = None) -> int:
 
 
 def main() -> None:
+    import signal
+
     if hasattr(signal, "SIGPIPE"):
         # die quietly when the consumer closes the pipe, like any filter
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)

@@ -87,25 +87,6 @@ def barrier(e: float, params: ForcingParams) -> float:
     return pre * (6.0 * e / (e_a - e)) ** (5.0 / 3.0)
 
 
-def phi1(e, params: ForcingParams) -> LogScalar:
-    """Right branch: anchored at (e0, E0), decreasing in e on [e_max, e0]."""
-    return chain(params).branch(0, e)
-
-
-def phi2(e, params: ForcingParams) -> LogScalar:
-    """Middle branch: C_Omega-damped field re-anchored at (e_max, E_max)."""
-    return chain(params).branch(1, e)
-
-
-def phi3(e, params: ForcingParams) -> LogScalar:
-    """Tail branch below the floor, in the x = E^(3/2) variable.
-
-    Requires the curl-dominated floor; the regimes where the curl forcing
-    is too weak to control the tail are rejected rather than guessed.
-    """
-    return chain(params).branch(2, e)
-
-
 def find_e_max(params: ForcingParams) -> tuple[float, LogScalar]:
     """(e_max, E_max): intersection of phi1 with the barrier.
 
@@ -118,7 +99,7 @@ def find_e_max(params: ForcingParams) -> tuple[float, LogScalar]:
 
 def find_e_min(params: ForcingParams) -> LogScalar:
     """Lower breakpoint, far below float range (ln e_min is the payload)."""
-    return LogScalar.from_ln(chain(params).ln_floor)
+    return LogScalar(chain(params).ln_floor)
 
 
 def truncation_comparison(params: ForcingParams, n_terms: int) -> float:

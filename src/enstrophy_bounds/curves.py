@@ -114,7 +114,7 @@ def bundle_to_json(bundle: CurveBundle) -> str:
             # enstrophy-like: store the exponent, keyed to say so
             breakpoints["log10_" + name] = round_sig(value.log10())
         else:
-            breakpoints[name] = value.to_sci_string()
+            breakpoints[name] = sci_string(value.ln)
     doc = {
         "model": bundle.model,
         "params_echo": bundle.params.to_raw(),

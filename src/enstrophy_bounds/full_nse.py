@@ -19,8 +19,8 @@ nine breakpoints and the funnel slopes in assemble_full. Each curve's
 constants (alpha, ln beta, ln t, the slope and nose constants) are formed
 by one function (_funnel, _slope, _nose) and evaluated by another
 (_ln_phi, _ln_slope, _ln_psi): a segment forms them once for all its
-samples, and the pointwise phi_of_e, phi_slope and psi_of_E form them for
-their one point.
+samples, and the pointwise phi_of_e and psi_of_E form them for their one
+point.
 """
 
 from __future__ import annotations
@@ -155,11 +155,6 @@ def _ln_slope(v: float, ln_E: float, slope: tuple) -> float:
     _slope formed."""
     half, ln_beta, ln_k = slope
     return half - _exp(ln_beta + 2.0 * ln_E + 0.5 * v + ln_k)
-
-
-def phi_slope(e: float, E: float, params: ForcingParams) -> float:
-    """dE/de of the funnel slope field at (e, E)."""
-    return E / e * _ln_slope(math.log(e), math.log(E), _slope(params))
 
 
 def eta_threshold(c1: float) -> float:

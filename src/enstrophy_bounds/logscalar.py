@@ -105,26 +105,26 @@ class LogScalar:
         return LogScalar(math.log(x))
 
     @staticmethod
-    def from_ln(ln: float) -> "LogScalar":
-        return LogScalar(ln)
-
-    @staticmethod
     def from_sci_string(text: str) -> "LogScalar":
         """Inverse of sci_string, tolerant of any float-style literal
         that is not negative.
 
         The mantissa is parsed in float64 and the decimal exponent moved
         into the log, so values far outside float range round-trip with
-        ~1e-13 relative accuracy in ln space.
+        ~1e-13 relative accuracy in ln space. A decimal exponent of
+        magnitude 1e300 or more, where the ln stops being finite, is
+        ValueError.
         """
         s = text.strip()
         mant_str, _, exp_str = s.partition("e" if "e" in s else "E")
         mant = float(mant_str)
         if mant == 0.0:
             return ZERO
-        if not 0.0 < mant < math.inf:
-            raise ValueError(f"malformed scientific literal {text!r}")
         exp10 = int(exp_str) if exp_str else 0
+        # |exp10| >= 1e300 is refused: exp10 ln 10 is infinite from about
+        # 7.8e307 on, and an int past float range overflows the product
+        if not (0.0 < mant < math.inf and abs(exp10) < 1e300):
+            raise ValueError(f"malformed scientific literal {text!r}")
         return LogScalar(math.log(mant) + exp10 * _LN10)
 
     # -- conversion ----------------------------------------------------
@@ -134,10 +134,6 @@ class LogScalar:
 
     def log10(self) -> float:
         return self.ln / _LN10
-
-    def to_sci_string(self) -> str:
-        """sci_string of the value."""
-        return sci_string(self.ln)
 
     # -- arithmetic ----------------------------------------------------
 

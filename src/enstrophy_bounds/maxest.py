@@ -65,7 +65,7 @@ def _bound(G: float, eps: float, rho: float, c2: float, eta: float,
     if not math.isfinite(ln):
         raise InvalidRegime(f"bound at eta = {eta} leaves float range "
                             f"(ln = {ln})")
-    return LogScalar.from_ln(ln)
+    return LogScalar(ln)
 
 
 def emax_lower(G: float, eps: float, rho: float, c2: float) -> LogScalar:

@@ -27,16 +27,16 @@ from .params import _LN_RANGE, ForcingParams, exp_in_range
 
 
 class ScalingParams:
-    """s = eps0 c_prime + delta, which must stay in (0, 1), and alpha_sc =
-    (1 - s)/2."""
+    """The combined smallness parameter s = eps0 c' + delta, which must
+    stay in (0, 1), the exponent alpha_sc = (1 - s)/2, the drain rate
+    beta_sc and the admissibility floor E_floor."""
 
-    def __init__(self, eps0: float, c_prime: float, s: float,
-                 alpha_sc: float, beta_sc: float, E_floor: float):
+    def __init__(self, s: float, beta_sc: float, E_floor: float):
         if not 0.0 < s < 1.0:
             raise InvalidRegime(
                 f"combined smallness parameter s = {s} must lie in (0, 1)")
-        self.eps0, self.c_prime, self.s = eps0, c_prime, s
-        self.alpha_sc, self.beta_sc, self.E_floor = alpha_sc, beta_sc, E_floor
+        self.s, self.alpha_sc = s, 0.5 * (1.0 - s)
+        self.beta_sc, self.E_floor = beta_sc, E_floor
 
 
 def scaling_params(params: ForcingParams) -> ScalingParams:
@@ -55,25 +55,15 @@ def scaling_params(params: ForcingParams) -> ScalingParams:
     if ln_beta <= -_LN_RANGE:
         raise InvalidRegime(f"drain rate beta = exp({ln_beta:.6g}) underflows")
     beta = exp_in_range(ln_beta, "drain rate beta = 8 lam (psi_inf + eps0 c')")
-    return ScalingParams(
-        eps0=params.eps0, c_prime=params.c_omega_prime, s=s,
-        alpha_sc=0.5 * (1.0 - s), beta_sc=beta, E_floor=math.exp(ln_floor))
-
-
-def scaling_curve(e: float, e0_init: float, E0_init: float,
-                  sp: ScalingParams) -> float:
-    """K e^a - beta/(1-a) e, written as E0 (e/e0)^a + beta/(1-a) e
-    ((e0/e)^(1-a) - 1): left of the anchor both terms are positive, so
-    nothing cancels however large beta is."""
-    a = sp.alpha_sc
-    return E0_init * (e / e0_init) ** a + sp.beta_sc / (1.0 - a) * e \
-        * math.expm1((1.0 - a) * math.log(e0_init / e))
+    return ScalingParams(s, beta, math.exp(ln_floor))
 
 
 def _ln_curve(v: float, ln_e0: float, ln_E0: float,
               sp: ScalingParams) -> float:
-    """ln scaling_curve at e = exp(v) <= e0, summed from the logs of its
-    two positive terms, so that neither can underflow."""
+    """ln of the curve at e = exp(v) <= e0, written as
+    E0 (e/e0)^a + beta/(1-a) e ((e0/e)^(1-a) - 1) and summed from the logs
+    of its two terms: left of the anchor both are positive, so nothing
+    cancels however large beta is, and neither can underflow."""
     a = sp.alpha_sc
     rest = math.expm1((1.0 - a) * (ln_e0 - v))
     ln_rest = math.log(rest) if rest > 0.0 else -math.inf
@@ -144,7 +134,7 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     # slope a - beta e/E; the ratio, at most 2 (psi_inf + eps0 c'), can
     # pass float range, and to_float saturates it to inf
     ln_beta = math.log(sp.beta_sc)
-    slope = [sp.alpha_sc - LogScalar.from_ln(ln_beta + v - ln).to_float()
+    slope = [sp.alpha_sc - LogScalar(ln_beta + v - ln).to_float()
              for v, ln in zip(grid, ln_E)]
     below = sum(ln < ln_floor for ln in ln_E)
     segs = [CurveSegment("phi1", grid, ln_E, slope)]
@@ -153,13 +143,13 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
         segs.append(CurveSegment("barrier", grid, [ln_floor] * samples,
                                  [0.0] * samples))
 
-    breakpoints = {"e0": LogScalar.from_ln(ln_e0),
-                   "E0": LogScalar.from_ln(ln_E0)}
+    breakpoints = {"e0": LogScalar(ln_e0),
+                   "E0": LogScalar(ln_E0)}
     flags = [f"s={sp.s:.12g}"]
     try:
         ln_e_max, ln_E_max = _ln_emax(ln_e0, ln_E0, sp)
-        breakpoints["e_max"] = LogScalar.from_ln(ln_e_max)
-        breakpoints["E_max"] = LogScalar.from_ln(ln_E_max)
+        breakpoints["e_max"] = LogScalar(ln_e_max)
+        breakpoints["E_max"] = LogScalar(ln_E_max)
     except RegimeViolation:
         flags.append("maximum_outside_domain")
     if below:

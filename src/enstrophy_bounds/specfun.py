@@ -141,8 +141,8 @@ def gamma_series_factor(alpha: float, x: float,
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if n_terms is None:
-        return LogScalar.from_ln(_g_ln(alpha, x))
-    return LogScalar.from_ln(_series_ln(alpha, x, -math.inf, n_terms))
+        return LogScalar(_g_ln(alpha, x))
+    return LogScalar(_series_ln(alpha, x, -math.inf, n_terms))
 
 
 def weighted_exp_integral_to(a: float, b: float, ln_hi: float):

@@ -90,11 +90,6 @@ def chain(params: ForcingParams) -> Chain:
                  (f"sigma={sigma:.12g}",), floors, rise, 0.0)
 
 
-def sub_phi1(e, params: ForcingParams) -> LogScalar:
-    """Rising branch anchored at (e0, E0), valid left of the anchor."""
-    return chain(params).branch(0, e)
-
-
 def find_e_bar(params: ForcingParams) -> tuple[float, LogScalar]:
     """Maximum point (e_bar, E_bar) of the rising branch.
 
@@ -103,17 +98,6 @@ def find_e_bar(params: ForcingParams) -> tuple[float, LogScalar]:
     (branches.Chain.peak).
     """
     return chain(params).peak_point()
-
-
-def sub_phi2(e, params: ForcingParams) -> LogScalar:
-    """Descending branch: damped field re-anchored at the peak (e_bar, E_bar)."""
-    return chain(params).branch(1, e)
-
-
-def sub_phi3(e, params: ForcingParams) -> LogScalar:
-    """Tail below the floor in the x = E^(3/2) variable; needs the curl
-    candidate to dominate the floor, as in the critical module."""
-    return chain(params).branch(2, e)
 
 
 def assemble_subcritical(params: ForcingParams,

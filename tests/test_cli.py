@@ -210,6 +210,24 @@ _BAD_CURVES = {
     "negative-energy.json": {"segments": [{"tag": "phi1",
                                            "e": ["1.0", "-1e3"],
                                            "log10_E": [1.0, 2.0]}]},
+    # columns of unequal length, a non-finite or out-of-range log10_E and
+    # an energy whose ln is past float range: each wrote Infinity or NaN,
+    # a wrong mean or a traceback
+    "short-log10-E.json": {"segments": [{"tag": "phi1", "e": ["1.0", "2.0"],
+                                         "log10_E": [1.0]}]},
+    "long-log10-E.json": {"segments": [{"tag": "phi1", "e": ["1.0"],
+                                        "log10_E": [1.0, 2.0]}]},
+    "nan-log10-E.json": {"segments": [{"tag": "phi1", "e": ["1.0"],
+                                       "log10_E": [math.nan]}]},
+    "minus-inf-log10-E.json": {"segments": [{"tag": "phi1", "e": ["1.0"],
+                                             "log10_E": [-math.inf]}]},
+    "huge-log10-E.json": {"segments": [{"tag": "phi1", "e": ["1.0"],
+                                        "log10_E": [1e308]}]},
+    "huge-int-log10-E.json": {"segments": [{"tag": "phi1", "e": ["1.0"],
+                                            "log10_E": [10 ** 400]}]},
+    "huge-energy.json": {"segments": [{"tag": "phi1",
+                                       "e": ["1e" + "9" * 400],
+                                       "log10_E": [1.0]}]},
 }
 
 
@@ -337,6 +355,13 @@ _EXTREME_INPUTS = [
     pytest.param(["classify", "--e", "1", "--E", "1e10", "--model",
                   "subcritical"], {"lambda": 1e200, "nu": 1e-105}, 3,
                  id="classify-overflowing-rise-rate-weak-curl"),
+    # the peak lies far from the barrier asymptote (x* > -2), so the peak
+    # scan's grid reaches w >= 0, where e would be at or left of 0
+    pytest.param(["verify"], {
+        "f_norm": 1.0525199836885342, "eps": 0.25651768921036855,
+        "delta": 0.017526765888443135, "c2": 0.09191216236225778,
+        "mu": 13.11400979896894, "curlF_norm": 1.181074159292931}, 0,
+        id="verify-peak-far-from-asymptote"),
 ]
 
 

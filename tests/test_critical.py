@@ -9,7 +9,6 @@ from enstrophy_bounds import (
     AssumptionViolated,
     ForcingParams,
     InvalidRegime,
-    LogScalar,
     OutsideDomain,
     RegimeViolation,
     assemble_critical,
@@ -19,16 +18,12 @@ from enstrophy_bounds import (
     find_e_max,
     find_e_min,
     max_join_gap,
-    phi1,
-    phi2,
-    phi3,
     truncation_comparison,
 )
 from enstrophy_bounds import branches, subcritical
 from enstrophy_bounds.branches import solution
 from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NoBracket
-from enstrophy_bounds.logscalar import ZERO
 from enstrophy_bounds.solver import integrate_adaptive
 
 
@@ -119,16 +114,17 @@ def test_xi_crosses_zero_right_of_anchor(fig2):
 
 
 def test_phi1_anchor_and_monotonicity(fig2):
-    co = coefficients(fig2)
+    co, ch = coefficients(fig2), chain(fig2)
     e0 = fig2.e0
-    assert phi1(e0, fig2).to_float() == pytest.approx(16.0, rel=1e-12)
+    assert math.exp(ch.value(0, math.log(e0))) \
+        == pytest.approx(16.0, rel=1e-12)
     # decreasing in e between the peak and the anchor
     lns = [math.log(co.e_a) + t * (math.log(e0) - math.log(co.e_a))
            for t in (0.1, 0.3, 0.5, 0.7, 0.9)]
-    vals = [phi1(LogScalar.from_ln(v), fig2).ln for v in lns]
+    vals = [ch.value(0, v) for v in lns]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     with pytest.raises(OutsideDomain):
-        phi1(e0 * 1.001, fig2)
+        ch.value(0, math.log(e0 * 1.001))
 
 
 def test_peak_pins(fig2):
@@ -140,25 +136,26 @@ def test_peak_pins(fig2):
     # and the peak value agrees with phi1 evaluated at e_a itself
     e_a = coefficients(fig2).e_a
     x = e_a * (1.0 - 1e-9)
-    assert phi1(x, fig2).ln > math.log(barrier(x, fig2))
+    assert chain(fig2).value(0, math.log(x)) > math.log(barrier(x, fig2))
     assert E_max.ln == pytest.approx(
-        phi1(LogScalar.from_ln(math.log(e_a)), fig2).ln, rel=1e-12)
+        chain(fig2).value(0, math.log(e_a)), rel=1e-12)
 
 
 def test_e_min_pin_and_floor_join(fig2):
     e_min = find_e_min(fig2)
     assert e_min.ln == pytest.approx(-8248.908704754842, abs=1e-6)
-    ln_floor = math.log(chain(fig2).floor)
-    assert phi2(e_min, fig2).ln == pytest.approx(ln_floor, abs=1e-9)
-    assert phi3(e_min, fig2).ln == pytest.approx(ln_floor, abs=1e-9)
+    ch = chain(fig2)
+    ln_floor = math.log(ch.floor)
+    assert ch.value(1, e_min.ln) == pytest.approx(ln_floor, abs=1e-9)
+    assert ch.value(2, e_min.ln) == pytest.approx(ln_floor, abs=1e-9)
 
 
 def test_phi2_domain_gate(fig2):
     e_max, E_max = find_e_max(fig2)
-    assert phi2(LogScalar.from_float(e_max), fig2).ln \
-        == pytest.approx(E_max.ln, rel=1e-12)
+    ch = chain(fig2)
+    assert ch.value(1, math.log(e_max)) == pytest.approx(E_max.ln, rel=1e-12)
     with pytest.raises(OutsideDomain):
-        phi2(2.0 * e_max, fig2)
+        ch.value(1, math.log(2.0 * e_max))
 
 
 def _tail_quadrature_ln(ln_e, ln_e_hi, a3, b3):
@@ -190,34 +187,36 @@ def test_phi3_tail_closed_form_matches_quadrature(fig2, ln_hi, offsets):
 
 
 def test_phi3_just_above_e_min(fig2):
-    # phi3 accepts ln e up to 1e-9 past ln e_min, where the tail integral
-    # runs backwards and subtracts
+    # the tail is defined at or left of its anchor ln e_min, where its
+    # sampling grid ends: just right of it is refused
     ln_e_min = find_e_min(fig2).ln
-    above = phi3(LogScalar.from_ln(ln_e_min + 5e-10), fig2)
-    assert above.ln == pytest.approx(math.log(chain(fig2).floor), abs=1e-9)
+    with pytest.raises(OutsideDomain):
+        chain(fig2).value(2, ln_e_min + 5e-10)
 
 
 def test_phi3_domain_and_curl_gate(fig2):
     e_min = find_e_min(fig2)
     with pytest.raises(OutsideDomain):
-        phi3(LogScalar.from_ln(e_min.ln + 1.0), fig2)
+        chain(fig2).value(2, e_min.ln + 1.0)
     # below-threshold curl forcing is rejected, not silently extrapolated
     weak = _with(fig2, curlF_norm=0.3)
     assert weak.curlF_norm < _curl_threshold(weak)
     with pytest.raises(AssumptionViolated):
-        phi3(LogScalar.from_ln(e_min.ln - 1.0), weak)
+        classify_critical(1e-3, 1e40, weak)
+    with pytest.raises(AssumptionViolated):
+        assemble_critical(weak)
 
 
 def test_branch_fields_match_finite_differences(fig2):
     # compare d(lnE)/d(ln e) so the phi2 point can live far below float
     # underflow of e itself (the ln grid is the native coordinate there)
-    cases = [("phi1", phi1, 0.0), ("phi2", phi2, -230.0)]
+    ch = chain(fig2)
+    cases = [("phi1", 0, 0.0), ("phi2", 1, -230.0)]
     k = 1e-5
-    for tag, fn, v in cases:
-        f = chain(fig2).slope_field(tag)
-        fd = (fn(LogScalar.from_ln(v + k), fig2).ln
-              - fn(LogScalar.from_ln(v - k), fig2).ln) / (2.0 * k)
-        mid = fn(LogScalar.from_ln(v), fig2).ln
+    for tag, branch, v in cases:
+        f = ch.slope_field(tag)
+        fd = (ch.value(branch, v + k) - ch.value(branch, v - k)) / (2.0 * k)
+        mid = ch.value(branch, v)
         e = math.exp(v)
         assert e * f(e, mid) == pytest.approx(fd, rel=1e-6), tag
 
@@ -231,7 +230,7 @@ def test_regime_gates(fig2):
     with pytest.raises(RegimeViolation):
         classify_critical(1.0, 1.0, dead)
     with pytest.raises(RegimeViolation):
-        phi1(1.0, dead)
+        chain(dead).value(0, 0.0)
     # anchor energy left of the barrier asymptote: curve cannot start
     tiny = _with(fig2, f_norm=0.04)
     assert tiny.e0 < coefficients(tiny).e_a
@@ -376,7 +375,7 @@ def test_chain_errors_stay_lazy(fig2, monkeypatch):
         find_e_min(fig2)
     # anchor below the barrier asymptote: phi1 evaluates, the peak raises
     tiny = _with(fig2, f_norm=0.04)
-    assert phi1(0.5 * tiny.e0, tiny) > ZERO
+    assert chain(tiny).value(0, math.log(0.5 * tiny.e0)) > -math.inf
     with pytest.raises(RegimeViolation):
         classify_critical(0.5 * tiny.e0, 1e40, tiny)
     chain.cache_clear()

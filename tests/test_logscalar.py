@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from enstrophy_bounds import LogScalar, critical, subcritical
-from enstrophy_bounds.logscalar import ONE, ZERO, ln_add, ln_sub
+from enstrophy_bounds.logscalar import ONE, ZERO, ln_add, ln_sub, sci_string
 
 positive = st.floats(min_value=1e-300, max_value=1e12,
                      allow_nan=False, allow_infinity=False)
@@ -41,15 +41,15 @@ def test_negative_values_are_refused():
 
 
 def test_overflow_to_float_saturates():
-    huge = LogScalar.from_ln(5000.0)
+    huge = LogScalar(5000.0)
     assert huge.to_float() == math.inf
     assert huge.log10() == pytest.approx(5000.0 / math.log(10.0))
     assert ZERO.log10() == -math.inf
 
 
 def test_mul_div_pow_exact_in_ln():
-    a = LogScalar.from_ln(1234.5)
-    b = LogScalar.from_ln(-987.25)
+    a = LogScalar(1234.5)
+    b = LogScalar(-987.25)
     assert (a * b).ln == 1234.5 - 987.25
     assert (a / b).ln == 1234.5 + 987.25
     assert (a ** 3.0).ln == 3.0 * 1234.5
@@ -144,29 +144,29 @@ def test_ordering_of_values():
     vals = [0.0, 1e-300, 0.5, 2.0, 1e300]
     scalars = [LogScalar.from_float(v) for v in vals]
     assert sorted(reversed(scalars)) == scalars
-    assert ZERO < LogScalar.from_ln(-1e6) <= ONE
+    assert ZERO < LogScalar(-1e6) <= ONE
     assert max(scalars) is scalars[-1]
 
 
 def test_sci_string_format():
     # 17 significant digits, the last 1-2 subject to the ln round trip
-    s = LogScalar.from_float(0.0025).to_sci_string()
+    s = sci_string(LogScalar.from_float(0.0025).ln)
     assert s.startswith("2.50000000000000") and s.endswith("e-03")
     assert len(s) == len("2.5000000000000000e-03")
-    assert ZERO.to_sci_string() == "0.0"
+    assert sci_string(ZERO.ln) == "0.0"
     # way outside float range: exponent computed from the log directly
-    tiny = LogScalar.from_ln(-8248.908704754842)
-    assert tiny.to_sci_string().endswith("e-3583")
+    tiny = LogScalar(-8248.908704754842)
+    assert sci_string(tiny.ln).endswith("e-3583")
 
 
 def test_sci_string_round_trip():
     cases = [LogScalar.from_float(0.0025),
              LogScalar.from_float(123.456),
-             LogScalar.from_ln(1e5),
-             LogScalar.from_ln(-8248.9087),
-             LogScalar.from_ln(255.4961)]
+             LogScalar(1e5),
+             LogScalar(-8248.9087),
+             LogScalar(255.4961)]
     for v in cases:
-        back = LogScalar.from_sci_string(v.to_sci_string())
+        back = LogScalar.from_sci_string(sci_string(v.ln))
         assert back.ln == pytest.approx(v.ln, rel=1e-13, abs=1e-12)
     assert LogScalar.from_sci_string("0.0") is ZERO
     assert LogScalar.from_sci_string(" 1e3 ").to_float() \
@@ -181,10 +181,21 @@ def test_from_sci_string_rejects_garbage():
             LogScalar.from_sci_string(bad)
 
 
+def test_from_sci_string_refuses_a_non_finite_ln():
+    # the exponent is an exact int, so its product with ln 10 could
+    # overflow or leave float range; either is refused like garbage
+    for bad in ("1e" + "9" * 400, "1e-" + "9" * 400, "1e" + "9" * 308):
+        with pytest.raises(ValueError, match="malformed"):
+            LogScalar.from_sci_string(bad)
+    assert LogScalar.from_sci_string("1e299999").ln \
+        == pytest.approx(299999 * math.log(10.0), rel=1e-15)
+    assert LogScalar.from_sci_string("0e" + "9" * 400) is ZERO
+
+
 @given(st.floats(min_value=-5000.0, max_value=5000.0,
                  allow_nan=False, allow_infinity=False))
 def test_hypothesis_sci_round_trip_in_ln(ln):
-    back = LogScalar.from_sci_string(LogScalar.from_ln(ln).to_sci_string())
+    back = LogScalar.from_sci_string(sci_string(ln))
     assert abs(back.ln - ln) <= 1e-13 * max(1.0, abs(ln))
 
 

@@ -10,6 +10,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from conftest import ROOT
 
 PACKAGE = ROOT / "src" / "enstrophy_bounds"
@@ -76,3 +78,31 @@ def test_every_submodule_imports_executed():
 
 def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
     assert _surface("monkeypatch") == {"patched": True, "restored": True}
+
+
+# names that left the surface: the per-branch wrappers (the chain's value
+# is the one way to evaluate a branch), float twins of the segment kernels
+# and LogScalar aliases
+_REMOVED = {
+    "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve",
+    "critical": "phi1 phi2 phi3",
+    "subcritical": "sub_phi1 sub_phi2 sub_phi3",
+    "branches": "_as_ln",
+    "full_nse": "phi_slope",
+    "scaling": "scaling_curve",
+}
+
+
+def test_removed_names_raise_attribute_error():
+    import enstrophy_bounds as eb
+    from enstrophy_bounds.branches import Chain
+    from enstrophy_bounds.logscalar import LogScalar
+
+    owners = [(getattr(eb, m) if m else eb, names)
+              for m, names in _REMOVED.items()]
+    owners += [(Chain, "branch"), (LogScalar, "from_ln to_sci_string")]
+    for owner, names in owners:
+        for name in names.split():
+            assert name not in eb.__all__
+            with pytest.raises(AttributeError):
+                getattr(owner, name)

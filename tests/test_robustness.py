@@ -12,6 +12,7 @@ import csv
 import io
 import json
 import math
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,3 +118,23 @@ def test_full_region_within_a_hundred_decades(raw):
         assemble_full(params, 64)
     except EnstrophyBoundsError:
         pass
+
+
+def test_verify_on_critical_sets_with_a_slow_peak(tmp_path):
+    # a small c2 puts the peak far from the barrier asymptote (x* =
+    # ln(1 - e_max/e_a) above -2 in 15 of these 20 draws, -48.7 on fig2),
+    # so the peak scan's grid, x* +- 2, reaches w >= 0, where e would be
+    # at or left of 0: such points are skipped and verify passes
+    rng = random.Random(24)
+    path = tmp_path / "params.json"
+    for _ in range(20):
+        raw = dict(FIG2, f_norm=rng.uniform(0.8, 2.0),
+                   c2=rng.uniform(0.05, 0.3), mu=rng.uniform(2.0, 20.0),
+                   eps=rng.uniform(0.15, 0.45), delta=rng.uniform(0.0, 0.05))
+        path.write_text(json.dumps(raw))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run(["verify", "--points", "8", "--params", str(path)])
+        assert code == 0, raw
+        assert all(row["pass"] for row in json.loads(out.getvalue()))

@@ -14,11 +14,11 @@ import random
 
 import pytest
 
-from enstrophy_bounds import (CancellationLoss, EnstrophyBoundsError,
-                              ForcingParams, OutsideDomain)
+from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams,
+                              OutsideDomain)
 from enstrophy_bounds import critical, full_nse, specfun, subcritical
 from enstrophy_bounds.curves import log_grid
-from enstrophy_bounds.logscalar import ln_add, ln_sub
+from enstrophy_bounds.logscalar import ln_add
 from enstrophy_bounds.specfun import _g_ln, _g_ln_cached, _series_ln
 
 from conftest import PRESETS
@@ -55,22 +55,15 @@ def _integral_ln(a, b, ln_lo, ln_hi):
 
 
 def _solution(ln_e, field, ln_e_ref, ln_y_ref):
-    """ln y of the branch through (e_ref, y_ref) at ln e."""
+    """ln y of the branch through (e_ref, y_ref) at ln e, at or left of
+    the anchor."""
+    if ln_e > ln_e_ref:
+        raise OutsideDomain(f"a branch is only defined at or left of its "
+                            f"anchor, ln e = {ln_e_ref:.6g}")
     a, b, c = field.a, field.b, field.c
     inner = lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
     if c != 0.0 and ln_e != ln_e_ref:
-        drift = math.log(c) + _integral_ln(
-            a, b, min(ln_e, ln_e_ref), max(ln_e, ln_e_ref))
-        if ln_e < ln_e_ref:
-            inner = ln_add(lead, drift)
-        else:
-            inner, lost = ln_sub(max(lead, drift), min(lead, drift))
-            if lost > 10.0:
-                raise CancellationLoss(f"branch bracket lost {lost:.1f} "
-                                       f"digits at ln e = {ln_e:.6g}")
-            if drift >= lead:
-                raise OutsideDomain(
-                    "branch solution crossed zero right of the anchor")
+        inner = ln_add(lead, math.log(c) + _integral_ln(a, b, ln_e, ln_e_ref))
     return a * ln_e - b * math.exp(ln_e) + inner
 
 
@@ -213,14 +206,17 @@ def test_peak_gap_and_right_of_anchor_match_pointwise_solution(name):
         want = _outcome(lambda x: _solution(ch._ln_e_of(x), rise, *anchor)
                         - ch._ln_null(x), x)
         assert _outcome(ch.peak_gap, x) == want
-    # within the 1e-9 that branch() accepts, right of each anchor
+    # each branch ends on its anchor, where the oracle agrees: one ulp
+    # right of it, or 1e-10 or 1e-9, is refused
     for k in range(3):
         field, (ln_ref, ln_y_ref) = ch.fields[k], ch._anchor(k)
-        for d in (1e-12, 1e-10, 1e-9):
-            got = _outcome(ch.value, k, ln_ref + d)
-            want = _outcome(lambda v: _solution(v, field, ln_ref, ln_y_ref)
-                            * (1.0 / field.p), ln_ref + d)
-            assert got == want
+        assert _outcome(ch.value, k, ln_ref) == _outcome(
+            lambda v: _solution(v, field, ln_ref, ln_y_ref)
+            * (1.0 / field.p), ln_ref)
+        for v in (math.nextafter(ln_ref, math.inf), ln_ref + 1e-10,
+                  ln_ref + 1e-9):
+            with pytest.raises(OutsideDomain):
+                ch.value(k, v)
 
 
 @pytest.mark.parametrize("name", sorted(_SETS))
@@ -286,5 +282,5 @@ def test_full_pointwise_functions_match_kernels(name):
         assert full_nse.phi_of_e(e, geo.e1, geo.E1, params).hex() \
             == math.exp(_ln_phi(ln_e, math.log(geo.e1), math.log(geo.E1),
                                 params)).hex()
-        assert full_nse.phi_slope(e, E, params).hex() \
-            == (E / e * _ln_slope(ln_e, ln_E, params)).hex()
+        assert full_nse._ln_slope(ln_e, ln_E, full_nse._slope(params)).hex() \
+            == _ln_slope(ln_e, ln_E, params).hex()

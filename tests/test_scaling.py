@@ -12,11 +12,10 @@ from enstrophy_bounds import (
     ScalingParams,
     assemble_scaling,
     exponent_compare,
-    scaling_curve,
     scaling_emax,
     scaling_params,
 )
-from enstrophy_bounds.scaling import default_anchor
+from enstrophy_bounds.scaling import _ln_curve, default_anchor
 
 
 def _with(params, **over):
@@ -48,15 +47,17 @@ def test_smallness_window_gate(fig2):
     with pytest.raises(InvalidRegime):
         scaling_params(bad)
     with pytest.raises(InvalidRegime):
-        ScalingParams(eps0=0.6, c_prime=1.0, s=1.1, alpha_sc=-0.05,
-                      beta_sc=1.0, E_floor=1.0)
+        ScalingParams(s=1.1, beta_sc=1.0, E_floor=1.0)
 
 
 def test_pure_power_law_when_drain_vanishes():
-    sp = ScalingParams(eps0=0.25, c_prime=1.0, s=0.75, alpha_sc=0.125,
-                       beta_sc=0.0, E_floor=0.0)
+    # the curve is summed in logs, so the drain is a vanishing 1e-300
+    # rather than 0 (scaling_params refuses a beta that underflows)
+    sp = ScalingParams(s=0.75, beta_sc=1e-300, E_floor=0.0)
+    assert sp.alpha_sc == 0.125
     for e in (0.01, 0.5, 1.0, 4.0):
-        assert scaling_curve(e, 4.0, 16.0, sp) \
+        assert math.exp(_ln_curve(math.log(e), math.log(4.0),
+                                  math.log(16.0), sp)) \
             == pytest.approx(16.0 * (e / 4.0) ** 0.125, rel=1e-14)
 
 
@@ -67,8 +68,9 @@ def test_curve_maximum(fig2):
     assert E_max == pytest.approx(18.887376557949345, rel=1e-12)
     # stationary and concave there
     h = 1e-6 * e_max
-    left = scaling_curve(e_max - h, 4.0, 16.0, sp)
-    right = scaling_curve(e_max + h, 4.0, 16.0, sp)
+    left, right = (math.exp(_ln_curve(math.log(e), math.log(4.0),
+                                      math.log(16.0), sp))
+                   for e in (e_max - h, e_max + h))
     assert left < E_max and right < E_max
     assert (right - left) / (2.0 * h) == pytest.approx(0.0, abs=1e-6)
     # closed-form stationarity: alpha k e^alpha = beta e/(1-alpha)

@@ -11,7 +11,6 @@ from enstrophy_bounds import (
     AssumptionViolated,
     ForcingParams,
     InvalidRegime,
-    LogScalar,
     NoBracket,
     OutsideDomain,
     RegimeViolation,
@@ -20,9 +19,6 @@ from enstrophy_bounds import (
     containment_check,
     find_e_bar,
     max_join_gap,
-    sub_phi1,
-    sub_phi2,
-    sub_phi3,
 )
 from enstrophy_bounds import branches
 from enstrophy_bounds.subcritical import (
@@ -71,45 +67,46 @@ def test_floor_levels(fig3):
 
 
 def test_rise_anchor_and_shape(fig3):
-    assert sub_phi1(4.0, fig3).to_float() == pytest.approx(16.0, rel=1e-12)
+    ch = chain(fig3)
+    assert math.exp(ch.value(0, math.log(4.0))) \
+        == pytest.approx(16.0, rel=1e-12)
     e_bar, E_bar = find_e_bar(fig3)
     # strictly decreasing in e between the peak and the anchor
     lns = [math.log(e_bar) + t * (math.log(4.0) - math.log(e_bar))
            for t in (0.05, 0.25, 0.5, 0.75, 0.95)]
-    vals = [sub_phi1(LogScalar.from_ln(v), fig3).ln for v in lns]
+    vals = [ch.value(0, v) for v in lns]
     assert all(a > b for a, b in zip(vals, vals[1:]))
     assert vals[0] < E_bar.ln
     with pytest.raises(OutsideDomain):
-        sub_phi1(4.1, fig3)
+        ch.value(0, math.log(4.1))
 
 
 def test_peak_is_a_maximum(fig3):
     e_bar, E_bar = find_e_bar(fig3)
-    assert sub_phi1(LogScalar.from_float(e_bar), fig3).ln \
-        == pytest.approx(E_bar.ln, rel=1e-12)
+    ch = chain(fig3)
+    assert ch.value(0, math.log(e_bar)) == pytest.approx(E_bar.ln, rel=1e-12)
     for f in (0.5, 0.9, 1.1, 2.0):
-        assert sub_phi1(LogScalar.from_float(e_bar * f), fig3).ln < E_bar.ln
+        assert ch.value(0, math.log(e_bar * f)) < E_bar.ln
 
 
 def test_descent_joins_peak_and_floor(fig3):
     e_bar, E_bar = find_e_bar(fig3)
-    e_under = LogScalar.from_ln(chain(fig3).ln_floor)
-    ln_floor = math.log(chain(fig3).floor)
-    assert sub_phi2(LogScalar.from_float(e_bar), fig3).ln \
-        == pytest.approx(E_bar.ln, rel=1e-12)
-    assert sub_phi2(e_under, fig3).ln == pytest.approx(ln_floor, abs=1e-9)
-    assert sub_phi3(e_under, fig3).ln == pytest.approx(ln_floor, abs=1e-9)
+    ch = chain(fig3)
+    ln_under, ln_floor = ch.ln_floor, math.log(ch.floor)
+    assert ch.value(1, math.log(e_bar)) == pytest.approx(E_bar.ln, rel=1e-12)
+    assert ch.value(1, ln_under) == pytest.approx(ln_floor, abs=1e-9)
+    assert ch.value(2, ln_under) == pytest.approx(ln_floor, abs=1e-9)
     with pytest.raises(OutsideDomain):
-        sub_phi2(2.0 * e_bar, fig3)
+        ch.value(1, math.log(2.0 * e_bar))
     with pytest.raises(OutsideDomain):
-        sub_phi3(LogScalar.from_ln(e_under.ln + 1.0), fig3)
+        ch.value(2, ln_under + 1.0)
 
 
 def test_weak_curl_rejected(fig3):
     weak = _with(fig3, curlF_norm=0.1)
     assert not chain(weak).curl_dominant
     with pytest.raises(AssumptionViolated):
-        sub_phi3(LogScalar.from_ln(-20000.0), weak)
+        classify_subcritical(1e-3, 1e40, weak)
     with pytest.raises(AssumptionViolated):
         assemble_subcritical(weak)
 
@@ -123,19 +120,19 @@ def test_no_production_term(fig3):
 
 def test_critical_r_rejected(fig2):
     with pytest.raises(InvalidRegime):
-        sub_phi1(1.0, fig2)
+        chain(fig2)
     with pytest.raises(InvalidRegime):
         assemble_subcritical(fig2)
 
 
 def test_branch_fields_match_finite_differences(fig3):
-    cases = [("phi1", sub_phi1, -1.0), ("phi2", sub_phi2, -230.0)]
+    ch = chain(fig3)
+    cases = [("phi1", 0, -1.0), ("phi2", 1, -230.0)]
     k = 1e-5
-    for tag, fn, v in cases:
-        f = chain(fig3).slope_field(tag)
-        fd = (fn(LogScalar.from_ln(v + k), fig3).ln
-              - fn(LogScalar.from_ln(v - k), fig3).ln) / (2.0 * k)
-        mid = fn(LogScalar.from_ln(v), fig3).ln
+    for tag, branch, v in cases:
+        f = ch.slope_field(tag)
+        fd = (ch.value(branch, v + k) - ch.value(branch, v - k)) / (2.0 * k)
+        mid = ch.value(branch, v)
         e = math.exp(v)
         assert e * f(e, mid) == pytest.approx(fd, rel=1e-6), tag
 
@@ -239,17 +236,17 @@ def _check_branches_against_two_term(p):
     e_bar, E_bar = find_e_bar(p)
     ln_bar = math.log(e_bar)
     ln_under = chain(p).ln_floor
-    cases = [(sub_phi1, s1, c1, sigma, ln_e0, ln_E0, ln_bar, ln_e0),
-             (sub_phi2, s1 / big, c1 / big, sigma, ln_bar, E_bar.ln,
+    cases = [(0, s1, c1, sigma, ln_e0, ln_E0, ln_bar, ln_e0),
+             (1, s1 / big, c1 / big, sigma, ln_bar, E_bar.ln,
               ln_under, ln_bar),
-             (sub_phi3, a3, g3, 1.5, ln_under, math.log(floor),
+             (2, a3, g3, 1.5, ln_under, math.log(floor),
               ln_under - 46.0, ln_under)]
-    for fn, s, c, power, ln_ref, ln_E_ref, lo, hi in cases:
+    for k, s, c, power, ln_ref, ln_E_ref, lo, hi in cases:
         for t in (0.0, 0.1, 0.5, 0.9, 0.999):
             v = lo + t * (hi - lo)
             want = _two_term_ln_E(v, s, c, power, ln_ref, ln_E_ref)
-            got = fn(LogScalar.from_ln(v), p).ln
-            assert got == pytest.approx(want, abs=1e-10), (fn.__name__, v)
+            got = chain(p).value(k, v)
+            assert got == pytest.approx(want, abs=1e-10), (k, v)
 
 
 def test_branches_match_two_term_closed_form(fig3):
