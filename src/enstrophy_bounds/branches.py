@@ -302,9 +302,8 @@ class Chain:
 
     def curve_value(self, ln_e: float) -> float:
         """ln E of the piecewise curve, evaluated exactly (not
-        interpolated) at ln e."""
-        if ln_e > self.ln_e0:
-            raise OutsideDomain("the bounding curve stops at e0")
+        interpolated) at ln e; right of e0 the rise refuses it
+        (OutsideDomain)."""
         if ln_e >= self.peak[1]:
             return self.value(0, ln_e)
         if ln_e >= self.ln_floor:

@@ -29,12 +29,15 @@ from .params import _LN_RANGE, ForcingParams, exp_in_range
 class ScalingParams:
     """The combined smallness parameter s = eps0 c' + delta, which must
     stay in (0, 1), the exponent alpha_sc = (1 - s)/2, the drain rate
-    beta_sc and the admissibility floor E_floor."""
+    beta_sc >= 0 (0 leaves the pure power law) and the admissibility floor
+    E_floor."""
 
     def __init__(self, s: float, beta_sc: float, E_floor: float):
         if not 0.0 < s < 1.0:
             raise InvalidRegime(
                 f"combined smallness parameter s = {s} must lie in (0, 1)")
+        if not beta_sc >= 0.0:
+            raise InvalidRegime(f"drain rate beta = {beta_sc} must be >= 0")
         self.s, self.alpha_sc = s, 0.5 * (1.0 - s)
         self.beta_sc, self.E_floor = beta_sc, E_floor
 
@@ -63,21 +66,23 @@ def _ln_curve(v: float, ln_e0: float, ln_E0: float,
     """ln of the curve at e = exp(v) <= e0, written as
     E0 (e/e0)^a + beta/(1-a) e ((e0/e)^(1-a) - 1) and summed from the logs
     of its two terms: left of the anchor both are positive, so nothing
-    cancels however large beta is, and neither can underflow."""
-    a = sp.alpha_sc
+    cancels however large beta is, and neither can underflow; at beta = 0
+    the second is gone."""
+    a, beta = sp.alpha_sc, sp.beta_sc
     rest = math.expm1((1.0 - a) * (ln_e0 - v))
     ln_rest = math.log(rest) if rest > 0.0 else -math.inf
-    return ln_add(ln_E0 + a * (v - ln_e0),
-                  math.log(sp.beta_sc / (1.0 - a)) + v + ln_rest)
+    ln_drain = math.log(beta / (1.0 - a)) if beta else -math.inf
+    return ln_add(ln_E0 + a * (v - ln_e0), ln_drain + v + ln_rest)
 
 
 def _ln_emax(ln_e0: float, ln_E0: float,
              sp: ScalingParams) -> tuple[float, float]:
     """(ln e, ln E) of the stationary point, where (e/e0)^(1-a) =
     a + a (1-a)/r with r = beta e0/E0; RegimeViolation unless it lies
-    left of the anchor."""
+    left of the anchor, as at beta = 0, where the curve only rises."""
     a = sp.alpha_sc
-    ln_r = math.log(sp.beta_sc) + ln_e0 - ln_E0
+    ln_r = (math.log(sp.beta_sc) if sp.beta_sc else -math.inf) \
+        + ln_e0 - ln_E0
     ln_e = ln_e0 + ln_add(math.log(a), math.log(a * (1.0 - a)) - ln_r) \
         / (1.0 - a)
     if ln_e >= ln_e0:

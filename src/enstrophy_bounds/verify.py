@@ -219,12 +219,15 @@ def _rk4_row(params: ForcingParams) -> dict:
 
 
 def _scan_row(name: str, gap, center: float, half_width: float = 2.0,
-              n: int = 201) -> dict:
+              n: int = 201, room: float = math.inf) -> dict:
     """Verify a found root by locating a sign change on an independent grid
-    around it and checking the claim falls inside that bracket. Grid points
-    outside a curve's own domain are skipped, not fatal."""
+    around it and checking the claim falls inside that bracket. The grid
+    reaches half_width to the left and at most room, where the gap's
+    domain ends, to the right. Grid points outside a curve's own domain
+    are skipped, not fatal."""
     # offsets scaled onto center keep the middle node exactly at center
-    grid = [center + half_width * u for u in log_grid(-1.0, 1.0, n)]
+    grid = [center + (min(half_width, room) if u > 0.0 else half_width) * u
+            for u in log_grid(-1.0, 1.0, n)]
     vals = []
     for v in grid:
         try:
@@ -246,16 +249,19 @@ def _scan_row(name: str, gap, center: float, half_width: float = 2.0,
 
 def _scan_rows(params: ForcingParams) -> list[dict]:
     """The peak (rise against its nullcline, in the chain's peak variable)
-    and the floor crossing (curve against the floor, in ln e)."""
+    and the floor crossing (curve against the floor, in ln e). At b = 0
+    the peak variable is ln e, and the rise stops at its anchor e0: the
+    peak grid ends there, so a peak close to e0 keeps its right cells."""
     ch = _chain(params)
     x_star, _, _ = ch.peak
+    room = math.inf if ch.rise.b > 0.0 else ch.ln_e0 - x_star
     e_peak, _, e_floor, _ = ch.names
     ln_floor = math.log(ch.floor)
 
     def gap_floor(v: float) -> float:
         return ch.curve_value(v) - ln_floor
 
-    return [_scan_row(e_peak, ch.peak_gap, x_star),
+    return [_scan_row(e_peak, ch.peak_gap, x_star, room=room),
             _scan_row(e_floor, gap_floor, ch.ln_floor)]
 
 

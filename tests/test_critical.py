@@ -153,7 +153,7 @@ def test_e_min_pin_and_floor_join(fig2):
 def test_phi2_domain_gate(fig2):
     e_max, E_max = find_e_max(fig2)
     ch = chain(fig2)
-    assert ch.value(1, math.log(e_max)) == pytest.approx(E_max.ln, rel=1e-12)
+    assert ch.value(1, ch.peak[1]) == pytest.approx(E_max.ln, rel=1e-12)
     with pytest.raises(OutsideDomain):
         ch.value(1, math.log(2.0 * e_max))
 

@@ -138,3 +138,22 @@ def test_verify_on_critical_sets_with_a_slow_peak(tmp_path):
             code = run(["verify", "--points", "8", "--params", str(path)])
         assert code == 0, raw
         assert all(row["pass"] for row in json.loads(out.getvalue()))
+
+
+@pytest.mark.parametrize("c", [0.000251, 0.000252, 0.000253, 0.000255])
+def test_verify_on_subcritical_sets_peaking_next_to_the_anchor(tmp_path, c):
+    # a small production constant puts e_bar less than one scan step
+    # (0.02) below e0, where the rise ends; the peak scan's right half
+    # must stay inside [e_bar, e0] to find the sign change there
+    raw = dict(json.loads((PRESETS / "fig3.json").read_text()), c=c,
+               curlF_norm=1e7)
+    ch = subcritical.chain(ForcingParams.from_mapping(raw))
+    assert 0.0 < ch.ln_e0 - ch.peak[0] < 0.02
+    path = tmp_path / "params.json"
+    path.write_text(json.dumps(raw))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(io.StringIO()):
+        code = run(["verify", "--points", "8", "--params", str(path)])
+    assert code == 0, raw
+    assert all(row["pass"] for row in json.loads(out.getvalue()))

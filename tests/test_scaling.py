@@ -48,17 +48,21 @@ def test_smallness_window_gate(fig2):
         scaling_params(bad)
     with pytest.raises(InvalidRegime):
         ScalingParams(s=1.1, beta_sc=1.0, E_floor=1.0)
+    for beta in (-1.0, math.nan):
+        with pytest.raises(InvalidRegime):
+            ScalingParams(s=0.75, beta_sc=beta, E_floor=1.0)
 
 
 def test_pure_power_law_when_drain_vanishes():
-    # the curve is summed in logs, so the drain is a vanishing 1e-300
-    # rather than 0 (scaling_params refuses a beta that underflows)
-    sp = ScalingParams(s=0.75, beta_sc=1e-300, E_floor=0.0)
+    sp = ScalingParams(s=0.75, beta_sc=0.0, E_floor=0.0)
     assert sp.alpha_sc == 0.125
     for e in (0.01, 0.5, 1.0, 4.0):
         assert math.exp(_ln_curve(math.log(e), math.log(4.0),
                                   math.log(16.0), sp)) \
             == pytest.approx(16.0 * (e / 4.0) ** 0.125, rel=1e-14)
+    # without a drain the curve rises all the way to the anchor
+    with pytest.raises(RegimeViolation):
+        scaling_emax(4.0, 16.0, sp)
 
 
 def test_curve_maximum(fig2):

@@ -93,7 +93,7 @@ def test_descent_joins_peak_and_floor(fig3):
     e_bar, E_bar = find_e_bar(fig3)
     ch = chain(fig3)
     ln_under, ln_floor = ch.ln_floor, math.log(ch.floor)
-    assert ch.value(1, math.log(e_bar)) == pytest.approx(E_bar.ln, rel=1e-12)
+    assert ch.value(1, ch.peak[1]) == pytest.approx(E_bar.ln, rel=1e-12)
     assert ch.value(1, ln_under) == pytest.approx(ln_floor, abs=1e-9)
     assert ch.value(2, ln_under) == pytest.approx(ln_floor, abs=1e-9)
     with pytest.raises(OutsideDomain):
