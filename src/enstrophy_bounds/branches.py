@@ -147,27 +147,21 @@ class Chain:
         self.params, self.model, self.names = params, model, names
         self.flags, self.ln_floors = flags, ln_floors
         self.rise, self.tail_b = rise, tail_b
-        self.floor  # formed, and gated, when the chain is built
-
-    @cached_property
-    def floor(self) -> float:
-        ln_floor = max(self.ln_floors)
+        ln_floor = max(ln_floors)
         if not -744.0 < ln_floor < 709.0 and ln_floor != math.inf:
             raise InvalidRegime(
                 f"enstrophy floor exp({ln_floor:.6g}) is outside float range")
-        return math.exp(ln_floor)
-
-    @cached_property
-    def curl_dominant(self) -> bool:
-        return self.ln_floors[-1] == max(self.ln_floors)
-
-    @cached_property
-    def fields(self) -> tuple[Field, Field, Field]:
-        p = self.params
-        big = p.big_c_omega
-        tail = Field(0.75 * (1.0 - p.rho) / big, self.tail_b,
-                     18.0 * p.curlF_norm / (p.nu * big), 1.5)
-        return self.rise, self.rise.scaled(1.0 / big), tail
+        self.floor = math.exp(ln_floor)
+        self.curl_dominant = ln_floors[-1] == ln_floor
+        big = params.big_c_omega
+        self.fields = (rise, rise.scaled(1.0 / big), Field(
+            0.75 * (1.0 - params.rho) / big, tail_b,
+            18.0 * params.curlF_norm / (params.nu * big), 1.5))
+        # formed once for classify: the forcing parabola's nu and 4 f, and
+        # value's factor 1/p of each branch
+        self._nu, self._four_f = params.nu, 4.0 * params.f_norm
+        self._q = tuple(1.0 / f.p for f in self.fields)
+        self._ln_y = [None, None, None]  # ln_y_of's prepared solutions
 
     @cached_property
     def ln_e0(self) -> float:
@@ -191,7 +185,7 @@ class Chain:
         """Branch k's ln y as a function of ln e (solution), prepared on
         first use and kept, like peak and ln_floor. Sampling, value,
         peak_gap, classify and the scans all evaluate through it."""
-        kept = self.__dict__.setdefault("_ln_y", [None, None, None])
+        kept = self._ln_y
         if kept[k] is None:
             kept[k] = solution(self.fields[k], *self._anchor(k))
         return kept[k]
@@ -199,7 +193,7 @@ class Chain:
     def value(self, k: int, ln_e: float) -> float:
         """ln E on branch k at ln e, at or left of its anchor; the tail's
         curl gate (require_curl) is left to the caller."""
-        return self.ln_y_of(k)(ln_e) * (1.0 / self.fields[k].p)
+        return self.ln_y_of(k)(ln_e) * self._q[k]
 
     def require_curl(self) -> None:
         if not self.curl_dominant:
@@ -304,27 +298,29 @@ class Chain:
         """ln E of the piecewise curve, evaluated exactly (not
         interpolated) at ln e; right of e0 the rise refuses it
         (OutsideDomain)."""
-        if ln_e >= self.peak[1]:
-            return self.value(0, ln_e)
-        if ln_e >= self.ln_floor:
-            return self.value(1, ln_e)
-        return self.value(2, ln_e)
+        k = 0 if ln_e >= self.peak[1] else 1 if ln_e >= self.ln_floor else 2
+        return self.value(k, ln_e)
 
     def classify(self, e: float, E: float) -> str:
         """Three-region label: I below the forcing parabola (recurrent),
         III at or above the bounding curve, II between. Right of e0 the
         curve is gone and everything at or above the parabola is II.
-        The curve needs the curl-dominated floor, as its assembly does."""
+        The curve needs the curl-dominated floor, as its assembly does.
+        The branch is chosen as curve_value chooses it, and the peak and
+        the floor crossing are solved only when a point needs them."""
         if not (0.0 < e < math.inf and 0.0 < E < math.inf):
             raise OutsideDomain("classification needs e > 0 and E > 0")
-        self.require_curl()
-        p = self.params
-        if p.nu * E < 4.0 * p.f_norm * math.sqrt(e):
+        if not self.curl_dominant:
+            self.require_curl()
+        if self._nu * E < self._four_f * math.sqrt(e):
             return "I"
         ln_e = math.log(e)
         if ln_e > self.ln_e0:
             return "II"
-        return "III" if math.log(E) >= self.curve_value(ln_e) else "II"
+        k = 0 if ln_e >= self.peak[1] else 1 if ln_e >= self.ln_floor else 2
+        # the kept solution, or ln_y_of to prepare it
+        ln_y = self._ln_y[k] or self.ln_y_of(k)
+        return "III" if math.log(E) >= ln_y(ln_e) * self._q[k] else "II"
 
     def slope_field(self, tag: str = "phi1"):
         """d(ln E)/de of the named segment's defining field."""
@@ -341,7 +337,7 @@ class Chain:
     def _sample(self, k: int, ln_lo: float, ln_hi: float,
                 samples: int) -> CurveSegment:
         field, ln_y_of = self.fields[k], self.ln_y_of(k)
-        a, b, q = field.a, field.b, 1.0 / field.p
+        a, b, q = field.a, field.b, self._q[k]
         ln_c = math.log(field.c) if field.c else -math.inf
         grid = log_grid(ln_lo, ln_hi, samples)
         ln_E, slope = [], []

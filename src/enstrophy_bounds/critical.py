@@ -15,20 +15,20 @@ barrier is the rise's nullcline raised to the power 5/3, with a vertical
 asymptote at e_a = a/b; the peak (e_max, E_max) is where phi1 meets it.
 
 This module holds what is particular to r = 1/2: the regime check, the
-logs of the candidate floors and the field constants. chain() resolves the
-peak and the floor crossing once per parameter set.
+logs of the candidate floors and the field constants. chain() builds the
+chain once per params object and holds it there (params.held); the chain
+solves the peak and the floor crossing on first use.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .branches import Chain, Field
 from .curves import CurveBundle
 from .errors import InvalidRegime, OutsideDomain
 from .logscalar import LogScalar, ln_add, ln_sub
-from .params import ForcingParams, exp_in_range
+from .params import ForcingParams, exp_in_range, held
 
 
 def ln_floors(params: ForcingParams) -> tuple[float, float]:
@@ -60,9 +60,10 @@ def coefficients(params: ForcingParams) -> Field:
         c=exp_in_range(ln_c, "production constant C"), p=0.6)
 
 
-@lru_cache(maxsize=64)
+@held
 def chain(params: ForcingParams) -> Chain:
-    """The memoised anchor chain of params (raises InvalidRegime off r = 1/2)."""
+    """The anchor chain of params, held on it (raises InvalidRegime off
+    r = 1/2, on every call)."""
     rise = coefficients(params)
     b3 = 3.0 * params.c2 * math.sqrt(params.lam) \
         / (params.big_c_omega * params.eps) / params.nu / params.nu

@@ -19,19 +19,19 @@ nine breakpoints and the funnel slopes in assemble_full. Each curve's
 constants (alpha, ln beta, ln t, the slope and nose constants) are formed
 by one function (_funnel, _slope, _nose) and evaluated by another
 (_ln_phi, _ln_slope, _ln_psi): a segment forms them once for all its
-samples, and the pointwise phi_of_e and psi_of_E form them for their one
-point.
+samples, classify_full once per params (_point), and the pointwise
+phi_of_e and psi_of_E for their one point. geometry and _point are held
+on the params object (params.held).
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import InvalidRegime, NoBracket, OutsideDomain, RegimeViolation
 from .logscalar import LogScalar, ln_add
-from .params import _LN_RANGE, ForcingParams
+from .params import _LN_RANGE, ForcingParams, held
 from .solver import find_root
 
 
@@ -232,10 +232,11 @@ class FullNseGeometry:
         self.e2, self.E2 = e2, E2
 
 
-@lru_cache(maxsize=64)
+@held
 def geometry(params: ForcingParams) -> FullNseGeometry:
-    """The region's breakpoints; e1, E1 and e2 outside float range are
-    InvalidRegime, the others are left 0 or inf for assemble_full."""
+    """The region's breakpoints, held on params; e1, E1 and e2 outside
+    float range are InvalidRegime, the others are left 0 or inf for
+    assemble_full."""
     ln_e0 = math.log(params.e0)
     ln_E0 = math.log(params.eta) + math.log(params.lam) + ln_e0
     alpha, ln_beta = _alpha_ln_beta(params)
@@ -257,6 +258,17 @@ def geometry(params: ForcingParams) -> FullNseGeometry:
     return geo
 
 
+@held
+def _point(params: ForcingParams) -> tuple:
+    """What classify_full forms once per params, kept off vars(geometry),
+    which assemble_full turns into breakpoints: the geometry, the
+    parabola coefficient eta f/nu, the nose constants and the apex
+    funnel's constants."""
+    geo = geometry(params)
+    return (geo, params.eta * params.f_norm / params.nu, _nose(params),
+            _funnel(math.log(geo.e1), math.log(geo.E1), params))
+
+
 def classify_full(e: float, E: float, params: ForcingParams) -> str:
     """Region of (e, E), tie-breaking boundaries toward the larger numeral.
 
@@ -265,20 +277,20 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
     the apex level E1 left of the apex (outside the nose, E lies under its
     lower branch, below E1, or over its upper one, above E1), by the apex
     funnel for e1 <= e <= e2, and by nothing at all past e2, where the
-    corridor opens up.
+    corridor opens up. Each curve is evaluated as parabola_E, psi_of_E
+    and phi_of_e do, with the constants _point formed.
     """
     if not (0.0 < e < math.inf and 0.0 < E < math.inf):
         raise OutsideDomain("classification needs e > 0 and E > 0")
-    geo = geometry(params)
-    par = parabola_E(e, params)
-    if e <= psi_of_E(E, params) and E >= par:
-        return "IV"
-    if E < par:
+    geo, coef, nose, apex = _point(params)
+    if E < coef * math.sqrt(e):
         return "I"
+    if e <= math.exp(_ln_psi(math.log(E), nose)):
+        return "IV"
     if e < geo.e1:
         return "II" if E > geo.E1 else "III"
     if e <= geo.e2:
-        return "II" if E > phi_of_e(e, geo.e1, geo.E1, params) else "III"
+        return "II" if E > math.exp(_ln_phi(math.log(e), apex)) else "III"
     return "II"
 
 

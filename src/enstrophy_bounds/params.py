@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import math
-from functools import cached_property
+from functools import cached_property, update_wrapper
 from operator import itemgetter
 
 from .errors import InvalidRegime, MissingKey, RegimeViolation
@@ -62,8 +62,9 @@ class ForcingParams:
     eps0           scaling-window split (0.25)
     c_omega_prime  (1)
 
-    Two sets with the same field values are equal and hash alike. The
-    hash is formed once, here: the params key every model's cache.
+    Two sets with the same field values are equal and hash alike; the
+    hash is formed once, here. Each resolved model (held) is kept on the
+    set itself, so an equal but distinct set resolves its own.
     """
 
     def __init__(self, **fields: float):
@@ -165,6 +166,24 @@ class ForcingParams:
 
     def to_raw(self) -> dict:
         return dict(zip(_KEYS, self._key))
+
+
+def held(resolve):
+    """resolve(params), formed on first use and kept on that params object,
+    written into its __dict__ as cached_property does: it lives exactly as
+    long as the params, with no eviction. A resolve that raises keeps
+    nothing and raises again on every call."""
+    name = f"{resolve.__module__}.{resolve.__qualname__}"
+
+    def lookup(params: ForcingParams):
+        try:
+            return params.__dict__[name]
+        except KeyError:
+            pass
+        kept = params.__dict__[name] = resolve(params)
+        return kept
+
+    return update_wrapper(lookup, resolve)
 
 
 # JSON key -> field, in declaration order

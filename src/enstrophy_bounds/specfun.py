@@ -18,20 +18,19 @@ endpoint values is taken inside each weight v_n = -expm1((alpha+n) ln r),
 where it costs no digits, and never between two large sums. That loop
 needs about x terms, a few times G^2, so wide spans take the endpoint
 difference e_hi^alpha (G - H), G = g(alpha, x), H = r^alpha g(alpha, r x),
-with g from its few-term large-argument form and ln G memoised per upper
-end. The weighted integral is returned as its ln, a float, because it
-overflows float64 long before the interesting parameter range ends;
-gamma_series_factor, a public entry point, returns a LogScalar.
-weighted_exp_integral_to prepares the integral once per upper end, as a
-function of the lower end, so every sample of a branch shares alpha, x
-and its gate. Every arm is summed to the fixed relative accuracy
-_REL_TOL = 1e-12.
+with g from its few-term large-argument form. The weighted integral is
+returned as its ln, a float, because it overflows float64 long before the
+interesting parameter range ends; gamma_series_factor, a public entry
+point, returns a LogScalar. weighted_exp_integral_to prepares the integral
+once per upper end, as a function of the lower end, so every sample of a
+branch shares alpha, x, its gate and ln G, which that function forms on
+first use and keeps (there is no module-level cache). Every arm is summed
+to the fixed relative accuracy _REL_TOL = 1e-12.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .errors import NonConvergence
 from .logscalar import LogScalar
@@ -125,9 +124,6 @@ def _g_ln(alpha: float, x: float) -> float:
     return _series_ln(alpha, x, -math.inf)
 
 
-_g_ln_cached = lru_cache(maxsize=64)(_g_ln)
-
-
 def gamma_series_factor(alpha: float, x: float,
                         n_terms: int | None = None) -> LogScalar:
     """Evaluate g(alpha, x) to _REL_TOL (see _g_ln). With n_terms the
@@ -160,7 +156,8 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
     before any sum; where that is at most 1/7 the difference is taken
     (under 0.07 digits lost), else the positive-term series is summed.
     alpha, x and its gate, ln(x/alpha) and alpha ln e_hi depend on the
-    upper end alone and are formed here; ln G is memoised per upper end.
+    upper end alone and are formed here; ln G is formed on first use and
+    kept in the returned function, so it lives as long as that does.
     """
     if not 0.0 < a < 1.0:
         raise ValueError(f"a must lie in (0, 1), got {a}")
@@ -170,8 +167,10 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
     ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
     x = math.inf if ln_x > _LN_MAX_X else math.exp(ln_x)
     ln_x_alpha = math.log(x / alpha) if x > 0.0 else -math.inf
+    ln_g = None
 
     def ln_w(ln_lo: float) -> float:
+        nonlocal ln_g
         if ln_lo > ln_hi:
             raise ValueError("lower bound above upper bound")
         if ln_lo == ln_hi:
@@ -184,7 +183,8 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
         gap = -x * math.expm1(ln_r)  # x (1 - r)
         if gap > 0.0 and ln_x_alpha + alpha * ln_r - gap \
                 - math.log(-math.expm1(-gap)) <= _LN_SEVENTH:
-            ln_g = _g_ln_cached(alpha, x)
+            if ln_g is None:
+                ln_g = _g_ln(alpha, x)
             ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
             return ln_lead + ln_g + math.log(-math.expm1(ln_h - ln_g))
         return ln_lead + _series_ln(alpha, x, ln_r)

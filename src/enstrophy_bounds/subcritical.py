@@ -21,13 +21,12 @@ logs of the three candidate floors and the field constants.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from .branches import Chain, Field
 from .curves import CurveBundle
 from .errors import InvalidRegime
 from .logscalar import LogScalar
-from .params import ForcingParams, exp_in_range
+from .params import ForcingParams, exp_in_range, held
 
 
 def sigma_of(r: float) -> float:
@@ -74,9 +73,10 @@ def ln_floors(params: ForcingParams) -> tuple[float, float, float]:
             2.0 * s / (5.0 + 2.0 * r) * (l_curl - l_ckr))
 
 
-@lru_cache(maxsize=64)
+@held
 def chain(params: ForcingParams) -> Chain:
-    """The memoised anchor chain of params (raises InvalidRegime at r = 1/2).
+    """The anchor chain of params, held on it (raises InvalidRegime at
+    r = 1/2, on every call).
 
     The rise field is (s, 0, sigma C_s, sigma) with s = alpha_s sigma and
     alpha_s = (1 - rho)/2; the tail has b = 0.

@@ -307,12 +307,12 @@ def test_chain_resolves_once_per_parameter_set(fig2, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(branches, "find_root", counting)
-    chain.cache_clear()
+    fresh = _with(fig2)  # equal to fig2, but resolves its own chain
     # points on both sides of e_max, above and below the curve
     for i in range(100):
         e = math.exp(-700.0 + 7.0 * i)
         E = 10.0 ** (i % 50)
-        assert classify_critical(e, E, fig2) in ("I", "II", "III")
+        assert classify_critical(e, E, fresh) in ("I", "II", "III")
     # one find_root for the peak, one for the floor crossing
     assert len(calls) == 2
 
@@ -360,25 +360,38 @@ def test_floor_crossing_depth_limit(preset, c_omega, deep, request):
 
 
 def test_chain_errors_stay_lazy(fig2, monkeypatch):
+    # a set whose floor crossing lies below ln e = -2^49: its floor solve
+    # fails, so a phi2 point raises NoBracket, on every call and in either
+    # order, while phi1 and region-I points never need the floor
+    phi1, region_i, phi2 = (1.0, 1e40), (1.0, 1.0), (1e-3, 1e40)
+    for order in ((phi1, region_i, phi2), (phi2, region_i, phi1)):
+        deep = _with(fig2, c_omega=1e11)
+        for e, E in order + order[::-1]:
+            if (e, E) == phi2:
+                with pytest.raises(NoBracket):
+                    classify_critical(e, E, deep)
+            else:
+                want = "III" if (e, E) == phi1 else "I"
+                assert classify_critical(e, E, deep) == want
+
     def no_floor(self):
         raise NoBracket("floor crossing not bracketed")
 
     monkeypatch.setattr(branches.Chain, "ln_floor", property(no_floor))
-    chain.cache_clear()
+    p = _with(fig2)  # a fresh set: its chain is built under the patch
     # right of e_max only the peak is needed
-    assert find_e_max(fig2)[0] < 1.0
-    assert classify_critical(1.0, 1e40, fig2) == "III"
-    assert classify_critical(1.0, 20.0, fig2) == "II"
+    assert find_e_max(p)[0] < 1.0
+    assert classify_critical(1.0, 1e40, p) == "III"
+    assert classify_critical(1.0, 20.0, p) == "II"
     with pytest.raises(NoBracket):
-        classify_critical(1e-3, 1e40, fig2)
+        classify_critical(1e-3, 1e40, p)
     with pytest.raises(NoBracket):
-        find_e_min(fig2)
+        find_e_min(p)
     # anchor below the barrier asymptote: phi1 evaluates, the peak raises
     tiny = _with(fig2, f_norm=0.04)
     assert chain(tiny).value(0, math.log(0.5 * tiny.e0)) > -math.inf
     with pytest.raises(RegimeViolation):
         classify_critical(0.5 * tiny.e0, 1e40, tiny)
-    chain.cache_clear()
 
 
 def test_barrier_is_the_rise_nullcline(fig2):

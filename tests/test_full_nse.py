@@ -379,16 +379,15 @@ def test_classify_solves_geometry_once(fig2, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(full_nse, "solve_e2", counting)
-    geometry.cache_clear()
-    geo = geometry(fig2)
+    p = _with(fig2)  # equal to fig2, but resolves its own geometry
+    geo = geometry(p)
     # points in every region, on both sides of e1 and e2
     for i in range(100):
         e = geo.e1 * 10.0 ** (-3.0 + 0.1 * i)
         E = geo.E1 * 10.0 ** ((i % 9) - 4)
-        assert classify_full(e, E, fig2) in ("I", "II", "III", "IV")
+        assert classify_full(e, E, p) in ("I", "II", "III", "IV")
     assert len(calls) == 1
-    assert geometry(fig2) is geo
-    geometry.cache_clear()
+    assert geometry(p) is geo
 
 
 # ------------------------------------------------------------ assembly

@@ -115,19 +115,26 @@ def test_load_rejects_non_object(tmp_path):
         load_params_file(str(f))
 
 
-def test_equal_params_share_one_hash_and_one_model():
-    # the hash is formed once, from the same 17 field values as before
+def test_equal_params_share_one_hash_and_hold_their_own_models():
+    # the hash is formed once, from the same 17 field values as before;
+    # each resolved model is held on its own params object, so an equal
+    # but distinct set resolves an equal model of its own
     path = str(PRESETS / "fig2.json")
     p, q = load_params_file(path), load_params_file(path)
     assert p is not q and p == q and hash(p) == hash(q)
     assert hash(p) == hash(tuple(p.to_raw().values()))
-    assert critical.chain(p) is critical.chain(q)
-    assert full_nse.geometry(p) is full_nse.geometry(q)
+    for resolve in (critical.chain, full_nse.geometry):
+        assert resolve(p) is resolve(p)
+        assert resolve(q) is not resolve(p)
+    assert critical.chain(q).peak == critical.chain(p).peak
+    assert vars(full_nse.geometry(q)) == vars(full_nse.geometry(p))
     assert p != ForcingParams.from_mapping(dict(p.to_raw(), nu=2.0))
     path = str(PRESETS / "fig3.json")
     p, q = load_params_file(path), load_params_file(path)
     assert p == q and hash(p) == hash(q)
-    assert subcritical.chain(p) is subcritical.chain(q)
+    assert subcritical.chain(p) is subcritical.chain(p)
+    assert subcritical.chain(q) is not subcritical.chain(p)
+    assert subcritical.chain(q).ln_floor == subcritical.chain(p).ln_floor
 
 
 def test_frozen(fig2):

@@ -19,7 +19,7 @@ from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams,
 from enstrophy_bounds import critical, full_nse, specfun, subcritical
 from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.logscalar import ln_add
-from enstrophy_bounds.specfun import _g_ln, _g_ln_cached, _series_ln
+from enstrophy_bounds.specfun import _g_ln, _series_ln
 
 from conftest import PRESETS
 
@@ -48,7 +48,7 @@ def _integral_ln(a, b, ln_lo, ln_hi):
     gap = -x * math.expm1(ln_r)
     if gap > 0.0 and math.log(x / alpha) + alpha * ln_r - gap \
             - math.log(-math.expm1(-gap)) <= specfun._LN_SEVENTH:
-        ln_g = _g_ln_cached(alpha, x)
+        ln_g = _g_ln(alpha, x)
         ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
         return alpha * ln_hi + ln_g + math.log(-math.expm1(ln_h - ln_g))
     return alpha * ln_hi + _series_ln(alpha, x, ln_r)

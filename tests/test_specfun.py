@@ -296,8 +296,8 @@ def test_construction_never_reaches_the_quadrature(fig2, fig3, monkeypatch):
              for name, value in list(vars(module).items()) if value is quad]
     for module, name in bound:
         monkeypatch.setattr(module, name, refuse)
-    critical.chain.cache_clear()
-    subcritical.chain.cache_clear()
+    # fresh sets, so their chains are built under the patch
+    fig2, fig3 = (ForcingParams.from_mapping(p.to_raw()) for p in (fig2, fig3))
     critical.assemble_critical(fig2)
     subcritical.assemble_subcritical(fig3)
     for e in (1e-300, 1e-5, 0.01, 1.0, 4.0):
@@ -322,10 +322,9 @@ def test_assembly_sums_no_large_argument_series(fig2, monkeypatch):
         return series(alpha, x, ln_r, n_terms)
 
     monkeypatch.setattr(specfun, "_series_ln", counting)
-    strong = ForcingParams.from_mapping(dict(fig2.to_raw(), f_norm=10.0))
-    for params in (fig2, strong):
-        critical.chain.cache_clear()
+    for f_norm in (fig2.f_norm, 10.0):
+        # a fresh set each time, so its chain is built under the patch
+        params = ForcingParams.from_mapping(dict(fig2.to_raw(), f_norm=f_norm))
         calls.clear()
         critical.assemble_critical(params)
         assert sum(x >= 30.0 for x in calls) <= 20, params.grashof
-    critical.chain.cache_clear()

@@ -193,15 +193,14 @@ def test_chain_resolves_once_per_parameter_set(fig3, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(branches, "find_root", counting)
-    chain.cache_clear()
+    fresh = _with(fig3)  # equal to fig3, but resolves its own chain
     # points on both sides of e_bar, above and below the curve
     for i in range(100):
         e = math.exp(-700.0 + 7.0 * i)
         E = 10.0 ** (i % 60)
-        assert classify_subcritical(e, E, fig3) in ("I", "II", "III")
+        assert classify_subcritical(e, E, fresh) in ("I", "II", "III")
     # the peak is closed form at b = 0: one find_root, the floor crossing's
     assert len(calls) == 1
-    chain.cache_clear()
 
 
 def test_near_critical_exponent_assembles(fig3):

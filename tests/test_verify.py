@@ -24,7 +24,7 @@ from enstrophy_bounds import (
     halved_curve,
     oracle_suite,
 )
-from enstrophy_bounds import branches, critical, specfun
+from enstrophy_bounds import branches, specfun
 from enstrophy_bounds.cli import run
 from enstrophy_bounds.curves import CurveBundle, CurveSegment, log_grid
 from enstrophy_bounds.solver import rk4_path
@@ -218,17 +218,11 @@ def test_scan_row_rejects_displaced_root():
 
 def test_oracle_suite_catches_loose_series(fig2, monkeypatch):
     # cripple the series tolerance: the quadrature comparison and the
-    # RK4 comparison must both notice, independently. The chain and series
-    # caches are cleared on both sides, so the suite builds its chain with
-    # the loose series and no such value outlives this test.
-    critical.chain.cache_clear()
-    specfun._g_ln_cached.cache_clear()
+    # RK4 comparison must both notice, independently. A fresh set builds
+    # its own chain with the loose series, and every value formed with it
+    # is held on that set alone, so none outlives this test.
     monkeypatch.setattr(specfun, "_REL_TOL", 1e-2)
-    try:
-        report = oracle_suite(fig2)
-    finally:
-        critical.chain.cache_clear()
-        specfun._g_ln_cached.cache_clear()
+    report = oracle_suite(_with(fig2))
     failing = {row["check"] for row in report if not row["pass"]}
     assert "series_vs_quadrature" in failing
     assert "closed_form_vs_rk4" in failing
