@@ -6,7 +6,10 @@ the linear field
 
     dy/de = (a/e - b) y - c,
 
-exactly, through the weighted exponential integral (specfun):
+exactly, through specfun's solution of it (Field, solution, envelope and
+the b = 0 peak live there, beside the weighted exponential integral they
+call; the scaling curve solves the same field). This module holds the
+anchor chain (Chain):
 
 * rise (phi1), anchored on the forcing parabola at (e0, E0), climbs
   leftward to its peak, where it meets its own nullcline
@@ -20,7 +23,8 @@ The families differ only in the constants. At r = 1/2, b > 0: the
 nullcline raised to 1/p is the vorticity barrier, with a vertical
 asymptote at e_a = a/b, and the peak sits a sub-float distance left of it,
 so that crossing is solved in w = ln(1 - e/e_a). At r > 1/2, b = 0: the
-nullcline is the line y = (c/a) e and the crossing is closed form in ln e.
+nullcline is the line y = (c/a) e and the crossing is closed form in ln e
+(specfun.peak_ln_e).
 
 No root is searched for a bracket. Left of its anchor a branch's inner
 term (the ln of the bracket in solution) lies between its value at the
@@ -33,11 +37,10 @@ below float range; a value becomes a LogScalar only where it leaves the
 chain (peak_point, the bundle's breakpoints).
 
 Each branch is evaluated through one function (solution), prepared once
-per anchor: the lead, ln c and the weighted integral keyed by the upper
-end are formed when it is made, and the chain keeps one per branch
-(Chain.ln_y_of), through which sampling, value, peak_gap, classify and
-verify's scans all go. A branch is defined at or left of its anchor, where
-every sampling grid ends; a point right of it is OutsideDomain.
+per anchor, and the chain keeps one per branch (Chain.ln_y_of), through
+which sampling (specfun.sample), value, peak_gap, classify and verify's
+scans all go. A branch is defined at or left of its anchor, where every
+sampling grid ends; a point right of it is OutsideDomain.
 """
 
 from __future__ import annotations
@@ -45,13 +48,14 @@ from __future__ import annotations
 import math
 from functools import cached_property
 
-from .curves import CurveBundle, CurveSegment, log_grid, max_join_gap
+from .curves import (CurveBundle, CurveSegment, log_grid, max_join_gap,
+                     power_law)
 from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
                      InvalidRegime, NoBracket, OutsideDomain, RegimeViolation)
-from .logscalar import LogScalar, ln_add
+from .logscalar import LogScalar
 from .params import ForcingParams
 from .solver import find_root
-from .specfun import weighted_exp_integral_ln, weighted_exp_integral_to
+from .specfun import Field, envelope, peak_ln_e, sample, solution
 
 TAGS = ("phi1", "phi2", "phi3")
 
@@ -60,67 +64,6 @@ TAGS = ("phi1", "phi2", "phi3")
 # twenty decades (46 in ln e) hold fewer distinct abscissas than its 512
 # default samples
 _LN_E_DEEPEST = -2.0 ** 49
-
-
-class Field:
-    """Constants of one linear field dy/de = (a/e - b) y - c, y = E^p."""
-
-    def __init__(self, a: float, b: float, c: float, p: float):
-        self.a, self.b, self.c, self.p = a, b, c, p
-
-    @property
-    def e_a(self) -> float:
-        """Where a/e - b changes sign: the asymptote of the nullcline."""
-        return self.a / self.b if self.b > 0.0 else math.inf
-
-    def scaled(self, factor: float) -> "Field":
-        return Field(self.a * factor, self.b * factor, self.c * factor,
-                     self.p)
-
-
-def solution(field: Field, ln_e_ref: float, ln_y_ref: float):
-    """The function ln e -> ln y of the exact solution of
-    dy/de = (a/e - b) y - c through (e_ref, y_ref), at or left of the
-    anchor; right of it (ln e > ln e_ref) is OutsideDomain.
-
-    y(e) = e^a e^(-be) [e_ref^-a e^(b e_ref) y_ref + c W], W the weighted
-    exponential integral from e up to e_ref. For e < e_ref the drift c W
-    adds to the lead, so the bracket only grows moving left. With b = 0
-    this is the two-term form (y_ref - k e_ref)(e/e_ref)^a + k e,
-    k = -c/(1 - a).
-
-    The lead, ln c and W as a function of its lower end (specfun's
-    weighted_exp_integral_to, keyed by the upper end e_ref) are formed
-    here, once.
-    """
-    a, b, c = field.a, field.b, field.c
-    lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
-    ln_c = math.log(c) if c != 0.0 else -math.inf
-    ln_w = weighted_exp_integral_to(a, b, ln_e_ref) if c != 0.0 else None
-
-    def ln_y(ln_e: float) -> float:
-        if ln_e > ln_e_ref:
-            raise OutsideDomain(f"a branch is only defined at or left of "
-                                f"its anchor, ln e = {ln_e_ref:.6g}")
-        inner = lead
-        if ln_w is not None and ln_e != ln_e_ref:
-            inner = ln_add(lead, ln_c + ln_w(ln_e))
-        return a * ln_e - b * math.exp(ln_e) + inner
-
-    return ln_y
-
-
-def envelope(field: Field, ln_e_ref: float,
-             ln_y_ref: float) -> tuple[float, float]:
-    """(lead, top): the inner term of solution at the anchor and its limit
-    at e = 0, top = lead (+) ln c + ln W(0, e_ref), or lead at c = 0. Left
-    of the anchor the drift only adds, so the inner term lies between the
-    two, and a ln e - b e + lead <= ln y <= a ln e + top there."""
-    lead = field.b * math.exp(ln_e_ref) - field.a * ln_e_ref + ln_y_ref
-    if field.c == 0.0:
-        return lead, lead
-    return lead, ln_add(lead, math.log(field.c) + weighted_exp_integral_ln(
-        field.a, field.b, -math.inf, ln_e_ref))
 
 
 class Chain:
@@ -154,9 +97,11 @@ class Chain:
         self.floor = math.exp(ln_floor)
         self.curl_dominant = ln_floors[-1] == ln_floor
         big = params.big_c_omega
-        self.fields = (rise, rise.scaled(1.0 / big), Field(
-            0.75 * (1.0 - params.rho) / big, tail_b,
-            18.0 * params.curlF_norm / (params.nu * big), 1.5))
+        k = 1.0 / big
+        self.fields = (
+            rise, Field(rise.a * k, rise.b * k, rise.c * k, rise.p),
+            Field(0.75 * (1.0 - params.rho) / big, tail_b,
+                  18.0 * params.curlF_norm / (params.nu * big), 1.5))
         # formed once for classify: the forcing parabola's nu and 4 f, and
         # value's factor 1/p of each branch
         self._nu, self._four_f = params.nu, 4.0 * params.f_norm
@@ -232,8 +177,8 @@ class Chain:
         k = a ln e_a - a - ln(c/b). At or below ln 1/2 it is under
         -1 + (1 - a) ln 2 + a/2 < 0 from w = -k - top - 1 down, and it is
         at least 1 from w = 1 - k - lead up: those two ends bracket the
-        root. At b = 0 the rise is e^a (e^top - c e^(1-a)/(1-a)), which
-        meets (c/a) e where (1 - a) ln e = top + ln a + ln(1 - a) - ln c.
+        root. At b = 0 the peak is closed form (specfun.peak_ln_e), and
+        one at or right of the anchor is NoBracket.
         """
         f = self.rise
         if f.c == 0.0:
@@ -244,14 +189,13 @@ class Chain:
                 f"barrier asymptote e_a = {f.e_a}")
         if not f.e_a > 0.0:
             raise InvalidRegime(f"e_a = a/b underflows (b = {f.b:.3g})")
-        lead, top = envelope(f, *self._anchor(0))
         if f.b > 0.0:
-            k = f.a * math.log(f.e_a) - f.a - math.log(f.c) + math.log(f.b)
+            lead, top = envelope(f, *self._anchor(0))
+            k = f.a * math.log(f.e_a) - f.a - f.ln_c + math.log(f.b)
             x = find_root(self.peak_gap, min(-k - top - 1.0, math.log(0.5)),
                           min(1.0 - k - lead, math.log1p(-1e-9)))
         else:
-            x = (top + math.log(f.a) + math.log1p(-f.a) - math.log(f.c)) \
-                / (1.0 - f.a)
+            x = peak_ln_e(f, *self._anchor(0))
             if x >= self.ln_e0:
                 raise NoBracket("rise peaks at or right of the anchor e0")
         ln_e = self._ln_e_of(x)
@@ -336,19 +280,9 @@ class Chain:
 
     def _sample(self, k: int, ln_lo: float, ln_hi: float,
                 samples: int) -> CurveSegment:
-        field, ln_y_of = self.fields[k], self.ln_y_of(k)
-        a, b, q = field.a, field.b, self._q[k]
-        ln_c = math.log(field.c) if field.c else -math.inf
         grid = log_grid(ln_lo, ln_hi, samples)
-        ln_E, slope = [], []
-        for v in grid:
-            ln_y = ln_y_of(v)
-            # c e / y, taken as inf from ln 709 on, before exp overflows
-            ln_drag = ln_c + v - ln_y
-            drag = math.exp(ln_drag) if ln_drag <= 709.0 else math.inf
-            ln_E.append(q * ln_y)
-            slope.append(q * (a - b * math.exp(v) - drag))
-        return CurveSegment(TAGS[k], grid, ln_E, slope)
+        return CurveSegment(TAGS[k], grid,
+                            *sample(self.fields[k], self.ln_y_of(k), grid))
 
     def assemble(self, samples: int = 512) -> CurveBundle:
         """Sample the three branches plus their frame into a CurveBundle.
@@ -372,10 +306,8 @@ class Chain:
                 self._sample(2, ln_deep, ln_floor, samples)]
 
         ln_low = math.log(params.lam_under)
-        low_grid = log_grid(ln_deep, ln_e0, samples)
-        segs.append(CurveSegment("lower_boundary", low_grid,
-                                 [ln_low + v for v in low_grid],
-                                 [1.0] * samples))
+        segs.append(power_law("lower_boundary",
+                              log_grid(ln_deep, ln_e0, samples), ln_low, 1.0))
 
         if self.rise.b > 0.0:
             # the nullcline to the power 1/p, sampled in w left of e_a
@@ -389,10 +321,8 @@ class Chain:
         else:
             par_lo = ln_peak
         ln_par = math.log(4.0 * params.f_norm / params.nu)
-        par_grid = log_grid(par_lo, ln_e0, samples)
-        segs.append(CurveSegment("parabola", par_grid,
-                                 [ln_par + 0.5 * v for v in par_grid],
-                                 [0.5] * samples))
+        segs.append(power_law("parabola", log_grid(par_lo, ln_e0, samples),
+                              ln_par, 0.5))
 
         e_peak, E_peak_name, e_floor, E_floor = self.names
         bundle = CurveBundle(

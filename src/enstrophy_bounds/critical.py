@@ -24,11 +24,12 @@ from __future__ import annotations
 
 import math
 
-from .branches import Chain, Field
+from .branches import Chain
 from .curves import CurveBundle
 from .errors import InvalidRegime, OutsideDomain
 from .logscalar import LogScalar, ln_add, ln_sub
 from .params import ForcingParams, exp_in_range, held
+from .specfun import Field
 
 
 def ln_floors(params: ForcingParams) -> tuple[float, float]:

@@ -66,6 +66,14 @@ def log_grid(ln_lo: float, ln_hi: float, n: int) -> list[float]:
     return [i * step + ln_lo for i in range(n - 1)] + [ln_hi]
 
 
+def power_law(tag: str, grid: list[float], ln_c: float,
+              k: float) -> CurveSegment:
+    """The power law E = C e^k sampled on grid: ln E = ln C + k ln e, with
+    slope k."""
+    return CurveSegment(tag, grid, [ln_c + k * v for v in grid],
+                        [k] * len(grid))
+
+
 def max_join_gap(bundle: CurveBundle) -> float:
     """Largest |ln E| mismatch where consecutive phi segments meet; two
     that do not share a breakpoint are CancellationLoss, as a gap would

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 
-from .curves import CurveBundle, CurveSegment, log_grid
+from .curves import CurveBundle, CurveSegment, log_grid, power_law
 from .errors import InvalidRegime, NoBracket, OutsideDomain, RegimeViolation
 from .logscalar import LogScalar, ln_add
 from .params import _LN_RANGE, ForcingParams, held
@@ -340,10 +340,8 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
         "parabola", par_grid,
         [ln["E0"] + 0.5 * (v - ln["e0"]) for v in par_grid], [0.5] * samples))
 
-    ln_low = math.log(params.lam0)
-    segs.append(CurveSegment("lower_boundary", par_grid,
-                             [ln_low + v for v in par_grid],
-                             [1.0] * samples))
+    segs.append(power_law("lower_boundary", par_grid, math.log(params.lam0),
+                          1.0))
 
     breakpoints = {k: LogScalar.from_float(v) for k, v in vars(geo).items()}
     # e2 exists only where delta < 0 (solve_e2), so its floor is vacuous

@@ -2,35 +2,40 @@
 
 Here the growth-rate quotient collapses to an affine slope field
 dE/de = (alpha/e) E - beta with alpha = (1 - s)/2 for a combined smallness
-parameter s, so the whole curve is one closed form
+parameter s. That is the b = 0, p = 1 case of the linear field
+dy/de = (a/e - b) y - c that the critical and subcritical branches solve,
+so the curve is specfun's solution of Field(alpha, 0, beta, 1) through the
+anchor, the two-term closed form
 
     E(e) = K e^alpha - beta/(1-alpha) e,
     K = E0/e0^alpha + beta e0^(1-alpha)/(1-alpha),
 
-concave with a single interior maximum. The interesting exponents are
+concave with a single interior maximum where it meets its nullcline
+E = (beta/alpha) e (specfun.peak_ln_e). The interesting exponents are
 algebraic, not exponential, so the public helpers take and return floats;
-assemble_scaling forms the anchor E0, each sample and the maximum from
-sums of logs (ln_add of the two positive terms), since E0 = 4 lam e0 and
-the samples can underflow where their logs do not. The admissibility
-floor E_floor marks where the underlying smallness condition can hold at
-all; samples below it are flagged rather than hidden.
+assemble_scaling forms the anchor E0, each sample, its slope (specfun's
+sample) and the maximum in logs, since E0 = 4 lam e0 and the samples can
+underflow where their logs do not. The admissibility floor E_floor marks
+where the underlying smallness condition can hold at all; samples below
+it are flagged rather than hidden.
 """
 
 from __future__ import annotations
 
 import math
 
-from .curves import CurveBundle, CurveSegment, log_grid
+from .curves import CurveBundle, CurveSegment, log_grid, power_law
 from .errors import InvalidRegime, RegimeViolation
 from .logscalar import LogScalar, ln_add
 from .params import _LN_RANGE, ForcingParams, exp_in_range
+from .specfun import Field, peak_ln_e, sample, solution
 
 
 class ScalingParams:
     """The combined smallness parameter s = eps0 c' + delta, which must
     stay in (0, 1), the exponent alpha_sc = (1 - s)/2, the drain rate
     beta_sc >= 0 (0 leaves the pure power law) and the admissibility floor
-    E_floor."""
+    E_floor; field is the slope field (alpha_sc, 0, beta_sc, 1)."""
 
     def __init__(self, s: float, beta_sc: float, E_floor: float):
         if not 0.0 < s < 1.0:
@@ -40,6 +45,7 @@ class ScalingParams:
             raise InvalidRegime(f"drain rate beta = {beta_sc} must be >= 0")
         self.s, self.alpha_sc = s, 0.5 * (1.0 - s)
         self.beta_sc, self.E_floor = beta_sc, E_floor
+        self.field = Field(self.alpha_sc, 0.0, beta_sc, 1.0)
 
 
 def scaling_params(params: ForcingParams) -> ScalingParams:
@@ -61,42 +67,30 @@ def scaling_params(params: ForcingParams) -> ScalingParams:
     return ScalingParams(s, beta, math.exp(ln_floor))
 
 
-def _ln_curve(v: float, ln_e0: float, ln_E0: float,
-              sp: ScalingParams) -> float:
-    """ln of the curve at e = exp(v) <= e0, written as
-    E0 (e/e0)^a + beta/(1-a) e ((e0/e)^(1-a) - 1) and summed from the logs
-    of its two terms: left of the anchor both are positive, so nothing
-    cancels however large beta is, and neither can underflow; at beta = 0
-    the second is gone."""
-    a, beta = sp.alpha_sc, sp.beta_sc
-    rest = math.expm1((1.0 - a) * (ln_e0 - v))
-    ln_rest = math.log(rest) if rest > 0.0 else -math.inf
-    ln_drain = math.log(beta / (1.0 - a)) if beta else -math.inf
-    return ln_add(ln_E0 + a * (v - ln_e0), ln_drain + v + ln_rest)
-
-
-def _ln_emax(ln_e0: float, ln_E0: float,
-             sp: ScalingParams) -> tuple[float, float]:
-    """(ln e, ln E) of the stationary point, where (e/e0)^(1-a) =
-    a + a (1-a)/r with r = beta e0/E0; RegimeViolation unless it lies
-    left of the anchor, as at beta = 0, where the curve only rises."""
-    a = sp.alpha_sc
-    ln_r = (math.log(sp.beta_sc) if sp.beta_sc else -math.inf) \
-        + ln_e0 - ln_E0
-    ln_e = ln_e0 + ln_add(math.log(a), math.log(a * (1.0 - a)) - ln_r) \
-        / (1.0 - a)
-    if ln_e >= ln_e0:
+def _maximum(field: Field, ln_e0: float,
+             ln_E0: float) -> tuple[float, float]:
+    """(ln e, ln E) of the stationary point of the curve through (e0, E0);
+    RegimeViolation unless it lies left of the anchor, as at beta = 0,
+    where the curve only rises."""
+    ln_e = peak_ln_e(field, ln_e0, ln_E0)
+    if not ln_e < ln_e0:
         raise RegimeViolation(
             f"curve maximum ln e = {ln_e:.6g} not left of the anchor "
             f"ln e0 = {ln_e0:.6g}")
-    return ln_e, _ln_curve(ln_e, ln_e0, ln_E0, sp)
+    return ln_e, solution(field, ln_e0, ln_E0)(ln_e)
 
 
 def scaling_emax(e0_init: float, E0_init: float,
                  sp: ScalingParams) -> tuple[float, float]:
-    """Stationary point of the curve; only meaningful left of the anchor."""
-    ln_e, ln_E = _ln_emax(math.log(e0_init), math.log(E0_init), sp)
-    return math.exp(ln_e), math.exp(ln_E)
+    """Stationary point of the curve; only meaningful left of the anchor.
+    An anchor that is not positive and finite, or a maximum above float
+    range, is InvalidRegime."""
+    if not (0.0 < e0_init < math.inf and 0.0 < E0_init < math.inf):
+        raise InvalidRegime(f"anchor (e0, E0) = ({e0_init}, {E0_init}) "
+                            f"must be positive and finite")
+    ln_e, ln_E = _maximum(sp.field, math.log(e0_init), math.log(E0_init))
+    return (exp_in_range(ln_e, "curve maximum e_max"),
+            exp_in_range(ln_E, "curve maximum E_max"))
 
 
 def exponent_compare(r: float, s: float) -> dict:
@@ -135,24 +129,20 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     ln_floor = math.log(sp.E_floor) if sp.E_floor > 0.0 else -math.inf
 
     grid = log_grid(ln_e0 - 12.0 * math.log(10.0), ln_e0, samples)
-    ln_E = [_ln_curve(v, ln_e0, ln_E0, sp) for v in grid]
-    # slope a - beta e/E; the ratio, at most 2 (psi_inf + eps0 c'), can
-    # pass float range, and to_float saturates it to inf
-    ln_beta = math.log(sp.beta_sc)
-    slope = [sp.alpha_sc - LogScalar(ln_beta + v - ln).to_float()
-             for v, ln in zip(grid, ln_E)]
+    # the slope a - beta e/E; the ratio, at most 2 (psi_inf + eps0 c'), can
+    # pass float range, where it is taken as inf
+    ln_E, slope = sample(sp.field, solution(sp.field, ln_e0, ln_E0), grid)
     below = sum(ln < ln_floor for ln in ln_E)
     segs = [CurveSegment("phi1", grid, ln_E, slope)]
     if sp.E_floor > 0.0:
         # a zero floor (no curl forcing) admits every sample: no barrier
-        segs.append(CurveSegment("barrier", grid, [ln_floor] * samples,
-                                 [0.0] * samples))
+        segs.append(power_law("barrier", grid, ln_floor, 0.0))
 
     breakpoints = {"e0": LogScalar(ln_e0),
                    "E0": LogScalar(ln_E0)}
     flags = [f"s={sp.s:.12g}"]
     try:
-        ln_e_max, ln_E_max = _ln_emax(ln_e0, ln_E0, sp)
+        ln_e_max, ln_E_max = _maximum(sp.field, ln_e0, ln_E0)
         breakpoints["e_max"] = LogScalar(ln_e_max)
         breakpoints["E_max"] = LogScalar(ln_E_max)
     except RegimeViolation:

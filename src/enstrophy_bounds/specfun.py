@@ -26,14 +26,22 @@ once per upper end, as a function of the lower end, so every sample of a
 branch shares alpha, x, its gate and ln G, which that function forms on
 first use and keeps (there is no module-level cache). Every arm is summed
 to the fixed relative accuracy _REL_TOL = 1e-12.
+
+The integral's only callers are the solutions of the linear field
+dy/de = (a/e - b) y - c, y = E^p (Field), which every closed-form curve
+family solves: the critical (b > 0) and subcritical (b = 0) branches of
+the branches module, and the scaling curve (b = 0, p = 1). solution
+evaluates one through its anchor, envelope bounds it left of the anchor,
+peak_ln_e is its b = 0 maximum in closed form and sample gives ln E and
+d ln E/d ln e on a grid; each family keeps its own refusals.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import NonConvergence
-from .logscalar import LogScalar
+from .errors import NonConvergence, OutsideDomain
+from .logscalar import LogScalar, ln_add
 
 _RESCALE = 1e250
 _LN_RESCALE = math.log(_RESCALE)
@@ -197,3 +205,93 @@ def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
     """ln of int s^(-a) e^(b s) ds over [exp(ln_lo), exp(ln_hi)]: the
     function weighted_exp_integral_to prepares for ln_hi, at ln_lo."""
     return weighted_exp_integral_to(a, b, ln_hi)(ln_lo)
+
+
+# -- the linear field and its solution ---------------------------------------
+
+class Field:
+    """Constants of one linear field dy/de = (a/e - b) y - c, y = E^p,
+    and ln c (-inf at c = 0)."""
+
+    def __init__(self, a: float, b: float, c: float, p: float):
+        self.a, self.b, self.c, self.p = a, b, c, p
+        self.ln_c = math.log(c) if c != 0.0 else -math.inf
+
+    @property
+    def e_a(self) -> float:
+        """Where a/e - b changes sign: the asymptote of the nullcline."""
+        return self.a / self.b if self.b > 0.0 else math.inf
+
+
+def solution(field: Field, ln_e_ref: float, ln_y_ref: float):
+    """The function ln e -> ln y of the exact solution of
+    dy/de = (a/e - b) y - c through (e_ref, y_ref), at or left of the
+    anchor; right of it (ln e > ln e_ref) is OutsideDomain.
+
+    y(e) = e^a e^(-be) [e_ref^-a e^(b e_ref) y_ref + c W], W the weighted
+    exponential integral from e up to e_ref. For e < e_ref the drift c W
+    adds to the lead, so the bracket only grows moving left. With b = 0
+    this is the two-term form (y_ref - k e_ref)(e/e_ref)^a + k e,
+    k = -c/(1 - a).
+
+    The lead and W as a function of its lower end
+    (weighted_exp_integral_to, keyed by the upper end e_ref) are formed
+    here, once.
+    """
+    a, b, ln_c = field.a, field.b, field.ln_c
+    lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
+    ln_w = weighted_exp_integral_to(a, b, ln_e_ref) if field.c else None
+
+    def ln_y(ln_e: float) -> float:
+        if ln_e > ln_e_ref:
+            raise OutsideDomain(f"a branch is only defined at or left of "
+                                f"its anchor, ln e = {ln_e_ref:.6g}")
+        inner = lead
+        if ln_w is not None and ln_e != ln_e_ref:
+            inner = ln_add(lead, ln_c + ln_w(ln_e))
+        return a * ln_e - b * math.exp(ln_e) + inner
+
+    return ln_y
+
+
+def envelope(field: Field, ln_e_ref: float,
+             ln_y_ref: float) -> tuple[float, float]:
+    """(lead, top): the inner term of solution at the anchor and its limit
+    at e = 0, top = lead (+) ln c + ln W(0, e_ref), which is lead at c = 0
+    (ln c = -inf). Left of the anchor the drift only adds, so the inner
+    term lies between the two, and a ln e - b e + lead <= ln y <= a ln e +
+    top there."""
+    lead = field.b * math.exp(ln_e_ref) - field.a * ln_e_ref + ln_y_ref
+    return lead, ln_add(lead, field.ln_c + weighted_exp_integral_ln(
+        field.a, field.b, -math.inf, ln_e_ref))
+
+
+def peak_ln_e(field: Field, ln_e_ref: float, ln_y_ref: float) -> float:
+    """ln e where the b = 0 solution through (e_ref, y_ref) meets its
+    nullcline y = (c/a) e: its one stationary point.
+
+    At b = 0 the solution is e^a (e^top - c e^(1-a)/(1-a)) (envelope), so
+    (1 - a) ln e = top + ln a + ln(1 - a) - ln c. That is +inf at c = 0,
+    where the solution only rises. The caller refuses a peak that is not
+    left of the anchor.
+    """
+    _, top = envelope(field, ln_e_ref, ln_y_ref)
+    return (top + math.log(field.a) + math.log1p(-field.a) - field.ln_c) \
+        / (1.0 - field.a)
+
+
+def sample(field: Field, ln_y, grid: list[float]) \
+        -> tuple[list[float], list[float]]:
+    """(ln E, d ln E/d ln e) at each ln e of grid, on the solution ln_y of
+    field (see solution): ln E = ln y/p and the slope (a - b e - c e/y)/p
+    of the field itself."""
+    a, b, q, ln_c = field.a, field.b, 1.0 / field.p, field.ln_c
+    ln_E, slope = [], []
+    for v in grid:
+        ln_y_v = ln_y(v)
+        # c e / y, taken as inf from ln 709 on, before exp overflows
+        ln_drag = ln_c + v - ln_y_v
+        drag = math.exp(ln_drag) if ln_drag <= 709.0 else math.inf
+        ln_E.append(q * ln_y_v)
+        slope.append(q * (a - b * math.exp(v) - drag))
+    return ln_E, slope

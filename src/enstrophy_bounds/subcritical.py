@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import math
 
-from .branches import Chain, Field
+from .branches import Chain
 from .curves import CurveBundle
 from .errors import InvalidRegime
 from .logscalar import LogScalar
 from .params import ForcingParams, exp_in_range, held
+from .specfun import Field
 
 
 def sigma_of(r: float) -> float:

@@ -446,6 +446,37 @@ def test_exit_code_numerical(tmp_path):
     assert run(["curve", "subcritical", "--params", flat]) == 2
 
 
+# a fig3 set whose subcritical rise peaks right of e0: the chain refuses
+# the peak, while the scaling curve through the same e0 has its own
+_PEAK_RIGHT_OF_E0 = {
+    "nu": 256.0, "lambda": 0.00153, "lambda0": 0.00142, "f_norm": 3.54,
+    "curlF_norm": 4310.0, "r": 0.51, "eps": 0.000299, "mu": 0.194,
+    "c2": 0.682, "c": 0.0199}
+
+
+@pytest.mark.parametrize("args, code", [
+    (["curve", "subcritical"], 2),
+    (["classify", "--model", "subcritical", "--e", "1", "--E", "1"], 2),
+    (["verify"], 2),
+    (["curve", "scaling"], 0),
+], ids=["curve-subcritical", "classify-subcritical", "verify",
+        "curve-scaling"])
+def test_rise_peaking_right_of_the_anchor(tmp_path, capsys, args, code):
+    raw = json.loads((PRESETS / "fig3.json").read_text())
+    raw.update(_PEAK_RIGHT_OF_E0)
+    params = tmp_path / "right.json"
+    params.write_text(json.dumps(raw))
+    assert run([*args, "--params", str(params)]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err == \
+            "NoBracket: rise peaks at or right of the anchor e0\n"
+    else:
+        assert captured.err == ""
+        assert captured.out.startswith("e,log10_E,segment\n")
+
+
 def test_help_exits_zero(capsys):
     assert run(["--help"]) == 0
     assert "curve" in capsys.readouterr().out
@@ -981,7 +1012,7 @@ def _executed_modules(*args) -> set:
     (("curve", "full", "--params", FIG2, "--samples", "16"),
      _SHARED | {"full_nse", "solver"}),
     (("curve", "scaling", "--params", FIG2, "--samples", "16"),
-     _SHARED | {"scaling"}),
+     _SHARED | {"scaling", "specfun"}),
 ], ids=["emax", "taylor", "help", "classify", "curve-full", "curve-scaling"])
 def test_command_executes_only_the_modules_it_runs(tmp_path, args, executed):
     if "CURVE" in args:

@@ -21,10 +21,10 @@ from enstrophy_bounds import (
     truncation_comparison,
 )
 from enstrophy_bounds import branches, subcritical
-from enstrophy_bounds.branches import solution
 from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.solver import integrate_adaptive
+from enstrophy_bounds.specfun import Field, solution
 
 
 def _with(params, **over):
@@ -94,7 +94,7 @@ def test_barrier_shape(fig2):
 def test_xi_homogeneous_closed_form(fig2):
     # with c = 0 the field integrates to xi0 (e/e0)^a exp(-b (e - e0))
     rise = coefficients(fig2)
-    co = branches.Field(rise.a, rise.b, 0.0, rise.p)
+    co = Field(rise.a, rise.b, 0.0, rise.p)
     ln_xi0 = 0.6 * math.log(chain(fig2).E0)
     ln_e0 = math.log(fig2.e0)
     for e in (0.001, 0.1, 1.0, 4.0):

@@ -1,7 +1,7 @@
 """The curve samplers against pointwise oracles, bit for bit.
 
 Each branch of a chain is evaluated through one prepared solution
-(branches.solution) and each full-model segment through constants formed
+(specfun.solution) and each full-model segment through constants formed
 once per segment. The oracles below form every quantity at every point,
 as the pointwise kernels did: the branch solution with its own weighted
 exponential integral, the funnel, its slope field and the nose. A sampler
