@@ -26,12 +26,13 @@ import importlib
 import json
 import math
 import sys
+from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
 from .curves import bundle_to_csv, bundle_to_json, round_sig
 from .errors import EnstrophyBoundsError, InvalidRegime
-from .logscalar import ZERO, LogScalar
+from .logscalar import _LN10, LogScalar, ln_add
 from .params import load_params_file
 
 
@@ -77,10 +78,10 @@ def _cmd_emax(params, args) -> int:
     flags = list(report.flags)
     if (e_scale, big_scale) != (1.0, 1.0):
         flags.append("rescaled_to_physical_units")
-    up = LogScalar.from_float(big_scale)
+    ln_up = LogScalar.from_float(big_scale).ln
     doc = {
-        "log10_lower": round_sig((report.lower * up).log10()),
-        "log10_upper": round_sig((report.upper * up).log10()),
+        "log10_lower": round_sig((report.lower.ln + ln_up) / _LN10),
+        "log10_upper": round_sig((report.upper.ln + ln_up) / _LN10),
         "eta_used": round_sig(report.eta_used),
         "e_crit": round_sig(report.e_crit * e_scale),
         "e_bar_crit": round_sig(report.e_bar_crit * e_scale),
@@ -120,26 +121,25 @@ def _cmd_verify(params, args) -> int:
 
 
 def _read_curve(path: str) -> list:
-    """(tag, energies, enstrophies) of each nonempty segment of a curve
-    JSON that the curve subcommand wrote: positive energies, each with one
-    finite log10_E."""
-    ln10 = math.log(10.0)
+    """(tag, ln energies, ln enstrophies) of each nonempty segment of a
+    curve JSON that the curve subcommand wrote: positive energies, each
+    with one finite log10_E."""
     try:
         doc = json.loads(Path(path).read_bytes())
         segments = [(seg["tag"],
-                     [LogScalar.from_sci_string(s) for s in seg["e"]],
-                     [LogScalar(float(v) * ln10) for v in seg["log10_E"]])
+                     [LogScalar.from_sci_string(s).ln for s in seg["e"]],
+                     [float(v) * _LN10 for v in seg["log10_E"]])
                     for seg in doc["segments"] if seg["e"]]
     except (AttributeError, KeyError, OverflowError, TypeError,
             ValueError) as exc:
         raise InvalidRegime(f"{path} is not a curve file: "
                             f"{type(exc).__name__}: {exc}") from None
     for tag, es, big_es in segments:
-        if any(e.ln == -math.inf for e in es):
+        if any(e == -math.inf for e in es):
             raise InvalidRegime(f"{path} is not a curve file: "
                                 "every energy must be positive")
         if len(big_es) != len(es) \
-                or not all(math.isfinite(E.ln) for E in big_es):
+                or not all(math.isfinite(E) for E in big_es):
             raise InvalidRegime(f"{path} is not a curve file: segment "
                                 f"{tag} needs one finite log10_E per energy")
     return segments
@@ -148,10 +148,11 @@ def _read_curve(path: str) -> list:
 def _cmd_taylor(params, args) -> int:
     segments = []
     for tag, es, big_es in _read_curve(args.curve):
-        n = LogScalar.from_float(float(len(es)))
-        e_mean = sum(es, ZERO) / n
-        big_mean = sum(big_es, ZERO) / n
-        kappa = (big_mean / e_mean) ** 0.5
+        # the means in ln: each sum an ln_add fold from ln 0
+        ln_n = math.log(len(es))
+        e_mean = reduce(ln_add, es, -math.inf) - ln_n
+        big_mean = reduce(ln_add, big_es, -math.inf) - ln_n
+        kappa = LogScalar(0.5 * (big_mean - e_mean))
         segments.append({"tag": tag,
                          "log10_kappa_T": round_sig(kappa.log10()),
                          "kappa_T": _finite(kappa.to_float())})

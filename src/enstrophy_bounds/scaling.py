@@ -35,14 +35,19 @@ class ScalingParams:
     """The combined smallness parameter s = eps0 c' + delta, which must
     stay in (0, 1), the exponent alpha_sc = (1 - s)/2, the drain rate
     beta_sc >= 0 (0 leaves the pure power law) and the admissibility floor
-    E_floor; field is the slope field (alpha_sc, 0, beta_sc, 1)."""
+    E_floor >= 0, both finite; field is the slope field
+    (alpha_sc, 0, beta_sc, 1)."""
 
     def __init__(self, s: float, beta_sc: float, E_floor: float):
         if not 0.0 < s < 1.0:
             raise InvalidRegime(
                 f"combined smallness parameter s = {s} must lie in (0, 1)")
-        if not beta_sc >= 0.0:
-            raise InvalidRegime(f"drain rate beta = {beta_sc} must be >= 0")
+        if not 0.0 <= beta_sc < math.inf:
+            raise InvalidRegime(
+                f"drain rate beta = {beta_sc} must be finite and >= 0")
+        if not 0.0 <= E_floor < math.inf:
+            raise InvalidRegime(f"admissibility floor E_floor = {E_floor} "
+                                "must be finite and >= 0")
         self.s, self.alpha_sc = s, 0.5 * (1.0 - s)
         self.beta_sc, self.E_floor = beta_sc, E_floor
         self.field = Field(self.alpha_sc, 0.0, beta_sc, 1.0)

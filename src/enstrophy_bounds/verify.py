@@ -38,6 +38,8 @@ from .params import ForcingParams
 from .solver import integrate_adaptive, rk4_path
 
 _REL_TOL = 1e-9  # sign-margin tolerance: constructed margins are exact zeros
+# the root scan's grid: its half width in the root's variable, its nodes
+_SCAN_HALF_WIDTH, _SCAN_N = 2.0, 201
 
 
 def halved_curve(curve: CurveBundle) -> CurveBundle:
@@ -218,16 +220,16 @@ def _rk4_row(params: ForcingParams) -> dict:
             "pass": worst <= 1e-6}
 
 
-def _scan_row(name: str, gap, center: float, half_width: float = 2.0,
-              n: int = 201, room: float = math.inf) -> dict:
+def _scan_row(name: str, gap, center: float, room: float = math.inf) -> dict:
     """Verify a found root by locating a sign change on an independent grid
-    around it and checking the claim falls inside that bracket. The grid
-    reaches half_width to the left and at most room, where the gap's
-    domain ends, to the right. Grid points outside a curve's own domain
-    are skipped, not fatal."""
+    of _SCAN_N nodes around it and checking the claim falls inside that
+    bracket. The grid reaches _SCAN_HALF_WIDTH to the left and at most
+    room, where the gap's domain ends, to the right. Grid points outside a
+    curve's own domain are skipped, not fatal."""
     # offsets scaled onto center keep the middle node exactly at center
-    grid = [center + (min(half_width, room) if u > 0.0 else half_width) * u
-            for u in log_grid(-1.0, 1.0, n)]
+    grid = [center + (min(_SCAN_HALF_WIDTH, room) if u > 0.0
+                      else _SCAN_HALF_WIDTH) * u
+            for u in log_grid(-1.0, 1.0, _SCAN_N)]
     vals = []
     for v in grid:
         try:
@@ -243,8 +245,9 @@ def _scan_row(name: str, gap, center: float, half_width: float = 2.0,
                 dist = 0.0
                 break
             dist = min(dist, abs(center - a), abs(center - b))
-    return {"check": "root_vs_gridscan", "segment": name, "samples": n,
-            "worst_margin": dist, "pass": bool(dist == 0.0)}
+    return {"check": "root_vs_gridscan", "segment": name,
+            "samples": _SCAN_N, "worst_margin": dist,
+            "pass": bool(dist == 0.0)}
 
 
 def _scan_rows(params: ForcingParams) -> list[dict]:

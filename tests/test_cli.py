@@ -5,6 +5,7 @@ import importlib.util
 import json
 import math
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -18,8 +19,10 @@ from enstrophy_bounds import (AssumptionViolated, CancellationLoss,
                               assemble_critical, assemble_subcritical,
                               bound_report, branches, classify_critical,
                               classify_full, classify_subcritical, cli,
-                              load_params_file)
+                              load_params_file, maxest)
 from enstrophy_bounds.cli import run
+from enstrophy_bounds.curves import round_sig
+from enstrophy_bounds.logscalar import LogScalar, ln_add, sci_string
 
 from conftest import PRESETS
 
@@ -896,6 +899,121 @@ def test_taylor_command(tmp_path):
     # stays reported, the linear value goes null
     assert by_tag["phi3"]["kappa_T"] is None
     assert by_tag["phi3"]["log10_kappa_T"] > 100.0
+
+
+class _Arith:
+    """The LogScalar arithmetic that taylor and emax formed their numbers
+    with before they worked in ln floats, kept as their oracle: + is
+    ln_add, and * / ** act on the ln."""
+
+    def __init__(self, ln: float):
+        self.ln = ln
+
+    def __add__(self, other):
+        return _Arith(ln_add(self.ln, other.ln))
+
+    def __mul__(self, other):
+        return _Arith(self.ln + other.ln)
+
+    def __truediv__(self, other):
+        if other.ln == -math.inf:
+            raise ZeroDivisionError("division by zero")
+        return _Arith(self.ln - other.ln)
+
+    def __pow__(self, p: float):
+        if self.ln == -math.inf:
+            if p < 0:
+                raise ZeroDivisionError("0 to a negative power")
+            return _Arith(0.0 if p == 0 else -math.inf)
+        return _Arith(self.ln * p)
+
+
+def _taylor_oracle(doc: dict, lam: float, rounding) -> dict:
+    ln10, segments = math.log(10.0), []
+    for seg in doc["segments"]:
+        es = [_Arith(LogScalar.from_sci_string(s).ln) for s in seg["e"]]
+        big_es = [_Arith(float(v) * ln10) for v in seg["log10_E"]]
+        n = _Arith(math.log(float(len(es))))
+        e_mean = sum(es, _Arith(-math.inf)) / n
+        big_mean = sum(big_es, _Arith(-math.inf)) / n
+        kappa = LogScalar(((big_mean / e_mean) ** 0.5).ln)
+        k = kappa.to_float()
+        segments.append({"tag": seg["tag"],
+                         "log10_kappa_T": rounding(kappa.log10()),
+                         "kappa_T": k if math.isfinite(k) else None})
+    return {"segments": segments,
+            "log10_sqrt_lambda": rounding(0.5 * math.log10(lam))}
+
+
+def _seeded_curve(rng) -> dict:
+    """Segments of 1 to 600 samples, ln e and ln E within 1e4 of 0, so
+    both the energies and the wavenumber leave float range."""
+    segments = []
+    for i in range(12):
+        n = rng.choice([1, 1, 2, rng.randint(3, 600)])
+        ln_e = [rng.uniform(-1e4, 1e4) for _ in range(n)]
+        ln_E = [rng.uniform(-1e4, 1e4) for _ in range(n)]
+        segments.append({"tag": f"s{i}",
+                         "e": [sci_string(v) for v in ln_e],
+                         "log10_E": [v / math.log(10.0) for v in ln_E]})
+    return {"segments": segments}
+
+
+@pytest.mark.parametrize("rounding", [round_sig, float],
+                         ids=["printed", "unrounded"])
+def test_taylor_matches_the_removed_arithmetic(tmp_path, capsys,
+                                               monkeypatch, rounding):
+    # unrounded, the JSON carries every bit of each float
+    monkeypatch.setattr(cli, "round_sig", rounding)
+    rng = random.Random(29)
+    lam = load_params_file(FIG2).lam
+    seen = set()
+    for i in range(20):
+        doc = _seeded_curve(rng)
+        path = tmp_path / f"curve{i}.json"
+        path.write_text(json.dumps(doc))
+        assert run(["taylor", "--params", FIG2, "--curve", str(path)]) == 0
+        got = capsys.readouterr().out
+        want = _taylor_oracle(doc, lam, rounding)
+        assert got == json.dumps(want, sort_keys=True, indent=2) + "\n"
+        for seg, row in zip(doc["segments"], want["segments"]):
+            seen.add((len(seg["e"]) == 1, row["kappa_T"] is None))
+    assert seen == {(True, True), (True, False), (False, True),
+                    (False, False)}
+
+
+@pytest.mark.parametrize("rounding", [round_sig, float],
+                         ids=["printed", "unrounded"])
+@pytest.mark.parametrize("extra", [[], ["--eta", "3", "--anchor-E0", "100"]],
+                         ids=["plain", "eta-anchor"])
+def test_emax_matches_the_removed_arithmetic(tmp_path, capsys, monkeypatch,
+                                             rounding, extra):
+    # physical frames 40 decades either side of fig2's, at G in [1, 30]
+    monkeypatch.setattr(cli, "round_sig", rounding)
+    rng = random.Random(29)
+    raw = json.loads((PRESETS / "fig2.json").read_text())
+    answered = 0
+    for i in range(40):
+        nu, lam = 10.0 ** rng.uniform(-40, 40), 10.0 ** rng.uniform(-40, 40)
+        path = _fig2_variant(tmp_path, f"p{i}.json", nu=nu, **{"lambda": lam},
+                             f_norm=rng.uniform(1.0, 30.0) * nu ** 2
+                             * lam ** 0.75)
+        code = run(["emax", "--params", path, *extra])
+        out = capsys.readouterr().out
+        if code != 0:
+            continue
+        answered += 1
+        p = load_params_file(path)
+        report = bound_report(p.grashof, p.eps, p.rho, p.c2, mu=p.mu,
+                              eta=float(extra[1]) if extra else None,
+                              E0_anchor=float(extra[3]) if extra else None)
+        up = _Arith(LogScalar.from_float(maxest.physical_scale(p)[1]).ln)
+        doc = json.loads(out)
+        for key, bound in (("log10_lower", report.lower),
+                           ("log10_upper", report.upper)):
+            ln = (_Arith(bound.ln) * up).ln
+            assert doc[key] == rounding(LogScalar(ln).log10())
+    assert answered > 30
 
 
 def test_console_entry_point():

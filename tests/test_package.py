@@ -82,8 +82,9 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 
 # names that left the surface: the per-branch wrappers (the chain's value
 # is the one way to evaluate a branch), float twins of the segment kernels,
-# LogScalar aliases and scaling's own closed form (the curve is specfun's
-# b = 0 solution)
+# LogScalar aliases, its arithmetic and ONE (a value is a boundary value
+# only) and scaling's own closed form (the curve is specfun's b = 0
+# solution)
 _REMOVED = {
     "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve",
     "critical": "phi1 phi2 phi3",
@@ -91,6 +92,7 @@ _REMOVED = {
     "branches": "_as_ln",
     "full_nse": "phi_slope",
     "scaling": "scaling_curve _ln_curve",
+    "logscalar": "ONE",
 }
 
 
@@ -101,7 +103,8 @@ def test_removed_names_raise_attribute_error():
 
     owners = [(getattr(eb, m) if m else eb, names)
               for m, names in _REMOVED.items()]
-    owners += [(Chain, "branch"), (LogScalar, "from_ln to_sci_string")]
+    owners += [(Chain, "branch"), (LogScalar, "from_ln to_sci_string __add__ "
+                                   "__mul__ __truediv__ __pow__")]
     for owner, names in owners:
         for name in names.split():
             assert name not in eb.__all__

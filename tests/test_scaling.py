@@ -94,9 +94,11 @@ def test_smallness_window_gate(fig2):
         scaling_params(bad)
     with pytest.raises(InvalidRegime):
         ScalingParams(s=1.1, beta_sc=1.0, E_floor=1.0)
-    for beta in (-1.0, math.nan):
+    # a drain or a floor that is negative, NaN or infinite; 0 is legal
+    for beta, floor in ((-1.0, 1.0), (math.nan, 1.0), (math.inf, 1.0),
+                        (1.0, -1.0), (1.0, math.nan), (1.0, math.inf)):
         with pytest.raises(InvalidRegime):
-            ScalingParams(s=0.75, beta_sc=beta, E_floor=1.0)
+            ScalingParams(s=0.75, beta_sc=beta, E_floor=floor)
 
 
 def test_pure_power_law_when_drain_vanishes():

@@ -28,8 +28,9 @@ from enstrophy_bounds import branches, specfun
 from enstrophy_bounds.cli import run
 from enstrophy_bounds.curves import CurveBundle, CurveSegment, log_grid
 from enstrophy_bounds.solver import rk4_path
-from enstrophy_bounds.verify import (_ALPHAS, _XS, _chain, _g_quadrature,
-                                     _margins, _rate_tables, _scan_row,
+from enstrophy_bounds.verify import (_ALPHAS, _SCAN_HALF_WIDTH, _SCAN_N,
+                                     _XS, _chain, _g_quadrature, _margins,
+                                     _rate_tables, _scan_row,
                                      _spread_indices, all_pass)
 
 from conftest import ROOT
@@ -205,11 +206,11 @@ def test_oracles_never_reach_the_construction(fig2, fig3, monkeypatch):
 
 
 def test_scan_row_rejects_displaced_root():
-    center, half_width, n = 0.3, 2.0, 201
+    center, half_width, n = 0.3, _SCAN_HALF_WIDTH, _SCAN_N
+    assert (half_width, n) == (2.0, 201)
     step = 2.0 * half_width / (n - 1)
-    on = _scan_row("x", lambda v: v - center, center, half_width, n)
-    off = _scan_row("x", lambda v: v - (center + 1.5 * step), center,
-                    half_width, n)
+    on = _scan_row("x", lambda v: v - center, center)
+    off = _scan_row("x", lambda v: v - (center + 1.5 * step), center)
     assert on["pass"] is True and on["worst_margin"] == 0.0
     assert off["pass"] is False
     assert off["worst_margin"] == pytest.approx(step, rel=1e-9)
