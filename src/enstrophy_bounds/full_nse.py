@@ -15,13 +15,14 @@ Every curve and breakpoint is formed in logs from closed forms, with no
 search: e2/e1 depends on eta alone (solve_e2), and left of the apex the
 apex level E1 parts II from III (classify_full). A value outside float
 range is InvalidRegime where it is used: e1, E1 and e2 in geometry, the
-nine breakpoints and the funnel slopes in assemble_full. Each curve's
-constants (alpha, ln beta, ln t, the slope and nose constants) are formed
-by one function (_funnel, _slope, _nose) and evaluated by another
-(_ln_phi, _ln_slope, _ln_psi): a segment forms them once for all its
-samples, classify_full once per params (_point), and the pointwise
-phi_of_e and psi_of_E for their one point. geometry and _point are held
-on the params object (params.held).
+nine breakpoints and the funnel slopes in assemble_full. Each funnel is
+one record (Funnel) that forms its constants (alpha, p, ln beta, ln t,
+ln k) once and evaluates the curve, its slope and its segment; the nose's
+constants come from _nose and are evaluated by _ln_psi. The region is one
+model (FullNseGeometry), held on the params object (geometry): its
+breakpoints, and what classify_full reads, the parabola coefficient, the
+nose constants and the apex funnel. The pointwise phi_of_e and psi_of_E
+form their constants for their one point.
 """
 
 from __future__ import annotations
@@ -30,9 +31,13 @@ import math
 
 from .curves import CurveBundle, CurveSegment, log_grid, power_law
 from .errors import InvalidRegime, NoBracket, OutsideDomain, RegimeViolation
-from .logscalar import LogScalar, ln_add
+from .logscalar import LogScalar, ln_add, ln_sub
 from .params import _LN_RANGE, ForcingParams, held
 from .solver import find_root
+
+# the region's breakpoints, in the order the bundle lists them
+_BREAKPOINTS = ("e0", "E0", "e1", "E1", "E_under", "e_under", "e_star", "e2",
+                "E2")
 
 
 def _exp(v: float) -> float:
@@ -69,8 +74,8 @@ def _ln_psi(ln_E: float, nose: tuple[float, float, float]) -> float:
 def psi_of_E(E: float, params: ForcingParams) -> float:
     """Nose curve: the energy below which enstrophy cannot grow at level E,
     nu^4 E^2 / (2 (nu f)^2 + c1 E^3), divided through by E^2."""
-    if E < 0.0:
-        raise ValueError("enstrophy must be nonnegative")
+    if not 0.0 <= E < math.inf:
+        raise ValueError("enstrophy must be nonnegative and finite")
     return math.exp(_ln_psi(math.log(E), _nose(params))) if E else 0.0
 
 
@@ -92,39 +97,67 @@ def parabola_E(e: float, params: ForcingParams) -> float:
     return params.eta * params.f_norm / params.nu * math.sqrt(e)
 
 
-def _alpha_ln_beta(params: ForcingParams) -> tuple[float, float]:
-    """alpha = eta/(eta - 1) and ln beta, beta = 4 c1/((3 eta - 1) nu^3 f):
-    the exponent and the rate of the funnels' Bernoulli equation."""
-    eta = params.eta
-    return eta / (eta - 1.0), math.log(4.0 * params.c1 / (3.0 * eta - 1.0)) \
-        - 3.0 * math.log(params.nu) - math.log(params.f_norm)
+class Funnel:
+    """The funnel through (e0, E0) = (exp(ln_e0), exp(ln_E0)), with its
+    constants formed once.
 
+    The slope field is d ln E/d ln e = alpha/2 - beta k E^2 sqrt(e), with
+    alpha = eta/(eta - 1), beta = 4 c1/((3 eta - 1) nu^3 f) and
+    k = alpha (3 - 1/eta)/4, so that beta k = c1/((eta - 1) nu^3 f). Its
+    solution is E^-2 = beta sqrt(e) (t u + 1 - u), with u = (e0/e)^p,
+    p = alpha + 1/2 and t = e0^(-1/2)/(beta E0^2): for t < 1 a vertical
+    asymptote at e_star = e0 (1 - t)^(1/p), left of which the bracket is
+    negative.
+    """
 
-def _ln_t(ln_e0: float, ln_E0: float, ln_beta: float) -> float:
-    """ln t, t = e0^(-1/2)/(beta E0^2), of the funnel through (e0, E0)."""
-    return -0.5 * ln_e0 - 2.0 * ln_E0 - ln_beta
+    def __init__(self, ln_e0: float, ln_E0: float, params: ForcingParams):
+        eta = params.eta
+        self.ln_e0, self.ln_E0 = ln_e0, ln_E0
+        self.alpha = alpha = eta / (eta - 1.0)
+        self.p = alpha + 0.5
+        self.ln_beta = math.log(4.0 * params.c1 / (3.0 * eta - 1.0)) \
+            - 3.0 * math.log(params.nu) - math.log(params.f_norm)
+        self.ln_t = -0.5 * ln_e0 - 2.0 * ln_E0 - self.ln_beta
+        self.ln_k = math.log(0.25 * alpha * (3.0 - 1.0 / eta))
 
+    def ln_E(self, v: float) -> float:
+        """ln E at ln e = v; OutsideDomain at or left of the asymptote."""
+        ln_e0, ln_t = self.ln_e0, self.ln_t
+        if v == ln_e0:  # where the bracket below is t, which may underflow
+            return self.ln_E0
+        # the bracket t u + 1 - u, whose terms cancel only at e_star
+        ln_u = self.p * (ln_e0 - v)
+        try:
+            shifted = math.exp(ln_t + ln_u) - math.expm1(ln_u)
+        except OverflowError:
+            # u or t u past float range: for t >= 1 the bracket is
+            # u (t - 1) + 1, formed in logs; for t < 1, u (1 - t) > 1 and
+            # the point lies left of the asymptote
+            if ln_t >= 0.0:
+                return -0.5 * (self.ln_beta + 0.5 * v + ln_add(
+                    ln_u + ln_sub(ln_t, 0.0)[0], 0.0))
+            shifted = 0.0
+        if shifted <= 0.0:
+            raise OutsideDomain(
+                f"e = exp({v}) is at or left of the funnel asymptote")
+        return -0.5 * (self.ln_beta + 0.5 * v + math.log(shifted))
 
-def _funnel(ln_e0: float, ln_E0: float, params: ForcingParams) -> tuple:
-    """The constants of _ln_phi on the funnel through (e0, E0): ln e0,
-    ln E0, the power p = alpha + 1/2, ln t and ln beta."""
-    alpha, ln_beta = _alpha_ln_beta(params)
-    return ln_e0, ln_E0, alpha + 0.5, _ln_t(ln_e0, ln_E0, ln_beta), ln_beta
+    def slope(self, v: float, ln_E: float) -> float:
+        """d ln E/d ln e of the slope field at (e, E) = (e^v, e^ln_E)."""
+        return 0.5 * self.alpha \
+            - _exp(self.ln_beta + 2.0 * ln_E + 0.5 * v + self.ln_k)
 
-
-def _ln_phi(v: float, funnel: tuple) -> float:
-    """ln E at ln e = v of the funnel with the constants _funnel formed."""
-    ln_e0, ln_E0, p, ln_t, ln_beta = funnel
-    if v == ln_e0:  # where the bracket below is t, which may underflow
-        return ln_E0
-    # bracket of the -1/2 power, beta e^-alpha (e^p - e0^p (1 - t)), over
-    # e^p: t u + 1 - u, u = (e0/e)^p, whose terms cancel only at e_star
-    ln_u = p * (ln_e0 - v)
-    shifted = math.exp(ln_t + ln_u) - math.expm1(ln_u)
-    if shifted <= 0.0:
-        raise OutsideDomain(
-            f"e = exp({v}) is at or left of the funnel asymptote")
-    return -0.5 * (ln_beta + 0.5 * v + math.log(shifted))
+    def segment(self, tag: str, ln_lo: float, ln_hi: float,
+                samples: int) -> CurveSegment:
+        """The funnel sampled on log_grid(ln_lo, ln_hi, samples); a slope
+        outside float range is InvalidRegime."""
+        grid = log_grid(ln_lo, ln_hi, samples)
+        ln_E = [self.ln_E(v) for v in grid]
+        slope = [self.slope(v, u) for v, u in zip(grid, ln_E)]
+        if -math.inf in slope:
+            raise InvalidRegime(
+                f"{tag}: a slope d ln E/d ln e is outside float range")
+        return CurveSegment(tag, grid, ln_E, slope)
 
 
 def phi_of_e(e: float, e0_init: float, E0_init: float,
@@ -134,27 +167,11 @@ def phi_of_e(e: float, e0_init: float, E0_init: float,
     Valid on (e_star, oo): the same expression continues smoothly past the
     anchor, which is how the apex-anchored branch reaches the parabola.
     """
-    if e <= 0.0:
-        raise OutsideDomain("energy must be positive")
-    return math.exp(_ln_phi(math.log(e), _funnel(
-        math.log(e0_init), math.log(E0_init), params)))
-
-
-def _slope(params: ForcingParams) -> tuple[float, float, float]:
-    """The constants of _ln_slope: alpha/2, ln beta and ln k, where
-    c1/((eta - 1) nu^3 f) = beta (3 eta - 1)/(4 (eta - 1)) = beta k,
-    k = alpha (3 - 1/eta)/4."""
-    alpha, ln_beta = _alpha_ln_beta(params)
-    return 0.5 * alpha, ln_beta, math.log(
-        0.25 * alpha * (3.0 - 1.0 / params.eta))
-
-
-def _ln_slope(v: float, ln_E: float, slope: tuple) -> float:
-    """d ln E/d ln e of the funnel slope field at (e, E) = (e^v, e^ln_E),
-    alpha/2 - c1 E^2 sqrt(e)/((eta - 1) nu^3 f), with the constants
-    _slope formed."""
-    half, ln_beta, ln_k = slope
-    return half - _exp(ln_beta + 2.0 * ln_E + 0.5 * v + ln_k)
+    if not (0.0 < e < math.inf and 0.0 < e0_init < math.inf
+            and 0.0 < E0_init < math.inf):
+        raise OutsideDomain("energy and anchor must be positive and finite")
+    return math.exp(Funnel(math.log(e0_init), math.log(E0_init),
+                           params).ln_E(math.log(e)))
 
 
 def eta_threshold(c1: float) -> float:
@@ -218,55 +235,42 @@ def solve_e2(params: ForcingParams) -> float:
 
 
 class FullNseGeometry:
-    """Every derived quantity of the region, computed once: the parabola
-    anchor (e0, E0 = eta lam e0), the nose apex (e1, E1), E_under =
-    2^(-1/3) E1 and its parabola abscissa e_under, the wall asymptote
-    e_star (parabola-anchored funnel) and the apex funnel's re-entry
-    (e2, E2). The fields are set in that order, which vars() keeps."""
+    """The region of one parameter set, resolved once: the parabola anchor
+    (e0, E0 = eta lam e0), the nose apex (e1, E1), E_under = 2^(-1/3) E1
+    and its parabola abscissa e_under, the wall asymptote e_star
+    (parabola-anchored funnel) and the apex funnel's re-entry (e2, E2),
+    the _BREAKPOINTS; then what classify_full reads: the parabola
+    coefficient eta f/nu (coef), the nose constants (nose) and the apex
+    Funnel (apex). e1, E1 and e2 outside float range are InvalidRegime,
+    the other breakpoints are left 0 or inf for assemble_full."""
 
-    def __init__(self, e0: float, E0: float, e1: float, E1: float,
-                 E_under: float, e_under: float, e_star: float, e2: float,
-                 E2: float):
-        self.e0, self.E0, self.e1, self.E1 = e0, E0, e1, E1
-        self.E_under, self.e_under, self.e_star = E_under, e_under, e_star
-        self.e2, self.E2 = e2, E2
+    def __init__(self, params: ForcingParams):
+        ln_e0 = math.log(params.e0)
+        ln_E0 = math.log(params.eta) + math.log(params.lam) + ln_e0
+        wall = Funnel(ln_e0, ln_E0, params)
+        if wall.ln_t >= 0.0:
+            raise RegimeViolation("parabola anchor admits no asymptote")
+        ln_e1, ln_E1 = _ln_apex(params)
+        ln_E_under = ln_E1 - math.log(2.0) / 3.0
+        e2 = solve_e2(params)
+        self.e0, self.E0 = params.e0, _exp(ln_E0)
+        self.e1, self.E1 = _exp(ln_e1), _exp(ln_E1)
+        self.E_under = _exp(ln_E_under)
+        # the parabola through the anchor is E = E0 (e/e0)^(1/2)
+        self.e_under = _exp(ln_e0 + 2.0 * (ln_E_under - ln_E0))
+        # e_star = e0 (1 - t)^(1/p)
+        self.e_star = _exp(ln_e0 + math.log(-math.expm1(wall.ln_t)) / wall.p)
+        self.e2, self.E2 = e2, parabola_E(e2, params)
+        _gate(self, ("e1", "E1", "e2"))
+        self.coef = params.eta * params.f_norm / params.nu
+        self.nose = _nose(params)
+        self.apex = Funnel(math.log(self.e1), math.log(self.E1), params)
 
 
 @held
 def geometry(params: ForcingParams) -> FullNseGeometry:
-    """The region's breakpoints, held on params; e1, E1 and e2 outside
-    float range are InvalidRegime, the others are left 0 or inf for
-    assemble_full."""
-    ln_e0 = math.log(params.e0)
-    ln_E0 = math.log(params.eta) + math.log(params.lam) + ln_e0
-    alpha, ln_beta = _alpha_ln_beta(params)
-    ln_t0 = _ln_t(ln_e0, ln_E0, ln_beta)
-    if ln_t0 >= 0.0:
-        raise RegimeViolation("parabola anchor admits no asymptote")
-    ln_e1, ln_E1 = _ln_apex(params)
-    ln_E_under = ln_E1 - math.log(2.0) / 3.0
-    e2 = solve_e2(params)
-    geo = FullNseGeometry(
-        e0=params.e0, E0=_exp(ln_E0), e1=_exp(ln_e1), E1=_exp(ln_E1),
-        E_under=_exp(ln_E_under),
-        # the parabola through the anchor is E = E0 (e/e0)^(1/2)
-        e_under=_exp(ln_e0 + 2.0 * (ln_E_under - ln_E0)),
-        # e_star = e0 (1 - t)^(1/p), p = alpha + 1/2
-        e_star=_exp(ln_e0 + math.log(-math.expm1(ln_t0)) / (alpha + 0.5)),
-        e2=e2, E2=parabola_E(e2, params))
-    _gate(geo, ("e1", "E1", "e2"))
-    return geo
-
-
-@held
-def _point(params: ForcingParams) -> tuple:
-    """What classify_full forms once per params, kept off vars(geometry),
-    which assemble_full turns into breakpoints: the geometry, the
-    parabola coefficient eta f/nu, the nose constants and the apex
-    funnel's constants."""
-    geo = geometry(params)
-    return (geo, params.eta * params.f_norm / params.nu, _nose(params),
-            _funnel(math.log(geo.e1), math.log(geo.E1), params))
+    """The region of params (FullNseGeometry), held on params."""
+    return FullNseGeometry(params)
 
 
 def classify_full(e: float, E: float, params: ForcingParams) -> str:
@@ -278,31 +282,20 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
     lower branch, below E1, or over its upper one, above E1), by the apex
     funnel for e1 <= e <= e2, and by nothing at all past e2, where the
     corridor opens up. Each curve is evaluated as parabola_E, psi_of_E
-    and phi_of_e do, with the constants _point formed.
+    and phi_of_e do, with the constants geometry holds.
     """
     if not (0.0 < e < math.inf and 0.0 < E < math.inf):
         raise OutsideDomain("classification needs e > 0 and E > 0")
-    geo, coef, nose, apex = _point(params)
-    if E < coef * math.sqrt(e):
+    geo = geometry(params)
+    if E < geo.coef * math.sqrt(e):
         return "I"
-    if e <= math.exp(_ln_psi(math.log(E), nose)):
+    if e <= math.exp(_ln_psi(math.log(E), geo.nose)):
         return "IV"
     if e < geo.e1:
         return "II" if E > geo.E1 else "III"
     if e <= geo.e2:
-        return "II" if E > math.exp(_ln_phi(math.log(e), apex)) else "III"
+        return "II" if E > math.exp(geo.apex.ln_E(math.log(e))) else "III"
     return "II"
-
-
-def _funnel_segment(tag, ln_lo, ln_hi, ln_e0, ln_E0, params, samples):
-    grid = log_grid(ln_lo, ln_hi, samples)
-    funnel, field = _funnel(ln_e0, ln_E0, params), _slope(params)
-    ln_E = [_ln_phi(v, funnel) for v in grid]
-    slope = [_ln_slope(v, u, field) for v, u in zip(grid, ln_E)]
-    if -math.inf in slope:
-        raise InvalidRegime(
-            f"{tag}: a slope d ln E/d ln e is outside float range")
-    return CurveSegment(tag, grid, ln_E, slope)
 
 
 def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
@@ -315,24 +308,24 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     outside float range is InvalidRegime.
     """
     geo = geometry(params)
-    ln = _gate(geo, vars(geo))
+    ln = _gate(geo, _BREAKPOINTS)
     # the wall starts a relative 1e-6 right of its asymptote, or halfway
-    # to its anchor where that is closer
+    # to its anchor where that is closer; it is anchored on the logs of
+    # the float breakpoints
     wall_lo = ln["e_star"] + min(math.log1p(1e-6),
                                  0.5 * (ln["e0"] - ln["e_star"]))
     segs = [
-        _funnel_segment("phi1", wall_lo, ln["e0"], ln["e0"], ln["E0"],
-                        params, samples),
-        _funnel_segment("phi2", ln["e1"], ln["e2"], ln["e1"], ln["E1"],
-                        params, samples)]
+        Funnel(ln["e0"], ln["E0"], params).segment(
+            "phi1", wall_lo, ln["e0"], samples),
+        geo.apex.segment("phi2", ln["e1"], ln["e2"], samples)]
 
     # the nose by E, each branch gridded so that ln e increases: the lower
     # one up to the apex, the upper one down to it
-    ln_E1, ln_100, nose = ln["E1"], math.log(100.0), _nose(params)
+    ln_E1, ln_100 = ln["E1"], math.log(100.0)
     for start in (ln_E1 - ln_100, ln_E1 + ln_100):
         grid_E = log_grid(start, ln_E1, samples)
         segs.append(CurveSegment(
-            "barrier", [_ln_psi(u, nose) for u in grid_E], grid_E))
+            "barrier", [_ln_psi(u, geo.nose) for u in grid_E], grid_E))
 
     par_grid = log_grid(ln["e_under"] - 2.0, ln["e0"], samples)
     # the parabola through the anchor is E = E0 (e/e0)^(1/2)
@@ -343,7 +336,8 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     segs.append(power_law("lower_boundary", par_grid, math.log(params.lam0),
                           1.0))
 
-    breakpoints = {k: LogScalar.from_float(v) for k, v in vars(geo).items()}
+    breakpoints = {k: LogScalar.from_float(getattr(geo, k))
+                   for k in _BREAKPOINTS}
     # e2 exists only where delta < 0 (solve_e2), so its floor is vacuous
     flags = [f"eta={params.eta:.12g}", "e2_floor_vacuous"]
     return CurveBundle("full", params, segs, breakpoints, flags)

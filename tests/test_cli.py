@@ -295,6 +295,10 @@ _EXTREME_INPUTS = [
     *[pytest.param(args, {"eta": 1.01}, 0, id=f"{args[0]}-steep-funnel")
       for args in (["curve", "full"], ["classify", "--e", "0.3", "--E", "2"],
                    ["verify"])],
+    # alpha = 1001: on the e2 scan's grid (e0/e)^p leaves float range,
+    # left of the apex funnel's asymptote
+    pytest.param(["verify", "--points", "8"], {"eta": 1.001}, 0,
+                 id="verify-near-one-eta"),
     # e2 = 1.1e-67, but the wall's t = exp(-922) is below float range, so
     # the slope at its anchor is outside it
     pytest.param(["classify", "--e", "1", "--E", "1e10"], {"f_norm": 1e100},

@@ -23,12 +23,7 @@ from enstrophy_bounds import (
     psi_of_E,
     solve_e2,
 )
-from enstrophy_bounds.full_nse import (
-    _alpha_ln_beta,
-    _ln_slope,
-    _slope,
-    e2_lower_bound,
-)
+from enstrophy_bounds.full_nse import Funnel, e2_lower_bound
 
 
 def _with(params, **over):
@@ -66,6 +61,12 @@ def test_psi_unimodal(fig2):
 def test_psi_rejects_negative(fig2):
     with pytest.raises(ValueError):
         psi_of_E(-1.0, fig2)
+
+
+@pytest.mark.parametrize("E", [math.inf, math.nan])
+def test_psi_rejects_nonfinite(fig2, E):
+    with pytest.raises(ValueError):
+        psi_of_E(E, fig2)
 
 
 # -------------------------------------------------------------- funnels
@@ -110,7 +111,7 @@ def test_funnel_slope_matches_finite_difference(fig2):
         fd = (phi_of_e(e + h, geo.e1, geo.E1, fig2)
               - phi_of_e(e - h, geo.e1, geo.E1, fig2)) / (2.0 * h)
         # the segments' kernel gives d ln E/d ln e = (e/E) dE/de
-        assert _ln_slope(math.log(e), math.log(E), _slope(fig2)) \
+        assert geo.apex.slope(math.log(e), math.log(E)) \
             == pytest.approx(e / E * fd, rel=1e-6)
 
 
@@ -120,6 +121,33 @@ def test_funnel_raises_left_of_asymptote(fig2):
         phi_of_e(0.5 * geo.e_star, geo.e0, geo.E0, fig2)
     with pytest.raises(OutsideDomain):
         phi_of_e(0.0, geo.e0, geo.E0, fig2)
+
+
+def test_funnel_past_float_range(fig2):
+    # at e = 1e-130, u = (e0/e)^p is past float range; with t < 1 the
+    # bracket t u + 1 - u is then negative: left of the asymptote
+    with pytest.raises(OutsideDomain):
+        phi_of_e(1e-130, 4.0, 8.0, fig2)
+    # with t >= 1 there is no asymptote, and u (t - 1) + 1 is formed in
+    # logs: E^-2 = beta sqrt(e) (u (t - 1) + 1)
+    funnel = Funnel(math.log(4.0), math.log(1e-3), fig2)
+    assert funnel.ln_t > 0.0
+    for e in (1e-130, 1e-300):
+        v = math.log(e)
+        with mpmath.workdps(50):
+            u = mpmath.exp(funnel.p * (mpmath.mpf(funnel.ln_e0) - v))
+            want = -0.5 * (funnel.ln_beta + 0.5 * mpmath.mpf(v) + mpmath.log(
+                u * mpmath.expm1(funnel.ln_t) + 1))
+        assert funnel.ln_E(v) == pytest.approx(float(want), rel=1e-14)
+
+
+@pytest.mark.parametrize("e, e0, E0", [
+    (5.0, 4.0, 0.0), (5.0, 4.0, -1.0), (5.0, 4.0, math.inf),
+    (5.0, 0.0, 8.0), (5.0, math.inf, 8.0), (math.nan, 4.0, 8.0),
+    (5.0, math.nan, 8.0), (5.0, 4.0, math.nan), (math.inf, 4.0, 8.0)])
+def test_funnel_refuses_nonpositive_or_nonfinite(fig2, e, e0, E0):
+    with pytest.raises(OutsideDomain):
+        phi_of_e(e, e0, E0, fig2)
 
 
 # ------------------------------------------------------------- e2 root
@@ -233,7 +261,7 @@ def test_geometry_fields_consistent(fig2):
     assert geo.E2 == pytest.approx(parabola_E(geo.e2, fig2),
                                    rel=1e-14)
     assert 0.0 < geo.e_star < geo.e0
-    alpha, ln_beta = _alpha_ln_beta(fig2)
+    alpha, ln_beta = geo.apex.alpha, geo.apex.ln_beta
     assert alpha == pytest.approx(fig2.eta / (fig2.eta - 1.0))
     beta = 4.0 * fig2.c1 / ((3.0 * fig2.eta - 1.0) * fig2.nu ** 3
                             * fig2.f_norm)
@@ -379,14 +407,31 @@ def test_classify_solves_geometry_once(fig2, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(full_nse, "solve_e2", counting)
+    built = []
+
+    class CountingFunnel(Funnel):
+        def __init__(self, *args):
+            built.append("Funnel")
+            super().__init__(*args)
+
+    def counting_nose(params, real_nose=full_nse._nose):
+        built.append("_nose")
+        return real_nose(params)
+
+    monkeypatch.setattr(full_nse, "Funnel", CountingFunnel)
+    monkeypatch.setattr(full_nse, "_nose", counting_nose)
     p = _with(fig2)  # equal to fig2, but resolves its own geometry
     geo = geometry(p)
+    # the wall and the apex funnel, and the nose constants, once
+    assert sorted(built) == ["Funnel", "Funnel", "_nose"]
+    built.clear()
     # points in every region, on both sides of e1 and e2
     for i in range(100):
         e = geo.e1 * 10.0 ** (-3.0 + 0.1 * i)
         E = geo.E1 * 10.0 ** ((i % 9) - 4)
         assert classify_full(e, E, p) in ("I", "II", "III", "IV")
     assert len(calls) == 1
+    assert built == []  # a warm call forms no constants
     assert geometry(p) is geo
 
 

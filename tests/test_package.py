@@ -90,7 +90,8 @@ _REMOVED = {
     "critical": "phi1 phi2 phi3",
     "subcritical": "sub_phi1 sub_phi2 sub_phi3",
     "branches": "_as_ln",
-    "full_nse": "phi_slope",
+    "full_nse": "phi_slope _alpha_ln_beta _ln_t _funnel _ln_phi _slope "
+                "_ln_slope _funnel_segment _point",
     "scaling": "scaling_curve _ln_curve",
     "logscalar": "ONE",
 }

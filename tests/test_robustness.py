@@ -120,6 +120,17 @@ def test_full_region_within_a_hundred_decades(raw):
         pass
 
 
+def test_eta_near_one(tmp_path):
+    # the extreme values above never put eta in (1, 1.01): there the
+    # funnels' power p = eta/(eta - 1) + 1/2 is large, and (e0/e)^p leaves
+    # float range on verify's e2 scan
+    rng = random.Random(30)
+    for _ in range(30):
+        _run_all(tmp_path, dict(FIG2, eta=1.0 + 10.0 ** rng.uniform(-12.0, -1.0),
+                                f_norm=10.0 ** rng.uniform(-2.0, 3.0),
+                                r=rng.choice([0.5, 0.75])))
+
+
 def test_verify_on_critical_sets_with_a_slow_peak(tmp_path):
     # a small c2 puts the peak far from the barrier asymptote (x* =
     # ln(1 - e_max/e_a) above -2 in 15 of these 20 draws, -48.7 on fig2),
