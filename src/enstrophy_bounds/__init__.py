@@ -6,6 +6,9 @@ critical and subcritical curves sharpen it under a coherence assumption on
 the forcing; maxest brackets the largest enstrophy the extremal dynamics
 can reach; scaling carries the construction to scaling-invariant forcing.
 verify re-derives everything independently and reports disagreements.
+Energies and enstrophies pass float range by hundreds of decades, so the
+breakpoints, the peak enstrophies, the maxest bounds and g come back as
+their ln, a plain float (see logscalar).
 
 Importing the package executes none of its modules. Each submodule but
 the cli entry point is registered in sys.modules unexecuted
@@ -34,7 +37,6 @@ _EXPORTS = {name: module for module, names in {
               "NonConvergence OutsideDomain RegimeViolation",
     "full_nse": "FullNseGeometry assemble_full classify_full eta_threshold "
                 "geometry nose_apex parabola_E phi_of_e psi_of_E solve_e2",
-    "logscalar": "LogScalar",
     "maxest": "BoundReport bound_report emax_lower emax_upper eta_min "
               "physical_scale",
     "params": "ForcingParams load_params_file",
@@ -46,7 +48,8 @@ _EXPORTS = {name: module for module, names in {
 
 __all__ = sorted(_EXPORTS)
 
-_SUBMODULES = {*_EXPORTS.values(), "branches", "cli", "solver", "specfun"}
+_SUBMODULES = {*_EXPORTS.values(), "branches", "cli", "logscalar", "solver",
+               "specfun"}
 
 # cli is the entry point: importing it executes it, and with it what every
 # command shares

@@ -33,8 +33,8 @@ anchor, lead, and its limit at e = 0, top = lead (+) ln c + ln W(0, e_ref),
 bracket, the r = 1/2 peak's in w and the floor crossing's in ln e, and at
 b = 0 the peak itself. Abscissas travel as ln e and ordinates as ln y or
 ln E, plain floats, because the floor crossing lies thousands of decades
-below float range; a value becomes a LogScalar only where it leaves the
-chain (peak_point, the bundle's breakpoints).
+below float range; they leave the chain as lns too (peak_point's E, the
+bundle's breakpoints).
 
 Each branch is evaluated through one function (solution), prepared once
 per anchor, and the chain keeps one per branch (Chain.ln_y_of), through
@@ -52,7 +52,6 @@ from .curves import (CurveBundle, CurveSegment, log_grid, max_join_gap,
                      power_law)
 from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
                      InvalidRegime, NoBracket, OutsideDomain, RegimeViolation)
-from .logscalar import LogScalar
 from .params import ForcingParams
 from .solver import find_root
 from .specfun import Field, envelope, peak_ln_e, sample, solution
@@ -142,9 +141,12 @@ class Chain:
 
     def require_curl(self) -> None:
         if not self.curl_dominant:
+            lns = self.ln_floors
             raise AssumptionViolated(
                 "curl forcing below the floor-dominance threshold; "
-                "the tail construction does not apply")
+                "the tail construction does not apply; ln floor candidates "
+                f"{', '.join(f'{v:.6g}' for v in lns)} (curl last): the "
+                f"largest exceeds the curl one by {max(lns) - lns[-1]:.6g}")
 
     # -- the peak ----------------------------------------------------------
 
@@ -197,15 +199,17 @@ class Chain:
         else:
             x = peak_ln_e(f, *self._anchor(0))
             if x >= self.ln_e0:
-                raise NoBracket("rise peaks at or right of the anchor e0")
+                raise NoBracket("rise peaks at or right of the anchor e0: "
+                                f"ln e_peak - ln e0 = {x - self.ln_e0:.6g}")
         ln_e = self._ln_e_of(x)
         return x, ln_e, self.value(0, ln_e)
 
-    def peak_point(self) -> tuple[float, LogScalar]:
-        """(e_peak, E_peak) with e_peak a float; at b > 0 it usually equals
-        e_a to machine precision, the sub-float offset staying in E_peak."""
+    def peak_point(self) -> tuple[float, float]:
+        """(e_peak, ln E_peak) with e_peak a float; at b > 0 it usually
+        equals e_a to machine precision, the sub-float offset staying in
+        E_peak."""
         _, ln_e, ln_E = self.peak
-        return min(math.exp(ln_e), self.rise.e_a), LogScalar(ln_E)
+        return min(math.exp(ln_e), self.rise.e_a), ln_E
 
     # -- the floor crossing ----------------------------------------------
 
@@ -224,7 +228,8 @@ class Chain:
         ln_E_floor = math.log(self.floor)
         if not ln_E_floor < ln_E_peak:
             raise NoBracket(
-                "enstrophy floor meets or exceeds the curve maximum")
+                "enstrophy floor meets or exceeds the curve maximum: "
+                f"ln E_floor = {ln_E_floor:.6g}, ln E_peak = {ln_E_peak:.6g}")
         f = self.fields[1]
         ln_y_f = ln_E_floor * f.p
         lead, top = envelope(f, *self._anchor(1))
@@ -327,12 +332,9 @@ class Chain:
         e_peak, E_peak_name, e_floor, E_floor = self.names
         bundle = CurveBundle(
             self.model, params, segs,
-            breakpoints={"e0": LogScalar.from_float(params.e0),
-                         "E0": LogScalar.from_float(self.E0),
-                         e_peak: LogScalar(ln_peak),
-                         E_peak_name: LogScalar(ln_E_peak),
-                         e_floor: LogScalar(ln_floor),
-                         E_floor: LogScalar.from_float(self.floor)},
+            breakpoints={"e0": ln_e0, "E0": math.log(self.E0),
+                         e_peak: ln_peak, E_peak_name: ln_E_peak,
+                         e_floor: ln_floor, E_floor: math.log(self.floor)},
             flags=list(self.flags))
 
         # construction invariants, checked whatever the interpreter's -O:

@@ -32,7 +32,7 @@ from types import SimpleNamespace
 
 from .curves import bundle_to_csv, bundle_to_json, round_sig
 from .errors import EnstrophyBoundsError, InvalidRegime
-from .logscalar import _LN10, LogScalar, ln_add
+from .logscalar import _LN10, from_sci_string, ln_add
 from .params import load_params_file
 
 
@@ -45,6 +45,10 @@ def _emit(text: str, out: str | None) -> None:
 
 def _finite(x: float):
     return x if math.isfinite(x) else None
+
+
+# exp() overflows just above this: taylor writes a kappa_T past it as null
+_EXP_MAX = 709.0
 
 
 # model -> (module, function) of its assembler, imported by name when the
@@ -78,10 +82,11 @@ def _cmd_emax(params, args) -> int:
     flags = list(report.flags)
     if (e_scale, big_scale) != (1.0, 1.0):
         flags.append("rescaled_to_physical_units")
-    ln_up = LogScalar.from_float(big_scale).ln
+    # nu^2 sqrt(lambda) may underflow to 0
+    ln_up = math.log(big_scale) if big_scale else -math.inf
     doc = {
-        "log10_lower": round_sig((report.lower.ln + ln_up) / _LN10),
-        "log10_upper": round_sig((report.upper.ln + ln_up) / _LN10),
+        "log10_lower": round_sig((report.lower + ln_up) / _LN10),
+        "log10_upper": round_sig((report.upper + ln_up) / _LN10),
         "eta_used": round_sig(report.eta_used),
         "e_crit": round_sig(report.e_crit * e_scale),
         "e_bar_crit": round_sig(report.e_bar_crit * e_scale),
@@ -127,7 +132,7 @@ def _read_curve(path: str) -> list:
     try:
         doc = json.loads(Path(path).read_bytes())
         segments = [(seg["tag"],
-                     [LogScalar.from_sci_string(s).ln for s in seg["e"]],
+                     [from_sci_string(s) for s in seg["e"]],
                      [float(v) * _LN10 for v in seg["log10_E"]])
                     for seg in doc["segments"] if seg["e"]]
     except (AttributeError, KeyError, OverflowError, TypeError,
@@ -152,10 +157,11 @@ def _cmd_taylor(params, args) -> int:
         ln_n = math.log(len(es))
         e_mean = reduce(ln_add, es, -math.inf) - ln_n
         big_mean = reduce(ln_add, big_es, -math.inf) - ln_n
-        kappa = LogScalar(0.5 * (big_mean - e_mean))
+        ln_kappa = 0.5 * (big_mean - e_mean)
         segments.append({"tag": tag,
-                         "log10_kappa_T": round_sig(kappa.log10()),
-                         "kappa_T": _finite(kappa.to_float())})
+                         "log10_kappa_T": round_sig(ln_kappa / _LN10),
+                         "kappa_T": math.exp(ln_kappa)
+                         if ln_kappa <= _EXP_MAX else None})
     out = {"segments": segments,
            "log10_sqrt_lambda": round_sig(0.5 * math.log10(params.lam))}
     _emit(json.dumps(out, sort_keys=True, indent=2) + "\n", args.out)

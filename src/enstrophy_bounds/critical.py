@@ -27,7 +27,7 @@ import math
 from .branches import Chain
 from .curves import CurveBundle
 from .errors import InvalidRegime, OutsideDomain
-from .logscalar import LogScalar, ln_add, ln_sub
+from .logscalar import ln_add, ln_sub
 from .params import ForcingParams, exp_in_range, held
 from .specfun import Field
 
@@ -89,8 +89,8 @@ def barrier(e: float, params: ForcingParams) -> float:
     return pre * (6.0 * e / (e_a - e)) ** (5.0 / 3.0)
 
 
-def find_e_max(params: ForcingParams) -> tuple[float, LogScalar]:
-    """(e_max, E_max): intersection of phi1 with the barrier.
+def find_e_max(params: ForcingParams) -> tuple[float, float]:
+    """(e_max, ln E_max): intersection of phi1 with the barrier.
 
     The float e_max typically equals e_a to machine precision (the true
     crossing sits exponentially close to the asymptote); the sub-float
@@ -99,9 +99,9 @@ def find_e_max(params: ForcingParams) -> tuple[float, LogScalar]:
     return chain(params).peak_point()
 
 
-def find_e_min(params: ForcingParams) -> LogScalar:
-    """Lower breakpoint, far below float range (ln e_min is the payload)."""
-    return LogScalar(chain(params).ln_floor)
+def find_e_min(params: ForcingParams) -> float:
+    """ln e_min, the lower breakpoint, far below float range."""
+    return chain(params).ln_floor
 
 
 def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
@@ -125,7 +125,7 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
         # ln of the truncated weighted-integral antiderivative
         # e^(1-a) g_N(1-a, be)
         return (1.0 - a) * math.log(e) \
-            + gamma_series_factor(1.0 - a, b * e, n_terms=n_terms).ln
+            + gamma_series_factor(1.0 - a, b * e, n_terms=n_terms)
 
     s_ref = s_trunc(e0)
     lead = b * e0 - a * ln_e0 + math.log(E0s) * 0.6

@@ -2,7 +2,8 @@
 
 Each bounding-curve family produces a CurveBundle: an ordered list of
 sampled segments plus the breakpoints that delimit them. Abscissas live in
-ln e throughout (see logscalar for why) and ordinates in ln E. Serialization
+ln e throughout (see logscalar for why), ordinates in ln E, and each
+breakpoint is the ln of its value. Serialization
 is fully deterministic: energies are rendered by logscalar.sci_string and
 enstrophies as log10 values rounded through a fixed format, so rerunning the
 CLI reproduces files byte for byte and CSV and JSON agree sample by sample.
@@ -14,7 +15,7 @@ import json
 import math
 
 from .errors import CancellationLoss, OutsideDomain
-from .logscalar import LogScalar, sci_string
+from .logscalar import sci_string
 from .params import ForcingParams
 
 _LN10 = math.log(10.0)
@@ -40,7 +41,7 @@ class CurveSegment:
 class CurveBundle:
     def __init__(self, model: str, params: ForcingParams,
                  segments: list[CurveSegment],
-                 breakpoints: dict[str, LogScalar],
+                 breakpoints: dict[str, float],
                  flags: list[str] | None = None):
         self.model, self.params, self.segments = model, params, segments
         self.breakpoints = breakpoints
@@ -114,15 +115,15 @@ def bundle_to_csv(bundle: CurveBundle) -> str:
 
 def bundle_to_json(bundle: CurveBundle) -> str:
     breakpoints = {}
-    for name, value in bundle.breakpoints.items():
-        if name == "E0" and abs(value.ln) < 700.0:
+    for name, ln in bundle.breakpoints.items():
+        if name == "E0" and abs(ln) < 700.0:
             # the anchor enstrophy is native-range by construction
-            breakpoints[name] = round_sig(value.to_float())
+            breakpoints[name] = round_sig(math.exp(ln))
         elif name.startswith("E"):
             # enstrophy-like: store the exponent, keyed to say so
-            breakpoints["log10_" + name] = round_sig(value.log10())
+            breakpoints["log10_" + name] = round_sig(ln / _LN10)
         else:
-            breakpoints[name] = sci_string(value.ln)
+            breakpoints[name] = sci_string(ln)
     doc = {
         "model": bundle.model,
         "params_echo": bundle.params.to_raw(),

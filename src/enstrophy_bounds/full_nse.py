@@ -31,7 +31,7 @@ import math
 
 from .curves import CurveBundle, CurveSegment, log_grid, power_law
 from .errors import InvalidRegime, NoBracket, OutsideDomain, RegimeViolation
-from .logscalar import LogScalar, ln_add, ln_sub
+from .logscalar import ln_add, ln_sub
 from .params import _LN_RANGE, ForcingParams, held
 from .solver import find_root
 
@@ -73,9 +73,10 @@ def _ln_psi(ln_E: float, nose: tuple[float, float, float]) -> float:
 
 def psi_of_E(E: float, params: ForcingParams) -> float:
     """Nose curve: the energy below which enstrophy cannot grow at level E,
-    nu^4 E^2 / (2 (nu f)^2 + c1 E^3), divided through by E^2."""
+    nu^4 E^2 / (2 (nu f)^2 + c1 E^3), divided through by E^2. A negative
+    or non-finite E is OutsideDomain."""
     if not 0.0 <= E < math.inf:
-        raise ValueError("enstrophy must be nonnegative and finite")
+        raise OutsideDomain("enstrophy must be nonnegative and finite")
     return math.exp(_ln_psi(math.log(E), _nose(params))) if E else 0.0
 
 
@@ -249,7 +250,8 @@ class FullNseGeometry:
         ln_E0 = math.log(params.eta) + math.log(params.lam) + ln_e0
         wall = Funnel(ln_e0, ln_E0, params)
         if wall.ln_t >= 0.0:
-            raise RegimeViolation("parabola anchor admits no asymptote")
+            raise RegimeViolation("parabola anchor admits no asymptote: "
+                                  f"ln t = {wall.ln_t:.6g} >= 0")
         ln_e1, ln_E1 = _ln_apex(params)
         ln_E_under = ln_E1 - math.log(2.0) / 3.0
         e2 = solve_e2(params)
@@ -308,6 +310,7 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     outside float range is InvalidRegime.
     """
     geo = geometry(params)
+    # the logs of the float breakpoints, which the bundle carries
     ln = _gate(geo, _BREAKPOINTS)
     # the wall starts a relative 1e-6 right of its asymptote, or halfway
     # to its anchor where that is closer; it is anchored on the logs of
@@ -336,8 +339,6 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     segs.append(power_law("lower_boundary", par_grid, math.log(params.lam0),
                           1.0))
 
-    breakpoints = {k: LogScalar.from_float(getattr(geo, k))
-                   for k in _BREAKPOINTS}
     # e2 exists only where delta < 0 (solve_e2), so its floor is vacuous
     flags = [f"eta={params.eta:.12g}", "e2_floor_vacuous"]
-    return CurveBundle("full", params, segs, breakpoints, flags)
+    return CurveBundle("full", params, segs, ln, flags)

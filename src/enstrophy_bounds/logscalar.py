@@ -2,13 +2,13 @@
 
 The curves this package emits span hundreds to thousands of decades on both
 axes (enstrophy grows like exp(c G^2), the energy floor decays like
-exp(-c' G^2)), so float64 magnitudes are not usable. Inside the
-construction every positive quantity travels as its ln, a plain float, and
-sums and differences go through the one kernel ln_add / ln_sub. A
-LogScalar holds the ln of a value >= 0 (-inf for zero): it is the type
-energies and enstrophies carry when they leave the library (branch values,
-breakpoints, bounds). It is a boundary value only, with no arithmetic:
-products, quotients, powers and sums are formed on its ln.
+exp(-c' G^2)), so float64 magnitudes are not usable. Every positive
+quantity travels as its ln, a plain float (-inf for zero), inside the
+construction and out of it alike: branch values, breakpoints, bounds and
+g are returned as their ln. Sums and differences go through the one
+kernel ln_add / ln_sub; products, quotients and powers are sums,
+differences and multiples of lns. sci_string renders an ln in scientific
+notation and from_sci_string reads one back.
 """
 
 from __future__ import annotations
@@ -16,9 +16,6 @@ from __future__ import annotations
 import math
 
 _LN10 = math.log(10.0)
-
-# exp() overflows just above this; used by to_float only
-_EXP_MAX = 709.0
 
 # the mantissa of sci_string: 17 significant digits, enough to
 # round-trip a float64
@@ -49,6 +46,29 @@ def sci_string(ln: float) -> str:
     return f"{mant_str}e{exp10:+03d}"
 
 
+def from_sci_string(text: str) -> float:
+    """The ln of a float-style literal that is not negative (-inf for
+    zero): the inverse of sci_string.
+
+    The mantissa is parsed in float64 and the decimal exponent moved
+    into the log, so values far outside float range round-trip with
+    ~1e-13 relative accuracy in ln space. A negative, NaN or infinite
+    mantissa, or a decimal exponent of magnitude 1e300 or more, where
+    the ln stops being finite, is ValueError.
+    """
+    s = text.strip()
+    mant_str, _, exp_str = s.partition("e" if "e" in s else "E")
+    mant = float(mant_str)
+    if mant == 0.0:
+        return -math.inf
+    exp10 = int(exp_str) if exp_str else 0
+    # |exp10| >= 1e300 is refused: exp10 ln 10 is infinite from about
+    # 7.8e307 on, and an int past float range overflows the product
+    if not (0.0 < mant < math.inf and abs(exp10) < 1e300):
+        raise ValueError(f"malformed scientific literal {text!r}")
+    return math.log(mant) + exp10 * _LN10
+
+
 def ln_sub(big: float, small: float) -> tuple[float, float]:
     """(ln(e^big - e^small), decimal digits lost), for small <= big."""
     d = small - big
@@ -63,88 +83,15 @@ def ln_sub(big: float, small: float) -> tuple[float, float]:
 
 
 class LogScalar:
-    """A value >= 0 held as its ln. Immutable and hashed by ln; the
-    comparisons compare ln, which orders the values."""
-
-    __slots__ = ("ln",)
+    """A value >= 0 held as its ln. No code in the package builds one: it
+    stays only because the benchmark's tracer counts calls of
+    add_with_cancellation by name (bench/spans.py, COUNTED_METHOD), and
+    goes once the benchmark drops that counter."""
 
     def __init__(self, ln: float):
-        _set_ln(self, ln)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to LogScalar.{name}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete LogScalar.{name}")
-
-    def __eq__(self, other):
-        return other.__class__ is LogScalar and self.ln == other.ln
-
-    def __hash__(self):
-        return hash(self.ln)
-
-    def __lt__(self, other):
-        return self.ln < other.ln
-
-    def __le__(self, other):
-        return self.ln <= other.ln
-
-    def __gt__(self, other):
-        return self.ln > other.ln
-
-    def __ge__(self, other):
-        return self.ln >= other.ln
-
-    # -- construction -------------------------------------------------
-
-    @staticmethod
-    def from_float(x: float) -> "LogScalar":
-        if x == 0.0:
-            return ZERO
-        if not x > 0.0:
-            raise ValueError(f"{x} is not a nonnegative number")
-        return LogScalar(math.log(x))
-
-    @staticmethod
-    def from_sci_string(text: str) -> "LogScalar":
-        """Inverse of sci_string, tolerant of any float-style literal
-        that is not negative.
-
-        The mantissa is parsed in float64 and the decimal exponent moved
-        into the log, so values far outside float range round-trip with
-        ~1e-13 relative accuracy in ln space. A decimal exponent of
-        magnitude 1e300 or more, where the ln stops being finite, is
-        ValueError.
-        """
-        s = text.strip()
-        mant_str, _, exp_str = s.partition("e" if "e" in s else "E")
-        mant = float(mant_str)
-        if mant == 0.0:
-            return ZERO
-        exp10 = int(exp_str) if exp_str else 0
-        # |exp10| >= 1e300 is refused: exp10 ln 10 is infinite from about
-        # 7.8e307 on, and an int past float range overflows the product
-        if not (0.0 < mant < math.inf and abs(exp10) < 1e300):
-            raise ValueError(f"malformed scientific literal {text!r}")
-        return LogScalar(math.log(mant) + exp10 * _LN10)
-
-    # -- conversion ----------------------------------------------------
-
-    def to_float(self) -> float:
-        return math.inf if self.ln > _EXP_MAX else math.exp(self.ln)
-
-    def log10(self) -> float:
-        return self.ln / _LN10
+        self.ln = ln
 
     def add_with_cancellation(self, other: "LogScalar") -> tuple["LogScalar", float]:
         """The sum and the decimal digits it lost: 0.0, as both terms are
-        positive. Differences, which can lose digits, are ln_sub's. No
-        command calls it; it stays because the benchmark's tracer counts
-        its calls by name."""
+        positive. Differences, which can lose digits, are ln_sub's."""
         return LogScalar(ln_add(self.ln, other.ln)), 0.0
-
-
-# the slot's own setter, which the refusing __setattr__ does not reach
-_set_ln = LogScalar.ln.__set__
-
-ZERO = LogScalar(-math.inf)

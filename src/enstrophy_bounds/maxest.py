@@ -2,8 +2,9 @@
 
 Both estimates live on the nondimensional normalization nu = lambda = 1,
 so the Grashof number is the only large parameter and both bounds scale
-like exp(c G^2); results are LogScalar because the interesting regimes
-overflow float64 immediately (G = 2 already gives ~1e36).
+like exp(c G^2); each bound is returned as its ln, a float, because the
+interesting regimes overflow float64 immediately (G = 2 already gives
+~1e36).
 
 Both bounds are one closed form. The upper estimate runs from an anchor
 E0 up to the critical energy damped by a funnel parameter eta; eta must
@@ -20,7 +21,6 @@ import math
 import sys
 
 from .errors import EtaTooSmall, InvalidRegime, RegimeViolation
-from .logscalar import LogScalar
 
 # relative slack accepted on the eta gate before EtaTooSmall fires
 _ETA_SLACK = 1e-3
@@ -49,10 +49,10 @@ def _ln_e(eps: float, rho: float, c2: float, eta: float) -> float:
 
 
 def _bound(G: float, eps: float, rho: float, c2: float, eta: float,
-           ln_E0: float) -> LogScalar:
-    """E0 (G^2/e_eta)^(-theta) exp(((2 + eta) c2/eps)(G^2 - e_eta)),
-    theta = (1 - rho)/2, formed in logs. At eta = 0 and E0 = 4 G^2 its
-    log is ln 4 + (1 + rho) ln G + theta ln e_crit + (2 c2/eps)(G^2 -
+           ln_E0: float) -> float:
+    """ln of E0 (G^2/e_eta)^(-theta) exp(((2 + eta) c2/eps)(G^2 - e_eta)),
+    theta = (1 - rho)/2, formed in logs. At eta = 0 and E0 = 4 G^2 it is
+    ln 4 + (1 + rho) ln G + theta ln e_crit + (2 c2/eps)(G^2 -
     e_crit), the lower bound. A bound whose log leaves float range is
     InvalidRegime."""
     ln_e = _ln_e(eps, rho, c2, eta)
@@ -65,12 +65,12 @@ def _bound(G: float, eps: float, rho: float, c2: float, eta: float,
     if not math.isfinite(ln):
         raise InvalidRegime(f"bound at eta = {eta} leaves float range "
                             f"(ln = {ln})")
-    return LogScalar(ln)
+    return ln
 
 
-def emax_lower(G: float, eps: float, rho: float, c2: float) -> LogScalar:
-    """Guaranteed-reachable enstrophy level, exp(Theta(G^2)) large. A
-    bound outside float range is InvalidRegime."""
+def emax_lower(G: float, eps: float, rho: float, c2: float) -> float:
+    """ln of the guaranteed-reachable enstrophy level, exp(Theta(G^2))
+    large. A bound outside float range is InvalidRegime."""
     _validate(G, eps, rho, c2)
     return _bound(G, eps, rho, c2, 0.0, math.log(4.0) + 2.0 * math.log(G))
 
@@ -99,8 +99,8 @@ def _anchor_eta(G: float, eps: float, mu: float, eta: float | None,
 
 def emax_upper(G: float, eps: float, rho: float, c2: float,
                eta: float | None = None, E0_anchor: float | None = None,
-               *, mu: float = 1.0) -> LogScalar:
-    """Ceiling on any enstrophy value the curve attains.
+               *, mu: float = 1.0) -> float:
+    """ln of the ceiling on any enstrophy value the curve attains.
 
     Defaults anchor on the parabola apex E0 = 4 G^2 with the smallest
     admissible eta. Passing the E0 produced by a first pass (and the
@@ -124,7 +124,10 @@ def emax_upper(G: float, eps: float, rho: float, c2: float,
 
 
 class BoundReport:
-    def __init__(self, lower: LogScalar, upper: LogScalar, eta_used: float,
+    """Both bounds, as their ln (lower, upper), and the constants that
+    shaped them."""
+
+    def __init__(self, lower: float, upper: float, eta_used: float,
                  e_crit: float, e_bar_crit: float, anchor_E0: float,
                  flags: list[str] | None = None):
         self.lower, self.upper, self.eta_used = lower, upper, eta_used

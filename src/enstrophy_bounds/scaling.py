@@ -26,7 +26,7 @@ import math
 
 from .curves import CurveBundle, CurveSegment, log_grid, power_law
 from .errors import InvalidRegime, RegimeViolation
-from .logscalar import LogScalar, ln_add
+from .logscalar import ln_add
 from .params import _LN_RANGE, ForcingParams, exp_in_range
 from .specfun import Field, peak_ln_e, sample, solution
 
@@ -143,13 +143,11 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
         # a zero floor (no curl forcing) admits every sample: no barrier
         segs.append(power_law("barrier", grid, ln_floor, 0.0))
 
-    breakpoints = {"e0": LogScalar(ln_e0),
-                   "E0": LogScalar(ln_E0)}
+    breakpoints = {"e0": ln_e0, "E0": ln_E0}
     flags = [f"s={sp.s:.12g}"]
     try:
-        ln_e_max, ln_E_max = _maximum(sp.field, ln_e0, ln_E0)
-        breakpoints["e_max"] = LogScalar(ln_e_max)
-        breakpoints["E_max"] = LogScalar(ln_E_max)
+        breakpoints["e_max"], breakpoints["E_max"] = _maximum(
+            sp.field, ln_e0, ln_E0)
     except RegimeViolation:
         flags.append("maximum_outside_domain")
     if below:

@@ -20,8 +20,8 @@ needs about x terms, a few times G^2, so wide spans take the endpoint
 difference e_hi^alpha (G - H), G = g(alpha, x), H = r^alpha g(alpha, r x),
 with g from its few-term large-argument form. The weighted integral is
 returned as its ln, a float, because it overflows float64 long before the
-interesting parameter range ends; gamma_series_factor, a public entry
-point, returns a LogScalar. weighted_exp_integral_to prepares the integral
+interesting parameter range ends, and so is gamma_series_factor, a
+public entry point. weighted_exp_integral_to prepares the integral
 once per upper end, as a function of the lower end, so every sample of a
 branch shares alpha, x, its gate and ln G, which that function forms on
 first use and keeps (there is no module-level cache). Every arm is summed
@@ -41,7 +41,7 @@ from __future__ import annotations
 import math
 
 from .errors import NonConvergence, OutsideDomain
-from .logscalar import LogScalar, ln_add
+from .logscalar import ln_add
 
 _RESCALE = 1e250
 _LN_RESCALE = math.log(_RESCALE)
@@ -133,8 +133,8 @@ def _g_ln(alpha: float, x: float) -> float:
 
 
 def gamma_series_factor(alpha: float, x: float,
-                        n_terms: int | None = None) -> LogScalar:
-    """Evaluate g(alpha, x) to _REL_TOL (see _g_ln). With n_terms the
+                        n_terms: int | None = None) -> float:
+    """ln g(alpha, x), to _REL_TOL (see _g_ln). With n_terms the
     partial power series of exactly the first n_terms terms is returned,
     with no convergence check: that reproduces what a hard truncation of
     the series does to the curve it feeds. Raises NonConvergence for x not
@@ -145,8 +145,8 @@ def gamma_series_factor(alpha: float, x: float,
     if x < 0.0:
         raise ValueError(f"x must be nonnegative, got {x}")
     if n_terms is None:
-        return LogScalar(_g_ln(alpha, x))
-    return LogScalar(_series_ln(alpha, x, -math.inf, n_terms))
+        return _g_ln(alpha, x)
+    return _series_ln(alpha, x, -math.inf, n_terms)
 
 
 def weighted_exp_integral_to(a: float, b: float, ln_hi: float):

@@ -25,7 +25,6 @@ import math
 from .branches import Chain
 from .curves import CurveBundle
 from .errors import InvalidRegime
-from .logscalar import LogScalar
 from .params import ForcingParams, exp_in_range, held
 from .specfun import Field
 
@@ -91,8 +90,8 @@ def chain(params: ForcingParams) -> Chain:
                  (f"sigma={sigma:.12g}",), floors, rise, 0.0)
 
 
-def find_e_bar(params: ForcingParams) -> tuple[float, LogScalar]:
-    """Maximum point (e_bar, E_bar) of the rising branch.
+def find_e_bar(params: ForcingParams) -> tuple[float, float]:
+    """Maximum point (e_bar, ln E_bar) of the rising branch.
 
     The peak is where the homogeneous pull alpha zeta / e balances the
     constant drain: zeta(e) = (C_s / alpha_s) e, solved in closed form

@@ -48,6 +48,9 @@ from enstrophy_bounds.verify import _rk4_row, _specfun_row, all_pass
 
 from conftest import PRESETS
 
+# the bounds and breakpoints are lns; log10 = ln / LN10
+LN10 = math.log(10.0)
+
 
 # one line per criterion, emitted by the terminal-summary hook in
 # conftest so capture cannot swallow the passing ones
@@ -86,25 +89,25 @@ def _affine_fit(x, y):
 
 def test_criterion_01_lower_bound():
     low = emax_lower(2.0, 0.2, 0.9, 2.0)
-    err = abs(low.ln - math.log(5.83e35))
+    err = abs(low - math.log(5.83e35))
     dt = _best_of(lambda: emax_lower(2.0, 0.2, 0.9, 2.0))
     ok = err < math.log(1.01) and dt < 1e-3
     assert _verdict("1", ok,
-                    f"lower 10^{low.log10():.4f}, off by {err:.2%} in ln, "
+                    f"lower 10^{low / LN10:.4f}, off by {err:.2%} in ln, "
                     f"best {dt * 1e6:.0f} us")
 
 
 def test_criterion_02_upper_bounds():
     up = emax_upper(2.0, 0.2, 0.9, 2.0, eta=4.33, E0_anchor=16.0)
     refined = emax_upper(2.0, 0.2, 0.9, 2.0, eta=0.04, E0_anchor=39311.12)
-    err1 = abs(up.ln - math.log(9.13e110))
-    err2 = abs(refined.ln - math.log(6.99e39))
+    err1 = abs(up - math.log(9.13e110))
+    err2 = abs(refined - math.log(6.99e39))
     dt = _best_of(lambda: emax_upper(2.0, 0.2, 0.9, 2.0,
                                      eta=4.33, E0_anchor=16.0))
     ok = err1 < math.log(1.02) and err2 < math.log(1.02) and dt < 1e-3
     assert _verdict("2", ok,
-                    f"upper 10^{up.log10():.4f} off {err1:.2%}, refined "
-                    f"10^{refined.log10():.4f} off {err2:.2%}, "
+                    f"upper 10^{up / LN10:.4f} off {err1:.2%}, refined "
+                    f"10^{refined / LN10:.4f} off {err2:.2%}, "
                     f"best {dt * 1e6:.0f} us")
 
 
@@ -119,7 +122,7 @@ def test_criterion_03_eta_floors():
 def test_criterion_04_critical_assembly(fig2):
     t0 = time.perf_counter()
     bundle = assemble_critical(fig2)
-    peak = bundle.breakpoints["E_max"].log10()
+    peak = bundle.breakpoints["E_max"] / LN10
     rk4 = _rk4_row(fig2)
     digression = truncation_comparison(fig2, 20)
     dt = time.perf_counter() - t0
@@ -145,7 +148,7 @@ def test_criterion_06a_peak_exponent(fig2):
     for g in (2.0, 3.0, 4.0):
         _, E_max = find_e_max(_with(fig2, f_norm=g))
         g2.append(g * g)
-        lns.append(E_max.ln)
+        lns.append(E_max)
     slope, r2 = _affine_fit(g2, lns)
     ok = r2 >= 0.99
     assert _verdict("6a", ok, f"ln E_max vs G^2: slope {slope:.3f}, "
@@ -156,7 +159,7 @@ def test_criterion_06b_floor_exponent(fig2):
     g2, lns = [], []
     for g in (2.0, 3.0, 4.0):
         g2.append(g * g)
-        lns.append(find_e_min(_with(fig2, f_norm=g)).ln)
+        lns.append(find_e_min(_with(fig2, f_norm=g)))
     slope, r2 = _affine_fit(g2, lns)
     ok = slope < 0.0 and r2 >= 0.99
     assert _verdict("6b", ok, f"ln e_min vs G^2: slope {slope:.1f}, "
@@ -170,7 +173,7 @@ def test_criterion_06c_subcritical_exponent(fig2):
         for g in (10.0, 100.0, 1000.0):
             _, E_bar = find_e_bar(_with(fig2, r=r, f_norm=g))
             lgs.append(math.log(g))
-            lns.append(E_bar.ln)
+            lns.append(E_bar)
         slope, _ = _affine_fit(lgs, lns)
         worst = max(worst, abs(slope / (2.0 / sigma_of(r)) - 1.0))
     ok = worst <= 0.03

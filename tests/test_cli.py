@@ -22,7 +22,7 @@ from enstrophy_bounds import (AssumptionViolated, CancellationLoss,
                               load_params_file, maxest)
 from enstrophy_bounds.cli import run
 from enstrophy_bounds.curves import round_sig
-from enstrophy_bounds.logscalar import LogScalar, ln_add, sci_string
+from enstrophy_bounds.logscalar import from_sci_string, ln_add, sci_string
 
 from conftest import PRESETS
 
@@ -478,10 +478,37 @@ def test_rise_peaking_right_of_the_anchor(tmp_path, capsys, args, code):
     if code:
         assert captured.out == ""
         assert captured.err == \
-            "NoBracket: rise peaks at or right of the anchor e0\n"
+            "NoBracket: rise peaks at or right of the anchor e0: " \
+            "ln e_peak - ln e0 = 2.03079\n"
     else:
         assert captured.err == ""
         assert captured.out.startswith("e,log10_E,segment\n")
+
+
+# the refusals met most often name the numbers they compare; exit codes
+# are those of their error classes
+@pytest.mark.parametrize("preset, over, args, err", [
+    ("fig2", {"curlF_norm": 0.3}, ["curve", "critical"],
+     "AssumptionViolated: curl forcing below the floor-dominance threshold; "
+     "the tail construction does not apply; ln floor candidates -2.41416, "
+     "-3.18087 (curl last): the largest exceeds the curl one by 0.766713\n"),
+    ("fig3", {"curlF_norm": 0.1}, ["curve", "subcritical"],
+     "AssumptionViolated: curl forcing below the floor-dominance threshold; "
+     "the tail construction does not apply; ln floor candidates -0.893265, "
+     "0.137675, -2.60396 (curl last): the largest exceeds the curl one by "
+     "2.74163\n"),
+    ("fig2", {"f_norm": 0.1}, ["curve", "full"],
+     "RegimeViolation: parabola anchor admits no asymptote: "
+     "ln t = 8.04719 >= 0\n"),
+], ids=["critical-weak-curl", "subcritical-weak-curl", "full-no-asymptote"])
+def test_refusals_name_their_numbers(tmp_path, capsys, preset, over, args,
+                                     err):
+    raw = json.loads((PRESETS / f"{preset}.json").read_text())
+    params = tmp_path / "p.json"
+    params.write_text(json.dumps(dict(raw, **over)))
+    assert run([*args, "--params", str(params)]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
 
 
 def test_help_exits_zero(capsys):
@@ -764,9 +791,9 @@ def test_emax_rescales_without_underflowing_the_enstrophy(tmp_path):
     report = bound_report(params.grashof, params.eps, params.rho, params.c2,
                           mu=params.mu)
     assert doc["log10_lower"] \
-        == pytest.approx(report.lower.log10() - 150.0, rel=1e-11)
+        == pytest.approx(report.lower / math.log(10.0) - 150.0, rel=1e-11)
     assert doc["log10_upper"] \
-        == pytest.approx(report.upper.log10() - 150.0, rel=1e-11)
+        == pytest.approx(report.upper / math.log(10.0) - 150.0, rel=1e-11)
     assert doc["anchor_E0"] == pytest.approx(16.0, rel=1e-12)
     assert (doc["e_crit"], doc["e_bar_crit"]) == (0.0, 0.0)
 
@@ -908,7 +935,7 @@ def test_taylor_command(tmp_path):
 class _Arith:
     """The LogScalar arithmetic that taylor and emax formed their numbers
     with before they worked in ln floats, kept as their oracle: + is
-    ln_add, and * / ** act on the ln."""
+    ln_add, and * / ** act on the ln. _to_float is LogScalar.to_float."""
 
     def __init__(self, ln: float):
         self.ln = ln
@@ -932,18 +959,22 @@ class _Arith:
         return _Arith(self.ln * p)
 
 
+def _to_float(ln: float) -> float:
+    return math.inf if ln > 709.0 else math.exp(ln)
+
+
 def _taylor_oracle(doc: dict, lam: float, rounding) -> dict:
     ln10, segments = math.log(10.0), []
     for seg in doc["segments"]:
-        es = [_Arith(LogScalar.from_sci_string(s).ln) for s in seg["e"]]
+        es = [_Arith(from_sci_string(s)) for s in seg["e"]]
         big_es = [_Arith(float(v) * ln10) for v in seg["log10_E"]]
         n = _Arith(math.log(float(len(es))))
         e_mean = sum(es, _Arith(-math.inf)) / n
         big_mean = sum(big_es, _Arith(-math.inf)) / n
-        kappa = LogScalar(((big_mean / e_mean) ** 0.5).ln)
-        k = kappa.to_float()
+        kappa = ((big_mean / e_mean) ** 0.5).ln
+        k = _to_float(kappa)
         segments.append({"tag": seg["tag"],
-                         "log10_kappa_T": rounding(kappa.log10()),
+                         "log10_kappa_T": rounding(kappa / ln10),
                          "kappa_T": k if math.isfinite(k) else None})
     return {"segments": segments,
             "log10_sqrt_lambda": rounding(0.5 * math.log10(lam))}
@@ -1011,12 +1042,14 @@ def test_emax_matches_the_removed_arithmetic(tmp_path, capsys, monkeypatch,
         report = bound_report(p.grashof, p.eps, p.rho, p.c2, mu=p.mu,
                               eta=float(extra[1]) if extra else None,
                               E0_anchor=float(extra[3]) if extra else None)
-        up = _Arith(LogScalar.from_float(maxest.physical_scale(p)[1]).ln)
+        # LogScalar.from_float: 0 is ln -inf
+        scale = maxest.physical_scale(p)[1]
+        up = _Arith(math.log(scale) if scale else -math.inf)
         doc = json.loads(out)
         for key, bound in (("log10_lower", report.lower),
                            ("log10_upper", report.upper)):
-            ln = (_Arith(bound.ln) * up).ln
-            assert doc[key] == rounding(LogScalar(ln).log10())
+            ln = (_Arith(bound) * up).ln
+            assert doc[key] == rounding(ln / math.log(10.0))
     assert answered > 30
 
 

@@ -26,6 +26,9 @@ from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.solver import integrate_adaptive
 from enstrophy_bounds.specfun import Field, solution
 
+# E_max is an ln; log10 = ln / LN10
+LN10 = math.log(10.0)
+
 
 def _with(params, **over):
     raw = params.to_raw()
@@ -130,30 +133,30 @@ def test_phi1_anchor_and_monotonicity(fig2):
 def test_peak_pins(fig2):
     e_max, E_max = find_e_max(fig2)
     assert e_max == pytest.approx(0.0025, rel=1e-12)
-    assert E_max.log10() == pytest.approx(36.10484511251541, abs=1e-9)
+    assert E_max / LN10 == pytest.approx(36.10484511251541, abs=1e-9)
     # the true barrier crossing sits a sub-float distance left of e_a:
     # one float ulp-window inward, phi1 still towers over the barrier,
     # and the peak value agrees with phi1 evaluated at e_a itself
     e_a = coefficients(fig2).e_a
     x = e_a * (1.0 - 1e-9)
     assert chain(fig2).value(0, math.log(x)) > math.log(barrier(x, fig2))
-    assert E_max.ln == pytest.approx(
+    assert E_max == pytest.approx(
         chain(fig2).value(0, math.log(e_a)), rel=1e-12)
 
 
 def test_e_min_pin_and_floor_join(fig2):
     e_min = find_e_min(fig2)
-    assert e_min.ln == pytest.approx(-8248.908704754842, abs=1e-6)
+    assert e_min == pytest.approx(-8248.908704754842, abs=1e-6)
     ch = chain(fig2)
     ln_floor = math.log(ch.floor)
-    assert ch.value(1, e_min.ln) == pytest.approx(ln_floor, abs=1e-9)
-    assert ch.value(2, e_min.ln) == pytest.approx(ln_floor, abs=1e-9)
+    assert ch.value(1, e_min) == pytest.approx(ln_floor, abs=1e-9)
+    assert ch.value(2, e_min) == pytest.approx(ln_floor, abs=1e-9)
 
 
 def test_phi2_domain_gate(fig2):
     e_max, E_max = find_e_max(fig2)
     ch = chain(fig2)
-    assert ch.value(1, ch.peak[1]) == pytest.approx(E_max.ln, rel=1e-12)
+    assert ch.value(1, ch.peak[1]) == pytest.approx(E_max, rel=1e-12)
     with pytest.raises(OutsideDomain):
         ch.value(1, math.log(2.0 * e_max))
 
@@ -189,15 +192,28 @@ def test_phi3_tail_closed_form_matches_quadrature(fig2, ln_hi, offsets):
 def test_phi3_just_above_e_min(fig2):
     # the tail is defined at or left of its anchor ln e_min, where its
     # sampling grid ends: just right of it is refused
-    ln_e_min = find_e_min(fig2).ln
+    ln_e_min = find_e_min(fig2)
     with pytest.raises(OutsideDomain):
         chain(fig2).value(2, ln_e_min + 5e-10)
+
+
+def test_floor_refusal_names_both_logs(fig2):
+    # a chain whose peak sits half a unit of ln E under its floor: the
+    # floor crossing is refused with both logs
+    ch = chain(ForcingParams.from_mapping(fig2.to_raw()))
+    ln_E_floor = math.log(ch.floor)
+    ch.__dict__["peak"] = (0.0, 0.0, ln_E_floor - 0.5)
+    with pytest.raises(NoBracket) as info:
+        ch.ln_floor
+    assert str(info.value) == (
+        "enstrophy floor meets or exceeds the curve maximum: "
+        f"ln E_floor = {ln_E_floor:.6g}, ln E_peak = {ln_E_floor - 0.5:.6g}")
 
 
 def test_phi3_domain_and_curl_gate(fig2):
     e_min = find_e_min(fig2)
     with pytest.raises(OutsideDomain):
-        chain(fig2).value(2, e_min.ln + 1.0)
+        chain(fig2).value(2, e_min + 1.0)
     # below-threshold curl forcing is rejected, not silently extrapolated
     weak = _with(fig2, curlF_norm=0.3)
     assert weak.curlF_norm < _curl_threshold(weak)
@@ -264,7 +280,7 @@ def test_assemble_critical_bundle(fig2):
 
     for key in ("e_max", "E_max", "e_min", "E_min", "e0", "E0"):
         assert key in bundle.breakpoints
-    assert bundle.breakpoints["E_max"].log10() \
+    assert bundle.breakpoints["E_max"] / LN10 \
         == pytest.approx(36.10484511251541, abs=1e-9)
 
     # grids are sorted and values finite in ln space

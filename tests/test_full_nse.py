@@ -59,13 +59,13 @@ def test_psi_unimodal(fig2):
 
 
 def test_psi_rejects_negative(fig2):
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideDomain, match="nonnegative and finite"):
         psi_of_E(-1.0, fig2)
 
 
 @pytest.mark.parametrize("E", [math.inf, math.nan])
 def test_psi_rejects_nonfinite(fig2, E):
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideDomain, match="nonnegative and finite"):
         psi_of_E(E, fig2)
 
 

@@ -25,25 +25,27 @@ from enstrophy_bounds.subcritical import sigma_of
 
 
 G, EPS, RHO, C2 = 2.0, 0.2, 0.9, 2.0
+# the bounds are lns; log10 = ln / LN10
+LN10 = math.log(10.0)
 
 
 def test_lower_pin():
     low = emax_lower(G, EPS, RHO, C2)
-    assert low.log10() == pytest.approx(35.76575781168811, abs=1e-9)
+    assert low / LN10 == pytest.approx(35.76575781168811, abs=1e-9)
     # within 1% of the reference value, compared in the linear domain
-    assert abs(low.ln - math.log(5.83e35)) < math.log(1.01)
+    assert abs(low - math.log(5.83e35)) < math.log(1.01)
 
 
 def test_upper_pins():
     up = emax_upper(G, EPS, RHO, C2, eta=4.33, E0_anchor=16.0)
-    assert up.log10() == pytest.approx(110.96054339161364, abs=1e-9)
-    assert abs(up.ln - math.log(9.13e110)) < math.log(1.02)
+    assert up / LN10 == pytest.approx(110.96054339161364, abs=1e-9)
+    assert abs(up - math.log(9.13e110)) < math.log(1.02)
     # second pass: higher anchor tolerates a far gentler funnel and the
     # exponent collapses from ~255 to ~92
     refined = emax_upper(G, EPS, RHO, C2, eta=0.04, E0_anchor=39311.12)
-    assert refined.log10() == pytest.approx(39.85059440882479, abs=1e-9)
-    assert abs(refined.ln - math.log(6.99e39)) < math.log(1.02)
-    assert refined.ln < up.ln
+    assert refined / LN10 == pytest.approx(39.85059440882479, abs=1e-9)
+    assert abs(refined - math.log(6.99e39)) < math.log(1.02)
+    assert refined < up
 
 
 def test_eta_min_values_and_shape():
@@ -77,8 +79,8 @@ def test_default_report():
     assert rep.e_crit == pytest.approx(0.0025, rel=1e-12)
     assert rep.e_bar_crit == pytest.approx(
         EPS * (1.0 - RHO) / (2.0 * (2.0 + rep.eta_used) * C2), rel=1e-14)
-    assert rep.lower.log10() == pytest.approx(35.76575781168811, abs=1e-9)
-    assert rep.upper.log10() == pytest.approx(110.92753862710634, abs=1e-9)
+    assert rep.lower / LN10 == pytest.approx(35.76575781168811, abs=1e-9)
+    assert rep.upper / LN10 == pytest.approx(110.92753862710634, abs=1e-9)
     assert rep.lower < rep.upper
 
 
@@ -89,7 +91,7 @@ def test_explicit_arguments_preserve_flags():
 
 
 def test_upper_monotone_in_eta():
-    vals = [emax_upper(G, EPS, RHO, C2, eta=eta, E0_anchor=16.0).ln
+    vals = [emax_upper(G, EPS, RHO, C2, eta=eta, E0_anchor=16.0)
             for eta in (4.33, 5.0, 6.0, 8.0)]
     assert all(a < b for a, b in zip(vals, vals[1:]))
 
@@ -121,7 +123,7 @@ def test_upper_rejects_non_finite_eta_and_anchor(over):
 
 def test_lower_grows_like_exp_g_squared():
     gs = np.array([2.0, 3.0, 4.0, 5.0, 6.0])
-    lns = np.array([emax_lower(g, EPS, RHO, C2).ln for g in gs])
+    lns = np.array([emax_lower(g, EPS, RHO, C2) for g in gs])
     A = np.vstack([gs ** 2, np.ones_like(gs)]).T
     coef, *_ = np.linalg.lstsq(A, lns, rcond=None)
     fit = A @ coef
@@ -158,7 +160,7 @@ def test_curve_peak_lies_between_the_bounds(fig2):
         _, E_max = find_e_max(params)
         report = bound_report(G, params.eps, params.rho, params.c2,
                               mu=params.mu)
-        assert report.lower.ln <= E_max.ln <= report.upper.ln
+        assert report.lower <= E_max <= report.upper
 
 
 # The lower and the upper bound as two separate formulas, each with its own
@@ -224,7 +226,7 @@ def test_bounds_match_the_two_formulas():
                  _outcome(_two_formula_upper, G, eps, rho, c2, eta, E0))):
             if isinstance(old, tuple):
                 ln, scale = old
-                assert abs(new.ln - ln) <= 1e-13 * scale
+                assert abs(new - ln) <= 1e-13 * scale
                 seen.add("bound")
             else:
                 assert new is old
@@ -242,12 +244,12 @@ def test_exponential_at_criticality_algebraic_above(fig2):
     excess = []
     for G in (50.0, 100.0, 200.0, 280.0):
         _, E_max = find_e_max(ForcingParams.from_mapping(dict(raw, f_norm=G)))
-        excess.append(E_max.ln / G ** 2 - 2.0 * fig2.c2 / fig2.eps)
+        excess.append(E_max / G ** 2 - 2.0 * fig2.c2 / fig2.eps)
     assert all(0.0 < b < a for a, b in zip(excess, excess[1:]))
     assert excess[0] < 4e-3 and excess[-1] < 2e-4
     for r in (0.51, 0.6, 1.0):
         ln_peak = [find_e_bar(ForcingParams.from_mapping(
-            dict(raw, r=r, f_norm=G, curlF_norm=400.0)))[1].ln
+            dict(raw, r=r, f_norm=G, curlF_norm=400.0)))[1]
             for G in (1e3, 1e4)]
-        slope = (ln_peak[1] - ln_peak[0]) / math.log(10.0)
+        slope = (ln_peak[1] - ln_peak[0]) / LN10
         assert slope == pytest.approx(2.0 / sigma_of(r), rel=1e-5)

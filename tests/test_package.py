@@ -6,6 +6,7 @@ name or a module must still hand back the executed one.
 """
 
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -83,18 +84,24 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 # names that left the surface: the per-branch wrappers (the chain's value
 # is the one way to evaluate a branch), float twins of the segment kernels,
 # LogScalar aliases, its arithmetic and ONE (a value is a boundary value
-# only) and scaling's own closed form (the curve is specfun's b = 0
-# solution)
+# only), scaling's own closed form (the curve is specfun's b = 0
+# solution), and the LogScalar record with its constructors, converters
+# and ZERO (a value leaves the library as its ln, a plain float)
 _REMOVED = {
-    "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve",
+    "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar",
     "critical": "phi1 phi2 phi3",
     "subcritical": "sub_phi1 sub_phi2 sub_phi3",
     "branches": "_as_ln",
     "full_nse": "phi_slope _alpha_ln_beta _ln_t _funnel _ln_phi _slope "
                 "_ln_slope _funnel_segment _point",
     "scaling": "scaling_curve _ln_curve",
-    "logscalar": "ONE",
+    "logscalar": "ONE ZERO from_float to_float",
 }
+
+# what the LogScalar shim no longer defines: slots, immutability, equality,
+# hashing and the orderings
+_SHIM_DROPPED = ("__slots__ __setattr__ __delattr__ __eq__ __hash__ __lt__ "
+                 "__le__ __gt__ __ge__")
 
 
 def test_removed_names_raise_attribute_error():
@@ -105,9 +112,16 @@ def test_removed_names_raise_attribute_error():
     owners = [(getattr(eb, m) if m else eb, names)
               for m, names in _REMOVED.items()]
     owners += [(Chain, "branch"), (LogScalar, "from_ln to_sci_string __add__ "
-                                   "__mul__ __truediv__ __pow__")]
+                                   "__mul__ __truediv__ __pow__ from_float "
+                                   "from_sci_string to_float log10")]
     for owner, names in owners:
         for name in names.split():
             assert name not in eb.__all__
             with pytest.raises(AttributeError):
                 getattr(owner, name)
+    # object supplies these, so the shim must not define them
+    assert not set(_SHIM_DROPPED.split()) & vars(LogScalar).keys()
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(LogScalar(0.0), LogScalar(1.0))
+

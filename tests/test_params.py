@@ -5,7 +5,6 @@ import pytest
 
 from enstrophy_bounds import (ForcingParams, InvalidRegime, MissingKey,
                               critical, full_nse, subcritical)
-from enstrophy_bounds.logscalar import LogScalar
 from enstrophy_bounds.params import load_params_file
 
 from conftest import PRESETS
@@ -144,11 +143,3 @@ def test_frozen(fig2):
     with pytest.raises(AttributeError):
         del fig2.nu
     assert fig2.nu == 1.0
-    x = LogScalar(2.0)
-    with pytest.raises(AttributeError):
-        x.ln = 3.0
-    with pytest.raises(AttributeError):
-        del x.ln
-    with pytest.raises(AttributeError):
-        x.other = 3.0
-    assert x.ln == 2.0
