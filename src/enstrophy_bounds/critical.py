@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 
 from .branches import Chain
-from .curves import CurveBundle
+from .curves import CurveBundle, log_grid
 from .errors import InvalidRegime, OutsideDomain
 from .logscalar import ln_add, ln_sub
 from .params import ForcingParams, exp_in_range, held
@@ -106,9 +106,9 @@ def find_e_min(params: ForcingParams) -> float:
 
 def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
     """Max |Delta ln E| between the n-term truncated-series curve and an
-    adaptive Dormand-Prince 5(4) reference (solver.rk4_path) at 8193
-    evenly spaced points, both anchored at the series initial value
-    E0 = 2 nu^3 lam^(1/2) G^2.
+    adaptive Dormand-Prince 5(4) reference (solver.rk4_path) landing on
+    8193 evenly spaced energies from e0 to 1.05 e_a, both anchored at the
+    series initial value E0 = 2 nu^3 lam^(1/2) G^2.
 
     Measures how badly a short series truncation diverges from the true
     solution as the curve climbs toward the barrier.
@@ -130,9 +130,8 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
     s_ref = s_trunc(e0)
     lead = b * e0 - a * ln_e0 + math.log(E0s) * 0.6
 
-    e_stop = ch.rise.e_a * 1.05
-    es, lnEs = rk4_path(ch.slope_field("phi1"), e0, math.log(E0s), e_stop,
-                        tol=1e-7, n_out=8192)
+    es = log_grid(e0, ch.rise.e_a * 1.05, 8193)
+    lnEs = rk4_path(ch.slope_field("phi1"), es, math.log(E0s), tol=1e-7)
     worst = 0.0
     for e, ln_E in zip(es, lnEs):
         # s_trunc grows with e, so for e <= e0 both terms are positive

@@ -6,13 +6,14 @@ tanh-sinh quadrature checks the series, a Dormand-Prince 5(4) path checks
 the Bernoulli closed form, the grid scan checks the root finder. Each is
 one standard method with no fallbacks. find_root also serves the
 construction; the quadrature and the ODE path are references only, and
-no curve or integral is built from them. The root tolerance (4 ulps),
+no curve or integral is built from them: only verify and
+critical.truncation_comparison call them. The root tolerance (4 ulps),
 the quadrature tolerance, the iteration cap and the blow-up level are
-fixed; only rk4_path's tol and n_out vary between callers. The two
-reference kernels form their invariants once: the quadrature nodes and
-weights in a table shared by every interval, the Dormand-Prince stages
-written out on named slopes. Both give the same bits as the plain loops
-(tests/test_solver.py keeps those as oracles).
+fixed; only rk4_path's tol and the nodes it lands on vary between
+callers. The two reference kernels form their invariants once: the
+quadrature nodes and weights in a table shared by every interval, the
+Dormand-Prince stages written out on named slopes. Both give the same
+bits as the plain loops (tests/test_solver.py keeps those as oracles).
 """
 
 from __future__ import annotations
@@ -140,13 +141,14 @@ Field = Callable[[float, float], float]
 _BLOWUP = 1e12  # |y| past which rk4_path reports the solution as blown up
 
 
-def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
-             tol: float = 1e-8, n_out: int = 64):
-    """Integrate dy/de = field(e, y) from e_start to e_end by the embedded
-    Dormand-Prince 5(4) pair (Dormand & Prince 1980), the name being kept
-    from the fixed-step RK4 it replaced. A step is accepted when its error
+def rk4_path(field: Field, es: list[float], y_start: float,
+             tol: float = 1e-8):
+    """Integrate dy/de = field(e, y) from (es[0], y_start) across the
+    nodes es, by the embedded Dormand-Prince 5(4) pair (Dormand & Prince
+    1980), the name being kept from the fixed-step RK4 it replaced. The
+    nodes run one way, left or right. A step is accepted when its error
     estimate is at most tol * max(1, |y|), and is clipped to land on each
-    of the n_out + 1 evenly spaced output nodes.
+    node; the first step proposed is the mean node spacing.
 
     The six stages, the fifth-order update and the error estimate (fifth-
     minus fourth-order solution) are written out on k1 ... k7 with the
@@ -154,15 +156,13 @@ def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
     weights are the last stage row, so the final stage is the next step's
     first.
 
-    Returns (e_nodes, y_nodes) as lists of floats. Raises FieldBlowup when
+    Returns y at each node, a list of floats. Raises FieldBlowup when
     the field stops being finite or |y| passes _BLOWUP,
     NonConvergence when the step size collapses.
     """
-    if e_start == e_end:
+    if es[0] == es[-1]:
         raise ValueError("empty integration interval")
-    spacing = (e_end - e_start) / n_out
-    es = [e_start + i * spacing for i in range(n_out)] + [e_end]
-    e, y, h = e_start, y_start, spacing
+    e, y, h = es[0], y_start, (es[-1] - es[0]) / (len(es) - 1)
     ys, k1 = [y], field(e, y)
     for node in es[1:]:
         while e != node:
@@ -201,4 +201,4 @@ def rk4_path(field: Field, e_start: float, y_start: float, e_end: float,
             if abs(h) < 4.0 * math.ulp(e):
                 raise NonConvergence(f"step size collapsed near e={e}")
         ys.append(y)
-    return es, ys
+    return ys

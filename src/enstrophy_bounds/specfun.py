@@ -81,8 +81,6 @@ def _series_ln(alpha: float, x: float, ln_r: float,
     if n_terms is None:
         # the terms peak near n = x; only trust smallness past the peak
         limit, past = int(10.0 * x) + 200, x
-    elif n_terms < 1:
-        raise ValueError(f"need at least one term, got {n_terms}")
     else:
         limit, past = n_terms - 1, math.inf
     tol = _REL_TOL / 10.0
@@ -137,13 +135,16 @@ def gamma_series_factor(alpha: float, x: float,
     """ln g(alpha, x), to _REL_TOL (see _g_ln). With n_terms the
     partial power series of exactly the first n_terms terms is returned,
     with no convergence check: that reproduces what a hard truncation of
-    the series does to the curve it feeds. Raises NonConvergence for x not
-    finite or above _MAX_X.
+    the series does to the curve it feeds. Raises OutsideDomain for alpha
+    not above 0, x not at least 0 (NaN included) or n_terms below 1, and
+    NonConvergence for x infinite or above _MAX_X.
     """
-    if alpha <= 0.0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
-    if x < 0.0:
-        raise ValueError(f"x must be nonnegative, got {x}")
+    if not alpha > 0.0:
+        raise OutsideDomain(f"g needs alpha > 0, got alpha = {alpha}")
+    if not x >= 0.0:
+        raise OutsideDomain(f"g needs x >= 0, got x = {x}")
+    if n_terms is not None and n_terms < 1:
+        raise OutsideDomain(f"g needs n_terms >= 1, got n_terms = {n_terms}")
     if n_terms is None:
         return _g_ln(alpha, x)
     return _series_ln(alpha, x, -math.inf, n_terms)

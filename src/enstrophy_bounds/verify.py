@@ -15,9 +15,9 @@ Two families of checks, both reporting rows of
   above G ~ 10 every term but the drive is homogeneous of degree 2 in E,
   so halving E leaves the margin where it was.
 * oracle_suite: series vs tanh-sinh quadrature for the special function,
-  the closed-form rising branch vs a Dormand-Prince 5(4) integration of
-  its slope field at 513 evenly spaced points, and root locations vs
-  sign-change scans on independent grids.
+  the assembled rising branch vs a Dormand-Prince 5(4) integration of its
+  slope field that lands on each of the branch's samples, and root
+  locations vs sign-change scans on independent grids.
 
 The Taylor-wavenumber diagnostic of an emitted curve is the CLI's taylor
 subcommand.
@@ -203,20 +203,20 @@ def _chain(params: ForcingParams):
     return chain(params)
 
 
-def _rk4_row(params: ForcingParams) -> dict:
-    """Closed-form rising branch vs direct integration of its slope field.
+def _rk4_row(params: ForcingParams, curve: CurveBundle) -> dict:
+    """The assembled rising branch vs direct integration of its slope
+    field: from the anchor (e0, E0) the path lands on every phi1 sample of
+    curve, right to left, and each sample's ln E is compared with it.
     rk4_path's step error bound is relative and ln E reaches ~1e2, so
     tol = 1e-12 keeps the path within about 1e-9 in ln E."""
     ch = _chain(params)
-    e_stop, _ = ch.peak_point()
-    es, lnEs = rk4_path(ch.slope_field("phi1"), params.e0, math.log(ch.E0),
-                        e_stop, tol=1e-12, n_out=512)
-    worst = 0.0
-    for e, ln_E in zip(es, lnEs):
-        closed = ch.value(0, math.log(e))
-        worst = max(worst, abs(closed - ln_E))
+    seg = curve.segment("phi1")
+    # the path starts on e0 itself, of which exp(ln e0) may miss an ulp
+    es = [params.e0] + [math.exp(v) for v in reversed(seg.ln_e[:-1])]
+    path = rk4_path(ch.slope_field("phi1"), es, math.log(ch.E0), tol=1e-12)
+    worst = max(abs(a - b) for a, b in zip(reversed(seg.ln_E), path))
     return {"check": "closed_form_vs_rk4", "segment": "phi1",
-            "samples": len(es), "worst_margin": worst,
+            "samples": len(path), "worst_margin": worst,
             "pass": worst <= 1e-6}
 
 
@@ -269,12 +269,12 @@ def _scan_rows(params: ForcingParams) -> list[dict]:
 
 
 def _full_scan_row(params: ForcingParams) -> dict:
+    """The apex funnel against the parabola ln coef + ln e / 2, in logs."""
     geo = full_nse.geometry(params)
+    ln_coef = math.log(geo.coef)
 
     def gap(v: float) -> float:
-        e = math.exp(v)
-        apex = full_nse.phi_of_e(e, geo.e1, geo.E1, params)
-        return math.log(apex) - math.log(full_nse.parabola_E(e, params))
+        return geo.apex.ln_E(v) - (ln_coef + 0.5 * v)
 
     return _scan_row("e2", gap, math.log(geo.e2))
 
@@ -287,13 +287,15 @@ def _has_curve(params: ForcingParams) -> bool:
         return False
 
 
-def oracle_suite(params: ForcingParams) -> list[dict]:
-    """Cross-checks at the given parameter set; degenerate forcing (no
-    curve, see _has_curve) skips everything that needs one."""
+def oracle_suite(params: ForcingParams,
+                 curve: CurveBundle | None) -> list[dict]:
+    """Cross-checks at the given parameter set, the rise's against curve,
+    the coherence family's bundle; with no curve (degenerate forcing, see
+    _has_curve) everything that needs one is skipped."""
     rows = [_specfun_row()]
-    if not _has_curve(params):
+    if curve is None:
         return rows
-    rows.append(_rk4_row(params))
+    rows.append(_rk4_row(params, curve))
     rows.extend(_scan_rows(params))
     try:
         rows.append(_full_scan_row(params))
@@ -309,6 +311,7 @@ def report(params: ForcingParams, n_points: int = 512) -> list[dict]:
     of the unconditional region at n_points samples per segment, then
     the oracle suite. Degenerate forcing leaves no curve to check."""
     if not _has_curve(params):
+        curve = None
         rows = [{"check": "containment", "segment": "", "samples": 0,
                  "worst_margin": 0.0, "pass": True,
                  "note": "degenerate forcing, no curve to check"}]
@@ -317,10 +320,11 @@ def report(params: ForcingParams, n_points: int = 512) -> list[dict]:
             from .critical import assemble_critical as assemble
         else:
             from .subcritical import assemble_subcritical as assemble
-        rows = containment_check(assemble(params), params, n_points)
+        curve = assemble(params)
+        rows = containment_check(curve, params, n_points)
         rows += containment_check(full_nse.assemble_full(params), params,
                                   n_points)
-    return rows + oracle_suite(params)
+    return rows + oracle_suite(params, curve)
 
 
 def all_pass(report: list[dict]) -> bool:

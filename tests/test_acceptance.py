@@ -123,7 +123,7 @@ def test_criterion_04_critical_assembly(fig2):
     t0 = time.perf_counter()
     bundle = assemble_critical(fig2)
     peak = bundle.breakpoints["E_max"] / LN10
-    rk4 = _rk4_row(fig2)
+    rk4 = _rk4_row(fig2, bundle)
     digression = truncation_comparison(fig2, 20)
     dt = time.perf_counter() - t0
     ok = (35.77 <= peak <= 110.96 and rk4["pass"]

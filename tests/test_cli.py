@@ -832,7 +832,7 @@ def test_verify_rows_are_pinned(tmp_path, preset, peak, floor):
         ("containment", "phi1", 512, True),
         ("containment", "phi2", 512, True),
         ("series_vs_quadrature", "specfun", 20, True),
-        ("closed_form_vs_rk4", "phi1", 513, True),
+        ("closed_form_vs_rk4", "phi1", 512, True),
         ("root_vs_gridscan", peak, 201, True),
         ("root_vs_gridscan", floor, 201, True),
         ("root_vs_gridscan", "e2", 201, True),

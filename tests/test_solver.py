@@ -1,10 +1,13 @@
+import ast
 import math
 
-import numpy as np
 import pytest
 
 from enstrophy_bounds import FieldBlowup, NoBracket, NonConvergence
+from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.solver import find_root, integrate_adaptive, rk4_path
+
+from conftest import ROOT
 
 
 def test_find_root_sqrt2():
@@ -76,29 +79,28 @@ def test_integrate_reversed_bounds_signs():
 
 
 def test_rk4_linear_field_is_exact():
-    es, ys = rk4_path(lambda e, y: 3.0, 0.0, 1.0, 2.0, tol=1e-12, n_out=16)
+    ys = rk4_path(lambda e, y: 3.0, log_grid(0.0, 2.0, 17), 1.0, tol=1e-12)
+    assert len(ys) == 17
     assert float(ys[-1]) == pytest.approx(7.0, abs=1e-12)
-    assert float(es[-1]) == 2.0
 
 
 def test_rk4_exponential_growth():
-    es, ys = rk4_path(lambda e, y: y, 0.0, 1.0, 1.0, tol=1e-10, n_out=64)
+    ys = rk4_path(lambda e, y: y, log_grid(0.0, 1.0, 65), 1.0, tol=1e-10)
     assert float(ys[-1]) == pytest.approx(math.e, rel=1e-10)
 
 
 def test_rk4_backward_integration():
     # curves are integrated right to left routinely
-    es, ys = rk4_path(lambda e, y: y, 1.0, math.e, 0.0, tol=1e-10, n_out=64)
+    ys = rk4_path(lambda e, y: y, log_grid(1.0, 0.0, 65), math.e, tol=1e-10)
     assert float(ys[-1]) == pytest.approx(1.0, rel=1e-9)
-    assert es[0] > es[-1]
 
 
 def test_rk4_path_error_falls_with_tol():
     # y' = cos(e) y, y(0) = 1: y(1) = exp(sin 1)
     errs = []
     for tol in (1e-4, 1e-6, 1e-8, 1e-10, 1e-12):
-        _, ys = rk4_path(lambda e, y: math.cos(e) * y, 0.0, 1.0, 1.0,
-                         tol=tol, n_out=1)
+        ys = rk4_path(lambda e, y: math.cos(e) * y, [0.0, 1.0], 1.0,
+                      tol=tol)
         err = abs(ys[-1] - math.exp(math.sin(1.0)))
         assert err < tol
         errs.append(err)
@@ -107,28 +109,12 @@ def test_rk4_path_error_falls_with_tol():
 
 def test_rk4_blowup_guard():
     with pytest.raises(FieldBlowup):
-        rk4_path(lambda e, y: y * y, 0.0, 2.0, 3.0, tol=1e-8, n_out=64)
+        rk4_path(lambda e, y: y * y, log_grid(0.0, 3.0, 65), 2.0, tol=1e-8)
 
 
 def test_rk4_rejects_empty_interval():
     with pytest.raises(ValueError):
-        rk4_path(lambda e, y: y, 1.0, 1.0, 1.0)
-
-
-def test_rk4_nodes_are_uniform():
-    es, _ = rk4_path(lambda e, y: 0.0, 0.0, 5.0, 1.0, tol=1e-12, n_out=8)
-    steps = np.diff(es)
-    assert np.allclose(steps, steps[0])
-
-
-@pytest.mark.parametrize("n_out", [1, 7, 512])
-def test_rk4_path_returns_n_out_plus_one_uniform_nodes(n_out):
-    es, ys = rk4_path(lambda e, y: -y, 2.0, 1.0, -1.0, tol=1e-8, n_out=n_out)
-    assert len(es) == len(ys) == n_out + 1
-    assert es[0] == 2.0 and es[-1] == -1.0
-    steps = np.diff(es)
-    assert np.allclose(steps, -3.0 / n_out, rtol=1e-12, atol=0.0)
-    assert ys[-1] == pytest.approx(math.exp(3.0), rel=1e-7)
+        rk4_path(lambda e, y: y, [1.0, 1.0], 1.0)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.0, 2.0), (-20.0, 0.0)])
@@ -171,11 +157,9 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200,
          22 / 525, -1 / 40)
 
 
-def _dp_loop(field, e_start, y_start, e_end, tol=1e-8, n_out=64):
+def _dp_loop(field, es, y_start, tol=1e-8):
     """Dormand-Prince 5(4) driven by its tableau, one stage per pass."""
-    spacing = (e_end - e_start) / n_out
-    es = [e_start + i * spacing for i in range(n_out)] + [e_end]
-    e, y, h = e_start, y_start, spacing
+    e, y, h = es[0], y_start, (es[-1] - es[0]) / (len(es) - 1)
     ys, k = [y], [field(e, y)]
     for node in es[1:]:
         while e != node:
@@ -202,7 +186,7 @@ def _dp_loop(field, e_start, y_start, e_end, tol=1e-8, n_out=64):
             if abs(h) < 4.0 * math.ulp(e):
                 raise NonConvergence(f"step size collapsed near e={e}")
         ys.append(y)
-    return es, ys
+    return ys
 
 
 def _tanh_sinh_per_call(f, lo, hi):
@@ -253,16 +237,14 @@ def _outcome(kernel, fn, *args, **kwargs):
     return result, calls
 
 
-def _critical_slope(fig2):
-    from enstrophy_bounds.critical import chain
-    return chain(fig2).slope_field("phi1"), fig2.e0, \
-        math.log(chain(fig2).E0), chain(fig2).peak_point()[0]
-
-
-def _subcritical_slope(fig3):
-    from enstrophy_bounds.subcritical import chain
-    return chain(fig3).slope_field("phi1"), fig3.e0, \
-        math.log(chain(fig3).E0), chain(fig3).peak_point()[0]
+def _rise(params):
+    """The rise's slope field, the nodes verify lands on (e0, then the
+    assembled phi1 samples right to left) and ln E0."""
+    from enstrophy_bounds.verify import _chain
+    ch = _chain(params)
+    ln_e = ch.assemble().segment("phi1").ln_e
+    es = [params.e0] + [math.exp(v) for v in reversed(ln_e[:-1])]
+    return ch.slope_field("phi1"), es, math.log(ch.E0)
 
 
 @pytest.mark.parametrize("case", [
@@ -270,24 +252,23 @@ def _subcritical_slope(fig3):
     "subcritical-phi1", "solution-blowup", "field-blowup", "step-collapse"])
 def test_rk4_path_matches_the_tableau_loop(case, fig2, fig3):
     fields = {
-        "forward": (lambda e, y: y, 0.0, 1.0, 1.0, 1e-10, 64),
-        "backward": (lambda e, y: y, 1.0, math.e, 0.0, 1e-10, 64),
+        "forward": (lambda e, y: y, log_grid(0.0, 1.0, 65), 1.0, 1e-10),
+        "backward": (lambda e, y: y, log_grid(1.0, 0.0, 65), math.e, 1e-10),
         "oscillating": (lambda e, y: math.cos(3.0 * e) * y - 0.1 * y * y,
-                        -2.0, 0.5, 7.0, 1e-12, 33),
-        "critical-phi1": (*_critical_slope(fig2), 1e-12, 512),
-        "subcritical-phi1": (*_subcritical_slope(fig3), 1e-12, 512),
-        "solution-blowup": (lambda e, y: y * y, 0.0, 2.0, 3.0, 1e-8, 64),
+                        log_grid(-2.0, 7.0, 34), 0.5, 1e-12),
+        "critical-phi1": (*_rise(fig2), 1e-12),
+        "subcritical-phi1": (*_rise(fig3), 1e-12),
+        "solution-blowup": (lambda e, y: y * y, log_grid(0.0, 3.0, 65), 2.0,
+                            1e-8),
         # k2 alone is infinite: the loop's update takes 0 * k2 = NaN
         "field-blowup": (lambda e, y: math.inf if 0.15 < e < 0.25 else 0.0,
-                         0.0, 1.0, 1.0, 1e-8, 1),
-        "step-collapse": (lambda e, y: math.cos(e) * y, 1.0, 1.0, 2.0,
-                          1e-300, 4),
+                         [0.0, 1.0], 1.0, 1e-8),
+        "step-collapse": (lambda e, y: math.cos(e) * y, log_grid(1.0, 2.0, 5),
+                          1.0, 1e-300),
     }
-    field, e_start, y_start, e_end, tol, n_out = fields[case]
-    want, want_calls = _outcome(_dp_loop, field, e_start, y_start, e_end,
-                                tol=tol, n_out=n_out)
-    got, got_calls = _outcome(rk4_path, field, e_start, y_start, e_end,
-                              tol=tol, n_out=n_out)
+    field, es, y_start, tol = fields[case]
+    want, want_calls = _outcome(_dp_loop, field, es, y_start, tol=tol)
+    got, got_calls = _outcome(rk4_path, field, es, y_start, tol=tol)
     assert got == want
     if case == "field-blowup":
         # the written-out update leaves out the zero weight of k2, so only
@@ -320,3 +301,40 @@ def _singular(t):
 def test_integrate_adaptive_matches_per_call_nodes(f, lo, hi):
     want = _outcome(_tanh_sinh_per_call, f, lo, hi)
     assert _outcome(integrate_adaptive, f, lo, hi) == want
+
+
+# ----------------------------------------------------- references only
+#
+# The quadrature and the ODE path check the construction; no curve or
+# integral is built from them.
+
+_REFERENCES = {"rk4_path", "integrate_adaptive"}
+
+
+def _names(tree: ast.AST):
+    """Every name, attribute and imported name in tree."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+        elif isinstance(node, ast.alias):
+            yield node.name
+
+
+def test_only_verify_and_the_truncation_check_name_the_references():
+    # solver defines them; verify and critical.truncation_comparison are
+    # the only modules that call them
+    for path in sorted((ROOT / "src" / "enstrophy_bounds").glob("*.py")):
+        if path.name == "solver.py":
+            continue
+        tree = ast.parse(path.read_text())
+        if path.name == "critical.py":
+            check, = [node for node in tree.body
+                      if isinstance(node, ast.FunctionDef)
+                      and node.name == "truncation_comparison"]
+            assert set(_names(check)) & _REFERENCES == {"rk4_path"}
+            tree.body.remove(check)
+        named = set(_names(tree)) & _REFERENCES
+        assert named == (_REFERENCES if path.name == "verify.py" else set()), \
+            path.name

@@ -3,6 +3,7 @@ quadrature and the exact 1F1 form (mpmath at 40 to 60 digits), and the
 anchor-chain breakpoints built on them."""
 
 import math
+import re
 import sys
 
 import mpmath
@@ -11,7 +12,7 @@ import pytest
 from enstrophy_bounds import (ForcingParams, critical, solver, specfun,
                               subcritical)
 from enstrophy_bounds.critical import chain
-from enstrophy_bounds.errors import NonConvergence
+from enstrophy_bounds.errors import NonConvergence, OutsideDomain
 from enstrophy_bounds.logscalar import ln_add, ln_sub
 from enstrophy_bounds.specfun import (gamma_series_factor,
                                       weighted_exp_integral_ln)
@@ -101,8 +102,7 @@ def test_truncated_n1_is_first_term():
     assert got == pytest.approx(1.0 / 0.25, rel=1e-15)
 
 
-@pytest.mark.parametrize("x", [1.0e6 * (1.0 + 2.0 ** -52), 1e301, math.inf,
-                               math.nan])
+@pytest.mark.parametrize("x", [1.0e6 * (1.0 + 2.0 ** -52), 1e301, math.inf])
 def test_series_refuses_arguments_past_the_cap(x):
     # about x terms would be needed: refuse instead of hanging or
     # overflowing the term budget
@@ -110,6 +110,22 @@ def test_series_refuses_arguments_past_the_cap(x):
         gamma_series_factor(0.85, x)
     with pytest.raises(NonConvergence):
         gamma_series_factor(0.85, x, n_terms=20)
+
+
+@pytest.mark.parametrize("alpha, x, n_terms, named", [
+    (0.0, 1.0, None, "alpha = 0.0"),
+    (math.nan, 1.0, None, "alpha = nan"),
+    (0.85, -1.0, None, "x = -1.0"),
+    (0.85, math.nan, None, "x = nan"),
+    (0.85, math.nan, 20, "x = nan"),
+    (0.85, 1.0, 0, "n_terms = 0"),
+], ids=["alpha-zero", "alpha-nan", "x-negative", "x-nan", "x-nan-truncated",
+        "no-terms"])
+def test_series_refuses_outside_its_domain(alpha, x, n_terms, named):
+    # bad input, typed and named: no bare ValueError, and a NaN is not
+    # sent on to the series to fail as NonConvergence
+    with pytest.raises(OutsideDomain, match=re.escape(named)):
+        gamma_series_factor(alpha, x, n_terms=n_terms)
 
 
 def test_weighted_integral_b_zero_closed_form():

@@ -30,7 +30,7 @@ from enstrophy_bounds.curves import CurveBundle, CurveSegment, log_grid
 from enstrophy_bounds.solver import rk4_path
 from enstrophy_bounds.verify import (_ALPHAS, _SCAN_HALF_WIDTH, _SCAN_N,
                                      _XS, _chain, _g_quadrature, _margins,
-                                     _rate_tables, _scan_row,
+                                     _rate_tables, _rk4_row, _scan_row,
                                      _spread_indices, all_pass)
 
 from conftest import ROOT
@@ -148,7 +148,7 @@ def test_halved_subcritical_curve_flags(fig3):
 
 
 def test_oracle_suite_critical(fig2):
-    report = oracle_suite(fig2)
+    report = oracle_suite(fig2, assemble_critical(fig2))
     assert all_pass(report)
     checks = {row["check"] for row in report}
     assert checks == {"series_vs_quadrature", "closed_form_vs_rk4",
@@ -159,7 +159,7 @@ def test_oracle_suite_critical(fig2):
 
 
 def test_oracle_suite_subcritical(fig3):
-    report = oracle_suite(fig3)
+    report = oracle_suite(fig3, assemble_subcritical(fig3))
     assert all_pass(report)
     scans = {row["segment"] for row in report
              if row["check"] == "root_vs_gridscan"}
@@ -170,7 +170,7 @@ def test_oracle_suite_root_on_grid_midpoint(fig3):
     # the claimed root sits on the scan grid's middle node; the scan must
     # count it as inside its own bracket
     draw = _with(fig3, r=0.5237077422010827, f_norm=24.501293065148346)
-    report = oracle_suite(draw)
+    report = oracle_suite(draw, assemble_subcritical(draw))
     assert all_pass(report)
     assert all(type(row["pass"]) is bool for row in report)
     json.dumps(report)
@@ -199,10 +199,45 @@ def test_oracles_never_reach_the_construction(fig2, fig3, monkeypatch):
     for (a, x), want in series.items():
         assert _g_quadrature(a, x) == pytest.approx(want, rel=1e-10)
     for ch, e_stop, ln_E_stop in peaks:
-        es, ys = rk4_path(ch.slope_field("phi1"), ch.params.e0,
-                          math.log(ch.E0), e_stop, tol=1e-12, n_out=512)
+        es = log_grid(ch.params.e0, e_stop, 513)
+        ys = rk4_path(ch.slope_field("phi1"), es, math.log(ch.E0), tol=1e-12)
         assert es[-1] == e_stop
         assert ys[-1] == pytest.approx(ln_E_stop, abs=1e-6)
+
+
+@pytest.mark.parametrize("where", [0, 300, 511],
+                         ids=["peak", "middle", "anchor"])
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_rk4_row_checks_the_written_rise(request, preset, where,
+                                         monkeypatch):
+    # the row reads the phi1 samples that curve writes: one of them moved
+    # by 1e-5 in ln E fails it, and only it. It evaluates no closed form.
+    params = request.getfixturevalue(preset)
+    family = assemble_critical if params.r == 0.5 else assemble_subcritical
+    bundle = family(params)
+    segs = []
+    for seg in bundle.segments:
+        if seg.tag == "phi1":
+            ln_E = list(seg.ln_E)
+            ln_E[where] += 1e-5
+            seg = CurveSegment(seg.tag, seg.ln_e, ln_E, seg.dlnE_dlne)
+        segs.append(seg)
+    moved = CurveBundle(bundle.model, params, segs, bundle.breakpoints)
+    failing = [row for row in oracle_suite(params, moved) if not row["pass"]]
+    assert [row["check"] for row in failing] == ["closed_form_vs_rk4"]
+    assert failing[0]["worst_margin"] == pytest.approx(1e-5, rel=1e-3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rk4 row called the construction")
+
+    for module, name in [(specfun, "weighted_exp_integral_ln"),
+                         (specfun, "weighted_exp_integral_to"),
+                         (specfun, "solution"), (branches, "solution")]:
+        monkeypatch.setattr(module, name, forbidden)
+    row = _rk4_row(params, bundle)
+    assert row["pass"] and row["samples"] == 512
+    assert row["worst_margin"] < 1e-10
+    assert not _rk4_row(params, moved)["pass"]
 
 
 def test_scan_row_rejects_displaced_root():
@@ -222,7 +257,8 @@ def test_oracle_suite_catches_loose_series(fig2, monkeypatch):
     # its own chain with the loose series, and every value formed with it
     # is held on that set alone, so none outlives this test.
     monkeypatch.setattr(specfun, "_REL_TOL", 1e-2)
-    report = oracle_suite(_with(fig2))
+    loose = _with(fig2)
+    report = oracle_suite(loose, assemble_critical(loose))
     failing = {row["check"] for row in report if not row["pass"]}
     assert "series_vs_quadrature" in failing
     assert "closed_form_vs_rk4" in failing
@@ -230,7 +266,7 @@ def test_oracle_suite_catches_loose_series(fig2, monkeypatch):
 
 def test_oracle_suite_degenerate_forcing(fig2):
     dead = _with(fig2, f_norm=0.0)
-    report = oracle_suite(dead)
+    report = oracle_suite(dead, None)
     assert all_pass(report)
     assert {row["check"] for row in report} == {"series_vs_quadrature"}
 
