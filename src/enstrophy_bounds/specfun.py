@@ -18,14 +18,17 @@ endpoint values is taken inside each weight v_n = -expm1((alpha+n) ln r),
 where it costs no digits, and never between two large sums. That loop
 needs about x terms, a few times G^2, so wide spans take the endpoint
 difference e_hi^alpha (G - H), G = g(alpha, x), H = r^alpha g(alpha, r x),
-with g from its few-term large-argument form. The weighted integral is
-returned as its ln, a float, because it overflows float64 long before the
-interesting parameter range ends, and so is gamma_series_factor, a
-public entry point. weighted_exp_integral_to prepares the integral
-once per upper end, as a function of the lower end, so every sample of a
-branch shares alpha, x, its gate and ln G, which that function forms on
-first use and keeps (there is no module-level cache). Every arm is summed
-to the fixed relative accuracy _REL_TOL = 1e-12.
+with g from its few-term large-argument form, which needs no cap on x.
+Only the power series is capped, at x = _MAX_X = 1e6: a span that still
+needs it past that, or past float range, is refused there with
+NonConvergence. The weighted integral is returned as its ln, a float,
+because it overflows float64 long before the interesting parameter range
+ends, and so is gamma_series_factor, a public entry point.
+weighted_exp_integral_to prepares the integral once per upper end, as a
+function of the lower end, so every sample of a branch shares alpha, x,
+its gate and ln G, which that function forms on first use and keeps
+(there is no module-level cache). Every arm is summed to the fixed
+relative accuracy _REL_TOL = 1e-12.
 
 The integral's only callers are the solutions of the linear field
 dy/de = (a/e - b) y - c, y = E^p (Field), which every closed-form curve
@@ -49,10 +52,9 @@ _LN_RESCALE = math.log(_RESCALE)
 # relative accuracy asked of every series evaluation
 _REL_TOL = 1e-12
 
-# largest series argument accepted: the series needs about x terms, so
-# this caps one call at about a million of them
+# largest argument the power series is summed for: it needs about x
+# terms, so this caps one call at about a million of them
 _MAX_X = 1e6
-_LN_MAX_X = math.log(_MAX_X)
 
 # largest bound on H / (G - H) for which G - H is taken as a difference
 _LN_SEVENTH = math.log(1.0 / 7.0)
@@ -116,10 +118,12 @@ def _g_ln(alpha: float, x: float) -> float:
     g ~ e^x/x sum_s (1 - alpha)_s x^(-s) (DLMF 13.7.2), all terms positive,
     is taken where the part it drops, about Gamma(alpha) x^(1-alpha) e^(-x)
     relative, is below _REL_TOL / 10; its smallest term is smaller still,
-    so it converges while its terms fall. Elsewhere the r = 0 series.
+    so it converges while its terms fall. That bound alone picks the arm
+    for every x > 1, however large; elsewhere the r = 0 series, which
+    refuses an x infinite or above _MAX_X.
     """
     tol = _REL_TOL / 10.0
-    if alpha < 1.0 and 1.0 < x <= _MAX_X and math.lgamma(alpha) \
+    if alpha < 1.0 and x > 1.0 and math.lgamma(alpha) \
             + (1.0 - alpha) * math.log(x) - x < math.log(tol):
         term, tail, k = 1.0, 0.0, 1.0 - alpha
         while term > tol * (1.0 + tail):
@@ -136,11 +140,14 @@ def gamma_series_factor(alpha: float, x: float,
     partial power series of exactly the first n_terms terms is returned,
     with no convergence check: that reproduces what a hard truncation of
     the series does to the curve it feeds. Raises OutsideDomain for alpha
-    not above 0, x not at least 0 (NaN included) or n_terms below 1, and
-    NonConvergence for x infinite or above _MAX_X.
+    not above 0, not finite or with 1/alpha not finite, x not at least 0
+    (NaN included) or n_terms below 1, and NonConvergence for x infinite,
+    or above _MAX_X where the power series is summed (alpha >= 1, or
+    n_terms given).
     """
-    if not alpha > 0.0:
-        raise OutsideDomain(f"g needs alpha > 0, got alpha = {alpha}")
+    if not (0.0 < alpha < math.inf and 1.0 / alpha < math.inf):
+        raise OutsideDomain(f"g needs a finite alpha > 0 with a finite "
+                            f"1/alpha, got alpha = {alpha}")
     if not x >= 0.0:
         raise OutsideDomain(f"g needs x >= 0, got x = {x}")
     if n_terms is not None and n_terms < 1:
@@ -157,37 +164,38 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
 
     Bounds are taken in the log so the routine stays exact for abscissas
     far outside float64 range (ln_lo = -inf means a zero lower bound).
-    Requires 0 < a < 1 and b >= 0.
+    Raises OutsideDomain, naming the value, unless 0 < a < 1, b >= 0 and
+    ln_lo <= ln_hi (NaN included).
 
     It is e_hi^alpha (G - H), with G, H the integrals of t^(-a) e^(xt)
     over [0, 1] and [0, r], x = b e_hi, r = e_lo/e_hi. Bounding t^(-a) by
     1 on [r, 1] gives H/(G - H) <= x r^(1-a) / ((1-a)(e^(x(1-r)) - 1))
     before any sum; where that is at most 1/7 the difference is taken
     (under 0.07 digits lost), else the positive-term series is summed.
-    alpha, x and its gate, ln(x/alpha) and alpha ln e_hi depend on the
-    upper end alone and are formed here; ln G is formed on first use and
-    kept in the returned function, so it lives as long as that does.
+    Only that series is capped: a span that needs it with x above _MAX_X,
+    or with x past float range (taken as inf above ln x = 709, before
+    exp overflows), is NonConvergence there. alpha, x and its gate,
+    ln(x/alpha) and alpha ln e_hi depend on the upper end alone and are
+    formed here; ln G is formed on first use and kept in the returned
+    function, so it lives as long as that does.
     """
     if not 0.0 < a < 1.0:
-        raise ValueError(f"a must lie in (0, 1), got {a}")
-    if b < 0.0:
-        raise ValueError(f"b must be nonnegative, got {b}")
+        raise OutsideDomain(f"weighted integral needs 0 < a < 1, got a = {a}")
+    if not b >= 0.0:
+        raise OutsideDomain(f"weighted integral needs b >= 0, got b = {b}")
     alpha, ln_lead = 1.0 - a, (1.0 - a) * ln_hi
     ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
-    x = math.inf if ln_x > _LN_MAX_X else math.exp(ln_x)
+    x = math.exp(ln_x) if ln_x <= 709.0 else math.inf
     ln_x_alpha = math.log(x / alpha) if x > 0.0 else -math.inf
     ln_g = None
 
     def ln_w(ln_lo: float) -> float:
         nonlocal ln_g
-        if ln_lo > ln_hi:
-            raise ValueError("lower bound above upper bound")
+        if not ln_lo <= ln_hi:
+            raise OutsideDomain(f"weighted integral needs ln_lo <= ln_hi, "
+                                f"got ln_lo = {ln_lo}, ln_hi = {ln_hi}")
         if ln_lo == ln_hi:
             return -math.inf
-        if x == math.inf:
-            raise NonConvergence(
-                f"x = exp({ln_x:.6g}) is above {_MAX_X:g}, the largest the "
-                f"series is summed for")
         ln_r = ln_lo - ln_hi
         gap = -x * math.expm1(ln_r)  # x (1 - r)
         if gap > 0.0 and ln_x_alpha + alpha * ln_r - gap \

@@ -291,6 +291,12 @@ _EXTREME_INPUTS = [
     # the series argument x = b e0 is exp(720.7), past float range
     pytest.param(["curve", "critical"], {"nu": 1e-54, "eps": 1e-96}, 2,
                  id="critical-huge-series-argument"),
+    # x = b e0 = 12 G^2 passes 1e6, the power series' cap, from G ~ 289 on;
+    # the large-argument form and the endpoint difference carry the curve
+    # and every verify row past it
+    *[pytest.param(args, {"f_norm": G}, 0, id=f"{args[0]}-grashof-{G:g}")
+      for G in (300.0, 1000.0, 3000.0)
+      for args in (["curve", "critical"], ["verify"])],
     # alpha = 101, where e^(alpha + 1/2) is past float range
     *[pytest.param(args, {"eta": 1.01}, 0, id=f"{args[0]}-steep-funnel")
       for args in (["curve", "full"], ["classify", "--e", "0.3", "--E", "2"],
@@ -393,6 +399,19 @@ def test_extreme_inputs_exit_typed_and_fast(bad_curves, args, over, code):
 def test_exit_code_regime(tmp_path):
     dead = _fig2_variant(tmp_path, "dead.json", f_norm=0.0)
     assert run(["curve", "critical", "--params", dead]) == 3
+
+
+@pytest.mark.parametrize("args", [["curve", "critical"], ["verify"]],
+                         ids=["critical", "verify"])
+def test_join_gap_finer_than_an_ulp_is_typed(tmp_path, capsys, args):
+    # at G = 1e4, ln E ~ 2e9: one ulp of it, 2.4e-7, is above the 1e-8
+    # bound on a segment join, so the curve stops there, with a typed
+    # refusal that names the gap
+    big = _fig2_variant(tmp_path, "big.json", f_norm=1e4)
+    assert run([*args, "--params", big]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("CancellationLoss: segment join gap ")
 
 
 @pytest.mark.parametrize("args", [
@@ -1054,10 +1073,11 @@ def test_emax_matches_the_removed_arithmetic(tmp_path, capsys, monkeypatch,
 
 
 def test_console_entry_point():
+    env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
     proc = subprocess.run(
         [sys.executable, "-m", "enstrophy_bounds", "classify",
          "--params", FIG2, "--e", "4", "--E", "1e9"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert proc.stdout == "II\n"
 

@@ -34,17 +34,14 @@ def _bits(values):
 def _integral_ln(a, b, ln_lo, ln_hi):
     """ln of int s^(-a) e^(b s) ds over [e^ln_lo, e^ln_hi], every
     quantity formed in the call."""
-    if ln_lo > ln_hi:
-        raise ValueError("lower bound above upper bound")
+    if not ln_lo <= ln_hi:
+        raise OutsideDomain(f"weighted integral needs ln_lo <= ln_hi, "
+                            f"got ln_lo = {ln_lo}, ln_hi = {ln_hi}")
     if ln_lo == ln_hi:
         return -math.inf
     alpha, ln_r = 1.0 - a, ln_lo - ln_hi
     ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
-    if ln_x > specfun._LN_MAX_X:
-        raise specfun.NonConvergence(
-            f"x = exp({ln_x:.6g}) is above {specfun._MAX_X:g}, the largest "
-            f"the series is summed for")
-    x = math.exp(ln_x)
+    x = math.exp(ln_x) if ln_x <= 709.0 else math.inf
     gap = -x * math.expm1(ln_r)
     if gap > 0.0 and math.log(x / alpha) + alpha * ln_r - gap \
             - math.log(-math.expm1(-gap)) <= specfun._LN_SEVENTH:
@@ -166,11 +163,15 @@ def test_prepared_integral_matches_the_per_call_form():
             assert _outcome(ln_w, ln_hi - span) == want
             assert _outcome(specfun.weighted_exp_integral_ln, a, b,
                             ln_hi - span, ln_hi) == want
-    # x = b e_hi above the series cap is refused the same way
-    for ln_lo in (-1.0, 0.0, 1.0):
-        want = _outcome(_integral_ln, 0.5, 1e7, ln_lo, 0.0)
-        assert _outcome(specfun.weighted_exp_integral_to(0.5, 1e7, 0.0),
-                        ln_lo) == want
+    # x = b e_hi above the power series' cap (1e7) and past float range
+    # (e^710.8): the endpoint form answers wide spans where x is finite,
+    # and the spans that still need the series, a reversed pair and a NaN
+    # bound are refused the same way
+    for b, ln_hi in ((1e7, 0.0), (1e300, 20.0)):
+        ln_w = specfun.weighted_exp_integral_to(0.5, b, ln_hi)
+        for span in (1.0, 1e-9, 0.0, -1.0, math.nan):
+            want = _outcome(_integral_ln, 0.5, b, ln_hi - span, ln_hi)
+            assert _outcome(ln_w, ln_hi - span) == want
 
 
 # -------------------------------------------------------------- branches

@@ -48,11 +48,17 @@ def test_series_matches_hyp1f1(alpha):
     # the partial sum is rescaled about 50 and 170 times, and the log
     # offset those rescales add must not drift. For alpha < 1 the
     # large-argument form takes over between x ~ 30 and 41, depending on
-    # alpha; x = 30 to 60 checks both sides of that switch
+    # alpha; x = 30 to 60 checks both sides of that switch. Past the power
+    # series' cap, 1e6, that form answers alone for alpha < 1; for
+    # alpha >= 1 the series is still what g needs, so it refuses
     with mpmath.workdps(30):
         for x in (0.0, 1e-8, 1e-3, 0.5, 1.0, 10.0, 30.0, 33.0, 35.0, 38.0,
                   40.0, 45.0, 48.0, 60.0, 100.0, 300.0, 1200.0, 3000.0,
-                  1e4, 3e4, 1e5):
+                  1e4, 3e4, 1e5, 1e6 * (1.0 + 2.0 ** -52), 1e7, 1e8, 1e9):
+            if alpha >= 1.0 and x > 1e6:
+                with pytest.raises(NonConvergence):
+                    gamma_series_factor(alpha, x)
+                continue
             got = gamma_series_factor(alpha, x)
             want = mpmath.log(mpmath.hyp1f1(alpha, alpha + 1, x) / alpha)
             err = abs(mpmath.expm1(mpmath.mpf(got) - want))
@@ -104,12 +110,21 @@ def test_truncated_n1_is_first_term():
 
 @pytest.mark.parametrize("x", [1.0e6 * (1.0 + 2.0 ** -52), 1e301, math.inf])
 def test_series_refuses_arguments_past_the_cap(x):
-    # about x terms would be needed: refuse instead of hanging or
-    # overflowing the term budget
-    with pytest.raises(NonConvergence):
-        gamma_series_factor(0.85, x)
+    # the power series would need about x terms: it refuses instead of
+    # hanging or overflowing the term budget, wherever it is what g needs
+    # (n_terms given, or alpha >= 1). For alpha < 1 the large-argument
+    # form, which has no cap, answers every finite x, to its first order
+    # ln g = x - ln x; an infinite x falls through to the series
     with pytest.raises(NonConvergence):
         gamma_series_factor(0.85, x, n_terms=20)
+    with pytest.raises(NonConvergence):
+        gamma_series_factor(1.5, x)
+    if x == math.inf:
+        with pytest.raises(NonConvergence):
+            gamma_series_factor(0.85, x)
+    else:
+        assert gamma_series_factor(0.85, x) \
+            == pytest.approx(x - math.log(x), rel=1e-12)
 
 
 @pytest.mark.parametrize("alpha, x, n_terms, named", [
@@ -119,11 +134,15 @@ def test_series_refuses_arguments_past_the_cap(x):
     (0.85, math.nan, None, "x = nan"),
     (0.85, math.nan, 20, "x = nan"),
     (0.85, 1.0, 0, "n_terms = 0"),
+    (1e-320, 1.0, None, "alpha = 1e-320"),
+    (5e-324, 0.0, None, "alpha = 5e-324"),
+    (math.inf, 1.0, None, "alpha = inf"),
 ], ids=["alpha-zero", "alpha-nan", "x-negative", "x-nan", "x-nan-truncated",
-        "no-terms"])
+        "no-terms", "alpha-subnormal", "alpha-least-subnormal", "alpha-inf"])
 def test_series_refuses_outside_its_domain(alpha, x, n_terms, named):
     # bad input, typed and named: no bare ValueError, and a NaN is not
-    # sent on to the series to fail as NonConvergence
+    # sent on to the series to fail as NonConvergence, nor an alpha whose
+    # first term 1/alpha is not finite
     with pytest.raises(OutsideDomain, match=re.escape(named)):
         gamma_series_factor(alpha, x, n_terms=n_terms)
 
@@ -182,10 +201,25 @@ def test_weighted_integral_rescales_on_the_term(span):
 
 
 def test_weighted_integral_rejects_bad_exponent():
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideDomain, match=re.escape("a = 1.5")):
         weighted_exp_integral_ln(1.5, 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(OutsideDomain, match=re.escape("b = -1.0")):
         weighted_exp_integral_ln(0.5, -1.0, 0.0, 1.0)
+
+
+@pytest.mark.parametrize("a, b, ln_lo, ln_hi, named", [
+    (math.nan, 1.0, -1.0, 0.0, "a = nan"),
+    (0.5, math.nan, -1.0, 0.0, "b = nan"),
+    (0.5, 1.0, math.nan, 0.0, "ln_lo = nan"),
+    (0.5, 1.0, -1.0, math.nan, "ln_hi = nan"),
+    (0.5, 0.0, 1.0, 0.0, "ln_lo = 1.0, ln_hi = 0.0"),
+], ids=["a-nan", "b-nan", "lo-nan", "hi-nan", "lo-above-hi"])
+def test_weighted_integral_refuses_outside_its_domain(a, b, ln_lo, ln_hi,
+                                                      named):
+    # bad input, typed and named: a NaN b is not taken as b = 0, and a NaN
+    # bound does not reach the series to fail there
+    with pytest.raises(OutsideDomain, match=re.escape(named)):
+        weighted_exp_integral_ln(a, b, ln_lo, ln_hi)
 
 
 @pytest.mark.parametrize("span", [1e-10, 1e-9, 1e-8, 1e-7, 1e-6, 1e-5,
@@ -214,6 +248,11 @@ _GRID_LN_HI = (-8000.0, -50.0, -5.0, 0.0, 1.0, 3.0, 5.5, 7.0)
 _GRID_B = (0.0, 1e-9, 0.3, 2.0, 48.0)
 _GRID_SPANS = (1e-12, 1e-10, 1e-7, 1e-4, 1e-2, 0.03, 0.05, 0.1, 0.3, 1.0,
                5.0, 40.0, 1e4, math.inf)
+# upper ends past the power series' cap, at b = 1 so that x = e_hi is
+# the exp of ln e_hi with one rounding (a product b e_hi formed in logs
+# would carry the rounding of its log as well: input conditioning of a
+# few ulps of ln W at x ~ 1e7, not a kernel error)
+_GRID_LN_HI_PAST_CAP = tuple(math.log(e) for e in (2e6, 1e7, 1e8, 1e9))
 
 
 @pytest.mark.parametrize("a", [0.03, 0.15, 0.5, 0.85, 0.97])
@@ -221,7 +260,8 @@ def test_weighted_integral_matches_hyp1f1_difference(a):
     # exact value e_hi^al F(b e_hi) - e_lo^al F(b e_lo), al = 1 - a,
     # F(x) = 1F1(al; al + 1; x)/al, at 60 digits, which leave at least 45
     # after the closest bounds cancel; where |ln W| passes 8192 one ulp of
-    # ln W exceeds 1e-12, so there the bound is that ulp
+    # ln W exceeds 1e-12, so there the bound is that ulp. The bound is the
+    # same past the power series' cap, where ln W reaches 1e9
     with mpmath.workdps(60):
         al = 1 - mpmath.mpf(a)
 
@@ -231,17 +271,24 @@ def test_weighted_integral_matches_hyp1f1_difference(a):
             e = mpmath.exp(mpmath.mpf(ln_e))
             return e ** al * mpmath.hyp1f1(al, al + 1, b * e) / al
 
-        for ln_hi in _GRID_LN_HI:
-            for b in _GRID_B:
-                if b * math.exp(ln_hi) > 3000.0:
+        rows = [(ln_hi, b) for ln_hi in _GRID_LN_HI for b in _GRID_B
+                if b * math.exp(ln_hi) <= 3000.0]
+        for ln_hi, b in rows + [(v, 1.0) for v in _GRID_LN_HI_PAST_CAP]:
+            x = b * math.exp(ln_hi)
+            for span in _GRID_SPANS:
+                ln_lo = ln_hi - span
+                if x > 1e6 and x * span < 50.0:
+                    # the endpoint form needs x (1 - r) above about
+                    # ln(x/alpha) + 2, 17 to 27 here: these spans need
+                    # the series, with x above its cap
+                    with pytest.raises(NonConvergence):
+                        weighted_exp_integral_ln(a, b, ln_lo, ln_hi)
                     continue
-                for span in _GRID_SPANS:
-                    ln_lo = ln_hi - span
-                    got = weighted_exp_integral_ln(a, b, ln_lo, ln_hi)
-                    want = mpmath.log(anti(ln_hi, b) - anti(ln_lo, b))
-                    err = abs(mpmath.expm1(mpmath.mpf(got) - want))
-                    assert err <= max(1e-12, math.ulp(got)), \
-                        (ln_hi, b, span, float(err))
+                got = weighted_exp_integral_ln(a, b, ln_lo, ln_hi)
+                want = mpmath.log(anti(ln_hi, b) - anti(ln_lo, b))
+                err = abs(mpmath.expm1(mpmath.mpf(got) - want))
+                assert err <= max(1e-12, math.ulp(got)), \
+                    (ln_hi, b, span, float(err))
 
 
 def _mp_solution(e, field, e_ref, y_ref):
