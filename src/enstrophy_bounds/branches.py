@@ -37,10 +37,14 @@ below float range; they leave the chain as lns too (peak_point's E, the
 bundle's breakpoints).
 
 Each branch is evaluated through one function (solution), prepared once
-per anchor, and the chain keeps one per branch (Chain.ln_y_of), through
-which sampling (specfun.sample), value, peak_gap, classify and verify's
-scans all go. A branch is defined at or left of its anchor, where every
-sampling grid ends; a point right of it is OutsideDomain.
+per anchor, and the chain keeps it per branch beside that branch's
+envelope (Chain.prepared). Sampling (specfun.sample), value, peak_gap and
+verify's scans all evaluate through the kept solution. classify reads the
+kept envelope first: a point below a ln e - b e + lead, or above
+a ln e - b e + top by more than the rounding margin, is decided from
+those two numbers, and only a point between them evaluates the solution
+(Chain.classify). A branch is defined at or left of its anchor, where
+every sampling grid ends; a point right of it is OutsideDomain.
 """
 
 from __future__ import annotations
@@ -54,7 +58,7 @@ from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
                      InvalidRegime, NoBracket, OutsideDomain, RegimeViolation)
 from .params import ForcingParams
 from .solver import find_root
-from .specfun import Field, envelope, peak_ln_e, sample, solution
+from .specfun import _REL_TOL, Field, envelope, peak_ln_e, sample, solution
 
 TAGS = ("phi1", "phi2", "phi3")
 
@@ -78,9 +82,9 @@ class Chain:
     The descent is the rise divided by C_Omega; the tail's a and c are the
     same in both families.
     The peak and the floor crossing are solved on first use and kept, as
-    is each branch's prepared solution (ln_y_of); a failed solve is not
-    kept and raises again on every use, so a caller that never reaches a
-    breakpoint never sees it.
+    is each branch's prepared solution and envelope (prepared); a failed
+    solve is not kept and raises again on every use, so a caller that
+    never reaches a breakpoint never sees it.
     """
 
     def __init__(self, params: ForcingParams, model: str,
@@ -105,7 +109,7 @@ class Chain:
         # value's factor 1/p of each branch
         self._nu, self._four_f = params.nu, 4.0 * params.f_norm
         self._q = tuple(1.0 / f.p for f in self.fields)
-        self._ln_y = [None, None, None]  # ln_y_of's prepared solutions
+        self._prepared = [None, None, None]  # prepared's (ln_y, lead, top)
 
     @cached_property
     def ln_e0(self) -> float:
@@ -125,19 +129,23 @@ class Chain:
             return self.peak[1], self.peak[2] * self.rise.p
         return self.ln_floor, math.log(self.floor) * 1.5
 
-    def ln_y_of(self, k: int):
-        """Branch k's ln y as a function of ln e (solution), prepared on
-        first use and kept, like peak and ln_floor. Sampling, value,
-        peak_gap, classify and the scans all evaluate through it."""
-        kept = self._ln_y
+    def prepared(self, k: int):
+        """(ln_y, lead, top) of branch k, formed on first use and kept,
+        like peak and ln_floor: ln_y is its ln y as a function of ln e
+        (specfun.solution), through which sampling, value, peak_gap and
+        the scans evaluate, and lead <= inner <= top bound the inner term
+        of that solution left of the anchor (specfun.envelope), which
+        peak, ln_floor and classify read."""
+        kept = self._prepared
         if kept[k] is None:
-            kept[k] = solution(self.fields[k], *self._anchor(k))
+            f, ref = self.fields[k], self._anchor(k)
+            kept[k] = (solution(f, *ref), *envelope(f, *ref))
         return kept[k]
 
     def value(self, k: int, ln_e: float) -> float:
         """ln E on branch k at ln e, at or left of its anchor; the tail's
         curl gate (require_curl) is left to the caller."""
-        return self.ln_y_of(k)(ln_e) * self._q[k]
+        return self.prepared(k)[0](ln_e) * self._q[k]
 
     def require_curl(self) -> None:
         if not self.curl_dominant:
@@ -168,7 +176,7 @@ class Chain:
     def peak_gap(self, x: float) -> float:
         """ln y - ln y_null on the rise, in the peak variable x (w = ln(1 -
         e/e_a) when b > 0, ln e when b = 0); the peak is its root."""
-        return self.ln_y_of(0)(self._ln_e_of(x)) - self._ln_null(x)
+        return self.prepared(0)[0](self._ln_e_of(x)) - self._ln_null(x)
 
     @cached_property
     def peak(self) -> tuple[float, float, float]:
@@ -191,13 +199,13 @@ class Chain:
                 f"barrier asymptote e_a = {f.e_a}")
         if not f.e_a > 0.0:
             raise InvalidRegime(f"e_a = a/b underflows (b = {f.b:.3g})")
+        _, lead, top = self.prepared(0)
         if f.b > 0.0:
-            lead, top = envelope(f, *self._anchor(0))
             k = f.a * math.log(f.e_a) - f.a - f.ln_c + math.log(f.b)
             x = find_root(self.peak_gap, min(-k - top - 1.0, math.log(0.5)),
                           min(1.0 - k - lead, math.log1p(-1e-9)))
         else:
-            x = peak_ln_e(f, *self._anchor(0))
+            x = peak_ln_e(f, top)
             if x >= self.ln_e0:
                 raise NoBracket("rise peaks at or right of the anchor e0: "
                                 f"ln e_peak - ln e0 = {x - self.ln_e0:.6g}")
@@ -222,7 +230,10 @@ class Chain:
         floor's ln y_f the gap is below -1 from v = (ln y_f - top - 1)/a
         down, and above 1 from v = (ln y_f - lead + b e_peak + 1)/a up
         (or positive at the peak, if that comes first). The search stops
-        at ln e = -2^49 (_LN_E_DEEPEST): a crossing below it is NoBracket.
+        at ln e = -2^49 (_LN_E_DEEPEST): when the lower end lies below it
+        and the gap there is still positive, the crossing lies deeper, and
+        that is NoBracket before any root search, naming the limit and the
+        lower end.
         """
         _, ln_peak, ln_E_peak = self.peak
         ln_E_floor = math.log(self.floor)
@@ -232,14 +243,17 @@ class Chain:
                 f"ln E_floor = {ln_E_floor:.6g}, ln E_peak = {ln_E_peak:.6g}")
         f = self.fields[1]
         ln_y_f = ln_E_floor * f.p
-        lead, top = envelope(f, *self._anchor(1))
+        _, lead, top = self.prepared(1)
+        lo, hi = (ln_y_f - top - 1.0) / f.a, min(
+            (ln_y_f - lead + f.b * math.exp(ln_peak) + 1.0) / f.a, ln_peak)
 
         def gap(v: float) -> float:
             return self.value(1, v) - ln_E_floor
 
-        return find_root(gap, max(_LN_E_DEEPEST, (ln_y_f - top - 1.0) / f.a),
-                         min((ln_y_f - lead + f.b * math.exp(ln_peak) + 1.0)
-                             / f.a, ln_peak))
+        if lo < _LN_E_DEEPEST and gap(_LN_E_DEEPEST) > 0.0:
+            raise NoBracket(f"floor crossing below the depth limit -2^49: "
+                            f"ln e in [{lo:.6g}, {_LN_E_DEEPEST:.6g})")
+        return find_root(gap, max(_LN_E_DEEPEST, lo), hi)
 
     # -- the curve ---------------------------------------------------------
 
@@ -256,20 +270,44 @@ class Chain:
         curve is gone and everything at or above the parabola is II.
         The curve needs the curl-dominated floor, as its assembly does.
         The branch is chosen as curve_value chooses it, and the peak and
-        the floor crossing are solved only when a point needs them."""
+        the floor crossing are solved only when a point needs them.
+
+        The branch is then read from its kept envelope (prepared) before
+        its solution: with base = a ln e - b e, formed as solution forms
+        it, ln E < (base + lead) q is II, ln E >= (base + top + m) q is
+        III, and only a point between the two evaluates the solution
+        (q = 1/p). The lower test is exact: ln_add never returns less
+        than its larger argument, so the solution's inner term is never
+        below lead, and rounding is monotone, so neither is its sum with
+        base nor that sum times q. The upper test needs the margin
+        m = _REL_TOL (2 + |base| + 2 |top|), in ln y, because top comes
+        from a second evaluation of the weighted integral (from 0, on
+        possibly another arm): 2 _REL_TOL covers the two evaluations,
+        each to _REL_TOL relative, and _REL_TOL (|base| + 2 |top|) covers,
+        many times over, the few units of 2^-53 that rounding leaves in
+        top, in the inner term and in their sums with base. A point is
+        labelled from the bounds alone even where evaluating its solution
+        would refuse (the series cap near the anchor at G past about 290);
+        a bound never refuses where the solution answers, as the rise's
+        and the descent's are formed by the peak and floor solves that
+        chose the branch, and the tail's has x = b e_floor < 1."""
         if not (0.0 < e < math.inf and 0.0 < E < math.inf):
             raise OutsideDomain("classification needs e > 0 and E > 0")
         if not self.curl_dominant:
             self.require_curl()
         if self._nu * E < self._four_f * math.sqrt(e):
             return "I"
-        ln_e = math.log(e)
+        ln_e, ln_E = math.log(e), math.log(E)
         if ln_e > self.ln_e0:
             return "II"
         k = 0 if ln_e >= self.peak[1] else 1 if ln_e >= self.ln_floor else 2
-        # the kept solution, or ln_y_of to prepare it
-        ln_y = self._ln_y[k] or self.ln_y_of(k)
-        return "III" if math.log(E) >= ln_y(ln_e) * self._q[k] else "II"
+        f, q = self.fields[k], self._q[k]
+        ln_y, lead, top = self._prepared[k] or self.prepared(k)
+        base = f.a * ln_e - f.b * math.exp(ln_e)  # as solution forms it
+        if ln_E < (base + lead) * q:
+            return "II"
+        up = (base + top + _REL_TOL * (2.0 + abs(base) + 2.0 * abs(top))) * q
+        return "III" if ln_E >= up or ln_E >= ln_y(ln_e) * q else "II"
 
     def slope_field(self, tag: str = "phi1"):
         """d(ln E)/de of the named segment's defining field."""
@@ -287,7 +325,7 @@ class Chain:
                 samples: int) -> CurveSegment:
         grid = log_grid(ln_lo, ln_hi, samples)
         return CurveSegment(TAGS[k], grid,
-                            *sample(self.fields[k], self.ln_y_of(k), grid))
+                            *sample(self.fields[k], self.prepared(k)[0], grid))
 
     def assemble(self, samples: int = 512) -> CurveBundle:
         """Sample the three branches plus their frame into a CurveBundle.

@@ -28,7 +28,7 @@ from .curves import CurveBundle, CurveSegment, log_grid, power_law
 from .errors import InvalidRegime, RegimeViolation
 from .logscalar import ln_add
 from .params import _LN_RANGE, ForcingParams, exp_in_range
-from .specfun import Field, peak_ln_e, sample, solution
+from .specfun import Field, envelope, peak_ln_e, sample, solution
 
 
 class ScalingParams:
@@ -77,7 +77,7 @@ def _maximum(field: Field, ln_e0: float,
     """(ln e, ln E) of the stationary point of the curve through (e0, E0);
     RegimeViolation unless it lies left of the anchor, as at beta = 0,
     where the curve only rises."""
-    ln_e = peak_ln_e(field, ln_e0, ln_E0)
+    ln_e = peak_ln_e(field, envelope(field, ln_e0, ln_E0)[1])
     if not ln_e < ln_e0:
         raise RegimeViolation(
             f"curve maximum ln e = {ln_e:.6g} not left of the anchor "

@@ -13,12 +13,14 @@ expanding e^(bs) and integrating term by term gives
     t_n = x^n / (n! (alpha + n)),   v_n = 1 - r^(alpha + n),
 
 and g is the case r = 0. Every term is positive, so one loop serves close
-bounds, b = 0, tiny x and a zero lower bound alike: the difference of the
+bounds, tiny x and a zero lower bound alike: the difference of the
 endpoint values is taken inside each weight v_n = -expm1((alpha+n) ln r),
-where it costs no digits, and never between two large sums. That loop
-needs about x terms, a few times G^2, so wide spans take the endpoint
-difference e_hi^alpha (G - H), G = g(alpha, x), H = r^alpha g(alpha, r x),
-with g from its few-term large-argument form, which needs no cap on x.
+where it costs no digits, and never between two large sums. At b = 0
+(x = 0) the sum is its first term, (1 - r^alpha)/alpha, and no loop runs.
+The loop needs about x terms, a few times G^2, so wide spans take the
+endpoint difference e_hi^alpha (G - H), G = g(alpha, x),
+H = r^alpha g(alpha, r x), with g from its few-term large-argument form,
+which needs no cap on x.
 Only the power series is capped, at x = _MAX_X = 1e6: a span that still
 needs it past that, or past float range, is refused there with
 NonConvergence. The weighted integral is returned as its ln, a float,
@@ -72,15 +74,19 @@ def _series_ln(alpha: float, x: float, ln_r: float,
     peak n ~ x falls below _REL_TOL / 10 of it: v_n / (alpha+n) never
     grows with n, so the weighted terms past the peak fall at least as
     fast as x^n/n!. NonConvergence is raised when that takes more than
-    10 x + 200 terms or x is not finite or above _MAX_X. With n_terms the
-    partial sum of exactly the first n_terms terms is returned instead,
-    with no convergence check.
+    10 x + 200 terms or x is not finite or above _MAX_X. At x = 0 every
+    term past the first is exactly 0, so the sum is its first term,
+    (1 - r^alpha)/alpha, returned without the loop (the bits the loop
+    gives). With n_terms the partial sum of exactly the first n_terms
+    terms is returned instead, with no convergence check.
     """
     if not x <= _MAX_X:
         raise NonConvergence(
             f"g({alpha}, {x}): argument not finite or above {_MAX_X:g}, "
             f"the largest the series is summed for")
     if n_terms is None:
+        if x == 0.0:
+            return math.log((1.0 / alpha) * -math.expm1(alpha * ln_r))
         # the terms peak near n = x; only trust smallness past the peak
         limit, past = int(10.0 * x) + 200, x
     else:
@@ -269,22 +275,32 @@ def envelope(field: Field, ln_e_ref: float,
     at e = 0, top = lead (+) ln c + ln W(0, e_ref), which is lead at c = 0
     (ln c = -inf). Left of the anchor the drift only adds, so the inner
     term lies between the two, and a ln e - b e + lead <= ln y <= a ln e +
-    top there."""
+    top there.
+
+    In floats the lower bound holds exactly: lead is formed here as
+    solution forms it, ln_add never returns less than its larger
+    argument, and rounding is monotone, so a ln e - b e + lead, summed as
+    solution sums it, never exceeds the ln y that solution returns. The
+    upper bound holds to a margin: top sums W(0, e_ref) once more, from 0
+    and possibly on another arm, so it and the inner term each carry up
+    to _REL_TOL from the integral plus a few units of 2^-53 of rounding.
+    _REL_TOL (2 + |a ln e - b e| + 2 |top|) in ln y covers both
+    (branches.Chain.classify reads it).
+    """
     lead = field.b * math.exp(ln_e_ref) - field.a * ln_e_ref + ln_y_ref
     return lead, ln_add(lead, field.ln_c + weighted_exp_integral_ln(
         field.a, field.b, -math.inf, ln_e_ref))
 
 
-def peak_ln_e(field: Field, ln_e_ref: float, ln_y_ref: float) -> float:
-    """ln e where the b = 0 solution through (e_ref, y_ref) meets its
+def peak_ln_e(field: Field, top: float) -> float:
+    """ln e where the b = 0 solution with envelope top (envelope) meets its
     nullcline y = (c/a) e: its one stationary point.
 
-    At b = 0 the solution is e^a (e^top - c e^(1-a)/(1-a)) (envelope), so
+    At b = 0 the solution is e^a (e^top - c e^(1-a)/(1-a)), so
     (1 - a) ln e = top + ln a + ln(1 - a) - ln c. That is +inf at c = 0,
     where the solution only rises. The caller refuses a peak that is not
     left of the anchor.
     """
-    _, top = envelope(field, ln_e_ref, ln_y_ref)
     return (top + math.log(field.a) + math.log1p(-field.a) - field.ln_c) \
         / (1.0 - field.a)
 

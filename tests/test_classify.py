@@ -24,8 +24,9 @@ import weakref
 import pytest
 
 from enstrophy_bounds import (ForcingParams, InvalidRegime, NoBracket,
-                              OutsideDomain, RegimeViolation, critical,
-                              full_nse, load_params_file, subcritical)
+                              NonConvergence, OutsideDomain, RegimeViolation,
+                              branches, critical, full_nse, load_params_file,
+                              subcritical)
 
 from conftest import PRESETS
 
@@ -128,10 +129,48 @@ def _whole_range(rng):
     return pts
 
 
+def _branch_bounds(ch, k, lo, hi):
+    """(e, lower, upper) at 12 abscissas across [lo, hi] that are floats:
+    branch k's envelope bounds in ln E, (a ln e - b e + lead)/p and
+    (a ln e - b e + top)/p, between which Chain.classify evaluates the
+    branch's solution."""
+    _, lead, top = ch.prepared(k)
+    f, q = ch.fields[k], 1.0 / ch.fields[k].p
+    lo, hi = max(lo, -744.0), min(hi, 709.0)
+    out = []
+    for i in range(12) if lo <= hi else ():
+        e = math.exp(lo + (hi - lo) * i / 11.0)
+        v = math.log(e)
+        base = f.a * v - f.b * math.exp(v)
+        out.append((e, (base + lead) * q, (base + top) * q))
+    return out
+
+
+def _bound_points(ch, k, lo, hi):
+    """Points on branch k's two bounds (_branch_bounds) and one ulp either
+    side, and a relative 1e-12 and 1e-10 either side of the upper one,
+    where its margin lies."""
+    pts = []
+    try:
+        bounds = _branch_bounds(ch, k, lo, hi)
+    except Exception:
+        return pts
+    for e, low, up in bounds:
+        E_low, E_up = _exp(low), _exp(up)
+        if E_low is not None:
+            pts += _near(e, E_low)
+        if E_up is not None:
+            pts += _near(e, E_up)
+            pts += [(e, E_up * s) for s in (1.0 - 1e-10, 1.0 - 1e-12,
+                                            1.0 + 1e-12, 1.0 + 1e-10)]
+    return pts
+
+
 def _chain_points(params, chain_of, assemble, rng):
     """Points on and next to every boundary of the family's map: the
-    parabola, e0, the peak and floor abscissas, the curve itself and the
-    assembly's samples. Whatever the probe's chain refuses is skipped."""
+    parabola, e0, each branch's envelope bounds, the peak and floor
+    abscissas, the curve itself and the assembly's samples. Whatever the
+    probe's chain refuses is skipped."""
     pts = []
     p = _fresh(params)  # a probe, so neither side sees it resolve
     try:
@@ -148,7 +187,11 @@ def _chain_points(params, chain_of, assemble, rng):
         _, ln_peak, ln_E_peak = ch.peak
         ln_floor = ch.ln_floor
     except Exception:
-        return pts
+        # the rise's anchor needs no breakpoint
+        return pts + _bound_points(ch, 0, ln_e0 - 46.0, ln_e0)
+    for k, lo, hi in ((0, ln_peak, ln_e0), (1, ln_floor, ln_peak),
+                      (2, ln_floor - 46.0, ln_floor)):
+        pts += _bound_points(ch, k, lo, hi)
     for v, ln_E in ((ln_peak, ln_E_peak), (ln_floor, math.log(ch.floor))):
         e = _exp(v)
         if e is not None:
@@ -246,6 +289,7 @@ def _draws():
             eta=rng.uniform(1.05, 3.0))))
     sets += [
         ("critical", _fresh(fig2, curlF_norm=0.1)),      # curl below floor
+        ("critical", _fresh(fig2, curlF_norm=0.0)),      # tail c = 0
         ("critical", _fresh(fig2, c_omega=1e11)),        # floor too deep
         ("critical", _fresh(fig2, f_norm=0.04)),         # e0 below e_a
         ("critical", _fresh(fig2, f_norm=0.0)),          # no anchor
@@ -315,6 +359,73 @@ def test_points_reach_every_label_and_refusal():
                     ("subcritical", NoBracket), ("full", NoBracket),
                     ("full", RegimeViolation), ("full", InvalidRegime)):
         assert outcome in seen
+
+
+# ------------------------------------------------------- the envelope test
+
+
+class _Reached(Exception):
+    """A branch's solution was evaluated, or prepared."""
+
+
+def _reach(*args):
+    raise _Reached
+
+
+@pytest.mark.parametrize("model, preset", [("critical", "fig2"),
+                                           ("subcritical", "fig3")])
+def test_only_points_inside_the_band_reach_the_solution(model, preset,
+                                                         monkeypatch):
+    # once the peak and the floor are solved and every branch is prepared,
+    # the kept solutions and Chain.prepared raise: a point clear of a
+    # branch's envelope bounds keeps the label it gets unpatched, and a
+    # point between them (above the parabola) evaluates the solution
+    family = critical if model == "critical" else subcritical
+    p, ref = _fresh(_load(preset)), _fresh(_load(preset))
+    ch = family.chain(p)
+    ranges = ((0, ch.peak[1], ch.ln_e0), (1, ch.ln_floor, ch.peak[1]),
+              (2, ch.ln_floor - 46.0, ch.ln_floor))
+    outside, inside = [], []
+    for k, lo, hi in ranges:
+        for e, low, up in _branch_bounds(ch, k, lo, hi):
+            v = math.log(e)
+            if v > ch.ln_e0 or k != (0 if v >= ch.peak[1] else 1
+                                     if v >= ch.ln_floor else 2):
+                continue  # e rounded past e0 or onto the next branch
+            outside += [(e, _exp(low - 1e-6 * (1.0 + abs(low)))),
+                        (e, _exp(up + 1e-6 * (1.0 + abs(up))))]
+            if up - low > 1e-6 * (1.0 + abs(low) + abs(up)):
+                inside.append((e, _exp(0.5 * (low + up))))
+    labels = {pt: family.chain(ref).classify(*pt)
+              for pt in outside + inside if pt[1] is not None}
+    for k in range(3):
+        ch._prepared[k] = (_reach,) + ch._prepared[k][1:]
+    monkeypatch.setattr(branches.Chain, "prepared", _reach)
+    decided = set()
+    for pt in outside:
+        if pt in labels:
+            assert ch.classify(*pt) == labels[pt], pt
+            decided.add(labels[pt])
+    reached = 0
+    for pt in inside:
+        if labels.get(pt, "I") != "I":
+            with pytest.raises(_Reached):
+                ch.classify(*pt)
+            reached += 1
+    assert decided == {"II", "III"} and reached >= 10
+
+
+def test_bounds_answer_where_the_series_refuses():
+    # on fig2 at G = 400 the rise's x = b e0 is past the series cap (1e6),
+    # so its solution refuses a point a relative 1e-6 left of e0; the
+    # envelope bounds still place that point, on either side of the curve
+    p = _fresh(_load("fig2"), f_norm=400.0)
+    ch = critical.chain(p)
+    e = p.e0 * (1.0 - 1e-6)
+    with pytest.raises(NonConvergence):
+        ch.value(0, math.log(e))
+    assert critical.classify_critical(e, ch.E0, p) == "II"
+    assert critical.classify_critical(e, 1e300, p) == "III"
 
 
 # ------------------------------------------------------------ held models

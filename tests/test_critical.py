@@ -358,19 +358,36 @@ def test_floor_crossing_resolves_rounding(preset, shift, request,
     assert abs(fresh().ln_floor - ln_floor) < 1e-11
 
 
+_DEPTH_REFUSALS = {
+    # on fig3 the bracket's upper end lies above the limit and the crossing
+    # below it; on fig2 the whole bracket lies below
+    "fig2": "floor crossing below the depth limit -2^49: "
+            "ln e in [-6.72687e+14, -5.6295e+14)",
+    "fig3": "floor crossing below the depth limit -2^49: "
+            "ln e in [-1.06378e+15, -5.6295e+14)"}
+
+
 @pytest.mark.parametrize("preset, c_omega, deep", [
     ("fig2", 8e10, False), ("fig2", 1e11, True),
     ("fig3", 5e10, False), ("fig3", 6e10, True)])
-def test_floor_crossing_depth_limit(preset, c_omega, deep, request):
+def test_floor_crossing_depth_limit(preset, c_omega, deep, request,
+                                    monkeypatch):
     # the descent is the rise divided by C_Omega, so its floor crossing
     # sinks like C_Omega; below ln e = -2^49 a float ln e cannot space the
     # tail's 512 default samples over its twenty decades, and the chain
-    # refuses the crossing
+    # refuses the crossing before any root search, naming the limit and
+    # the bracket's own lower end
     params = _with(request.getfixturevalue(preset), c_omega=c_omega)
     ch = (chain if params.r == 0.5 else subcritical.chain)(params)
     if deep:
-        with pytest.raises(NoBracket):
+        def no_search(*args):
+            raise AssertionError("the root search ran")
+
+        ch.peak  # the r = 1/2 peak is a root search of its own
+        monkeypatch.setattr(branches, "find_root", no_search)
+        with pytest.raises(NoBracket) as refused:
             ch.ln_floor
+        assert str(refused.value) == _DEPTH_REFUSALS[preset]
     else:
         assert -2.0 ** 49 < ch.ln_floor < -3e14
 

@@ -3,6 +3,7 @@ quadrature and the exact 1F1 form (mpmath at 40 to 60 digits), and the
 anchor-chain breakpoints built on them."""
 
 import math
+import random
 import re
 import sys
 
@@ -30,6 +31,31 @@ def g_oracle(alpha: float, x: float) -> float:
         val = mpmath.quad(lambda t: t ** (alpha - 1) * mpmath.e ** (x * t),
                           [0, 1])
     return float(val)
+
+
+def test_x_zero_arm_gives_the_series_bits():
+    # at x = 0 _series_ln returns its first term without the loop; the
+    # loop, run through n_terms, must give the same bits, on a seeded grid
+    # of alpha (every one with 1/alpha finite, as the callers require) and
+    # ln r, with r = 0 and r one ulp below 1
+    rng = random.Random(36)
+    alphas = [1e-300, 1e-8, 0.03, 0.5, 0.97, 1.0, 1.5, 40.0]
+    alphas += [rng.uniform(0.0, 1.0) for _ in range(40)]
+    ln_rs = [-math.inf, -sys.float_info.max, -745.0, -1.0, -1e-300,
+             math.nextafter(0.0, -1.0)]
+    ln_rs += [-(10.0 ** rng.uniform(-320.0, 300.0)) for _ in range(40)]
+    for alpha in alphas:
+        for ln_r in ln_rs:
+            try:
+                got = specfun._series_ln(alpha, 0.0, ln_r).hex()
+            except (ValueError, NonConvergence) as exc:
+                got = type(exc)
+            for n_terms in (1, 2, 50):
+                try:
+                    want = specfun._series_ln(alpha, 0.0, ln_r, n_terms).hex()
+                except (ValueError, NonConvergence) as exc:
+                    want = type(exc)
+                assert got == want, (alpha, ln_r, n_terms)
 
 
 @pytest.mark.parametrize("alpha", [0.03, 0.5, 0.97, 1.5])
