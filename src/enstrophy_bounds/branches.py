@@ -6,10 +6,10 @@ the linear field
 
     dy/de = (a/e - b) y - c,
 
-exactly, through specfun's solution of it (Field, solution, envelope and
-the b = 0 peak live there, beside the weighted exponential integral they
-call; the scaling curve solves the same field). This module holds the
-anchor chain (Chain):
+exactly, through specfun's solution of it (Field and Branch live there,
+beside the weighted exponential integral a Branch prepares; the scaling
+curve solves the same field). This module holds the anchor chain
+(Chain):
 
 * rise (phi1), anchored on the forcing parabola at (e0, E0), climbs
   leftward to its peak, where it meets its own nullcline
@@ -24,27 +24,26 @@ nullcline raised to 1/p is the vorticity barrier, with a vertical
 asymptote at e_a = a/b, and the peak sits a sub-float distance left of it,
 so that crossing is solved in w = ln(1 - e/e_a). At r > 1/2, b = 0: the
 nullcline is the line y = (c/a) e and the crossing is closed form in ln e
-(specfun.peak_ln_e).
+(Branch.peak_ln_e).
 
 No root is searched for a bracket. Left of its anchor a branch's inner
-term (the ln of the bracket in solution) lies between its value at the
-anchor, lead, and its limit at e = 0, top = lead (+) ln c + ln W(0, e_ref),
-(+) being ln_add (envelope). Those two bounds give both ends of every
-bracket, the r = 1/2 peak's in w and the floor crossing's in ln e, and at
-b = 0 the peak itself. Abscissas travel as ln e and ordinates as ln y or
+term (the ln of the bracket of its solution) lies between its value at
+the anchor, lead, and its limit at e = 0,
+top = lead (+) ln c + ln W(0, e_ref), (+) being ln_add, and its Branch
+keeps both. Those two bounds give both ends of every bracket, the
+r = 1/2 peak's in w and the floor crossing's in ln e, and at b = 0 the
+peak itself. Abscissas travel as ln e and ordinates as ln y or
 ln E, plain floats, because the floor crossing lies thousands of decades
 below float range; they leave the chain as lns too (peak_point's E, the
 bundle's breakpoints).
 
-Each branch is evaluated through one function (solution), prepared once
-per anchor, and the chain keeps it per branch beside that branch's
-envelope (Chain.prepared). Sampling (specfun.sample), value, peak_gap and
-verify's scans all evaluate through the kept solution. classify reads the
-kept envelope first: a point below a ln e - b e + lead, or above
-a ln e - b e + top by more than the rounding margin, is decided from
-those two numbers, and only a point between them evaluates the solution
-(Chain.classify). A branch is defined at or left of its anchor, where
-every sampling grid ends; a point right of it is OutsideDomain.
+Each branch is one Branch, prepared once per anchor and kept by the
+chain (Chain.prepared). Sampling, value, peak_gap and verify's scans all
+evaluate through it, and classify only picks the branch and asks it
+whether the point lies at or above it (Branch.at_or_above, which reads
+lead and top before it evaluates the solution). A branch is defined at
+or left of its anchor, where every sampling grid ends; a point right of
+it is OutsideDomain.
 """
 
 from __future__ import annotations
@@ -58,7 +57,7 @@ from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
                      InvalidRegime, NoBracket, OutsideDomain, RegimeViolation)
 from .params import ForcingParams
 from .solver import find_root
-from .specfun import _REL_TOL, Field, envelope, peak_ln_e, sample, solution
+from .specfun import Branch, Field
 
 TAGS = ("phi1", "phi2", "phi3")
 
@@ -82,9 +81,9 @@ class Chain:
     The descent is the rise divided by C_Omega; the tail's a and c are the
     same in both families.
     The peak and the floor crossing are solved on first use and kept, as
-    is each branch's prepared solution and envelope (prepared); a failed
-    solve is not kept and raises again on every use, so a caller that
-    never reaches a breakpoint never sees it.
+    is each branch's Branch (prepared); a failed solve is not kept and
+    raises again on every use, so a caller that never reaches a
+    breakpoint never sees it.
     """
 
     def __init__(self, params: ForcingParams, model: str,
@@ -105,11 +104,9 @@ class Chain:
             rise, Field(rise.a * k, rise.b * k, rise.c * k, rise.p),
             Field(0.75 * (1.0 - params.rho) / big, tail_b,
                   18.0 * params.curlF_norm / (params.nu * big), 1.5))
-        # formed once for classify: the forcing parabola's nu and 4 f, and
-        # value's factor 1/p of each branch
+        # formed once for classify: the forcing parabola's nu and 4 f
         self._nu, self._four_f = params.nu, 4.0 * params.f_norm
-        self._q = tuple(1.0 / f.p for f in self.fields)
-        self._prepared = [None, None, None]  # prepared's (ln_y, lead, top)
+        self._prepared = [None, None, None]  # prepared's Branches
 
     @cached_property
     def ln_e0(self) -> float:
@@ -129,23 +126,21 @@ class Chain:
             return self.peak[1], self.peak[2] * self.rise.p
         return self.ln_floor, math.log(self.floor) * 1.5
 
-    def prepared(self, k: int):
-        """(ln_y, lead, top) of branch k, formed on first use and kept,
-        like peak and ln_floor: ln_y is its ln y as a function of ln e
-        (specfun.solution), through which sampling, value, peak_gap and
-        the scans evaluate, and lead <= inner <= top bound the inner term
-        of that solution left of the anchor (specfun.envelope), which
-        peak, ln_floor and classify read."""
+    def prepared(self, k: int) -> Branch:
+        """The Branch of branch k, formed on first use and kept, like
+        peak and ln_floor: sampling, value, peak_gap and the scans
+        evaluate through it, and peak, ln_floor and classify read its
+        bounds lead and top."""
         kept = self._prepared
         if kept[k] is None:
-            f, ref = self.fields[k], self._anchor(k)
-            kept[k] = (solution(f, *ref), *envelope(f, *ref))
+            kept[k] = Branch(self.fields[k], *self._anchor(k))
         return kept[k]
 
     def value(self, k: int, ln_e: float) -> float:
         """ln E on branch k at ln e, at or left of its anchor; the tail's
         curl gate (require_curl) is left to the caller."""
-        return self.prepared(k)[0](ln_e) * self._q[k]
+        branch = self.prepared(k)
+        return branch.ln_y(ln_e) * branch.q
 
     def require_curl(self) -> None:
         if not self.curl_dominant:
@@ -176,18 +171,18 @@ class Chain:
     def peak_gap(self, x: float) -> float:
         """ln y - ln y_null on the rise, in the peak variable x (w = ln(1 -
         e/e_a) when b > 0, ln e when b = 0); the peak is its root."""
-        return self.prepared(0)[0](self._ln_e_of(x)) - self._ln_null(x)
+        return self.prepared(0).ln_y(self._ln_e_of(x)) - self._ln_null(x)
 
     @cached_property
     def peak(self) -> tuple[float, float, float]:
         """(x*, ln e_peak, ln E_peak): the rise meets its nullcline.
 
-        With lead <= inner <= top (envelope) and b e_a = a, the gap at
+        With lead <= inner <= top (Branch) and b e_a = a, the gap at
         b > 0 is k + inner + w + (a - 1) ln(1 - e^w) + a e^w in w, with
         k = a ln e_a - a - ln(c/b). At or below ln 1/2 it is under
         -1 + (1 - a) ln 2 + a/2 < 0 from w = -k - top - 1 down, and it is
         at least 1 from w = 1 - k - lead up: those two ends bracket the
-        root. At b = 0 the peak is closed form (specfun.peak_ln_e), and
+        root. At b = 0 the peak is closed form (Branch.peak_ln_e), and
         one at or right of the anchor is NoBracket.
         """
         f = self.rise
@@ -199,13 +194,14 @@ class Chain:
                 f"barrier asymptote e_a = {f.e_a}")
         if not f.e_a > 0.0:
             raise InvalidRegime(f"e_a = a/b underflows (b = {f.b:.3g})")
-        _, lead, top = self.prepared(0)
+        rise = self.prepared(0)
         if f.b > 0.0:
             k = f.a * math.log(f.e_a) - f.a - f.ln_c + math.log(f.b)
-            x = find_root(self.peak_gap, min(-k - top - 1.0, math.log(0.5)),
-                          min(1.0 - k - lead, math.log1p(-1e-9)))
+            x = find_root(self.peak_gap,
+                          min(-k - rise.top - 1.0, math.log(0.5)),
+                          min(1.0 - k - rise.lead, math.log1p(-1e-9)))
         else:
-            x = peak_ln_e(f, top)
+            x = rise.peak_ln_e()
             if x >= self.ln_e0:
                 raise NoBracket("rise peaks at or right of the anchor e0: "
                                 f"ln e_peak - ln e0 = {x - self.ln_e0:.6g}")
@@ -226,7 +222,7 @@ class Chain:
         """ln e where the descent meets the enstrophy floor.
 
         Left of the peak the descent's ln y lies between
-        a v - b e_peak + lead and a v + top (envelope), so against the
+        a v - b e_peak + lead and a v + top (Branch), so against the
         floor's ln y_f the gap is below -1 from v = (ln y_f - top - 1)/a
         down, and above 1 from v = (ln y_f - lead + b e_peak + 1)/a up
         (or positive at the peak, if that comes first). The search stops
@@ -241,11 +237,11 @@ class Chain:
             raise NoBracket(
                 "enstrophy floor meets or exceeds the curve maximum: "
                 f"ln E_floor = {ln_E_floor:.6g}, ln E_peak = {ln_E_peak:.6g}")
-        f = self.fields[1]
+        f, descent = self.fields[1], self.prepared(1)
         ln_y_f = ln_E_floor * f.p
-        _, lead, top = self.prepared(1)
-        lo, hi = (ln_y_f - top - 1.0) / f.a, min(
-            (ln_y_f - lead + f.b * math.exp(ln_peak) + 1.0) / f.a, ln_peak)
+        lo, hi = (ln_y_f - descent.top - 1.0) / f.a, min(
+            (ln_y_f - descent.lead + f.b * math.exp(ln_peak) + 1.0) / f.a,
+            ln_peak)
 
         def gap(v: float) -> float:
             return self.value(1, v) - ln_E_floor
@@ -272,25 +268,14 @@ class Chain:
         The branch is chosen as curve_value chooses it, and the peak and
         the floor crossing are solved only when a point needs them.
 
-        The branch is then read from its kept envelope (prepared) before
-        its solution: with base = a ln e - b e, formed as solution forms
-        it, ln E < (base + lead) q is II, ln E >= (base + top + m) q is
-        III, and only a point between the two evaluates the solution
-        (q = 1/p). The lower test is exact: ln_add never returns less
-        than its larger argument, so the solution's inner term is never
-        below lead, and rounding is monotone, so neither is its sum with
-        base nor that sum times q. The upper test needs the margin
-        m = _REL_TOL (2 + |base| + 2 |top|), in ln y, because top comes
-        from a second evaluation of the weighted integral (from 0, on
-        possibly another arm): 2 _REL_TOL covers the two evaluations,
-        each to _REL_TOL relative, and _REL_TOL (|base| + 2 |top|) covers,
-        many times over, the few units of 2^-53 that rounding leaves in
-        top, in the inner term and in their sums with base. A point is
-        labelled from the bounds alone even where evaluating its solution
-        would refuse (the series cap near the anchor at G past about 290);
-        a bound never refuses where the solution answers, as the rise's
-        and the descent's are formed by the peak and floor solves that
-        chose the branch, and the tail's has x = b e_floor < 1."""
+        The kept Branch then places the point (Branch.at_or_above): from
+        its bounds lead and top alone, outside the band between them,
+        and from its solution inside it. A point is labelled from the
+        bounds alone even where evaluating its solution would refuse (the
+        series cap near the anchor at G past about 290); a bound never
+        refuses where the solution answers, as the rise's and the
+        descent's are formed by the peak and floor solves that chose the
+        branch, and the tail's has x = b e_floor < 1."""
         if not (0.0 < e < math.inf and 0.0 < E < math.inf):
             raise OutsideDomain("classification needs e > 0 and E > 0")
         if not self.curl_dominant:
@@ -301,13 +286,8 @@ class Chain:
         if ln_e > self.ln_e0:
             return "II"
         k = 0 if ln_e >= self.peak[1] else 1 if ln_e >= self.ln_floor else 2
-        f, q = self.fields[k], self._q[k]
-        ln_y, lead, top = self._prepared[k] or self.prepared(k)
-        base = f.a * ln_e - f.b * math.exp(ln_e)  # as solution forms it
-        if ln_E < (base + lead) * q:
-            return "II"
-        up = (base + top + _REL_TOL * (2.0 + abs(base) + 2.0 * abs(top))) * q
-        return "III" if ln_E >= up or ln_E >= ln_y(ln_e) * q else "II"
+        branch = self._prepared[k] or self.prepared(k)
+        return "III" if branch.at_or_above(ln_e, ln_E) else "II"
 
     def slope_field(self, tag: str = "phi1"):
         """d(ln E)/de of the named segment's defining field."""
@@ -324,8 +304,7 @@ class Chain:
     def _sample(self, k: int, ln_lo: float, ln_hi: float,
                 samples: int) -> CurveSegment:
         grid = log_grid(ln_lo, ln_hi, samples)
-        return CurveSegment(TAGS[k], grid,
-                            *sample(self.fields[k], self.prepared(k)[0], grid))
+        return CurveSegment(TAGS[k], grid, *self.prepared(k).sample(grid))
 
     def assemble(self, samples: int = 512) -> CurveBundle:
         """Sample the three branches plus their frame into a CurveBundle.

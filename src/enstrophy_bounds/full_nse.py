@@ -30,7 +30,8 @@ from __future__ import annotations
 import math
 
 from .curves import CurveBundle, CurveSegment, log_grid, power_law
-from .errors import InvalidRegime, NoBracket, OutsideDomain, RegimeViolation
+from .errors import (CancellationLoss, InvalidRegime, NoBracket,
+                     OutsideDomain, RegimeViolation)
 from .logscalar import ln_add, ln_sub
 from .params import _LN_RANGE, ForcingParams, held
 from .solver import find_root
@@ -307,7 +308,9 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     apex branch between e1 and e2. The two are separate solutions, not a
     piecewise curve, so no join continuity is implied. The nose is emitted
     as two barrier segments (lower and upper branch). A breakpoint
-    outside float range is InvalidRegime.
+    outside float range is InvalidRegime, and a wall whose first abscissa
+    is not right of its asymptote (eta within about 1e-10 of 1 puts
+    ln e_star a few ulps from ln e0) is CancellationLoss.
     """
     geo = geometry(params)
     # the logs of the float breakpoints, which the bundle carries
@@ -315,11 +318,18 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     # the wall starts a relative 1e-6 right of its asymptote, or halfway
     # to its anchor where that is closer; it is anchored on the logs of
     # the float breakpoints
-    wall_lo = ln["e_star"] + min(math.log1p(1e-6),
-                                 0.5 * (ln["e0"] - ln["e_star"]))
+    ln_star, ln_e0 = ln["e_star"], ln["e0"]
+    wall_lo = ln_star + min(math.log1p(1e-6), 0.5 * (ln_e0 - ln_star))
+    wall = Funnel(ln_e0, ln["E0"], params)
+    try:
+        wall.ln_E(wall_lo)
+    except OutsideDomain:
+        raise CancellationLoss(
+            f"the wall's grid cannot start right of its asymptote: ln e_star "
+            f"= {ln_star!r} and ln e0 = {ln_e0!r} are "
+            f"{(ln_e0 - ln_star) / math.ulp(ln_e0):.3g} ulp apart") from None
     segs = [
-        Funnel(ln["e0"], ln["E0"], params).segment(
-            "phi1", wall_lo, ln["e0"], samples),
+        wall.segment("phi1", wall_lo, ln_e0, samples),
         geo.apex.segment("phi2", ln["e1"], ln["e2"], samples)]
 
     # the nose by E, each branch gridded so that ln e increases: the lower

@@ -4,20 +4,21 @@ Here the growth-rate quotient collapses to an affine slope field
 dE/de = (alpha/e) E - beta with alpha = (1 - s)/2 for a combined smallness
 parameter s. That is the b = 0, p = 1 case of the linear field
 dy/de = (a/e - b) y - c that the critical and subcritical branches solve,
-so the curve is specfun's solution of Field(alpha, 0, beta, 1) through the
+so the curve is specfun's Branch of Field(alpha, 0, beta, 1) through the
 anchor, the two-term closed form
 
     E(e) = K e^alpha - beta/(1-alpha) e,
     K = E0/e0^alpha + beta e0^(1-alpha)/(1-alpha),
 
 concave with a single interior maximum where it meets its nullcline
-E = (beta/alpha) e (specfun.peak_ln_e). The interesting exponents are
+E = (beta/alpha) e (Branch.peak_ln_e). The interesting exponents are
 algebraic, not exponential, so the public helpers take and return floats;
-assemble_scaling forms the anchor E0, each sample, its slope (specfun's
-sample) and the maximum in logs, since E0 = 4 lam e0 and the samples can
-underflow where their logs do not. The admissibility floor E_floor marks
-where the underlying smallness condition can hold at all; samples below
-it are flagged rather than hidden.
+assemble_scaling forms the anchor E0 in logs and one Branch through it,
+whose samples, slopes (Branch.sample) and maximum are logs too, since
+E0 = 4 lam e0 and the samples can underflow where their logs do not. The
+admissibility floor E_floor marks where the underlying smallness
+condition can hold at all; samples below it are flagged rather than
+hidden.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .curves import CurveBundle, CurveSegment, log_grid, power_law
 from .errors import InvalidRegime, RegimeViolation
 from .logscalar import ln_add
 from .params import _LN_RANGE, ForcingParams, exp_in_range
-from .specfun import Field, envelope, peak_ln_e, sample, solution
+from .specfun import Branch, Field
 
 
 class ScalingParams:
@@ -72,17 +73,16 @@ def scaling_params(params: ForcingParams) -> ScalingParams:
     return ScalingParams(s, beta, math.exp(ln_floor))
 
 
-def _maximum(field: Field, ln_e0: float,
-             ln_E0: float) -> tuple[float, float]:
-    """(ln e, ln E) of the stationary point of the curve through (e0, E0);
-    RegimeViolation unless it lies left of the anchor, as at beta = 0,
-    where the curve only rises."""
-    ln_e = peak_ln_e(field, envelope(field, ln_e0, ln_E0)[1])
+def _maximum(curve: Branch) -> tuple[float, float]:
+    """(ln e, ln E) of the stationary point of the curve (p = 1, so its
+    ln y is ln E); RegimeViolation unless it lies left of the anchor, as
+    at beta = 0, where the curve only rises."""
+    ln_e, ln_e0 = curve.peak_ln_e(), curve.ln_e_ref
     if not ln_e < ln_e0:
         raise RegimeViolation(
             f"curve maximum ln e = {ln_e:.6g} not left of the anchor "
             f"ln e0 = {ln_e0:.6g}")
-    return ln_e, solution(field, ln_e0, ln_E0)(ln_e)
+    return ln_e, curve.ln_y(ln_e)
 
 
 def scaling_emax(e0_init: float, E0_init: float,
@@ -93,7 +93,8 @@ def scaling_emax(e0_init: float, E0_init: float,
     if not (0.0 < e0_init < math.inf and 0.0 < E0_init < math.inf):
         raise InvalidRegime(f"anchor (e0, E0) = ({e0_init}, {E0_init}) "
                             f"must be positive and finite")
-    ln_e, ln_E = _maximum(sp.field, math.log(e0_init), math.log(E0_init))
+    ln_e, ln_E = _maximum(
+        Branch(sp.field, math.log(e0_init), math.log(E0_init)))
     return (exp_in_range(ln_e, "curve maximum e_max"),
             exp_in_range(ln_E, "curve maximum E_max"))
 
@@ -136,7 +137,8 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     grid = log_grid(ln_e0 - 12.0 * math.log(10.0), ln_e0, samples)
     # the slope a - beta e/E; the ratio, at most 2 (psi_inf + eps0 c'), can
     # pass float range, where it is taken as inf
-    ln_E, slope = sample(sp.field, solution(sp.field, ln_e0, ln_E0), grid)
+    curve = Branch(sp.field, ln_e0, ln_E0)
+    ln_E, slope = curve.sample(grid)
     below = sum(ln < ln_floor for ln in ln_E)
     segs = [CurveSegment("phi1", grid, ln_E, slope)]
     if sp.E_floor > 0.0:
@@ -146,8 +148,7 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     breakpoints = {"e0": ln_e0, "E0": ln_E0}
     flags = [f"s={sp.s:.12g}"]
     try:
-        breakpoints["e_max"], breakpoints["E_max"] = _maximum(
-            sp.field, ln_e0, ln_E0)
+        breakpoints["e_max"], breakpoints["E_max"] = _maximum(curve)
     except RegimeViolation:
         flags.append("maximum_outside_domain")
     if below:

@@ -32,13 +32,15 @@ its gate and ln G, which that function forms on first use and keeps
 (there is no module-level cache). Every arm is summed to the fixed
 relative accuracy _REL_TOL = 1e-12.
 
-The integral's only callers are the solutions of the linear field
+The integral's only caller is the solution of the linear field
 dy/de = (a/e - b) y - c, y = E^p (Field), which every closed-form curve
 family solves: the critical (b > 0) and subcritical (b = 0) branches of
-the branches module, and the scaling curve (b = 0, p = 1). solution
-evaluates one through its anchor, envelope bounds it left of the anchor,
-peak_ln_e is its b = 0 maximum in closed form and sample gives ln E and
-d ln E/d ln e on a grid; each family keeps its own refusals.
+the branches module, and the scaling curve (b = 0, p = 1). One record,
+Branch, holds that solution through one anchor: it prepares the integral
+once, keeps the bounds lead and top of the solution's inner term, and
+gives ln y, the test of a point against the branch, the b = 0 maximum in
+closed form and ln E with d ln E/d ln e on a grid. Each family keeps its
+own refusals.
 """
 
 from __future__ import annotations
@@ -238,85 +240,84 @@ class Field:
         return self.a / self.b if self.b > 0.0 else math.inf
 
 
-def solution(field: Field, ln_e_ref: float, ln_y_ref: float):
-    """The function ln e -> ln y of the exact solution of
-    dy/de = (a/e - b) y - c through (e_ref, y_ref), at or left of the
-    anchor; right of it (ln e > ln e_ref) is OutsideDomain.
+class Branch:
+    """The exact solution of dy/de = (a/e - b) y - c through its anchor
+    (ln_e_ref, ln_y_ref), at or left of it, with its integral prepared
+    once.
 
     y(e) = e^a e^(-be) [e_ref^-a e^(b e_ref) y_ref + c W], W the weighted
-    exponential integral from e up to e_ref. For e < e_ref the drift c W
-    adds to the lead, so the bracket only grows moving left. With b = 0
-    this is the two-term form (y_ref - k e_ref)(e/e_ref)^a + k e,
-    k = -c/(1 - a).
-
-    The lead and W as a function of its lower end
-    (weighted_exp_integral_to, keyed by the upper end e_ref) are formed
-    here, once.
+    exponential integral from e up to e_ref: ln y = base + inner, with
+    base = a ln e - b e. Moving left the drift c W only adds, so inner
+    lies between lead, its value at the anchor, and its limit at e = 0,
+    top = lead (+) ln c + ln W(0, e_ref), taken from the one prepared W
+    (weighted_exp_integral_to), whose ln G then serves later evaluations.
+    At b = 0 the solution is (y_ref - k e_ref)(e/e_ref)^a + k e,
+    k = -c/(1 - a). How ln y is summed is written here alone.
     """
-    a, b, ln_c = field.a, field.b, field.ln_c
-    lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
-    ln_w = weighted_exp_integral_to(a, b, ln_e_ref) if field.c else None
 
-    def ln_y(ln_e: float) -> float:
-        if ln_e > ln_e_ref:
+    def __init__(self, field: Field, ln_e_ref: float, ln_y_ref: float):
+        a, b = field.a, field.b
+        self.field, self.ln_e_ref, self.q = field, ln_e_ref, 1.0 / field.p
+        self.lead = lead = b * math.exp(ln_e_ref) - a * ln_e_ref + ln_y_ref
+        self._ln_w = ln_w = weighted_exp_integral_to(a, b, ln_e_ref)
+        self.top = ln_add(lead, field.ln_c + ln_w(-math.inf))
+
+    def ln_y(self, ln_e: float) -> float:
+        """ln y at ln e, at or left of the anchor; right of it is
+        OutsideDomain. At c = 0 the drift is not summed."""
+        if ln_e > self.ln_e_ref:
             raise OutsideDomain(f"a branch is only defined at or left of "
-                                f"its anchor, ln e = {ln_e_ref:.6g}")
-        inner = lead
-        if ln_w is not None and ln_e != ln_e_ref:
-            inner = ln_add(lead, ln_c + ln_w(ln_e))
-        return a * ln_e - b * math.exp(ln_e) + inner
+                                f"its anchor, ln e = {self.ln_e_ref:.6g}")
+        f, inner = self.field, self.lead
+        if f.c and ln_e != self.ln_e_ref:
+            inner = ln_add(inner, f.ln_c + self._ln_w(ln_e))
+        return f.a * ln_e - f.b * math.exp(ln_e) + inner
 
-    return ln_y
+    def at_or_above(self, ln_e: float, ln_E: float) -> bool:
+        """Whether E = y^(1/p) at ln e, at or left of the anchor, is at or
+        above the branch, decided from lead and top outside the band
+        between them and from ln_y only inside it (q = 1/p).
 
+        ln E below (base + lead) q is below: the test is exact, as ln_y
+        sums base and inner as here, ln_add never returns less than its
+        larger argument and rounding is monotone. ln E at or above
+        (base + top + m) q is above, with m = _REL_TOL (2 + |base| +
+        2 |top|) in ln y: top sums W from 0, possibly on another arm than
+        ln_y, so 2 _REL_TOL covers the two evaluations, each to _REL_TOL,
+        and the rest covers, many times over, the few units of 2^-53 that
+        rounding leaves in top, inner and their sums with base. A point
+        outside the band is placed even where ln_y would refuse (the
+        series cap just left of the anchor).
+        """
+        f, q = self.field, self.q
+        base = f.a * ln_e - f.b * math.exp(ln_e)
+        if ln_E < (base + self.lead) * q:
+            return False
+        return ln_E >= (base + self.top + _REL_TOL * (
+            2.0 + abs(base) + 2.0 * abs(self.top))) * q \
+            or ln_E >= self.ln_y(ln_e) * q
 
-def envelope(field: Field, ln_e_ref: float,
-             ln_y_ref: float) -> tuple[float, float]:
-    """(lead, top): the inner term of solution at the anchor and its limit
-    at e = 0, top = lead (+) ln c + ln W(0, e_ref), which is lead at c = 0
-    (ln c = -inf). Left of the anchor the drift only adds, so the inner
-    term lies between the two, and a ln e - b e + lead <= ln y <= a ln e +
-    top there.
+    def peak_ln_e(self) -> float:
+        """ln e where the b = 0 solution meets its nullcline y = (c/a) e,
+        its one stationary point: the solution is
+        e^a (e^top - c e^(1-a)/(1-a)), so (1 - a) ln e = top + ln a +
+        ln(1 - a) - ln c, +inf at c = 0, where it only rises. The caller
+        refuses a peak that is not left of the anchor.
+        """
+        f = self.field
+        return (self.top + math.log(f.a) + math.log1p(-f.a) - f.ln_c) \
+            / (1.0 - f.a)
 
-    In floats the lower bound holds exactly: lead is formed here as
-    solution forms it, ln_add never returns less than its larger
-    argument, and rounding is monotone, so a ln e - b e + lead, summed as
-    solution sums it, never exceeds the ln y that solution returns. The
-    upper bound holds to a margin: top sums W(0, e_ref) once more, from 0
-    and possibly on another arm, so it and the inner term each carry up
-    to _REL_TOL from the integral plus a few units of 2^-53 of rounding.
-    _REL_TOL (2 + |a ln e - b e| + 2 |top|) in ln y covers both
-    (branches.Chain.classify reads it).
-    """
-    lead = field.b * math.exp(ln_e_ref) - field.a * ln_e_ref + ln_y_ref
-    return lead, ln_add(lead, field.ln_c + weighted_exp_integral_ln(
-        field.a, field.b, -math.inf, ln_e_ref))
-
-
-def peak_ln_e(field: Field, top: float) -> float:
-    """ln e where the b = 0 solution with envelope top (envelope) meets its
-    nullcline y = (c/a) e: its one stationary point.
-
-    At b = 0 the solution is e^a (e^top - c e^(1-a)/(1-a)), so
-    (1 - a) ln e = top + ln a + ln(1 - a) - ln c. That is +inf at c = 0,
-    where the solution only rises. The caller refuses a peak that is not
-    left of the anchor.
-    """
-    return (top + math.log(field.a) + math.log1p(-field.a) - field.ln_c) \
-        / (1.0 - field.a)
-
-
-def sample(field: Field, ln_y, grid: list[float]) \
-        -> tuple[list[float], list[float]]:
-    """(ln E, d ln E/d ln e) at each ln e of grid, on the solution ln_y of
-    field (see solution): ln E = ln y/p and the slope (a - b e - c e/y)/p
-    of the field itself."""
-    a, b, q, ln_c = field.a, field.b, 1.0 / field.p, field.ln_c
-    ln_E, slope = [], []
-    for v in grid:
-        ln_y_v = ln_y(v)
-        # c e / y, taken as inf from ln 709 on, before exp overflows
-        ln_drag = ln_c + v - ln_y_v
-        drag = math.exp(ln_drag) if ln_drag <= 709.0 else math.inf
-        ln_E.append(q * ln_y_v)
-        slope.append(q * (a - b * math.exp(v) - drag))
-    return ln_E, slope
+    def sample(self, grid: list[float]) -> tuple[list[float], list[float]]:
+        """(ln E, d ln E/d ln e) at each ln e of grid: ln E = q ln y and
+        the slope q (a - b e - c e/y) of the field itself."""
+        a, b, ln_c, q = self.field.a, self.field.b, self.field.ln_c, self.q
+        ln_E, slope = [], []
+        for v in grid:
+            ln_y_v = self.ln_y(v)
+            # c e / y, taken as inf from ln 709 on, before exp overflows
+            ln_drag = ln_c + v - ln_y_v
+            drag = math.exp(ln_drag) if ln_drag <= 709.0 else math.inf
+            ln_E.append(q * ln_y_v)
+            slope.append(q * (a - b * math.exp(v) - drag))
+        return ln_E, slope

@@ -207,8 +207,13 @@ def _rk4_row(params: ForcingParams, curve: CurveBundle) -> dict:
     """The assembled rising branch vs direct integration of its slope
     field: from the anchor (e0, E0) the path lands on every phi1 sample of
     curve, right to left, and each sample's ln E is compared with it.
-    rk4_path's step error bound is relative and ln E reaches ~1e2, so
-    tol = 1e-12 keeps the path within about 1e-9 in ln E."""
+    rk4_path's step bound is relative: a step may err by up to
+    tol max(1, |ln E|). On the presets ln E stays below about 1e2, so
+    tol = 1e-12 keeps the path within about 1e-9 in ln E. At large G,
+    ln E_max is about 20 G^2 (1.6e6 at G = 280, 1.8e8 at G = 3000), so
+    the fixed 1e-6 bound in ln E is a relative 6e-13 of it at G = 280
+    and 6e-15, about 34 ulps, at G = 3000; near G = 1e4 (ln E about
+    2e9) the path's rounding alone, 16 to 18 ulps, passes it."""
     ch = _chain(params)
     seg = curve.segment("phi1")
     # the path starts on e0 itself, of which exp(ln e0) may miss an ulp

@@ -26,7 +26,7 @@ import pytest
 from enstrophy_bounds import (ForcingParams, InvalidRegime, NoBracket,
                               NonConvergence, OutsideDomain, RegimeViolation,
                               branches, critical, full_nse, load_params_file,
-                              subcritical)
+                              specfun, subcritical)
 
 from conftest import PRESETS
 
@@ -134,7 +134,8 @@ def _branch_bounds(ch, k, lo, hi):
     branch k's envelope bounds in ln E, (a ln e - b e + lead)/p and
     (a ln e - b e + top)/p, between which Chain.classify evaluates the
     branch's solution."""
-    _, lead, top = ch.prepared(k)
+    branch = ch.prepared(k)
+    lead, top = branch.lead, branch.top
     f, q = ch.fields[k], 1.0 / ch.fields[k].p
     lo, hi = max(lo, -744.0), min(hi, 709.0)
     out = []
@@ -365,7 +366,7 @@ def test_points_reach_every_label_and_refusal():
 
 
 class _Reached(Exception):
-    """A branch's solution was evaluated, or prepared."""
+    """A branch's solution was evaluated, or a branch prepared."""
 
 
 def _reach(*args):
@@ -377,7 +378,7 @@ def _reach(*args):
 def test_only_points_inside_the_band_reach_the_solution(model, preset,
                                                          monkeypatch):
     # once the peak and the floor are solved and every branch is prepared,
-    # the kept solutions and Chain.prepared raise: a point clear of a
+    # Branch.ln_y and Chain.prepared raise: a point clear of a
     # branch's envelope bounds keeps the label it gets unpatched, and a
     # point between them (above the parabola) evaluates the solution
     family = critical if model == "critical" else subcritical
@@ -398,8 +399,7 @@ def test_only_points_inside_the_band_reach_the_solution(model, preset,
                 inside.append((e, _exp(0.5 * (low + up))))
     labels = {pt: family.chain(ref).classify(*pt)
               for pt in outside + inside if pt[1] is not None}
-    for k in range(3):
-        ch._prepared[k] = (_reach,) + ch._prepared[k][1:]
+    monkeypatch.setattr(specfun.Branch, "ln_y", _reach)
     monkeypatch.setattr(branches.Chain, "prepared", _reach)
     decided = set()
     for pt in outside:

@@ -414,6 +414,24 @@ def test_join_gap_finer_than_an_ulp_is_typed(tmp_path, capsys, args):
     assert captured.err.startswith("CancellationLoss: segment join gap ")
 
 
+@pytest.mark.parametrize("args", [["curve", "full"], ["verify"]],
+                         ids=["full", "verify"])
+def test_wall_asymptote_one_ulp_from_its_anchor_is_typed(tmp_path, capsys,
+                                                         args):
+    # eta within about 1e-10 of 1 puts ln e_star one ulp left of ln e0:
+    # the wall has no abscissa right of its asymptote, and both commands
+    # refuse before sampling it (exit 2), where they read OutsideDomain
+    near = _fig2_variant(tmp_path, "near.json", eta=1.0000000000344682,
+                         f_norm=13.304157216473056)
+    assert run([*args, "--params", near]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "CancellationLoss: the wall's grid cannot start right of its "
+        "asymptote: ln e_star = 5.176153118108392 and ln e0 = "
+        "5.176153118108393 are 1 ulp apart")
+
+
 @pytest.mark.parametrize("args", [
     ["curve", "critical"], ["curve", "scaling"],
     ["classify", "--e", "1", "--E", "1", "--model", "subcritical"],

@@ -24,7 +24,7 @@ from enstrophy_bounds import branches, subcritical
 from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.solver import integrate_adaptive
-from enstrophy_bounds.specfun import Field, solution
+from enstrophy_bounds.specfun import Branch, Field
 
 # E_max is an ln; log10 = ln / LN10
 LN10 = math.log(10.0)
@@ -101,7 +101,7 @@ def test_xi_homogeneous_closed_form(fig2):
     ln_xi0 = 0.6 * math.log(chain(fig2).E0)
     ln_e0 = math.log(fig2.e0)
     for e in (0.001, 0.1, 1.0, 4.0):
-        got = solution(co, ln_e0, ln_xi0)(math.log(e))
+        got = Branch(co, ln_e0, ln_xi0).ln_y(math.log(e))
         want = ln_xi0 + co.a * (math.log(e) - ln_e0) - co.b * (e - fig2.e0)
         assert got == pytest.approx(want, abs=1e-12)
 
@@ -110,7 +110,7 @@ def test_xi_crosses_zero_right_of_anchor(fig2):
     co = coefficients(fig2)
     ln_xi0 = 0.6 * math.log(chain(fig2).E0)
     with pytest.raises(OutsideDomain):
-        solution(co, math.log(fig2.e0), ln_xi0)(math.log(6.0))
+        Branch(co, math.log(fig2.e0), ln_xi0).ln_y(math.log(6.0))
 
 
 # ------------------------------------------------------------- branches
@@ -184,7 +184,7 @@ def test_phi3_tail_closed_form_matches_quadrature(fig2, ln_hi, offsets):
     tail = chain(fig2).fields[2]
     for off in offsets:
         ln_e = ln_hi - off
-        x_ln = solution(tail, ln_hi, -math.inf)(ln_e)
+        x_ln = Branch(tail, ln_hi, -math.inf).ln_y(ln_e)
         want = _tail_quadrature_ln(ln_e, ln_hi, tail.a, tail.b)
         assert x_ln - math.log(tail.c) == pytest.approx(want, abs=1e-9)
 

@@ -7,6 +7,7 @@ import mpmath
 import pytest
 
 from enstrophy_bounds import (
+    CancellationLoss,
     FullNseGeometry,
     ForcingParams,
     InvalidRegime,
@@ -91,6 +92,36 @@ def test_wall_is_sampled_left_of_its_anchor(fig2, f_norm):
     assert all(a < b for a, b in zip(wall, wall[1:]))
     assert wall[-1] == math.log(geo.e0)
     assert wall[0] > math.log(geo.e_star)
+
+
+def test_wall_without_room_right_of_its_asymptote_is_typed(fig2):
+    # eta within about 1e-10 of 1: ln e_star and ln e0 are one ulp apart,
+    # so the wall's grid, halfway between them, rounds onto ln e_star,
+    # where the funnel is not defined. That is refused before sampling,
+    # naming both ends and their distance
+    p = _with(fig2, eta=1.0000000000344682, f_norm=13.304157216473056)
+    geo = geometry(p)
+    ln_star, ln_e0 = math.log(geo.e_star), math.log(geo.e0)
+    assert ln_e0 - ln_star == math.ulp(ln_e0)
+    with pytest.raises(CancellationLoss) as err:
+        assemble_full(p)
+    assert str(err.value) == (
+        f"the wall's grid cannot start right of its asymptote: ln e_star "
+        f"= {ln_star!r} and ln e0 = {ln_e0!r} are 1 ulp apart")
+
+
+@pytest.mark.parametrize("k", range(4, 15))
+def test_wall_with_eta_near_one_answers_or_is_typed(fig2, k):
+    # eta = 1 + 10^-k puts e_star from 1.4e10 ulps of ln e0 down to one:
+    # the wall either starts right of its asymptote or is refused by name
+    p = _with(fig2, eta=1.0 + 10.0 ** -k)
+    try:
+        wall = assemble_full(p, samples=64).segment("phi1")
+    except CancellationLoss as exc:
+        assert str(exc).startswith("the wall's grid cannot start right")
+    else:
+        assert wall.ln_e[0] >= math.log(geometry(p).e_star)
+        assert all(math.isfinite(v) for v in wall.ln_E)
 
 
 def test_wall_asymptote_closed_form(fig2):

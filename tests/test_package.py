@@ -85,17 +85,20 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 # is the one way to evaluate a branch), float twins of the segment kernels,
 # LogScalar aliases, its arithmetic and ONE (a value is a boundary value
 # only), scaling's own closed form (the curve is specfun's b = 0
-# solution), and the LogScalar record with its constructors, converters
-# and ZERO (a value leaves the library as its ln, a plain float)
+# solution), the LogScalar record with its constructors, converters and
+# ZERO (a value leaves the library as its ln, a plain float), and the
+# functions that formed a branch's solution, bounds, peak and samples
+# apart (one Branch record per anchor holds them)
 _REMOVED = {
     "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar",
     "critical": "phi1 phi2 phi3",
     "subcritical": "sub_phi1 sub_phi2 sub_phi3",
-    "branches": "_as_ln",
+    "branches": "_as_ln _REL_TOL solution envelope peak_ln_e sample",
     "full_nse": "phi_slope _alpha_ln_beta _ln_t _funnel _ln_phi _slope "
                 "_ln_slope _funnel_segment _point",
-    "scaling": "scaling_curve _ln_curve",
+    "scaling": "scaling_curve _ln_curve solution envelope peak_ln_e sample",
     "logscalar": "ONE ZERO from_float to_float",
+    "specfun": "solution envelope peak_ln_e sample",
 }
 
 # what the LogScalar shim no longer defines: slots, immutability, equality,

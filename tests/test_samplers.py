@@ -1,11 +1,12 @@
 """The curve samplers against pointwise oracles, bit for bit.
 
-Each branch of a chain is evaluated through one prepared solution
-(specfun.solution) and each full-model segment through constants formed
+Each branch of a chain is evaluated through one prepared record
+(specfun.Branch) and each full-model segment through constants formed
 once per segment. The oracles below form every quantity at every point,
 as the pointwise kernels did: the branch solution with its own weighted
-exponential integral, the funnel, its slope field and the nose. A sampler
-that moves one bit away from them fails here.
+exponential integral, the bounds of its inner term with another one, the
+funnel, its slope field and the nose. A sampler that moves one bit away
+from them fails here.
 """
 
 import json
@@ -16,7 +17,8 @@ import pytest
 
 from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams,
                               OutsideDomain)
-from enstrophy_bounds import critical, full_nse, specfun, subcritical
+from enstrophy_bounds import (critical, full_nse, scaling, specfun,
+                              subcritical)
 from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.logscalar import ln_add
 from enstrophy_bounds.specfun import _g_ln, _series_ln
@@ -49,6 +51,15 @@ def _integral_ln(a, b, ln_lo, ln_hi):
         ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
         return alpha * ln_hi + ln_g + math.log(-math.expm1(ln_h - ln_g))
     return alpha * ln_hi + _series_ln(alpha, x, ln_r)
+
+
+def _envelope(field, ln_e_ref, ln_y_ref):
+    """(lead, top): the inner term of the branch through (e_ref, y_ref)
+    at its anchor, and its limit at e = 0, lead (+) ln c + ln W(0, e_ref),
+    with W summed in the call, at c = 0 too."""
+    lead = field.b * math.exp(ln_e_ref) - field.a * ln_e_ref + ln_y_ref
+    return lead, ln_add(lead, field.ln_c + _integral_ln(
+        field.a, field.b, -math.inf, ln_e_ref))
 
 
 def _solution(ln_e, field, ln_e_ref, ln_y_ref):
@@ -232,6 +243,81 @@ def test_curve_value_matches_pointwise_solution(name):
         ln_curve = _solution(ln_e, ch.fields[k], *ch._anchor(k)) \
             * (1.0 / ch.fields[k].p)
         assert float(ch.curve_value(ln_e)).hex() == float(ln_curve).hex()
+
+
+def _fig2_across_g():
+    """fig2 (nu = lambda = 1, so f_norm is G) on a log grid of G from 1.5
+    to 3000, each a fresh params object."""
+    return {f"fig2-G{g:.4g}": ForcingParams.from_mapping(
+        dict(_raw("fig2"), f_norm=g))
+        for g in (1.5 * 2000.0 ** (i / 11.0) for i in range(12))}
+
+
+_ENVELOPE_SETS = {**_SETS, **_fig2_across_g()}
+
+
+@pytest.mark.parametrize("name", sorted(_ENVELOPE_SETS))
+def test_branch_bounds_match_the_envelope_oracle(name):
+    # each Branch forms top from the integral it prepared for its own
+    # solution; the oracle sums W(0, e_ref) on its own, as the bounds
+    # were formed before the two shared one integral
+    ch = _chain(_ENVELOPE_SETS[name])
+    for k in range(3):
+        branch = ch.prepared(k)
+        assert _bits((branch.lead, branch.top)) \
+            == _bits(_envelope(ch.fields[k], *ch._anchor(k)))
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3"])
+def test_scaling_maximum_matches_the_envelope_oracle(preset):
+    # the b = 0 closed-form peak from the oracle's top, and the oracle
+    # solution there
+    params = _SETS[preset]
+    field = scaling.scaling_params(params).field
+    ln_e0 = math.log(params.e0)
+    ln_E0 = math.log(4.0) + math.log(params.lam) + ln_e0
+    _, top = _envelope(field, ln_e0, ln_E0)
+    ln_e = (top + math.log(field.a) + math.log1p(-field.a) - field.ln_c) \
+        / (1.0 - field.a)
+    bundle = scaling.assemble_scaling(params, samples=33)
+    assert _bits((bundle.breakpoints["e_max"], bundle.breakpoints["E_max"])) \
+        == _bits((ln_e, _solution(ln_e, field, ln_e0, ln_E0)))
+
+
+def test_each_branch_prepares_its_integral_once(monkeypatch):
+    # a Branch prepares one weighted integral and takes top from it, so
+    # the ln G that top forms serves the solves after it: on fig2 the
+    # peak and the floor solves each sum g six times (seven when the
+    # bounds summed their own), a chain prepares three integrals for its
+    # three branches, and the scaling curve one for its one anchor
+    counts = {"g": 0, "prepared": 0}
+    g_ln, prepare = specfun._g_ln, specfun.weighted_exp_integral_to
+
+    def counting_g(*args):
+        counts["g"] += 1
+        return g_ln(*args)
+
+    def counting_prepare(*args):
+        counts["prepared"] += 1
+        return prepare(*args)
+
+    monkeypatch.setattr(specfun, "_g_ln", counting_g)
+    monkeypatch.setattr(specfun, "weighted_exp_integral_to",
+                        counting_prepare)
+    ch = critical.chain(ForcingParams.from_mapping(_raw("fig2")))
+    ch.peak
+    assert counts == {"g": 6, "prepared": 1}
+    counts.update(g=0, prepared=0)
+    ch.ln_floor
+    assert counts == {"g": 6, "prepared": 1}
+    for name in ("fig2", "fig3"):
+        params = ForcingParams.from_mapping(_raw(name))
+        counts["prepared"] = 0
+        _chain(params).assemble(samples=33)
+        assert counts["prepared"] == 3
+        counts["prepared"] = 0
+        scaling.assemble_scaling(params, samples=33)
+        assert counts["prepared"] == 1
 
 
 # ------------------------------------------------------------ full model

@@ -24,7 +24,7 @@ from enstrophy_bounds import (
     halved_curve,
     oracle_suite,
 )
-from enstrophy_bounds import branches, specfun
+from enstrophy_bounds import branches, scaling, specfun
 from enstrophy_bounds.cli import run
 from enstrophy_bounds.curves import CurveBundle, CurveSegment, log_grid
 from enstrophy_bounds.solver import rk4_path
@@ -193,8 +193,8 @@ def test_oracles_never_reach_the_construction(fig2, fig3, monkeypatch):
     for module, name in [(specfun, "gamma_series_factor"),
                          (specfun, "weighted_exp_integral_ln"),
                          (specfun, "weighted_exp_integral_to"),
-                         (specfun, "solution"),
-                         (branches, "solution")]:
+                         (specfun, "Branch"), (branches, "Branch"),
+                         (scaling, "Branch")]:
         monkeypatch.setattr(module, name, forbidden)
     for (a, x), want in series.items():
         assert _g_quadrature(a, x) == pytest.approx(want, rel=1e-10)
@@ -232,7 +232,8 @@ def test_rk4_row_checks_the_written_rise(request, preset, where,
 
     for module, name in [(specfun, "weighted_exp_integral_ln"),
                          (specfun, "weighted_exp_integral_to"),
-                         (specfun, "solution"), (branches, "solution")]:
+                         (specfun, "Branch"), (branches, "Branch"),
+                         (scaling, "Branch")]:
         monkeypatch.setattr(module, name, forbidden)
     row = _rk4_row(params, bundle)
     assert row["pass"] and row["samples"] == 512
