@@ -28,8 +28,8 @@ __version__ = "0.1.0"
 
 # every exported name, keyed to the module that defines it
 _EXPORTS = {name: module for module, names in {
-    "critical": "assemble_critical barrier classify_critical coefficients "
-                "find_e_max find_e_min truncation_comparison",
+    "critical": "assemble_critical classify_critical coefficients find_e_max "
+                "find_e_min truncation_comparison",
     "curves": "CurveBundle CurveSegment bundle_to_csv bundle_to_json "
               "max_join_gap",
     "errors": "AssumptionViolated CancellationLoss EnstrophyBoundsError "

@@ -17,12 +17,15 @@ asymptote at e_a = a/b; the peak (e_max, E_max) is where phi1 meets it.
 This module holds what is particular to r = 1/2: the regime check, the
 logs of the candidate floors and the field constants. chain() builds the
 chain once per params object and holds it there (params.held); the chain
-solves the peak and the floor crossing on first use.
+solves the peak and the floor crossing on first use, and samples the
+barrier from the nullcline it solves the peak against. The one check
+kept here, truncation_comparison, sums its own partial series.
 """
 
 from __future__ import annotations
 
 import math
+from functools import reduce
 
 from .branches import Chain
 from .curves import CurveBundle, log_grid
@@ -72,23 +75,6 @@ def chain(params: ForcingParams) -> Chain:
                  (), ln_floors(params), rise, b3)
 
 
-def barrier(e: float, params: ForcingParams) -> float:
-    """Enstrophy ceiling with a vertical asymptote at e_a: the rise's
-    nullcline C e/(a - b e) raised to the power 5/3.
-
-    Convention: exactly at e_a the ceiling is +inf, so root brackets may
-    close on e_a itself.
-    """
-    e_a = coefficients(params).e_a
-    if not 0.0 < e <= e_a:
-        raise OutsideDomain(f"barrier is defined on (0, {e_a}], got e = {e}")
-    if e == e_a:
-        return math.inf
-    pre = params.eps ** (2.0 / 3.0) * params.mu ** (4.0 / 3.0) \
-        * math.sqrt(params.lam) * params.nu ** 2
-    return pre * (6.0 * e / (e_a - e)) ** (5.0 / 3.0)
-
-
 def find_e_max(params: ForcingParams) -> tuple[float, float]:
     """(e_max, ln E_max): intersection of phi1 with the barrier.
 
@@ -111,21 +97,29 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
     series initial value E0 = 2 nu^3 lam^(1/2) G^2.
 
     Measures how badly a short series truncation diverges from the true
-    solution as the curve climbs toward the barrier.
+    solution as the curve climbs toward the barrier. The truncation is
+    g_N(alpha, x) = sum_{n<N} x^n / (n! (alpha + n)), summed here in logs
+    with no convergence check and no cap on x; n_terms below 1 is
+    OutsideDomain, naming the value.
     """
     from .solver import rk4_path
-    from .specfun import gamma_series_factor
 
+    if not n_terms >= 1:
+        raise OutsideDomain(f"a truncated series needs n_terms >= 1, got "
+                            f"n_terms = {n_terms}")
     ch = chain(params)
     e0, ln_e0 = params.e0, ch.ln_e0
     E0s = 2.0 * params.nu ** 3 * math.sqrt(params.lam) * params.grashof ** 2
     a, b, c = ch.rise.a, ch.rise.b, ch.rise.c
+    alpha = 1.0 - a
 
     def s_trunc(e: float) -> float:
         # ln of the truncated weighted-integral antiderivative
-        # e^(1-a) g_N(1-a, be)
-        return (1.0 - a) * math.log(e) \
-            + gamma_series_factor(1.0 - a, b * e, n_terms=n_terms)
+        # e^alpha g_N(alpha, be)
+        ln_x = math.log(b * e)
+        return alpha * math.log(e) + reduce(ln_add, (
+            n * ln_x - math.lgamma(n + 1.0) - math.log(alpha + n)
+            for n in range(n_terms)))
 
     s_ref = s_trunc(e0)
     lead = b * e0 - a * ln_e0 + math.log(E0s) * 0.6

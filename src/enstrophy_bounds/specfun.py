@@ -25,7 +25,9 @@ Only the power series is capped, at x = _MAX_X = 1e6: a span that still
 needs it past that, or past float range, is refused there with
 NonConvergence. The weighted integral is returned as its ln, a float,
 because it overflows float64 long before the interesting parameter range
-ends, and so is gamma_series_factor, a public entry point.
+ends, and so is gamma_series_factor, a public entry point. A caller that
+wants a fixed partial sum of g forms it itself
+(critical.truncation_comparison).
 weighted_exp_integral_to prepares the integral once per upper end, as a
 function of the lower end, so every sample of a branch shares alpha, x,
 its gate and ln G, which that function forms on first use and keeps
@@ -64,8 +66,7 @@ _MAX_X = 1e6
 _LN_SEVENTH = math.log(1.0 / 7.0)
 
 
-def _series_ln(alpha: float, x: float, ln_r: float,
-               n_terms: int | None = None) -> float:
+def _series_ln(alpha: float, x: float, ln_r: float) -> float:
     """ln of sum_n t_n v_n, t_n = x^n/(n! (alpha+n)), v_n = 1 - r^(alpha+n).
 
     Terms t_n come from the ratio recurrence
@@ -79,20 +80,16 @@ def _series_ln(alpha: float, x: float, ln_r: float,
     10 x + 200 terms or x is not finite or above _MAX_X. At x = 0 every
     term past the first is exactly 0, so the sum is its first term,
     (1 - r^alpha)/alpha, returned without the loop (the bits the loop
-    gives). With n_terms the partial sum of exactly the first n_terms
-    terms is returned instead, with no convergence check.
+    gives).
     """
     if not x <= _MAX_X:
         raise NonConvergence(
             f"g({alpha}, {x}): argument not finite or above {_MAX_X:g}, "
             f"the largest the series is summed for")
-    if n_terms is None:
-        if x == 0.0:
-            return math.log((1.0 / alpha) * -math.expm1(alpha * ln_r))
-        # the terms peak near n = x; only trust smallness past the peak
-        limit, past = int(10.0 * x) + 200, x
-    else:
-        limit, past = n_terms - 1, math.inf
+    if x == 0.0:
+        return math.log((1.0 / alpha) * -math.expm1(alpha * ln_r))
+    # the terms peak near n = x; only trust smallness past the peak
+    limit = int(10.0 * x) + 200
     tol = _REL_TOL / 10.0
 
     weighted = ln_r > -math.inf  # r = 0: every weight is exactly 1
@@ -109,15 +106,13 @@ def _series_ln(alpha: float, x: float, ln_r: float,
         tmp = s + y
         comp = (tmp - s) - y
         s = tmp
-        if n > past and term <= s * tol:
+        if n > x and term <= s * tol:
             return math.log(s) + k * _LN_RESCALE
         if s > _RESCALE or t > _RESCALE:
             t /= _RESCALE
             s /= _RESCALE
             comp /= _RESCALE
             k += 1
-    if n_terms is not None:
-        return math.log(s) + k * _LN_RESCALE
     raise NonConvergence(f"g({alpha}, {x}) did not converge in {limit} terms")
 
 
@@ -142,27 +137,18 @@ def _g_ln(alpha: float, x: float) -> float:
     return _series_ln(alpha, x, -math.inf)
 
 
-def gamma_series_factor(alpha: float, x: float,
-                        n_terms: int | None = None) -> float:
-    """ln g(alpha, x), to _REL_TOL (see _g_ln). With n_terms the
-    partial power series of exactly the first n_terms terms is returned,
-    with no convergence check: that reproduces what a hard truncation of
-    the series does to the curve it feeds. Raises OutsideDomain for alpha
-    not above 0, not finite or with 1/alpha not finite, x not at least 0
-    (NaN included) or n_terms below 1, and NonConvergence for x infinite,
-    or above _MAX_X where the power series is summed (alpha >= 1, or
-    n_terms given).
+def gamma_series_factor(alpha: float, x: float) -> float:
+    """ln g(alpha, x), to _REL_TOL (see _g_ln). Raises OutsideDomain for
+    alpha not above 0, not finite or with 1/alpha not finite, or x not at
+    least 0 (NaN included), and NonConvergence for x infinite, or above
+    _MAX_X where the power series is summed (alpha >= 1).
     """
     if not (0.0 < alpha < math.inf and 1.0 / alpha < math.inf):
         raise OutsideDomain(f"g needs a finite alpha > 0 with a finite "
                             f"1/alpha, got alpha = {alpha}")
     if not x >= 0.0:
         raise OutsideDomain(f"g needs x >= 0, got x = {x}")
-    if n_terms is not None and n_terms < 1:
-        raise OutsideDomain(f"g needs n_terms >= 1, got n_terms = {n_terms}")
-    if n_terms is None:
-        return _g_ln(alpha, x)
-    return _series_ln(alpha, x, -math.inf, n_terms)
+    return _g_ln(alpha, x)
 
 
 def weighted_exp_integral_to(a: float, b: float, ln_hi: float):

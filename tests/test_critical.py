@@ -12,7 +12,6 @@ from enstrophy_bounds import (
     OutsideDomain,
     RegimeViolation,
     assemble_critical,
-    barrier,
     classify_critical,
     coefficients,
     find_e_max,
@@ -77,18 +76,21 @@ def test_rejects_noncritical_r(fig3):
 # -------------------------------------------------------------- barrier
 
 
-def test_barrier_shape(fig2):
-    e_a = coefficients(fig2).e_a
-    assert barrier(e_a, fig2) == math.inf
-    # at e = e_a/7 the ratio collapses to 1, leaving only the prefactor
-    assert barrier(e_a / 7.0, fig2) \
-        == pytest.approx(0.2 ** (2.0 / 3.0), rel=1e-13)
-    grid = [e_a * f for f in (0.2, 0.4, 0.6, 0.8, 0.99)]
-    vals = [barrier(e, fig2) for e in grid]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-    for bad in (0.0, -1.0, 1.01 * e_a):
-        with pytest.raises(OutsideDomain):
-            barrier(bad, fig2)
+def _barrier(p, frac):
+    """(e, ceiling, paper) for w = ln(1 - frac): e, the abscissa the
+    chain writes for w (about frac e_a); ceiling, the chain's barrier
+    there, its rise nullcline Chain._ln_null(w) raised to 1/p; paper, the
+    prefactor form eps^(2/3) mu^(4/3) lam^(1/2) nu^2 (6 e/(e_a - e))^(5/3)
+    at e, with e_a - e = e_a e^w taken from w, because a difference of
+    two floats near e_a would lose digits the chain keeps."""
+    ch = chain(p)
+    rise = ch.rise
+    w = math.log1p(-frac)
+    e = math.exp(ch._ln_e_of(w))
+    pre = p.eps ** (2.0 / 3.0) * p.mu ** (4.0 / 3.0) * math.sqrt(p.lam) \
+        * p.nu ** 2
+    paper = pre * (6.0 * e / (rise.e_a * math.exp(w))) ** (5.0 / 3.0)
+    return e, math.exp(ch._ln_null(w) / rise.p), paper
 
 
 # -------------------------------------------------------- xi field/chain
@@ -138,8 +140,10 @@ def test_peak_pins(fig2):
     # one float ulp-window inward, phi1 still towers over the barrier,
     # and the peak value agrees with phi1 evaluated at e_a itself
     e_a = coefficients(fig2).e_a
-    x = e_a * (1.0 - 1e-9)
-    assert chain(fig2).value(0, math.log(x)) > math.log(barrier(x, fig2))
+    x, ceiling, paper = _barrier(fig2, 1.0 - 1e-9)
+    assert x == pytest.approx(e_a * (1.0 - 1e-9), rel=1e-15)
+    assert ceiling == pytest.approx(paper, rel=1e-13)
+    assert chain(fig2).value(0, math.log(x)) > math.log(ceiling)
     assert E_max == pytest.approx(
         chain(fig2).value(0, math.log(e_a)), rel=1e-12)
 
@@ -258,11 +262,30 @@ def test_regime_gates(fig2):
 
 
 def test_truncated_series_error_decays(fig2):
+    # the bits the comparison gave when the partial sum was the series
+    # kernel's Kahan loop, run for exactly n_terms terms
     short = truncation_comparison(fig2, 20)
     longer = truncation_comparison(fig2, 40)
-    assert short == pytest.approx(1.0747469747874163, rel=1e-6)
-    assert longer == pytest.approx(0.8780202686961864, rel=1e-6)
+    assert short.hex() == "0x1.13229e24fe040p+0"
+    assert longer.hex() == "0x1.c18bdf668d000p-1"
     assert short > 1.0 > longer
+    assert truncation_comparison(_with(fig2, f_norm=50.0), 20).hex() \
+        == "0x1.013c40b700000p-5"
+
+
+def test_truncated_converges_to_full(fig2):
+    # the partial sum converges to g (b e0 = 48 on fig2), so the distance
+    # falls towards the reference's own tolerance (1e-7)
+    errs = [truncation_comparison(fig2, n) for n in (40, 80, 120)]
+    assert errs[0] > errs[1] > errs[2]
+    assert errs[2] < 1e-6
+
+
+@pytest.mark.parametrize("n_terms", [0, -3])
+def test_truncation_needs_a_term(fig2, n_terms):
+    # an empty partial sum is refused by name, not as a bare TypeError
+    with pytest.raises(OutsideDomain, match=f"n_terms = {n_terms}$"):
+        truncation_comparison(fig2, n_terms)
 
 
 # ------------------------------------------------------------- assembly
@@ -436,8 +459,6 @@ def test_barrier_is_the_rise_nullcline(fig2):
                             c2=rng.uniform(0.5, 4.0), mu=rng.uniform(0.5, 2.0))
                       for _ in range(10)]
     for p in draws:
-        co = coefficients(p)
         for frac in (1e-6, 0.01, 1.0 / 7.0, 0.5, 0.9, 0.99):
-            e = frac * co.e_a
-            null = (co.c * e / (co.a - co.b * e)) ** (1.0 / co.p)
-            assert barrier(e, p) == pytest.approx(null, rel=1e-13)
+            _, ceiling, paper = _barrier(p, frac)
+            assert ceiling == pytest.approx(paper, rel=1e-13)

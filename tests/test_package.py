@@ -88,10 +88,12 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 # solution), the LogScalar record with its constructors, converters and
 # ZERO (a value leaves the library as its ln, a plain float), and the
 # functions that formed a branch's solution, bounds, peak and samples
-# apart (one Branch record per anchor holds them)
+# apart (one Branch record per anchor holds them), and critical's float
+# barrier (the chain samples the nullcline it solves the peak against)
 _REMOVED = {
-    "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar",
-    "critical": "phi1 phi2 phi3",
+    "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar "
+        "barrier",
+    "critical": "phi1 phi2 phi3 barrier",
     "subcritical": "sub_phi1 sub_phi2 sub_phi3",
     "branches": "_as_ln _REL_TOL solution envelope peak_ln_e sample",
     "full_nse": "phi_slope _alpha_ln_beta _ln_t _funnel _ln_phi _slope "
