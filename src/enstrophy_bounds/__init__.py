@@ -36,7 +36,7 @@ _EXPORTS = {name: module for module, names in {
               "EtaTooSmall FieldBlowup InvalidRegime MissingKey NoBracket "
               "NonConvergence OutsideDomain RegimeViolation",
     "full_nse": "FullNseGeometry assemble_full classify_full eta_threshold "
-                "geometry nose_apex parabola_E phi_of_e psi_of_E solve_e2",
+                "geometry solve_e2",
     "maxest": "BoundReport bound_report emax_lower emax_upper eta_min "
               "physical_scale",
     "params": "ForcingParams load_params_file",

@@ -1,15 +1,16 @@
 """Unconditional bounding region in the energy-enstrophy plane.
 
 No coherence assumption here: the region is carved out by three analytic
-curves. The nose, e = psi_of_E(E), is where the enstrophy growth bound
-changes sign; every point inside it has dE/dt <= 0. The parabola
-E = eta (f/nu) sqrt(e) (eta > 1) marks where the energy decays
-fast enough to push trajectories leftward. Crossing the two rate bounds
-above the parabola gives a Bernoulli slope field whose solutions are the
-funnel curves phi_of_e: anchored on the parabola at (e0, E0) they form a
-wall with a vertical asymptote at e_star just left of e0; anchored at the
-nose apex (e1, E1) they descend and re-enter the parabola at e2.
-Together the curves split the quadrant into four regions (classify_full).
+curves. The nose, e = psi(E) = nu^4 E^2/(2 (nu f)^2 + c1 E^3), is where
+the enstrophy growth bound changes sign; every point inside it has
+dE/dt <= 0. The parabola E = eta (f/nu) sqrt(e) (eta > 1) marks where
+the energy decays fast enough to push trajectories leftward. Crossing
+the two rate bounds above the parabola gives a Bernoulli slope field
+whose solutions are the funnel curves (Funnel): anchored on the parabola
+at (e0, E0) they form a wall with a vertical asymptote at e_star just
+left of e0; anchored at the nose apex (e1, E1) they descend and re-enter
+the parabola at e2. Together the curves split the quadrant into four
+regions (classify_full).
 
 Every curve and breakpoint is formed in logs from closed forms, with no
 search: e2/e1 depends on eta alone (solve_e2), and left of the apex the
@@ -21,8 +22,8 @@ ln k) once and evaluates the curve, its slope and its segment; the nose's
 constants come from _nose and are evaluated by _ln_psi. The region is one
 model (FullNseGeometry), held on the params object (geometry): its
 breakpoints, and what classify_full reads, the parabola coefficient, the
-nose constants and the apex funnel. The pointwise phi_of_e and psi_of_E
-form their constants for their one point.
+nose constants and the apex funnel. Each curve has this one evaluation:
+no pointwise function forms its constants again.
 """
 
 from __future__ import annotations
@@ -66,37 +67,19 @@ def _nose(params: ForcingParams) -> tuple[float, float, float]:
 
 
 def _ln_psi(ln_E: float, nose: tuple[float, float, float]) -> float:
-    """ln of the nose at E = exp(ln_E), with its constants from _nose:
-    E^3 and (nu f)^2 may each leave float range where psi does not."""
+    """ln of the nose psi(E) = nu^4 E^2 / (2 (nu f)^2 + c1 E^3) at
+    E = exp(ln_E), with its constants from _nose: E^3 and (nu f)^2 may each
+    leave float range where psi does not."""
     ln_nu4, ln_drive, ln_c1 = nose
     return ln_nu4 + 2.0 * ln_E - ln_add(ln_drive, ln_c1 + 3.0 * ln_E)
 
 
-def psi_of_E(E: float, params: ForcingParams) -> float:
-    """Nose curve: the energy below which enstrophy cannot grow at level E,
-    nu^4 E^2 / (2 (nu f)^2 + c1 E^3), divided through by E^2. A negative
-    or non-finite E is OutsideDomain."""
-    if not 0.0 <= E < math.inf:
-        raise OutsideDomain("enstrophy must be nonnegative and finite")
-    return math.exp(_ln_psi(math.log(E), _nose(params))) if E else 0.0
-
-
 def _ln_apex(params: ForcingParams) -> tuple[float, float]:
-    """(ln e1, ln E1): psi_of_E peaks where E1^3 = 4 (nu f)^2/c1, at
+    """(ln e1, ln E1): the nose psi peaks where E1^3 = 4 (nu f)^2/c1, at
     e1 = nu^2 E1^2/(6 f^2)."""
     ln_nu, ln_f = math.log(params.nu), math.log(params.f_norm)
     ln_E1 = (math.log(4.0) - math.log(params.c1) + 2.0 * (ln_nu + ln_f)) / 3.0
     return 2.0 * (ln_nu + ln_E1 - ln_f) - math.log(6.0), ln_E1
-
-
-def nose_apex(params: ForcingParams) -> tuple[float, float]:
-    """(e1, E1): the rightmost point of the nose, where psi_of_E peaks;
-    0 or inf outside float range (geometry refuses those)."""
-    return tuple(_exp(v) for v in _ln_apex(params))
-
-
-def parabola_E(e: float, params: ForcingParams) -> float:
-    return params.eta * params.f_norm / params.nu * math.sqrt(e)
 
 
 class Funnel:
@@ -151,29 +134,17 @@ class Funnel:
 
     def segment(self, tag: str, ln_lo: float, ln_hi: float,
                 samples: int) -> CurveSegment:
-        """The funnel sampled on log_grid(ln_lo, ln_hi, samples); a slope
-        outside float range is InvalidRegime."""
-        grid = log_grid(ln_lo, ln_hi, samples)
+        """The funnel sampled on the distinct abscissas of
+        log_grid(ln_lo, ln_hi, samples), so that ln e rises strictly where
+        the span holds fewer floats than samples (a wall collapsed onto its
+        anchor); a slope outside float range is InvalidRegime."""
+        grid = list(dict.fromkeys(log_grid(ln_lo, ln_hi, samples)))
         ln_E = [self.ln_E(v) for v in grid]
         slope = [self.slope(v, u) for v, u in zip(grid, ln_E)]
         if -math.inf in slope:
             raise InvalidRegime(
                 f"{tag}: a slope d ln E/d ln e is outside float range")
         return CurveSegment(tag, grid, ln_E, slope)
-
-
-def phi_of_e(e: float, e0_init: float, E0_init: float,
-             params: ForcingParams) -> float:
-    """Funnel solution through (e0_init, E0_init), evaluated at e.
-
-    Valid on (e_star, oo): the same expression continues smoothly past the
-    anchor, which is how the apex-anchored branch reaches the parabola.
-    """
-    if not (0.0 < e < math.inf and 0.0 < e0_init < math.inf
-            and 0.0 < E0_init < math.inf):
-        raise OutsideDomain("energy and anchor must be positive and finite")
-    return math.exp(Funnel(math.log(e0_init), math.log(E0_init),
-                           params).ln_E(math.log(e)))
 
 
 def eta_threshold(c1: float) -> float:
@@ -196,7 +167,7 @@ def e2_lower_bound(params: ForcingParams) -> float:
     """
     alpha = params.eta / (params.eta - 1.0)
     d = _apex_t(params.eta) - 1.0
-    e1, _ = nose_apex(params)
+    e1 = _exp(_ln_apex(params)[0])
     scale = (params.nu * params.f_norm) ** (2.0 / 3.0) / params.lam
     return math.copysign(e1 * abs(d) ** (1.0 / (alpha + 0.5)) * scale, d)
 
@@ -263,9 +234,9 @@ class FullNseGeometry:
         self.e_under = _exp(ln_e0 + 2.0 * (ln_E_under - ln_E0))
         # e_star = e0 (1 - t)^(1/p)
         self.e_star = _exp(ln_e0 + math.log(-math.expm1(wall.ln_t)) / wall.p)
-        self.e2, self.E2 = e2, parabola_E(e2, params)
-        _gate(self, ("e1", "E1", "e2"))
         self.coef = params.eta * params.f_norm / params.nu
+        self.e2, self.E2 = e2, self.coef * math.sqrt(e2)
+        _gate(self, ("e1", "E1", "e2"))
         self.nose = _nose(params)
         self.apex = Funnel(math.log(self.e1), math.log(self.E1), params)
 
@@ -284,8 +255,9 @@ def classify_full(e: float, E: float, params: ForcingParams) -> str:
     the apex level E1 left of the apex (outside the nose, E lies under its
     lower branch, below E1, or over its upper one, above E1), by the apex
     funnel for e1 <= e <= e2, and by nothing at all past e2, where the
-    corridor opens up. Each curve is evaluated as parabola_E, psi_of_E
-    and phi_of_e do, with the constants geometry holds.
+    corridor opens up. Each curve is evaluated with the constants geometry
+    holds: the parabola by coef, the nose by _ln_psi, the apex funnel by
+    its Funnel.
     """
     if not (0.0 < e < math.inf and 0.0 < E < math.inf):
         raise OutsideDomain("classification needs e > 0 and E > 0")
@@ -310,7 +282,9 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
     as two barrier segments (lower and upper branch). A breakpoint
     outside float range is InvalidRegime, and a wall whose first abscissa
     is not right of its asymptote (eta within about 1e-10 of 1 puts
-    ln e_star a few ulps from ln e0) is CancellationLoss.
+    ln e_star a few ulps from ln e0) is CancellationLoss. A wall whose
+    span holds fewer floats than samples keeps fewer, distinct samples,
+    down to its anchor alone (Funnel.segment).
     """
     geo = geometry(params)
     # the logs of the float breakpoints, which the bundle carries

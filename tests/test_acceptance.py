@@ -32,16 +32,13 @@ from enstrophy_bounds import (
     geometry,
     halved_curve,
     max_join_gap,
-    nose_apex,
-    phi_of_e,
-    psi_of_E,
     scaling_emax,
     scaling_params,
     solve_e2,
     truncation_comparison,
 )
 from enstrophy_bounds.cli import run
-from enstrophy_bounds.full_nse import e2_lower_bound
+from enstrophy_bounds.full_nse import _ln_psi, e2_lower_bound
 from enstrophy_bounds.scaling import default_anchor
 from enstrophy_bounds.subcritical import sigma_of
 from enstrophy_bounds.verify import _rk4_row, _specfun_row, all_pass
@@ -222,14 +219,16 @@ def test_criterion_08_full_nse_geometry(fig2):
     for g in (10.0, 100.0, 1000.0):
         p = _with(fig2, f_norm=g)
         floors_ok &= e2_lower_bound(p) <= solve_e2(p)
-    e1, E1 = nose_apex(fig2)
-    grid = np.exp(np.linspace(math.log(E1) - 3.0, math.log(E1) + 3.0, 201))
-    vals = [psi_of_E(E, fig2) for E in grid]
+    # the nose through the constants the region holds, and the wall's
+    # anchor as assemble_full writes it
+    geo = geometry(fig2)
+    grid = np.exp(np.linspace(math.log(geo.E1) - 3.0,
+                              math.log(geo.E1) + 3.0, 201))
+    vals = [math.exp(_ln_psi(math.log(E), geo.nose)) for E in grid]
     k = int(np.argmax(vals))
     unimodal = (all(a < b for a, b in zip(vals[:k], vals[1:k + 1]))
                 and all(a > b for a, b in zip(vals[k:], vals[k + 1:])))
-    geo = geometry(fig2)
-    anchor = phi_of_e(geo.e0, geo.e0, geo.E0, fig2)
+    anchor = math.exp(assemble_full(fig2).segment("phi1").ln_E[-1])
     anchor_ok = abs(anchor / geo.E0 - 1.0) < 1e-12
     ok = floors_ok and unimodal and anchor_ok
     assert _verdict("8", ok,

@@ -4,10 +4,11 @@ Chain.classify picks a branch and evaluates its kept solution with the
 constants it formed once per chain, and classify_full evaluates the nose
 and the apex funnel with constants formed once per params. The oracles
 below are the classifiers those replaced: the chain's through curve_value
-as it was, the full model's through parabola_E, psi_of_E and phi_of_e,
-every quantity formed in the call. Each side classifies the same points in the
-same order on its own fresh params object, so a breakpoint that one side
-solves (or refuses) and the other does not would show. Labels and
+as it was, the full model's through the parabola formed from params and
+conftest's pointwise ln_psi and ln_phi, every quantity formed in the
+call. Each side classifies the same points in the same order on its own
+fresh params object, so a breakpoint that one side solves (or refuses)
+and the other does not would show. Labels and
 refusals (exception type and message) must agree exactly.
 
 The held models themselves are checked here too: a params object keeps
@@ -28,7 +29,7 @@ from enstrophy_bounds import (ForcingParams, InvalidRegime, NoBracket,
                               branches, critical, full_nse, load_params_file,
                               specfun, subcritical)
 
-from conftest import PRESETS
+from conftest import PRESETS, ln_phi, ln_psi, parabola
 
 
 def _fresh(params, **over):
@@ -65,21 +66,29 @@ def _old_chain_classify(chain_of):
     return classify
 
 
+def _psi(E, params):
+    return math.exp(ln_psi(math.log(E), params))
+
+
+def _apex_E(e, geo, params):
+    return math.exp(ln_phi(math.log(e), math.log(geo.e1), math.log(geo.E1),
+                           params))
+
+
 def _old_classify_full(e, E, params):
     """classify_full as it was, through the pointwise curve functions."""
     if not (0.0 < e < math.inf and 0.0 < E < math.inf):
         raise OutsideDomain("classification needs e > 0 and E > 0")
     geo = full_nse.geometry(params)
-    par = full_nse.parabola_E(e, params)
-    if e <= full_nse.psi_of_E(E, params) and E >= par:
+    par = parabola(e, params)
+    if e <= _psi(E, params) and E >= par:
         return "IV"
     if E < par:
         return "I"
     if e < geo.e1:
         return "II" if E > geo.E1 else "III"
     if e <= geo.e2:
-        return "II" if E > full_nse.phi_of_e(e, geo.e1, geo.E1,
-                                             params) else "III"
+        return "II" if E > _apex_E(e, geo, params) else "III"
     return "II"
 
 
@@ -233,19 +242,19 @@ def _full_points(params, rng):
         return pts
     for k in range(-30, 3):
         e = geo.e0 * 10.0 ** k
-        pts += _near(e, full_nse.parabola_E(e, p))
+        pts += _near(e, parabola(e, p))
     for i in range(-24, 25):
         E = geo.E1 * 10.0 ** (i / 8.0)
-        pts += _near(full_nse.psi_of_E(E, p), E)
+        pts += _near(_psi(E, p), E)
     for k in range(1, 20):
         pts += _near(geo.e1 * 10.0 ** -k, geo.E1)
     for e in (geo.e1, geo.e2):
-        for E in (geo.E1, 2.0 * geo.E1, full_nse.parabola_E(e, p), 1e300):
+        for E in (geo.E1, 2.0 * geo.E1, parabola(e, p), 1e300):
             pts += _near(e, E)
     for i in range(41):
         e = geo.e1 + (geo.e2 - geo.e1) * i / 40.0
         try:
-            E = full_nse.phi_of_e(e, geo.e1, geo.E1, p)
+            E = _apex_E(e, geo, p)
         except Exception:
             continue
         pts += [(e, E * s) for s in (1.0 - 1e-12, 1.0 + 1e-12)]

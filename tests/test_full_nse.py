@@ -18,13 +18,11 @@ from enstrophy_bounds import (
     classify_full,
     eta_threshold,
     geometry,
-    nose_apex,
-    parabola_E,
-    phi_of_e,
-    psi_of_E,
     solve_e2,
 )
-from enstrophy_bounds.full_nse import Funnel, e2_lower_bound
+from enstrophy_bounds.full_nse import Funnel, _ln_psi, _nose, e2_lower_bound
+
+from conftest import parabola
 
 
 def _with(params, **over):
@@ -33,41 +31,41 @@ def _with(params, **over):
     return ForcingParams.from_mapping(raw)
 
 
+def _psi(E, params):
+    """The nose at E > 0, through its constants (_nose) and _ln_psi."""
+    return math.exp(_ln_psi(math.log(E), _nose(params)))
+
+
+def _apex_E(e, geo):
+    """The apex funnel at e, as classify_full evaluates it."""
+    return math.exp(geo.apex.ln_E(math.log(e)))
+
+
 # ---------------------------------------------------------------- nose
 
 
 def test_nose_apex_closed_form(fig2):
     # c1 = 4, G = 8 makes the apex land on round numbers
     p = _with(fig2, f_norm=8.0, c1=4.0)
-    e1, E1 = nose_apex(p)
+    geo = geometry(p)
+    e1, E1 = geo.e1, geo.E1
     assert E1 == pytest.approx(4.0, rel=1e-14)
     assert e1 == pytest.approx(1.0 / 24.0, rel=1e-14)
     # the apex sits on the nose itself
-    assert psi_of_E(E1, p) == pytest.approx(e1, rel=1e-13)
+    assert _psi(E1, p) == pytest.approx(e1, rel=1e-13)
 
 
 def test_psi_unimodal(fig2):
-    e1, E1 = nose_apex(fig2)
-    assert psi_of_E(0.0, fig2) == 0.0
-    assert psi_of_E(E1, fig2) == pytest.approx(e1, rel=1e-13)
+    geo = geometry(fig2)
+    e1, E1 = geo.e1, geo.E1
+    assert _psi(E1, fig2) == pytest.approx(e1, rel=1e-13)
     # rises up to the apex, falls past it
     for h in (1e-2, 1e-1, 0.5):
-        assert psi_of_E(E1 * (1.0 - h), fig2) < e1
-        assert psi_of_E(E1 * (1.0 + h), fig2) < e1
+        assert _psi(E1 * (1.0 - h), fig2) < e1
+        assert _psi(E1 * (1.0 + h), fig2) < e1
     grid = [E1 * 10.0 ** k for k in range(1, 6)]
-    vals = [psi_of_E(E, fig2) for E in grid]
+    vals = [_psi(E, fig2) for E in grid]
     assert all(a > b for a, b in zip(vals, vals[1:]))
-
-
-def test_psi_rejects_negative(fig2):
-    with pytest.raises(OutsideDomain, match="nonnegative and finite"):
-        psi_of_E(-1.0, fig2)
-
-
-@pytest.mark.parametrize("E", [math.inf, math.nan])
-def test_psi_rejects_nonfinite(fig2, E):
-    with pytest.raises(OutsideDomain, match="nonnegative and finite"):
-        psi_of_E(E, fig2)
 
 
 # -------------------------------------------------------------- funnels
@@ -75,23 +73,28 @@ def test_psi_rejects_nonfinite(fig2, E):
 
 def test_funnel_passes_through_anchor(fig2):
     geo = geometry(fig2)
-    assert phi_of_e(geo.e0, geo.e0, geo.E0, fig2) \
-        == pytest.approx(geo.E0, rel=1e-12)
-    assert phi_of_e(geo.e1, geo.e1, geo.E1, fig2) \
-        == pytest.approx(geo.E1, rel=1e-12)
+    wall = assemble_full(fig2, samples=128).segment("phi1")
+    assert wall.ln_e[-1] == math.log(geo.e0)
+    assert math.exp(wall.ln_E[-1]) == pytest.approx(geo.E0, rel=1e-12)
+    assert _apex_E(geo.e1, geo) == pytest.approx(geo.E1, rel=1e-12)
 
 
-@pytest.mark.parametrize("f_norm", [2.0, 30.0, 100.0])
+@pytest.mark.parametrize("f_norm", [2.0, 30.0, 100.0, 600.0, 1000.0, 3000.0])
 def test_wall_is_sampled_left_of_its_anchor(fig2, f_norm):
     # at f_norm = 30 and 100 the wall's asymptote lies within a relative
     # 1e-6 of its anchor, so a grid started 1e-6 right of e_star would
-    # run backwards, right of e0
+    # run backwards, right of e0. From f_norm = 600 the span holds fewer
+    # floats than 512 samples, and the wall keeps only its distinct
+    # abscissas; at 3000 ln e_star rounds onto ln e0, and the wall is its
+    # anchor alone
     p = _with(fig2, f_norm=f_norm)
     geo = geometry(p)
-    wall = assemble_full(p, samples=128).segment("phi1").ln_e
+    ln_star, ln_e0 = math.log(geo.e_star), math.log(geo.e0)
+    wall = assemble_full(p, samples=512).segment("phi1").ln_e
     assert all(a < b for a, b in zip(wall, wall[1:]))
-    assert wall[-1] == math.log(geo.e0)
-    assert wall[0] > math.log(geo.e_star)
+    assert wall[-1] == ln_e0
+    assert wall[0] > ln_star or (wall == [ln_e0] and ln_star == ln_e0)
+    assert (len(wall) == 512) == (f_norm <= 100.0)
 
 
 def test_wall_without_room_right_of_its_asymptote_is_typed(fig2):
@@ -110,10 +113,11 @@ def test_wall_without_room_right_of_its_asymptote_is_typed(fig2):
         f"= {ln_star!r} and ln e0 = {ln_e0!r} are 1 ulp apart")
 
 
-@pytest.mark.parametrize("k", range(4, 15))
+@pytest.mark.parametrize("k", range(4, 16))
 def test_wall_with_eta_near_one_answers_or_is_typed(fig2, k):
     # eta = 1 + 10^-k puts e_star from 1.4e10 ulps of ln e0 down to one:
-    # the wall either starts right of its asymptote or is refused by name
+    # the wall either starts right of its asymptote, its abscissas rising
+    # strictly however few floats the span holds, or is refused by name
     p = _with(fig2, eta=1.0 + 10.0 ** -k)
     try:
         wall = assemble_full(p, samples=64).segment("phi1")
@@ -121,6 +125,7 @@ def test_wall_with_eta_near_one_answers_or_is_typed(fig2, k):
         assert str(exc).startswith("the wall's grid cannot start right")
     else:
         assert wall.ln_e[0] >= math.log(geometry(p).e_star)
+        assert all(a < b for a, b in zip(wall.ln_e, wall.ln_e[1:]))
         assert all(math.isfinite(v) for v in wall.ln_E)
 
 
@@ -137,10 +142,9 @@ def test_funnel_slope_matches_finite_difference(fig2):
     geo = geometry(fig2)
     for frac in (0.25, 0.5, 0.75):
         e = geo.e1 * (geo.e2 / geo.e1) ** frac
-        E = phi_of_e(e, geo.e1, geo.E1, fig2)
+        E = _apex_E(e, geo)
         h = 1e-6 * e
-        fd = (phi_of_e(e + h, geo.e1, geo.E1, fig2)
-              - phi_of_e(e - h, geo.e1, geo.E1, fig2)) / (2.0 * h)
+        fd = (_apex_E(e + h, geo) - _apex_E(e - h, geo)) / (2.0 * h)
         # the segments' kernel gives d ln E/d ln e = (e/E) dE/de
         assert geo.apex.slope(math.log(e), math.log(E)) \
             == pytest.approx(e / E * fd, rel=1e-6)
@@ -148,17 +152,16 @@ def test_funnel_slope_matches_finite_difference(fig2):
 
 def test_funnel_raises_left_of_asymptote(fig2):
     geo = geometry(fig2)
+    wall = Funnel(math.log(geo.e0), math.log(geo.E0), fig2)
     with pytest.raises(OutsideDomain):
-        phi_of_e(0.5 * geo.e_star, geo.e0, geo.E0, fig2)
-    with pytest.raises(OutsideDomain):
-        phi_of_e(0.0, geo.e0, geo.E0, fig2)
+        wall.ln_E(math.log(0.5 * geo.e_star))
 
 
 def test_funnel_past_float_range(fig2):
     # at e = 1e-130, u = (e0/e)^p is past float range; with t < 1 the
     # bracket t u + 1 - u is then negative: left of the asymptote
     with pytest.raises(OutsideDomain):
-        phi_of_e(1e-130, 4.0, 8.0, fig2)
+        Funnel(math.log(4.0), math.log(8.0), fig2).ln_E(math.log(1e-130))
     # with t >= 1 there is no asymptote, and u (t - 1) + 1 is formed in
     # logs: E^-2 = beta sqrt(e) (u (t - 1) + 1)
     funnel = Funnel(math.log(4.0), math.log(1e-3), fig2)
@@ -172,28 +175,17 @@ def test_funnel_past_float_range(fig2):
         assert funnel.ln_E(v) == pytest.approx(float(want), rel=1e-14)
 
 
-@pytest.mark.parametrize("e, e0, E0", [
-    (5.0, 4.0, 0.0), (5.0, 4.0, -1.0), (5.0, 4.0, math.inf),
-    (5.0, 0.0, 8.0), (5.0, math.inf, 8.0), (math.nan, 4.0, 8.0),
-    (5.0, math.nan, 8.0), (5.0, 4.0, math.nan), (math.inf, 4.0, 8.0)])
-def test_funnel_refuses_nonpositive_or_nonfinite(fig2, e, e0, E0):
-    with pytest.raises(OutsideDomain):
-        phi_of_e(e, e0, E0, fig2)
-
-
 # ------------------------------------------------------------- e2 root
 
 
 def test_e2_reenters_parabola(fig2):
     geo = geometry(fig2)
     assert geo.e2 > geo.e1
-    E_at_e2 = phi_of_e(geo.e2, geo.e1, geo.E1, fig2)
-    assert E_at_e2 == pytest.approx(parabola_E(geo.e2, fig2),
-                                    rel=1e-10)
+    E_at_e2 = _apex_E(geo.e2, geo)
+    assert E_at_e2 == pytest.approx(parabola(geo.e2, fig2), rel=1e-10)
     # strictly above the parabola in between
     mid = math.sqrt(geo.e1 * geo.e2)
-    assert phi_of_e(mid, geo.e1, geo.E1, fig2) \
-        > parabola_E(mid, fig2)
+    assert _apex_E(mid, geo) > parabola(mid, fig2)
 
 
 def test_e2_floor_never_exceeds_root(fig2):
@@ -208,7 +200,8 @@ def test_e2_unreachable_when_parabola_clears_apex(fig2):
     eta = 2.5
     assert eta < eta_threshold(fig2.c1)
     geo_par = eta * fig2.nu * fig2.lam ** 0.75 * fig2.grashof
-    e1, E1 = nose_apex(fig2)
+    geo = geometry(fig2)
+    e1, E1 = geo.e1, geo.E1
     assert geo_par * math.sqrt(e1) > E1
     with pytest.raises(NoBracket):
         solve_e2(_with(fig2, eta=eta))
@@ -285,12 +278,10 @@ def test_geometry_fields_consistent(fig2):
     assert isinstance(geo, FullNseGeometry)
     assert geo.E_under == pytest.approx(2.0 ** (-1.0 / 3.0) * geo.E1,
                                         rel=1e-14)
-    assert parabola_E(geo.e_under, fig2) \
+    assert parabola(geo.e_under, fig2) \
         == pytest.approx(geo.E_under, rel=1e-13)
-    assert parabola_E(geo.e0, fig2) \
-        == pytest.approx(geo.E0, rel=1e-13)
-    assert geo.E2 == pytest.approx(parabola_E(geo.e2, fig2),
-                                   rel=1e-14)
+    assert parabola(geo.e0, fig2) == pytest.approx(geo.E0, rel=1e-13)
+    assert geo.E2 == pytest.approx(parabola(geo.e2, fig2), rel=1e-14)
     assert 0.0 < geo.e_star < geo.e0
     alpha, ln_beta = geo.apex.alpha, geo.apex.ln_beta
     assert alpha == pytest.approx(fig2.eta / (fig2.eta - 1.0))
@@ -324,10 +315,10 @@ def test_classify_regions(fig2):
 
     # strictly below the parabola
     e = geo.e0
-    assert classify_full(e, 0.5 * parabola_E(e, fig2), fig2) == "I"
+    assert classify_full(e, 0.5 * parabola(e, fig2), fig2) == "I"
 
     # far inside the nose, well above the parabola at tiny energy
-    assert psi_of_E(geo.E1, fig2) == pytest.approx(geo.e1, rel=1e-13)
+    assert _psi(geo.E1, fig2) == pytest.approx(geo.e1, rel=1e-13)
     assert classify_full(1e-6, geo.E1, fig2) == "IV"
 
     # above everything at the anchor energy
@@ -335,18 +326,18 @@ def test_classify_regions(fig2):
 
     # between apex curve and parabola: III; above the apex curve: II
     mid = math.sqrt(geo.e1 * geo.e2)
-    on_curve = phi_of_e(mid, geo.e1, geo.E1, fig2)
-    below = 0.5 * (on_curve + parabola_E(mid, fig2))
+    on_curve = _apex_E(mid, geo)
+    below = 0.5 * (on_curve + parabola(mid, fig2))
     assert classify_full(mid, below, fig2) == "III"
     assert classify_full(mid, 2.0 * on_curve, fig2) == "II"
 
     # past e2 the corridor is open: anything at/above the parabola is II
     e = 2.0 * geo.e2
-    assert classify_full(e, parabola_E(e, fig2), fig2) == "II"
+    assert classify_full(e, parabola(e, fig2), fig2) == "II"
 
 
 def _upper_nose_50_digits(e, params):
-    """The larger E with psi_of_E(E) = e (0 < e < e1), by a 50-digit
+    """The larger E with psi(E) = e (0 < e < e1), by a 50-digit
     inversion of psi: psi(E1) = e1 > e, and psi(E) < nu^4/(c1 E) = e at
     E = nu^4/(c1 e)."""
     with mpmath.workdps(50):
@@ -368,8 +359,8 @@ def test_classify_left_of_apex(fig2):
     assert classify_full(e, 1.05 * E_up, fig2) == "II"
     # the III window left of the apex hugs the parabola, below the lower
     # nose branch; just above it is inside the nose and classifies IV
-    probe = 1.001 * parabola_E(e, fig2)
-    assert psi_of_E(probe, fig2) < e
+    probe = 1.001 * parabola(e, fig2)
+    assert _psi(probe, fig2) < e
     assert probe < E_up
     assert classify_full(e, probe, fig2) == "III"
 
@@ -396,7 +387,7 @@ def _log_space_label(e, E, params, geo):
     ln_b = math.log(params.c1) + 3.0 * math.log(E)
     ln_denom = max(ln_a, ln_b) + math.log1p(math.exp(-abs(ln_a - ln_b)))
     ln_psi = 4.0 * math.log(nu) + 2.0 * math.log(E) - ln_denom
-    above = E >= parabola_E(e, params)
+    above = E >= parabola(e, params)
     if math.log(e) <= ln_psi and above:
         return "IV"
     if not above:
@@ -405,8 +396,7 @@ def _log_space_label(e, E, params, geo):
         # E > E1, so E clears the upper nose branch iff psi(E) < e
         return "II" if ln_psi < math.log(e) else "III"
     if e <= geo.e2:
-        return "II" if E > phi_of_e(e, geo.e1, geo.E1, params) \
-            else "III"
+        return "II" if E > _apex_E(e, geo) else "III"
     return "II"
 
 
@@ -414,7 +404,7 @@ def _log_space_label(e, E, params, geo):
 def test_classify_beyond_cube_overflow(fig2, E):
     geo = geometry(fig2)
     psi = fig2.nu ** 4 / (fig2.c1 * E)  # the nose at this height, to roundoff
-    assert psi_of_E(E, fig2) == pytest.approx(psi, rel=1e-12)
+    assert _psi(E, fig2) == pytest.approx(psi, rel=1e-12)
     for e in (0.1 * psi, 10.0 * psi, 0.5 * geo.e1,
               math.sqrt(geo.e1 * geo.e2), 2.0 * geo.e2):
         assert classify_full(e, E, fig2) == _log_space_label(e, E, fig2, geo)
@@ -488,6 +478,6 @@ def test_assemble_full_bundle(fig2):
     assert apex.ln_e[-1] == pytest.approx(math.log(geo.e2), abs=1e-12)
     # apex branch lands back on the parabola
     assert apex.ln_E[-1] == pytest.approx(
-        math.log(parabola_E(geo.e2, fig2)), abs=1e-9)
+        math.log(parabola(geo.e2, fig2)), abs=1e-9)
     for seg in bundle.segments:
         assert all(map(math.isfinite, seg.ln_E))

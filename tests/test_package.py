@@ -88,16 +88,19 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 # solution), the LogScalar record with its constructors, converters and
 # ZERO (a value leaves the library as its ln, a plain float), and the
 # functions that formed a branch's solution, bounds, peak and samples
-# apart (one Branch record per anchor holds them), and critical's float
-# barrier (the chain samples the nullcline it solves the peak against)
+# apart (one Branch record per anchor holds them), critical's float
+# barrier (the chain samples the nullcline it solves the peak against),
+# and full_nse's float funnel, nose, apex and parabola (Funnel, _ln_psi
+# and geometry are the one evaluation of each)
 _REMOVED = {
     "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar "
-        "barrier",
+        "barrier phi_of_e psi_of_E nose_apex parabola_E",
     "critical": "phi1 phi2 phi3 barrier",
     "subcritical": "sub_phi1 sub_phi2 sub_phi3",
     "branches": "_as_ln _REL_TOL solution envelope peak_ln_e sample",
     "full_nse": "phi_slope _alpha_ln_beta _ln_t _funnel _ln_phi _slope "
-                "_ln_slope _funnel_segment _point",
+                "_ln_slope _funnel_segment _point phi_of_e psi_of_E "
+                "nose_apex parabola_E",
     "scaling": "scaling_curve _ln_curve solution envelope peak_ln_e sample",
     "logscalar": "ONE ZERO from_float to_float",
     "specfun": "solution envelope peak_ln_e sample",

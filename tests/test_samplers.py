@@ -4,9 +4,9 @@ Each branch of a chain is evaluated through one prepared record
 (specfun.Branch) and each full-model segment through constants formed
 once per segment. The oracles below form every quantity at every point,
 as the pointwise kernels did: the branch solution with its own weighted
-exponential integral, the bounds of its inner term with another one, the
-funnel, its slope field and the nose. A sampler that moves one bit away
-from them fails here.
+exponential integral, the bounds of its inner term with another one and
+the funnel's slope field; the funnel and the nose are conftest's ln_phi
+and ln_psi. A sampler that moves one bit away from them fails here.
 """
 
 import json
@@ -23,7 +23,7 @@ from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.logscalar import ln_add
 from enstrophy_bounds.specfun import _g_ln, _series_ln
 
-from conftest import PRESETS
+from conftest import PRESETS, alpha_ln_beta, ln_phi, ln_psi
 
 
 def _bits(values):
@@ -75,34 +75,8 @@ def _solution(ln_e, field, ln_e_ref, ln_y_ref):
     return a * ln_e - b * math.exp(ln_e) + inner
 
 
-def _ln_psi(ln_E, params):
-    ln_nu = math.log(params.nu)
-    return 4.0 * ln_nu + 2.0 * ln_E - ln_add(
-        math.log(2.0) + 2.0 * (ln_nu + math.log(params.f_norm)),
-        math.log(params.c1) + 3.0 * ln_E)
-
-
-def _alpha_ln_beta(params):
-    eta = params.eta
-    return eta / (eta - 1.0), math.log(4.0 * params.c1 / (3.0 * eta - 1.0)) \
-        - 3.0 * math.log(params.nu) - math.log(params.f_norm)
-
-
-def _ln_phi(v, ln_e0, ln_E0, params):
-    if v == ln_e0:
-        return ln_E0
-    alpha, ln_beta = _alpha_ln_beta(params)
-    ln_u = (alpha + 0.5) * (ln_e0 - v)
-    ln_t = -0.5 * ln_e0 - 2.0 * ln_E0 - ln_beta
-    shifted = math.exp(ln_t + ln_u) - math.expm1(ln_u)
-    if shifted <= 0.0:
-        raise OutsideDomain(
-            f"e = exp({v}) is at or left of the funnel asymptote")
-    return -0.5 * (ln_beta + 0.5 * v + math.log(shifted))
-
-
 def _ln_slope(v, ln_E, params):
-    alpha, ln_beta = _alpha_ln_beta(params)
+    alpha, ln_beta = alpha_ln_beta(params)
     return 0.5 * alpha - full_nse._exp(
         ln_beta + 2.0 * ln_E + 0.5 * v
         + math.log(0.25 * alpha * (3.0 - 1.0 / params.eta)))
@@ -344,7 +318,7 @@ def test_full_samples_match_pointwise_kernels(name):
     anchors = {"phi1": (geo.e0, geo.E0), "phi2": (geo.e1, geo.E1)}
     for tag, (e0, E0) in anchors.items():
         seg = bundle.segment(tag)
-        ln_E = [_ln_phi(v, math.log(e0), math.log(E0), params)
+        ln_E = [ln_phi(v, math.log(e0), math.log(E0), params)
                 for v in seg.ln_e]
         assert _bits(seg.ln_E) == _bits(ln_E)
         assert _bits(seg.dlnE_dlne) \
@@ -352,7 +326,7 @@ def test_full_samples_match_pointwise_kernels(name):
     noses = [s for s in bundle.segments if s.tag == "barrier"]
     assert len(noses) == 2
     for seg in noses:
-        assert _bits(seg.ln_e) == _bits(_ln_psi(u, params) for u in seg.ln_E)
+        assert _bits(seg.ln_e) == _bits(ln_psi(u, params) for u in seg.ln_E)
 
 
 @pytest.mark.parametrize("name", sorted(_FULL))
@@ -364,10 +338,10 @@ def test_full_pointwise_functions_match_kernels(name):
         e = geo.e1 * math.exp(rng.uniform(0.0, math.log(geo.e2 / geo.e1)))
         E = geo.E1 * math.exp(rng.uniform(-5.0, 5.0))
         ln_e, ln_E = math.log(e), math.log(E)
-        assert full_nse.psi_of_E(E, params).hex() \
-            == math.exp(_ln_psi(ln_E, params)).hex()
-        assert full_nse.phi_of_e(e, geo.e1, geo.E1, params).hex() \
-            == math.exp(_ln_phi(ln_e, math.log(geo.e1), math.log(geo.E1),
-                                params)).hex()
+        # the curves as classify_full evaluates them at one point
+        assert full_nse._ln_psi(ln_E, geo.nose).hex() \
+            == ln_psi(ln_E, params).hex()
+        assert geo.apex.ln_E(ln_e).hex() \
+            == ln_phi(ln_e, math.log(geo.e1), math.log(geo.E1), params).hex()
         assert geo.apex.slope(ln_e, ln_E).hex() \
             == _ln_slope(ln_e, ln_E, params).hex()
