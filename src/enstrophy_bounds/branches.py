@@ -289,18 +289,6 @@ class Chain:
         branch = self._prepared[k] or self.prepared(k)
         return "III" if branch.at_or_above(ln_e, ln_E) else "II"
 
-    def slope_field(self, tag: str = "phi1"):
-        """d(ln E)/de of the named segment's defining field."""
-        if tag not in TAGS:
-            raise ValueError(f"no slope field for tag {tag!r}")
-        f = self.fields[TAGS.index(tag)]
-        a, b, c, p, q = f.a, f.b, f.c, f.p, 1.0 / f.p
-
-        def field(e: float, ln_E: float) -> float:
-            return q * (a / e - b) - q * c * math.exp(-p * ln_E)
-
-        return field
-
     def _sample(self, k: int, ln_lo: float, ln_hi: float,
                 samples: int) -> CurveSegment:
         grid = log_grid(ln_lo, ln_hi, samples)

@@ -125,7 +125,7 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
     lead = b * e0 - a * ln_e0 + math.log(E0s) * 0.6
 
     es = log_grid(e0, ch.rise.e_a * 1.05, 8193)
-    lnEs = rk4_path(ch.slope_field("phi1"), es, math.log(E0s), tol=1e-7)
+    lnEs = rk4_path(ch.rise.dlnE_de(), es, math.log(E0s), tol=1e-7)
     worst = 0.0
     for e, ln_E in zip(es, lnEs):
         # s_trunc grows with e, so for e <= e0 both terms are positive

@@ -15,10 +15,8 @@ import json
 import math
 
 from .errors import CancellationLoss, OutsideDomain
-from .logscalar import sci_string
+from .logscalar import _LN10, sci_string
 from .params import ForcingParams
-
-_LN10 = math.log(10.0)
 
 # the only tags serialization will accept; pinned output vocabulary
 SEGMENT_TAGS = ("phi1", "phi2", "phi3", "lower_boundary", "barrier", "parabola")
@@ -132,7 +130,7 @@ def bundle_to_json(bundle: CurveBundle) -> str:
             {
                 "tag": seg.tag,
                 "e": [sci_string(v) for v in seg.ln_e],
-                "log10_E": [float(_log10_string(v)) for v in seg.ln_E],
+                "log10_E": [round_sig(v / _LN10) for v in seg.ln_E],
             }
             for seg in bundle.segments
         ],

@@ -21,9 +21,10 @@ one record (Funnel) that forms its constants (alpha, p, ln beta, ln t,
 ln k) once and evaluates the curve, its slope and its segment; the nose's
 constants come from _nose and are evaluated by _ln_psi. The region is one
 model (FullNseGeometry), held on the params object (geometry): its
-breakpoints, and what classify_full reads, the parabola coefficient, the
-nose constants and the apex funnel. Each curve has this one evaluation:
-no pointwise function forms its constants again.
+breakpoints, the wall funnel that assemble_full samples, and what
+classify_full reads, the parabola coefficient, the nose constants and
+the apex funnel. Each curve has this one evaluation: no pointwise
+function forms its constants again, and no other funnel is built.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import math
 from .curves import CurveBundle, CurveSegment, log_grid, power_law
 from .errors import (CancellationLoss, InvalidRegime, NoBracket,
                      OutsideDomain, RegimeViolation)
-from .logscalar import ln_add, ln_sub
+from .logscalar import ln_add
 from .params import _LN_RANGE, ForcingParams, held
 from .solver import find_root
 
@@ -90,9 +91,12 @@ class Funnel:
     alpha = eta/(eta - 1), beta = 4 c1/((3 eta - 1) nu^3 f) and
     k = alpha (3 - 1/eta)/4, so that beta k = c1/((eta - 1) nu^3 f). Its
     solution is E^-2 = beta sqrt(e) (t u + 1 - u), with u = (e0/e)^p,
-    p = alpha + 1/2 and t = e0^(-1/2)/(beta E0^2): for t < 1 a vertical
-    asymptote at e_star = e0 (1 - t)^(1/p), left of which the bracket is
-    negative.
+    p = alpha + 1/2 and t = e0^(-1/2)/(beta E0^2). A funnel needs t < 1,
+    which gives it a vertical asymptote at e_star = e0 (1 - t)^(1/p), left
+    of which the bracket is negative; an anchor with t >= 1 is
+    RegimeViolation. Both funnels of the region have one: the wall's is
+    checked here, and the apex funnel's t1 = sqrt(6) (3 eta - 1)/16 is
+    below 1 wherever solve_e2 answers (eta < sqrt(6)).
     """
 
     def __init__(self, ln_e0: float, ln_E0: float, params: ForcingParams):
@@ -103,6 +107,9 @@ class Funnel:
         self.ln_beta = math.log(4.0 * params.c1 / (3.0 * eta - 1.0)) \
             - 3.0 * math.log(params.nu) - math.log(params.f_norm)
         self.ln_t = -0.5 * ln_e0 - 2.0 * ln_E0 - self.ln_beta
+        if self.ln_t >= 0.0:
+            raise RegimeViolation("parabola anchor admits no asymptote: "
+                                  f"ln t = {self.ln_t:.6g} >= 0")
         self.ln_k = math.log(0.25 * alpha * (3.0 - 1.0 / eta))
 
     def ln_E(self, v: float) -> float:
@@ -115,12 +122,8 @@ class Funnel:
         try:
             shifted = math.exp(ln_t + ln_u) - math.expm1(ln_u)
         except OverflowError:
-            # u or t u past float range: for t >= 1 the bracket is
-            # u (t - 1) + 1, formed in logs; for t < 1, u (1 - t) > 1 and
-            # the point lies left of the asymptote
-            if ln_t >= 0.0:
-                return -0.5 * (self.ln_beta + 0.5 * v + ln_add(
-                    ln_u + ln_sub(ln_t, 0.0)[0], 0.0))
+            # u past float range: as t < 1, u (1 - t) > 1 and the point
+            # lies left of the asymptote
             shifted = 0.0
         if shifted <= 0.0:
             raise OutsideDomain(
@@ -212,18 +215,17 @@ class FullNseGeometry:
     (e0, E0 = eta lam e0), the nose apex (e1, E1), E_under = 2^(-1/3) E1
     and its parabola abscissa e_under, the wall asymptote e_star
     (parabola-anchored funnel) and the apex funnel's re-entry (e2, E2),
-    the _BREAKPOINTS; then what classify_full reads: the parabola
-    coefficient eta f/nu (coef), the nose constants (nose) and the apex
-    Funnel (apex). e1, E1 and e2 outside float range are InvalidRegime,
-    the other breakpoints are left 0 or inf for assemble_full."""
+    the _BREAKPOINTS; the wall Funnel (wall), which assemble_full
+    samples; then what classify_full reads: the parabola coefficient
+    eta f/nu (coef), the nose constants (nose) and the apex Funnel
+    (apex). A parabola anchor with no asymptote is RegimeViolation (see
+    Funnel); e1, E1 and e2 outside float range are InvalidRegime, the
+    other breakpoints are left 0 or inf for assemble_full."""
 
     def __init__(self, params: ForcingParams):
         ln_e0 = math.log(params.e0)
         ln_E0 = math.log(params.eta) + math.log(params.lam) + ln_e0
-        wall = Funnel(ln_e0, ln_E0, params)
-        if wall.ln_t >= 0.0:
-            raise RegimeViolation("parabola anchor admits no asymptote: "
-                                  f"ln t = {wall.ln_t:.6g} >= 0")
+        self.wall = wall = Funnel(ln_e0, ln_E0, params)
         ln_e1, ln_E1 = _ln_apex(params)
         ln_E_under = ln_E1 - math.log(2.0) / 3.0
         e2 = solve_e2(params)
@@ -278,33 +280,35 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
 
     phi1 is the wall (parabola anchor, huge near its asymptote), phi2 the
     apex branch between e1 and e2. The two are separate solutions, not a
-    piecewise curve, so no join continuity is implied. The nose is emitted
-    as two barrier segments (lower and upper branch). A breakpoint
-    outside float range is InvalidRegime, and a wall whose first abscissa
-    is not right of its asymptote (eta within about 1e-10 of 1 puts
-    ln e_star a few ulps from ln e0) is CancellationLoss. A wall whose
-    span holds fewer floats than samples keeps fewer, distinct samples,
-    down to its anchor alone (Funnel.segment).
+    piecewise curve, so no join continuity is implied. Both are the
+    funnels geometry holds (wall, apex). The nose is emitted as two
+    barrier segments (lower and upper branch). A breakpoint outside float
+    range is InvalidRegime, and a wall whose first abscissa is not right
+    of its asymptote (eta within about 1e-10 of 1 puts ln e_star a few
+    ulps from ln e0) is CancellationLoss. A wall whose span holds fewer
+    floats than samples keeps fewer, distinct samples, down to its anchor
+    alone (Funnel.segment).
     """
     geo = geometry(params)
     # the logs of the float breakpoints, which the bundle carries
     ln = _gate(geo, _BREAKPOINTS)
+    # formed first, so that fewer than two samples is refused as such
+    # (log_grid) before the wall's grid is evaluated
+    par_grid = log_grid(ln["e_under"] - 2.0, ln["e0"], samples)
     # the wall starts a relative 1e-6 right of its asymptote, or halfway
-    # to its anchor where that is closer; it is anchored on the logs of
-    # the float breakpoints
+    # to its anchor where that is closer, both taken from the logs of the
+    # float breakpoints; the grid rises from there, so only its first
+    # sample can lie at or left of the asymptote
     ln_star, ln_e0 = ln["e_star"], ln["e0"]
     wall_lo = ln_star + min(math.log1p(1e-6), 0.5 * (ln_e0 - ln_star))
-    wall = Funnel(ln_e0, ln["E0"], params)
     try:
-        wall.ln_E(wall_lo)
+        segs = [geo.wall.segment("phi1", wall_lo, ln_e0, samples)]
     except OutsideDomain:
         raise CancellationLoss(
             f"the wall's grid cannot start right of its asymptote: ln e_star "
             f"= {ln_star!r} and ln e0 = {ln_e0!r} are "
             f"{(ln_e0 - ln_star) / math.ulp(ln_e0):.3g} ulp apart") from None
-    segs = [
-        wall.segment("phi1", wall_lo, ln_e0, samples),
-        geo.apex.segment("phi2", ln["e1"], ln["e2"], samples)]
+    segs.append(geo.apex.segment("phi2", ln["e1"], ln["e2"], samples))
 
     # the nose by E, each branch gridded so that ln e increases: the lower
     # one up to the apex, the upper one down to it
@@ -314,12 +318,9 @@ def assemble_full(params: ForcingParams, samples: int = 512) -> CurveBundle:
         segs.append(CurveSegment(
             "barrier", [_ln_psi(u, geo.nose) for u in grid_E], grid_E))
 
-    par_grid = log_grid(ln["e_under"] - 2.0, ln["e0"], samples)
     # the parabola through the anchor is E = E0 (e/e0)^(1/2)
-    segs.append(CurveSegment(
-        "parabola", par_grid,
-        [ln["E0"] + 0.5 * (v - ln["e0"]) for v in par_grid], [0.5] * samples))
-
+    segs.append(power_law("parabola", par_grid, ln["E0"] - 0.5 * ln["e0"],
+                          0.5))
     segs.append(power_law("lower_boundary", par_grid, math.log(params.lam0),
                           1.0))
 

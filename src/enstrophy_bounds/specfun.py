@@ -214,11 +214,21 @@ def weighted_exp_integral_ln(a: float, b: float, ln_lo: float,
 
 class Field:
     """Constants of one linear field dy/de = (a/e - b) y - c, y = E^p,
-    and ln c (-inf at c = 0)."""
+    and ln c (-inf at c = 0); its slope in ln E (dlnE_de)."""
 
     def __init__(self, a: float, b: float, c: float, p: float):
         self.a, self.b, self.c, self.p = a, b, c, p
         self.ln_c = math.log(c) if c != 0.0 else -math.inf
+
+    def dlnE_de(self):
+        """The field as d ln E/de at (e, ln E): q (a/e - b) - q c E^-p,
+        q = 1/p, the slope an integrator in e follows."""
+        a, b, c, p, q = self.a, self.b, self.c, self.p, 1.0 / self.p
+
+        def field(e: float, ln_E: float) -> float:
+            return q * (a / e - b) - q * c * math.exp(-p * ln_E)
+
+        return field
 
     @property
     def e_a(self) -> float:

@@ -222,7 +222,7 @@ def _rk4_row(params: ForcingParams, curve: CurveBundle) -> dict:
     seg = curve.segment("phi1")
     # the path starts on e0 itself, of which exp(ln e0) may miss an ulp
     es = [params.e0] + [math.exp(v) for v in reversed(seg.ln_e[:-1])]
-    path = rk4_path(ch.slope_field("phi1"), es, math.log(ch.E0), tol=1e-12)
+    path = rk4_path(ch.rise.dlnE_de(), es, math.log(ch.E0), tol=1e-12)
     worst = max(abs(a - b) for a, b in zip(reversed(seg.ln_E), path))
     return {"check": "closed_form_vs_rk4", "segment": "phi1",
             "samples": len(path), "worst_margin": worst,

@@ -1,3 +1,4 @@
+import importlib.util
 import math
 import sys
 from pathlib import Path
@@ -9,6 +10,15 @@ from enstrophy_bounds.logscalar import ln_add
 
 ROOT = Path(__file__).resolve().parent.parent
 PRESETS = ROOT / "presets"
+
+
+def tool(name):
+    """The script tools/<name>.py, imported as a module."""
+    spec = importlib.util.spec_from_file_location(
+        name, ROOT / "tools" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # The unconditional region's curves as pointwise oracles, every constant

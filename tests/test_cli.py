@@ -264,6 +264,8 @@ _EXTREME_INPUTS = [
                  id="emax-inf-anchor"),
     pytest.param(["curve", "critical", "--samples", "1"], {}, 1,
                  id="curve-one-sample"),
+    pytest.param(["curve", "full", "--samples", "1"], {}, 1,
+                 id="curve-full-one-sample"),
     pytest.param(["verify", "--points", "-1"], {}, 1,
                  id="verify-negative-points"),
     pytest.param(["curve", "critical"], b"\x89PNG\r\n\x1a\n\xff\xfe", 1,

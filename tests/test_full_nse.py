@@ -22,7 +22,7 @@ from enstrophy_bounds import (
 )
 from enstrophy_bounds.full_nse import Funnel, _ln_psi, _nose, e2_lower_bound
 
-from conftest import parabola
+from conftest import alpha_ln_beta, parabola
 
 
 def _with(params, **over):
@@ -162,17 +162,19 @@ def test_funnel_past_float_range(fig2):
     # bracket t u + 1 - u is then negative: left of the asymptote
     with pytest.raises(OutsideDomain):
         Funnel(math.log(4.0), math.log(8.0), fig2).ln_E(math.log(1e-130))
-    # with t >= 1 there is no asymptote, and u (t - 1) + 1 is formed in
-    # logs: E^-2 = beta sqrt(e) (u (t - 1) + 1)
-    funnel = Funnel(math.log(4.0), math.log(1e-3), fig2)
-    assert funnel.ln_t > 0.0
-    for e in (1e-130, 1e-300):
-        v = math.log(e)
-        with mpmath.workdps(50):
-            u = mpmath.exp(funnel.p * (mpmath.mpf(funnel.ln_e0) - v))
-            want = -0.5 * (funnel.ln_beta + 0.5 * mpmath.mpf(v) + mpmath.log(
-                u * mpmath.expm1(funnel.ln_t) + 1))
-        assert funnel.ln_E(v) == pytest.approx(float(want), rel=1e-14)
+
+
+def test_funnel_without_an_asymptote_is_refused(fig2):
+    # t >= 1: the funnel has no asymptote, and is refused when built, with
+    # the message geometry gives a parabola anchor that has none
+    ln_e0, ln_E0 = math.log(4.0), math.log(1e-3)
+    _, ln_beta = alpha_ln_beta(fig2)
+    ln_t = -0.5 * ln_e0 - 2.0 * ln_E0 - ln_beta
+    assert ln_t > 0.0
+    with pytest.raises(RegimeViolation) as exc:
+        Funnel(ln_e0, ln_E0, fig2)
+    assert str(exc.value) == ("parabola anchor admits no asymptote: "
+                              f"ln t = {ln_t:.6g} >= 0")
 
 
 # ------------------------------------------------------------- e2 root
@@ -454,6 +456,9 @@ def test_classify_solves_geometry_once(fig2, monkeypatch):
     assert len(calls) == 1
     assert built == []  # a warm call forms no constants
     assert geometry(p) is geo
+    # the bundle samples the two funnels geometry holds
+    assemble_full(p, samples=64)
+    assert built == []
 
 
 # ------------------------------------------------------------ assembly

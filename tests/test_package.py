@@ -119,9 +119,10 @@ def test_removed_names_raise_attribute_error():
 
     owners = [(getattr(eb, m) if m else eb, names)
               for m, names in _REMOVED.items()]
-    owners += [(Chain, "branch"), (LogScalar, "from_ln to_sci_string __add__ "
-                                   "__mul__ __truediv__ __pow__ from_float "
-                                   "from_sci_string to_float log10")]
+    owners += [(Chain, "branch slope_field"),
+               (LogScalar, "from_ln to_sci_string __add__ __mul__ "
+                           "__truediv__ __pow__ from_float from_sci_string "
+                           "to_float log10")]
     for owner, names in owners:
         for name in names.split():
             assert name not in eb.__all__

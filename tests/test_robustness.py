@@ -22,7 +22,7 @@ from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams,
                               subcritical)
 from enstrophy_bounds.cli import run
 
-from conftest import PRESETS
+from conftest import PRESETS, ROOT, tool
 
 FIG2 = json.loads((PRESETS / "fig2.json").read_text())
 
@@ -168,3 +168,45 @@ def test_verify_on_subcritical_sets_peaking_next_to_the_anchor(tmp_path, c):
         code = run(["verify", "--points", "8", "--params", str(path)])
     assert code == 0, raw
     assert all(row["pass"] for row in json.loads(out.getvalue()))
+
+
+# the refusal map: for each of the 200 seeded draws of tools/outputs.py
+# (the sides above, three decades wide) and each command, its exit code
+# and error class (the stderr text before its first colon, "" for none).
+# A change that moves a draw from answer to refusal, or from one refusal
+# to another, shows here; the table is data this check reads, so every
+# change to it goes in CHANGES.md with its reason.
+MAP = ROOT / "tests" / "data" / "refusal_map.json"
+outputs = tool("outputs")
+MAP_COMMANDS = [
+    ["curve", "critical"], ["curve", "subcritical"], ["curve", "full"],
+    ["curve", "scaling"], ["emax"], ["verify"],
+    ["classify", "--e", "1", "--E", "1e10"],
+    ["classify", "--e", "1", "--E", "1e10", "--model", "subcritical"],
+]
+
+
+def refusal_map(path):
+    """[exit code, error class] of each map command on each draw, with
+    the draw written to path."""
+    rows = []
+    for raw in outputs.draws():
+        path.write_text(json.dumps(raw))
+        row = []
+        for cmd in MAP_COMMANDS:
+            code, _, err = outputs.outcome([*cmd, "--params", str(path)])
+            row.append([code, err.split(":", 1)[0].strip()])
+        rows.append(row)
+    return rows
+
+
+def test_refusal_map_is_pinned(tmp_path):
+    assert outputs.SIDES == _SIDES
+    pinned = json.loads(MAP.read_text())
+    assert pinned["commands"] == [" ".join(cmd) for cmd in MAP_COMMANDS]
+    rows = refusal_map(tmp_path / "params.json")
+    moved = [(i, " ".join(cmd), pinned["draws"][i][j], now)
+             for i, row in enumerate(rows)
+             for j, (cmd, now) in enumerate(zip(MAP_COMMANDS, row))
+             if pinned["draws"][i][j] != now]
+    assert not moved, moved[:10]

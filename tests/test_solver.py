@@ -74,8 +74,13 @@ def test_integrate_inverse_sqrt_singularity():
 
 
 def test_integrate_reversed_bounds_signs():
-    a = integrate_adaptive(lambda t: t, 0.0, 2.0)
-    assert a == pytest.approx(2.0, rel=1e-12)
+    # lo > hi integrates the other way round and flips the sign, bit for
+    # bit
+    for f, lo, hi, want in [(lambda t: t, 0.0, 2.0, 2.0),
+                            (math.exp, -1.0, 1.0, 2.0 * math.sinh(1.0))]:
+        a = integrate_adaptive(f, lo, hi)
+        assert a == pytest.approx(want, rel=1e-12)
+        assert integrate_adaptive(f, hi, lo) == -a
 
 
 def test_rk4_linear_field_is_exact():
@@ -244,7 +249,7 @@ def _rise(params):
     ch = _chain(params)
     ln_e = ch.assemble().segment("phi1").ln_e
     es = [params.e0] + [math.exp(v) for v in reversed(ln_e[:-1])]
-    return ch.slope_field("phi1"), es, math.log(ch.E0)
+    return ch.rise.dlnE_de(), es, math.log(ch.E0)
 
 
 @pytest.mark.parametrize("case", [

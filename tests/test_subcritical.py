@@ -130,7 +130,7 @@ def test_branch_fields_match_finite_differences(fig3):
     cases = [("phi1", 0, -1.0), ("phi2", 1, -230.0)]
     k = 1e-5
     for tag, branch, v in cases:
-        f = ch.slope_field(tag)
+        f = ch.fields[branch].dlnE_de()
         fd = (ch.value(branch, v + k) - ch.value(branch, v - k)) / (2.0 * k)
         mid = ch.value(branch, v)
         e = math.exp(v)

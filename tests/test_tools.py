@@ -1,13 +1,13 @@
-"""tools/code_lines.py: the code-line count the design aim is measured by."""
+"""The scripts under tools/: the code-line count the design aim is
+measured by (code_lines.py), and the run-by-run comparison of two
+checkouts' outputs (outputs.py)."""
 
-import importlib.util
+import shutil
 
-from conftest import ROOT
+from conftest import ROOT, tool
 
-_SPEC = importlib.util.spec_from_file_location(
-    "code_lines", ROOT / "tools" / "code_lines.py")
-code_lines = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(code_lines)
+code_lines = tool("code_lines")
+outputs = tool("outputs")
 
 
 # every kind of line the count skips or keeps: docstrings of a module, a
@@ -62,3 +62,21 @@ def test_main_prints_one_line_per_module_and_their_sum(tmp_path, capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["alpha", str(_CODE_LINES)], ["beta", "1"],
                     ["total", str(_CODE_LINES + 1)]]
+
+
+def test_outputs_of_one_checkout_match_themselves():
+    assert outputs.compare(ROOT, ROOT, outputs.param_sets()[:2]) == {}
+
+
+def test_outputs_report_a_changed_output(tmp_path):
+    # a copy of the package whose emax writes one key under another name:
+    # exactly the emax run of each preset differs, shown line by line
+    shutil.copytree(ROOT / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "enstrophy_bounds" / "cli.py"
+    cli.write_text(cli.read_text().replace('"eta_used":', '"eta_in_use":'))
+    report = outputs.compare(ROOT, tmp_path, outputs.param_sets()[:2])
+    assert list(report) == ["fig2 | emax", "fig3 | emax"]
+    for lines in report.values():
+        assert [line[:1] for line in lines] == ["-", "+"]
+        assert '"eta_used"' in lines[0] and '"eta_in_use"' in lines[1]

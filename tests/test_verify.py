@@ -200,7 +200,7 @@ def test_oracles_never_reach_the_construction(fig2, fig3, monkeypatch):
         assert _g_quadrature(a, x) == pytest.approx(want, rel=1e-10)
     for ch, e_stop, ln_E_stop in peaks:
         es = log_grid(ch.params.e0, e_stop, 513)
-        ys = rk4_path(ch.slope_field("phi1"), es, math.log(ch.E0), tol=1e-12)
+        ys = rk4_path(ch.rise.dlnE_de(), es, math.log(ch.E0), tol=1e-12)
         assert es[-1] == e_stop
         assert ys[-1] == pytest.approx(ln_E_stop, abs=1e-6)
 
@@ -263,6 +263,23 @@ def test_oracle_suite_catches_loose_series(fig2, monkeypatch):
     failing = {row["check"] for row in report if not row["pass"]}
     assert "series_vs_quadrature" in failing
     assert "closed_form_vs_rk4" in failing
+
+
+@pytest.mark.parametrize("eta, note", [
+    (2.5, "NoBracket: funnel/parabola crossing not bracketed beyond the "
+          "apex: at eta >= sqrt(6) the parabola tops it"),
+    (3.0, "RegimeViolation: eta = 3.0 is at or above the admissible bound "
+          "2.72814"),
+], ids=["no-bracket", "regime"])
+def test_oracle_suite_without_the_region(fig2, eta, note):
+    # no e2 to scan: the suite writes a failing e2 row naming the refusal
+    params = _with(fig2, eta=eta)
+    report = oracle_suite(params, assemble_critical(params))
+    rows = [row for row in report if row["segment"] == "e2"]
+    assert rows == [{"check": "root_vs_gridscan", "segment": "e2",
+                     "samples": 0, "worst_margin": math.inf, "pass": False,
+                     "note": note}]
+    assert all(row["pass"] for row in report if row["segment"] != "e2")
 
 
 def test_oracle_suite_degenerate_forcing(fig2):
