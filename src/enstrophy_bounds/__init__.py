@@ -1,8 +1,12 @@
 """Bounding curves for the energy-enstrophy plane of the forced 3D
 Navier-Stokes equations.
 
-The unconditional region (full_nse) holds for every Leray solution; the
-critical and subcritical curves sharpen it under a coherence assumption on
+The unconditional region (full_nse) holds for every Leray solution
+wherever it is built. A parameter set whose parabola anchor admits no
+asymptote (t >= 1) has no such region here: it is refused with
+RegimeViolation ("parabola anchor admits no asymptote"), and what bounds
+the region there is open (ROADMAP.md, item 4). The critical and
+subcritical curves sharpen the region under a coherence assumption on
 the forcing; maxest brackets the largest enstrophy the extremal dynamics
 can reach; scaling carries the construction to scaling-invariant forcing.
 verify re-derives everything independently and reports disagreements.

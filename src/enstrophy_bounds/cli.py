@@ -128,9 +128,13 @@ def _cmd_verify(params, args) -> int:
 def _read_curve(path: str) -> list:
     """(tag, ln energies, ln enstrophies) of each nonempty segment of a
     curve JSON that the curve subcommand wrote: positive energies, each
-    with one finite log10_E."""
+    with one finite log10_E, a JSON number (float() would read true and
+    "2" as 1 and 2)."""
     try:
         doc = json.loads(Path(path).read_bytes())
+        if any(isinstance(v, (bool, str)) for seg in doc["segments"]
+               for v in seg["log10_E"]):
+            raise TypeError("every log10_E must be a number")
         segments = [(seg["tag"],
                      [from_sci_string(s) for s in seg["e"]],
                      [float(v) * _LN10 for v in seg["log10_E"]])

@@ -5,7 +5,8 @@ fluid constants, the two norms of the body force, the vorticity-coherence
 description (r, mu, psi_inf, c_omega) and the splitting constants of the
 underlying differential inequalities. Parameter files are flat JSON objects
 with exactly these keys; unknown keys are rejected rather than ignored so a
-typo cannot silently change a regime.
+typo cannot silently change a regime. ForcingParams itself is the one gate
+on the values, whether they come from a file or by keyword.
 """
 
 from __future__ import annotations
@@ -13,15 +14,13 @@ from __future__ import annotations
 import json
 import math
 from functools import cached_property, update_wrapper
-from operator import itemgetter
 
 from .errors import InvalidRegime, MissingKey, RegimeViolation
 
-# attribute -> JSON key where they differ: "lambda" is a Python keyword
-_ALIASES = {"lam": "lambda", "lam0": "lambda0"}
-
 # |ln x| below this keeps x a normal float, with room for roundings
 _LN_RANGE = 708.0
+# the largest float
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)
 
 
 def exp_in_range(ln: float, what: str) -> float:
@@ -31,19 +30,20 @@ def exp_in_range(ln: float, what: str) -> float:
     return math.exp(ln)
 
 
-# the fields in declaration order, and the defaults of the optional ones
-_NAMES = ("nu", "lam", "lam0", "f_norm", "curlF_norm", "psi_inf", "r", "eps",
-          "delta", "mu", "c_omega", "c1", "c2", "c", "eta", "eps0",
-          "c_omega_prime")
+# each field in declaration order -> its JSON key, the field's own name
+# but where that would be a Python keyword; the defaults of the optional
+# fields; and JSON key -> field
+_FIELDS = {name: name for name in (
+    "nu", "lam", "lam0", "f_norm", "curlF_norm", "psi_inf", "r", "eps",
+    "delta", "mu", "c_omega", "c1", "c2", "c", "eta", "eps0",
+    "c_omega_prime")} | {"lam": "lambda", "lam0": "lambda0"}
 _DEFAULTS = {"c_omega": 1.0, "c1": 1.0, "c2": 2.0, "c": 1.0, "eta": 2.0,
              "eps0": 0.25, "c_omega_prime": 1.0}
-_NAME_SET = frozenset(_NAMES)
-# a complete field map -> its values in declaration order
-_values = itemgetter(*_NAMES)
+_KEYS = {key: name for name, key in _FIELDS.items()}
 
 
 class ForcingParams:
-    """One immutable parameter set, its fields (_NAMES) given by keyword:
+    """One immutable parameter set, its fields (_FIELDS) given by keyword:
 
     nu             kinematic viscosity
     lam            bottom of the Stokes spectrum (1/length^2 scale)
@@ -62,6 +62,14 @@ class ForcingParams:
     eps0           scaling-window split (0.25)
     c_omega_prime  (1)
 
+    Each field is checked first, in declaration order: an int or a float
+    but not a bool, of magnitude at most the largest float (so neither
+    NaN nor infinite, nor an int past float range). A field that fails is
+    InvalidRegime naming its JSON key. The range rules follow (positive,
+    nonnegative, c_omega >= 1, eta > 1, r in [1/2, 1], rho < 1), and the
+    fields are stored as floats. from_mapping adds only the key rules of
+    a file: no unknown key, and every required key present.
+
     Two sets with the same field values are equal and hash alike; the
     hash is formed once, here. Each resolved model (held) is kept on the
     set itself, so an equal but distinct set resolves its own.
@@ -69,20 +77,28 @@ class ForcingParams:
 
     def __init__(self, **fields: float):
         fields = {**_DEFAULTS, **fields}
-        if fields.keys() != _NAME_SET:
-            raise TypeError(f"ForcingParams takes the fields {_NAMES}, "
-                            f"got {sorted(fields)}")
-        key = _values(fields)
-        vars(self).update(zip(_NAMES, key), _key=key, _hash=hash(key))
+        if fields.keys() != _FIELDS.keys():
+            raise TypeError(f"ForcingParams takes the fields "
+                            f"{tuple(_FIELDS)}, got {sorted(fields)}")
+        for name, json_key in _FIELDS.items():
+            value = fields[name]
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise InvalidRegime(f"parameter {json_key!r} must be a "
+                                    f"number, got {value!r}")
+            # NaN compares false, and an int compares exactly
+            if not abs(value) <= _FLOAT_MAX:
+                raise InvalidRegime(f"parameter {json_key!r} must be finite")
+        key = tuple([float(fields[name]) for name in _FIELDS])
+        vars(self).update(zip(_FIELDS, key), _key=key, _hash=hash(key))
         for name in ("nu", "lam", "lam0", "mu", "eps",
                      "c1", "c2", "eps0", "c_omega_prime"):
-            if getattr(self, name) <= 0.0:
+            if fields[name] <= 0.0:
                 raise InvalidRegime(f"{name} must be positive")
         # c = 0 is a meaningful degenerate limit (no production term in the
         # subcritical slope field) and delta = 0 a legitimate split, so
         # unlike their siblings these may vanish
         for name in ("f_norm", "curlF_norm", "psi_inf", "c", "delta"):
-            if getattr(self, name) < 0.0:
+            if fields[name] < 0.0:
                 raise InvalidRegime(f"{name} must be nonnegative")
         if self.c_omega < 1.0:
             raise InvalidRegime("c_omega must be at least 1")
@@ -156,47 +172,30 @@ class ForcingParams:
         unknown = sorted(set(raw) - _KEYS.keys())
         if unknown:
             raise InvalidRegime(f"unknown parameter keys: {', '.join(unknown)}")
-        fields = {}
         for key, name in _KEYS.items():
-            if key in raw:
-                fields[name] = _as_number(key, raw[key])
-            elif name not in _DEFAULTS:
+            if key not in raw and name not in _DEFAULTS:
                 raise MissingKey(f"missing required parameter {key!r}")
-        return cls(**fields)
+        return cls(**{_KEYS[key]: value for key, value in raw.items()})
 
     def to_raw(self) -> dict:
         return dict(zip(_KEYS, self._key))
 
 
 def held(resolve):
-    """resolve(params), formed on first use and kept on that params object,
-    written into its __dict__ as cached_property does: it lives exactly as
-    long as the params, with no eviction. A resolve that raises keeps
-    nothing and raises again on every call."""
+    """resolve(params), a record (never None), formed on first use and
+    kept on that params object, written into its __dict__ as
+    cached_property does: it lives exactly as long as the params, with no
+    eviction. A resolve that raises keeps nothing and raises again on
+    every call."""
     name = f"{resolve.__module__}.{resolve.__qualname__}"
 
     def lookup(params: ForcingParams):
-        try:
-            return params.__dict__[name]
-        except KeyError:
-            pass
-        kept = params.__dict__[name] = resolve(params)
+        kept = params.__dict__.get(name)
+        if kept is None:
+            kept = params.__dict__[name] = resolve(params)
         return kept
 
     return update_wrapper(lookup, resolve)
-
-
-# JSON key -> field, in declaration order
-_KEYS = {_ALIASES.get(name, name): name for name in _NAMES}
-
-
-def _as_number(key: str, value) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise InvalidRegime(f"parameter {key!r} must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise InvalidRegime(f"parameter {key!r} must be finite")
-    return v
 
 
 def load_params_file(path: str) -> ForcingParams:

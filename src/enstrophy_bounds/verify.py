@@ -156,7 +156,10 @@ def _margins(seg: CurveSegment, table, n_points: int):
 
 def containment_check(curve: CurveBundle, params: ForcingParams,
                       n_points: int = 1000) -> list[dict]:
-    """Outward-crossing check on every phi segment of an assembled bundle."""
+    """Outward-crossing check on every phi segment of an assembled bundle.
+    A segment that has collapsed onto its anchor, one abscissa (a wall at
+    large G or with eta near 1), has no shape to check: its row passes or
+    fails on that one point as any other, and says so in a note."""
     tables = _rate_tables(curve, params)
     rows = []
     for seg in curve.main_segments():
@@ -165,6 +168,8 @@ def containment_check(curve: CurveBundle, params: ForcingParams,
         rows.append({"check": "containment", "segment": seg.tag,
                      "samples": len(ratios), "worst_margin": worst,
                      "pass": worst >= -_REL_TOL})
+        if len(seg.ln_e) < 2:
+            rows[-1]["note"] = "segment collapsed onto its anchor: 1 sample"
     return rows
 
 

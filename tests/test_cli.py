@@ -231,7 +231,31 @@ _BAD_CURVES = {
     "huge-energy.json": {"segments": [{"tag": "phi1",
                                        "e": ["1e" + "9" * 400],
                                        "log10_E": [1.0]}]},
+    "number-energy.json": {"segments": [{"tag": "phi1", "e": [1.0],
+                                         "log10_E": [1.0]}]},
+    # a log10_E that is not a JSON number: float() read these as 1 and 2
+    "true-log10-E.json": {"segments": [{"tag": "phi1", "e": ["1.0"],
+                                        "log10_E": [True]}]},
+    "text-log10-E.json": {"segments": [{"tag": "phi1", "e": ["1.0"],
+                                        "log10_E": ["2"]}]},
 }
+
+
+@pytest.mark.parametrize("name, why", [
+    ("true-log10-E.json", "TypeError: every log10_E must be a number"),
+    ("text-log10-E.json", "TypeError: every log10_E must be a number"),
+    ("number-energy.json", "AttributeError: 'float' object has no "
+                           "attribute 'strip'"),
+])
+def test_taylor_refuses_a_value_of_the_wrong_type(bad_curves, capsys, name,
+                                                  why):
+    # the same refusal for a log10_E that is not a number as for an
+    # energy that is not a literal
+    curve = str(bad_curves / name)
+    assert run(["taylor", "--curve", curve, "--params",
+                str(PRESETS / "fig2.json")]) == 1
+    assert capsys.readouterr().err == \
+        f"InvalidRegime: {curve} is not a curve file: {why}\n"
 
 
 @pytest.fixture
@@ -378,6 +402,17 @@ _EXTREME_INPUTS = [
         "mu": 13.11400979896894, "curlF_norm": 1.181074159292931}, 0,
         id="verify-peak-far-from-asymptote"),
 ]
+
+
+def test_a_huge_int_parameter_is_not_finite(tmp_path):
+    # a 401-digit integer is past float range: refused by name, no traceback
+    params = _fig2_variant(tmp_path, "huge.json", nu=10 ** 400)
+    env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "enstrophy_bounds", "emax", "--params",
+         params], capture_output=True, text=True, env=env, timeout=5.0)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        1, "", "InvalidRegime: parameter 'nu' must be finite\n")
 
 
 @pytest.mark.parametrize("args, over, code", _EXTREME_INPUTS)

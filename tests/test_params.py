@@ -1,11 +1,12 @@
 import json
 import math
+import sys
 
 import pytest
 
 from enstrophy_bounds import (ForcingParams, InvalidRegime, MissingKey,
                               critical, full_nse, subcritical)
-from enstrophy_bounds.params import load_params_file
+from enstrophy_bounds.params import _KEYS, load_params_file
 
 from conftest import PRESETS
 
@@ -41,8 +42,9 @@ def test_missing_key_rejected(fig2):
                 "psi_inf", "r", "eps", "delta", "mu"):
         raw = fig2.to_raw()
         del raw[key]
-        with pytest.raises(MissingKey, match=repr(key)):
+        with pytest.raises(MissingKey) as info:
             ForcingParams.from_mapping(raw)
+        assert str(info.value) == f"missing required parameter {key!r}"
 
 
 def test_non_numeric_rejected(fig2):
@@ -55,6 +57,102 @@ def test_non_numeric_rejected(fig2):
         ForcingParams.from_mapping(raw)
     raw["nu"] = math.nan
     with pytest.raises(InvalidRegime):
+        ForcingParams.from_mapping(raw)
+
+
+# a value that is not a number, or not a finite one, in each of the 17
+# fields: ForcingParams refuses it by keyword as a file does, naming the
+# JSON key
+_NOT_NUMBERS = [(True, "must be a number, got True"),
+                ("1", "must be a number, got '1'"),
+                (None, "must be a number, got None"),
+                (math.nan, "must be finite"), (math.inf, "must be finite"),
+                (-math.inf, "must be finite"), (10 ** 400, "must be finite"),
+                (-10 ** 400, "must be finite")]
+
+
+def _fields(params):
+    return {_KEYS[key]: value for key, value in params.to_raw().items()}
+
+
+@pytest.mark.parametrize("value, message", _NOT_NUMBERS,
+                         ids=["true", "string", "none", "nan", "inf",
+                              "minus-inf", "huge-int", "minus-huge-int"])
+def test_every_field_must_be_a_finite_number(fig2, value, message):
+    assert len(_KEYS) == 17
+    for key, name in _KEYS.items():
+        want = f"parameter {key!r} {message}"
+        with pytest.raises(InvalidRegime) as by_keyword:
+            ForcingParams(**dict(_fields(fig2), **{name: value}))
+        with pytest.raises(InvalidRegime) as from_file:
+            ForcingParams.from_mapping(dict(fig2.to_raw(), **{key: value}))
+        assert str(by_keyword.value) == str(from_file.value) == want
+
+
+def test_largest_float_is_admitted_and_ints_are_stored_as_floats(fig2):
+    p = ForcingParams(**dict(_fields(fig2), nu=1, c_omega=1,
+                             f_norm=2 ** 1023))
+    assert p.to_raw()["nu"] == 1.0 and type(p.to_raw()["nu"]) is float
+    assert all(type(v) is float for v in p.to_raw().values())
+    assert p == ForcingParams.from_mapping(dict(fig2.to_raw(),
+                                                f_norm=2.0 ** 1023))
+    top = ForcingParams.from_mapping(dict(fig2.to_raw(),
+                                          curlF_norm=sys.float_info.max))
+    assert top.curlF_norm == sys.float_info.max
+    # the int just past the largest float is refused, though it would
+    # round down to it
+    with pytest.raises(InvalidRegime, match="'curlF_norm' must be finite"):
+        ForcingParams.from_mapping(dict(fig2.to_raw(), curlF_norm=int(
+            sys.float_info.max) + 1))
+
+
+# each parameter file with one fault, and the exception it raises
+_ONE_FAULT = [
+    ({"nu": "one"}, InvalidRegime, "parameter 'nu' must be a number, "
+                                   "got 'one'"),
+    ({"lambda": True}, InvalidRegime, "parameter 'lambda' must be a number, "
+                                      "got True"),
+    ({"r": [0.5]}, InvalidRegime, "parameter 'r' must be a number, "
+                                  "got [0.5]"),
+    ({"eta": math.nan}, InvalidRegime, "parameter 'eta' must be finite"),
+    ({"mu": -math.inf}, InvalidRegime, "parameter 'mu' must be finite"),
+    # json writes and reads a 401-digit integer as an int
+    ({"nu": 10 ** 400}, InvalidRegime, "parameter 'nu' must be finite"),
+    ({"viscosity": 1.0}, InvalidRegime, "unknown parameter keys: viscosity"),
+    ({"nu": 0}, InvalidRegime, "nu must be positive"),
+    ({"delta": -1}, InvalidRegime, "delta must be nonnegative"),
+    ({"r": 0.4}, InvalidRegime, "r must lie in [1/2, 1], got 0.4"),
+]
+
+
+@pytest.mark.parametrize("over, exc, message", _ONE_FAULT, ids=[
+    "nu-text", "lambda-true", "r-list", "eta-nan", "mu-minus-inf",
+    "nu-huge-int", "unknown-key", "nu-zero", "delta-negative", "r-low"])
+def test_a_file_with_one_fault_names_it(tmp_path, fig2, over, exc, message):
+    f = tmp_path / "p.json"
+    f.write_text(json.dumps(dict(fig2.to_raw(), **over)))
+    with pytest.raises(exc) as info:
+        load_params_file(str(f))
+    assert type(info.value) is exc and str(info.value) == message
+
+
+def test_key_rules_come_before_values(fig2):
+    # a file with several faults: an unknown key first, then the first
+    # missing required key in declaration order, then the first value that
+    # is not a finite number, and the range rules last
+    raw = dict(fig2.to_raw(), nu="one", r=0.4, viscosity=1.0)
+    del raw["lambda0"]
+    with pytest.raises(InvalidRegime, match="unknown parameter keys"):
+        ForcingParams.from_mapping(raw)
+    del raw["viscosity"]
+    with pytest.raises(MissingKey) as info:
+        ForcingParams.from_mapping(raw)
+    assert str(info.value) == "missing required parameter 'lambda0'"
+    raw["lambda0"] = 1.0
+    with pytest.raises(InvalidRegime, match="'nu' must be a number"):
+        ForcingParams.from_mapping(raw)
+    raw["nu"] = 1.0
+    with pytest.raises(InvalidRegime, match="r must lie"):
         ForcingParams.from_mapping(raw)
 
 

@@ -80,3 +80,28 @@ def test_outputs_report_a_changed_output(tmp_path):
     for lines in report.values():
         assert [line[:1] for line in lines] == ["-", "+"]
         assert '"eta_used"' in lines[0] and '"eta_in_use"' in lines[1]
+
+
+def test_outputs_malformed_sets_are_refused_by_every_command():
+    # the last six sets are parameter files that the loader refuses: every
+    # command exits 1 with the same one-line refusal, and none escapes
+    sets = outputs.param_sets()[-6:]
+    result = outputs.collect(sets, [])
+    assert len(result) == len(sets) * len(outputs.COMMANDS)
+    refusals = {}
+    for run, (code, _, err, _) in result.items():
+        assert code == 1, run
+        refusals.setdefault(run.split(" | ")[0], set()).add(err)
+    assert refusals == {
+        "fig2 nu=10^400 as an int": {
+            "InvalidRegime: parameter 'nu' must be finite\n"},
+        "fig2 nu=true": {
+            "InvalidRegime: parameter 'nu' must be a number, got True\n"},
+        'fig2 nu="1"': {
+            "InvalidRegime: parameter 'nu' must be a number, got '1'\n"},
+        "fig2 nu=NaN": {"InvalidRegime: parameter 'nu' must be finite\n"},
+        "fig2 unknown key": {
+            "InvalidRegime: unknown parameter keys: viscosity\n"},
+        "fig2 without nu": {
+            "MissingKey: missing required parameter 'nu'\n"},
+    }

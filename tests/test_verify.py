@@ -70,6 +70,25 @@ def test_containment_full_high_forcing(fig2):
     assert all_pass(report)
 
 
+@pytest.mark.parametrize("over", [{"f_norm": 3000.0}, {"eta": 1.0 + 1e-15}],
+                         ids=["large-grashof", "eta-near-one"])
+def test_containment_notes_a_collapsed_wall(fig2, over):
+    # the wall keeps only its distinct abscissas; here that is its anchor
+    # alone, so the phi1 row checks one point and says so
+    params = _with(fig2, **over)
+    bundle = assemble_full(params)
+    rows = containment_check(bundle, params, 512)
+    assert [len(seg.ln_e) for seg in bundle.main_segments()] == [1, 512]
+    assert rows[0] == {"check": "containment", "segment": "phi1",
+                       "samples": 1, "worst_margin": rows[0]["worst_margin"],
+                       "pass": True,
+                       "note": "segment collapsed onto its anchor: 1 sample"}
+    assert "note" not in rows[1]
+    # a wall of two abscissas or more has no note
+    rows = containment_check(assemble_full(fig2), fig2, 512)
+    assert not any("note" in row for row in rows)
+
+
 def test_containment_rejects_unknown_model(fig2):
     bundle = assemble_scaling(fig2, samples=64)
     with pytest.raises(OutsideDomain, match="'scaling'") as info:

@@ -12,10 +12,12 @@ the standard library.
 
 The parameter sets are both presets; the 200 draws of draws(); fig2 at
 f_norm = G = 300, 600, 1000 and 3000; fig2 at eta = 1 + 10^-k for
-k = 4...15; and 40 fig2 sets with G drawn uniformly from [1.5, 5]
-(seed 2). The commands are curve for each model in CSV and JSON, emax,
-verify, taylor on the full model's JSON curve, and classify at eight
-points for each classify model.
+k = 4...15; 40 fig2 sets with G drawn uniformly from [1.5, 5] (seed 2);
+and six malformed parameter files, which every command refuses: fig2
+with nu a 401-digit integer, true, "1" or NaN, fig2 with an unknown key,
+and fig2 without nu. The commands are curve for each model in CSV and
+JSON, emax, verify, taylor on the full model's JSON curve, and classify
+at eight points for each classify model.
 """
 
 from __future__ import annotations
@@ -96,7 +98,14 @@ def param_sets() -> list[tuple[str, dict]]:
             + [(f"fig2 eta=1+1e-{k}", dict(FIG2, eta=1.0 + 10.0 ** -k))
                for k in range(4, 16)]
             + [(f"fig2 G draw {i}", dict(FIG2, f_norm=rng.uniform(1.5, 5.0)))
-               for i in range(40)])
+               for i in range(40)]
+            + [(f"fig2 nu={text}", dict(FIG2, nu=value))
+               for text, value in (("10^400 as an int", 10 ** 400),
+                                   ("true", True), ('"1"', "1"),
+                                   ("NaN", float("nan")))]
+            + [("fig2 unknown key", dict(FIG2, viscosity=1.0)),
+               ("fig2 without nu",
+                {key: v for key, v in FIG2.items() if key != "nu"})])
 
 
 def outcome(argv: list[str]) -> tuple[int | None, str, str]:
