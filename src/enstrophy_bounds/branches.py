@@ -55,7 +55,7 @@ from .curves import (CurveBundle, CurveSegment, log_grid, max_join_gap,
                      power_law)
 from .errors import (AssumptionViolated, CancellationLoss, FieldBlowup,
                      InvalidRegime, NoBracket, OutsideDomain, RegimeViolation)
-from .params import ForcingParams
+from .params import _LN_RANGE, ForcingParams
 from .solver import find_root
 from .specfun import Branch, Field
 
@@ -93,7 +93,7 @@ class Chain:
         self.flags, self.ln_floors = flags, ln_floors
         self.rise, self.tail_b = rise, tail_b
         ln_floor = max(ln_floors)
-        if not -744.0 < ln_floor < 709.0 and ln_floor != math.inf:
+        if not -_LN_RANGE < ln_floor < _LN_RANGE and ln_floor != math.inf:
             raise InvalidRegime(
                 f"enstrophy floor exp({ln_floor:.6g}) is outside float range")
         self.floor = math.exp(ln_floor)

@@ -30,7 +30,7 @@ from functools import reduce
 from .branches import Chain
 from .curves import CurveBundle, log_grid
 from .errors import InvalidRegime, OutsideDomain
-from .logscalar import ln_add, ln_sub
+from .logscalar import ln_add
 from .params import ForcingParams, exp_in_range, held
 from .specfun import Field
 
@@ -128,8 +128,10 @@ def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
     lnEs = rk4_path(ch.rise.dlnE_de(), es, math.log(E0s), tol=1e-7)
     worst = 0.0
     for e, ln_E in zip(es, lnEs):
-        # s_trunc grows with e, so for e <= e0 both terms are positive
-        inner = ln_add(lead, math.log(c) + ln_sub(s_ref, s_trunc(e))[0])
+        # s_trunc grows with e, so for e <= e0 the difference is >= 0
+        d = s_trunc(e) - s_ref
+        ln_diff = -math.inf if d == 0.0 else s_ref + math.log(-math.expm1(d))
+        inner = ln_add(lead, math.log(c) + ln_diff)
         ln_trunc = (5.0 / 3.0) * (a * math.log(e) - b * e + inner)
         worst = max(worst, abs(ln_trunc - ln_E))
     return worst

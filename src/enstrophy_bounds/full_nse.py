@@ -35,7 +35,7 @@ from .curves import CurveBundle, CurveSegment, log_grid, power_law
 from .errors import (CancellationLoss, InvalidRegime, NoBracket,
                      OutsideDomain, RegimeViolation)
 from .logscalar import ln_add
-from .params import _LN_RANGE, ForcingParams, held
+from .params import ForcingParams, exp_clamped, held
 from .solver import find_root
 
 # the region's breakpoints, in the order the bundle lists them
@@ -43,17 +43,9 @@ _BREAKPOINTS = ("e0", "E0", "e1", "E1", "E_under", "e_under", "e_star", "e2",
                 "E2")
 
 
-def _exp(v: float) -> float:
-    """exp(v); 0 or inf where |v| reaches _LN_RANGE, for _gate to refuse
-    where the value is used."""
-    if abs(v) < _LN_RANGE:
-        return math.exp(v)
-    return math.inf if v > 0.0 else 0.0
-
-
 def _gate(geo: FullNseGeometry, names) -> dict[str, float]:
     """The logs of the named fields; one outside float range (0 or inf,
-    see _exp) is InvalidRegime."""
+    see exp_clamped) is InvalidRegime."""
     for name in names:
         if not 0.0 < getattr(geo, name) < math.inf:
             raise InvalidRegime(f"{name} is outside float range")
@@ -133,7 +125,7 @@ class Funnel:
     def slope(self, v: float, ln_E: float) -> float:
         """d ln E/d ln e of the slope field at (e, E) = (e^v, e^ln_E)."""
         return 0.5 * self.alpha \
-            - _exp(self.ln_beta + 2.0 * ln_E + 0.5 * v + self.ln_k)
+            - exp_clamped(self.ln_beta + 2.0 * ln_E + 0.5 * v + self.ln_k)
 
     def segment(self, tag: str, ln_lo: float, ln_hi: float,
                 samples: int) -> CurveSegment:
@@ -170,7 +162,7 @@ def e2_lower_bound(params: ForcingParams) -> float:
     """
     alpha = params.eta / (params.eta - 1.0)
     d = _apex_t(params.eta) - 1.0
-    e1 = _exp(_ln_apex(params)[0])
+    e1 = exp_clamped(_ln_apex(params)[0])
     scale = (params.nu * params.f_norm) ** (2.0 / 3.0) / params.lam
     return math.copysign(e1 * abs(d) ** (1.0 / (alpha + 0.5)) * scale, d)
 
@@ -207,7 +199,7 @@ def solve_e2(params: ForcingParams) -> float:
 
     lo, hi = ln_gamma, ln_add(ln_gamma, ln_delta + k * ln_gamma)
     y = lo if lo == hi else find_root(gap, lo, hi)
-    return _exp(_ln_apex(params)[0] + 2.0 / 3.0 * y)
+    return exp_clamped(_ln_apex(params)[0] + 2.0 / 3.0 * y)
 
 
 class FullNseGeometry:
@@ -229,13 +221,14 @@ class FullNseGeometry:
         ln_e1, ln_E1 = _ln_apex(params)
         ln_E_under = ln_E1 - math.log(2.0) / 3.0
         e2 = solve_e2(params)
-        self.e0, self.E0 = params.e0, _exp(ln_E0)
-        self.e1, self.E1 = _exp(ln_e1), _exp(ln_E1)
-        self.E_under = _exp(ln_E_under)
+        self.e0, self.E0 = params.e0, exp_clamped(ln_E0)
+        self.e1, self.E1 = exp_clamped(ln_e1), exp_clamped(ln_E1)
+        self.E_under = exp_clamped(ln_E_under)
         # the parabola through the anchor is E = E0 (e/e0)^(1/2)
-        self.e_under = _exp(ln_e0 + 2.0 * (ln_E_under - ln_E0))
+        self.e_under = exp_clamped(ln_e0 + 2.0 * (ln_E_under - ln_E0))
         # e_star = e0 (1 - t)^(1/p)
-        self.e_star = _exp(ln_e0 + math.log(-math.expm1(wall.ln_t)) / wall.p)
+        self.e_star = exp_clamped(
+            ln_e0 + math.log(-math.expm1(wall.ln_t)) / wall.p)
         self.coef = params.eta * params.f_norm / params.nu
         self.e2, self.E2 = e2, self.coef * math.sqrt(e2)
         _gate(self, ("e1", "E1", "e2"))

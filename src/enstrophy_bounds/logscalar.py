@@ -5,10 +5,11 @@ axes (enstrophy grows like exp(c G^2), the energy floor decays like
 exp(-c' G^2)), so float64 magnitudes are not usable. Every positive
 quantity travels as its ln, a plain float (-inf for zero), inside the
 construction and out of it alike: branch values, breakpoints, bounds and
-g are returned as their ln. Sums and differences go through the one
-kernel ln_add / ln_sub; products, quotients and powers are sums,
-differences and multiples of lns. sci_string renders an ln in scientific
-notation and from_sci_string reads one back.
+g are returned as their ln. Sums go through the one kernel ln_add; a
+difference is written where it is taken, as big + log(-expm1(small -
+big)); products, quotients and powers are sums, differences and
+multiples of lns. sci_string renders an ln in scientific notation and
+from_sci_string reads one back.
 """
 
 from __future__ import annotations
@@ -69,19 +70,6 @@ def from_sci_string(text: str) -> float:
     return math.log(mant) + exp10 * _LN10
 
 
-def ln_sub(big: float, small: float) -> tuple[float, float]:
-    """(ln(e^big - e^small), decimal digits lost), for small <= big."""
-    d = small - big
-    if d == 0.0:
-        return -math.inf, math.inf
-    if math.exp(d) == 1.0:
-        # |d| under half an ulp of 1: log1p(-exp(d)) would be log1p(-1)
-        ln = big + math.log(-math.expm1(d))
-    else:
-        ln = big + math.log1p(-math.exp(d))
-    return ln, max(0.0, (big - ln) / _LN10)
-
-
 class LogScalar:
     """A value >= 0 held as its ln. No code in the package builds one: it
     stays only because the benchmark's tracer counts calls of
@@ -93,5 +81,5 @@ class LogScalar:
 
     def add_with_cancellation(self, other: "LogScalar") -> tuple["LogScalar", float]:
         """The sum and the decimal digits it lost: 0.0, as both terms are
-        positive. Differences, which can lose digits, are ln_sub's."""
+        positive."""
         return LogScalar(ln_add(self.ln, other.ln)), 0.0

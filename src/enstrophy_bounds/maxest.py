@@ -18,15 +18,12 @@ apex E0 = 4 G^2.
 from __future__ import annotations
 
 import math
-import sys
 
 from .errors import EtaTooSmall, InvalidRegime, RegimeViolation
+from .params import exp_clamped
 
 # relative slack accepted on the eta gate before EtaTooSmall fires
 _ETA_SLACK = 1e-3
-
-# exp of this is the largest float, at least any finite G^2
-_LN_MAX = math.log(sys.float_info.max)
 
 
 def _validate(G: float, eps: float, rho: float, c2: float) -> None:
@@ -56,7 +53,7 @@ def _bound(G: float, eps: float, rho: float, c2: float, eta: float,
     e_crit), the lower bound. A bound whose log leaves float range is
     InvalidRegime."""
     ln_e = _ln_e(eps, rho, c2, eta)
-    e = math.exp(min(ln_e, _LN_MAX))
+    e = exp_clamped(ln_e)
     if G * G <= e:
         raise RegimeViolation(f"G^2 = {G * G} must exceed the critical "
                               f"energy {e} at eta = {eta}")

@@ -17,7 +17,8 @@ from functools import cached_property, update_wrapper
 
 from .errors import InvalidRegime, MissingKey, RegimeViolation
 
-# |ln x| below this keeps x a normal float, with room for roundings
+# float range, the one rule every model applies: |ln x| below this keeps
+# x a normal float, with room for roundings
 _LN_RANGE = 708.0
 # the largest float
 _FLOAT_MAX = math.nextafter(math.inf, 0.0)
@@ -28,6 +29,14 @@ def exp_in_range(ln: float, what: str) -> float:
     if ln >= _LN_RANGE:
         raise InvalidRegime(f"{what} = exp({ln:.6g}) is above float range")
     return math.exp(ln)
+
+
+def exp_clamped(ln: float) -> float:
+    """exp(ln); 0 or inf where |ln| reaches _LN_RANGE, for the caller to
+    refuse or saturate."""
+    if abs(ln) < _LN_RANGE:
+        return math.exp(ln)
+    return math.inf if ln > 0.0 else 0.0
 
 
 # each field in declaration order -> its JSON key, the field's own name

@@ -63,14 +63,12 @@ def scaling_params(params: ForcingParams) -> ScalingParams:
     l_curl = math.log(params.curlF_norm) if params.curlF_norm else -math.inf
     ln_floor = 2.0 * (l_curl - math.log(params.nu) - math.log(params.lam)
                       - ln_window)
-    if ln_floor >= 709.0:
-        raise InvalidRegime(
-            f"admissibility floor exp({ln_floor:.6g}) is above float range")
+    E_floor = exp_in_range(ln_floor, "admissibility floor E_floor")
     ln_beta = math.log(8.0) + math.log(params.lam) + ln_window
     if ln_beta <= -_LN_RANGE:
         raise InvalidRegime(f"drain rate beta = exp({ln_beta:.6g}) underflows")
     beta = exp_in_range(ln_beta, "drain rate beta = 8 lam (psi_inf + eps0 c')")
-    return ScalingParams(s, beta, math.exp(ln_floor))
+    return ScalingParams(s, beta, E_floor)
 
 
 def _maximum(curve: Branch) -> tuple[float, float]:

@@ -51,6 +51,7 @@ import math
 
 from .errors import NonConvergence, OutsideDomain
 from .logscalar import ln_add
+from .params import exp_clamped
 
 _RESCALE = 1e250
 _LN_RESCALE = math.log(_RESCALE)
@@ -167,11 +168,11 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
     before any sum; where that is at most 1/7 the difference is taken
     (under 0.07 digits lost), else the positive-term series is summed.
     Only that series is capped: a span that needs it with x above _MAX_X,
-    or with x past float range (taken as inf above ln x = 709, before
-    exp overflows), is NonConvergence there. alpha, x and its gate,
-    ln(x/alpha) and alpha ln e_hi depend on the upper end alone and are
-    formed here; ln G is formed on first use and kept in the returned
-    function, so it lives as long as that does.
+    or with x past float range (inf there, params.exp_clamped), is
+    NonConvergence there. alpha, x and its gate, ln(x/alpha) and alpha
+    ln e_hi depend on the upper end alone and are formed here; ln G is
+    formed on first use and kept in the returned function, so it lives
+    as long as that does.
     """
     if not 0.0 < a < 1.0:
         raise OutsideDomain(f"weighted integral needs 0 < a < 1, got a = {a}")
@@ -179,7 +180,7 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
         raise OutsideDomain(f"weighted integral needs b >= 0, got b = {b}")
     alpha, ln_lead = 1.0 - a, (1.0 - a) * ln_hi
     ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
-    x = math.exp(ln_x) if ln_x <= 709.0 else math.inf
+    x = exp_clamped(ln_x)
     ln_x_alpha = math.log(x / alpha) if x > 0.0 else -math.inf
     ln_g = None
 
@@ -311,9 +312,8 @@ class Branch:
         ln_E, slope = [], []
         for v in grid:
             ln_y_v = self.ln_y(v)
-            # c e / y, taken as inf from ln 709 on, before exp overflows
-            ln_drag = ln_c + v - ln_y_v
-            drag = math.exp(ln_drag) if ln_drag <= 709.0 else math.inf
+            # c e / y, saturated outside float range
+            drag = exp_clamped(ln_c + v - ln_y_v)
             ln_E.append(q * ln_y_v)
             slope.append(q * (a - b * math.exp(v) - drag))
         return ln_E, slope

@@ -92,10 +92,15 @@ def _rate_tables(curve: CurveBundle, params: ForcingParams):
         drive = 6.0 * params.c2 * (mu * lam) ** 0.8 * nu ** 0.2 / eps ** 0.6
         power = 1.4
     elif curve.model == "subcritical":
-        from .subcritical import big_c_s, chain, sigma_of
-        quad_b = 0.0
-        drive = 0.5 * nu * big_c_s(params)
-        power = 2.0 - sigma_of(params.r)
+        from .subcritical import chain
+        r, quad_b = params.r, 0.0
+        # C_s = 12 c k_r/nu, k_r = (lam^(2r)/(eps nu)^(3-2r))^(1/(1+2r))
+        ln_k_r = (2.0 * r * math.log(lam) - (3.0 - 2.0 * r)
+                  * (math.log(eps) + math.log(nu))) / (1.0 + 2.0 * r)
+        ln_c = math.log(12.0 * params.c) if params.c else -math.inf
+        drive = 0.5 * nu * math.exp(ln_c + ln_k_r - math.log(nu))
+        # 2 - sigma, sigma = (2r - 1)/(1 + 2r)
+        power = 2.0 - (2.0 * r - 1.0) / (1.0 + 2.0 * r)
     else:
         raise OutsideDomain(
             f"containment has no rate bounds for model {curve.model!r}")

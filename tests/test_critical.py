@@ -214,6 +214,17 @@ def test_floor_refusal_names_both_logs(fig2):
         f"ln E_floor = {ln_E_floor:.6g}, ln E_peak = {ln_E_floor - 0.5:.6g}")
 
 
+@pytest.mark.parametrize("ln_floors", [(-740.0, -741.0), (708.5, 0.0)])
+def test_chain_refuses_a_floor_outside_float_range(fig2, ln_floors):
+    # float range is params' on both sides: a floor whose float would be
+    # subnormal, or above the range, is refused when the chain is built
+    ch = chain(fig2)
+    with pytest.raises(InvalidRegime, match=r"^enstrophy floor exp\("
+                       f"{max(ln_floors):g}" r"\) is outside float range$"):
+        branches.Chain(fig2, ch.model, ch.names, ch.flags, ln_floors,
+                       ch.rise, ch.tail_b)
+
+
 def test_phi3_domain_and_curl_gate(fig2):
     e_min = find_e_min(fig2)
     with pytest.raises(OutsideDomain):

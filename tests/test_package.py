@@ -90,8 +90,10 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 # functions that formed a branch's solution, bounds, peak and samples
 # apart (one Branch record per anchor holds them), critical's float
 # barrier (the chain samples the nullcline it solves the peak against),
-# and full_nse's float funnel, nose, apex and parabola (Funnel, _ln_psi
-# and geometry are the one evaluation of each)
+# full_nse's float funnel, nose, apex and parabola (Funnel, _ln_psi and
+# geometry are the one evaluation of each), the float-range edges of
+# full_nse and maxest (params decides float range) and ln_sub (a
+# difference is written where it is taken)
 _REMOVED = {
     "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar "
         "barrier phi_of_e psi_of_E nose_apex parabola_E",
@@ -100,9 +102,10 @@ _REMOVED = {
     "branches": "_as_ln _REL_TOL solution envelope peak_ln_e sample",
     "full_nse": "phi_slope _alpha_ln_beta _ln_t _funnel _ln_phi _slope "
                 "_ln_slope _funnel_segment _point phi_of_e psi_of_E "
-                "nose_apex parabola_E",
+                "nose_apex parabola_E _exp",
+    "maxest": "_LN_MAX",
     "scaling": "scaling_curve _ln_curve solution envelope peak_ln_e sample",
-    "logscalar": "ONE ZERO from_float to_float",
+    "logscalar": "ONE ZERO from_float to_float ln_sub",
     "specfun": "solution envelope peak_ln_e sample",
 }
 

@@ -6,7 +6,8 @@ import pytest
 
 from enstrophy_bounds import (ForcingParams, InvalidRegime, MissingKey,
                               critical, full_nse, subcritical)
-from enstrophy_bounds.params import _KEYS, load_params_file
+from enstrophy_bounds.params import (_KEYS, exp_clamped, exp_in_range,
+                                     load_params_file)
 
 from conftest import PRESETS
 
@@ -23,6 +24,19 @@ def test_grashof_scales_with_viscosity(fig2):
     p = ForcingParams.from_mapping(dict(fig2.to_raw(), nu=2.0))
     assert p.grashof == pytest.approx(0.5)
     assert p.e0 == pytest.approx(1.0)
+
+
+def test_float_range_is_one_rule():
+    # |ln| below 708 keeps a value a normal float: exp_clamped saturates
+    # to 0 or inf from there, exp_in_range refuses from there upwards
+    assert 0.0 < exp_clamped(707.9) == math.exp(707.9) < math.inf
+    assert exp_clamped(-707.9) == math.exp(-707.9) >= sys.float_info.min
+    assert exp_clamped(708.0) == math.inf
+    assert exp_clamped(-708.0) == 0.0
+    assert exp_in_range(707.9, "x") == math.exp(707.9)
+    assert exp_in_range(-800.0, "x") == 0.0
+    with pytest.raises(InvalidRegime, match=r"^x = exp\(708\) is above"):
+        exp_in_range(708.0, "x")
 
 
 def test_round_trip_through_mapping(fig2):

@@ -21,6 +21,7 @@ from enstrophy_bounds import (critical, full_nse, scaling, specfun,
                               subcritical)
 from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.logscalar import ln_add
+from enstrophy_bounds.params import exp_clamped
 from enstrophy_bounds.specfun import _g_ln, _series_ln
 
 from conftest import PRESETS, alpha_ln_beta, ln_phi, ln_psi
@@ -77,7 +78,7 @@ def _solution(ln_e, field, ln_e_ref, ln_y_ref):
 
 def _ln_slope(v, ln_E, params):
     alpha, ln_beta = alpha_ln_beta(params)
-    return 0.5 * alpha - full_nse._exp(
+    return 0.5 * alpha - exp_clamped(
         ln_beta + 2.0 * ln_E + 0.5 * v
         + math.log(0.25 * alpha * (3.0 - 1.0 / params.eta)))
 

@@ -103,6 +103,13 @@ def test_smallness_window_gate(fig2):
             ScalingParams(s=0.75, beta_sc=beta, E_floor=floor)
 
 
+def test_admissibility_floor_above_float_range(fig2):
+    # the floor exp(708.5) is a float, but past params' float range
+    with pytest.raises(InvalidRegime, match=r"^admissibility floor E_floor "
+                       r"= exp\(708\.5\) is above float range$"):
+        scaling_params(_with(fig2, curlF_norm=1.765e153))
+
+
 def test_pure_power_law_when_drain_vanishes():
     sp = ScalingParams(s=0.75, beta_sc=0.0, E_floor=0.0)
     assert sp.alpha_sc == 0.125

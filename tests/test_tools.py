@@ -105,3 +105,24 @@ def test_outputs_malformed_sets_are_refused_by_every_command():
         "fig2 without nu": {
             "MissingKey: missing required parameter 'nu'\n"},
     }
+
+
+def test_outputs_float_range_edge_sets_are_refused_where_the_floor_is():
+    # the two sets before the malformed ones put a floor just past float
+    # range: exactly the runs that form that floor refuse the set, by name
+    sets = outputs.param_sets()[-8:-6]
+    result = outputs.collect(sets, [])
+    refused = {run: err for run, (code, _, err, _) in result.items()
+               if "float range" in err}
+    assert all(result[run][0] == 1 for run in refused)
+    scaling, critical = (name for name, _ in sets)
+    assert set(refused) == {
+        *(f"{scaling} | curve scaling --format {fmt}"
+          for fmt in ("csv", "json")),
+        *(f"{critical} | {' '.join(argv)}" for argv in outputs.COMMANDS
+          if argv[:2] == ["curve", "critical"] or argv == ["verify"]
+          or (argv[0] == "classify" and argv[-1] == "subcritical"))}
+    assert set(refused.values()) == {
+        "InvalidRegime: admissibility floor E_floor = exp(708.5) is above "
+        "float range\n",
+        "InvalidRegime: enstrophy floor exp(-715) is outside float range\n"}

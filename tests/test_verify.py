@@ -24,14 +24,14 @@ from enstrophy_bounds import (
     halved_curve,
     oracle_suite,
 )
-from enstrophy_bounds import branches, scaling, specfun
+from enstrophy_bounds import branches, scaling, specfun, subcritical
 from enstrophy_bounds.cli import run
 from enstrophy_bounds.curves import CurveBundle, CurveSegment, log_grid
 from enstrophy_bounds.solver import rk4_path
 from enstrophy_bounds.verify import (_ALPHAS, _SCAN_HALF_WIDTH, _SCAN_N,
                                      _XS, _chain, _g_quadrature, _margins,
                                      _rate_tables, _rk4_row, _scan_row,
-                                     _spread_indices, all_pass)
+                                     _spread_indices, all_pass, report)
 
 from conftest import ROOT
 
@@ -161,6 +161,31 @@ def test_halved_subcritical_curve_flags(fig3):
     assert not by_tag["phi1"]["pass"]
     assert not by_tag["phi2"]["pass"]
     assert by_tag["phi1"]["worst_margin"] < -1e-3
+
+
+def test_halved_subcritical_constant_flags(fig3, monkeypatch):
+    # containment writes C_s out from params: a curve built on a halved
+    # C_s fails the rise, as one built on a halved critical C does
+    big_c_s = subcritical.big_c_s
+    monkeypatch.setattr(subcritical, "big_c_s", lambda p: 0.5 * big_c_s(p))
+    rows = report(ForcingParams.from_mapping(fig3.to_raw()))
+    # the family's rows come first, then the unconditional region's
+    family = {row["segment"]: row for row in rows[:3]}
+    assert not family["phi1"]["pass"]
+    assert family["phi1"]["worst_margin"] < -0.1
+
+
+def test_rate_tables_never_read_the_subcritical_constants(fig3,
+                                                          monkeypatch):
+    bundle = assemble_subcritical(fig3, samples=64)
+    want = _rate_tables(bundle, fig3)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the rate tables read the construction")
+
+    for name in ("big_c_s", "sigma_of"):
+        monkeypatch.setattr(subcritical, name, forbidden)
+    assert _rate_tables(bundle, fig3) == want
 
 
 # ----------------------------------------------------------- oracle side

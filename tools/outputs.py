@@ -13,7 +13,10 @@ the standard library.
 The parameter sets are both presets; the 200 draws of draws(); fig2 at
 f_norm = G = 300, 600, 1000 and 3000; fig2 at eta = 1 + 10^-k for
 k = 4...15; 40 fig2 sets with G drawn uniformly from [1.5, 5] (seed 2);
-and six malformed parameter files, which every command refuses: fig2
+two sets at the float-range edge, fig2 at curlF_norm = 1.765e153 (the
+scaling admissibility floor at ln 708.5) and fig2 at eps = 1e-208,
+curlF_norm = 4.29e-155 (the critical enstrophy floor at ln -715); and
+six malformed parameter files, which every command refuses: fig2
 with nu a 401-digit integer, true, "1" or NaN, fig2 with an unknown key,
 and fig2 without nu. The commands are curve for each model in CSV and
 JSON, emax, verify, taylor on the full model's JSON curve, and classify
@@ -99,6 +102,9 @@ def param_sets() -> list[tuple[str, dict]]:
                for k in range(4, 16)]
             + [(f"fig2 G draw {i}", dict(FIG2, f_norm=rng.uniform(1.5, 5.0)))
                for i in range(40)]
+            + [("fig2 curlF_norm=1.765e153", dict(FIG2, curlF_norm=1.765e153)),
+               ("fig2 eps=1e-208 curlF_norm=4.29e-155",
+                dict(FIG2, eps=1e-208, curlF_norm=4.29e-155))]
             + [(f"fig2 nu={text}", dict(FIG2, nu=value))
                for text, value in (("10^400 as an int", 10 ** 400),
                                    ("true", True), ('"1"', "1"),
