@@ -26,6 +26,10 @@ so that crossing is solved in w = ln(1 - e/e_a). At r > 1/2, b = 0: the
 nullcline is the line y = (c/a) e and the crossing is closed form in ln e
 (Branch.peak_ln_e).
 
+family(params) is the one place that chooses the family by r: it returns
+critical.chain(params) at r = 1/2 and subcritical.chain(params) above,
+importing only the module it picks.
+
 No root is searched for a bracket. Left of its anchor a branch's inner
 term (the ln of the bracket of its solution) lies between its value at
 the anchor, lead, and its limit at e = 0,
@@ -50,6 +54,7 @@ from __future__ import annotations
 
 import math
 from functools import cached_property
+from importlib import import_module
 
 from .curves import (CurveBundle, CurveSegment, log_grid, max_join_gap,
                      power_law)
@@ -355,3 +360,11 @@ class Chain:
                         f"{seg.tag} dips below the parabola or the lower "
                         f"boundary at ln e = {v:.6g}")
         return bundle
+
+
+def family(params: ForcingParams) -> Chain:
+    """The held chain of params' coherence family: critical.chain at
+    r = 1/2, subcritical.chain above. Only the chosen module is imported,
+    so a caller executes only the family it resolves."""
+    name = "critical" if params.r == 0.5 else "subcritical"
+    return import_module(f".{name}", __package__).chain(params)

@@ -103,12 +103,12 @@ def _cmd_emax(params, args) -> int:
 
 def _cmd_classify(params, args) -> int:
     if args.model == "full":
-        from .full_nse import classify_full as classify
-    elif params.r == 0.5:
-        from .critical import classify_critical as classify
+        from .full_nse import classify_full
+        label = classify_full(args.e, args.E, params)
     else:
-        from .subcritical import classify_subcritical as classify
-    sys.stdout.write(classify(args.e, args.E, params) + "\n")
+        from .branches import family
+        label = family(params).classify(args.e, args.E)
+    sys.stdout.write(label + "\n")
     return 0
 
 

@@ -27,8 +27,9 @@ The Taylor-wavenumber diagnostic of an emitted curve is the CLI's taylor
 subcommand.
 
 Everything here is deliberately redundant with the construction modules;
-agreement is the point. The coherence family is imported where it is
-chosen, so a report executes only the family it checks.
+agreement is the point. branches.family chooses the coherence family
+and imports only its module, so a report executes only the family it
+checks. Every row is built by _row.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 import math
 
 from . import full_nse
+from .branches import family
 from .curves import CurveBundle, CurveSegment, log_grid
 from .errors import EnstrophyBoundsError, OutsideDomain, RegimeViolation
 from .params import ForcingParams
@@ -44,6 +46,14 @@ from .solver import integrate_adaptive, rk4_path
 _REL_TOL = 1e-9  # sign-margin tolerance: constructed margins are exact zeros
 # the root scan's grid: its half width in the root's variable, its nodes
 _SCAN_HALF_WIDTH, _SCAN_N = 2.0, 201
+
+
+def _row(check: str, segment: str, samples: int, worst: float,
+         passed: bool, note: str | None = None) -> dict:
+    """One report row; it has a "note" only when one is given."""
+    row = {"check": check, "segment": segment, "samples": samples,
+           "worst_margin": worst, "pass": passed}
+    return row if note is None else {**row, "note": note}
 
 
 def halved_curve(curve: CurveBundle) -> CurveBundle:
@@ -170,11 +180,9 @@ def containment_check(curve: CurveBundle, params: ForcingParams,
     for seg in curve.main_segments():
         ratios = [r for _, r in _margins(seg, tables[seg.tag], n_points)]
         worst = min(ratios, default=0.0)
-        rows.append({"check": "containment", "segment": seg.tag,
-                     "samples": len(ratios), "worst_margin": worst,
-                     "pass": worst >= -_REL_TOL})
-        if len(seg.ln_e) < 2:
-            rows[-1]["note"] = "segment collapsed onto its anchor: 1 sample"
+        rows.append(_row("containment", seg.tag, len(ratios), worst,
+                         worst >= -_REL_TOL, None if len(seg.ln_e) > 1
+                         else "segment collapsed onto its anchor: 1 sample"))
     return rows
 
 
@@ -204,17 +212,8 @@ def _specfun_row() -> dict:
             series = math.exp(gamma_series_factor(alpha, x))
             quad = _g_quadrature(alpha, x)
             worst = max(worst, abs(series - quad) / abs(quad))
-    return {"check": "series_vs_quadrature", "segment": "specfun",
-            "samples": len(_ALPHAS) * len(_XS), "worst_margin": worst,
-            "pass": worst <= 1e-10}
-
-
-def _chain(params: ForcingParams):
-    if params.r == 0.5:
-        from .critical import chain
-    else:
-        from .subcritical import chain
-    return chain(params)
+    return _row("series_vs_quadrature", "specfun", len(_ALPHAS) * len(_XS),
+                worst, worst <= 1e-10)
 
 
 def _rk4_row(params: ForcingParams, curve: CurveBundle) -> dict:
@@ -228,15 +227,13 @@ def _rk4_row(params: ForcingParams, curve: CurveBundle) -> dict:
     the fixed 1e-6 bound in ln E is a relative 6e-13 of it at G = 280
     and 6e-15, about 34 ulps, at G = 3000; near G = 1e4 (ln E about
     2e9) the path's rounding alone, 16 to 18 ulps, passes it."""
-    ch = _chain(params)
+    ch = family(params)
     seg = curve.segment("phi1")
     # the path starts on e0 itself, of which exp(ln e0) may miss an ulp
     es = [params.e0] + [math.exp(v) for v in reversed(seg.ln_e[:-1])]
     path = rk4_path(ch.rise.dlnE_de(), es, math.log(ch.E0), tol=1e-12)
     worst = max(abs(a - b) for a, b in zip(reversed(seg.ln_E), path))
-    return {"check": "closed_form_vs_rk4", "segment": "phi1",
-            "samples": len(path), "worst_margin": worst,
-            "pass": worst <= 1e-6}
+    return _row("closed_form_vs_rk4", "phi1", len(path), worst, worst <= 1e-6)
 
 
 def _scan_row(name: str, gap, center: float, room: float = math.inf) -> dict:
@@ -264,9 +261,7 @@ def _scan_row(name: str, gap, center: float, room: float = math.inf) -> dict:
                 dist = 0.0
                 break
             dist = min(dist, abs(center - a), abs(center - b))
-    return {"check": "root_vs_gridscan", "segment": name,
-            "samples": _SCAN_N, "worst_margin": dist,
-            "pass": bool(dist == 0.0)}
+    return _row("root_vs_gridscan", name, _SCAN_N, dist, dist == 0.0)
 
 
 def _scan_rows(params: ForcingParams) -> list[dict]:
@@ -274,7 +269,7 @@ def _scan_rows(params: ForcingParams) -> list[dict]:
     and the floor crossing (curve against the floor, in ln e). At b = 0
     the peak variable is ln e, and the rise stops at its anchor e0: the
     peak grid ends there, so a peak close to e0 keeps its right cells."""
-    ch = _chain(params)
+    ch = family(params)
     x_star, _, _ = ch.peak
     room = math.inf if ch.rise.b > 0.0 else ch.ln_e0 - x_star
     e_peak, _, e_floor, _ = ch.names
@@ -319,9 +314,8 @@ def oracle_suite(params: ForcingParams,
     try:
         rows.append(_full_scan_row(params))
     except EnstrophyBoundsError as exc:
-        rows.append({"check": "root_vs_gridscan", "segment": "e2",
-                     "samples": 0, "worst_margin": math.inf, "pass": False,
-                     "note": f"{type(exc).__name__}: {exc}"})
+        rows.append(_row("root_vs_gridscan", "e2", 0, math.inf, False,
+                         f"{type(exc).__name__}: {exc}"))
     return rows
 
 
@@ -331,15 +325,10 @@ def report(params: ForcingParams, n_points: int = 512) -> list[dict]:
     the oracle suite. Degenerate forcing leaves no curve to check."""
     if not _has_curve(params):
         curve = None
-        rows = [{"check": "containment", "segment": "", "samples": 0,
-                 "worst_margin": 0.0, "pass": True,
-                 "note": "degenerate forcing, no curve to check"}]
+        rows = [_row("containment", "", 0, 0.0, True,
+                     "degenerate forcing, no curve to check")]
     else:
-        if params.r == 0.5:
-            from .critical import assemble_critical as assemble
-        else:
-            from .subcritical import assemble_subcritical as assemble
-        curve = assemble(params)
+        curve = family(params).assemble()
         rows = containment_check(curve, params, n_points)
         rows += containment_check(full_nse.assemble_full(params), params,
                                   n_points)

@@ -1,5 +1,6 @@
 """Critical-regime piecewise curve: coefficients, branches, assembly."""
 
+import ast
 import math
 import random
 
@@ -24,6 +25,8 @@ from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.solver import integrate_adaptive
 from enstrophy_bounds.specfun import Branch, Field
+
+from conftest import ROOT
 
 # E_max is an ln; log10 = ln / LN10
 LN10 = math.log(10.0)
@@ -348,6 +351,39 @@ def test_classify_critical_regions(fig2):
         classify_critical(0.0, 1.0, fig2)
 
 
+def test_family_resolves_the_held_chain_of_each_preset(fig2, fig3):
+    # r = 1/2 selects the critical family and r > 1/2 the subcritical one;
+    # either way the resolver hands back the chain held on the params
+    assert branches.family(fig2) is chain(fig2)
+    assert branches.family(fig3) is subcritical.chain(fig3)
+
+
+def _compares_r_to_half(node: ast.AST) -> bool:
+    """Whether node is a comparison x.r == 0.5, in either order."""
+    if not (isinstance(node, ast.Compare)
+            and any(isinstance(op, ast.Eq) for op in node.ops)):
+        return False
+    operands = [node.left, *node.comparators]
+    return any(isinstance(v, ast.Attribute) and v.attr == "r"
+               for v in operands) \
+        and any(isinstance(v, ast.Constant) and v.value == 0.5
+                for v in operands)
+
+
+def test_only_the_family_resolver_chooses_by_r():
+    # branches.family is the one place that picks a coherence family from
+    # r; the families' own regime refusals (r != 0.5, r <= 0.5) are not
+    # choices and stay
+    package = ROOT / "src" / "enstrophy_bounds"
+    trees = {path.stem: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    assert sum(_compares_r_to_half(node) for tree in trees.values()
+               for node in ast.walk(tree)) == 1
+    family, = [node for node in trees["branches"].body
+               if isinstance(node, ast.FunctionDef) and node.name == "family"]
+    assert any(map(_compares_r_to_half, ast.walk(family)))
+
+
 def test_chain_resolves_once_per_parameter_set(fig2, monkeypatch):
     calls = []
     real = branches.find_root
@@ -375,8 +411,7 @@ def test_floor_crossing_resolves_rounding(preset, shift, request,
     # |ln e| ~ 1e4): a relative 1e-15 change in every branch value moves
     # the true crossing by ~1e-13, which the root must resolve
     params = request.getfixturevalue(preset)
-    family = chain if params.r == 0.5 else subcritical.chain
-    ch = family(params)
+    ch = branches.family(params)
 
     def fresh():
         return branches.Chain(ch.params, ch.model, ch.names, ch.flags,
@@ -412,7 +447,7 @@ def test_floor_crossing_depth_limit(preset, c_omega, deep, request,
     # refuses the crossing before any root search, naming the limit and
     # the bracket's own lower end
     params = _with(request.getfixturevalue(preset), c_omega=c_omega)
-    ch = (chain if params.r == 0.5 else subcritical.chain)(params)
+    ch = branches.family(params)
     if deep:
         def no_search(*args):
             raise AssertionError("the root search ran")

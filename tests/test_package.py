@@ -107,6 +107,7 @@ _REMOVED = {
     "scaling": "scaling_curve _ln_curve solution envelope peak_ln_e sample",
     "logscalar": "ONE ZERO from_float to_float ln_sub",
     "specfun": "solution envelope peak_ln_e sample",
+    "verify": "_chain",
 }
 
 # what the LogScalar shim no longer defines: slots, immutability, equality,

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams,
-                              assemble_full, classify_full, critical,
+                              assemble_full, branches, classify_full,
                               subcritical)
 from enstrophy_bounds.cli import run
 
@@ -98,8 +98,7 @@ def test_family_floor_within_decades(width, data):
     raw = data.draw(_params(width))
     try:
         params = ForcingParams.from_mapping(raw)
-        family = critical if params.r == 0.5 else subcritical
-        ch = family.chain(params)
+        ch = branches.family(params)
         assert 0.0 < ch.floor < math.inf
         assert ch.curl_dominant in (True, False)
         assert ch.ln_floor < ch.peak[1] <= ch.ln_e0

@@ -17,8 +17,8 @@ import pytest
 
 from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams,
                               OutsideDomain)
-from enstrophy_bounds import (critical, full_nse, scaling, specfun,
-                              subcritical)
+from enstrophy_bounds import critical, full_nse, scaling, specfun
+from enstrophy_bounds.branches import family
 from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.logscalar import ln_add
 from enstrophy_bounds.params import exp_clamped
@@ -128,10 +128,6 @@ def _draws():
 _SETS = _draws()
 
 
-def _chain(params):
-    return (critical if params.r == 0.5 else subcritical).chain(params)
-
-
 # ------------------------------------------------- the weighted integral
 
 
@@ -165,7 +161,7 @@ def test_prepared_integral_matches_the_per_call_form():
 
 @pytest.mark.parametrize("name", sorted(_SETS))
 def test_branch_samples_match_pointwise_solution(name):
-    ch = _chain(_SETS[name])
+    ch = family(_SETS[name])
     _, ln_peak, _ = ch.peak
     ranges = [(ln_peak, ch.ln_e0), (ch.ln_floor, ln_peak),
               (ch.ln_floor - 20.0 * math.log(10.0), ch.ln_floor)]
@@ -184,7 +180,7 @@ def test_branch_samples_match_pointwise_solution(name):
 
 @pytest.mark.parametrize("name", sorted(_SETS))
 def test_peak_gap_and_right_of_anchor_match_pointwise_solution(name):
-    ch = _chain(_SETS[name])
+    ch = family(_SETS[name])
     x_star = ch.peak[0]
     rise, anchor = ch.fields[0], ch._anchor(0)
     # the grid of verify's root_vs_gridscan row around the peak
@@ -210,7 +206,7 @@ def test_peak_gap_and_right_of_anchor_match_pointwise_solution(name):
 def test_curve_value_matches_pointwise_solution(name):
     # curve_value is what classify and the floor scan evaluate
     params = _SETS[name]
-    ch = _chain(params)
+    ch = family(params)
     rng = random.Random(name)
     for _ in range(40):
         ln_e = ch.ln_floor + rng.uniform(-40.0, ch.ln_e0 - ch.ln_floor)
@@ -236,7 +232,7 @@ def test_branch_bounds_match_the_envelope_oracle(name):
     # each Branch forms top from the integral it prepared for its own
     # solution; the oracle sums W(0, e_ref) on its own, as the bounds
     # were formed before the two shared one integral
-    ch = _chain(_ENVELOPE_SETS[name])
+    ch = family(_ENVELOPE_SETS[name])
     for k in range(3):
         branch = ch.prepared(k)
         assert _bits((branch.lead, branch.top)) \
@@ -288,7 +284,7 @@ def test_each_branch_prepares_its_integral_once(monkeypatch):
     for name in ("fig2", "fig3"):
         params = ForcingParams.from_mapping(_raw(name))
         counts["prepared"] = 0
-        _chain(params).assemble(samples=33)
+        family(params).assemble(samples=33)
         assert counts["prepared"] == 3
         counts["prepared"] = 0
         scaling.assemble_scaling(params, samples=33)

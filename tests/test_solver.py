@@ -245,8 +245,8 @@ def _outcome(kernel, fn, *args, **kwargs):
 def _rise(params):
     """The rise's slope field, the nodes verify lands on (e0, then the
     assembled phi1 samples right to left) and ln E0."""
-    from enstrophy_bounds.verify import _chain
-    ch = _chain(params)
+    from enstrophy_bounds.branches import family
+    ch = family(params)
     ln_e = ch.assemble().segment("phi1").ln_e
     es = [params.e0] + [math.exp(v) for v in reversed(ln_e[:-1])]
     return ch.rise.dlnE_de(), es, math.log(ch.E0)

@@ -15,6 +15,7 @@ from hypothesis import given, strategies as st
 
 from enstrophy_bounds import (
     ForcingParams,
+    InvalidRegime,
     OutsideDomain,
     assemble_critical,
     assemble_full,
@@ -29,7 +30,7 @@ from enstrophy_bounds.cli import run
 from enstrophy_bounds.curves import CurveBundle, CurveSegment, log_grid
 from enstrophy_bounds.solver import rk4_path
 from enstrophy_bounds.verify import (_ALPHAS, _SCAN_HALF_WIDTH, _SCAN_N,
-                                     _XS, _chain, _g_quadrature, _margins,
+                                     _XS, _g_quadrature, _margins,
                                      _rate_tables, _rk4_row, _scan_row,
                                      _spread_indices, all_pass, report)
 
@@ -60,6 +61,21 @@ def test_containment_subcritical(fig3):
     report = containment_check(assemble_subcritical(fig3, samples=256), fig3,
                                n_points=200)
     assert all_pass(report)
+
+
+def test_containment_refuses_the_other_familys_parameters(fig2, fig3):
+    # the rate tables take their constants from the bundle's model and the
+    # floor from that family's chain, so a bundle checked against the
+    # other family's parameter set is refused, never mixed
+    with pytest.raises(InvalidRegime) as refused:
+        containment_check(assemble_critical(fig2), fig3)
+    assert str(refused.value) == \
+        "critical curve family needs r = 1/2, got r = 0.51"
+    with pytest.raises(InvalidRegime) as refused:
+        containment_check(assemble_subcritical(fig3), fig2)
+    assert str(refused.value) == (
+        "subcritical curve family needs r > 1/2 strictly; "
+        "the critical module owns r = 1/2")
 
 
 def test_containment_full_high_forcing(fig2):
@@ -227,7 +243,7 @@ def test_oracles_never_reach_the_construction(fig2, fig3, monkeypatch):
               for a in _ALPHAS for x in _XS}
     peaks = []
     for params in (fig2, fig3):
-        ch = _chain(params)
+        ch = branches.family(params)
         e_stop, _ = ch.peak_point()
         peaks.append((ch, e_stop, ch.value(0, math.log(e_stop))))
 
@@ -257,8 +273,7 @@ def test_rk4_row_checks_the_written_rise(request, preset, where,
     # the row reads the phi1 samples that curve writes: one of them moved
     # by 1e-5 in ln E fails it, and only it. It evaluates no closed form.
     params = request.getfixturevalue(preset)
-    family = assemble_critical if params.r == 0.5 else assemble_subcritical
-    bundle = family(params)
+    bundle = branches.family(params).assemble()
     segs = []
     for seg in bundle.segments:
         if seg.tag == "phi1":
@@ -438,9 +453,8 @@ def _exact_ratio(model, params, tag, ln_e, ln_E, slope):
 ], ids=["fig2", "fig3", "fig2-G280"])
 def test_margins_match_a_50_digit_arbiter(request, preset, over):
     params = _with(request.getfixturevalue(preset), **over)
-    family = assemble_critical if params.r == 0.5 else assemble_subcritical
     worst = 0.0
-    for bundle in (family(params, samples=256),
+    for bundle in (branches.family(params).assemble(samples=256),
                    assemble_full(params, samples=256)):
         tables = _rate_tables(bundle, params)
         for seg in bundle.main_segments():
