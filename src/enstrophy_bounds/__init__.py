@@ -21,7 +21,9 @@ uses, while code that looks a module up in sys.modules (a tracer that
 rebinds functions by module attribute) finds every one of them; the first
 attribute access executes it. An exported name, or a submodule read as an
 attribute of the package (PEP 562 __getattr__), comes from its executed
-module.
+module. The export table, _EXPORTS, also names the curve models: each
+assemble_<model> in it is a model of the CLI's curve command, which reads
+it from the package.
 """
 
 import importlib

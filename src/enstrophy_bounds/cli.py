@@ -17,12 +17,17 @@ Start-up executes only what every command shares (the parameter file,
 the writers, and a table of the commands, _COMMANDS, in place of argparse
 and its build); each handler imports the model module it runs, so `emax`
 never executes the curve constructions and `curve subcritical` never
-executes the critical, full, scaling or verify modules.
+executes the critical, full, scaling or verify modules. The curve models
+are the assemble_<model> names of the package's export table (_EXPORTS),
+and `curve` reads its assembler from the package, which executes only the
+module that defines it.
+
+The entry points are the console script (main) and `python -m
+enstrophy_bounds`.
 """
 
 from __future__ import annotations
 
-import importlib
 import json
 import math
 import sys
@@ -30,6 +35,7 @@ from functools import reduce
 from pathlib import Path
 from types import SimpleNamespace
 
+from . import _EXPORTS
 from .curves import bundle_to_csv, bundle_to_json, round_sig
 from .errors import EnstrophyBoundsError, InvalidRegime
 from .logscalar import _LN10, from_sci_string, ln_add
@@ -51,20 +57,8 @@ def _finite(x: float):
 _EXP_MAX = 709.0
 
 
-# model -> (module, function) of its assembler, imported by name when the
-# command runs
-_ASSEMBLERS = {
-    "critical": ("critical", "assemble_critical"),
-    "subcritical": ("subcritical", "assemble_subcritical"),
-    "full": ("full_nse", "assemble_full"),
-    "scaling": ("scaling", "assemble_scaling"),
-}
-
-
 def _cmd_curve(params, args) -> int:
-    module, name = _ASSEMBLERS[args.model]
-    assemble = getattr(importlib.import_module(f".{module}", __package__),
-                       name)
+    assemble = getattr(sys.modules[__package__], f"assemble_{args.model}")
     bundle = assemble(params, samples=args.samples)
     text = bundle_to_csv(bundle) if args.format == "csv" \
         else bundle_to_json(bundle)
@@ -178,7 +172,10 @@ _PARAMS = {"--params": (str, None, None, True)}
 _OUT = {"--out": (str, None, None, False)}
 _COMMANDS = {
     "curve": ("assemble a bounding curve", {
-        "model": (str, None, tuple(sorted(_ASSEMBLERS)), True), **_PARAMS,
+        # a curve model is the <model> of an exported assemble_<model>
+        "model": (str, None, tuple(sorted(
+            name.removeprefix("assemble_") for name in _EXPORTS
+            if name.startswith("assemble_"))), True), **_PARAMS,
         "--samples": (int, 512, None, False),
         "--format": (str, "csv", ("csv", "json"), False), **_OUT}),
     "emax": ("maximal-enstrophy bracket", {
@@ -266,7 +263,3 @@ def main() -> None:
         # die quietly when the consumer closes the pipe, like any filter
         signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

@@ -21,7 +21,12 @@ Two families of checks, both reporting rows of
 * oracle_suite: series vs tanh-sinh quadrature for the special function,
   the assembled rising branch vs a Dormand-Prince 5(4) integration of its
   slope field that lands on each of the branch's samples, and root
-  locations vs sign-change scans on independent grids.
+  locations vs sign-change scans on independent grids. It takes the
+  coherence family's bundle.
+
+report runs both. Degenerate forcing leaves no curve to check, and
+report alone answers it: a noted containment row, then the special
+function's row.
 
 The Taylor-wavenumber diagnostic of an emitted curve is the CLI's taylor
 subcommand.
@@ -301,16 +306,10 @@ def _has_curve(params: ForcingParams) -> bool:
         return False
 
 
-def oracle_suite(params: ForcingParams,
-                 curve: CurveBundle | None) -> list[dict]:
+def oracle_suite(params: ForcingParams, curve: CurveBundle) -> list[dict]:
     """Cross-checks at the given parameter set, the rise's against curve,
-    the coherence family's bundle; with no curve (degenerate forcing, see
-    _has_curve) everything that needs one is skipped."""
-    rows = [_specfun_row()]
-    if curve is None:
-        return rows
-    rows.append(_rk4_row(params, curve))
-    rows.extend(_scan_rows(params))
+    the coherence family's bundle."""
+    rows = [_specfun_row(), _rk4_row(params, curve), *_scan_rows(params)]
     try:
         rows.append(_full_scan_row(params))
     except EnstrophyBoundsError as exc:
@@ -322,16 +321,16 @@ def oracle_suite(params: ForcingParams,
 def report(params: ForcingParams, n_points: int = 512) -> list[dict]:
     """The verify report: containment of the coherence family's curve and
     of the unconditional region at n_points samples per segment, then
-    the oracle suite. Degenerate forcing leaves no curve to check."""
+    the oracle suite. Degenerate forcing (see _has_curve) leaves no curve
+    to check: its report is a noted containment row and the special
+    function's check, which needs no curve."""
     if not _has_curve(params):
-        curve = None
-        rows = [_row("containment", "", 0, 0.0, True,
-                     "degenerate forcing, no curve to check")]
-    else:
-        curve = family(params).assemble()
-        rows = containment_check(curve, params, n_points)
-        rows += containment_check(full_nse.assemble_full(params), params,
-                                  n_points)
+        return [_row("containment", "", 0, 0.0, True,
+                     "degenerate forcing, no curve to check"), _specfun_row()]
+    curve = family(params).assemble()
+    rows = containment_check(curve, params, n_points)
+    rows += containment_check(full_nse.assemble_full(params), params,
+                              n_points)
     return rows + oracle_suite(params, curve)
 
 

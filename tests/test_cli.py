@@ -19,7 +19,7 @@ from enstrophy_bounds import (AssumptionViolated, CancellationLoss,
                               assemble_critical, assemble_subcritical,
                               bound_report, branches, classify_critical,
                               classify_full, classify_subcritical, cli,
-                              load_params_file, maxest)
+                              load_params_file, maxest, _EXPORTS)
 from enstrophy_bounds.cli import run
 from enstrophy_bounds.curves import round_sig
 from enstrophy_bounds.logscalar import from_sci_string, ln_add, sci_string
@@ -105,6 +105,30 @@ def test_csv_and_json_agree(tmp_path):
     assert seg0["tag"] == first[2]
     assert seg0["e"][0] == first[0]
     assert seg0["log10_E"][0] == float(first[1])
+
+
+# ---------------------------------------------------------- curve models
+
+# the curve models: the <model> of each assemble_<model> of the export table
+_CURVE_MODELS = sorted(name.removeprefix("assemble_") for name in _EXPORTS
+                       if name.startswith("assemble_"))
+# the preset each model's curve is drawn on: subcritical needs r > 1/2
+_MODEL_PRESETS = {"critical": FIG2, "full": FIG2, "scaling": FIG2,
+                  "subcritical": FIG3}
+
+
+def test_curve_models_are_the_exported_assemblers():
+    assert _CURVE_MODELS == sorted(_MODEL_PRESETS)
+    assert list(cli._COMMANDS["curve"][1]["model"][2]) == _CURVE_MODELS
+
+
+@pytest.mark.parametrize("model", _CURVE_MODELS)
+def test_curve_writes_the_bundle_of_its_model(tmp_path, model):
+    out = tmp_path / "curve.json"
+    assert run(["curve", model, "--params", _MODEL_PRESETS[model],
+                "--samples", "16", "--format", "json",
+                "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["model"] == model
 
 
 # ------------------------------------------------------------ exit codes
@@ -609,7 +633,7 @@ def _build_parser() -> _OracleParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     c = sub.add_parser("curve")
-    c.add_argument("model", choices=sorted(cli._ASSEMBLERS))
+    c.add_argument("model", choices=_CURVE_MODELS)
     c.add_argument("--params", required=True)
     c.add_argument("--samples", type=int, default=512)
     c.add_argument("--format", choices=("csv", "json"), default="csv")

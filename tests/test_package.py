@@ -108,6 +108,7 @@ _REMOVED = {
     "logscalar": "ONE ZERO from_float to_float ln_sub",
     "specfun": "solution envelope peak_ln_e sample",
     "verify": "_chain",
+    "cli": "_ASSEMBLERS",
 }
 
 # what the LogScalar shim no longer defines: slots, immutability, equality,

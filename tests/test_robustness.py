@@ -61,10 +61,11 @@ def test_one_key_at_extreme_values(tmp_path, key):
 
 
 # decades drawn for each key around its fig2 value, as a share of the
-# width: eps and delta stay at or below theirs (so rho = 2 eps + delta < 1)
-# and c_omega at or above (c_omega >= 1), because ForcingParams refuses the
-# rest. psi_inf is 0 in fig2, so it is drawn around 1.
-_SIDES = {"eps": (-1.0, 0.0), "delta": (-1.0, 0.0), "c_omega": (0.0, 1.0)}
+# width, on the sides of tools/outputs.py: eps and delta stay at or below
+# theirs (so rho = 2 eps + delta < 1) and c_omega at or above
+# (c_omega >= 1), because ForcingParams refuses the rest. psi_inf is 0 in
+# fig2, so it is drawn around 1.
+outputs = tool("outputs")
 _KEYS = sorted(set(FIG2) - {"r"})
 
 
@@ -72,7 +73,7 @@ _KEYS = sorted(set(FIG2) - {"r"})
 def _params(draw, width=60.0):
     raw = {}
     for key in _KEYS:
-        lo, hi = _SIDES.get(key, (-1.0, 1.0))
+        lo, hi = outputs.SIDES.get(key, (-1.0, 1.0))
         raw[key] = (FIG2[key] or 1.0) \
             * 10.0 ** draw(st.floats(lo * width, hi * width))
     raw["r"] = draw(st.one_of(st.just(0.5),
@@ -176,7 +177,6 @@ def test_verify_on_subcritical_sets_peaking_next_to_the_anchor(tmp_path, c):
 # to another, shows here; the table is data this check reads, so every
 # change to it goes in CHANGES.md with its reason.
 MAP = ROOT / "tests" / "data" / "refusal_map.json"
-outputs = tool("outputs")
 MAP_COMMANDS = [
     ["curve", "critical"], ["curve", "subcritical"], ["curve", "full"],
     ["curve", "scaling"], ["emax"], ["verify"],
@@ -200,7 +200,6 @@ def refusal_map(path):
 
 
 def test_refusal_map_is_pinned(tmp_path):
-    assert outputs.SIDES == _SIDES
     pinned = json.loads(MAP.read_text())
     assert pinned["commands"] == [" ".join(cmd) for cmd in MAP_COMMANDS]
     rows = refusal_map(tmp_path / "params.json")

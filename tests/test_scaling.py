@@ -27,6 +27,8 @@ from enstrophy_bounds import (
 from enstrophy_bounds.logscalar import ln_add
 from enstrophy_bounds.scaling import default_anchor
 
+from conftest import tool
+
 
 def _with(params, **over):
     raw = params.to_raw()
@@ -282,12 +284,9 @@ def test_curve_matches_oracle_without_drain(fig2, monkeypatch):
     _check_emax(4.0, 16.0, sp)
 
 
-# decades drawn for each key around its fig2 value, as in
-# test_robustness: eps and delta at or below theirs, c_omega at or above
-_FIG2 = {"nu": 1.0, "lambda": 1.0, "lambda0": 1.0, "c_omega": 1.0,
-         "f_norm": 2.0, "curlF_norm": 10.0, "psi_inf": 0.0, "eps": 0.2,
-         "delta": 0.5, "mu": 1.0, "c1": 1.0, "c2": 2.0, "c": 1.0}
-_SIDES = {"eps": (-1.0, 0.0), "delta": (-1.0, 0.0), "c_omega": (0.0, 1.0)}
+# decades drawn for each key but r around its fig2 value, on the sides of
+# tools/outputs.py: eps and delta at or below theirs, c_omega at or above
+outputs = tool("outputs")
 
 
 def test_curve_matches_oracle_on_seeded_draws():
@@ -295,9 +294,9 @@ def test_curve_matches_oracle_on_seeded_draws():
     answered = 0
     for _ in range(1000):
         raw = {}
-        for key in sorted(_FIG2):
-            lo, hi = _SIDES.get(key, (-1.0, 1.0))
-            raw[key] = (_FIG2[key] or 1.0) \
+        for key in sorted(set(outputs.FIG2) - {"r"}):
+            lo, hi = outputs.SIDES.get(key, (-1.0, 1.0))
+            raw[key] = (outputs.FIG2[key] or 1.0) \
                 * 10.0 ** rng.uniform(60.0 * lo, 60.0 * hi)
         raw["r"] = rng.choice([0.5, rng.uniform(0.5, 1.0)])
         try:

@@ -87,7 +87,14 @@ def test_outputs_malformed_sets_are_refused_by_every_command():
     # command exits 1 with the same one-line refusal, and none escapes
     sets = outputs.param_sets()[-6:]
     result = outputs.collect(sets, [])
-    assert len(result) == len(sets) * len(outputs.COMMANDS)
+    assert len(result) == len(sets) * len(outputs.COMMANDS) \
+        + len(outputs.ONCE)
+    # the runs of ONCE read no set: the help, and the usage error of an
+    # unknown curve model, which names every model
+    assert result.pop("--help")[0] == 0
+    assert result.pop("curve bogus --params fig2.json")[::2] == [
+        1, "error: model takes one of critical, full, scaling, subcritical, "
+        "not 'bogus'\n"]
     refusals = {}
     for run, (code, _, err, _) in result.items():
         assert code == 1, run

@@ -341,11 +341,15 @@ def test_oracle_suite_without_the_region(fig2, eta, note):
     assert all(row["pass"] for row in report if row["segment"] != "e2")
 
 
-def test_oracle_suite_degenerate_forcing(fig2):
-    dead = _with(fig2, f_norm=0.0)
-    report = oracle_suite(dead, None)
-    assert all_pass(report)
-    assert {row["check"] for row in report} == {"series_vs_quadrature"}
+def test_report_degenerate_forcing(fig2):
+    # no curve to check: report answers with the noted containment row and
+    # the special function's row, and runs no oracle that needs a curve
+    rows = report(_with(fig2, f_norm=0.0))
+    assert all_pass(rows)
+    assert [(row["check"], row["segment"], row.get("note"))
+            for row in rows] == [
+        ("containment", "", "degenerate forcing, no curve to check"),
+        ("series_vs_quadrature", "specfun", None)]
 
 
 # ------------------------------------------------------ high Grashof number

@@ -5,10 +5,10 @@
 Each checkout's cli.run is called in process, in an interpreter of its
 own whose import path starts at that checkout's src/, on one fixed set
 of runs: every command of COMMANDS on every parameter set of
-param_sets(). A run's outcome is its (exit code, stdout, stderr). The
-script prints each run whose outcomes differ, with the lines that
-differ, and exits 1 if any run differs, 0 if none does. It needs only
-the standard library.
+param_sets(), then each run of ONCE. A run's outcome is its (exit code,
+stdout, stderr). The script prints each run whose outcomes differ, with
+the lines that differ, and exits 1 if any run differs, 0 if none does.
+It needs only the standard library.
 
 The parameter sets are both presets; the 200 draws of draws(); fig2 at
 f_norm = G = 300, 600, 1000 and 3000; fig2 at eta = 1 + 10^-k for
@@ -20,7 +20,10 @@ six malformed parameter files, which every command refuses: fig2
 with nu a 401-digit integer, true, "1" or NaN, fig2 with an unknown key,
 and fig2 without nu. The commands are curve for each model in CSV and
 JSON, emax, verify, taylor on the full model's JSON curve, and classify
-at eight points for each classify model.
+at eight points for each classify model. The runs of ONCE read no
+parameter set and run once per comparison: the help, and a usage error
+(an unknown curve model on fig2); both print text built from the command
+table.
 """
 
 from __future__ import annotations
@@ -57,6 +60,7 @@ COMMANDS = (
     + [["classify", "--e", e, "--E", big_e, "--model", model]
        for model in ("full", "subcritical")
        for e in ("1e-2", "1", "1e2", "1e4") for big_e in ("1", "1e10")])
+ONCE = (["--help"], ["curve", "bogus", "--params", "fig2.json"])
 
 # what each checkout's interpreter runs: argv is (src, this file), stdin
 # the parameter sets and the runs whose stdout to keep
@@ -132,34 +136,38 @@ def outcome(argv: list[str]) -> tuple[int | None, str, str]:
 
 def collect(sets: list, keep: list[str]) -> dict[str, list]:
     """{run: [exit code, sha256 of stdout, stderr, stdout or None]} of
-    every command on every set, the stdout kept for the runs named in
-    keep. Runs in a scratch directory, with relative paths, so that no
-    message names the directory."""
+    every command on every set and of each run of ONCE, the stdout kept
+    for the runs named in keep. Runs in a scratch directory, with
+    relative paths, so that no message names the directory."""
     keep, result, cwd = set(keep), {}, os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         try:
-            for name, raw in sets:
-                for run, (code, out, err) in _runs(name, raw):
-                    digest = hashlib.sha256(out.encode()).hexdigest()
-                    result[run] = [code, digest, err,
-                                   out if run in keep else None]
+            for run, (code, out, err) in _runs(sets):
+                digest = hashlib.sha256(out.encode()).hexdigest()
+                result[run] = [code, digest, err,
+                               out if run in keep else None]
         finally:
             os.chdir(cwd)
     return result
 
 
-def _runs(name: str, raw: dict):
-    """(run, outcome) of each command on one set, in the current
-    directory: the set is params.json, and taylor reads the full model's
-    JSON curve as curve.json (absent where that curve was refused)."""
-    Path("params.json").write_text(json.dumps(raw))
-    Path("curve.json").unlink(missing_ok=True)
-    for argv in COMMANDS:
-        code, out, err = outcome([*argv, "--params", "params.json"])
-        if argv == _CURVE_JSON and code == 0:
-            Path("curve.json").write_text(out)
-        yield f"{name} | {' '.join(argv)}", (code, out, err)
+def _runs(sets: list):
+    """(run, outcome) of each command on each set, then of each run of
+    ONCE, in the current directory: a set is params.json while its
+    commands run, taylor reads the full model's JSON curve as curve.json
+    (absent where that curve was refused), and fig2 is fig2.json."""
+    for name, raw in sets:
+        Path("params.json").write_text(json.dumps(raw))
+        Path("curve.json").unlink(missing_ok=True)
+        for argv in COMMANDS:
+            code, out, err = outcome([*argv, "--params", "params.json"])
+            if argv == _CURVE_JSON and code == 0:
+                Path("curve.json").write_text(out)
+            yield f"{name} | {' '.join(argv)}", (code, out, err)
+    Path("fig2.json").write_text(json.dumps(FIG2))
+    for argv in ONCE:
+        yield " ".join(argv), outcome(argv)
 
 
 def _collect_in(checkout: str, sets: list, keep: list[str]) -> dict:
@@ -188,7 +196,8 @@ def _diff(old: str, new: str) -> list[str]:
 def compare(old: str, new: str, sets: list) -> dict[str, list[str]]:
     """{run: report lines} of every run whose outcome differs between the
     checkouts old and new, in run order; the sets that hold one are run
-    again keeping their stdout, to show the lines that differ."""
+    again, with the runs of ONCE, keeping their stdout, to show the lines
+    that differ."""
     first = [_collect_in(c, sets, []) for c in (old, new)]
     runs = [run for run in first[0] if first[0][run][:3] != first[1][run][:3]]
     if not runs:
@@ -216,7 +225,8 @@ def main(argv: list[str]) -> int:
         print(run)
         for line in lines:
             print("  " + line)
-    print(f"{len(report)} of {len(sets) * len(COMMANDS)} runs differ")
+    print(f"{len(report)} of {len(sets) * len(COMMANDS) + len(ONCE)} runs "
+          "differ")
     return 1 if report else 0
 
 
