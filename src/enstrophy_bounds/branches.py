@@ -276,11 +276,10 @@ class Chain:
         The kept Branch then places the point (Branch.at_or_above): from
         its bounds lead and top alone, outside the band between them,
         and from its solution inside it. A point is labelled from the
-        bounds alone even where evaluating its solution would refuse (the
-        series cap near the anchor at G past about 290); a bound never
-        refuses where the solution answers, as the rise's and the
-        descent's are formed by the peak and floor solves that chose the
-        branch, and the tail's has x = b e_floor < 1."""
+        bounds alone even where evaluating its solution would refuse; a
+        bound never refuses where the solution answers, as the rise's and
+        the descent's are formed by the peak and floor solves that chose
+        the branch, and the tail's has x = b e_floor < 1."""
         if not (0.0 < e < math.inf and 0.0 < E < math.inf):
             raise OutsideDomain("classification needs e > 0 and E > 0")
         if not self.curl_dominant:

@@ -22,7 +22,7 @@ import math
 from functools import cache
 from typing import Callable
 
-from .errors import FieldBlowup, NoBracket, NonConvergence
+from .errors import FieldBlowup, NoBracket, NonConvergence, OutsideDomain
 
 Func = Callable[[float], float]
 
@@ -141,8 +141,7 @@ Field = Callable[[float, float], float]
 _BLOWUP = 1e12  # |y| past which rk4_path reports the solution as blown up
 
 
-def rk4_path(field: Field, es: list[float], y_start: float,
-             tol: float = 1e-8):
+def rk4_path(field: Field, es: list[float], y_start: float, tol: float):
     """Integrate dy/de = field(e, y) from (es[0], y_start) across the
     nodes es, by the embedded Dormand-Prince 5(4) pair (Dormand & Prince
     1980), the name being kept from the fixed-step RK4 it replaced. The
@@ -156,12 +155,13 @@ def rk4_path(field: Field, es: list[float], y_start: float,
     weights are the last stage row, so the final stage is the next step's
     first.
 
-    Returns y at each node, a list of floats. Raises FieldBlowup when
-    the field stops being finite or |y| passes _BLOWUP,
-    NonConvergence when the step size collapses.
+    Returns y at each node, a list of floats. Raises OutsideDomain when
+    the nodes end where they start, FieldBlowup when the field stops
+    being finite or |y| passes _BLOWUP, NonConvergence when the step size
+    collapses.
     """
     if es[0] == es[-1]:
-        raise ValueError("empty integration interval")
+        raise OutsideDomain("empty integration interval")
     e, y, h = es[0], y_start, (es[-1] - es[0]) / (len(es) - 1)
     ys, k1 = [y], field(e, y)
     for node in es[1:]:

@@ -19,11 +19,16 @@ where it costs no digits, and never between two large sums. At b = 0
 (x = 0) the sum is its first term, (1 - r^alpha)/alpha, and no loop runs.
 The loop needs about x terms, a few times G^2, so wide spans take the
 endpoint difference e_hi^alpha (G - H), G = g(alpha, x),
-H = r^alpha g(alpha, r x), with g from its few-term large-argument form,
-which needs no cap on x.
-Only the power series is capped, at x = _MAX_X = 1e6: a span that still
-needs it past that, or past float range, is refused there with
-NonConvergence. The weighted integral is returned as its ln, a float,
+H = r^alpha g(alpha, r x), with g from its few-term large-argument form
+e^x/x sum_s (1 - alpha)_s x^(-s) (DLMF 13.7.2). Integrated by parts from
+t = 1 down, that form also gives the integral over [r, 1] once each term
+carries b_s = 1 - r^(-(1-alpha+s)) e^(-x(1-r)), the share the lower end
+leaves, and it sums the short spans next to the upper end that the
+difference leaves at x from params._LN_RANGE (708) on. So the power
+series is summed only below 708, where its terms stay in float range,
+and nothing is capped but float range itself: an x not below 708 that
+reaches the series (x infinite, or g with alpha >= 1) is refused there
+with NonConvergence. The weighted integral is returned as its ln, a float,
 because it overflows float64 long before the interesting parameter range
 ends, and so is gamma_series_factor, a public entry point. A caller that
 wants a fixed partial sum of g forms it itself
@@ -51,17 +56,10 @@ import math
 
 from .errors import NonConvergence, OutsideDomain
 from .logscalar import ln_add
-from .params import exp_clamped
-
-_RESCALE = 1e250
-_LN_RESCALE = math.log(_RESCALE)
+from .params import _LN_RANGE, exp_clamped
 
 # relative accuracy asked of every series evaluation
 _REL_TOL = 1e-12
-
-# largest argument the power series is summed for: it needs about x
-# terms, so this caps one call at about a million of them
-_MAX_X = 1e6
 
 # largest bound on H / (G - H) for which G - H is taken as a difference
 _LN_SEVENTH = math.log(1.0 / 7.0)
@@ -72,34 +70,29 @@ def _series_ln(alpha: float, x: float, ln_r: float) -> float:
 
     Terms t_n come from the ratio recurrence
         t_{n+1} = t_n * x (alpha+n) / ((n+1)(alpha+n+1))
-    and are summed with Kahan compensation; the partial sum is divided by
-    1e250 whenever it or the term threatens overflow, and the k divisions
-    are added back once as k ln(1e250). The sum stops once a term past the
-    peak n ~ x falls below _REL_TOL / 10 of it: v_n / (alpha+n) never
-    grows with n, so the weighted terms past the peak fall at least as
-    fast as x^n/n!. NonConvergence is raised when that takes more than
-    10 x + 200 terms or x is not finite or above _MAX_X. At x = 0 every
-    term past the first is exactly 0, so the sum is its first term,
-    (1 - r^alpha)/alpha, returned without the loop (the bits the loop
-    gives).
+    and are summed with Kahan compensation. The sum stops once a term
+    past the peak n ~ x falls below _REL_TOL / 10 of it: v_n / (alpha+n)
+    never grows with n, so the weighted terms past the peak fall at least
+    as fast as x^n/n!. It is summed only for x below params._LN_RANGE,
+    where every term past the first is below e^x and stays in float
+    range; an x not below it (inf and NaN included) is NonConvergence.
+    At x = 0 every term past the first is exactly 0, so the sum is its
+    first term, (1 - r^alpha)/alpha, returned without the loop (the bits
+    the loop gives).
     """
-    if not x <= _MAX_X:
+    if not x < _LN_RANGE:
         raise NonConvergence(
-            f"g({alpha}, {x}): argument not finite or above {_MAX_X:g}, "
-            f"the largest the series is summed for")
+            f"g({alpha}, {x}): argument not below {_LN_RANGE:g}, past which "
+            f"the series' terms leave float range")
     if x == 0.0:
         return math.log((1.0 / alpha) * -math.expm1(alpha * ln_r))
-    # the terms peak near n = x; only trust smallness past the peak
-    limit = int(10.0 * x) + 200
     tol = _REL_TOL / 10.0
 
     weighted = ln_r > -math.inf  # r = 0: every weight is exactly 1
     t = 1.0 / alpha
     s = t * -math.expm1(alpha * ln_r)
-    comp = 0.0
-    k = 0
-    n = 0
-    while n < limit:
+    comp, n = 0.0, 0
+    while True:
         t *= x * (alpha + n) / ((n + 1.0) * (alpha + n + 1.0))
         n += 1
         term = t * -math.expm1((alpha + n) * ln_r) if weighted else t
@@ -108,41 +101,60 @@ def _series_ln(alpha: float, x: float, ln_r: float) -> float:
         comp = (tmp - s) - y
         s = tmp
         if n > x and term <= s * tol:
-            return math.log(s) + k * _LN_RESCALE
-        if s > _RESCALE or t > _RESCALE:
-            t /= _RESCALE
-            s /= _RESCALE
-            comp /= _RESCALE
-            k += 1
-    raise NonConvergence(f"g({alpha}, {x}) did not converge in {limit} terms")
+            return math.log(s)
+
+
+def _large_ln(alpha: float, x: float, ln_r: float) -> float:
+    """ln of int_r^1 t^(alpha-1) e^(xt) dt, x > 0, from its large-argument
+    form e^x/x sum_s (1 - alpha)_s x^(-s) b_s: integration by parts from
+    t = 1 down, each term carrying b_s = 1 - r^(-(1-alpha+s)) e^(-x(1-r)),
+    the share the lower end leaves. At r = 0 every b_s is 1 and the sum
+    is g's expansion (DLMF 13.7.2), whose dropped part is about
+    Gamma(alpha) x^(1-alpha) e^(-x) relative (_g_ln's gate). At r > 0
+    nothing is dropped, and the terms stay positive and fall while
+    1 - alpha + s is well below x r and x (1-r)/(-ln r), as on the short
+    spans (1 - r below about 0.07) the difference gate leaves at x past
+    params._LN_RANGE. Summed until a term is below _REL_TOL / 10 of the
+    sum; at r = 0 no weight is formed, so g keeps its bits.
+    """
+    tol = _REL_TOL / 10.0
+    weighted = ln_r > -math.inf
+    gap = -x * math.expm1(ln_r)  # x (1 - r)
+    k = 1.0 - alpha
+    lead = -math.expm1(-k * ln_r - gap) if weighted else 1.0
+    term, tail, w = 1.0, 0.0, lead
+    while w > tol * (lead + tail):
+        term *= k / x
+        k += 1.0
+        w = term * -math.expm1(-k * ln_r - gap) if weighted else term
+        tail += w
+    if weighted:  # one rounding at the scale of x
+        return x + (math.log(lead) - math.log(x) + math.log1p(tail / lead))
+    return x - math.log(x) + math.log1p(tail)
 
 
 def _g_ln(alpha: float, x: float) -> float:
-    """ln g(alpha, x). For alpha < 1 the large-argument form
-    g ~ e^x/x sum_s (1 - alpha)_s x^(-s) (DLMF 13.7.2), all terms positive,
-    is taken where the part it drops, about Gamma(alpha) x^(1-alpha) e^(-x)
-    relative, is below _REL_TOL / 10; its smallest term is smaller still,
-    so it converges while its terms fall. That bound alone picks the arm
-    for every x > 1, however large; elsewhere the r = 0 series, which
-    refuses an x infinite or above _MAX_X.
+    """ln g(alpha, x). For alpha < 1 the large-argument form (_large_ln at
+    r = 0), all terms positive, is taken where the part it drops, about
+    Gamma(alpha) x^(1-alpha) e^(-x) relative, is below _REL_TOL / 10; its
+    smallest term is smaller still, so it converges while its terms fall.
+    That bound alone picks the arm for every x > 1, however large;
+    elsewhere the r = 0 series, which refuses an x not below
+    params._LN_RANGE.
     """
-    tol = _REL_TOL / 10.0
     if alpha < 1.0 and x > 1.0 and math.lgamma(alpha) \
-            + (1.0 - alpha) * math.log(x) - x < math.log(tol):
-        term, tail, k = 1.0, 0.0, 1.0 - alpha
-        while term > tol * (1.0 + tail):
-            term *= k / x
-            tail += term
-            k += 1.0
-        return x - math.log(x) + math.log1p(tail)
+            + (1.0 - alpha) * math.log(x) - x < math.log(_REL_TOL / 10.0):
+        return _large_ln(alpha, x, -math.inf)
     return _series_ln(alpha, x, -math.inf)
 
 
 def gamma_series_factor(alpha: float, x: float) -> float:
     """ln g(alpha, x), to _REL_TOL (see _g_ln). Raises OutsideDomain for
     alpha not above 0, not finite or with 1/alpha not finite, or x not at
-    least 0 (NaN included), and NonConvergence for x infinite, or above
-    _MAX_X where the power series is summed (alpha >= 1).
+    least 0 (NaN included), and NonConvergence, naming the bound, for x
+    not below params._LN_RANGE where the power series is what g needs:
+    x infinite, alpha >= 1, or an alpha so small (below about 1e-292)
+    that the large-argument form's gate stays shut a little past it.
     """
     if not (0.0 < alpha < math.inf and 1.0 / alpha < math.inf):
         raise OutsideDomain(f"g needs a finite alpha > 0 with a finite "
@@ -166,10 +178,12 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
     over [0, 1] and [0, r], x = b e_hi, r = e_lo/e_hi. Bounding t^(-a) by
     1 on [r, 1] gives H/(G - H) <= x r^(1-a) / ((1-a)(e^(x(1-r)) - 1))
     before any sum; where that is at most 1/7 the difference is taken
-    (under 0.07 digits lost), else the positive-term series is summed.
-    Only that series is capped: a span that needs it with x above _MAX_X,
-    or with x past float range (inf there, params.exp_clamped), is
-    NonConvergence there. alpha, x and its gate, ln(x/alpha) and alpha
+    (under 0.07 digits lost). What that leaves is summed with positive
+    terms: by the power series below x = params._LN_RANGE, and past it by
+    the large-argument form (_large_ln), since the gate then leaves only
+    short spans, 1 - r at most (ln(x/alpha) + 3)/x, below 0.07. An x past
+    float range (inf, params.exp_clamped) is the series' refusal,
+    NonConvergence. alpha, x and the arms it picks, ln(x/alpha) and alpha
     ln e_hi depend on the upper end alone and are formed here; ln G is
     formed on first use and kept in the returned function, so it lives
     as long as that does.
@@ -182,6 +196,7 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
     ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
     x = exp_clamped(ln_x)
     ln_x_alpha = math.log(x / alpha) if x > 0.0 else -math.inf
+    rest = _large_ln if _LN_RANGE <= x < math.inf else _series_ln
     ln_g = None
 
     def ln_w(ln_lo: float) -> float:
@@ -199,7 +214,7 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
                 ln_g = _g_ln(alpha, x)
             ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
             return ln_lead + ln_g + math.log(-math.expm1(ln_h - ln_g))
-        return ln_lead + _series_ln(alpha, x, ln_r)
+        return ln_lead + rest(alpha, x, ln_r)
 
     return ln_w
 
@@ -283,8 +298,7 @@ class Branch:
         ln_y, so 2 _REL_TOL covers the two evaluations, each to _REL_TOL,
         and the rest covers, many times over, the few units of 2^-53 that
         rounding leaves in top, inner and their sums with base. A point
-        outside the band is placed even where ln_y would refuse (the
-        series cap just left of the anchor).
+        outside the band is placed even where ln_y would refuse.
         """
         f, q = self.field, self.q
         base = f.a * ln_e - f.b * math.exp(ln_e)

@@ -25,9 +25,9 @@ import weakref
 import pytest
 
 from enstrophy_bounds import (ForcingParams, InvalidRegime, NoBracket,
-                              NonConvergence, OutsideDomain, RegimeViolation,
-                              branches, critical, full_nse, load_params_file,
-                              specfun, subcritical)
+                              OutsideDomain, RegimeViolation, branches,
+                              critical, full_nse, load_params_file, specfun,
+                              subcritical)
 
 from conftest import PRESETS, ln_phi, ln_psi, parabola
 
@@ -424,15 +424,20 @@ def test_only_points_inside_the_band_reach_the_solution(model, preset,
     assert decided == {"II", "III"} and reached >= 10
 
 
-def test_bounds_answer_where_the_series_refuses():
-    # on fig2 at G = 400 the rise's x = b e0 is past the series cap (1e6),
-    # so its solution refuses a point a relative 1e-6 left of e0; the
-    # envelope bounds still place that point, on either side of the curve
+def test_rise_answers_next_to_the_anchor_past_the_old_cap():
+    # on fig2 at G = 400 the rise's x = b e0 is about 1.9e6, past the power
+    # series' old cap (1e6), where its solution refused a point a relative
+    # 1e-6 left of e0: the large-argument form now answers there, and
+    # classify's labels agree with that answer, inside the band where the
+    # solution decides (ln y within about 2e-6 of the curve) and outside
     p = _fresh(_load("fig2"), f_norm=400.0)
     ch = critical.chain(p)
     e = p.e0 * (1.0 - 1e-6)
-    with pytest.raises(NonConvergence):
-        ch.value(0, math.log(e))
+    ln_E = ch.value(0, math.log(e))
+    assert ln_E > math.log(ch.E0)
+    for d in (1e-9, 1e-6, 1.0):
+        assert critical.classify_critical(e, math.exp(ln_E - d), p) == "II"
+        assert critical.classify_critical(e, math.exp(ln_E + d), p) == "III"
     assert critical.classify_critical(e, ch.E0, p) == "II"
     assert critical.classify_critical(e, 1e300, p) == "III"
 

@@ -43,11 +43,12 @@ elif names == "attribute":
         out[m] = type(getattr(eb, m)) is types.ModuleType
 else:
     mp = pytest.MonkeyPatch()
-    mp.setattr("enstrophy_bounds.specfun._MAX_X", 5.0)
-    patched = sys.modules["enstrophy_bounds.specfun"]._MAX_X
+    mp.setattr("enstrophy_bounds.specfun._LN_SEVENTH", 5.0)
+    patched = sys.modules["enstrophy_bounds.specfun"]._LN_SEVENTH
     mp.undo()
     out["patched"] = patched == 5.0
-    out["restored"] = sys.modules["enstrophy_bounds.specfun"]._MAX_X != 5.0
+    out["restored"] = \
+        sys.modules["enstrophy_bounds.specfun"]._LN_SEVENTH != 5.0
 print(json.dumps(out))
 """
 
@@ -92,8 +93,9 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 # barrier (the chain samples the nullcline it solves the peak against),
 # full_nse's float funnel, nose, apex and parabola (Funnel, _ln_psi and
 # geometry are the one evaluation of each), the float-range edges of
-# full_nse and maxest (params decides float range) and ln_sub (a
-# difference is written where it is taken)
+# full_nse and maxest (params decides float range), ln_sub (a
+# difference is written where it is taken) and the power series' cap and
+# rescaling (it is summed only inside float range)
 _REMOVED = {
     "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar "
         "barrier phi_of_e psi_of_E nose_apex parabola_E",
@@ -106,7 +108,8 @@ _REMOVED = {
     "maxest": "_LN_MAX",
     "scaling": "scaling_curve _ln_curve solution envelope peak_ln_e sample",
     "logscalar": "ONE ZERO from_float to_float ln_sub",
-    "specfun": "solution envelope peak_ln_e sample",
+    "specfun": "solution envelope peak_ln_e sample _RESCALE _LN_RESCALE "
+               "_MAX_X",
     "verify": "_chain",
     "cli": "_ASSEMBLERS",
 }

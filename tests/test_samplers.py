@@ -22,7 +22,7 @@ from enstrophy_bounds.branches import family
 from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.logscalar import ln_add
 from enstrophy_bounds.params import exp_clamped
-from enstrophy_bounds.specfun import _g_ln, _series_ln
+from enstrophy_bounds.specfun import _g_ln, _large_ln, _series_ln
 
 from conftest import PRESETS, alpha_ln_beta, ln_phi, ln_psi
 
@@ -51,6 +51,8 @@ def _integral_ln(a, b, ln_lo, ln_hi):
         ln_g = _g_ln(alpha, x)
         ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
         return alpha * ln_hi + ln_g + math.log(-math.expm1(ln_h - ln_g))
+    if 708.0 <= x < math.inf:
+        return alpha * ln_hi + _large_ln(alpha, x, ln_r)
     return alpha * ln_hi + _series_ln(alpha, x, ln_r)
 
 
@@ -145,11 +147,12 @@ def test_prepared_integral_matches_the_per_call_form():
             assert _outcome(ln_w, ln_hi - span) == want
             assert _outcome(specfun.weighted_exp_integral_ln, a, b,
                             ln_hi - span, ln_hi) == want
-    # x = b e_hi above the power series' cap (1e7) and past float range
-    # (e^710.8): the endpoint form answers wide spans where x is finite,
-    # and the spans that still need the series, a reversed pair and a NaN
-    # bound are refused the same way
-    for b, ln_hi in ((1e7, 0.0), (1e300, 20.0)):
+    # x = b e_hi from 708 (params._LN_RANGE), past the power series' old
+    # cap (1e7) and past float range (e^710.8): where x is finite the
+    # endpoint form answers wide spans and the large-argument form short
+    # ones; past float range the spans that reach the series, a reversed
+    # pair and a NaN bound are refused the same way
+    for b, ln_hi in ((800.0, 0.0), (1e7, 0.0), (1e300, 20.0)):
         ln_w = specfun.weighted_exp_integral_to(0.5, b, ln_hi)
         for span in (1.0, 1e-9, 0.0, -1.0, math.nan):
             want = _outcome(_integral_ln, 0.5, b, ln_hi - span, ln_hi)

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from enstrophy_bounds import FieldBlowup, NoBracket, NonConvergence
+from enstrophy_bounds import (FieldBlowup, NoBracket, NonConvergence,
+                              OutsideDomain)
 from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.solver import find_root, integrate_adaptive, rk4_path
 
@@ -118,8 +119,9 @@ def test_rk4_blowup_guard():
 
 
 def test_rk4_rejects_empty_interval():
-    with pytest.raises(ValueError):
-        rk4_path(lambda e, y: y, [1.0, 1.0], 1.0)
+    # a typed refusal, not a bare ValueError
+    with pytest.raises(OutsideDomain, match="empty integration interval"):
+        rk4_path(lambda e, y: y, [1.0, 1.0], 1.0, tol=1e-8)
 
 
 @pytest.mark.parametrize("lo, hi", [(0.0, 1.0), (-3.0, 2.0), (-20.0, 0.0)])

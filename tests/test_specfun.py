@@ -34,12 +34,12 @@ def g_oracle(alpha: float, x: float) -> float:
 
 
 def _fixed_count_ln(alpha, x, ln_r, n_terms):
-    # the series kernel's loop as it ran for a fixed term count: the
+    # the series kernel's loop as it runs for a fixed term count: the
     # Kahan-summed partial sum of exactly the first n_terms terms, with
     # no convergence check and no shortcut at x = 0
     t = 1.0 / alpha
     s = t * -math.expm1(alpha * ln_r)
-    comp, k, n = 0.0, 0, 0
+    comp, n = 0.0, 0
     while n < n_terms - 1:
         t *= x * (alpha + n) / ((n + 1.0) * (alpha + n + 1.0))
         n += 1
@@ -49,12 +49,7 @@ def _fixed_count_ln(alpha, x, ln_r, n_terms):
         tmp = s + y
         comp = (tmp - s) - y
         s = tmp
-        if s > 1e250 or t > 1e250:
-            t /= 1e250
-            s /= 1e250
-            comp /= 1e250
-            k += 1
-    return math.log(s) + k * math.log(1e250)
+    return math.log(s)
 
 
 def test_x_zero_arm_gives_the_series_bits():
@@ -94,18 +89,18 @@ def test_series_matches_quadrature(alpha, x):
 def test_series_matches_hyp1f1(alpha):
     # g(alpha, x) = 1F1(alpha; alpha + 1; x) / alpha (DLMF 13.4.1), at 30
     # digits; past ln g ~ 4.5e3 one ulp of ln g exceeds 1e-12, so there
-    # the bound is two ulps of the stored logarithm. At x = 3e4 and 1e5
-    # the partial sum is rescaled about 50 and 170 times, and the log
-    # offset those rescales add must not drift. For alpha < 1 the
+    # the bound is two ulps of the stored logarithm. For alpha < 1 the
     # large-argument form takes over between x ~ 30 and 41, depending on
-    # alpha; x = 30 to 60 checks both sides of that switch. Past the power
-    # series' cap, 1e6, that form answers alone for alpha < 1; for
-    # alpha >= 1 the series is still what g needs, so it refuses
+    # alpha; x = 30 to 60 checks both sides of that switch, and that form
+    # answers every larger x. For alpha >= 1 the power series is what g
+    # needs: it answers up to 707 and refuses from 708 (params._LN_RANGE),
+    # where its terms would leave float range
     with mpmath.workdps(30):
         for x in (0.0, 1e-8, 1e-3, 0.5, 1.0, 10.0, 30.0, 33.0, 35.0, 38.0,
-                  40.0, 45.0, 48.0, 60.0, 100.0, 300.0, 1200.0, 3000.0,
-                  1e4, 3e4, 1e5, 1e6 * (1.0 + 2.0 ** -52), 1e7, 1e8, 1e9):
-            if alpha >= 1.0 and x > 1e6:
+                  40.0, 45.0, 48.0, 60.0, 100.0, 300.0, 575.0, 707.0, 708.0,
+                  1200.0, 3000.0, 1e4, 3e4, 1e5, 1e6 * (1.0 + 2.0 ** -52),
+                  1e7, 1e8, 1e9):
+            if alpha >= 1.0 and x >= 708.0:
                 with pytest.raises(NonConvergence):
                     gamma_series_factor(alpha, x)
                 continue
@@ -145,19 +140,75 @@ def test_series_monotone_in_x():
 
 @pytest.mark.parametrize("x", [1.0e6 * (1.0 + 2.0 ** -52), 1e301, math.inf])
 def test_series_refuses_arguments_past_the_cap(x):
-    # the power series would need about x terms: it refuses instead of
-    # hanging or overflowing the term budget, wherever it is what g needs
+    # past x = 708 (params._LN_RANGE) the power series' terms would leave
+    # float range: it refuses by that bound wherever it is what g needs
     # (alpha >= 1). For alpha < 1 the large-argument form, which has no
     # cap, answers every finite x, to its first order ln g = x - ln x; an
     # infinite x falls through to the series
-    with pytest.raises(NonConvergence):
+    with pytest.raises(NonConvergence, match="not below 708"):
         gamma_series_factor(1.5, x)
     if x == math.inf:
-        with pytest.raises(NonConvergence):
+        with pytest.raises(NonConvergence, match="not below 708"):
             gamma_series_factor(0.85, x)
     else:
         assert gamma_series_factor(0.85, x) \
             == pytest.approx(x - math.log(x), rel=1e-12)
+
+
+# ln g at r = 0, hex per alpha on one grid of x: the series below about
+# 41, the large-argument form above
+_G_XS = (30.0, 33.0, 35.0, 38.0, 40.0, 45.0, 48.0, 60.0, 100.0, 300.0,
+         575.0, 707.0, 708.0, 800.0, 1e3, 3e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9)
+_G_HEX = {
+    0.03: """
+        0x1.aa206afba1a0ap+4 0x1.d88ca8f4588c4p+4 0x1.f79413a1e5f48p+4
+        0x1.131cb7b2c387cp+5 0x1.22b0d485ff32fp+5 0x1.49b9a8f84b208p+5
+        0x1.613287f4c9ef3p+5 0x1.bf60c0ce9f16ep+5 0x1.7d9e63f3bd888p+6
+        0x1.264ca9dedb1eap+8 0x1.1c52db6c96942p+9 0x1.5e385d3310260p+9
+        0x1.5eb82ed20bffep+9 0x1.8ca88672b8451p+9 0x1.f08bee81df60ep+9
+        0x1.75ffce7ca86b1p+11 0x1.3836516bee386p+13 0x1.86947cb18d6c8p+16
+        0x1.e84645e7586fcp+19 0x1.312cdfc388facp+23 0x1.7d783b6513912p+26
+        0x1.dcd64f5a36c06p+29
+        """.split(),
+    0.5: """
+        0x1.a9dc12e190e3bp+4 0x1.d84eea17d48dap+4 0x1.f75a102a4faa6p+4
+        0x1.13021efed3927p+5 0x1.2297a1149ac52p+5 0x1.49a3616f3660bp+5
+        0x1.611db33ba63e9p+5 0x1.bf503859e9d1fp+5 0x1.7d997dca42165p+6
+        0x1.264c4298e90cdp+8 0x1.1c52c08f022bdp+9 0x1.5e38475cbb233p+9
+        0x1.5eb81903a1567p+9 0x1.8ca87327ae880p+9 0x1.f08bdf145d530p+9
+        0x1.75ffcd33e9f28p+11 0x1.3836515348e47p+13 0x1.86947cb13e91dp+16
+        0x1.e84645e757737p+19 0x1.312cdfc388f93p+23 0x1.7d783b6513911p+26
+        0x1.dcd64f5a36c06p+29
+        """.split(),
+    0.85: """
+        0x1.a9a9f7ea7067fp+4 0x1.d82192d3d11ebp+4 0x1.f72f6c9e6b1e7p+4
+        0x1.12ee8cf3a8c77p+5 0x1.228512c688c60p+5 0x1.4992f40f2b01bp+5
+        0x1.610e549e3bdbep+5 0x1.bf43ff5eb8d9dp+5 0x1.7d95dbcdb7d52p+6
+        0x1.264bf5cc4a4d9p+8 0x1.1c52ac9114757p+9 0x1.5e38371c24b98p+9
+        0x1.5eb808c8ee261p+9 0x1.8ca864cb914f9p+9 0x1.f08bd39873933p+9
+        0x1.75ffcc3f2351ep+11 0x1.38365140eea63p+13 0x1.86947cb103d93p+16
+        0x1.e84645e756b78p+19 0x1.312cdfc388f80p+23 0x1.7d783b6513911p+26
+        0x1.dcd64f5a36c06p+29
+        """.split(),
+    0.97: """
+        0x1.a998f0ca50516p+4 0x1.d81226a6c4d4cp+4 0x1.f720e9db107f1p+4
+        0x1.12e7e2d6a4c35p+5 0x1.227ec08309b1dp+5 0x1.498d5a53e3810p+5
+        0x1.610916afd02bbp+5 0x1.bf3fd303d3685p+5 0x1.7d949db9939ebp+6
+        0x1.264bdb7cd7a5ap+8 0x1.1c52a5b715274p+9 0x1.5e38318a21ef4p+9
+        0x1.5eb80338efc6bp+9 0x1.8ca85fdf8eacap+9 0x1.f08bcfa8b808ap+9
+        0x1.75ffcbeb38acep+11 0x1.3836513aa3dc6p+13 0x1.86947cb0efb73p+16
+        0x1.e84645e756772p+19 0x1.312cdfc388f7ap+23 0x1.7d783b6513911p+26
+        0x1.dcd64f5a36c06p+29
+        """.split(),
+}
+
+
+def test_g_keeps_its_bits():
+    # the large-argument form also sums the weighted spans (r > 0); at
+    # r = 0 it forms no weight and keeps g's order of operations, so every
+    # g, and every output built on it, keeps its bits
+    for alpha, want in _G_HEX.items():
+        assert [specfun._g_ln(alpha, x).hex() for x in _G_XS] == want, alpha
 
 
 @pytest.mark.parametrize("alpha, x, named", [
@@ -223,12 +274,21 @@ def test_weighted_integral_nearby_bounds():
 
 
 @pytest.mark.parametrize("span", [1e-300, 1e-100])
-def test_weighted_integral_rescales_on_the_term(span):
-    # b e_hi = 800: the unweighted terms leave float range while weights of
-    # about (alpha + n) span keep the sum small, so the rescale has to
-    # watch the term as well as the sum; W = e^b span to O(b span)
+def test_weighted_integral_tiny_span_past_float_range(span):
+    # b e_hi = 800: the power series' unweighted terms would leave float
+    # range while weights of about (alpha + n) span keep the sum small;
+    # the large-argument form sums it with weights of about (x - n) span
+    # instead. W = e^b span to O(b span)
     got = weighted_exp_integral_ln(0.5, 800.0, -span, 0.0)
     assert got == pytest.approx(800.0 + math.log(span), abs=1e-12)
+
+
+def test_weighted_integral_refuses_an_argument_past_float_range():
+    # x = b e_hi = e^710 is inf (params.exp_clamped): the endpoint gate
+    # cannot be formed and the large-argument form needs a finite x, so
+    # the span reaches the series, which refuses it by its bound
+    with pytest.raises(NonConvergence, match="not below 708"):
+        weighted_exp_integral_ln(0.5, 1.0, 709.0, 710.0)
 
 
 def test_weighted_integral_rejects_bad_exponent():
@@ -279,44 +339,45 @@ _GRID_LN_HI = (-8000.0, -50.0, -5.0, 0.0, 1.0, 3.0, 5.5, 7.0)
 _GRID_B = (0.0, 1e-9, 0.3, 2.0, 48.0)
 _GRID_SPANS = (1e-12, 1e-10, 1e-7, 1e-4, 1e-2, 0.03, 0.05, 0.1, 0.3, 1.0,
                5.0, 40.0, 1e4, math.inf)
-# upper ends past the power series' cap, at b = 1 so that x = e_hi is
-# the exp of ln e_hi with one rounding (a product b e_hi formed in logs
-# would carry the rounding of its log as well: input conditioning of a
-# few ulps of ln W at x ~ 1e7, not a kernel error)
-_GRID_LN_HI_PAST_CAP = tuple(math.log(e) for e in (2e6, 1e7, 1e8, 1e9))
+# upper ends past the power series' old cap, 1e6, at b = 1 so that
+# x = e_hi is the exp of ln e_hi with one rounding (a product b e_hi
+# formed in logs would carry the rounding of its log as well)
+_GRID_LN_HI_PAST_CAP = tuple(math.log(e)
+                             for e in (2e6, 1e7, 1e8, 1e9, 1e12))
 
 
 @pytest.mark.parametrize("a", [0.03, 0.15, 0.5, 0.85, 0.97])
 def test_weighted_integral_matches_hyp1f1_difference(a):
-    # exact value e_hi^al F(b e_hi) - e_lo^al F(b e_lo), al = 1 - a,
+    # exact value e_hi^al (F(x) - r^al F(r x)), al = 1 - a, r = e_lo/e_hi,
     # F(x) = 1F1(al; al + 1; x)/al, at 60 digits, which leave at least 45
     # after the closest bounds cancel; where |ln W| passes 8192 one ulp of
-    # ln W exceeds 1e-12, so there the bound is that ulp. The bound is the
-    # same past the power series' cap, where ln W reaches 1e9
+    # ln W exceeds 1e-12, so there the bound is that ulp. x is b e_hi on
+    # the grid, and past the old cap, where ln W reaches 1e12, the float x
+    # the kernel sums for: the half-ulp rounding of x alone moves ln W by
+    # about 0.6 ulp at x = 1e7. The short spans there are the
+    # large-argument form's, the wide ones the endpoint difference's
     with mpmath.workdps(60):
         al = 1 - mpmath.mpf(a)
 
-        def anti(ln_e, b):
+        def anti(ln_e, ln_hi, x):
+            # e^al F(x e/e_hi)
             if ln_e == -math.inf:
                 return mpmath.mpf(0)
-            e = mpmath.exp(mpmath.mpf(ln_e))
-            return e ** al * mpmath.hyp1f1(al, al + 1, b * e) / al
+            ln_e = mpmath.mpf(ln_e)
+            return mpmath.exp(al * ln_e) * mpmath.hyp1f1(
+                al, al + 1, x * mpmath.exp(ln_e - ln_hi)) / al
 
-        rows = [(ln_hi, b) for ln_hi in _GRID_LN_HI for b in _GRID_B
+        rows = [(ln_hi, b, b * mpmath.exp(mpmath.mpf(ln_hi)))
+                for ln_hi in _GRID_LN_HI for b in _GRID_B
                 if b * math.exp(ln_hi) <= 3000.0]
-        for ln_hi, b in rows + [(v, 1.0) for v in _GRID_LN_HI_PAST_CAP]:
-            x = b * math.exp(ln_hi)
+        rows += [(v, 1.0, mpmath.mpf(math.exp(v)))
+                 for v in _GRID_LN_HI_PAST_CAP]
+        for ln_hi, b, x in rows:
             for span in _GRID_SPANS:
                 ln_lo = ln_hi - span
-                if x > 1e6 and x * span < 50.0:
-                    # the endpoint form needs x (1 - r) above about
-                    # ln(x/alpha) + 2, 17 to 27 here: these spans need
-                    # the series, with x above its cap
-                    with pytest.raises(NonConvergence):
-                        weighted_exp_integral_ln(a, b, ln_lo, ln_hi)
-                    continue
                 got = weighted_exp_integral_ln(a, b, ln_lo, ln_hi)
-                want = mpmath.log(anti(ln_hi, b) - anti(ln_lo, b))
+                want = mpmath.log(anti(ln_hi, ln_hi, x)
+                                  - anti(ln_lo, ln_hi, x))
                 err = abs(mpmath.expm1(mpmath.mpf(got) - want))
                 assert err <= max(1e-12, math.ulp(got)), \
                     (ln_hi, b, span, float(err))

@@ -1,7 +1,8 @@
 """The scripts under tools/: the code-line count the design aim is
 measured by (code_lines.py), and the run-by-run comparison of two
-checkouts' outputs (outputs.py)."""
+checkouts' outputs (outputs.py) with its digest of every run."""
 
+import json
 import shutil
 
 from conftest import ROOT, tool
@@ -133,3 +134,27 @@ def test_outputs_float_range_edge_sets_are_refused_where_the_floor_is():
         "InvalidRegime: admissibility floor E_floor = exp(708.5) is above "
         "float range\n",
         "InvalidRegime: enstrophy floor exp(-715) is outside float range\n"}
+
+
+def test_outputs_digest_is_pinned():
+    # every run of the fixed set, recomputed in process, against the
+    # digest outputs.digest() wrote: a change whose outputs move writes it
+    # again in the same commit and lists the moved runs. A set that moved
+    # is named with each run whose exit code moved; where only stdout or
+    # stderr moved, python tools/outputs.py OLD NEW shows the lines
+    pinned = json.loads(outputs.DIGEST.read_text())
+    now = outputs.digest_of(outputs.collect(outputs.param_sets(), []))
+    assert now["commands"] == pinned["commands"]
+    assert list(now["sets"]) == list(pinned["sets"])
+    moved = []
+    for name, (digest, codes) in pinned["sets"].items():
+        now_digest, now_codes = now["sets"][name]
+        if now_digest == digest:
+            continue
+        runs = [f"{' '.join(argv)}: exit {old} -> {new}"
+                for argv, old, new in zip(
+                    outputs.COMMANDS if name else outputs.ONCE,
+                    codes, now_codes) if old != new]
+        moved.append(f"{name or 'runs of ONCE'}: "
+                     + ("; ".join(runs) or "stdout or stderr moved"))
+    assert not moved, "\n".join(moved)

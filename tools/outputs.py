@@ -24,6 +24,14 @@ at eight points for each classify model. The runs of ONCE read no
 parameter set and run once per comparison: the help, and a usage error
 (an unknown curve model on fig2); both print text built from the command
 table.
+
+digest() writes tests/data/outputs_digest.json, which a tier-1 test
+recomputes in process: it pins every run of the set without a second
+checkout. It is regenerated by calling it:
+
+    python -c "import runpy; runpy.run_path('tools/outputs.py')['digest']()"
+
+with PYTHONPATH at the checkout's src/.
 """
 
 from __future__ import annotations
@@ -61,6 +69,7 @@ COMMANDS = (
        for model in ("full", "subcritical")
        for e in ("1e-2", "1", "1e2", "1e4") for big_e in ("1", "1e10")])
 ONCE = (["--help"], ["curve", "bogus", "--params", "fig2.json"])
+DIGEST = ROOT / "tests" / "data" / "outputs_digest.json"
 
 # what each checkout's interpreter runs: argv is (src, this file), stdin
 # the parameter sets and the runs whose stdout to keep
@@ -150,6 +159,33 @@ def collect(sets: list, keep: list[str]) -> dict[str, list]:
         finally:
             os.chdir(cwd)
     return result
+
+
+def digest_of(result: dict[str, list]) -> dict:
+    """{"commands": the commands of a set, then the runs of ONCE; "sets":
+    {name: [sha256, exit codes]}} of collect()'s result, per parameter
+    set in run order and, under the name "", for the runs of ONCE: the
+    sha256 of the JSON of its runs' [exit code, stdout digest, stderr],
+    and each run's exit code (null where an exception escaped)."""
+    groups: dict[str, list] = {}
+    for run, (code, out, err, _) in result.items():
+        name = run.rpartition(" | ")[0]
+        groups.setdefault(name, []).append([code, out, err])
+    return {"commands": [" ".join(argv) for argv in COMMANDS + list(ONCE)],
+            "sets": {name: [hashlib.sha256(json.dumps(runs).encode())
+                            .hexdigest(), [run[0] for run in runs]]
+                     for name, runs in groups.items()}}
+
+
+def digest() -> dict:
+    """Write digest_of() this checkout's runs of the fixed set to DIGEST,
+    one set a line, and return it."""
+    table = digest_of(collect(param_sets(), []))
+    lines = [f" {json.dumps(name)}: {json.dumps(entry)}"
+             for name, entry in table["sets"].items()]
+    DIGEST.write_text(f'{{"commands": {json.dumps(table["commands"])},\n'
+                    ' "sets": {\n' + ",\n".join(lines) + "}}\n")
+    return table
 
 
 def _runs(sets: list):
