@@ -23,31 +23,27 @@ The families differ only in the constants. At r = 1/2, b > 0: the
 nullcline raised to 1/p is the vorticity barrier, with a vertical
 asymptote at e_a = a/b, and the peak sits a sub-float distance left of it,
 so that crossing is solved in w = ln(1 - e/e_a). At r > 1/2, b = 0: the
-nullcline is the line y = (c/a) e and the crossing is closed form in ln e
-(Branch.peak_ln_e).
+nullcline is the line y = (c/a) e and the crossing is closed form in ln e.
+The rise's Branch finds its peak either way (Branch.peak).
 
 family(params) is the one place that chooses the family by r: it returns
 critical.chain(params) at r = 1/2 and subcritical.chain(params) above,
 importing only the module it picks.
 
-No root is searched for a bracket. Left of its anchor a branch's inner
-term (the ln of the bracket of its solution) lies between its value at
-the anchor, lead, and its limit at e = 0,
-top = lead (+) ln c + ln W(0, e_ref), (+) being ln_add, and its Branch
-keeps both. Those two bounds give both ends of every bracket, the
-r = 1/2 peak's in w and the floor crossing's in ln e, and at b = 0 the
-peak itself. Abscissas travel as ln e and ordinates as ln y or
-ln E, plain floats, because the floor crossing lies thousands of decades
-below float range; they leave the chain as lns too (peak_point's E, the
-bundle's breakpoints).
-
-Each branch is one Branch, prepared once per anchor and kept by the
-chain (Chain.prepared). Sampling, value, peak_gap and verify's scans all
-evaluate through it, and classify only picks the branch and asks it
-whether the point lies at or above it (Branch.at_or_above, which reads
-lead and top before it evaluates the solution). A branch is defined at
-or left of its anchor, where every sampling grid ends; a point right of
-it is OutsideDomain.
+No root is searched for a bracket. Each branch is one specfun.Branch,
+prepared once per anchor and kept by the chain (Chain.prepared), and it
+owns its solution: it bounds it (lead and top, which no module here
+reads), finds its peak (Branch.peak), brackets its crossing of the floor
+(Branch.crossing) and samples its segment (Branch.segment). The chain
+keeps the refusals, the floor's root search and the depth limit, and
+value, classify and verify's scans evaluate through the same Branch;
+classify only picks the branch and asks it whether the point lies at or
+above it (Branch.at_or_above). Abscissas travel as ln e and ordinates as
+ln y or ln E, plain floats, because the floor crossing lies thousands of
+decades below float range; they leave the chain as lns too
+(peak_point's E, the bundle's breakpoints). A branch is defined at or
+left of its anchor, where every sampling grid ends; a point right of it
+is OutsideDomain.
 """
 
 from __future__ import annotations
@@ -77,7 +73,8 @@ class Chain:
     """The anchor chain of one parameter set.
 
     The family supplies the logs of its candidate enstrophy floors, curl
-    candidate last, the rise field, the tail's b and the names it gives
+    candidate last, the rise field, the tail's b (kept only in the
+    tail's Field) and the names it gives
     the breakpoints (peak e, peak E, floor e, floor E). The largest
     candidate is the floor, and the tail applies only when the curl
     candidate is that largest one. A floor outside float range is
@@ -95,8 +92,7 @@ class Chain:
                  names: tuple[str, str, str, str], flags: tuple[str, ...],
                  ln_floors: tuple[float, ...], rise: Field, tail_b: float):
         self.params, self.model, self.names = params, model, names
-        self.flags, self.ln_floors = flags, ln_floors
-        self.rise, self.tail_b = rise, tail_b
+        self.flags, self.ln_floors, self.rise = flags, ln_floors, rise
         ln_floor = max(ln_floors)
         if not -_LN_RANGE < ln_floor < _LN_RANGE and ln_floor != math.inf:
             raise InvalidRegime(
@@ -133,9 +129,8 @@ class Chain:
 
     def prepared(self, k: int) -> Branch:
         """The Branch of branch k, formed on first use and kept, like
-        peak and ln_floor: sampling, value, peak_gap and the scans
-        evaluate through it, and peak, ln_floor and classify read its
-        bounds lead and top."""
+        peak and ln_floor: the peak, the floor bracket, sampling, value,
+        classify and the scans evaluate through it."""
         kept = self._prepared
         if kept[k] is None:
             kept[k] = Branch(self.fields[k], *self._anchor(k))
@@ -158,38 +153,11 @@ class Chain:
 
     # -- the peak ----------------------------------------------------------
 
-    def _ln_e_of(self, x: float) -> float:
-        """ln e at the peak variable x; w = ln(1 - e/e_a) < 0 when b > 0."""
-        if self.rise.b > 0.0:
-            if x >= 0.0:
-                raise OutsideDomain(f"w = {x:.6g} puts e at or left of 0")
-            return math.log(self.rise.e_a) + math.log1p(-math.exp(x))
-        return x
-
-    def _ln_null(self, x: float) -> float:
-        """ln of the rise's nullcline y = c e/(a - b e) at x."""
-        f = self.rise
-        if f.b > 0.0:
-            return math.log(f.c / f.b) + math.log1p(-math.exp(x)) - x
-        return math.log(f.c / f.a) + x
-
-    def peak_gap(self, x: float) -> float:
-        """ln y - ln y_null on the rise, in the peak variable x (w = ln(1 -
-        e/e_a) when b > 0, ln e when b = 0); the peak is its root."""
-        return self.prepared(0).ln_y(self._ln_e_of(x)) - self._ln_null(x)
-
     @cached_property
     def peak(self) -> tuple[float, float, float]:
-        """(x*, ln e_peak, ln E_peak): the rise meets its nullcline.
-
-        With lead <= inner <= top (Branch) and b e_a = a, the gap at
-        b > 0 is k + inner + w + (a - 1) ln(1 - e^w) + a e^w in w, with
-        k = a ln e_a - a - ln(c/b). At or below ln 1/2 it is under
-        -1 + (1 - a) ln 2 + a/2 < 0 from w = -k - top - 1 down, and it is
-        at least 1 from w = 1 - k - lead up: those two ends bracket the
-        root. At b = 0 the peak is closed form (Branch.peak_ln_e), and
-        one at or right of the anchor is NoBracket.
-        """
+        """(x*, ln e_peak, ln E_peak): the rise meets its nullcline, solved
+        by its Branch (Branch.peak). A b = 0 peak at or right of the
+        anchor is NoBracket."""
         f = self.rise
         if f.c == 0.0:
             raise NoBracket("no production term, the rising branch has no peak")
@@ -199,18 +167,10 @@ class Chain:
                 f"barrier asymptote e_a = {f.e_a}")
         if not f.e_a > 0.0:
             raise InvalidRegime(f"e_a = a/b underflows (b = {f.b:.3g})")
-        rise = self.prepared(0)
-        if f.b > 0.0:
-            k = f.a * math.log(f.e_a) - f.a - f.ln_c + math.log(f.b)
-            x = find_root(self.peak_gap,
-                          min(-k - rise.top - 1.0, math.log(0.5)),
-                          min(1.0 - k - rise.lead, math.log1p(-1e-9)))
-        else:
-            x = rise.peak_ln_e()
-            if x >= self.ln_e0:
-                raise NoBracket("rise peaks at or right of the anchor e0: "
-                                f"ln e_peak - ln e0 = {x - self.ln_e0:.6g}")
-        ln_e = self._ln_e_of(x)
+        x, ln_e = self.prepared(0).peak()
+        if f.b == 0.0 and x >= self.ln_e0:
+            raise NoBracket("rise peaks at or right of the anchor e0: "
+                            f"ln e_peak - ln e0 = {x - self.ln_e0:.6g}")
         return x, ln_e, self.value(0, ln_e)
 
     def peak_point(self) -> tuple[float, float]:
@@ -224,29 +184,20 @@ class Chain:
 
     @cached_property
     def ln_floor(self) -> float:
-        """ln e where the descent meets the enstrophy floor.
-
-        Left of the peak the descent's ln y lies between
-        a v - b e_peak + lead and a v + top (Branch), so against the
-        floor's ln y_f the gap is below -1 from v = (ln y_f - top - 1)/a
-        down, and above 1 from v = (ln y_f - lead + b e_peak + 1)/a up
-        (or positive at the peak, if that comes first). The search stops
+        """ln e where the descent meets the enstrophy floor, searched in
+        the bracket its Branch gives (Branch.crossing). The search stops
         at ln e = -2^49 (_LN_E_DEEPEST): when the lower end lies below it
         and the gap there is still positive, the crossing lies deeper, and
         that is NoBracket before any root search, naming the limit and the
         lower end.
         """
-        _, ln_peak, ln_E_peak = self.peak
+        ln_E_peak = self.peak[2]
         ln_E_floor = math.log(self.floor)
         if not ln_E_floor < ln_E_peak:
             raise NoBracket(
                 "enstrophy floor meets or exceeds the curve maximum: "
                 f"ln E_floor = {ln_E_floor:.6g}, ln E_peak = {ln_E_peak:.6g}")
-        f, descent = self.fields[1], self.prepared(1)
-        ln_y_f = ln_E_floor * f.p
-        lo, hi = (ln_y_f - descent.top - 1.0) / f.a, min(
-            (ln_y_f - descent.lead + f.b * math.exp(ln_peak) + 1.0) / f.a,
-            ln_peak)
+        lo, hi = self.prepared(1).crossing(ln_E_floor * self.fields[1].p)
 
         def gap(v: float) -> float:
             return self.value(1, v) - ln_E_floor
@@ -293,11 +244,6 @@ class Chain:
         branch = self._prepared[k] or self.prepared(k)
         return "III" if branch.at_or_above(ln_e, ln_E) else "II"
 
-    def _sample(self, k: int, ln_lo: float, ln_hi: float,
-                samples: int) -> CurveSegment:
-        grid = log_grid(ln_lo, ln_hi, samples)
-        return CurveSegment(TAGS[k], grid, *self.prepared(k).sample(grid))
-
     def assemble(self, samples: int = 512) -> CurveBundle:
         """Sample the three branches plus their frame into a CurveBundle.
 
@@ -315,9 +261,9 @@ class Chain:
         x_star, ln_peak, ln_E_peak = self.peak
         ln_e0, ln_floor = self.ln_e0, self.ln_floor
         ln_deep = ln_floor - 20.0 * math.log(10.0)
-        segs = [self._sample(0, ln_peak, ln_e0, samples),
-                self._sample(1, ln_floor, ln_peak, samples),
-                self._sample(2, ln_deep, ln_floor, samples)]
+        spans = ((ln_peak, ln_e0), (ln_floor, ln_peak), (ln_deep, ln_floor))
+        segs = [self.prepared(k).segment(TAGS[k], lo, hi, samples)
+                for k, (lo, hi) in enumerate(spans)]
 
         ln_low = math.log(params.lam_under)
         segs.append(power_law("lower_boundary",
@@ -329,8 +275,8 @@ class Chain:
                               samples)[::-1]
             q = 1.0 / self.rise.p
             segs.append(CurveSegment(
-                "barrier", [self._ln_e_of(w) for w in w_grid],
-                [q * self._ln_null(w) for w in w_grid]))
+                "barrier", [self.rise.ln_e_at(w) for w in w_grid],
+                [q * self.rise.ln_null(w) for w in w_grid]))
             par_lo = math.log(self.rise.e_a)
         else:
             par_lo = ln_peak

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 
-from .errors import CancellationLoss, OutsideDomain
+from .errors import CancellationLoss, InvalidRegime, OutsideDomain
 from .logscalar import _LN10, sci_string
 from .params import ForcingParams
 
@@ -24,14 +24,17 @@ SEGMENT_TAGS = ("phi1", "phi2", "phi3", "lower_boundary", "barrier", "parabola")
 
 class CurveSegment:
     """One sampled segment: ln e increasing, ln E, and the analytic slope
-    d ln E/d ln e where containment needs it."""
+    d ln E/d ln e where containment needs it. A tag outside SEGMENT_TAGS,
+    or abscissas and ordinates of different lengths, is InvalidRegime,
+    naming the tag."""
 
     def __init__(self, tag: str, ln_e: list[float], ln_E: list[float],
                  dlnE_dlne: list[float] | None = None):
         if tag not in SEGMENT_TAGS:
-            raise ValueError(f"unknown segment tag {tag!r}")
+            raise InvalidRegime(f"unknown segment tag {tag!r}")
         if len(ln_e) != len(ln_E):
-            raise ValueError("abscissa/ordinate length mismatch")
+            raise InvalidRegime(f"segment {tag!r}: {len(ln_e)} abscissas "
+                                f"but {len(ln_E)} ordinates")
         self.tag, self.ln_e, self.ln_E = tag, ln_e, ln_E
         self.dlnE_dlne = dlnE_dlne
 

@@ -138,7 +138,10 @@ def bound_report(G: float, eps: float, rho: float, c2: float,
                  E0_anchor: float | None = None) -> BoundReport:
     """Both bounds plus the constants that shaped them, for the CLI. The
     default eta is formed before the lower bound, and a given anchor and
-    eta are checked after it."""
+    eta are checked after it. E0_anchor and eta are read in this module's
+    nu = lambda = 1 frame, as G is: the CLI's emax passes --anchor-E0 and
+    --eta through as given, then prints the anchor rescaled to physical
+    units (times nu^2 sqrt(lambda), physical_scale) and eta as used."""
     E0, eta_used = _anchor_eta(G, eps, mu, eta, E0_anchor)
     lower = emax_lower(G, eps, rho, c2)
     upper = emax_upper(G, eps, rho, c2, eta_used, E0_anchor, mu=mu)

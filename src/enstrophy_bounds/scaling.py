@@ -11,21 +11,22 @@ anchor, the two-term closed form
     K = E0/e0^alpha + beta e0^(1-alpha)/(1-alpha),
 
 concave with a single interior maximum where it meets its nullcline
-E = (beta/alpha) e (Branch.peak_ln_e). The interesting exponents are
+E = (beta/alpha) e (Branch.peak). The interesting exponents are
 algebraic, not exponential, so the public helpers take and return floats;
 assemble_scaling forms the anchor E0 in logs and one Branch through it,
-whose samples, slopes (Branch.sample) and maximum are logs too, since
-E0 = 4 lam e0 and the samples can underflow where their logs do not. The
-admissibility floor E_floor marks where the underlying smallness
-condition can hold at all; samples below it are flagged rather than
-hidden.
+whose phi1 segment (Branch.segment, as the chain samples its branches)
+and maximum (Branch.peak, as the subcritical rise peaks) are logs too,
+since E0 = 4 lam e0 and the samples can underflow where their logs do
+not. The admissibility floor E_floor marks where the underlying
+smallness condition can hold at all; samples below it are flagged
+rather than hidden.
 """
 
 from __future__ import annotations
 
 import math
 
-from .curves import CurveBundle, CurveSegment, log_grid, power_law
+from .curves import CurveBundle, power_law
 from .errors import InvalidRegime, RegimeViolation
 from .logscalar import ln_add
 from .params import _LN_RANGE, ForcingParams, exp_in_range
@@ -75,7 +76,7 @@ def _maximum(curve: Branch) -> tuple[float, float]:
     """(ln e, ln E) of the stationary point of the curve (p = 1, so its
     ln y is ln E); RegimeViolation unless it lies left of the anchor, as
     at beta = 0, where the curve only rises."""
-    ln_e, ln_e0 = curve.peak_ln_e(), curve.ln_e_ref
+    ln_e, ln_e0 = curve.peak()[1], curve.ln_e_ref
     if not ln_e < ln_e0:
         raise RegimeViolation(
             f"curve maximum ln e = {ln_e:.6g} not left of the anchor "
@@ -132,16 +133,16 @@ def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     ln_E0 = math.log(4.0) + math.log(params.lam) + ln_e0
     ln_floor = math.log(sp.E_floor) if sp.E_floor > 0.0 else -math.inf
 
-    grid = log_grid(ln_e0 - 12.0 * math.log(10.0), ln_e0, samples)
+    curve = Branch(sp.field, ln_e0, ln_E0)
     # the slope a - beta e/E; the ratio, at most 2 (psi_inf + eps0 c'), can
     # pass float range, where it is taken as inf
-    curve = Branch(sp.field, ln_e0, ln_E0)
-    ln_E, slope = curve.sample(grid)
-    below = sum(ln < ln_floor for ln in ln_E)
-    segs = [CurveSegment("phi1", grid, ln_E, slope)]
+    phi1 = curve.segment("phi1", ln_e0 - 12.0 * math.log(10.0), ln_e0,
+                         samples)
+    below = sum(ln < ln_floor for ln in phi1.ln_E)
+    segs = [phi1]
     if sp.E_floor > 0.0:
         # a zero floor (no curl forcing) admits every sample: no barrier
-        segs.append(power_law("barrier", grid, ln_floor, 0.0))
+        segs.append(power_law("barrier", phi1.ln_e, ln_floor, 0.0))
 
     breakpoints = {"e0": ln_e0, "E0": ln_E0}
     flags = [f"s={sp.s:.12g}"]

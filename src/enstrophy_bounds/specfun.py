@@ -43,17 +43,21 @@ The integral's only caller is the solution of the linear field
 dy/de = (a/e - b) y - c, y = E^p (Field), which every closed-form curve
 family solves: the critical (b > 0) and subcritical (b = 0) branches of
 the branches module, and the scaling curve (b = 0, p = 1). One record,
-Branch, holds that solution through one anchor: it prepares the integral
-once, keeps the bounds lead and top of the solution's inner term, and
-gives ln y, the test of a point against the branch, the b = 0 maximum in
-closed form and ln E with d ln E/d ln e on a grid. Each family keeps its
-own refusals.
+Branch, owns that solution through one anchor: it prepares the integral
+once, keeps the bounds lead and top of the solution's inner term (no
+other module reads them), and gives ln y, the test of a point against
+the branch, the peak where the solution meets its nullcline (closed
+form at b = 0, a bracketed root in w = ln(1 - e/e_a) at b > 0, with the
+peak variable and the nullcline from Field), the bracket of its crossing
+of a level, and its segment: ln E with d ln E/d ln e on the distinct
+abscissas of a log grid. Each caller keeps its own refusals.
 """
 
 from __future__ import annotations
 
 import math
 
+from .curves import CurveSegment, log_grid
 from .errors import NonConvergence, OutsideDomain
 from .logscalar import ln_add
 from .params import _LN_RANGE, exp_clamped
@@ -251,6 +255,21 @@ class Field:
         """Where a/e - b changes sign: the asymptote of the nullcline."""
         return self.a / self.b if self.b > 0.0 else math.inf
 
+    def ln_e_at(self, x: float) -> float:
+        """ln e at the peak variable x: w = ln(1 - e/e_a) < 0 when b > 0,
+        ln e itself when b = 0."""
+        if self.b > 0.0:
+            if x >= 0.0:
+                raise OutsideDomain(f"w = {x:.6g} puts e at or left of 0")
+            return math.log(self.e_a) + math.log1p(-math.exp(x))
+        return x
+
+    def ln_null(self, x: float) -> float:
+        """ln of the nullcline y = c e/(a - b e) at the peak variable x."""
+        if self.b > 0.0:
+            return math.log(self.c / self.b) + math.log1p(-math.exp(x)) - x
+        return math.log(self.c / self.a) + x
+
 
 class Branch:
     """The exact solution of dy/de = (a/e - b) y - c through its anchor
@@ -308,26 +327,63 @@ class Branch:
             2.0 + abs(base) + 2.0 * abs(self.top))) * q \
             or ln_E >= self.ln_y(ln_e) * q
 
-    def peak_ln_e(self) -> float:
-        """ln e where the b = 0 solution meets its nullcline y = (c/a) e,
-        its one stationary point: the solution is
+    def peak_gap(self, x: float) -> float:
+        """ln y - ln y_null in the peak variable x (Field.ln_e_at); the
+        peak is its root."""
+        f = self.field
+        return self.ln_y(f.ln_e_at(x)) - f.ln_null(x)
+
+    def peak(self) -> tuple[float, float]:
+        """(x*, ln e*): where the solution meets its nullcline, its one
+        stationary point, x* in the peak variable (Field.ln_e_at).
+
+        At b = 0 it is closed form: the solution is
         e^a (e^top - c e^(1-a)/(1-a)), so (1 - a) ln e = top + ln a +
-        ln(1 - a) - ln c, +inf at c = 0, where it only rises. The caller
-        refuses a peak that is not left of the anchor.
+        ln(1 - a) - ln c, +inf at c = 0, where it only rises. At b > 0,
+        with lead <= inner <= top and b e_a = a, peak_gap is
+        k + inner + w + (a - 1) ln(1 - e^w) + a e^w in w, with
+        k = a ln e_a - a - ln(c/b). At or below ln 1/2 it is under
+        -1 + (1 - a) ln 2 + a/2 < 0 from w = -k - top - 1 down, and it is
+        at least 1 from w = 1 - k - lead up: those two ends bracket the
+        root (solver.find_root, imported here so that a b = 0 caller
+        executes no solver). The caller refuses a peak it cannot use.
         """
         f = self.field
-        return (self.top + math.log(f.a) + math.log1p(-f.a) - f.ln_c) \
-            / (1.0 - f.a)
+        if f.b > 0.0:
+            from .solver import find_root
 
-    def sample(self, grid: list[float]) -> tuple[list[float], list[float]]:
-        """(ln E, d ln E/d ln e) at each ln e of grid: ln E = q ln y and
-        the slope q (a - b e - c e/y) of the field itself."""
+            k = f.a * math.log(f.e_a) - f.a - f.ln_c + math.log(f.b)
+            x = find_root(self.peak_gap,
+                          min(-k - self.top - 1.0, math.log(0.5)),
+                          min(1.0 - k - self.lead, math.log1p(-1e-9)))
+        else:
+            x = (self.top + math.log(f.a) + math.log1p(-f.a) - f.ln_c) \
+                / (1.0 - f.a)
+        return x, f.ln_e_at(x)
+
+    def crossing(self, ln_y: float) -> tuple[float, float]:
+        """(lo, hi) in ln e bracketing where the solution meets the level
+        ln y left of its anchor: there ln y lies between
+        a v - b e_ref + lead and a v + top, so the gap is below -1 from
+        v = (ln y - top - 1)/a down and above 1 from
+        v = (ln y - lead + b e_ref + 1)/a up, or positive at the anchor if
+        that comes first."""
+        f = self.field
+        return (ln_y - self.top - 1.0) / f.a, min(
+            (ln_y - self.lead + f.b * math.exp(self.ln_e_ref) + 1.0) / f.a,
+            self.ln_e_ref)
+
+    def segment(self, tag: str, ln_lo: float, ln_hi: float,
+                samples: int) -> CurveSegment:
+        """The solution sampled on the distinct abscissas of
+        log_grid(ln_lo, ln_hi, samples), as full_nse.Funnel.segment
+        samples: ln E = q ln y and the slope q (a - b e - c e/y) of the
+        field itself, with c e/y saturated outside float range."""
         a, b, ln_c, q = self.field.a, self.field.b, self.field.ln_c, self.q
+        grid = list(dict.fromkeys(log_grid(ln_lo, ln_hi, samples)))
         ln_E, slope = [], []
         for v in grid:
-            ln_y_v = self.ln_y(v)
-            # c e / y, saturated outside float range
-            drag = exp_clamped(ln_c + v - ln_y_v)
-            ln_E.append(q * ln_y_v)
-            slope.append(q * (a - b * math.exp(v) - drag))
-        return ln_E, slope
+            y = self.ln_y(v)  # ln y at v
+            ln_E.append(q * y)
+            slope.append(q * (a - b * math.exp(v) - exp_clamped(ln_c + v - y)))
+        return CurveSegment(tag, grid, ln_E, slope)

@@ -283,7 +283,7 @@ def _scan_rows(params: ForcingParams) -> list[dict]:
     def gap_floor(v: float) -> float:
         return ch.curve_value(v) - ln_floor
 
-    return [_scan_row(e_peak, ch.peak_gap, x_star, room=room),
+    return [_scan_row(e_peak, ch.prepared(0).peak_gap, x_star, room),
             _scan_row(e_floor, gap_floor, ch.ln_floor)]
 
 

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from enstrophy_bounds import OutsideDomain, load_params_file
+from enstrophy_bounds import ForcingParams, OutsideDomain, load_params_file
 from enstrophy_bounds.logscalar import ln_add
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -19,6 +19,14 @@ def tool(name):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def params_with(params, **over):
+    """A fresh parameter set: params' raw values with over's replacing
+    theirs."""
+    raw = params.to_raw()
+    raw.update(over)
+    return ForcingParams.from_mapping(raw)
 
 
 # The unconditional region's curves as pointwise oracles, every constant

@@ -18,7 +18,6 @@ import time
 import numpy as np
 
 from enstrophy_bounds import (
-    ForcingParams,
     assemble_critical,
     assemble_full,
     assemble_subcritical,
@@ -43,7 +42,7 @@ from enstrophy_bounds.scaling import default_anchor
 from enstrophy_bounds.subcritical import sigma_of
 from enstrophy_bounds.verify import _rk4_row, _specfun_row, all_pass
 
-from conftest import PRESETS
+from conftest import PRESETS, params_with
 
 # the bounds and breakpoints are lns; log10 = ln / LN10
 LN10 = math.log(10.0)
@@ -68,12 +67,6 @@ def _best_of(fn, n=5):
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _with(params, **over):
-    raw = params.to_raw()
-    raw.update(over)
-    return ForcingParams.from_mapping(raw)
 
 
 def _affine_fit(x, y):
@@ -143,7 +136,7 @@ def test_criterion_05_series_grid():
 def test_criterion_06a_peak_exponent(fig2):
     g2, lns = [], []
     for g in (2.0, 3.0, 4.0):
-        _, E_max = find_e_max(_with(fig2, f_norm=g))
+        _, E_max = find_e_max(params_with(fig2, f_norm=g))
         g2.append(g * g)
         lns.append(E_max)
     slope, r2 = _affine_fit(g2, lns)
@@ -156,7 +149,7 @@ def test_criterion_06b_floor_exponent(fig2):
     g2, lns = [], []
     for g in (2.0, 3.0, 4.0):
         g2.append(g * g)
-        lns.append(find_e_min(_with(fig2, f_norm=g)))
+        lns.append(find_e_min(params_with(fig2, f_norm=g)))
     slope, r2 = _affine_fit(g2, lns)
     ok = slope < 0.0 and r2 >= 0.99
     assert _verdict("6b", ok, f"ln e_min vs G^2: slope {slope:.1f}, "
@@ -168,7 +161,7 @@ def test_criterion_06c_subcritical_exponent(fig2):
     for r in (0.51, 0.6, 1.0):
         lgs, lns = [], []
         for g in (10.0, 100.0, 1000.0):
-            _, E_bar = find_e_bar(_with(fig2, r=r, f_norm=g))
+            _, E_bar = find_e_bar(params_with(fig2, r=r, f_norm=g))
             lgs.append(math.log(g))
             lns.append(E_bar)
         slope, _ = _affine_fit(lgs, lns)
@@ -181,7 +174,7 @@ def test_criterion_06c_subcritical_exponent(fig2):
 def test_criterion_06d_scaling_exponent(fig2):
     lgs, lns = [], []
     for g in (10.0, 100.0, 1000.0):
-        p = _with(fig2, f_norm=g)
+        p = params_with(fig2, f_norm=g)
         _, E_max = scaling_emax(*default_anchor(p), scaling_params(p))
         lgs.append(math.log(g))
         lns.append(math.log(E_max))
@@ -197,7 +190,7 @@ def test_criterion_06d_scaling_exponent(fig2):
 
 def test_criterion_07_containment(fig2, fig3):
     t0 = time.perf_counter()
-    strong = _with(fig2, f_norm=100.0)
+    strong = params_with(fig2, f_norm=100.0)
     reports = [
         containment_check(assemble_critical(fig2), fig2, n_points=1000),
         containment_check(assemble_subcritical(fig3), fig3, n_points=1000),
@@ -217,7 +210,7 @@ def test_criterion_07_containment(fig2, fig3):
 def test_criterion_08_full_nse_geometry(fig2):
     floors_ok = True
     for g in (10.0, 100.0, 1000.0):
-        p = _with(fig2, f_norm=g)
+        p = params_with(fig2, f_norm=g)
         floors_ok &= e2_lower_bound(p) <= solve_e2(p)
     # the nose through the constants the region holds, and the wall's
     # anchor as assemble_full writes it
@@ -239,10 +232,10 @@ def test_criterion_08_full_nse_geometry(fig2):
 
 def test_criterion_09_joins_and_parabola(fig2, fig3):
     t0 = time.perf_counter()
-    bundles = [assemble_critical(_with(fig2, f_norm=g))
+    bundles = [assemble_critical(params_with(fig2, f_norm=g))
                for g in (2.0, 3.0, 4.0)]
     # curl forcing strong enough that the tail floor stays curl-led at r = 1
-    bundles += [assemble_subcritical(_with(fig3, r=r, f_norm=g,
+    bundles += [assemble_subcritical(params_with(fig3, r=r, f_norm=g,
                                            curlF_norm=400.0))
                 for r in (0.51, 0.6, 1.0) for g in (10.0, 100.0, 1000.0)]
     worst_gap = max(max_join_gap(b) for b in bundles)

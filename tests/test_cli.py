@@ -17,9 +17,9 @@ from enstrophy_bounds import (AssumptionViolated, CancellationLoss,
                               InvalidRegime, MissingKey, NoBracket,
                               NonConvergence, OutsideDomain, RegimeViolation,
                               assemble_critical, assemble_subcritical,
-                              bound_report, branches, classify_critical,
+                              bound_report, classify_critical,
                               classify_full, classify_subcritical, cli,
-                              load_params_file, maxest, _EXPORTS)
+                              load_params_file, maxest, specfun, _EXPORTS)
 from enstrophy_bounds.cli import run
 from enstrophy_bounds.curves import round_sig
 from enstrophy_bounds.logscalar import from_sci_string, ln_add, sci_string
@@ -874,6 +874,28 @@ def test_emax_rescales_physical_frame(tmp_path):
         == pytest.approx(110.92753862710634 + math.log10(4.0), abs=1e-6)
 
 
+def test_emax_reads_its_anchor_and_eta_in_the_normalized_frame(tmp_path):
+    # --anchor-E0 and --eta are read in the nu = lambda = 1 frame of the
+    # estimates; the report prints the anchor in physical units (times
+    # nu^2 sqrt(lambda) = 4 here) and eta as read
+    scaled = _fig2_variant(tmp_path, "nu2.json", nu=2.0, f_norm=8.0)
+    out = tmp_path / "emax.json"
+    for extra in ([], ["--eta", "4.5"]):
+        assert run(["emax", "--params", scaled, "--anchor-E0", "16",
+                    *extra, "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        params = load_params_file(scaled)
+        report = bound_report(params.grashof, params.eps, params.rho,
+                              params.c2, mu=params.mu,
+                              eta=float(extra[1]) if extra else None,
+                              E0_anchor=16.0)
+        assert doc["anchor_E0"] == 64.0
+        assert "rescaled_to_physical_units" in doc["flags"]
+        assert doc["eta_used"] == round_sig(report.eta_used)
+        assert doc["log10_upper"] \
+            == round_sig((report.upper + math.log(4.0)) / math.log(10.0))
+
+
 def test_emax_rescales_without_underflowing_the_enstrophy(tmp_path):
     # the energy multiplier nu^2/sqrt(lam) = 1e-450 underflows, the
     # enstrophy multiplier nu^2 sqrt(lam) = 1e-150 does not: the bounds
@@ -1312,12 +1334,12 @@ def _run_optimized(*args, code=None):
 # phi1's last sample (the anchor e0, on the parabola) pulled one unit of
 # ln E down: no join moves, but the branch now dips below the parabola
 _SINK_PHI1 = """
-from enstrophy_bounds import branches
-_sample = branches.Chain._sample
+from enstrophy_bounds import specfun
+segment = specfun.Branch.segment
 
-def sunk(self, k, ln_lo, ln_hi, samples):
-    seg = _sample(self, k, ln_lo, ln_hi, samples)
-    if k == 0:
+def sunk(self, tag, ln_lo, ln_hi, samples):
+    seg = segment(self, tag, ln_lo, ln_hi, samples)
+    if tag == "phi1":
         seg.ln_E[-1] -= 1.0
     return seg
 """
@@ -1332,12 +1354,12 @@ def test_construction_invariant_is_typed(monkeypatch, model, preset):
         else assemble_subcritical
     patch = {}
     exec(_SINK_PHI1, patch)
-    monkeypatch.setattr(branches.Chain, "_sample", patch["sunk"])
+    monkeypatch.setattr(specfun.Branch, "segment", patch["sunk"])
     with pytest.raises(FieldBlowup):
         family(params)
     proc = _run_optimized(
         "curve", model, "--params", str(PRESETS / preset),
-        code=_SINK_PHI1 + "branches.Chain._sample = sunk\n"
+        code=_SINK_PHI1 + "specfun.Branch.segment = sunk\n"
         "import sys\nfrom enstrophy_bounds import cli\n"
         "sys.exit(cli.run(sys.argv[1:]))\n")
     assert proc.returncode == 2

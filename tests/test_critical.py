@@ -20,22 +20,16 @@ from enstrophy_bounds import (
     max_join_gap,
     truncation_comparison,
 )
-from enstrophy_bounds import branches, subcritical
+from enstrophy_bounds import branches, solver, subcritical
 from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.solver import integrate_adaptive
 from enstrophy_bounds.specfun import Branch, Field
 
-from conftest import ROOT
+from conftest import ROOT, params_with
 
 # E_max is an ln; log10 = ln / LN10
 LN10 = math.log(10.0)
-
-
-def _with(params, **over):
-    raw = params.to_raw()
-    raw.update(over)
-    return ForcingParams.from_mapping(raw)
 
 
 def _curl_threshold(params):
@@ -64,7 +58,7 @@ def test_floor_is_curl_dominated(fig2):
     # the crossover amplitude makes the two floor expressions meet
     thresh = _curl_threshold(fig2)
     assert thresh == pytest.approx(0.5981395124884883, rel=1e-12)
-    at_cross = _with(fig2, curlF_norm=thresh)
+    at_cross = params_with(fig2, curlF_norm=thresh)
     split = fig2.eps ** 1.5 * math.sqrt(fig2.lam) * fig2.nu ** 2 \
         * (fig2.mu + fig2.psi_inf) ** 2.5 / fig2.mu ** 2
     assert chain(at_cross).curl_dominant
@@ -82,18 +76,18 @@ def test_rejects_noncritical_r(fig3):
 def _barrier(p, frac):
     """(e, ceiling, paper) for w = ln(1 - frac): e, the abscissa the
     chain writes for w (about frac e_a); ceiling, the chain's barrier
-    there, its rise nullcline Chain._ln_null(w) raised to 1/p; paper, the
+    there, its rise nullcline Field.ln_null(w) raised to 1/p; paper, the
     prefactor form eps^(2/3) mu^(4/3) lam^(1/2) nu^2 (6 e/(e_a - e))^(5/3)
     at e, with e_a - e = e_a e^w taken from w, because a difference of
     two floats near e_a would lose digits the chain keeps."""
     ch = chain(p)
     rise = ch.rise
     w = math.log1p(-frac)
-    e = math.exp(ch._ln_e_of(w))
+    e = math.exp(rise.ln_e_at(w))
     pre = p.eps ** (2.0 / 3.0) * p.mu ** (4.0 / 3.0) * math.sqrt(p.lam) \
         * p.nu ** 2
     paper = pre * (6.0 * e / (rise.e_a * math.exp(w))) ** (5.0 / 3.0)
-    return e, math.exp(ch._ln_null(w) / rise.p), paper
+    return e, math.exp(rise.ln_null(w) / rise.p), paper
 
 
 # -------------------------------------------------------- xi field/chain
@@ -225,7 +219,7 @@ def test_chain_refuses_a_floor_outside_float_range(fig2, ln_floors):
     with pytest.raises(InvalidRegime, match=r"^enstrophy floor exp\("
                        f"{max(ln_floors):g}" r"\) is outside float range$"):
         branches.Chain(fig2, ch.model, ch.names, ch.flags, ln_floors,
-                       ch.rise, ch.tail_b)
+                       ch.rise, ch.fields[2].b)
 
 
 def test_phi3_domain_and_curl_gate(fig2):
@@ -233,7 +227,7 @@ def test_phi3_domain_and_curl_gate(fig2):
     with pytest.raises(OutsideDomain):
         chain(fig2).value(2, e_min + 1.0)
     # below-threshold curl forcing is rejected, not silently extrapolated
-    weak = _with(fig2, curlF_norm=0.3)
+    weak = params_with(fig2, curlF_norm=0.3)
     assert weak.curlF_norm < _curl_threshold(weak)
     with pytest.raises(AssumptionViolated):
         classify_critical(1e-3, 1e40, weak)
@@ -256,7 +250,7 @@ def test_branch_fields_match_finite_differences(fig2):
 
 
 def test_regime_gates(fig2):
-    dead = _with(fig2, f_norm=0.0)
+    dead = params_with(fig2, f_norm=0.0)
     with pytest.raises(RegimeViolation):
         find_e_max(dead)
     # zero forcing has no anchor: on or above the parabola E = 0 every
@@ -266,7 +260,7 @@ def test_regime_gates(fig2):
     with pytest.raises(RegimeViolation):
         chain(dead).value(0, 0.0)
     # anchor energy left of the barrier asymptote: curve cannot start
-    tiny = _with(fig2, f_norm=0.04)
+    tiny = params_with(fig2, f_norm=0.04)
     assert tiny.e0 < coefficients(tiny).e_a
     with pytest.raises(RegimeViolation):
         find_e_max(tiny)
@@ -283,7 +277,7 @@ def test_truncated_series_error_decays(fig2):
     assert short.hex() == "0x1.13229e24fe040p+0"
     assert longer.hex() == "0x1.c18bdf668d000p-1"
     assert short > 1.0 > longer
-    assert truncation_comparison(_with(fig2, f_norm=50.0), 20).hex() \
+    assert truncation_comparison(params_with(fig2, f_norm=50.0), 20).hex() \
         == "0x1.013c40b700000p-5"
 
 
@@ -384,6 +378,19 @@ def test_only_the_family_resolver_chooses_by_r():
     assert any(map(_compares_r_to_half, ast.walk(family)))
 
 
+def test_only_specfun_reads_a_branch_bound():
+    # a Branch's bounds lead and top, which bracket its peak and its floor
+    # crossing, are read in specfun alone: Branch.peak and Branch.crossing
+    # hand the brackets out, so a change to how a branch sums its solution
+    # stays inside Branch
+    package = ROOT / "src" / "enstrophy_bounds"
+    readers = {path.stem for path in package.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute)
+               and node.attr in ("lead", "top")}
+    assert readers == {"specfun"}
+
+
 def test_chain_resolves_once_per_parameter_set(fig2, monkeypatch):
     calls = []
     real = branches.find_root
@@ -392,8 +399,11 @@ def test_chain_resolves_once_per_parameter_set(fig2, monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
+    # the floor crossing's find_root is bound in branches, the peak's is
+    # imported from solver when Branch.peak runs
     monkeypatch.setattr(branches, "find_root", counting)
-    fresh = _with(fig2)  # equal to fig2, but resolves its own chain
+    monkeypatch.setattr(solver, "find_root", counting)
+    fresh = params_with(fig2)  # equal to fig2, but resolves its own chain
     # points on both sides of e_max, above and below the curve
     for i in range(100):
         e = math.exp(-700.0 + 7.0 * i)
@@ -415,7 +425,7 @@ def test_floor_crossing_resolves_rounding(preset, shift, request,
 
     def fresh():
         return branches.Chain(ch.params, ch.model, ch.names, ch.flags,
-                              ch.ln_floors, ch.rise, ch.tail_b)
+                              ch.ln_floors, ch.rise, ch.fields[2].b)
 
     ln_floor = fresh().ln_floor
     real = branches.Chain.value
@@ -446,7 +456,7 @@ def test_floor_crossing_depth_limit(preset, c_omega, deep, request,
     # tail's 512 default samples over its twenty decades, and the chain
     # refuses the crossing before any root search, naming the limit and
     # the bracket's own lower end
-    params = _with(request.getfixturevalue(preset), c_omega=c_omega)
+    params = params_with(request.getfixturevalue(preset), c_omega=c_omega)
     ch = branches.family(params)
     if deep:
         def no_search(*args):
@@ -467,7 +477,7 @@ def test_chain_errors_stay_lazy(fig2, monkeypatch):
     # order, while phi1 and region-I points never need the floor
     phi1, region_i, phi2 = (1.0, 1e40), (1.0, 1.0), (1e-3, 1e40)
     for order in ((phi1, region_i, phi2), (phi2, region_i, phi1)):
-        deep = _with(fig2, c_omega=1e11)
+        deep = params_with(fig2, c_omega=1e11)
         for e, E in order + order[::-1]:
             if (e, E) == phi2:
                 with pytest.raises(NoBracket):
@@ -480,7 +490,7 @@ def test_chain_errors_stay_lazy(fig2, monkeypatch):
         raise NoBracket("floor crossing not bracketed")
 
     monkeypatch.setattr(branches.Chain, "ln_floor", property(no_floor))
-    p = _with(fig2)  # a fresh set: its chain is built under the patch
+    p = params_with(fig2)  # a fresh set: its chain is built under the patch
     # right of e_max only the peak is needed
     assert find_e_max(p)[0] < 1.0
     assert classify_critical(1.0, 1e40, p) == "III"
@@ -490,7 +500,7 @@ def test_chain_errors_stay_lazy(fig2, monkeypatch):
     with pytest.raises(NoBracket):
         find_e_min(p)
     # anchor below the barrier asymptote: phi1 evaluates, the peak raises
-    tiny = _with(fig2, f_norm=0.04)
+    tiny = params_with(fig2, f_norm=0.04)
     assert chain(tiny).value(0, math.log(0.5 * tiny.e0)) > -math.inf
     with pytest.raises(RegimeViolation):
         classify_critical(0.5 * tiny.e0, 1e40, tiny)
@@ -500,7 +510,7 @@ def test_barrier_is_the_rise_nullcline(fig2):
     # the paper's barrier is the nullcline y = C e/(a - b e) of the rise
     # field, raised to the power 1/p = 5/3
     rng = random.Random(11)
-    draws = [fig2] + [_with(fig2, f_norm=rng.uniform(1.5, 5.0),
+    draws = [fig2] + [params_with(fig2, f_norm=rng.uniform(1.5, 5.0),
                             eps=rng.uniform(0.05, 0.2),
                             c2=rng.uniform(0.5, 4.0), mu=rng.uniform(0.5, 2.0))
                       for _ in range(10)]

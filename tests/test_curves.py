@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from enstrophy_bounds import CancellationLoss, OutsideDomain
+from enstrophy_bounds import CancellationLoss, InvalidRegime, OutsideDomain
 from enstrophy_bounds.curves import (CurveBundle, CurveSegment, log_grid,
                                      max_join_gap)
 
@@ -43,3 +43,11 @@ def test_max_join_gap_refuses_segments_without_a_shared_breakpoint(fig2):
     assert CancellationLoss.exit_code == 2
     phi2.ln_e[-1] = 0.0
     assert max_join_gap(bundle) == 0.0
+
+
+def test_segment_refusals_are_typed_and_name_the_tag():
+    with pytest.raises(InvalidRegime, match=r"^unknown segment tag 'phi4'$"):
+        CurveSegment("phi4", [0.0], [1.0])
+    with pytest.raises(InvalidRegime, match=r"^segment 'phi2': 2 abscissas "
+                       r"but 1 ordinates$"):
+        CurveSegment("phi2", [0.0, 1.0], [1.0])

@@ -9,7 +9,6 @@ import pytest
 from enstrophy_bounds import (
     CancellationLoss,
     FullNseGeometry,
-    ForcingParams,
     InvalidRegime,
     NoBracket,
     OutsideDomain,
@@ -22,13 +21,7 @@ from enstrophy_bounds import (
 )
 from enstrophy_bounds.full_nse import Funnel, _ln_psi, _nose, e2_lower_bound
 
-from conftest import alpha_ln_beta, parabola
-
-
-def _with(params, **over):
-    raw = params.to_raw()
-    raw.update(over)
-    return ForcingParams.from_mapping(raw)
+from conftest import alpha_ln_beta, parabola, params_with
 
 
 def _psi(E, params):
@@ -46,7 +39,7 @@ def _apex_E(e, geo):
 
 def test_nose_apex_closed_form(fig2):
     # c1 = 4, G = 8 makes the apex land on round numbers
-    p = _with(fig2, f_norm=8.0, c1=4.0)
+    p = params_with(fig2, f_norm=8.0, c1=4.0)
     geo = geometry(p)
     e1, E1 = geo.e1, geo.E1
     assert E1 == pytest.approx(4.0, rel=1e-14)
@@ -87,7 +80,7 @@ def test_wall_is_sampled_left_of_its_anchor(fig2, f_norm):
     # floats than 512 samples, and the wall keeps only its distinct
     # abscissas; at 3000 ln e_star rounds onto ln e0, and the wall is its
     # anchor alone
-    p = _with(fig2, f_norm=f_norm)
+    p = params_with(fig2, f_norm=f_norm)
     geo = geometry(p)
     ln_star, ln_e0 = math.log(geo.e_star), math.log(geo.e0)
     wall = assemble_full(p, samples=512).segment("phi1").ln_e
@@ -102,7 +95,7 @@ def test_wall_without_room_right_of_its_asymptote_is_typed(fig2):
     # so the wall's grid, halfway between them, rounds onto ln e_star,
     # where the funnel is not defined. That is refused before sampling,
     # naming both ends and their distance
-    p = _with(fig2, eta=1.0000000000344682, f_norm=13.304157216473056)
+    p = params_with(fig2, eta=1.0000000000344682, f_norm=13.304157216473056)
     geo = geometry(p)
     ln_star, ln_e0 = math.log(geo.e_star), math.log(geo.e0)
     assert ln_e0 - ln_star == math.ulp(ln_e0)
@@ -118,7 +111,7 @@ def test_wall_with_eta_near_one_answers_or_is_typed(fig2, k):
     # eta = 1 + 10^-k puts e_star from 1.4e10 ulps of ln e0 down to one:
     # the wall either starts right of its asymptote, its abscissas rising
     # strictly however few floats the span holds, or is refused by name
-    p = _with(fig2, eta=1.0 + 10.0 ** -k)
+    p = params_with(fig2, eta=1.0 + 10.0 ** -k)
     try:
         wall = assemble_full(p, samples=64).segment("phi1")
     except CancellationLoss as exc:
@@ -132,7 +125,7 @@ def test_wall_with_eta_near_one_answers_or_is_typed(fig2, k):
 def test_wall_asymptote_closed_form(fig2):
     # G = 1, c1 = 1, eta = 2: e_star^(5/2) = e0^(5/2) (1 - 5/(16 c1 G^4))
     # collapses to e_star = (11/16)^(2/5) with e0 = 1
-    p = _with(fig2, f_norm=1.0)
+    p = params_with(fig2, f_norm=1.0)
     geo = geometry(p)
     assert geo.e0 == pytest.approx(1.0, rel=1e-14)
     assert geo.e_star == pytest.approx((11.0 / 16.0) ** 0.4, rel=1e-13)
@@ -192,7 +185,7 @@ def test_e2_reenters_parabola(fig2):
 
 def test_e2_floor_never_exceeds_root(fig2):
     for eta in (1.5, 1.8, 2.0, 2.2):
-        p = _with(fig2, eta=eta)
+        p = params_with(fig2, eta=eta)
         assert e2_lower_bound(p) <= solve_e2(p)
 
 
@@ -206,7 +199,7 @@ def test_e2_unreachable_when_parabola_clears_apex(fig2):
     e1, E1 = geo.e1, geo.E1
     assert geo_par * math.sqrt(e1) > E1
     with pytest.raises(NoBracket):
-        solve_e2(_with(fig2, eta=eta))
+        solve_e2(params_with(fig2, eta=eta))
 
 
 def _e2_50_digits(params):
@@ -250,7 +243,7 @@ def test_e2_matches_fifty_digits(fig2):
             (1e-3, 2.0, 100.0, 1e100), (1e-3, 1.0, 1e3, 1e6)):
         if eta >= eta_threshold(c1):
             continue
-        p = _with(fig2, eta=eta, f_norm=f_norm, c1=c1)
+        p = params_with(fig2, eta=eta, f_norm=f_norm, c1=c1)
         want = _e2_50_digits(p)
         if want is None:
             refused += 1
@@ -267,9 +260,9 @@ def test_eta_threshold_gate(fig2):
         1.0 + 16.0 / (3.0 * math.sqrt(6.0)), rel=1e-15)
     bad = eta_threshold(fig2.c1)
     with pytest.raises(RegimeViolation):
-        solve_e2(_with(fig2, eta=bad))
+        solve_e2(params_with(fig2, eta=bad))
     with pytest.raises(RegimeViolation):
-        solve_e2(_with(fig2, eta=bad * 1.5))
+        solve_e2(params_with(fig2, eta=bad * 1.5))
 
 
 # ------------------------------------------------------------ geometry
@@ -296,7 +289,7 @@ def test_unresolved_wall_is_invalid(fig2):
     # the wall's t = exp(-922) is below float range, so the slope at its
     # anchor, alpha/2 - (3 eta - 1)/(4 (eta - 1) t), is outside it; e2 and
     # the labels need no slope
-    p = _with(fig2, f_norm=1e100)
+    p = params_with(fig2, f_norm=1e100)
     assert solve_e2(p) == pytest.approx(1.1003236957487e-67, rel=1e-12)
     assert classify_full(1.0, 1e10, p) == "I"
     with pytest.raises(InvalidRegime):
@@ -304,7 +297,7 @@ def test_unresolved_wall_is_invalid(fig2):
 
 
 def test_geometry_rejects_zero_forcing(fig2):
-    dead = _with(fig2, f_norm=0.0)
+    dead = params_with(fig2, f_norm=0.0)
     with pytest.raises(RegimeViolation):
         geometry(dead)
 
@@ -371,7 +364,7 @@ def test_classify_left_of_apex(fig2):
 def test_classify_across_the_upper_nose_branch(fig2, f_norm):
     # left of the apex, above the parabola: inside the nose (IV) just
     # under the upper branch, II just over it, at 1e-12 relative and more
-    p = _with(fig2, f_norm=f_norm)
+    p = params_with(fig2, f_norm=f_norm)
     geo = geometry(p)
     for frac in (1e-8, 1e-3, 0.1, 0.5, 0.9, 0.99):
         e = frac * geo.e1
@@ -443,7 +436,7 @@ def test_classify_solves_geometry_once(fig2, monkeypatch):
 
     monkeypatch.setattr(full_nse, "Funnel", CountingFunnel)
     monkeypatch.setattr(full_nse, "_nose", counting_nose)
-    p = _with(fig2)  # equal to fig2, but resolves its own geometry
+    p = params_with(fig2)  # equal to fig2, but resolves its own geometry
     geo = geometry(p)
     # the wall and the apex funnel, and the nose constants, once
     assert sorted(built) == ["Funnel", "Funnel", "_nose"]

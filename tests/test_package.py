@@ -94,8 +94,11 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 # full_nse's float funnel, nose, apex and parabola (Funnel, _ln_psi and
 # geometry are the one evaluation of each), the float-range edges of
 # full_nse and maxest (params decides float range), ln_sub (a
-# difference is written where it is taken) and the power series' cap and
-# rescaling (it is summed only inside float range)
+# difference is written where it is taken), the power series' cap and
+# rescaling (it is summed only inside float range), and the chain's own
+# peak variable, nullcline, peak gap and sampler, its unread tail b and
+# Branch's b = 0 peak and grid sampler (a Branch finds its own peak,
+# floor bracket and segment)
 _REMOVED = {
     "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar "
         "barrier phi_of_e psi_of_E nose_apex parabola_E",
@@ -120,14 +123,17 @@ _SHIM_DROPPED = ("__slots__ __setattr__ __delattr__ __eq__ __hash__ __lt__ "
                  "__le__ __gt__ __ge__")
 
 
-def test_removed_names_raise_attribute_error():
+def test_removed_names_raise_attribute_error(fig2):
     import enstrophy_bounds as eb
-    from enstrophy_bounds.branches import Chain
+    from enstrophy_bounds.branches import Chain, family
     from enstrophy_bounds.logscalar import LogScalar
+    from enstrophy_bounds.specfun import Branch
 
     owners = [(getattr(eb, m) if m else eb, names)
               for m, names in _REMOVED.items()]
     owners += [(Chain, "branch slope_field"),
+               (family(fig2), "_ln_e_of _ln_null peak_gap _sample tail_b"),
+               (Branch, "peak_ln_e sample"),
                (LogScalar, "from_ln to_sci_string __add__ __mul__ "
                            "__truediv__ __pow__ from_float from_sci_string "
                            "to_float log10")]

@@ -17,6 +17,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import enstrophy_bounds as eb
 from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams,
                               assemble_full, branches, classify_full,
                               subcritical)
@@ -118,6 +119,25 @@ def test_full_region_within_a_hundred_decades(raw):
         assemble_full(params, 64)
     except EnstrophyBoundsError:
         pass
+
+
+@pytest.mark.parametrize("model", ["critical", "subcritical", "full",
+                                   "scaling"])
+def test_phi_segments_rise_strictly_wherever_curve_answers(model):
+    # every phi segment is sampled on distinct abscissas (Branch.segment,
+    # full_nse.Funnel.segment), so ln e rises strictly along it
+    assemble = getattr(eb, f"assemble_{model}")
+    answered = 0
+    for raw in [outputs.FIG2, outputs.FIG3] + outputs.draws():
+        try:
+            bundle = assemble(ForcingParams.from_mapping(raw))
+        except EnstrophyBoundsError:
+            continue
+        answered += 1
+        for seg in bundle.main_segments():
+            assert all(u < v for u, v in zip(seg.ln_e, seg.ln_e[1:])), \
+                (seg.tag, raw)
+    assert answered
 
 
 def test_eta_near_one(tmp_path):

@@ -18,7 +18,7 @@ import pytest
 from enstrophy_bounds import (EnstrophyBoundsError, ForcingParams,
                               OutsideDomain)
 from enstrophy_bounds import critical, full_nse, scaling, specfun
-from enstrophy_bounds.branches import family
+from enstrophy_bounds.branches import TAGS, family
 from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.logscalar import ln_add
 from enstrophy_bounds.params import exp_clamped
@@ -170,7 +170,7 @@ def test_branch_samples_match_pointwise_solution(name):
               (ch.ln_floor - 20.0 * math.log(10.0), ch.ln_floor)]
     for k, (lo, hi) in enumerate(ranges):
         field, anchor = ch.fields[k], ch._anchor(k)
-        seg = ch._sample(k, lo, hi, 257)
+        seg = ch.prepared(k).segment(TAGS[k], lo, hi, 257)
         ln_y = [_solution(v, field, *anchor) for v in seg.ln_e]
         q, ln_c = 1.0 / field.p, math.log(field.c)
         slope = [q * (field.a - field.b * math.exp(v) - _drag(ln_c + v - y))
@@ -181,6 +181,19 @@ def test_branch_samples_match_pointwise_solution(name):
             == _bits(y * (1.0 / field.p) for y in ln_y[::8])
 
 
+def test_branch_segment_keeps_only_distinct_abscissas():
+    # a span holding fewer floats than samples: each abscissa once, in
+    # order, as full_nse.Funnel.segment samples a wall collapsed onto its
+    # anchor
+    branch = specfun.Branch(specfun.Field(0.3, 0.0, 1.0, 0.5), 1.0, 2.0)
+    lo = 1.0 - 4.0 * math.ulp(1.0)
+    seg = branch.segment("phi1", lo, 1.0, 64)
+    assert seg.ln_e == sorted(set(log_grid(lo, 1.0, 64)))
+    assert len(seg.ln_e) == len(seg.ln_E) == len(seg.dlnE_dlne) == 9
+    assert _bits(seg.ln_E) == _bits(branch.ln_y(v) * branch.q
+                                    for v in seg.ln_e)
+
+
 @pytest.mark.parametrize("name", sorted(_SETS))
 def test_peak_gap_and_right_of_anchor_match_pointwise_solution(name):
     ch = family(_SETS[name])
@@ -189,9 +202,9 @@ def test_peak_gap_and_right_of_anchor_match_pointwise_solution(name):
     # the grid of verify's root_vs_gridscan row around the peak
     for u in log_grid(-1.0, 1.0, 41):
         x = x_star + 2.0 * u
-        want = _outcome(lambda x: _solution(ch._ln_e_of(x), rise, *anchor)
-                        - ch._ln_null(x), x)
-        assert _outcome(ch.peak_gap, x) == want
+        want = _outcome(lambda x: _solution(rise.ln_e_at(x), rise, *anchor)
+                        - rise.ln_null(x), x)
+        assert _outcome(ch.prepared(0).peak_gap, x) == want
     # each branch ends on its anchor, where the oracle agrees: one ulp
     # right of it, or 1e-10 or 1e-9, is refused
     for k in range(3):

@@ -27,13 +27,7 @@ from enstrophy_bounds import (
 from enstrophy_bounds.logscalar import ln_add
 from enstrophy_bounds.scaling import default_anchor
 
-from conftest import tool
-
-
-def _with(params, **over):
-    raw = params.to_raw()
-    raw.update(over)
-    return ForcingParams.from_mapping(raw)
+from conftest import params_with, tool
 
 
 def _ln_curve(v, ln_e0, ln_E0, sp):
@@ -93,7 +87,7 @@ def test_derived_parameters(fig2):
 
 
 def test_smallness_window_gate(fig2):
-    bad = _with(fig2, eps0=0.6)  # s = 1.1 while rho stays below 1
+    bad = params_with(fig2, eps0=0.6)  # s = 1.1 while rho stays below 1
     with pytest.raises(InvalidRegime):
         scaling_params(bad)
     with pytest.raises(InvalidRegime):
@@ -109,7 +103,7 @@ def test_admissibility_floor_above_float_range(fig2):
     # the floor exp(708.5) is a float, but past params' float range
     with pytest.raises(InvalidRegime, match=r"^admissibility floor E_floor "
                        r"= exp\(708\.5\) is above float range$"):
-        scaling_params(_with(fig2, curlF_norm=1.765e153))
+        scaling_params(params_with(fig2, curlF_norm=1.765e153))
 
 
 def test_pure_power_law_when_drain_vanishes():
@@ -144,7 +138,7 @@ def test_curve_maximum(fig2):
 
 def test_maximum_can_escape_domain(fig2):
     # a weak drain pushes the stationary point past the anchor
-    weak = _with(fig2, eps0=0.05)
+    weak = params_with(fig2, eps0=0.05)
     sp = scaling_params(weak)
     assert sp.s == pytest.approx(0.55, rel=1e-12)
     with pytest.raises(RegimeViolation):
@@ -161,7 +155,7 @@ def test_peak_scales_exactly_quadratically(fig2):
     # true closed-form value
     lns, lgs = [], []
     for g in (10.0, 100.0, 1000.0):
-        p = _with(fig2, f_norm=g)
+        p = params_with(fig2, f_norm=g)
         sp = scaling_params(p)
         _, E_max = scaling_emax(*default_anchor(p), sp)
         lns.append(math.log(E_max))
@@ -201,7 +195,7 @@ def test_assemble_scaling_bundle(fig2):
 
 def test_assemble_rejects_zero_forcing(fig2):
     with pytest.raises(RegimeViolation):
-        assemble_scaling(_with(fig2, f_norm=0.0))
+        assemble_scaling(params_with(fig2, f_norm=0.0))
 
 
 # -------------------------------------------- the shared solution vs oracle

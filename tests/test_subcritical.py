@@ -9,7 +9,6 @@ import pytest
 
 from enstrophy_bounds import (
     AssumptionViolated,
-    ForcingParams,
     InvalidRegime,
     NoBracket,
     OutsideDomain,
@@ -29,11 +28,7 @@ from enstrophy_bounds.subcritical import (
 )
 from enstrophy_bounds.verify import all_pass
 
-
-def _with(params, **over):
-    raw = params.to_raw()
-    raw.update(over)
-    return ForcingParams.from_mapping(raw)
+from conftest import params_with
 
 
 def test_sigma_values():
@@ -103,7 +98,7 @@ def test_descent_joins_peak_and_floor(fig3):
 
 
 def test_weak_curl_rejected(fig3):
-    weak = _with(fig3, curlF_norm=0.1)
+    weak = params_with(fig3, curlF_norm=0.1)
     assert not chain(weak).curl_dominant
     with pytest.raises(AssumptionViolated):
         classify_subcritical(1e-3, 1e40, weak)
@@ -113,7 +108,7 @@ def test_weak_curl_rejected(fig3):
 
 def test_no_production_term(fig3):
     # c = 0 kills the production estimate: the rising branch never peaks
-    flat = _with(fig3, c=0.0)
+    flat = params_with(fig3, c=0.0)
     with pytest.raises(NoBracket):
         find_e_bar(flat)
 
@@ -142,7 +137,7 @@ def test_peak_height_exponent(fig3, r):
     # ln E_bar grows like (2/sigma) ln G
     lns, lgs = [], []
     for g in (10.0, 100.0, 1000.0):
-        p = _with(fig3, r=r, f_norm=g)
+        p = params_with(fig3, r=r, f_norm=g)
         _, E_bar = find_e_bar(p)
         lns.append(E_bar)
         lgs.append(math.log(g))
@@ -179,7 +174,7 @@ def test_classify_subcritical_regions(fig3):
 
 
 def test_zero_forcing_is_a_regime_violation(fig3):
-    dead = _with(fig3, f_norm=0.0)
+    dead = params_with(fig3, f_norm=0.0)
     with pytest.raises(RegimeViolation):
         classify_subcritical(1.0, 1.0, dead)
 
@@ -193,7 +188,7 @@ def test_chain_resolves_once_per_parameter_set(fig3, monkeypatch):
         return real(*args, **kwargs)
 
     monkeypatch.setattr(branches, "find_root", counting)
-    fresh = _with(fig3)  # equal to fig3, but resolves its own chain
+    fresh = params_with(fig3)  # equal to fig3, but resolves its own chain
     # points on both sides of e_bar, above and below the curve
     for i in range(100):
         e = math.exp(-700.0 + 7.0 * i)
@@ -206,7 +201,7 @@ def test_chain_resolves_once_per_parameter_set(fig3, monkeypatch):
 def test_near_critical_exponent_assembles(fig3):
     # sigma ~ 5e-10 amplifies every rounding of zeta by 1/sigma; with the
     # peak and floor anchors kept in log space the joins still close
-    near = _with(fig3, r=0.5 + 1e-9)
+    near = params_with(fig3, r=0.5 + 1e-9)
     bundle = assemble_subcritical(near)
     assert max_join_gap(bundle) <= 1e-8
     assert all_pass(containment_check(bundle, near))
@@ -255,6 +250,6 @@ def test_branches_match_two_term_closed_form(fig3):
 def test_branches_match_two_term_closed_form_on_draws(fig3):
     rng = random.Random(20)
     for _ in range(8):
-        p = _with(fig3, r=rng.uniform(0.51, 1.0),
+        p = params_with(fig3, r=rng.uniform(0.51, 1.0),
                   f_norm=rng.uniform(2.0, 100.0), curlF_norm=400.0)
         _check_branches_against_two_term(p)

@@ -34,13 +34,7 @@ from enstrophy_bounds.verify import (_ALPHAS, _SCAN_HALF_WIDTH, _SCAN_N,
                                      _rate_tables, _rk4_row, _scan_row,
                                      _spread_indices, all_pass, report)
 
-from conftest import ROOT
-
-
-def _with(params, **over):
-    raw = params.to_raw()
-    raw.update(over)
-    return ForcingParams.from_mapping(raw)
+from conftest import ROOT, params_with
 
 
 # ----------------------------------------------------------- containment
@@ -79,7 +73,7 @@ def test_containment_refuses_the_other_familys_parameters(fig2, fig3):
 
 
 def test_containment_full_high_forcing(fig2):
-    strong = _with(fig2, f_norm=100.0)
+    strong = params_with(fig2, f_norm=100.0)
     report = containment_check(assemble_full(strong, samples=256), strong,
                                n_points=200)
     assert {row["segment"] for row in report} == {"phi1", "phi2"}
@@ -91,7 +85,7 @@ def test_containment_full_high_forcing(fig2):
 def test_containment_notes_a_collapsed_wall(fig2, over):
     # the wall keeps only its distinct abscissas; here that is its anchor
     # alone, so the phi1 row checks one point and says so
-    params = _with(fig2, **over)
+    params = params_with(fig2, **over)
     bundle = assemble_full(params)
     rows = containment_check(bundle, params, 512)
     assert [len(seg.ln_e) for seg in bundle.main_segments()] == [1, 512]
@@ -151,7 +145,7 @@ def test_halved_curve_shifts_only_phi_segments(fig2):
 
 def test_containment_full_near_exact_cancellation(fig2):
     # a margin here cancels to within one ulp of 1 in log-domain arithmetic
-    p = _with(fig2, f_norm=0.8029959096727133)
+    p = params_with(fig2, f_norm=0.8029959096727133)
     report = containment_check(assemble_full(p), p)
     assert {row["segment"] for row in report} == {"phi1", "phi2"}
 
@@ -229,7 +223,7 @@ def test_oracle_suite_subcritical(fig3):
 def test_oracle_suite_root_on_grid_midpoint(fig3):
     # the claimed root sits on the scan grid's middle node; the scan must
     # count it as inside its own bracket
-    draw = _with(fig3, r=0.5237077422010827, f_norm=24.501293065148346)
+    draw = params_with(fig3, r=0.5237077422010827, f_norm=24.501293065148346)
     report = oracle_suite(draw, assemble_subcritical(draw))
     assert all_pass(report)
     assert all(type(row["pass"]) is bool for row in report)
@@ -317,7 +311,7 @@ def test_oracle_suite_catches_loose_series(fig2, monkeypatch):
     # its own chain with the loose series, and every value formed with it
     # is held on that set alone, so none outlives this test.
     monkeypatch.setattr(specfun, "_REL_TOL", 1e-2)
-    loose = _with(fig2)
+    loose = params_with(fig2)
     report = oracle_suite(loose, assemble_critical(loose))
     failing = {row["check"] for row in report if not row["pass"]}
     assert "series_vs_quadrature" in failing
@@ -332,7 +326,7 @@ def test_oracle_suite_catches_loose_series(fig2, monkeypatch):
 ], ids=["no-bracket", "regime"])
 def test_oracle_suite_without_the_region(fig2, eta, note):
     # no e2 to scan: the suite writes a failing e2 row naming the refusal
-    params = _with(fig2, eta=eta)
+    params = params_with(fig2, eta=eta)
     report = oracle_suite(params, assemble_critical(params))
     rows = [row for row in report if row["segment"] == "e2"]
     assert rows == [{"check": "root_vs_gridscan", "segment": "e2",
@@ -344,7 +338,7 @@ def test_oracle_suite_without_the_region(fig2, eta, note):
 def test_report_degenerate_forcing(fig2):
     # no curve to check: report answers with the noted containment row and
     # the special function's row, and runs no oracle that needs a curve
-    rows = report(_with(fig2, f_norm=0.0))
+    rows = report(params_with(fig2, f_norm=0.0))
     assert all_pass(rows)
     assert [(row["check"], row["segment"], row.get("note"))
             for row in rows] == [
@@ -362,7 +356,7 @@ def test_report_degenerate_forcing(fig2):
 def test_verify_passes_at_high_grashof(tmp_path, fig2, g):
     # fig2 has nu = lambda = 1, so f_norm is G
     path = tmp_path / "high.json"
-    path.write_text(json.dumps(_with(fig2, f_norm=g).to_raw()))
+    path.write_text(json.dumps(params_with(fig2, f_norm=g).to_raw()))
     out = tmp_path / "verify.json"
     assert run(["verify", "--params", str(path), "--out", str(out)]) == 0
     rows = json.loads(out.read_text())
@@ -393,7 +387,7 @@ def test_slope_tilt_is_flagged_at_every_grashof(fig2, g):
     # grows. The halved curve cannot serve here: above G ~ 10 every term
     # but the drive is homogeneous of degree 2 in E, so E -> E/2 leaves
     # the margin where it was.
-    p = _with(fig2, f_norm=g)
+    p = params_with(fig2, f_norm=g)
     bundle = assemble_critical(p)
     for factor, outward in ((1.0 + 1e-6, {"phi2", "phi3"}),
                             (1.0 - 1e-6, {"phi1"})):
@@ -456,7 +450,7 @@ def _exact_ratio(model, params, tag, ln_e, ln_E, slope):
     ("fig2", {}), ("fig3", {}), ("fig2", {"f_norm": 280.0}),
 ], ids=["fig2", "fig3", "fig2-G280"])
 def test_margins_match_a_50_digit_arbiter(request, preset, over):
-    params = _with(request.getfixturevalue(preset), **over)
+    params = params_with(request.getfixturevalue(preset), **over)
     worst = 0.0
     for bundle in (branches.family(params).assemble(samples=256),
                    assemble_full(params, samples=256)):
