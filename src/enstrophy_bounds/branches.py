@@ -167,7 +167,7 @@ class Chain:
                 f"barrier asymptote e_a = {f.e_a}")
         if not f.e_a > 0.0:
             raise InvalidRegime(f"e_a = a/b underflows (b = {f.b:.3g})")
-        x, ln_e = self.prepared(0).peak()
+        x, ln_e = self.prepared(0).peak(find_root)
         if f.b == 0.0 and x >= self.ln_e0:
             raise NoBracket("rise peaks at or right of the anchor e0: "
                             f"ln e_peak - ln e0 = {x - self.ln_e0:.6g}")

@@ -114,7 +114,27 @@ def bundle_to_csv(bundle: CurveBundle) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _json_array(values: list, depth: int) -> str:
+    """values as json.dumps(..., indent=2) writes a list at depth levels
+    of indentation, spread from the C encoder's compact form: [] when
+    empty, and every float and string spelled by that encoder (NaN,
+    Infinity and -Infinity included). Splitting at ", " is safe because
+    no float, and no string these writers put in an array, contains it."""
+    if not values:
+        return "[]"
+    pad = "\n" + "  " * (depth + 1)
+    items = json.dumps(values)[1:-1].replace(", ", "," + pad)
+    return "[" + pad + items + "\n" + "  " * depth + "]"
+
+
 def bundle_to_json(bundle: CurveBundle) -> str:
+    """The bundle as json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    writes it, byte for byte. That call writes the head (breakpoints,
+    flags, model, params_echo); "segments", the last key in sorted
+    order, is written here, each segment's e, log10_E and tag
+    (_json_array, json.dumps for the tag), because with an indent json
+    falls back to its pure-Python encoder, which cost most of the time
+    on the sample arrays."""
     breakpoints = {}
     for name, ln in bundle.breakpoints.items():
         if name == "E0" and abs(ln) < 700.0:
@@ -125,18 +145,20 @@ def bundle_to_json(bundle: CurveBundle) -> str:
             breakpoints["log10_" + name] = round_sig(ln / _LN10)
         else:
             breakpoints[name] = sci_string(ln)
-    doc = {
+    head = json.dumps({
         "model": bundle.model,
         "params_echo": bundle.params.to_raw(),
         "breakpoints": breakpoints,
-        "segments": [
-            {
-                "tag": seg.tag,
-                "e": [sci_string(v) for v in seg.ln_e],
-                "log10_E": [round_sig(v / _LN10) for v in seg.ln_E],
-            }
-            for seg in bundle.segments
-        ],
         "flags": sorted(bundle.flags),
-    }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    }, sort_keys=True, indent=2)
+    segments = [
+        "    {\n"
+        f'      "e": {_json_array([sci_string(v) for v in seg.ln_e], 3)},\n'
+        '      "log10_E": '
+        f"{_json_array([round_sig(v / _LN10) for v in seg.ln_E], 3)},\n"
+        f'      "tag": {json.dumps(seg.tag)}\n'
+        "    }"
+        for seg in bundle.segments
+    ]
+    body = "[\n" + ",\n".join(segments) + "\n  ]" if segments else "[]"
+    return head[:-2] + ',\n  "segments": ' + body + "\n}\n"

@@ -20,7 +20,10 @@ where it costs no digits, and never between two large sums. At b = 0
 The loop needs about x terms, a few times G^2, so wide spans take the
 endpoint difference e_hi^alpha (G - H), G = g(alpha, x),
 H = r^alpha g(alpha, r x), with g from its few-term large-argument form
-e^x/x sum_s (1 - alpha)_s x^(-s) (DLMF 13.7.2). Integrated by parts from
+e^x/x sum_s (1 - alpha)_s x^(-s) (DLMF 13.7.2). H is not summed where
+g(alpha, y) <= e^y/alpha bounds ln(H/G) below -37.5: e^-37.5 is under
+2^-54, half an ulp of 1, so 1 - H/G rounds to exactly 1.0 and the
+difference is G, with the bits the sum gives. Integrated by parts from
 t = 1 down, that form also gives the integral over [r, 1] once each term
 carries b_s = 1 - r^(-(1-alpha+s)) e^(-x(1-r)), the share the lower end
 leaves, and it sums the short spans next to the upper end that the
@@ -67,6 +70,10 @@ _REL_TOL = 1e-12
 
 # largest bound on H / (G - H) for which G - H is taken as a difference
 _LN_SEVENTH = math.log(1.0 / 7.0)
+
+# bound on ln(H/G) below which H is not summed: e^-37.5 is under 2^-54,
+# half an ulp of 1, so 1 - H/G rounds to exactly 1.0 there
+_LN_HALF_ULP = -37.5
 
 
 def _series_ln(alpha: float, x: float, ln_r: float) -> float:
@@ -182,14 +189,20 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
     over [0, 1] and [0, r], x = b e_hi, r = e_lo/e_hi. Bounding t^(-a) by
     1 on [r, 1] gives H/(G - H) <= x r^(1-a) / ((1-a)(e^(x(1-r)) - 1))
     before any sum; where that is at most 1/7 the difference is taken
-    (under 0.07 digits lost). What that leaves is summed with positive
-    terms: by the power series below x = params._LN_RANGE, and past it by
-    the large-argument form (_large_ln), since the gate then leaves only
-    short spans, 1 - r at most (ln(x/alpha) + 3)/x, below 0.07. An x past
-    float range (inf, params.exp_clamped) is the series' refusal,
-    NonConvergence. alpha, x and the arms it picks, ln(x/alpha) and alpha
-    ln e_hi depend on the upper end alone and are formed here; ln G is
-    formed on first use and kept in the returned function, so it lives
+    (under 0.07 digits lost). There g(alpha, y) <= e^y/alpha gives
+    ln H - ln G <= alpha ln r + r x - ln alpha - ln G; where that is below
+    -37.5 (_LN_HALF_ULP), H is not summed and the value is
+    alpha ln e_hi + ln G: e^-37.5 is under 2^-54, so
+    log(-expm1(ln H - ln G)) would be exactly 0.0. ln G is formed before
+    that test, so its refusals come in the same order. What the
+    difference arm leaves is summed with positive terms: by the power
+    series below x = params._LN_RANGE, and past it by the large-argument
+    form (_large_ln), since the gate then leaves only short spans, 1 - r
+    at most (ln(x/alpha) + 3)/x, below 0.07. An x past float range
+    (inf, params.exp_clamped) is the series' refusal, NonConvergence.
+    alpha, ln alpha, x and the arms it picks, ln(x/alpha) and
+    alpha ln e_hi depend on the upper end alone and are formed here; ln G
+    is formed on first use and kept in the returned function, so it lives
     as long as that does.
     """
     if not 0.0 < a < 1.0:
@@ -197,6 +210,7 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
     if not b >= 0.0:
         raise OutsideDomain(f"weighted integral needs b >= 0, got b = {b}")
     alpha, ln_lead = 1.0 - a, (1.0 - a) * ln_hi
+    ln_alpha = math.log(alpha)
     ln_x = ln_hi + math.log(b) if b > 0.0 else -math.inf
     x = exp_clamped(ln_x)
     ln_x_alpha = math.log(x / alpha) if x > 0.0 else -math.inf
@@ -216,7 +230,10 @@ def weighted_exp_integral_to(a: float, b: float, ln_hi: float):
                 - math.log(-math.expm1(-gap)) <= _LN_SEVENTH:
             if ln_g is None:
                 ln_g = _g_ln(alpha, x)
-            ln_h = alpha * ln_r + _g_ln(alpha, x * math.exp(ln_r))
+            rx = x * math.exp(ln_r)
+            if alpha * ln_r + rx - ln_alpha - ln_g < _LN_HALF_ULP:
+                return ln_lead + ln_g
+            ln_h = alpha * ln_r + _g_ln(alpha, rx)
             return ln_lead + ln_g + math.log(-math.expm1(ln_h - ln_g))
         return ln_lead + rest(alpha, x, ln_r)
 
@@ -333,7 +350,7 @@ class Branch:
         f = self.field
         return self.ln_y(f.ln_e_at(x)) - f.ln_null(x)
 
-    def peak(self) -> tuple[float, float]:
+    def peak(self, find_root=None) -> tuple[float, float]:
         """(x*, ln e*): where the solution meets its nullcline, its one
         stationary point, x* in the peak variable (Field.ln_e_at).
 
@@ -345,13 +362,12 @@ class Branch:
         k = a ln e_a - a - ln(c/b). At or below ln 1/2 it is under
         -1 + (1 - a) ln 2 + a/2 < 0 from w = -k - top - 1 down, and it is
         at least 1 from w = 1 - k - lead up: those two ends bracket the
-        root (solver.find_root, imported here so that a b = 0 caller
-        executes no solver). The caller refuses a peak it cannot use.
+        root, found by the caller's find_root (solver.find_root), which a
+        b = 0 caller need not pass, so that it executes no solver. The
+        caller refuses a peak it cannot use.
         """
         f = self.field
         if f.b > 0.0:
-            from .solver import find_root
-
             k = f.a * math.log(f.e_a) - f.a - f.ln_c + math.log(f.b)
             x = find_root(self.peak_gap,
                           min(-k - self.top - 1.0, math.log(0.5)),

@@ -20,7 +20,7 @@ from enstrophy_bounds import (
     max_join_gap,
     truncation_comparison,
 )
-from enstrophy_bounds import branches, solver, subcritical
+from enstrophy_bounds import branches, subcritical
 from enstrophy_bounds.critical import chain
 from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.solver import integrate_adaptive
@@ -399,10 +399,9 @@ def test_chain_resolves_once_per_parameter_set(fig2, monkeypatch):
         calls.append(1)
         return real(*args, **kwargs)
 
-    # the floor crossing's find_root is bound in branches, the peak's is
-    # imported from solver when Branch.peak runs
+    # the floor crossing and the peak both search with branches'
+    # find_root: Chain.peak hands it to Branch.peak
     monkeypatch.setattr(branches, "find_root", counting)
-    monkeypatch.setattr(solver, "find_root", counting)
     fresh = params_with(fig2)  # equal to fig2, but resolves its own chain
     # points on both sides of e_max, above and below the curve
     for i in range(100):

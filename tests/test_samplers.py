@@ -274,9 +274,11 @@ def test_scaling_maximum_matches_the_envelope_oracle(preset):
 def test_each_branch_prepares_its_integral_once(monkeypatch):
     # a Branch prepares one weighted integral and takes top from it, so
     # the ln G that top forms serves the solves after it: on fig2 the
-    # peak and the floor solves each sum g six times (seven when the
-    # bounds summed their own), a chain prepares three integrals for its
-    # three branches, and the scaling curve one for its one anchor
+    # peak and the floor solves each sum g once, for top (six times
+    # before the difference arm skipped an H below half an ulp of G,
+    # seven when the bounds summed their own), a chain prepares three
+    # integrals for its three branches, and the scaling curve one for its
+    # one anchor
     counts = {"g": 0, "prepared": 0}
     g_ln, prepare = specfun._g_ln, specfun.weighted_exp_integral_to
 
@@ -293,10 +295,10 @@ def test_each_branch_prepares_its_integral_once(monkeypatch):
                         counting_prepare)
     ch = critical.chain(ForcingParams.from_mapping(_raw("fig2")))
     ch.peak
-    assert counts == {"g": 6, "prepared": 1}
+    assert counts == {"g": 1, "prepared": 1}
     counts.update(g=0, prepared=0)
     ch.ln_floor
-    assert counts == {"g": 6, "prepared": 1}
+    assert counts == {"g": 1, "prepared": 1}
     for name in ("fig2", "fig3"):
         params = ForcingParams.from_mapping(_raw(name))
         counts["prepared"] = 0

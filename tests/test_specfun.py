@@ -483,3 +483,74 @@ def test_assembly_sums_no_large_argument_series(fig2, monkeypatch):
         calls.clear()
         critical.assemble_critical(params)
         assert sum(x >= 30.0 for x in calls) <= 20, params.grashof
+
+
+def _gate_draws():
+    """Seeded (a, b, ln e_hi, ln e_lo) on the difference arm, each with
+    the bound alpha ln r + r x - ln alpha - ln G on ln(H/G) that the
+    half-ulp gate reads. Every other draw puts that bound at a value
+    drawn within 4 of the gate's -37.5, solving for ln r by bisection
+    (the bound rises with ln r)."""
+    rng = random.Random(4848)
+    draws = []
+    while len(draws) < 600:
+        a = rng.uniform(0.02, 0.98)
+        b = math.exp(rng.uniform(-4.0, 5.0))
+        ln_hi = rng.uniform(-4.0, 6.0)
+        alpha = 1.0 - a
+        x = math.exp(ln_hi + math.log(b))
+        ln_g = specfun._g_ln(alpha, x)
+
+        def bound(ln_r):
+            return alpha * ln_r + x * math.exp(ln_r) - math.log(alpha) - ln_g
+
+        if len(draws) % 2:
+            ln_r = -math.exp(rng.uniform(math.log(1e-3), math.log(400.0)))
+        else:
+            target, lo, hi = rng.uniform(-41.5, -33.5), -1e4, -1e-12
+            for _ in range(100):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if bound(mid) < target else (lo, mid)
+            ln_r = lo
+        gap = -x * math.expm1(ln_r)
+        if gap > 0.0 and math.log(x / alpha) + alpha * ln_r - gap \
+                - math.log(-math.expm1(-gap)) <= specfun._LN_SEVENTH:
+            draws.append((a, b, ln_hi, ln_hi + ln_r, bound(ln_r)))
+    return draws
+
+
+def test_half_ulp_gate_keeps_the_bits_of_the_difference():
+    # the difference arm skips H where its bound on ln(H/G) is below
+    # -37.5; on both sides of that bound the value must be the unskipped
+    # ln_lead + ln G + log(-expm1(ln H - ln G)), formed here from _g_ln
+    draws = _gate_draws()
+    sides = [sum(bound < specfun._LN_HALF_ULP for *_, bound in draws),
+             sum(bound >= specfun._LN_HALF_ULP for *_, bound in draws)]
+    near = [sum(-39.5 < bound < -37.5 for *_, bound in draws),
+            sum(-37.5 <= bound < -35.5 for *_, bound in draws)]
+    assert min(sides) >= 150 and min(near) >= 10, (sides, near)
+    for a, b, ln_hi, ln_lo, _ in draws:
+        alpha, ln_r = 1.0 - a, ln_lo - ln_hi
+        x = math.exp(ln_hi + math.log(b))
+        ln_g = specfun._g_ln(alpha, x)
+        ln_h = alpha * ln_r + specfun._g_ln(alpha, x * math.exp(ln_r))
+        want = alpha * ln_hi + ln_g + math.log(-math.expm1(ln_h - ln_g))
+        got = specfun.weighted_exp_integral_to(a, b, ln_hi)(ln_lo)
+        assert got.hex() == want.hex(), (a, b, ln_hi, ln_lo)
+
+
+def test_critical_assembly_sums_g_117_times(fig2, monkeypatch):
+    # with the half-ulp gate, the phi1 samples far left of the anchor take
+    # G alone: fig2's assembly sums g 117 times (1,026 when every sample
+    # of the difference arm summed H)
+    calls = []
+    g_ln = specfun._g_ln
+
+    def counting(alpha, x):
+        calls.append(x)
+        return g_ln(alpha, x)
+
+    monkeypatch.setattr(specfun, "_g_ln", counting)
+    # a fresh set, so its chain is built under the patch
+    critical.assemble_critical(ForcingParams.from_mapping(fig2.to_raw()))
+    assert len(calls) == 117
