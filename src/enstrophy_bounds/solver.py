@@ -19,8 +19,8 @@ bits as the plain loops (tests/test_solver.py keeps those as oracles).
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from functools import cache
-from typing import Callable
 
 from .errors import FieldBlowup, NoBracket, NonConvergence, OutsideDomain
 

@@ -1206,7 +1206,7 @@ def test_closed_pipe_ends_the_command_quietly():
 
 
 _EVERY_COMMAND = """
-import json, sys
+import gc, json, sys
 from enstrophy_bounds.cli import run
 fig2, fig3, tmp = sys.argv[1:]
 codes = []
@@ -1225,10 +1225,10 @@ codes.append(run(["taylor", "--params", fig2, "--curve",
                   f"{tmp}/critical.json", "--out", f"{tmp}/taylor.json"]))
 codes.append(run(["--help"]))
 codes.append(run(["emax", "--params", fig2, "--eta", "four"]))
-print(json.dumps({"codes": codes, **{heavy: [
-    name for name in sys.modules if name.split(".")[0] == heavy]
+print(json.dumps({"codes": codes, "frozen": gc.get_freeze_count(), **{
+    heavy: [name for name in sys.modules if name.split(".")[0] == heavy]
     for heavy in ("numpy", "dataclasses", "inspect", "argparse", "gettext",
-                  "locale")}}))
+                  "locale", "pathlib", "typing")}}))
 """
 
 
@@ -1239,29 +1239,37 @@ def test_commands_never_import_numpy(tmp_path):
     # methods cost about 20 ms of every command. The command line is a
     # table, as argparse (with the gettext and locale it loads) and its
     # parser build cost several ms of every command, help and usage
-    # errors included
+    # errors included. Files are read and written with open(), not
+    # pathlib, and the solver's callable aliases come from collections.abc,
+    # not typing: under -S (no site, so nothing preloaded) those imports
+    # cost about 3 ms each. run never freezes the heap (only main does,
+    # before exiting), so many commands in one process leave it unfrozen
     env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
-    proc = subprocess.run([sys.executable, "-c", _EVERY_COMMAND, FIG2, FIG3,
-                           str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-S", "-c", _EVERY_COMMAND, FIG2,
+                           FIG3, str(tmp_path)],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["codes"] == [0] * 13 + [1]
+    assert doc["frozen"] == 0
     assert doc["numpy"] == []
     assert doc["dataclasses"] == [] and doc["inspect"] == []
     assert doc["argparse"] == [] and doc["gettext"] == [] \
         and doc["locale"] == []
+    assert doc["pathlib"] == [] and doc["typing"] == []
 
 
-# `python -m enstrophy_bounds ARGS`, then the package modules it executed:
-# a registered module that nothing touched is still the lazy stand-in
+# `python -m enstrophy_bounds ARGS`, then the package modules it executed
+# (a registered module that nothing touched is still the lazy stand-in)
+# and the heap's freeze count as main left it
 _EXECUTED_MODULES = """
-import json, runpy, sys, types
+import gc, json, runpy, sys, types
 try:
     runpy.run_module("enstrophy_bounds", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"code": code, "executed": sorted(
+print(json.dumps({"code": code, "frozen": gc.get_freeze_count(),
+                  "executed": sorted(
     name.split(".", 1)[1] for name, module in sys.modules.items()
     if name.startswith("enstrophy_bounds.")
     and type(module) is types.ModuleType)}))
@@ -1269,14 +1277,14 @@ print(json.dumps({"code": code, "executed": sorted(
 _SHARED = {"cli", "curves", "errors", "logscalar", "params"}
 
 
-def _executed_modules(*args) -> set:
+def _executed_modules(*args) -> tuple[set, int]:
     env = dict(os.environ, PYTHONPATH=str(PRESETS.parent / "src"))
     proc = subprocess.run([sys.executable, "-c", _EXECUTED_MODULES, *args],
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.splitlines()[-1])
     assert doc["code"] == 0, proc.stderr
-    return set(doc["executed"])
+    return set(doc["executed"]), doc["frozen"]
 
 
 @pytest.mark.parametrize("args, executed", [
@@ -1296,7 +1304,10 @@ def test_command_executes_only_the_modules_it_runs(tmp_path, args, executed):
         assert run(["curve", "critical", "--params", FIG2, "--samples", "16",
                     "--format", "json", "--out", curve]) == 0
         args = [curve if a == "CURVE" else a for a in args]
-    assert _executed_modules(*args) == executed
+    modules, frozen = _executed_modules(*args)
+    assert modules == executed
+    # main froze the heap before exiting: the shutdown collections skip it
+    assert frozen > 0
 
 
 @pytest.mark.parametrize("args", [
@@ -1305,7 +1316,7 @@ def test_command_executes_only_the_modules_it_runs(tmp_path, args, executed):
      "--E", "1e9"),
 ], ids=["curve", "classify"])
 def test_subcritical_commands_execute_no_other_model(args):
-    executed = _executed_modules(*args)
+    executed, _ = _executed_modules(*args)
     assert "subcritical" in executed
     assert not executed & {"critical", "full_nse", "scaling", "maxest",
                            "verify"}
@@ -1315,8 +1326,8 @@ def test_subcritical_commands_execute_no_other_model(args):
                                            (FIG3, "critical")],
                          ids=["fig2", "fig3"])
 def test_verify_executes_only_the_family_it_checks(preset, other):
-    executed = _executed_modules("verify", "--params", preset, "--points",
-                                 "16")
+    executed, _ = _executed_modules("verify", "--params", preset,
+                                    "--points", "16")
     assert {"verify", "full_nse"} <= executed
     assert other not in executed
     assert not executed & {"maxest", "scaling"}

@@ -344,6 +344,9 @@ _GRID_SPANS = (1e-12, 1e-10, 1e-7, 1e-4, 1e-2, 0.03, 0.05, 0.1, 0.3, 1.0,
 # formed in logs would carry the rounding of its log as well)
 _GRID_LN_HI_PAST_CAP = tuple(math.log(e)
                              for e in (2e6, 1e7, 1e8, 1e9, 1e12))
+# upper ends between the grid's x <= 3000 and the old cap, the same way,
+# where every span wide enough for the difference arm is a difference
+_GRID_LN_HI_DIFFERENCE = tuple(math.log(e) for e in (1e4, 1e5, 1e6))
 
 
 @pytest.mark.parametrize("a", [0.03, 0.15, 0.5, 0.85, 0.97])
@@ -355,7 +358,16 @@ def test_weighted_integral_matches_hyp1f1_difference(a):
     # the grid, and past the old cap, where ln W reaches 1e12, the float x
     # the kernel sums for: the half-ulp rounding of x alone moves ln W by
     # about 0.6 ulp at x = 1e7. The short spans there are the
-    # large-argument form's, the wide ones the endpoint difference's
+    # large-argument form's, the wide ones the endpoint difference's.
+    # Between them, at x = 1e4, 1e5 and 1e6 and again at the float x, ln W
+    # is about x, and one ulp of it is one ulp of x. The difference arm
+    # rounds at most four times at that scale: ln G = x - ln x + log1p of
+    # the tail takes two, adding al ln e_hi one, and the ln(1 - H/G) of a
+    # summed H one; the large-argument form of a short span takes two.
+    # Four half ulps make k = 2. What rounds below that scale (ln x, the
+    # log1p, al ln e_hi, each under 15) adds under 1e-14, and the sums'
+    # truncation, _REL_TOL / 10 relative, adds 1e-13 to ln W (under
+    # 0.06 ulp at x = 1e4), kept as that absolute term
     with mpmath.workdps(60):
         al = 1 - mpmath.mpf(a)
 
@@ -367,20 +379,23 @@ def test_weighted_integral_matches_hyp1f1_difference(a):
             return mpmath.exp(al * ln_e) * mpmath.hyp1f1(
                 al, al + 1, x * mpmath.exp(ln_e - ln_hi)) / al
 
-        rows = [(ln_hi, b, b * mpmath.exp(mpmath.mpf(ln_hi)))
+        rows = [(ln_hi, b, b * mpmath.exp(mpmath.mpf(ln_hi)), None)
                 for ln_hi in _GRID_LN_HI for b in _GRID_B
                 if b * math.exp(ln_hi) <= 3000.0]
-        rows += [(v, 1.0, mpmath.mpf(math.exp(v)))
+        rows += [(v, 1.0, mpmath.mpf(math.exp(v)), None)
                  for v in _GRID_LN_HI_PAST_CAP]
-        for ln_hi, b, x in rows:
+        rows += [(v, 1.0, mpmath.mpf(math.exp(v)), 2.0)
+                 for v in _GRID_LN_HI_DIFFERENCE]
+        for ln_hi, b, x, k in rows:
             for span in _GRID_SPANS:
                 ln_lo = ln_hi - span
                 got = weighted_exp_integral_ln(a, b, ln_lo, ln_hi)
                 want = mpmath.log(anti(ln_hi, ln_hi, x)
                                   - anti(ln_lo, ln_hi, x))
                 err = abs(mpmath.expm1(mpmath.mpf(got) - want))
-                assert err <= max(1e-12, math.ulp(got)), \
-                    (ln_hi, b, span, float(err))
+                bound = max(1e-12, math.ulp(got)) if k is None \
+                    else k * math.ulp(got) + 1e-13
+                assert err <= bound, (ln_hi, b, span, float(err))
 
 
 def _mp_solution(e, field, e_ref, y_ref):
