@@ -19,7 +19,8 @@ from enstrophy_bounds import (AssumptionViolated, CancellationLoss,
                               assemble_critical, assemble_subcritical,
                               bound_report, classify_critical,
                               classify_full, classify_subcritical, cli,
-                              load_params_file, maxest, specfun, _EXPORTS)
+                              load_params_file, maxest, specfun, verify,
+                              _EXPORTS)
 from enstrophy_bounds.cli import run
 from enstrophy_bounds.curves import round_sig
 from enstrophy_bounds.logscalar import from_sci_string, ln_add, sci_string
@@ -987,6 +988,22 @@ def test_verify_one_point_checks_the_first_sample(tmp_path):
 def test_verify_negative_points_is_bad_input(capsys):
     assert run(["verify", "--params", FIG2, "--points", "-1"]) == 1
     assert capsys.readouterr().out == ""
+
+
+def test_failed_verify_prints_its_report_and_exits_2(monkeypatch, capsys):
+    # no e2 to scan: the oracle suite writes a failing e2 row with an
+    # infinite margin, which the JSON report prints as null
+    def refuse(params):
+        raise RegimeViolation("no e2 here")
+
+    monkeypatch.setattr(verify, "_full_scan_row", refuse)
+    assert run(["verify", "--params", FIG3, "--points", "8"]) == 2
+    out, err = capsys.readouterr()
+    assert err == "verification failed\n"
+    failed = [row for row in json.loads(out) if not row["pass"]]
+    assert failed == [{"check": "root_vs_gridscan", "segment": "e2",
+                       "samples": 0, "worst_margin": None, "pass": False,
+                       "note": "RegimeViolation: no e2 here"}]
 
 
 def test_verify_degenerate_forcing(tmp_path):

@@ -71,13 +71,16 @@ def test_outputs_of_one_checkout_match_themselves():
 
 def test_outputs_report_a_changed_output(tmp_path):
     # a copy of the package whose emax writes one key under another name:
-    # exactly the emax run of each preset differs, shown line by line
+    # exactly the emax runs of each preset differ (each answers), shown
+    # line by line
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "enstrophy_bounds" / "cli.py"
     cli.write_text(cli.read_text().replace('"eta_used":', '"eta_in_use":'))
     report = outputs.compare(ROOT, tmp_path, outputs.param_sets()[:2])
-    assert list(report) == ["fig2 | emax", "fig3 | emax"]
+    assert list(report) == [f"{preset} | {' '.join(argv)}"
+                            for preset in ("fig2", "fig3")
+                            for argv in outputs.COMMANDS if argv[0] == "emax"]
     for lines in report.values():
         assert [line[:1] for line in lines] == ["-", "+"]
         assert '"eta_used"' in lines[0] and '"eta_in_use"' in lines[1]

@@ -19,11 +19,13 @@ curlF_norm = 4.29e-155 (the critical enstrophy floor at ln -715); and
 six malformed parameter files, which every command refuses: fig2
 with nu a 401-digit integer, true, "1" or NaN, fig2 with an unknown key,
 and fig2 without nu. The commands are curve for each model in CSV and
-JSON, emax, verify, taylor on the full model's JSON curve, and classify
-at eight points for each classify model. The runs of ONCE read no
-parameter set and run once per comparison: the help, and a usage error
-(an unknown curve model on fig2); both print text built from the command
-table.
+JSON, emax with its defaults, with --eta 5 and with --anchor-E0 16
+--eta 4.33, verify, taylor on the full model's JSON curve, and classify
+at eight points for each classify model: 29 commands on 266 sets, 7,714
+runs. The runs of ONCE read no parameter set and run once per
+comparison: the help, and a usage error (an unknown curve model on
+fig2); both print text built from the command table. That makes 7,716
+runs in all.
 
 digest() writes tests/data/outputs_digest.json, which a tier-1 test
 recomputes in process: it pins every run of the set without a second
@@ -64,7 +66,9 @@ COMMANDS = (
     [["curve", model, "--format", fmt]
      for model in ("critical", "subcritical", "full", "scaling")
      for fmt in ("csv", "json")]
-    + [["emax"], ["verify"], ["taylor", "--curve", "curve.json"]]
+    + [["emax"], ["emax", "--eta", "5"],
+       ["emax", "--anchor-E0", "16", "--eta", "4.33"], ["verify"],
+       ["taylor", "--curve", "curve.json"]]
     + [["classify", "--e", e, "--E", big_e, "--model", model]
        for model in ("full", "subcritical")
        for e in ("1e-2", "1", "1e2", "1e4") for big_e in ("1", "1e10")])
