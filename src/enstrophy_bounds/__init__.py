@@ -43,8 +43,7 @@ _EXPORTS = {name: module for module, names in {
               "NonConvergence OutsideDomain RegimeViolation",
     "full_nse": "FullNseGeometry assemble_full classify_full eta_threshold "
                 "geometry solve_e2",
-    "maxest": "BoundReport bound_report emax_lower emax_upper eta_min "
-              "physical_scale",
+    "maxest": "bound_report emax_lower emax_upper eta_min physical_scale",
     "params": "ForcingParams load_params_file",
     "scaling": "ScalingParams assemble_scaling exponent_compare "
                "scaling_emax scaling_params",

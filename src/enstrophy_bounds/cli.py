@@ -13,6 +13,13 @@ traceback.
 
 Output is deterministic: identical invocations produce identical bytes.
 
+cli owns the command table, the parser, the dispatch and the emit. The
+model module a command runs builds the document it prints: the curve
+writers of curves, maxest.bound_report for emax (rescaled, rounded and
+refused there) and verify.report for verify, whose rows print as they
+come. taylor, the CLI's own diagnostic of a curve file, is computed
+here.
+
 Start-up executes only what every command shares (the parameter file,
 the writers, and a table of the commands, _COMMANDS, in place of argparse
 and its build); each handler imports the model module it runs, so `emax`
@@ -53,10 +60,6 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _finite(x: float):
-    return x if math.isfinite(x) else None
-
-
 # exp() overflows just above this: taylor writes a kappa_T past it as null
 _EXP_MAX = 709.0
 
@@ -73,28 +76,7 @@ def _cmd_curve(params, args) -> int:
 def _cmd_emax(params, args) -> int:
     from . import maxest
 
-    report = maxest.bound_report(params.grashof, params.eps, params.rho,
-                                 params.c2, mu=params.mu, eta=args.eta,
-                                 E0_anchor=args.anchor_E0)
-    e_scale, big_scale = maxest.physical_scale(params)
-    flags = list(report.flags)
-    if (e_scale, big_scale) != (1.0, 1.0):
-        flags.append("rescaled_to_physical_units")
-    # nu^2 sqrt(lambda) may underflow to 0
-    ln_up = math.log(big_scale) if big_scale else -math.inf
-    doc = {
-        "log10_lower": round_sig((report.lower + ln_up) / _LN10),
-        "log10_upper": round_sig((report.upper + ln_up) / _LN10),
-        "eta_used": round_sig(report.eta_used),
-        "e_crit": round_sig(report.e_crit * e_scale),
-        "e_bar_crit": round_sig(report.e_bar_crit * e_scale),
-        "anchor_E0": round_sig(report.anchor_E0 * big_scale),
-        "flags": sorted(flags),
-    }
-    for key, value in doc.items():
-        if key != "flags" and not math.isfinite(value):
-            raise InvalidRegime(f"{key} = {value} in physical units is "
-                                "outside float range")
+    doc = maxest.bound_report(params, eta=args.eta, E0_anchor=args.anchor_E0)
     _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
@@ -114,8 +96,6 @@ def _cmd_verify(params, args) -> int:
     from . import verify
 
     rows = verify.report(params, n_points=args.points)
-    for row in rows:
-        row["worst_margin"] = _finite(row["worst_margin"])
     _emit(json.dumps(rows, sort_keys=True, indent=2) + "\n", args.out)
     if verify.all_pass(rows):
         return 0

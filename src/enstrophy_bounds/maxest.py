@@ -13,13 +13,19 @@ anchor and the argument is void. The lower estimate, which tracks the
 curve from the forcing parabola up to the critical energy e_crit where
 the rising field switches off, is that form at eta = 0 on the parabola
 apex E0 = 4 G^2.
+
+bound_report is the way out: the CLI's emax document of a parameter set,
+both bounds and the constants that shaped them rescaled to that set's
+units (physical_scale) and rounded as printed.
 """
 
 from __future__ import annotations
 
 import math
 
+from .curves import round_sig
 from .errors import EtaTooSmall, InvalidRegime, RegimeViolation
+from .logscalar import _LN10
 from .params import exp_clamped
 
 # relative slack accepted on the eta gate before EtaTooSmall fires
@@ -120,38 +126,44 @@ def emax_upper(G: float, eps: float, rho: float, c2: float,
     return _bound(G, eps, rho, c2, eta, math.log(E0))
 
 
-class BoundReport:
-    """Both bounds, as their ln (lower, upper), and the constants that
-    shaped them."""
-
-    def __init__(self, lower: float, upper: float, eta_used: float,
-                 e_crit: float, e_bar_crit: float, anchor_E0: float,
-                 flags: list[str] | None = None):
-        self.lower, self.upper, self.eta_used = lower, upper, eta_used
-        self.e_crit, self.e_bar_crit = e_crit, e_bar_crit
-        self.anchor_E0 = anchor_E0
-        self.flags = [] if flags is None else flags
-
-
-def bound_report(G: float, eps: float, rho: float, c2: float,
-                 mu: float = 1.0, eta: float | None = None,
-                 E0_anchor: float | None = None) -> BoundReport:
-    """Both bounds plus the constants that shaped them, for the CLI. The
-    default eta is formed before the lower bound, and a given anchor and
-    eta are checked after it. E0_anchor and eta are read in this module's
-    nu = lambda = 1 frame, as G is: the CLI's emax passes --anchor-E0 and
-    --eta through as given, then prints the anchor rescaled to physical
-    units (times nu^2 sqrt(lambda), physical_scale) and eta as used."""
-    E0, eta_used = _anchor_eta(G, eps, mu, eta, E0_anchor)
+def bound_report(params, eta: float | None = None,
+                 E0_anchor: float | None = None) -> dict:
+    """The emax document of a parameter set: both bounds as log10_lower
+    and log10_upper, eta_used, e_crit, e_bar_crit and anchor_E0, each
+    rescaled to physical units (physical_scale) and rounded to twelve
+    digits (round_sig), and the flags naming each default filled in and
+    the rescaling. E0_anchor and eta are read in this module's nu =
+    lambda = 1 frame, as G is; eta is printed as used. The default eta
+    is formed before the lower bound, and a given anchor and eta are
+    checked after it; a value outside float range in physical units is
+    InvalidRegime, last."""
+    G, eps, rho, c2 = params.grashof, params.eps, params.rho, params.c2
+    E0, eta_used = _anchor_eta(G, eps, params.mu, eta, E0_anchor)
     lower = emax_lower(G, eps, rho, c2)
-    upper = emax_upper(G, eps, rho, c2, eta_used, E0_anchor, mu=mu)
+    upper = emax_upper(G, eps, rho, c2, eta_used, E0_anchor, mu=params.mu)
     e_crit, e_bar = (math.exp(_ln_e(eps, rho, c2, x))
                      for x in (0.0, eta_used))
     flags = [flag for flag, given in (("anchor_E0=parabola_apex", E0_anchor),
                                       ("eta=eta_min", eta)) if given is None]
-    return BoundReport(lower=lower, upper=upper, eta_used=eta_used,
-                       e_crit=e_crit, e_bar_crit=e_bar, anchor_E0=E0,
-                       flags=flags)
+    e_scale, big_scale = physical_scale(params)
+    if (e_scale, big_scale) != (1.0, 1.0):
+        flags.append("rescaled_to_physical_units")
+    # nu^2 sqrt(lambda) may underflow to 0
+    ln_up = math.log(big_scale) if big_scale else -math.inf
+    doc = {
+        "log10_lower": round_sig((lower + ln_up) / _LN10),
+        "log10_upper": round_sig((upper + ln_up) / _LN10),
+        "eta_used": round_sig(eta_used),
+        "e_crit": round_sig(e_crit * e_scale),
+        "e_bar_crit": round_sig(e_bar * e_scale),
+        "anchor_E0": round_sig(E0 * big_scale),
+        "flags": sorted(flags),
+    }
+    for key, value in doc.items():
+        if key != "flags" and not math.isfinite(value):
+            raise InvalidRegime(f"{key} = {value} in physical units is "
+                                "outside float range")
+    return doc
 
 
 def physical_scale(params) -> tuple[float, float]:
@@ -159,6 +171,7 @@ def physical_scale(params) -> tuple[float, float]:
     sqrt(lambda)) translating this module's nu = lambda = 1 frame into the
     units of a general parameter set. Each is formed from nu^2 and
     sqrt(lambda), so neither underflows or overflows with the other.
-    Everything above stays normalized; rescale results on the way out."""
+    Everything above stays normalized; bound_report, the way out,
+    rescales its results by these."""
     nu2, root = params.nu ** 2, math.sqrt(params.lam)
     return nu2 / root, nu2 * root

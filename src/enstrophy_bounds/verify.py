@@ -55,9 +55,11 @@ _SCAN_HALF_WIDTH, _SCAN_N = 2.0, 201
 
 def _row(check: str, segment: str, samples: int, worst: float,
          passed: bool, note: str | None = None) -> dict:
-    """One report row; it has a "note" only when one is given."""
+    """One report row; it has a "note" only when one is given. A
+    non-finite worst margin is None, which JSON writes as null."""
     row = {"check": check, "segment": segment, "samples": samples,
-           "worst_margin": worst, "pass": passed}
+           "worst_margin": worst if math.isfinite(worst) else None,
+           "pass": passed}
     return row if note is None else {**row, "note": note}
 
 

@@ -19,6 +19,7 @@ from enstrophy_bounds import (AssumptionViolated, CancellationLoss,
                               assemble_critical, assemble_subcritical,
                               bound_report, classify_critical,
                               classify_full, classify_subcritical, cli,
+                              emax_lower, emax_upper, eta_min,
                               load_params_file, maxest, specfun, verify,
                               _EXPORTS)
 from enstrophy_bounds.cli import run
@@ -886,15 +887,15 @@ def test_emax_reads_its_anchor_and_eta_in_the_normalized_frame(tmp_path):
                     *extra, "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         params = load_params_file(scaled)
-        report = bound_report(params.grashof, params.eps, params.rho,
-                              params.c2, mu=params.mu,
-                              eta=float(extra[1]) if extra else None,
-                              E0_anchor=16.0)
+        eta = float(extra[1]) if extra \
+            else eta_min(16.0, params.eps, params.mu)
+        upper = emax_upper(params.grashof, params.eps, params.rho, params.c2,
+                           eta, 16.0, mu=params.mu)
         assert doc["anchor_E0"] == 64.0
         assert "rescaled_to_physical_units" in doc["flags"]
-        assert doc["eta_used"] == round_sig(report.eta_used)
+        assert doc["eta_used"] == round_sig(eta)
         assert doc["log10_upper"] \
-            == round_sig((report.upper + math.log(4.0)) / math.log(10.0))
+            == round_sig((upper + math.log(4.0)) / math.log(10.0))
 
 
 def test_emax_rescales_without_underflowing_the_enstrophy(tmp_path):
@@ -909,14 +910,35 @@ def test_emax_rescales_without_underflowing_the_enstrophy(tmp_path):
     assert run(["emax", "--params", frame, "--out", str(out)]) == 0
     doc = json.loads(out.read_text())
     params = load_params_file(frame)
-    report = bound_report(params.grashof, params.eps, params.rho, params.c2,
-                          mu=params.mu)
-    assert doc["log10_lower"] \
-        == pytest.approx(report.lower / math.log(10.0) - 150.0, rel=1e-11)
-    assert doc["log10_upper"] \
-        == pytest.approx(report.upper / math.log(10.0) - 150.0, rel=1e-11)
+    bounds = (params.grashof, params.eps, params.rho, params.c2)
+    assert doc["log10_lower"] == pytest.approx(
+        emax_lower(*bounds) / math.log(10.0) - 150.0, rel=1e-11)
+    assert doc["log10_upper"] == pytest.approx(
+        emax_upper(*bounds, mu=params.mu) / math.log(10.0) - 150.0,
+        rel=1e-11)
     assert doc["anchor_E0"] == pytest.approx(16.0, rel=1e-12)
     assert (doc["e_crit"], doc["e_bar_crit"]) == (0.0, 0.0)
+
+
+@pytest.mark.parametrize("preset", ["fig2", "fig3", "nu2"])
+def test_cli_prints_the_documents_the_library_returns(tmp_path, capsys,
+                                                      preset):
+    # the model modules build what emax and verify print; the CLI only
+    # encodes it
+    path = _fig2_variant(tmp_path, "nu2.json", nu=2.0, f_norm=8.0) \
+        if preset == "nu2" else str(PRESETS / f"{preset}.json")
+    params = load_params_file(path)
+
+    def printed(doc):
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+    for eta, anchor in ((None, None), (4.5, 16.0)):
+        given = ["--eta", str(eta), "--anchor-E0", str(anchor)] if eta else []
+        assert run(["emax", "--params", path, *given]) == 0
+        assert capsys.readouterr().out \
+            == printed(bound_report(params, eta, anchor))
+    assert run(["verify", "--params", path]) == 0
+    assert capsys.readouterr().out == printed(verify.report(params))
 
 
 def test_classify_command(capsys):
@@ -1161,7 +1183,7 @@ def test_taylor_matches_the_removed_arithmetic(tmp_path, capsys,
 def test_emax_matches_the_removed_arithmetic(tmp_path, capsys, monkeypatch,
                                              rounding, extra):
     # physical frames 40 decades either side of fig2's, at G in [1, 30]
-    monkeypatch.setattr(cli, "round_sig", rounding)
+    monkeypatch.setattr(maxest, "round_sig", rounding)
     rng = random.Random(29)
     raw = json.loads((PRESETS / "fig2.json").read_text())
     answered = 0
@@ -1176,15 +1198,16 @@ def test_emax_matches_the_removed_arithmetic(tmp_path, capsys, monkeypatch,
             continue
         answered += 1
         p = load_params_file(path)
-        report = bound_report(p.grashof, p.eps, p.rho, p.c2, mu=p.mu,
-                              eta=float(extra[1]) if extra else None,
-                              E0_anchor=float(extra[3]) if extra else None)
+        bounds = (p.grashof, p.eps, p.rho, p.c2)
+        upper = emax_upper(*bounds, eta=float(extra[1]) if extra else None,
+                           E0_anchor=float(extra[3]) if extra else None,
+                           mu=p.mu)
         # LogScalar.from_float: 0 is ln -inf
         scale = maxest.physical_scale(p)[1]
         up = _Arith(math.log(scale) if scale else -math.inf)
         doc = json.loads(out)
-        for key, bound in (("log10_lower", report.lower),
-                           ("log10_upper", report.upper)):
+        for key, bound in (("log10_lower", emax_lower(*bounds)),
+                           ("log10_upper", upper)):
             ln = (_Arith(bound) * up).ln
             assert doc[key] == rounding(ln / math.log(10.0))
     assert answered > 30

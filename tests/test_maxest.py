@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from enstrophy_bounds import (
-    BoundReport,
     EnstrophyBoundsError,
     EtaTooSmall,
     ForcingParams,
@@ -21,6 +20,7 @@ from enstrophy_bounds import (
     find_e_max,
     physical_scale,
 )
+from enstrophy_bounds.curves import round_sig
 from enstrophy_bounds.subcritical import sigma_of
 
 
@@ -70,24 +70,34 @@ def test_eta_floor_slack():
         emax_upper(G, EPS, RHO, C2, eta=floor * 0.99, E0_anchor=16.0)
 
 
-def test_default_report():
-    rep = bound_report(G, EPS, RHO, C2)
-    assert isinstance(rep, BoundReport)
-    assert rep.flags == ["anchor_E0=parabola_apex", "eta=eta_min"]
-    assert rep.anchor_E0 == 16.0
-    assert rep.eta_used == pytest.approx(eta_min(16.0, EPS, 1.0), rel=1e-14)
-    assert rep.e_crit == pytest.approx(0.0025, rel=1e-12)
-    assert rep.e_bar_crit == pytest.approx(
-        EPS * (1.0 - RHO) / (2.0 * (2.0 + rep.eta_used) * C2), rel=1e-14)
-    assert rep.lower / LN10 == pytest.approx(35.76575781168811, abs=1e-9)
-    assert rep.upper / LN10 == pytest.approx(110.92753862710634, abs=1e-9)
-    assert rep.lower < rep.upper
+def _unit_frame(params):
+    # fig2 is the set G, EPS, RHO, C2 with mu = 1 in the nu = lambda = 1
+    # frame of the bounds, so its report is rounded but not rescaled
+    assert (params.grashof, params.eps, params.rho, params.c2, params.mu,
+            params.nu, params.lam) == (G, EPS, RHO, C2, 1.0, 1.0, 1.0)
+    return params
 
 
-def test_explicit_arguments_preserve_flags():
-    rep = bound_report(G, EPS, RHO, C2, eta=4.33, E0_anchor=16.0)
-    assert rep.flags == []
-    assert rep.eta_used == 4.33
+def test_default_report(fig2):
+    # each value as printed: the reference rounded to twelve digits as the
+    # report rounds it, within the tolerance the unrounded value had
+    doc = bound_report(_unit_frame(fig2))
+    assert doc["flags"] == ["anchor_E0=parabola_apex", "eta=eta_min"]
+    assert doc["anchor_E0"] == 16.0
+    eta = eta_min(16.0, EPS, 1.0)
+    assert doc["eta_used"] == pytest.approx(round_sig(eta), rel=1e-14)
+    assert doc["e_crit"] == pytest.approx(0.0025, rel=1e-12)
+    assert doc["e_bar_crit"] == pytest.approx(
+        round_sig(EPS * (1.0 - RHO) / (2.0 * (2.0 + eta) * C2)), rel=1e-14)
+    assert doc["log10_lower"] == pytest.approx(35.76575781168811, abs=1e-9)
+    assert doc["log10_upper"] == pytest.approx(110.92753862710634, abs=1e-9)
+    assert doc["log10_lower"] < doc["log10_upper"]
+
+
+def test_explicit_arguments_preserve_flags(fig2):
+    doc = bound_report(_unit_frame(fig2), eta=4.33, E0_anchor=16.0)
+    assert doc["flags"] == []
+    assert doc["eta_used"] == 4.33
 
 
 def test_upper_monotone_in_eta():
@@ -114,11 +124,11 @@ def test_validation_gates():
     {"eta": 5.0, "E0_anchor": math.inf}],
     ids=["nan-eta", "inf-eta", "minus-inf-eta", "nan-anchor", "inf-anchor",
          "zero-anchor", "inf-anchor-given-eta"])
-def test_upper_rejects_non_finite_eta_and_anchor(over):
+def test_upper_rejects_non_finite_eta_and_anchor(fig2, over):
     with pytest.raises(InvalidRegime):
         emax_upper(G, EPS, RHO, C2, **over)
     with pytest.raises(InvalidRegime):
-        bound_report(G, EPS, RHO, C2, **over)
+        bound_report(_unit_frame(fig2), **over)
 
 
 def test_lower_grows_like_exp_g_squared():
@@ -159,9 +169,8 @@ def test_curve_peak_lies_between_the_bounds(fig2):
         params = ForcingParams.from_mapping(dict(fig2.to_raw(), f_norm=G))
         assert params.grashof == pytest.approx(G, rel=1e-15)
         _, E_max = find_e_max(params)
-        report = bound_report(G, params.eps, params.rho, params.c2,
-                              mu=params.mu)
-        assert report.lower <= E_max <= report.upper
+        assert emax_lower(G, params.eps, params.rho, params.c2) <= E_max \
+            <= emax_upper(G, params.eps, params.rho, params.c2, mu=params.mu)
 
 
 # The lower and the upper bound as two separate formulas, each with its own

@@ -101,20 +101,20 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 # floor bracket and segment)
 _REMOVED = {
     "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar "
-        "barrier phi_of_e psi_of_E nose_apex parabola_E",
+        "barrier phi_of_e psi_of_E nose_apex parabola_E BoundReport",
     "critical": "phi1 phi2 phi3 barrier",
     "subcritical": "sub_phi1 sub_phi2 sub_phi3",
     "branches": "_as_ln _REL_TOL solution envelope peak_ln_e sample",
     "full_nse": "phi_slope _alpha_ln_beta _ln_t _funnel _ln_phi _slope "
                 "_ln_slope _funnel_segment _point phi_of_e psi_of_E "
                 "nose_apex parabola_E _exp",
-    "maxest": "_LN_MAX",
+    "maxest": "_LN_MAX BoundReport",
     "scaling": "scaling_curve _ln_curve solution envelope peak_ln_e sample",
     "logscalar": "ONE ZERO from_float to_float ln_sub",
     "specfun": "solution envelope peak_ln_e sample _RESCALE _LN_RESCALE "
                "_MAX_X",
     "verify": "_chain",
-    "cli": "_ASSEMBLERS",
+    "cli": "_ASSEMBLERS _finite",
 }
 
 # what the LogScalar shim no longer defines: slots, immutability, equality,

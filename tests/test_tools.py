@@ -75,8 +75,9 @@ def test_outputs_report_a_changed_output(tmp_path):
     # line by line
     shutil.copytree(ROOT / "src", tmp_path / "src",
                     ignore=shutil.ignore_patterns("__pycache__"))
-    cli = tmp_path / "src" / "enstrophy_bounds" / "cli.py"
-    cli.write_text(cli.read_text().replace('"eta_used":', '"eta_in_use":'))
+    maxest = tmp_path / "src" / "enstrophy_bounds" / "maxest.py"
+    maxest.write_text(
+        maxest.read_text().replace('"eta_used":', '"eta_in_use":'))
     report = outputs.compare(ROOT, tmp_path, outputs.param_sets()[:2])
     assert list(report) == [f"{preset} | {' '.join(argv)}"
                             for preset in ("fig2", "fig3")
