@@ -585,6 +585,38 @@ def test_rise_peaking_right_of_the_anchor(tmp_path, capsys, args, code):
         assert captured.out.startswith("e,log10_E,segment\n")
 
 
+# each refusal of the scaling curve, in the order the model checks them:
+# the floor, beta's underflow, beta's overflow, s, then the anchor e0; the
+# last set breaks both the floor and the s rule
+@pytest.mark.parametrize("over, code, err", [
+    ({"curlF_norm": 1.765e153}, 1, "InvalidRegime: admissibility floor "
+     "E_floor = exp(708.5) is above float range"),
+    ({"psi_inf": 0.0, "eps0": 1e-300, "c_omega_prime": 1e-10,
+      "curlF_norm": 1e-310}, 1,
+     "InvalidRegime: drain rate beta = exp(-711.722) underflows"),
+    ({"lambda": 1e300, "psi_inf": 1e7}, 1, "InvalidRegime: drain rate beta "
+     "= 8 lam (psi_inf + eps0 c') = exp(708.973) is above float range"),
+    ({"eps0": 0.6}, 1, "InvalidRegime: combined smallness parameter "
+     "s = 1.1 must lie in (0, 1)"),
+    ({"eps0": 1e-200, "c_omega_prime": 1e-200, "delta": 0.0,
+      "psi_inf": 0.25}, 1, "InvalidRegime: combined smallness parameter "
+     "s = 0.0 must lie in (0, 1)"),
+    ({"f_norm": 0.0}, 3, "RegimeViolation: no curve to anchor: e0 = 0 "
+     "(zero forcing, or e0 underflows)"),
+    ({"f_norm": 1e200}, 1, "InvalidRegime: anchor energy e0 = exp(921.034) "
+     "is above float range"),
+    ({"eps0": 0.6, "curlF_norm": 1e160}, 1, "InvalidRegime: admissibility "
+     "floor E_floor = exp(737.849) is above float range"),
+], ids=["floor", "beta-underflows", "beta-overflows", "s-above-1",
+        "s-zero", "e0-zero", "e0-overflows", "floor-before-s"])
+def test_scaling_refusals(tmp_path, capsys, over, code, err):
+    params = _fig2_variant(tmp_path, "scaling.json", **over)
+    assert run(["curve", "scaling", "--params", params]) == code
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err + "\n"
+
+
 # the refusals met most often name the numbers they compare; exit codes
 # are those of their error classes
 @pytest.mark.parametrize("preset, over, args, err", [

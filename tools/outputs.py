@@ -13,19 +13,20 @@ It needs only the standard library.
 The parameter sets are both presets; the 200 draws of draws(); fig2 at
 f_norm = G = 300, 600, 1000 and 3000; fig2 at eta = 1 + 10^-k for
 k = 4...15; 40 fig2 sets with G drawn uniformly from [1.5, 5] (seed 2);
-two sets at the float-range edge, fig2 at curlF_norm = 1.765e153 (the
-scaling admissibility floor at ln 708.5) and fig2 at eps = 1e-208,
-curlF_norm = 4.29e-155 (the critical enstrophy floor at ln -715); and
-six malformed parameter files, which every command refuses: fig2
-with nu a 401-digit integer, true, "1" or NaN, fig2 with an unknown key,
-and fig2 without nu. The commands are curve for each model in CSV and
-JSON, emax with its defaults, with --eta 5 and with --anchor-E0 16
---eta 4.33, verify, taylor on the full model's JSON curve, and classify
-at eight points for each classify model: 29 commands on 266 sets, 7,714
-runs. The runs of ONCE read no parameter set and run once per
-comparison: the help, and a usage error (an unknown curve model on
-fig2); both print text built from the command table. That makes 7,716
-runs in all.
+the eight fig2 variants of SCALING_ARMS, which reach each refusal and
+each maximum arm of the scaling model; two sets at the float-range
+edge, fig2 at curlF_norm = 1.765e153 (the scaling admissibility floor
+at ln 708.5) and fig2 at eps = 1e-208, curlF_norm = 4.29e-155 (the
+critical enstrophy floor at ln -715); and six malformed parameter
+files, which every command refuses: fig2 with nu a 401-digit integer,
+true, "1" or NaN, fig2 with an unknown key, and fig2 without nu. The
+commands are curve for each model in CSV and JSON, emax with its
+defaults, with --eta 5 and with --anchor-E0 16 --eta 4.33, verify,
+taylor on the full model's JSON curve, and classify at eight points for
+each classify model: 29 commands on 274 sets, 7,946 runs. The runs of
+ONCE read no parameter set and run once per comparison: the help, and a
+usage error (an unknown curve model on fig2); both print text built
+from the command table. That makes 7,948 runs in all.
 
 digest() writes tests/data/outputs_digest.json, which a tier-1 test
 recomputes in process: it pins every run of the set without a second
@@ -59,6 +60,21 @@ FIG3 = json.loads((ROOT / "presets" / "fig3.json").read_text())
 # c_omega at or above (c_omega >= 1), every other key on both sides; the
 # same sides as tests/test_robustness.py
 SIDES = {"eps": (-1.0, 0.0), "delta": (-1.0, 0.0), "c_omega": (0.0, 1.0)}
+
+# fig2 changed to reach each arm of the scaling model: s = 1.1; s = 0.0,
+# eps0 c' underflowing with delta = 0; beta underflowing; beta above float
+# range; s = 1.1 with the floor above float range, refused for the floor;
+# a maximum right of the anchor, then just right of and just left of it
+SCALING_ARMS = (
+    {"eps0": 0.6},
+    {"eps0": 1e-200, "c_omega_prime": 1e-200, "delta": 0.0, "psi_inf": 0.25},
+    {"psi_inf": 0.0, "eps0": 1e-300, "c_omega_prime": 1e-10,
+     "curlF_norm": 1e-310},
+    {"lambda": 1e300, "psi_inf": 1e7},
+    {"eps0": 0.6, "curlF_norm": 1e160},
+    {"eps0": 0.05},
+    {"eps0": 0.05, "psi_inf": 0.0624},
+    {"eps0": 0.05, "psi_inf": 0.0626})
 
 # the run whose stdout taylor reads as curve.json
 _CURVE_JSON = ["curve", "full", "--format", "json"]
@@ -119,6 +135,8 @@ def param_sets() -> list[tuple[str, dict]]:
                for k in range(4, 16)]
             + [(f"fig2 G draw {i}", dict(FIG2, f_norm=rng.uniform(1.5, 5.0)))
                for i in range(40)]
+            + [("fig2 " + " ".join(f"{key}={v:g}" for key, v in arm.items()),
+                dict(FIG2, **arm)) for arm in SCALING_ARMS]
             + [("fig2 curlF_norm=1.765e153", dict(FIG2, curlF_norm=1.765e153)),
                ("fig2 eps=1e-208 curlF_norm=4.29e-155",
                 dict(FIG2, eps=1e-208, curlF_norm=4.29e-155))]
