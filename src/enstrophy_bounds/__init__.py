@@ -45,8 +45,7 @@ _EXPORTS = {name: module for module, names in {
                 "geometry solve_e2",
     "maxest": "bound_report emax_lower emax_upper eta_min physical_scale",
     "params": "ForcingParams load_params_file",
-    "scaling": "ScalingParams assemble_scaling exponent_compare "
-               "scaling_emax scaling_params",
+    "scaling": "assemble_scaling exponent_compare",
     "subcritical": "assemble_subcritical classify_subcritical find_e_bar",
     "verify": "containment_check halved_curve oracle_suite",
 }.items() for name in names.split()}

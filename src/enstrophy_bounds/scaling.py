@@ -12,12 +12,12 @@ anchor, the two-term closed form
 
 concave with a single interior maximum where it meets its nullcline
 E = (beta/alpha) e (Branch.peak). The interesting exponents are
-algebraic, not exponential, so the public helpers take and return floats;
-assemble_scaling forms the anchor E0 in logs and one Branch through it,
-whose phi1 segment (Branch.segment, as the chain samples its branches)
-and maximum (Branch.peak, as the subcritical rise peaks) are logs too,
-since E0 = 4 lam e0 and the samples can underflow where their logs do
-not. The admissibility floor E_floor marks where the underlying
+algebraic, not exponential. assemble_scaling forms s, beta, the floor,
+the anchor E0 in logs and one Branch through it, whose phi1 segment
+(Branch.segment, as the chain samples its branches) and maximum
+(Branch.peak, as the subcritical rise peaks) are logs too, since
+E0 = 4 lam e0 and the samples can underflow where their logs do not.
+The admissibility floor E_floor marks where the underlying
 smallness condition can hold at all; samples below it are flagged
 rather than hidden.
 """
@@ -27,75 +27,10 @@ from __future__ import annotations
 import math
 
 from .curves import CurveBundle, power_law
-from .errors import InvalidRegime, RegimeViolation
+from .errors import InvalidRegime
 from .logscalar import ln_add
 from .params import _LN_RANGE, ForcingParams, exp_in_range
 from .specfun import Branch, Field
-
-
-class ScalingParams:
-    """The combined smallness parameter s = eps0 c' + delta, which must
-    stay in (0, 1), the exponent alpha_sc = (1 - s)/2, the drain rate
-    beta_sc >= 0 (0 leaves the pure power law) and the admissibility floor
-    E_floor >= 0, both finite; field is the slope field
-    (alpha_sc, 0, beta_sc, 1)."""
-
-    def __init__(self, s: float, beta_sc: float, E_floor: float):
-        if not 0.0 < s < 1.0:
-            raise InvalidRegime(
-                f"combined smallness parameter s = {s} must lie in (0, 1)")
-        if not 0.0 <= beta_sc < math.inf:
-            raise InvalidRegime(
-                f"drain rate beta = {beta_sc} must be finite and >= 0")
-        if not 0.0 <= E_floor < math.inf:
-            raise InvalidRegime(f"admissibility floor E_floor = {E_floor} "
-                                "must be finite and >= 0")
-        self.s, self.alpha_sc = s, 0.5 * (1.0 - s)
-        self.beta_sc, self.E_floor = beta_sc, E_floor
-        self.field = Field(self.alpha_sc, 0.0, beta_sc, 1.0)
-
-
-def scaling_params(params: ForcingParams) -> ScalingParams:
-    s = params.eps0 * params.c_omega_prime + params.delta
-    # ln of the window psi_inf + eps0 c', whose terms may underflow
-    ln_window = ln_add(
-        math.log(params.psi_inf) if params.psi_inf else -math.inf,
-        math.log(params.eps0) + math.log(params.c_omega_prime))
-    l_curl = math.log(params.curlF_norm) if params.curlF_norm else -math.inf
-    ln_floor = 2.0 * (l_curl - math.log(params.nu) - math.log(params.lam)
-                      - ln_window)
-    E_floor = exp_in_range(ln_floor, "admissibility floor E_floor")
-    ln_beta = math.log(8.0) + math.log(params.lam) + ln_window
-    if ln_beta <= -_LN_RANGE:
-        raise InvalidRegime(f"drain rate beta = exp({ln_beta:.6g}) underflows")
-    beta = exp_in_range(ln_beta, "drain rate beta = 8 lam (psi_inf + eps0 c')")
-    return ScalingParams(s, beta, E_floor)
-
-
-def _maximum(curve: Branch) -> tuple[float, float]:
-    """(ln e, ln E) of the stationary point of the curve (p = 1, so its
-    ln y is ln E); RegimeViolation unless it lies left of the anchor, as
-    at beta = 0, where the curve only rises."""
-    ln_e, ln_e0 = curve.peak()[1], curve.ln_e_ref
-    if not ln_e < ln_e0:
-        raise RegimeViolation(
-            f"curve maximum ln e = {ln_e:.6g} not left of the anchor "
-            f"ln e0 = {ln_e0:.6g}")
-    return ln_e, curve.ln_y(ln_e)
-
-
-def scaling_emax(e0_init: float, E0_init: float,
-                 sp: ScalingParams) -> tuple[float, float]:
-    """Stationary point of the curve; only meaningful left of the anchor.
-    An anchor that is not positive and finite, or a maximum above float
-    range, is InvalidRegime."""
-    if not (0.0 < e0_init < math.inf and 0.0 < E0_init < math.inf):
-        raise InvalidRegime(f"anchor (e0, E0) = ({e0_init}, {E0_init}) "
-                            f"must be positive and finite")
-    ln_e, ln_E = _maximum(
-        Branch(sp.field, math.log(e0_init), math.log(E0_init)))
-    return (exp_in_range(ln_e, "curve maximum e_max"),
-            exp_in_range(ln_E, "curve maximum E_max"))
 
 
 def exponent_compare(r: float, s: float) -> dict:
@@ -116,39 +51,55 @@ def exponent_compare(r: float, s: float) -> dict:
             "crossover_r": (5.0 + s) / (2.0 + 2.0 * s)}
 
 
-def default_anchor(params: ForcingParams) -> tuple[float, float]:
-    # parabola-apex anchor, E0 = 4 lam e0, matching the other curve families
-    return params.e0, 4.0 * params.lam * params.e0
-
-
 def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     """Curve bundle over twelve decades left of the anchor, plus the
     admissibility floor as a horizontal barrier segment when it is
     positive. Samples below the floor are counted into a flag, not
-    removed."""
-    sp = scaling_params(params)
+    removed. The combined smallness parameter s = eps0 c' + delta must
+    lie in (0, 1); the floor, then the drain rate beta, are refused
+    first where they leave float range."""
+    s = params.eps0 * params.c_omega_prime + params.delta
+    # ln of the window psi_inf + eps0 c', whose terms may underflow
+    ln_window = ln_add(
+        math.log(params.psi_inf) if params.psi_inf else -math.inf,
+        math.log(params.eps0) + math.log(params.c_omega_prime))
+    l_curl = math.log(params.curlF_norm) if params.curlF_norm else -math.inf
+    E_floor = exp_in_range(
+        2.0 * (l_curl - math.log(params.nu) - math.log(params.lam)
+               - ln_window), "admissibility floor E_floor")
+    ln_beta = math.log(8.0) + math.log(params.lam) + ln_window
+    if ln_beta <= -_LN_RANGE:
+        raise InvalidRegime(f"drain rate beta = exp({ln_beta:.6g}) underflows")
+    beta = exp_in_range(ln_beta, "drain rate beta = 8 lam (psi_inf + eps0 c')")
+    if not 0.0 < s < 1.0:
+        raise InvalidRegime(
+            f"combined smallness parameter s = {s} must lie in (0, 1)")
     ln_e0 = math.log(params.e0)
-    # default_anchor's E0 = 4 lam e0, in logs: it may underflow where
-    # they do not
+    # the parabola-apex anchor E0 = 4 lam e0 of the other curve families,
+    # in logs: it may underflow where they do not
     ln_E0 = math.log(4.0) + math.log(params.lam) + ln_e0
-    ln_floor = math.log(sp.E_floor) if sp.E_floor > 0.0 else -math.inf
+    ln_floor = math.log(E_floor) if E_floor > 0.0 else -math.inf
 
-    curve = Branch(sp.field, ln_e0, ln_E0)
+    curve = Branch(Field(0.5 * (1.0 - s), 0.0, beta, 1.0), ln_e0, ln_E0)
     # the slope a - beta e/E; the ratio, at most 2 (psi_inf + eps0 c'), can
     # pass float range, where it is taken as inf
     phi1 = curve.segment("phi1", ln_e0 - 12.0 * math.log(10.0), ln_e0,
                          samples)
     below = sum(ln < ln_floor for ln in phi1.ln_E)
     segs = [phi1]
-    if sp.E_floor > 0.0:
+    if E_floor > 0.0:
         # a zero floor (no curl forcing) admits every sample: no barrier
         segs.append(power_law("barrier", phi1.ln_e, ln_floor, 0.0))
 
     breakpoints = {"e0": ln_e0, "E0": ln_E0}
-    flags = [f"s={sp.s:.12g}"]
-    try:
-        breakpoints["e_max"], breakpoints["E_max"] = _maximum(curve)
-    except RegimeViolation:
+    flags = [f"s={s:.12g}"]
+    # the stationary point (p = 1, so its ln y is ln E), kept only left of
+    # the anchor: at or right of it the curve rises all the way to e0
+    ln_e_max = curve.peak()[1]
+    if ln_e_max < ln_e0:
+        breakpoints["e_max"], breakpoints["E_max"] = \
+            ln_e_max, curve.ln_y(ln_e_max)
+    else:
         flags.append("maximum_outside_domain")
     if below:
         flags.append(f"E_floor_violations={below}")

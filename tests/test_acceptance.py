@@ -20,6 +20,7 @@ import numpy as np
 from enstrophy_bounds import (
     assemble_critical,
     assemble_full,
+    assemble_scaling,
     assemble_subcritical,
     containment_check,
     emax_lower,
@@ -31,14 +32,11 @@ from enstrophy_bounds import (
     geometry,
     halved_curve,
     max_join_gap,
-    scaling_emax,
-    scaling_params,
     solve_e2,
     truncation_comparison,
 )
 from enstrophy_bounds.cli import run
 from enstrophy_bounds.full_nse import _ln_psi, e2_lower_bound
-from enstrophy_bounds.scaling import default_anchor
 from enstrophy_bounds.subcritical import sigma_of
 from enstrophy_bounds.verify import _rk4_row, _specfun_row, all_pass
 
@@ -175,11 +173,11 @@ def test_criterion_06d_scaling_exponent(fig2):
     lgs, lns = [], []
     for g in (10.0, 100.0, 1000.0):
         p = params_with(fig2, f_norm=g)
-        _, E_max = scaling_emax(*default_anchor(p), scaling_params(p))
         lgs.append(math.log(g))
-        lns.append(math.log(E_max))
+        lns.append(assemble_scaling(p).breakpoints["E_max"])
     slope, _ = _affine_fit(lgs, lns)
-    alpha = scaling_params(fig2).alpha_sc
+    # alpha = (1 - s)/2, s = eps0 c' + delta
+    alpha = 0.5 * (1.0 - (fig2.eps0 * fig2.c_omega_prime + fig2.delta))
     target = 4.0 - 2.0 * alpha
     err = abs(slope / target - 1.0)
     ok = err <= 0.03

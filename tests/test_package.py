@@ -98,10 +98,13 @@ def test_dotted_monkeypatch_path_reaches_an_unexecuted_module():
 # rescaling (it is summed only inside float range), and the chain's own
 # peak variable, nullcline, peak gap and sampler, its unread tail b and
 # Branch's b = 0 peak and grid sampler (a Branch finds its own peak,
-# floor bracket and segment)
+# floor bracket and segment), and the scaling model's parameter record,
+# its float maximum, default anchor and maximum helper (assemble_scaling
+# forms its constants, anchor and maximum itself)
 _REMOVED = {
     "": "phi1 phi2 phi3 sub_phi1 sub_phi2 sub_phi3 scaling_curve LogScalar "
-        "barrier phi_of_e psi_of_E nose_apex parabola_E BoundReport",
+        "barrier phi_of_e psi_of_E nose_apex parabola_E BoundReport "
+        "ScalingParams scaling_params scaling_emax",
     "critical": "phi1 phi2 phi3 barrier",
     "subcritical": "sub_phi1 sub_phi2 sub_phi3",
     "branches": "_as_ln _REL_TOL solution envelope peak_ln_e sample",
@@ -109,7 +112,9 @@ _REMOVED = {
                 "_ln_slope _funnel_segment _point phi_of_e psi_of_E "
                 "nose_apex parabola_E _exp",
     "maxest": "_LN_MAX BoundReport",
-    "scaling": "scaling_curve _ln_curve solution envelope peak_ln_e sample",
+    "scaling": "scaling_curve _ln_curve solution envelope peak_ln_e sample "
+               "ScalingParams scaling_params scaling_emax default_anchor "
+               "_maximum",
     "logscalar": "ONE ZERO from_float to_float ln_sub",
     "specfun": "solution envelope peak_ln_e sample _RESCALE _LN_RESCALE "
                "_MAX_X",

@@ -258,9 +258,17 @@ def test_branch_bounds_match_the_envelope_oracle(name):
 @pytest.mark.parametrize("preset", ["fig2", "fig3"])
 def test_scaling_maximum_matches_the_envelope_oracle(preset):
     # the b = 0 closed-form peak from the oracle's top, and the oracle
-    # solution there
+    # solution there, on the field (alpha, 0, beta, 1) formed here as the
+    # model forms it: alpha = (1 - s)/2, s = eps0 c' + delta, and
+    # beta = 8 lam (psi_inf + eps0 c') summed in logs
     params = _SETS[preset]
-    field = scaling.scaling_params(params).field
+    s = params.eps0 * params.c_omega_prime + params.delta
+    ln_window = ln_add(
+        math.log(params.psi_inf) if params.psi_inf else -math.inf,
+        math.log(params.eps0) + math.log(params.c_omega_prime))
+    field = specfun.Field(
+        0.5 * (1.0 - s), 0.0,
+        math.exp(math.log(8.0) + math.log(params.lam) + ln_window), 1.0)
     ln_e0 = math.log(params.e0)
     ln_E0 = math.log(4.0) + math.log(params.lam) + ln_e0
     _, top = _envelope(field, ln_e0, ln_E0)
