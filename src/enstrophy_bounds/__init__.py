@@ -35,7 +35,7 @@ __version__ = "0.1.0"
 # every exported name, keyed to the module that defines it
 _EXPORTS = {name: module for module, names in {
     "critical": "assemble_critical classify_critical coefficients find_e_max "
-                "find_e_min truncation_comparison",
+                "find_e_min",
     "curves": "CurveBundle CurveSegment bundle_to_csv bundle_to_json "
               "max_join_gap",
     "errors": "AssumptionViolated CancellationLoss EnstrophyBoundsError "
@@ -45,9 +45,9 @@ _EXPORTS = {name: module for module, names in {
                 "geometry solve_e2",
     "maxest": "bound_report emax_lower emax_upper eta_min physical_scale",
     "params": "ForcingParams load_params_file",
-    "scaling": "assemble_scaling exponent_compare",
+    "scaling": "assemble_scaling",
     "subcritical": "assemble_subcritical classify_subcritical find_e_bar",
-    "verify": "containment_check halved_curve oracle_suite",
+    "verify": "containment_check oracle_suite",
 }.items() for name in names.split()}
 
 __all__ = sorted(_EXPORTS)

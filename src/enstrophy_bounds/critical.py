@@ -18,19 +18,16 @@ This module holds what is particular to r = 1/2: the regime check, the
 logs of the candidate floors and the field constants. chain() builds the
 chain once per params object and holds it there (params.held); the chain
 solves the peak and the floor crossing on first use, and samples the
-barrier from the nullcline it solves the peak against. The one check
-kept here, truncation_comparison, sums its own partial series.
+barrier from the nullcline it solves the peak against.
 """
 
 from __future__ import annotations
 
 import math
-from functools import reduce
 
 from .branches import Chain
-from .curves import CurveBundle, log_grid
-from .errors import InvalidRegime, OutsideDomain
-from .logscalar import ln_add
+from .curves import CurveBundle
+from .errors import InvalidRegime
 from .params import ForcingParams, exp_in_range, held
 from .specfun import Field
 
@@ -88,53 +85,6 @@ def find_e_max(params: ForcingParams) -> tuple[float, float]:
 def find_e_min(params: ForcingParams) -> float:
     """ln e_min, the lower breakpoint, far below float range."""
     return chain(params).ln_floor
-
-
-def truncation_comparison(params: ForcingParams, n_terms: int) -> float:
-    """Max |Delta ln E| between the n-term truncated-series curve and an
-    adaptive Dormand-Prince 5(4) reference (solver.rk4_path) landing on
-    8193 evenly spaced energies from e0 to 1.05 e_a, both anchored at the
-    series initial value E0 = 2 nu^3 lam^(1/2) G^2.
-
-    Measures how badly a short series truncation diverges from the true
-    solution as the curve climbs toward the barrier. The truncation is
-    g_N(alpha, x) = sum_{n<N} x^n / (n! (alpha + n)), summed here in logs
-    with no convergence check and no cap on x; n_terms below 1 is
-    OutsideDomain, naming the value.
-    """
-    from .solver import rk4_path
-
-    if not n_terms >= 1:
-        raise OutsideDomain(f"a truncated series needs n_terms >= 1, got "
-                            f"n_terms = {n_terms}")
-    ch = chain(params)
-    e0, ln_e0 = params.e0, ch.ln_e0
-    E0s = 2.0 * params.nu ** 3 * math.sqrt(params.lam) * params.grashof ** 2
-    a, b, c = ch.rise.a, ch.rise.b, ch.rise.c
-    alpha = 1.0 - a
-
-    def s_trunc(e: float) -> float:
-        # ln of the truncated weighted-integral antiderivative
-        # e^alpha g_N(alpha, be)
-        ln_x = math.log(b * e)
-        return alpha * math.log(e) + reduce(ln_add, (
-            n * ln_x - math.lgamma(n + 1.0) - math.log(alpha + n)
-            for n in range(n_terms)))
-
-    s_ref = s_trunc(e0)
-    lead = b * e0 - a * ln_e0 + math.log(E0s) * 0.6
-
-    es = log_grid(e0, ch.rise.e_a * 1.05, 8193)
-    lnEs = rk4_path(ch.rise.dlnE_de(), es, math.log(E0s), tol=1e-7)
-    worst = 0.0
-    for e, ln_E in zip(es, lnEs):
-        # s_trunc grows with e, so for e <= e0 the difference is >= 0
-        d = s_trunc(e) - s_ref
-        ln_diff = -math.inf if d == 0.0 else s_ref + math.log(-math.expm1(d))
-        inner = ln_add(lead, math.log(c) + ln_diff)
-        ln_trunc = (5.0 / 3.0) * (a * math.log(e) - b * e + inner)
-        worst = max(worst, abs(ln_trunc - ln_E))
-    return worst
 
 
 def assemble_critical(params: ForcingParams, samples: int = 512) -> CurveBundle:

@@ -153,20 +153,6 @@ def _apex_t(eta: float) -> float:
     return math.sqrt(6.0) * (3.0 * eta - 1.0) / 16.0
 
 
-def e2_lower_bound(params: ForcingParams) -> float:
-    """Sign-aware closed-form floor for the e2 root,
-    sign(delta) |delta|^(1/p) (nu f)^(2/3)/lam with delta = e1^p (t1 - 1).
-
-    Nonpositive (hence vacuous) whenever delta is negative, that is for
-    every eta at which e2 exists (eta < sqrt(6), see solve_e2).
-    """
-    alpha = params.eta / (params.eta - 1.0)
-    d = _apex_t(params.eta) - 1.0
-    e1 = exp_clamped(_ln_apex(params)[0])
-    scale = (params.nu * params.f_norm) ** (2.0 / 3.0) / params.lam
-    return math.copysign(e1 * abs(d) ** (1.0 / (alpha + 0.5)) * scale, d)
-
-
 def solve_e2(params: ForcingParams) -> float:
     """Energy where the apex-anchored funnel re-enters the parabola.
 

@@ -33,7 +33,11 @@ def ln_add(a: float, b: float) -> float:
 
 def sci_string(ln: float) -> str:
     """exp(ln) in deterministic scientific notation with 17 significant
-    digits, exact even when exp(ln) overflows or underflows float64."""
+    digits, formed from ln itself, so that it is written even where
+    exp(ln) overflows or underflows float64. The digits are not those of
+    the float exp(ln) (4.0 is written 3.9999999999999991e+00): what holds
+    is the round trip, from_sci_string of the text lands within a few
+    ulps of max(1, |ln|) of ln."""
     if ln == -math.inf:
         return "0.0"
     lg = ln / _LN10

@@ -33,24 +33,6 @@ from .params import _LN_RANGE, ForcingParams, exp_in_range
 from .specfun import Branch, Field
 
 
-def exponent_compare(r: float, s: float) -> dict:
-    """Growth exponents of the maximal enstrophy in G under the two
-    regimes: Holder coherence of exponent r versus the scale-invariant
-    smallness condition with combined parameter s. Reports which admits
-    the larger maximum and where they would cross."""
-    if not 0.5 < r <= 1.0:
-        raise InvalidRegime(f"r must lie in (1/2, 1], got {r}")
-    if not 0.0 < s < 1.0:
-        raise InvalidRegime(f"s must lie in (0, 1), got {s}")
-    holder = (4.0 * r + 2.0) / (2.0 * r - 1.0)
-    alpha = 0.5 * (1.0 - s)
-    scaling = 4.0 - 2.0 * alpha
-    return {"holder_exponent": holder,
-            "scaling_exponent": scaling,
-            "larger": "holder" if holder > scaling else "scaling",
-            "crossover_r": (5.0 + s) / (2.0 + 2.0 * s)}
-
-
 def assemble_scaling(params: ForcingParams, samples: int = 512) -> CurveBundle:
     """Curve bundle over twelve decades left of the anchor, plus the
     admissibility floor as a horizontal barrier segment when it is

@@ -6,14 +6,14 @@ tanh-sinh quadrature checks the series, a Dormand-Prince 5(4) path checks
 the Bernoulli closed form, the grid scan checks the root finder. Each is
 one standard method with no fallbacks. find_root also serves the
 construction; the quadrature and the ODE path are references only, and
-no curve or integral is built from them: only verify and
-critical.truncation_comparison call them. The root tolerance (4 ulps),
-the quadrature tolerance, the iteration cap and the blow-up level are
-fixed; only rk4_path's tol and the nodes it lands on vary between
-callers. The two reference kernels form their invariants once: the
-quadrature nodes and weights in a table shared by every interval, the
-Dormand-Prince stages written out on named slopes. Both give the same
-bits as the plain loops (tests/test_solver.py keeps those as oracles).
+no curve or integral is built from them: only verify calls them. The
+root tolerance (4 ulps), the quadrature tolerance, the iteration cap and
+the blow-up level are fixed; only rk4_path's tol and the nodes it lands
+on vary between callers. The two reference kernels form their
+invariants once: the quadrature nodes and weights in a table shared by
+every interval, the Dormand-Prince stages written out on named slopes.
+Both give the same bits as the plain loops (tests/test_solver.py keeps
+those as oracles).
 """
 
 from __future__ import annotations

@@ -34,8 +34,7 @@ reaches the series (x infinite, or g with alpha >= 1) is refused there
 with NonConvergence. The weighted integral is returned as its ln, a float,
 because it overflows float64 long before the interesting parameter range
 ends, and so is gamma_series_factor, a public entry point. A caller that
-wants a fixed partial sum of g forms it itself
-(critical.truncation_comparison).
+wants a fixed partial sum of g forms it itself.
 weighted_exp_integral_to prepares the integral once per upper end, as a
 function of the lower end, so every sample of a branch shares alpha, x,
 its gate and ln G, which that function forms on first use and keeps

@@ -11,13 +11,8 @@ Two families of checks, both reporting rows of
   floats, so the terms that balance carry no rounding of ln e or ln E,
   which grow like G^2. On constructed segments the margin is then zero to
   roundoff at any G, and "non-outward" carries a 1e-9 relative tolerance.
-  The halved curve (halved_curve) is a weak negative control, and sees
-  phi1 only. On fig2 (G = 2) the halved bundle fails the containment
-  and closed_form_vs_rk4 rows of phi1 and no other; phi2 or phi3 halved
-  alone fails no row (on fig3, phi2 halved fails its containment row).
-  Above G ~ 10 every term but the drive is homogeneous of degree 2 in E,
-  so halving E leaves the margin where it was. Rows that check phi2 and
-  phi3 against their slope field are an open item (ROADMAP.md, item 3).
+  Rows that check phi2 and phi3 against their slope field are an open
+  item (ROADMAP.md, item 3).
 * oracle_suite: series vs tanh-sinh quadrature for the special function,
   the assembled rising branch vs a Dormand-Prince 5(4) integration of its
   slope field that lands on each of the branch's samples, and root
@@ -61,20 +56,6 @@ def _row(check: str, segment: str, samples: int, worst: float,
            "worst_margin": worst if math.isfinite(worst) else None,
            "pass": passed}
     return row if note is None else {**row, "note": note}
-
-
-def halved_curve(curve: CurveBundle) -> CurveBundle:
-    """Negative-control probe: the same curve pulled inward by a factor 2."""
-    segs = []
-    for seg in curve.segments:
-        if seg.tag.startswith("phi"):
-            segs.append(CurveSegment(seg.tag, seg.ln_e,
-                                     [v - math.log(2.0) for v in seg.ln_E],
-                                     seg.dlnE_dlne))
-        else:
-            segs.append(seg)
-    return CurveBundle(curve.model, curve.params, segs,
-                       dict(curve.breakpoints), list(curve.flags))
 
 
 def _rate_tables(curve: CurveBundle, params: ForcingParams):

@@ -30,17 +30,16 @@ from enstrophy_bounds import (
     find_e_max,
     find_e_min,
     geometry,
-    halved_curve,
     max_join_gap,
     solve_e2,
-    truncation_comparison,
 )
 from enstrophy_bounds.cli import run
-from enstrophy_bounds.full_nse import _ln_psi, e2_lower_bound
+from enstrophy_bounds.full_nse import _ln_psi
 from enstrophy_bounds.subcritical import sigma_of
 from enstrophy_bounds.verify import _rk4_row, _specfun_row, all_pass
 
-from conftest import PRESETS, params_with
+from conftest import (PRESETS, e2_lower_bound, halved_curve, params_with,
+                      truncation_comparison)
 
 # the bounds and breakpoints are lns; log10 = ln / LN10
 LN10 = math.log(10.0)

@@ -18,7 +18,6 @@ from enstrophy_bounds import (
     find_e_max,
     find_e_min,
     max_join_gap,
-    truncation_comparison,
 )
 from enstrophy_bounds import branches, subcritical
 from enstrophy_bounds.critical import chain
@@ -26,7 +25,7 @@ from enstrophy_bounds.errors import NoBracket
 from enstrophy_bounds.solver import integrate_adaptive
 from enstrophy_bounds.specfun import Branch, Field
 
-from conftest import ROOT, params_with
+from conftest import ROOT, params_with, truncation_comparison
 
 # E_max is an ln; log10 = ln / LN10
 LN10 = math.log(10.0)
@@ -287,13 +286,6 @@ def test_truncated_converges_to_full(fig2):
     errs = [truncation_comparison(fig2, n) for n in (40, 80, 120)]
     assert errs[0] > errs[1] > errs[2]
     assert errs[2] < 1e-6
-
-
-@pytest.mark.parametrize("n_terms", [0, -3])
-def test_truncation_needs_a_term(fig2, n_terms):
-    # an empty partial sum is refused by name, not as a bare TypeError
-    with pytest.raises(OutsideDomain, match=f"n_terms = {n_terms}$"):
-        truncation_comparison(fig2, n_terms)
 
 
 # ------------------------------------------------------------- assembly

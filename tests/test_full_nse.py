@@ -8,6 +8,8 @@ import pytest
 
 from enstrophy_bounds import (
     CancellationLoss,
+    EnstrophyBoundsError,
+    ForcingParams,
     FullNseGeometry,
     InvalidRegime,
     NoBracket,
@@ -19,9 +21,10 @@ from enstrophy_bounds import (
     geometry,
     solve_e2,
 )
-from enstrophy_bounds.full_nse import Funnel, _ln_psi, _nose, e2_lower_bound
+from enstrophy_bounds.full_nse import Funnel, _ln_psi, _nose
 
-from conftest import alpha_ln_beta, parabola, params_with
+from conftest import (alpha_ln_beta, e2_lower_bound, parabola, params_with,
+                      tool)
 
 
 def _psi(E, params):
@@ -479,3 +482,20 @@ def test_assemble_full_bundle(fig2):
         math.log(parabola(geo.e2, fig2)), abs=1e-9)
     for seg in bundle.segments:
         assert all(map(math.isfinite, seg.ln_E))
+
+
+def test_e2_floor_vacuous_wherever_curve_full_answers():
+    # assemble_full writes the flag on every bundle; behind it, the e2
+    # floor is nonpositive on every set of the fixed run set that the full
+    # model answers
+    answered = 0
+    for name, raw in tool("outputs").param_sets():
+        try:
+            params = ForcingParams.from_mapping(raw)
+            bundle = assemble_full(params)
+        except EnstrophyBoundsError:
+            continue
+        answered += 1
+        assert "e2_floor_vacuous" in bundle.flags, name
+        assert e2_lower_bound(params) <= 0.0, name
+    assert answered > 100

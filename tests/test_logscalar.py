@@ -150,8 +150,10 @@ def test_from_sci_string_refuses_a_non_finite_ln():
 @given(st.floats(min_value=-5000.0, max_value=5000.0,
                  allow_nan=False, allow_infinity=False))
 def test_hypothesis_sci_round_trip_in_ln(ln):
+    # at most 2.9 ulps were seen over 300,000 seeded draws with |ln| from
+    # 1e-6 to 1e9, and 2.5 over 100,000 examples of this strategy
     back = from_sci_string(sci_string(ln))
-    assert abs(back - ln) <= 1e-13 * max(1.0, abs(ln))
+    assert abs(back - ln) <= 4.0 * math.ulp(max(1.0, abs(ln)))
 
 
 # -- the kernel ------------------------------------------------------------

@@ -19,7 +19,6 @@ from enstrophy_bounds import (
     InvalidRegime,
     RegimeViolation,
     assemble_scaling,
-    exponent_compare,
 )
 from enstrophy_bounds.logscalar import ln_add
 
@@ -138,20 +137,6 @@ def test_peak_scales_exactly_quadratically(fig2):
         lgs.append(math.log(g))
     slope = np.polyfit(lgs, lns, 1)[0]
     assert slope == pytest.approx(2.0, rel=1e-12)
-
-
-def test_exponent_compare():
-    rep = exponent_compare(0.75, 0.75)
-    assert rep["holder_exponent"] == pytest.approx(10.0, rel=1e-14)
-    assert rep["scaling_exponent"] == pytest.approx(3.75, rel=1e-14)
-    assert rep["larger"] == "holder"
-    assert rep["crossover_r"] == pytest.approx(23.0 / 14.0, rel=1e-14)
-    assert exponent_compare(0.75, 0.5)["crossover_r"] \
-        == pytest.approx(11.0 / 6.0, rel=1e-14)
-    with pytest.raises(InvalidRegime):
-        exponent_compare(0.5, 0.75)
-    with pytest.raises(InvalidRegime):
-        exponent_compare(0.75, 1.0)
 
 
 def test_assemble_scaling_bundle(fig2):

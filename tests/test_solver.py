@@ -8,7 +8,7 @@ from enstrophy_bounds import (FieldBlowup, NoBracket, NonConvergence,
 from enstrophy_bounds.curves import log_grid
 from enstrophy_bounds.solver import find_root, integrate_adaptive, rk4_path
 
-from conftest import ROOT
+from conftest import ROOT, names_in
 
 
 def test_find_root_sqrt2():
@@ -318,30 +318,11 @@ def test_integrate_adaptive_matches_per_call_nodes(f, lo, hi):
 _REFERENCES = {"rk4_path", "integrate_adaptive"}
 
 
-def _names(tree: ast.AST):
-    """Every name, attribute and imported name in tree."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            yield node.id
-        elif isinstance(node, ast.Attribute):
-            yield node.attr
-        elif isinstance(node, ast.alias):
-            yield node.name
-
-
-def test_only_verify_and_the_truncation_check_name_the_references():
-    # solver defines them; verify and critical.truncation_comparison are
-    # the only modules that call them
+def test_only_verify_names_the_references():
+    # solver defines them; verify is the only module that calls them
     for path in sorted((ROOT / "src" / "enstrophy_bounds").glob("*.py")):
         if path.name == "solver.py":
             continue
-        tree = ast.parse(path.read_text())
-        if path.name == "critical.py":
-            check, = [node for node in tree.body
-                      if isinstance(node, ast.FunctionDef)
-                      and node.name == "truncation_comparison"]
-            assert set(_names(check)) & _REFERENCES == {"rk4_path"}
-            tree.body.remove(check)
-        named = set(_names(tree)) & _REFERENCES
+        named = set(names_in(ast.parse(path.read_text()))) & _REFERENCES
         assert named == (_REFERENCES if path.name == "verify.py" else set()), \
             path.name

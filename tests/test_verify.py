@@ -22,7 +22,6 @@ from enstrophy_bounds import (
     assemble_scaling,
     assemble_subcritical,
     containment_check,
-    halved_curve,
     oracle_suite,
 )
 from enstrophy_bounds import branches, scaling, specfun, subcritical
@@ -34,7 +33,7 @@ from enstrophy_bounds.verify import (_ALPHAS, _SCAN_HALF_WIDTH, _SCAN_N,
                                      _rate_tables, _rk4_row, _scan_row,
                                      _spread_indices, all_pass, report)
 
-from conftest import ROOT, params_with
+from conftest import ROOT, halved_curve, params_with
 
 
 # ----------------------------------------------------------- containment
