@@ -94,12 +94,8 @@ def test_outputs_malformed_sets_are_refused_by_every_command():
     result = outputs.collect(sets, [])
     assert len(result) == len(sets) * len(outputs.COMMANDS) \
         + len(outputs.ONCE)
-    # the runs of ONCE read no set: the help, and the usage error of an
-    # unknown curve model, which names every model
-    assert result.pop("--help")[0] == 0
-    assert result.pop("curve bogus --params fig2.json")[::2] == [
-        1, "error: model takes one of critical, full, scaling, subcritical, "
-        "not 'bogus'\n"]
+    for argv in outputs.ONCE:
+        del result[" ".join(argv)]
     refusals = {}
     for run, (code, _, err, _) in result.items():
         assert code == 1, run
@@ -116,6 +112,82 @@ def test_outputs_malformed_sets_are_refused_by_every_command():
             "InvalidRegime: unknown parameter keys: viscosity\n"},
         "fig2 without nu": {
             "MissingKey: missing required parameter 'nu'\n"},
+    }
+
+
+def test_outputs_range_rule_sets_are_refused_by_every_command():
+    # one set per range rule of ForcingParams: every command exits 1 with
+    # that rule's refusal
+    rules = {
+        "fig2 nu=0": "nu must be positive",
+        "fig2 f_norm=-1": "f_norm must be nonnegative",
+        "fig2 c_omega=0.5": "c_omega must be at least 1",
+        "fig2 eta=1": "eta must exceed 1",
+        "fig2 r=0.4": "r must lie in [1/2, 1], got 0.4",
+        "fig2 eps=0.45 delta=0.2": "2*eps + delta must stay below 1, got 1.1",
+    }
+    sets = [s for s in outputs.param_sets() if s[0] in rules]
+    refusals = {}
+    for run, (code, _, err, _) in outputs.collect(sets, []).items():
+        if " | " in run:
+            assert code == 1, run
+            refusals.setdefault(run.split(" | ")[0], set()).add(err)
+    assert refusals == {name: {f"InvalidRegime: {rule}\n"}
+                        for name, rule in rules.items()}
+
+
+def test_outputs_runs_of_once_answer_or_refuse_by_name():
+    # the runs of ONCE read fig2.json or the files of FIXTURES: the help
+    # and the curve written to a file answer, every other run is refused
+    # by name
+    result = outputs.collect([], [])
+    assert list(result) == [" ".join(argv) for argv in outputs.ONCE]
+    assert [result.pop(run)[0] for run in (
+        "--help", "curve critical --params fig2.json --out c.csv")] == [0, 0]
+    curve_file = "InvalidRegime: {} is not a curve file: "
+    assert {run: tuple(outcome[::2]) for run, outcome in result.items()} == {
+        "curve bogus --params fig2.json": (
+            1, "error: model takes one of critical, full, scaling, "
+            "subcritical, not 'bogus'\n"),
+        "frobnicate": (
+            1, "error: expected a command: curve, emax, classify, verify, "
+            "taylor\n"),
+        "emax --params fig2.json --bogus 1": (
+            1, "error: unrecognized argument '--bogus'\n"),
+        "emax --params": (1, "error: --params needs a value\n"),
+        "curve critical --params fig2.json --samples 1": (
+            1, "OutsideDomain: need at least two samples per segment, got "
+            "1\n"),
+        **{f"classify --e 0 --E 1 --params fig2.json --model {model}": (
+            1, "OutsideDomain: classification needs e > 0 and E > 0\n")
+           for model in ("full", "subcritical")},
+        "verify --params fig2.json --points -1": (
+            1, "OutsideDomain: containment needs n_points >= 0, got -1\n"),
+        "emax --params fig2.json --anchor-E0 inf": (
+            1, "InvalidRegime: E0_anchor must be positive and finite, got "
+            "inf\n"),
+        "emax --params fig2.json --eta nan": (
+            1, "InvalidRegime: eta must be finite, got nan\n"),
+        "emax --params fig2.json --anchor-E0 -1e3": (
+            1, "InvalidRegime: E0 and eps must be positive\n"),
+        "taylor --params fig2.json --curve bool.json": (
+            1, curve_file.format("bool.json")
+            + "TypeError: every log10_E must be a number\n"),
+        "taylor --params fig2.json --curve zero.json": (
+            1, curve_file.format("zero.json")
+            + "every energy must be positive\n"),
+        "taylor --params fig2.json --curve short.json": (
+            1, curve_file.format("short.json")
+            + "segment phi1 needs one finite log10_E per energy\n"),
+        "taylor --params fig2.json --curve negative.json": (
+            1, curve_file.format("negative.json")
+            + "ValueError: malformed scientific literal '-1.0e5'\n"),
+        "emax --params not-json.json": (
+            1, "InvalidRegime: not-json.json is not a JSON parameter file: "
+            "Expecting property name enclosed in double quotes: line 1 "
+            "column 2 (char 1)\n"),
+        "emax --params list.json": (
+            1, "InvalidRegime: parameter file must hold a JSON object\n"),
     }
 
 

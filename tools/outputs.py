@@ -14,8 +14,9 @@ The parameter sets are both presets; the 200 draws of draws(); fig2 at
 f_norm = G = 300, 600, 1000 and 3000; fig2 at eta = 1 + 10^-k for
 k = 4...15; 40 fig2 sets with G drawn uniformly from [1.5, 5] (seed 2);
 the eight fig2 variants of SCALING_ARMS, which reach each refusal and
-each maximum arm of the scaling model; two sets at the float-range
-edge, fig2 at curlF_norm = 1.765e153 (the scaling admissibility floor
+each maximum arm of the scaling model; the ten preset variants of
+REFUSAL_ARMS, each reaching a refusal no other set reaches; two sets at
+the float-range edge, fig2 at curlF_norm = 1.765e153 (the scaling admissibility floor
 at ln 708.5) and fig2 at eps = 1e-208, curlF_norm = 4.29e-155 (the
 critical enstrophy floor at ln -715); and six malformed parameter
 files, which every command refuses: fig2 with nu a 401-digit integer,
@@ -23,10 +24,16 @@ true, "1" or NaN, fig2 with an unknown key, and fig2 without nu. The
 commands are curve for each model in CSV and JSON, emax with its
 defaults, with --eta 5 and with --anchor-E0 16 --eta 4.33, verify,
 taylor on the full model's JSON curve, and classify at eight points for
-each classify model: 29 commands on 274 sets, 7,946 runs. The runs of
-ONCE read no parameter set and run once per comparison: the help, and a
-usage error (an unknown curve model on fig2); both print text built
-from the command table. That makes 7,948 runs in all.
+each classify model: 29 commands on 284 sets, 8,236 runs. The runs of
+ONCE read no parameter set of their own and run once per comparison:
+the help; the usage errors of an unknown curve model, an unknown
+command, an unknown flag and a flag without its value; and, on fig2 or
+on the files of FIXTURES, a curve written with --out, one refusal of
+each argument check a command passes on (too few samples, a point at
+e = 0 for each classify model, a negative verify count, an infinite or
+negative anchor, a NaN eta), taylor on four curve files it refuses, and
+a parameter file that is not JSON and one that holds a list: 19 runs,
+8,255 in all.
 
 digest() writes tests/data/outputs_digest.json, which a tier-1 test
 recomputes in process: it pins every run of the set without a second
@@ -76,6 +83,22 @@ SCALING_ARMS = (
     {"eps0": 0.05, "psi_inf": 0.0624},
     {"eps0": 0.05, "psi_inf": 0.0626})
 
+# a preset changed to reach a refusal that no other set reaches: zero
+# forcing; fig3 without a production term (c = 0); one set per range rule
+# of ForcingParams; eta between sqrt(6) and eta_threshold(1), where the
+# full model's crossing has no bracket; a G whose square leaves float range
+REFUSAL_ARMS = (
+    ("fig2", {"f_norm": 0.0}),
+    ("fig3", {"c": 0.0}),
+    ("fig2", {"nu": 0.0}),
+    ("fig2", {"f_norm": -1.0}),
+    ("fig2", {"c_omega": 0.5}),
+    ("fig2", {"eta": 1.0}),
+    ("fig2", {"r": 0.4}),
+    ("fig2", {"eps": 0.45, "delta": 0.2}),
+    ("fig2", {"eta": 2.5}),
+    ("fig2", {"f_norm": 1e200}))
+
 # the run whose stdout taylor reads as curve.json
 _CURVE_JSON = ["curve", "full", "--format", "json"]
 COMMANDS = (
@@ -88,7 +111,35 @@ COMMANDS = (
     + [["classify", "--e", e, "--E", big_e, "--model", model]
        for model in ("full", "subcritical")
        for e in ("1e-2", "1", "1e2", "1e4") for big_e in ("1", "1e10")])
-ONCE = (["--help"], ["curve", "bogus", "--params", "fig2.json"])
+# files the runs of ONCE read beside fig2.json: a parameter file that is
+# not JSON and one that holds a list, and curve files that taylor refuses
+# for a boolean log10_E, a zero energy, two energies with one log10_E and
+# a negative energy
+FIXTURES = {
+    "not-json.json": "{nu: 1}\n",
+    "list.json": "[1, 2, 3]\n",
+    **{name: json.dumps({"segments": [{"tag": "phi1", "e": es,
+                                       "log10_E": big_es}]})
+       for name, es, big_es in (("bool.json", ["1.0e+00"], [True]),
+                                ("zero.json", ["0.0"], [0.0]),
+                                ("short.json", ["1.0e+00", "2.0e+00"], [0.0]),
+                                ("negative.json", ["-1.0e5"], [0.0]))}}
+_FIG2 = ["--params", "fig2.json"]
+ONCE = (["--help"], ["curve", "bogus", *_FIG2],
+        ["curve", "critical", *_FIG2, "--out", "c.csv"],
+        ["frobnicate"], ["emax", *_FIG2, "--bogus", "1"], ["emax", "--params"],
+        ["curve", "critical", *_FIG2, "--samples", "1"],
+        *(["classify", "--e", "0", "--E", "1", *_FIG2, "--model", model]
+          for model in ("full", "subcritical")),
+        ["verify", *_FIG2, "--points", "-1"],
+        ["emax", *_FIG2, "--anchor-E0", "inf"],
+        ["emax", *_FIG2, "--eta", "nan"],
+        ["emax", *_FIG2, "--anchor-E0", "-1e3"],
+        *(["taylor", *_FIG2, "--curve", name]
+          for name in ("bool.json", "zero.json", "short.json",
+                       "negative.json")),
+        ["emax", "--params", "not-json.json"],
+        ["emax", "--params", "list.json"])
 DIGEST = ROOT / "tests" / "data" / "outputs_digest.json"
 
 # what each checkout's interpreter runs: argv is (src, this file), stdin
@@ -137,6 +188,10 @@ def param_sets() -> list[tuple[str, dict]]:
                for i in range(40)]
             + [("fig2 " + " ".join(f"{key}={v:g}" for key, v in arm.items()),
                 dict(FIG2, **arm)) for arm in SCALING_ARMS]
+            + [(f"{preset} " + " ".join(f"{key}={v:g}"
+                                        for key, v in arm.items()),
+                dict(FIG2 if preset == "fig2" else FIG3, **arm))
+               for preset, arm in REFUSAL_ARMS]
             + [("fig2 curlF_norm=1.765e153", dict(FIG2, curlF_norm=1.765e153)),
                ("fig2 eps=1e-208 curlF_norm=4.29e-155",
                 dict(FIG2, eps=1e-208, curlF_norm=4.29e-155))]
@@ -224,6 +279,8 @@ def _runs(sets: list):
                 Path("curve.json").write_text(out)
             yield f"{name} | {' '.join(argv)}", (code, out, err)
     Path("fig2.json").write_text(json.dumps(FIG2))
+    for name, text in FIXTURES.items():
+        Path(name).write_text(text)
     for argv in ONCE:
         yield " ".join(argv), outcome(argv)
 
