@@ -79,9 +79,9 @@ class ForcingParams:
     fields are stored as floats. from_mapping adds only the key rules of
     a file: no unknown key, and every required key present.
 
-    Two sets with the same field values are equal and hash alike; the
-    hash is formed once, here. Each resolved model (held) is kept on the
-    set itself, so an equal but distinct set resolves its own.
+    A set compares and hashes as itself; to_raw() gives its values. Each
+    resolved model (held) is kept on the set itself, so a second set of
+    the same values resolves its own.
     """
 
     def __init__(self, **fields: float):
@@ -98,7 +98,7 @@ class ForcingParams:
             if not abs(value) <= _FLOAT_MAX:
                 raise InvalidRegime(f"parameter {json_key!r} must be finite")
         key = tuple([float(fields[name]) for name in _FIELDS])
-        vars(self).update(zip(_FIELDS, key), _key=key, _hash=hash(key))
+        vars(self).update(zip(_FIELDS, key), _key=key)
         for name in ("nu", "lam", "lam0", "mu", "eps",
                      "c1", "c2", "eps0", "c_omega_prime"):
             if fields[name] <= 0.0:
@@ -118,12 +118,6 @@ class ForcingParams:
         if self.rho >= 1.0:
             raise InvalidRegime(
                 f"2*eps + delta must stay below 1, got {self.rho}")
-
-    def __eq__(self, other):
-        return other.__class__ is ForcingParams and self._key == other._key
-
-    def __hash__(self):
-        return self._hash
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to ForcingParams.{name}")

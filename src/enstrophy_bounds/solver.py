@@ -9,9 +9,10 @@ construction; the quadrature and the ODE path are references only, and
 no curve or integral is built from them: only verify calls them. The
 root tolerance (4 ulps), the quadrature tolerance, the iteration cap and
 the blow-up level are fixed; only rk4_path's tol and the nodes it lands
-on vary between callers. The two reference kernels form their
+on vary between callers. The quadrature integrates over [0, 1], the one
+interval verify asks for. The two reference kernels form their
 invariants once: the quadrature nodes and weights in a table shared by
-every interval, the Dormand-Prince stages written out on named slopes.
+every call, the Dormand-Prince stages written out on named slopes.
 Both give the same bits as the plain loops (tests/test_solver.py keeps
 those as oracles).
 """
@@ -88,10 +89,10 @@ _REL_TOL = 1e-12  # agreement asked of two successive levels
 @cache
 def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     """(q, weight) of each node of a tanh-sinh level, formed once for
-    every interval: level 0 takes t = 1, 2, ...; each later level, of step
+    every call: level 0 takes t = 1, 2, ...; each later level, of step
     h = 2^-level, the odd multiples of h. q = exp(-pi sinh t) sets the
-    node pair's distance from the endpoints, gap = 2 half q / (1 + q), and
-    the level ends where q underflows, past which every gap is zero."""
+    node pair's distance from the endpoints, gap = q / (1 + q), and the
+    level ends where q underflows, past which every gap is zero."""
     nodes, t, step = [], 0.5 ** level, 0.5 ** max(level - 1, 0)
     while (q := math.exp(-math.pi * math.sinh(t))) > 0.0:
         nodes.append((q, 2.0 * math.pi * math.cosh(t) * q / (1.0 + q) ** 2))
@@ -99,37 +100,29 @@ def _level_nodes(level: int) -> tuple[tuple[float, float], ...]:
     return tuple(nodes)
 
 
-def integrate_adaptive(f: Func, lo: float, hi: float) -> float:
-    """Tanh-sinh integral of f on [lo, hi] to relative tolerance _REL_TOL.
+def integrate_adaptive(f: Func) -> float:
+    """Tanh-sinh integral of f on [0, 1] to relative tolerance _REL_TOL.
 
-    s = mid + half tanh(pi/2 sinh t) turns the integral into a doubly
+    s = (1 + tanh(pi/2 sinh t))/2 turns the integral into a doubly
     exponentially decaying sum in t (Takahasi & Mori 1974), so integrable
     endpoint singularities need no special treatment. Each level halves
     the step in t and reuses every earlier node; the result is returned
     once two successive levels agree to _REL_TOL, and NonConvergence is
     raised when the levels run out first. f is never evaluated at an
-    endpoint: a node is dropped once it rounds onto one. The node values
-    q and the weights do not depend on [lo, hi] and come from one table
-    (_level_nodes), so a call forms only each gap and its two abscissas.
+    endpoint: a node pair lies at gap = q/(1 + q) from each end, and q > 0
+    keeps gap inside (0, 1/2), so only the node 1 - gap can round onto an
+    end, and it is dropped there. The node values q and the weights come
+    from one table (_level_nodes), so a call forms only each gap and its
+    mirror.
     """
-    if lo == hi:
-        return 0.0
-    if lo > hi:
-        return -integrate_adaptive(f, hi, lo)
-    half = 0.5 * (hi - lo)
-    total = 0.5 * math.pi * f(lo + half)
+    total = 0.5 * math.pi * f(0.5)
     estimate, h = math.nan, 1.0
     for level in range(_MAX_LEVEL + 1):
         for q, w in _level_nodes(level):
-            gap = 2.0 * half * q / (1.0 + q)
-            s1, s2 = lo + gap, hi - gap
-            if lo < s1 < hi:
-                total += w * (f(s1) + f(s2) if lo < s2 < hi else f(s1))
-            elif lo < s2 < hi:
-                total += w * f(s2)
-            else:
-                break
-        new = h * half * total
+            gap = q / (1.0 + q)
+            s2 = 1.0 - gap
+            total += w * (f(gap) + f(s2) if s2 < 1.0 else f(gap))
+        new = h * 0.5 * total
         if level > 1 and abs(new - estimate) <= _REL_TOL * abs(new):
             return new
         estimate, h = new, 0.5 * h

@@ -186,10 +186,8 @@ def _g_quadrature(alpha: float, x: float) -> float:
     if alpha <= 1.0:
         # t = u^(1/alpha) flattens the endpoint singularity exactly
         inv = 1.0 / alpha
-        return inv * integrate_adaptive(
-            lambda u: math.exp(x * u ** inv), 0.0, 1.0)
-    return integrate_adaptive(
-        lambda t: t ** (alpha - 1.0) * math.exp(x * t), 0.0, 1.0)
+        return inv * integrate_adaptive(lambda u: math.exp(x * u ** inv))
+    return integrate_adaptive(lambda t: t ** (alpha - 1.0) * math.exp(x * t))
 
 
 def _specfun_row() -> dict:

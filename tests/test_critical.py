@@ -163,7 +163,8 @@ def test_phi2_domain_gate(fig2):
 
 def _tail_quadrature_ln(ln_e, ln_e_hi, a3, b3):
     """ln int_e^{e_hi} (e/t)^a3 exp(b3 (t - e)) dt by quadrature in
-    t = e exp(v), which stays finite however far below float range e is."""
+    t = e exp(v), which stays finite however far below float range e is;
+    v = span u maps it onto the quadrature's [0, 1]."""
     span = ln_e_hi - ln_e
     e = math.exp(ln_e)
 
@@ -171,7 +172,7 @@ def _tail_quadrature_ln(ln_e, ln_e_hi, a3, b3):
         return math.exp((1.0 - a3) * (v - span) + b3 * e * math.expm1(v))
 
     return ln_e + (1.0 - a3) * span \
-        + math.log(integrate_adaptive(f, 0.0, span))
+        + math.log(span * integrate_adaptive(lambda u: f(span * u)))
 
 
 @pytest.mark.parametrize("ln_hi, offsets", [
