@@ -94,8 +94,12 @@ def eta_min(E0: float, eps: float, mu: float) -> float:
 def _anchor_eta(G: float, eps: float, mu: float, eta: float | None,
                 E0_anchor: float | None) -> tuple[float, float]:
     """(E0, eta) of the upper bound: the parabola apex 4 G^2 and
-    eta_min(E0) where the caller gives none. Only a default eta is checked
-    here, by its eta_min; emax_upper checks what the caller gave."""
+    eta_min(E0) where the caller gives none. A given anchor is checked
+    here, before eta_min reads it, and a default eta by its eta_min;
+    emax_upper checks a given eta."""
+    if E0_anchor is not None and not 0.0 < E0_anchor < math.inf:
+        raise InvalidRegime(f"E0_anchor must be positive and finite, "
+                            f"got {E0_anchor}")
     E0 = 4.0 * G * G if E0_anchor is None else E0_anchor
     return E0, eta_min(E0, eps, mu) if eta is None else eta
 
@@ -113,9 +117,6 @@ def emax_upper(G: float, eps: float, rho: float, c2: float,
     """
     _validate(G, eps, rho, c2)
     E0, eta = _anchor_eta(G, eps, mu, eta, E0_anchor)
-    if E0_anchor is not None and not 0.0 < E0_anchor < math.inf:
-        raise InvalidRegime(f"E0_anchor must be positive and finite, "
-                            f"got {E0_anchor}")
     floor = eta_min(E0, eps, mu)
     if not math.isfinite(eta):
         raise InvalidRegime(f"eta must be finite, got {eta}")
@@ -133,11 +134,15 @@ def bound_report(params, eta: float | None = None,
     rescaled to physical units (physical_scale) and rounded to twelve
     digits (round_sig), and the flags naming each default filled in and
     the rescaling. E0_anchor and eta are read in this module's nu =
-    lambda = 1 frame, as G is; eta is printed as used. The default eta
-    is formed before the lower bound, and a given anchor and eta are
-    checked after it; a value outside float range in physical units is
-    InvalidRegime, last."""
+    lambda = 1 frame, as G is; eta is printed as used. G = 0 (zero
+    forcing, or G underflows) is RegimeViolation, first: there is no
+    bracket to form. A given anchor is checked and the default eta formed
+    before the lower bound, and a given eta is checked after it; a value
+    outside float range in physical units is InvalidRegime, last."""
     G, eps, rho, c2 = params.grashof, params.eps, params.rho, params.c2
+    if G == 0.0:
+        raise RegimeViolation(
+            "no bracket to form: G = 0 (zero forcing, or G underflows)")
     E0, eta_used = _anchor_eta(G, eps, params.mu, eta, E0_anchor)
     lower = emax_lower(G, eps, rho, c2)
     upper = emax_upper(G, eps, rho, c2, eta_used, E0_anchor, mu=params.mu)

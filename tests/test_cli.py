@@ -617,6 +617,29 @@ def test_scaling_refusals(tmp_path, capsys, over, code, err):
     assert captured.err == err + "\n"
 
 
+@pytest.mark.parametrize("over, extra, code, err", [
+    ({"f_norm": 0.0}, [], 3, "RegimeViolation: no bracket to form: G = 0 "
+     "(zero forcing, or G underflows)\n"),
+    ({"f_norm": 0.0}, ["--eta", "5"], 3, "RegimeViolation: no bracket to "
+     "form: G = 0 (zero forcing, or G underflows)\n"),
+    ({"f_norm": 1e-310, "nu": 1e10}, [], 3, "RegimeViolation: no bracket to "
+     "form: G = 0 (zero forcing, or G underflows)\n"),
+    ({}, ["--anchor-E0", "-1e3"], 1, "InvalidRegime: E0_anchor must be "
+     "positive and finite, got -1000.0\n"),
+], ids=["zero-forcing", "zero-forcing-given-eta", "underflowing-G",
+        "negative-anchor"])
+def test_emax_names_degenerate_forcing_and_a_bad_anchor(tmp_path, capsys,
+                                                        over, extra, code,
+                                                        err):
+    # G = 0 has no bracket, as every other command has no curve for it
+    # (exit 3), whether or not eta is given; a given anchor is checked
+    # before the default eta is formed from it
+    params = _fig2_variant(tmp_path, "p.json", **over)
+    assert run(["emax", "--params", params, *extra]) == code
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", err)
+
+
 # the refusals met most often name the numbers they compare; exit codes
 # are those of their error classes
 @pytest.mark.parametrize("preset, over, args, err", [

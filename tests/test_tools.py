@@ -169,7 +169,8 @@ def test_outputs_runs_of_once_answer_or_refuse_by_name():
         "emax --params fig2.json --eta nan": (
             1, "InvalidRegime: eta must be finite, got nan\n"),
         "emax --params fig2.json --anchor-E0 -1e3": (
-            1, "InvalidRegime: E0 and eps must be positive\n"),
+            1, "InvalidRegime: E0_anchor must be positive and finite, got "
+            "-1000.0\n"),
         "taylor --params fig2.json --curve bool.json": (
             1, curve_file.format("bool.json")
             + "TypeError: every log10_E must be a number\n"),
