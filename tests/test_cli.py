@@ -510,6 +510,17 @@ def test_underflowing_anchor_is_regime(tmp_path, capsys, args):
     assert captured.err.count("\n") == 1
 
 
+def test_underflowing_barrier_asymptote_is_invalid(tmp_path, capsys):
+    # b = 1.2 c2 sqrt(lam)/(eps nu^2) is above float range at eps = 1e-300
+    # and nu = 1e-5, so e_a = a/b is 0: no barrier for the rise to peak at
+    params = _fig2_variant(tmp_path, "p.json", eps=1e-300, nu=1e-5,
+                           f_norm=1e-8)
+    assert run(["curve", "critical", "--params", params]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "InvalidRegime: e_a = a/b underflows (b = inf)\n")
+
+
 @pytest.mark.parametrize("over, extra", [
     ({"f_norm": 1e200}, []), ({"lambda": 1e-300}, []),
     ({}, ["--eta", "1e307"]), ({}, ["--eta", "1e308"]),

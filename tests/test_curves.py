@@ -62,6 +62,14 @@ def test_segment_refusals_are_typed_and_name_the_tag():
         CurveSegment("phi2", [0.0, 1.0], [1.0])
 
 
+def test_bundle_segment_refuses_an_unknown_tag(fig2):
+    phi1 = CurveSegment("phi1", [0.0], [1.0])
+    bundle = CurveBundle("critical", fig2, [phi1], {})
+    assert bundle.segment("phi1") is phi1
+    with pytest.raises(KeyError, match="phi2"):
+        bundle.segment("phi2")
+
+
 # -- the JSON writer ------------------------------------------------------
 
 

@@ -107,8 +107,9 @@ def test_upper_monotone_in_eta():
 
 
 def test_validation_gates():
-    for bad in ((0.0, EPS, RHO, C2), (G, -1.0, RHO, C2),
-                (G, EPS, 1.0, C2), (G, EPS, -0.1, C2), (G, EPS, RHO, 0.0)):
+    for bad in ((0.0, EPS, RHO, C2), (1e200, EPS, RHO, C2),
+                (G, -1.0, RHO, C2), (G, EPS, 1.0, C2), (G, EPS, -0.1, C2),
+                (G, EPS, RHO, 0.0)):
         with pytest.raises(InvalidRegime):
             emax_lower(*bad)
     # G^2 at or below the critical energy: no growth interval exists

@@ -89,6 +89,14 @@ def _fields(params):
     return {_KEYS[key]: value for key, value in params.to_raw().items()}
 
 
+def test_keyword_construction_takes_exactly_the_fields(fig2):
+    fields = _fields(fig2)
+    for wrong in ({"nu": 1.0}, dict(fields, viscosity=1.0)):
+        with pytest.raises(TypeError, match=r"^ForcingParams takes the "
+                           r"fields \('nu', 'lam', "):
+            ForcingParams(**wrong)
+
+
 @pytest.mark.parametrize("value, message", _NOT_NUMBERS,
                          ids=["true", "string", "none", "nan", "inf",
                               "minus-inf", "huge-int", "minus-huge-int"])

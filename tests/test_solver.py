@@ -26,6 +26,24 @@ def test_find_root_needs_sign_change():
         find_root(lambda x: x * x + 1.0, -1.0, 1.0)
 
 
+def test_find_root_refuses_nan():
+    # NaN at an endpoint carries no sign; NaN inside stops the search
+    with pytest.raises(NoBracket, match=r"^NaN at bracket endpoint: "
+                       r"f\(0.0\)=nan, f\(1.0\)=0.5$"):
+        find_root(lambda x: math.nan if x == 0.0 else x - 0.5, 0.0, 1.0)
+    with pytest.raises(NonConvergence, match=r"^f\(0.5\) is NaN$"):
+        find_root(lambda x: x - 0.5 if x in (0.0, 1.0) else math.nan,
+                  0.0, 1.0)
+
+
+def test_find_root_gives_up_after_its_iteration_cap():
+    # a root at 0 under the flat x^(1/1000), bracketed 300 decades wide:
+    # 200 steps do not narrow the bracket to 4 ulps
+    with pytest.raises(NonConvergence,
+                       match=r"^no root to 4 ulps in 200 iterations$"):
+        find_root(lambda x: math.copysign(abs(x) ** 1e-3, x), -1.0, 1e300)
+
+
 def test_find_root_tolerates_infinite_endpoint():
     # barrier convention: the gap function is -inf at the right edge
     def f(x):

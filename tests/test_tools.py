@@ -1,14 +1,17 @@
 """The scripts under tools/: the code-line count the design aim is
-measured by (code_lines.py), and the run-by-run comparison of two
-checkouts' outputs (outputs.py) with its digest of every run."""
+measured by (code_lines.py), the run-by-run comparison of two
+checkouts' outputs (outputs.py) with its digest of every run, and the
+list of statements the fixed set leaves unreached (unreached.py)."""
 
 import json
 import shutil
+from collections import Counter
 
 from conftest import ROOT, tool
 
 code_lines = tool("code_lines")
 outputs = tool("outputs")
+unreached = tool("unreached")
 
 
 # every kind of line the count skips or keeps: docstrings of a module, a
@@ -235,3 +238,61 @@ def test_outputs_digest_is_pinned():
         moved.append(f"{name or 'runs of ONCE'}: "
                      + ("; ".join(runs) or "stdout or stderr moved"))
     assert not moved, "\n".join(moved)
+
+
+# every kind of statement the unreached count keeps or leaves out: a
+# module docstring and import, a function's docstring, a nonlocal
+# declaration, a compound statement whose header spans two lines and a
+# comment, and a try statement with its handler
+_STATEMENTS = '''"""Module docstring."""
+import os
+
+X = 1
+
+
+def f(a):
+    """Function docstring."""
+    n = 0
+
+    def g():
+        nonlocal n
+        n += 1
+
+    if (a
+            and n):  # a comment
+        # a comment line
+        return g()
+    try:
+        pass
+    except ValueError:
+        raise
+'''
+
+
+def test_unreached_counts_statements_by_their_own_lines():
+    assert unreached.statements(_STATEMENTS) == [
+        ("", "X = 1", range(4, 5)),
+        ("f", "n = 0", range(9, 10)),
+        ("f.g", "n += 1", range(13, 14)),
+        ("f", "if (a and n):", range(15, 17)),
+        ("f", "return g()", range(18, 19)),
+        ("f", "try:", range(19, 20)),
+        ("f", "pass", range(20, 21)),
+        ("f", "raise", range(22, 23)),
+    ]
+
+
+def test_unreached_allowlist_names_one_statement_and_one_test_each():
+    # parsed, not traced: each entry of the allowlist names exactly one
+    # statement of src/, no statement is listed twice, and the test that
+    # each entry says reaches it exists. An edit that deletes or rewrites
+    # an allowlisted statement fails here
+    found = Counter((module, scope, text)
+                    for module, statements in unreached.library().items()
+                    for scope, text, _ in statements)
+    assert [key for key in unreached.ALLOWED if found[key] != 1] == []
+    assert len(unreached.ALLOWED) == sum(len(group) - 2
+                                         for group in unreached._GROUPS)
+    for reason, test in unreached.ALLOWED.values():
+        path, name = test.split("::")
+        assert f"\ndef {name}(" in (ROOT / "tests" / path).read_text(), test
