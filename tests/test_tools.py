@@ -243,7 +243,7 @@ def test_outputs_digest_is_pinned():
 # every kind of statement the unreached count keeps or leaves out: a
 # module docstring and import, a function's docstring, a nonlocal
 # declaration, a compound statement whose header spans two lines and a
-# comment, and a try statement with its handler
+# comment, and a try statement with its handler and else block
 _STATEMENTS = '''"""Module docstring."""
 import os
 
@@ -266,6 +266,8 @@ def f(a):
         pass
     except ValueError:
         raise
+    else:
+        n = 2
 '''
 
 
@@ -279,6 +281,7 @@ def test_unreached_counts_statements_by_their_own_lines():
         ("f", "try:", range(19, 20)),
         ("f", "pass", range(20, 21)),
         ("f", "raise", range(22, 23)),
+        ("f", "n = 2", range(24, 25)),
     ]
 
 

@@ -257,16 +257,16 @@ ALLOWED = {key: (reason, test) for reason, test, *keys in _GROUPS
 
 _SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 _SKIPPED = (ast.Import, ast.ImportFrom, ast.Nonlocal, ast.Global)
-
-
-_BLOCKS = ("body", "orelse", "handlers", "finalbody")
+_BLOCKS = ("body", "handlers", "orelse", "finalbody")
 
 
 def _blocks(node: ast.stmt) -> list[list[ast.stmt]]:
     """The nonempty statement lists nested in node, in source order."""
-    blocks = [getattr(node, field, None) for field in ("body", "orelse")]
-    blocks += [sub.body for sub in getattr(node, "handlers", [])]
-    blocks.append(getattr(node, "finalbody", None))
+    blocks = []
+    for field in _BLOCKS:
+        value = getattr(node, field, None) or []
+        blocks += [sub.body for sub in value] if field == "handlers" \
+            else [value]
     return [block for block in blocks if block]
 
 
